@@ -37,7 +37,7 @@ struct Args {
     test: bool,
     pipelined: bool,
     pipeline_depth: usize,
-    staleness: usize,
+    staleness: Option<usize>,
     compute_threads: usize,
 }
 
@@ -60,7 +60,7 @@ impl Args {
             test: false,
             pipelined: false,
             pipeline_depth: 2,
-            staleness: 1,
+            staleness: None,
             compute_threads: 1,
         };
         let mut it = std::env::args().skip(1);
@@ -88,7 +88,7 @@ impl Args {
                 "--test" => a.test = true,
                 "--pipelined" => a.pipelined = true,
                 "--pipeline-depth" => a.pipeline_depth = parse(&val("--pipeline-depth")?)?,
-                "--staleness" => a.staleness = parse(&val("--staleness")?)?,
+                "--staleness" => a.staleness = Some(parse(&val("--staleness")?)?),
                 "--compute-threads" => a.compute_threads = parse(&val("--compute-threads")?)?,
                 "--help" | "-h" => {
                     print_usage();
@@ -124,7 +124,8 @@ fn print_usage() {
          --pipelined          train with the three-stage pipelined executor\n\
          --pipeline-depth N   scan prefetch depth (default 2)\n\
          --staleness N        scheduler staleness bound in batches\n\
-                              (default 1; 0 = bit-identical to serial)\n\
+                              (default 1; 0 = bit-identical to serial;\n\
+                              in-memory datasets only)\n\
          --compute-threads N  shard-parallel batch compute workers\n\
                               (default 1; any N is bit-identical)"
     );
@@ -161,6 +162,21 @@ fn is_store_file(path: &str) -> bool {
         .and_then(|mut f| std::io::Read::read_exact(&mut f, &mut magic))
         .is_ok()
         && magic == cascade_store::MAGIC
+}
+
+/// `--staleness` bounds how far the in-memory pipelined executor's scout
+/// may run ahead of scheduler feedback. Out-of-core training has no
+/// scout (its loader thread only prefetches chunks), so the flag would
+/// be silently ignored there: refuse it instead.
+fn check_staleness_flag(staleness: Option<usize>, store_file: bool) -> Result<(), String> {
+    match staleness {
+        Some(bound) if store_file => Err(format!(
+            "--staleness {} has no effect on a store file: out-of-core training \
+             always follows the serial batch schedule",
+            bound
+        )),
+        _ => Ok(()),
+    }
 }
 
 fn build_model(args: &Args, num_nodes: usize, feature_dim: usize) -> Result<MemoryTgnn, String> {
@@ -235,7 +251,9 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    if is_store_file(&args.dataset) {
+    let store = is_store_file(&args.dataset);
+    check_staleness_flag(args.staleness, store)?;
+    if store {
         return run_streaming_cli(&args);
     }
 
@@ -268,13 +286,13 @@ fn run() -> Result<(), String> {
     };
 
     let report = if args.pipelined {
-        let pcfg = PipelineConfig::default()
-            .with_depth(args.pipeline_depth)
-            .with_staleness(args.staleness);
+        let mut pcfg = PipelineConfig::default().with_depth(args.pipeline_depth);
+        if let Some(bound) = args.staleness {
+            pcfg = pcfg.with_staleness(bound);
+        }
         println!(
             "pipelined executor: depth {}, staleness bound {}",
-            pcfg.depth,
-            pcfg.effective_staleness()
+            pcfg.depth, pcfg.staleness_bound
         );
         train_pipelined(&mut model, &data, strategy.as_mut(), &cfg, &pcfg)
             .map_err(|e| e.to_string())?
@@ -330,9 +348,7 @@ fn run_streaming_cli(args: &Args) -> Result<(), String> {
     };
 
     let report = if args.pipelined {
-        let pcfg = PipelineConfig::default()
-            .with_depth(args.pipeline_depth)
-            .with_staleness(args.staleness);
+        let pcfg = PipelineConfig::default().with_depth(args.pipeline_depth);
         println!("pipelined loader: chunk read-ahead {}", pcfg.depth.max(1));
         train_streamed(&mut model, &mut source, strategy.as_mut(), &cfg, &pcfg)
             .map_err(|e| e.to_string())?
@@ -385,4 +401,17 @@ fn print_report(report: &TrainReport) {
         "  validation        loss {:.4}, AP {:.4}, acc {:.4}",
         report.val_loss, report.val_ap, report.val_accuracy
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_staleness_flag;
+
+    #[test]
+    fn staleness_flag_is_refused_for_store_files_only() {
+        assert!(check_staleness_flag(Some(3), false).is_ok());
+        assert!(check_staleness_flag(None, true).is_ok());
+        let err = check_staleness_flag(Some(3), true).expect_err("no scout to bound");
+        assert!(err.contains("--staleness 3"), "{err}");
+    }
 }

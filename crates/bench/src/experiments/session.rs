@@ -77,7 +77,7 @@ impl Session {
             model.name,
             strategy.label(),
             pcfg.depth,
-            pcfg.effective_staleness()
+            pcfg.staleness_bound
         );
         if let Some(o) = self.runs.borrow().get(&key) {
             return o.clone();

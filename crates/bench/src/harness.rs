@@ -298,7 +298,7 @@ impl Harness {
                 "{}+pipe(d{},s{})",
                 strategy.label(),
                 pcfg.depth,
-                pcfg.effective_staleness()
+                pcfg.staleness_bound
             ),
             report,
         }

@@ -59,6 +59,7 @@ mod diffuser;
 mod instrument;
 mod scheduler;
 mod sgfilter;
+mod step;
 mod streaming;
 mod trainer;
 
@@ -71,10 +72,10 @@ pub use diffuser::TgDiffuser;
 pub use instrument::{SpaceBreakdown, StageTiming, StageTimings, UtilizationProxy};
 pub use scheduler::{CascadeConfig, CascadeScheduler};
 pub use sgfilter::SgFilter;
+pub use step::{CheckpointProgress, RunFacts, StepOutput, TrainStep};
 pub use streaming::{
-    train_streaming, train_streaming_with_options, train_streaming_with_provider,
-    CheckpointProgress, ChunkProvider, ProvidedChunk, StreamCheckpoint, StreamMeta, StreamOptions,
-    StreamOutcome,
+    train_streaming, train_streaming_with_options, train_streaming_with_provider, ChunkProvider,
+    ProvidedChunk, StreamCheckpoint, StreamMeta, StreamOptions, StreamOutcome,
 };
 pub use trainer::{
     evaluate, evaluate_range, train, train_with_observer, EvalReport, TrainConfig, TrainReport,

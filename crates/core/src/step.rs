@@ -1,0 +1,290 @@
+//! The one train step (Algorithm 1's loop body) and the one place a
+//! [`TrainReport`] is assembled.
+//!
+//! Every batch, in every driver, is the same sequence: scale the
+//! learning rate, `forward_batch`, backward, clip, `opt.step`,
+//! `apply_batch`, trim the arena, fold the batch into the run's
+//! accumulators, then feed loss and memory deltas back to the strategy.
+//! [`TrainStep`] is that sequence; [`train`](crate::train), the
+//! streaming driver and `cascade-exec`'s pipelined executor differ only
+//! in where a batch's events come from and on which thread the strategy
+//! lives, so they are bit-identical by construction rather than by
+//! replication.
+
+// cascade-lint: allow-file(det-wallclock): stage timings land in TrainReport/StageTimings telemetry only; no Duration ever feeds batching, scheduling, or learning decisions.
+use std::time::{Duration, Instant};
+
+use cascade_models::{MemoryDelta, MemoryTgnn};
+use cascade_nn::{clip_grad_norm, Adam, Module};
+use cascade_tensor::{AutogradError, Tensor};
+use cascade_tgraph::{EdgeFeatures, Event, EventId};
+
+use crate::batching::BatchingStrategy;
+use crate::instrument::{SpaceBreakdown, StageTimings};
+use crate::trainer::{EvalReport, TrainConfig, TrainReport};
+
+/// The run accumulators a [`TrainStep`] folds every batch into. A
+/// [`StreamCheckpoint`](crate::StreamCheckpoint) carries them verbatim,
+/// so a resumed run's [`TrainReport`] matches the uninterrupted one.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CheckpointProgress {
+    /// Size-weighted loss sum of the current epoch.
+    pub loss_sum: f64,
+    /// Events processed in the current epoch.
+    pub event_sum: usize,
+    /// Batches processed in the current epoch.
+    pub batch_idx: usize,
+    /// Batches processed across all epochs so far.
+    pub num_batches: usize,
+    /// Largest batch seen so far.
+    pub max_batch: usize,
+    /// Mean losses of completed epochs.
+    pub epoch_losses: Vec<f32>,
+    /// Sizes of every batch so far.
+    pub batch_sizes: Vec<u32>,
+    /// Losses of every batch so far.
+    pub batch_losses: Vec<f32>,
+}
+
+/// What one batch produced: exactly what the strategy is fed back.
+#[derive(Debug)]
+pub struct StepOutput {
+    /// The batch's index within its epoch.
+    pub batch_idx: usize,
+    /// The batch's training loss.
+    pub loss: f32,
+    /// The node-memory transitions the batch applied.
+    pub deltas: Vec<MemoryDelta>,
+}
+
+/// The parts of a [`TrainReport`] only the driver knows.
+#[derive(Clone, Debug)]
+pub struct RunFacts {
+    /// Dataset (or source) name.
+    pub dataset: String,
+    /// Measured one-shot preprocessing time — the `build_time` fallback
+    /// for strategies without their own timers (zero when streaming).
+    pub prepare: Duration,
+    /// Bytes of events resident at peak.
+    pub graph_bytes: usize,
+    /// Bytes of edge-feature rows resident.
+    pub feature_bytes: usize,
+    /// Validation metrics, evaluated after the last [`TrainStep::end_epoch`].
+    pub val: EvalReport,
+}
+
+/// One training run's optimizer, stage timers and accumulators, and the
+/// batch step every driver calls.
+#[derive(Debug)]
+pub struct TrainStep {
+    cfg: TrainConfig,
+    params: Vec<Tensor>,
+    pub(crate) opt: Adam,
+    pub(crate) progress: CheckpointProgress,
+    /// Per-stage telemetry. [`scan`](Self::scan) and [`run`](Self::run)
+    /// record busy time and items; drivers add the stalls only they can
+    /// see (queue waits, chunk loads), and the pipelined executor
+    /// installs its scout thread's scan timing before
+    /// [`finish`](Self::finish).
+    pub stages: StageTimings,
+    started: Instant,
+    total_time: Duration,
+}
+
+impl TrainStep {
+    /// Starts a run: sets the model's compute threads, builds the
+    /// optimizer over its parameters and starts the wall clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.epochs == 0`.
+    pub fn new(model: &mut MemoryTgnn, cfg: &TrainConfig) -> Self {
+        assert!(cfg.epochs > 0, "need at least one epoch");
+        model.set_compute_threads(cfg.compute_threads.max(1));
+        let params = model.parameters();
+        TrainStep {
+            cfg: cfg.clone(),
+            opt: Adam::new(params.clone(), cfg.lr),
+            params,
+            progress: CheckpointProgress::default(),
+            stages: StageTimings::default(),
+            started: Instant::now(),
+            total_time: Duration::ZERO,
+        }
+    }
+
+    /// Stage A: asks `strategy` where the batch starting at `start` ends.
+    pub fn scan(
+        &mut self,
+        strategy: &mut dyn BatchingStrategy,
+        start: EventId,
+        limit: EventId,
+    ) -> EventId {
+        let t0 = Instant::now();
+        let end = strategy.next_batch_end(start, limit);
+        self.stages.scan.record(t0.elapsed());
+        debug_assert!(end > start && end <= limit);
+        end
+    }
+
+    /// Stages B and C over one batch: `events` start at global id
+    /// `first_id` and `feats` is indexed by global id.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`AutogradError`] of a structurally invalid backward
+    /// pass; the batch is then neither applied nor counted.
+    pub fn run(
+        &mut self,
+        model: &mut MemoryTgnn,
+        events: &[Event],
+        first_id: EventId,
+        feats: &EdgeFeatures,
+    ) -> Result<StepOutput, AutogradError> {
+        let size = events.len();
+
+        let t1 = Instant::now();
+        if self.cfg.scale_lr_with_batch {
+            let scale = (size as f32 / self.cfg.eval_batch_size as f32).sqrt();
+            self.opt.set_lr(self.cfg.lr * scale);
+        }
+        let fwd = model.forward_batch(events, first_id, feats);
+        let loss = fwd.loss.item();
+        fwd.loss.try_backward()?;
+        if let Some(c) = self.cfg.clip_norm {
+            clip_grad_norm(&self.params, c);
+        }
+        self.opt.step();
+        self.stages.compute.record(t1.elapsed());
+        self.stages
+            .record_shards(&fwd.shard_busy, self.cfg.compute_threads.max(1));
+
+        let t2 = Instant::now();
+        let deltas = model.apply_batch(events, first_id, feats, fwd.pending);
+        self.stages.update.record(t2.elapsed());
+
+        // Batch boundary: trim the pool's surplus. `fwd.loss` still owns
+        // this batch's graph, whose buffers go back to the pool when it
+        // drops at the end of this function — after the trim, so they
+        // are all there for the next batch to reuse.
+        cascade_tensor::arena::reset();
+
+        let p = &mut self.progress;
+        let batch_idx = p.batch_idx;
+        p.batch_sizes.push(size as u32);
+        p.batch_losses.push(loss);
+        p.loss_sum += loss as f64 * size as f64;
+        p.event_sum += size;
+        p.max_batch = p.max_batch.max(size);
+        p.num_batches += 1;
+        p.batch_idx += 1;
+        Ok(StepOutput {
+            batch_idx,
+            loss,
+            deltas,
+        })
+    }
+
+    /// Feeds a processed batch back to the strategy (SG-Filter / ABS).
+    pub fn feedback(strategy: &mut dyn BatchingStrategy, out: &StepOutput) {
+        strategy.after_batch(out.batch_idx, out.loss);
+        strategy.observe_updates(&out.deltas);
+    }
+
+    /// Closes the current epoch: records its mean loss and stamps the
+    /// run's wall time, so the last epoch's stamp — taken before any
+    /// validation — is the report's `total_time`.
+    pub fn end_epoch(&mut self) {
+        let p = &mut self.progress;
+        p.epoch_losses
+            .push((p.loss_sum / p.event_sum.max(1) as f64) as f32);
+        p.loss_sum = 0.0;
+        p.event_sum = 0;
+        p.batch_idx = 0;
+        self.total_time = self.started.elapsed();
+    }
+
+    /// Assembles the run's report.
+    pub fn finish(
+        self,
+        model: &MemoryTgnn,
+        strategy: &dyn BatchingStrategy,
+        facts: RunFacts,
+    ) -> TrainReport {
+        let TrainStep {
+            cfg,
+            progress: p,
+            stages,
+            total_time,
+            ..
+        } = self;
+        let model_time = stages.compute.busy + stages.update.busy;
+        let events_processed: usize = p.batch_sizes.iter().map(|&b| b as usize).sum();
+
+        // Simulated accelerator: charge each batch the configured number
+        // of event-equivalents of measured per-event model compute.
+        let per_event = model_time.as_secs_f64() / (events_processed as f64).max(1.0);
+        let overhead = Duration::from_secs_f64(
+            per_event * cfg.sim_batch_overhead_events * p.num_batches as f64,
+        );
+        // Pipelined background table building shares this test machine's
+        // cores with training (inflating measured time), but runs on
+        // otherwise idle CPU in the modeled CPU-preprocess/GPU-train
+        // deployment: credit it back, bounded by the non-stall portion
+        // of the run.
+        let timers = strategy.timers();
+        let overlap_credit = timers
+            .background_build
+            .saturating_sub(timers.build_table)
+            .min(total_time / 2);
+        let modeled_time = (total_time + overhead).saturating_sub(overlap_credit);
+
+        // Prefer the strategy's fine-grained timers when available.
+        let build_time = if timers.build_table > Duration::ZERO {
+            timers.build_table
+        } else {
+            facts.prepare
+        };
+        let lookup_time = if timers.lookup > Duration::ZERO {
+            timers.lookup
+        } else {
+            stages.scan.busy
+        };
+
+        let strat_space = strategy.space();
+        let space = SpaceBreakdown {
+            dependency_table: strat_space.dependency_bytes,
+            stable_flags: strat_space.flag_bytes,
+            graph: facts.graph_bytes,
+            edge_features: facts.feature_bytes,
+            model: model.parameter_count() * std::mem::size_of::<f32>(),
+            mailbox: model.mailbox_size_bytes(),
+            memory: model.memory_size_bytes(),
+            plane_shards: model.plane().num_shards(),
+        };
+
+        TrainReport {
+            strategy: strategy.name(),
+            model: model.name().to_string(),
+            dataset: facts.dataset,
+            epochs: cfg.epochs,
+            total_time,
+            modeled_time,
+            build_time,
+            lookup_time,
+            model_time,
+            num_batches: p.num_batches,
+            avg_batch_size: events_processed as f64 / p.num_batches.max(1) as f64,
+            max_batch_size: p.max_batch,
+            final_train_loss: *p.epoch_losses.last().unwrap_or(&f32::NAN),
+            val_loss: facts.val.loss,
+            val_ap: facts.val.average_precision,
+            val_accuracy: facts.val.accuracy,
+            epoch_losses: p.epoch_losses,
+            batch_sizes: p.batch_sizes,
+            batch_losses: p.batch_losses,
+            space,
+            stages,
+        }
+    }
+}

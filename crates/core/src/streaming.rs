@@ -3,9 +3,9 @@
 //! from an [`EventSource`] while keeping only a bounded rolling window
 //! of events resident.
 //!
-//! The driver replicates the serial trainer's batch loop operation for
-//! operation, so a streaming run is **bit-identical** (gradients,
-//! memories, post-step parameters) to an in-memory run over the same
+//! The driver feeds the same [`TrainStep`] the serial trainer does, so a
+//! streaming run is **bit-identical** (gradients, memories, post-step
+//! parameters) to an in-memory run over the same
 //! events with the same chunk geometry (`CascadeConfig::chunk_size =
 //! Some(source chunk size)` for the Cascade strategy). The pipelined
 //! executor in `cascade-exec` reuses the same driver through the
@@ -18,16 +18,15 @@
 //! run bit for bit (model parameters, node memories, optimizer moments,
 //! scheduler monitors).
 
-// cascade-lint: allow-file(det-wallclock): stage timings land in TrainReport telemetry only; batch boundaries, chunk handoffs, and checkpoints are derived purely from event data.
+// cascade-lint: allow-file(det-wallclock): the one clock pair times chunk-load stalls for StageTimings telemetry; batch boundaries, chunk handoffs, and checkpoints are derived purely from event data.
 use std::time::{Duration, Instant};
 
 use cascade_models::MemoryTgnn;
-use cascade_nn::{average_precision, binary_accuracy, clip_grad_norm, Adam, Module};
-use cascade_tgraph::{EdgeFeatures, Event, EventSource, SourceError};
+use cascade_tgraph::{chronological_split, EdgeFeatures, Event, EventSource, SourceError};
 
 use crate::batching::{BatchingStrategy, PrebuiltTable};
-use crate::instrument::{SpaceBreakdown, StageTimings};
-use crate::trainer::{EvalReport, TrainConfig, TrainReport};
+use crate::step::{CheckpointProgress, RunFacts, TrainStep};
+use crate::trainer::{EvalAccumulator, TrainConfig, TrainReport};
 
 /// Stream geometry the driver needs up front (mirrors the accessors of
 /// [`EventSource`], so pipelined executors can capture it before moving
@@ -151,30 +150,8 @@ pub struct StreamCheckpoint {
     /// Serialized strategy state
     /// ([`BatchingStrategy::export_state`]).
     pub strategy: Vec<u8>,
-    /// Report accumulators carried across the suspension.
+    /// The train step's accumulators at the suspension.
     pub progress: CheckpointProgress,
-}
-
-/// The report accumulators a checkpoint carries so the resumed run's
-/// [`TrainReport`] matches the uninterrupted one.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CheckpointProgress {
-    /// Bit pattern of the suspended epoch's running loss sum.
-    pub loss_sum_bits: u64,
-    /// Events processed in the suspended epoch.
-    pub event_sum: usize,
-    /// Batches processed in the suspended epoch.
-    pub batch_idx: usize,
-    /// Batches processed across all epochs so far.
-    pub num_batches: usize,
-    /// Largest batch seen so far.
-    pub max_batch: usize,
-    /// Mean losses of completed epochs.
-    pub epoch_losses: Vec<f32>,
-    /// Sizes of every batch so far.
-    pub batch_sizes: Vec<u32>,
-    /// Losses of every batch so far.
-    pub batch_losses: Vec<f32>,
 }
 
 const CHECKPOINT_MAGIC: [u8; 4] = *b"CSCK";
@@ -197,7 +174,7 @@ impl StreamCheckpoint {
             buf.extend_from_slice(blob);
         }
         let p = &self.progress;
-        buf.extend_from_slice(&p.loss_sum_bits.to_le_bytes());
+        buf.extend_from_slice(&p.loss_sum.to_bits().to_le_bytes());
         for v in [
             p.event_sum as u64,
             p.batch_idx as u64,
@@ -227,67 +204,30 @@ impl StreamCheckpoint {
     /// # Errors
     ///
     /// Returns a description on a bad magic, unsupported version, or
-    /// truncation.
+    /// truncation. Every length and count in `bytes` is checked against
+    /// the bytes that remain before anything is sliced or allocated.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut off = 0usize;
-        let take = |off: &mut usize, n: usize| -> Result<&[u8], String> {
-            let s = bytes
-                .get(*off..*off + n)
-                .ok_or("checkpoint truncated".to_string())?;
-            *off += n;
-            Ok(s)
-        };
-        let read_u64 = |off: &mut usize| -> Result<u64, String> {
-            Ok(u64::from_le_bytes(
-                take(off, 8)?.try_into().expect("slice is 8 bytes"),
-            ))
-        };
-        let read_u32 = |off: &mut usize| -> Result<u32, String> {
-            Ok(u32::from_le_bytes(
-                take(off, 4)?.try_into().expect("slice is 4 bytes"),
-            ))
-        };
-        if take(&mut off, 4)? != CHECKPOINT_MAGIC {
+        let mut r = Reader { rest: bytes };
+        if r.take(4)? != CHECKPOINT_MAGIC {
             return Err("not a cascade streaming checkpoint".to_string());
         }
-        if *take(&mut off, 1)?.first().expect("slice is 1 byte") != 1 {
+        if r.take(1)? != [1] {
             return Err("unsupported checkpoint version".to_string());
         }
-        let epoch = read_u64(&mut off)? as usize;
-        let chunk = read_u64(&mut off)? as usize;
-        let start_event = read_u64(&mut off)? as usize;
-        let mut blobs = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let len = read_u64(&mut off)? as usize;
-            blobs.push(take(&mut off, len)?.to_vec());
-        }
-        let strategy = blobs.pop().expect("three blobs pushed");
-        let optimizer = blobs.pop().expect("two blobs remain");
-        let model = blobs.pop().expect("one blob remains");
-        let loss_sum_bits = read_u64(&mut off)?;
-        let event_sum = read_u64(&mut off)? as usize;
-        let batch_idx = read_u64(&mut off)? as usize;
-        let num_batches = read_u64(&mut off)? as usize;
-        let max_batch = read_u64(&mut off)? as usize;
-        let n = read_u32(&mut off)? as usize;
-        let mut epoch_losses = Vec::with_capacity(n);
-        for _ in 0..n {
-            epoch_losses.push(f32::from_le_bytes(
-                take(&mut off, 4)?.try_into().expect("slice is 4 bytes"),
-            ));
-        }
-        let n = read_u32(&mut off)? as usize;
-        let mut batch_sizes = Vec::with_capacity(n);
-        for _ in 0..n {
-            batch_sizes.push(read_u32(&mut off)?);
-        }
-        let n = read_u32(&mut off)? as usize;
-        let mut batch_losses = Vec::with_capacity(n);
-        for _ in 0..n {
-            batch_losses.push(f32::from_le_bytes(
-                take(&mut off, 4)?.try_into().expect("slice is 4 bytes"),
-            ));
-        }
+        let epoch = r.u64()? as usize;
+        let chunk = r.u64()? as usize;
+        let start_event = r.u64()? as usize;
+        let model = r.blob()?;
+        let optimizer = r.blob()?;
+        let strategy = r.blob()?;
+        let loss_sum = f64::from_bits(r.u64()?);
+        let event_sum = r.u64()? as usize;
+        let batch_idx = r.u64()? as usize;
+        let num_batches = r.u64()? as usize;
+        let max_batch = r.u64()? as usize;
+        let epoch_losses = r.words()?.into_iter().map(f32::from_bits).collect();
+        let batch_sizes = r.words()?;
+        let batch_losses = r.words()?.into_iter().map(f32::from_bits).collect();
         Ok(StreamCheckpoint {
             epoch,
             chunk,
@@ -296,7 +236,7 @@ impl StreamCheckpoint {
             optimizer,
             strategy,
             progress: CheckpointProgress {
-                loss_sum_bits,
+                loss_sum,
                 event_sum,
                 batch_idx,
                 num_batches,
@@ -306,6 +246,53 @@ impl StreamCheckpoint {
                 batch_losses,
             },
         })
+    }
+}
+
+/// Bounds-checked little-endian reader over untrusted checkpoint bytes.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.rest.len() {
+            return Err("checkpoint truncated".to_string());
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let mut b = [0u8; N];
+        b.copy_from_slice(self.take(N)?);
+        Ok(b)
+    }
+
+    fn u64(&mut self) -> Result<u64, String> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    fn u32(&mut self) -> Result<u32, String> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A `u64` length, then that many bytes (a length beyond `usize` is
+    /// beyond any input, so it reads as truncation).
+    fn blob(&mut self) -> Result<Vec<u8>, String> {
+        let len = usize::try_from(self.u64()?).unwrap_or(usize::MAX);
+        Ok(self.take(len)?.to_vec())
+    }
+
+    /// A `u32` count, then that many 4-byte words.
+    fn words(&mut self) -> Result<Vec<u32>, String> {
+        let n = self.u32()? as usize;
+        let raw = self.take(n.saturating_mul(4))?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+            .collect())
     }
 }
 
@@ -444,7 +431,6 @@ pub fn train_streaming_with_options(
 /// # Panics
 ///
 /// Panics if `cfg.epochs == 0` or the stream's training split is empty.
-#[allow(clippy::too_many_lines)]
 pub fn train_streaming_with_provider(
     model: &mut MemoryTgnn,
     meta: &StreamMeta,
@@ -453,10 +439,8 @@ pub fn train_streaming_with_provider(
     cfg: &TrainConfig,
     opts: StreamOptions,
 ) -> Result<StreamOutcome, SourceError> {
-    assert!(cfg.epochs > 0, "need at least one epoch");
     let n = meta.num_events;
-    let n_train = n * 70 / 100;
-    let val_end = n * 85 / 100;
+    let (n_train, val_end) = chronological_split(n);
     assert!(n_train > 0, "empty training range");
     let chunk_size = meta.chunk_size.max(1);
     let train_chunks = n_train.div_ceil(chunk_size);
@@ -468,58 +452,33 @@ pub fn train_streaming_with_provider(
             strategy.name()
         )));
     }
-    model.set_compute_threads(cfg.compute_threads.max(1));
-
-    let t_total = Instant::now();
-    let params = model.parameters();
-    let mut opt = Adam::new(params.clone(), cfg.lr);
-
-    let mut model_time = Duration::ZERO;
-    let mut measured_lookup = Duration::ZERO;
-    let mut stages = StageTimings::default();
-    let mut num_batches = 0usize;
-    let mut max_batch = 0usize;
-    let mut epoch_losses: Vec<f32> = Vec::with_capacity(cfg.epochs);
-    let mut batch_sizes: Vec<u32> = Vec::new();
-    let mut batch_losses: Vec<f32> = Vec::new();
+    let mut step = TrainStep::new(model, cfg);
 
     let mut window = Window::new(meta.feature_dim);
     let mut prebuilt: Vec<(usize, PrebuiltTable)> = Vec::new();
 
     // Resume bookkeeping: where to start, and the suspended epoch's
-    // partial accumulators.
+    // partial accumulators (carried inside the step's progress).
     let mut start_epoch = 0usize;
-    let mut resume_setup: Option<(usize, usize, usize, f64, usize)> = None;
+    let mut resume_at: Option<(usize, usize)> = None;
     if let Some(ck) = opts.resume_from {
         strategy
             .import_state(&ck.strategy)
             .map_err(SourceError::new)?;
         model.import_state(&ck.model).map_err(SourceError::new)?;
-        opt.import_state(&ck.optimizer).map_err(SourceError::new)?;
-        let p = ck.progress;
-        num_batches = p.num_batches;
-        max_batch = p.max_batch;
-        epoch_losses = p.epoch_losses;
-        batch_sizes = p.batch_sizes;
-        batch_losses = p.batch_losses;
+        step.opt
+            .import_state(&ck.optimizer)
+            .map_err(SourceError::new)?;
+        step.progress = ck.progress;
         start_epoch = ck.epoch;
-        resume_setup = Some((
-            ck.chunk,
-            ck.start_event,
-            p.batch_idx,
-            f64::from_bits(p.loss_sum_bits),
-            p.event_sum,
-        ));
+        resume_at = Some((ck.chunk, ck.start_event));
     }
 
     let mut first_pass = true;
     for epoch in start_epoch..cfg.epochs {
         let mut start;
         let mut next_enter;
-        let mut batch_idx;
-        let mut loss_sum;
-        let mut event_sum;
-        if let Some((sk, se, bi, ls, es)) = resume_setup.take() {
+        if let Some((sk, se)) = resume_at.take() {
             // Resumed mid-epoch: skip over the already-processed chunks,
             // feeding features and replaying adjacency, without touching
             // the restored model/strategy state.
@@ -542,9 +501,6 @@ pub fn train_streaming_with_provider(
             }
             start = se;
             next_enter = sk;
-            batch_idx = bi;
-            loss_sum = ls;
-            event_sum = es;
         } else {
             if !first_pass {
                 provider.reset()?;
@@ -555,9 +511,6 @@ pub fn train_streaming_with_provider(
             strategy.reset_epoch();
             start = 0;
             next_enter = 0;
-            batch_idx = 0;
-            loss_sum = 0.0f64;
-            event_sum = 0usize;
         }
         first_pass = false;
 
@@ -569,18 +522,9 @@ pub fn train_streaming_with_provider(
                         chunk: sk,
                         start_event: start,
                         model: model.export_state(),
-                        optimizer: opt.export_state(),
+                        optimizer: step.opt.export_state(),
                         strategy: strategy.export_state(),
-                        progress: CheckpointProgress {
-                            loss_sum_bits: loss_sum.to_bits(),
-                            event_sum,
-                            batch_idx,
-                            num_batches,
-                            max_batch,
-                            epoch_losses: epoch_losses.clone(),
-                            batch_sizes: batch_sizes.clone(),
-                            batch_losses: batch_losses.clone(),
-                        },
+                        progress: step.progress.clone(),
                     })));
                 }
             }
@@ -605,12 +549,7 @@ pub fn train_streaming_with_provider(
                 next_enter += 1;
             }
 
-            let t0 = Instant::now();
-            let end = strategy.next_batch_end(start, n_train);
-            let scan_elapsed = t0.elapsed();
-            measured_lookup += scan_elapsed;
-            stages.scan.record(scan_elapsed);
-            debug_assert!(end > start && end <= n_train);
+            let end = step.scan(strategy, start, n_train);
 
             // A fixed-size batch can straddle into a chunk that is not
             // entered yet; its events must still be resident.
@@ -620,45 +559,12 @@ pub fn train_streaming_with_provider(
                     prebuilt.push(pb);
                 }
             }
-            stages.scan.stall += t_load.elapsed();
+            step.stages.scan.stall += t_load.elapsed();
 
-            let t1 = Instant::now();
-            if cfg.scale_lr_with_batch {
-                let scale = ((end - start) as f32 / cfg.eval_batch_size as f32).sqrt();
-                opt.set_lr(cfg.lr * scale);
-            }
-            let fwd = model.forward_batch(window.slice(start, end), start, &window.feats);
-            let loss = fwd.loss.item();
-            fwd.loss.backward();
-            if let Some(c) = cfg.clip_norm {
-                clip_grad_norm(&params, c);
-            }
-            opt.step();
-            let compute_elapsed = t1.elapsed();
-            stages.compute.record(compute_elapsed);
-            stages.record_shards(&fwd.shard_busy, cfg.compute_threads.max(1));
-
-            let t2 = Instant::now();
-            let deltas =
-                model.apply_batch(window.slice(start, end), start, &window.feats, fwd.pending);
-            let update_elapsed = t2.elapsed();
-            stages.update.record(update_elapsed);
-            model_time += compute_elapsed + update_elapsed;
-
-            // Batch boundary: trim the arena to its steady-state set.
-            cascade_tensor::arena::reset();
-
-            strategy.after_batch(batch_idx, loss);
-            strategy.observe_updates(&deltas);
-
-            let size = end - start;
-            batch_sizes.push(size as u32);
-            batch_losses.push(loss);
-            loss_sum += loss as f64 * size as f64;
-            event_sum += size;
-            max_batch = max_batch.max(size);
-            num_batches += 1;
-            batch_idx += 1;
+            let out = step
+                .run(model, window.slice(start, end), start, &window.feats)
+                .map_err(|e| SourceError::new(format!("autograd failed: {e}")))?;
+            TrainStep::feedback(strategy, &out);
             start = end;
 
             // Consumed events are dropped; events of a chunk that was
@@ -671,115 +577,45 @@ pub fn train_streaming_with_provider(
             };
             window.drop_below(start.min(next_chunk_at));
         }
-        epoch_losses.push((loss_sum / event_sum.max(1) as f64) as f32);
+        step.end_epoch();
     }
 
-    let total_time = t_total.elapsed();
-
-    // Same latency model as the in-memory trainer (see `train`): charge
-    // the simulated per-batch accelerator overhead, credit back
-    // background table builds bounded by the non-stall portion.
-    let events_processed = (n_train * cfg.epochs) as f64;
-    let per_event = model_time.as_secs_f64() / events_processed.max(1.0);
-    let overhead =
-        Duration::from_secs_f64(per_event * cfg.sim_batch_overhead_events * num_batches as f64);
-    let background = strategy.timers().background_build;
-    let stall = strategy.timers().build_table;
-    let overlap_credit = background.saturating_sub(stall).min(total_time / 2);
-    let modeled_time = (total_time + overhead).saturating_sub(overlap_credit);
-
-    // Validation: continue the rolling window past the training split,
-    // replicating `evaluate_range` at the fixed evaluation batch size.
-    let val = {
-        if n_train >= val_end {
-            EvalReport {
-                loss: f32::NAN,
-                average_precision: f32::NAN,
-                accuracy: f32::NAN,
-            }
-        } else {
-            let mut start = n_train;
-            let mut loss_sum = 0.0f64;
-            let mut count = 0usize;
-            let mut logits = Vec::new();
-            let mut labels = Vec::new();
-            while start < val_end {
-                let end = (start + cfg.eval_batch_size).min(val_end);
-                while window.loaded_end() < end {
-                    let _ = window.load_next(provider)?;
-                }
-                let out = model.process_batch(window.slice(start, end), start, &window.feats);
-                loss_sum += out.loss.item() as f64 * (end - start) as f64;
-                count += end - start;
-                labels.extend(std::iter::repeat_n(1.0, out.pos_logits.len()));
-                logits.extend(out.pos_logits);
-                labels.extend(std::iter::repeat_n(0.0, out.neg_logits.len()));
-                logits.extend(out.neg_logits);
-                start = end;
-                window.drop_below(start);
-            }
-            EvalReport {
-                loss: (loss_sum / count as f64) as f32,
-                average_precision: average_precision(&logits, &labels),
-                accuracy: binary_accuracy(&logits, &labels),
-            }
+    // Validation: continue the rolling window past the training split at
+    // the fixed evaluation batch size (an empty split evaluates to NaN).
+    let mut acc = EvalAccumulator::default();
+    let mut start = n_train;
+    while start < val_end {
+        let end = (start + cfg.eval_batch_size).min(val_end);
+        while window.loaded_end() < end {
+            let _ = window.load_next(provider)?;
         }
-    };
+        acc.batch(model, window.slice(start, end), start, &window.feats);
+        start = end;
+        window.drop_below(start);
+    }
 
-    let timers = strategy.timers();
-    let build_time = timers.build_table;
-    let lookup_time = if timers.lookup > Duration::ZERO {
-        timers.lookup
-    } else {
-        measured_lookup
-    };
-
-    let strat_space = strategy.space();
-    let space = SpaceBreakdown {
-        dependency_table: strat_space.dependency_bytes,
-        stable_flags: strat_space.flag_bytes,
-        // Out-of-core: the graph term is the peak resident window, not
-        // the full stream (the headline saving of streaming training).
-        graph: window.peak_events * std::mem::size_of::<Event>(),
-        edge_features: window.feats.size_bytes(),
-        model: model.parameter_count() * std::mem::size_of::<f32>(),
-        mailbox: model.mailbox_size_bytes(),
-        memory: model.memory_size_bytes(),
-        plane_shards: model.plane().num_shards(),
-    };
-
-    Ok(StreamOutcome::Completed(Box::new(TrainReport {
-        strategy: strategy.name(),
-        model: model.name().to_string(),
-        dataset: meta.name.clone(),
-        epochs: cfg.epochs,
-        total_time,
-        modeled_time,
-        build_time,
-        lookup_time,
-        model_time,
-        num_batches,
-        avg_batch_size: (n_train * cfg.epochs) as f64 / num_batches.max(1) as f64,
-        max_batch_size: max_batch,
-        final_train_loss: *epoch_losses.last().unwrap_or(&f32::NAN),
-        val_loss: val.loss,
-        val_ap: val.average_precision,
-        val_accuracy: val.accuracy,
-        epoch_losses,
-        batch_sizes,
-        batch_losses,
-        space,
-        stages,
-    })))
+    Ok(StreamOutcome::Completed(Box::new(step.finish(
+        model,
+        strategy,
+        RunFacts {
+            dataset: meta.name.clone(),
+            prepare: Duration::ZERO,
+            // Out-of-core: the graph term is the peak resident window,
+            // not the full stream (the headline saving of streaming
+            // training).
+            graph_bytes: window.peak_events * std::mem::size_of::<Event>(),
+            feature_bytes: window.feats.size_bytes(),
+            val: acc.finish(),
+        },
+    ))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn checkpoint_roundtrips_through_bytes() {
-        let ck = StreamCheckpoint {
+    fn sample() -> StreamCheckpoint {
+        StreamCheckpoint {
             epoch: 2,
             chunk: 7,
             start_event: 901,
@@ -787,7 +623,7 @@ mod tests {
             optimizer: vec![4, 5],
             strategy: vec![],
             progress: CheckpointProgress {
-                loss_sum_bits: 0.625f64.to_bits(),
+                loss_sum: 0.625,
                 event_sum: 901,
                 batch_idx: 14,
                 num_batches: 200,
@@ -796,7 +632,12 @@ mod tests {
                 batch_sizes: vec![10, 20, 30],
                 batch_losses: vec![0.9, 0.8, 0.7],
             },
-        };
+        }
+    }
+
+    #[test]
+    fn checkpoint_roundtrips_through_bytes() {
+        let ck = sample();
         let bytes = ck.to_bytes();
         assert_eq!(
             StreamCheckpoint::from_bytes(&bytes).expect("roundtrips"),
@@ -804,21 +645,65 @@ mod tests {
         );
     }
 
+    /// The version-1 layout, written out by hand: a checkpoint saved by
+    /// any earlier build must keep loading.
+    #[test]
+    fn checkpoint_byte_layout_is_pinned() {
+        let mut want: Vec<u8> = b"CSCK\x01".to_vec();
+        for v in [2u64, 7, 901] {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        for blob in [&[1u8, 2, 3][..], &[4, 5], &[]] {
+            want.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+            want.extend_from_slice(blob);
+        }
+        for v in [0.625f64.to_bits(), 901, 14, 200, 99] {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        for words in [
+            vec![0.5f32.to_bits(), 0.25f32.to_bits()],
+            vec![10, 20, 30],
+            vec![0.9f32.to_bits(), 0.8f32.to_bits(), 0.7f32.to_bits()],
+        ] {
+            want.extend_from_slice(&(words.len() as u32).to_le_bytes());
+            for w in words {
+                want.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        assert_eq!(sample().to_bytes(), want);
+    }
+
     #[test]
     fn checkpoint_rejects_garbage() {
         assert!(StreamCheckpoint::from_bytes(b"not a checkpoint").is_err());
         assert!(StreamCheckpoint::from_bytes(&CHECKPOINT_MAGIC).is_err());
-        let mut bytes = StreamCheckpoint {
-            epoch: 0,
-            chunk: 0,
-            start_event: 0,
-            model: vec![],
-            optimizer: vec![],
-            strategy: vec![],
-            progress: CheckpointProgress::default(),
-        }
-        .to_bytes();
+        let valid = sample().to_bytes();
+        let mut bytes = valid.clone();
         bytes[4] = 9; // unsupported version
         assert!(StreamCheckpoint::from_bytes(&bytes).is_err());
+
+        // Hostile lengths: a blob length that overflows `offset + len`,
+        // and an element count that would reserve gigabytes. Both must
+        // be refused against the bytes actually present.
+        let model_len_at = 4 + 1 + 3 * 8;
+        for huge in [u64::MAX, u64::MAX - 7, 1 << 40] {
+            let mut bytes = valid.clone();
+            bytes[model_len_at..model_len_at + 8].copy_from_slice(&huge.to_le_bytes());
+            assert!(StreamCheckpoint::from_bytes(&bytes).is_err());
+        }
+        let epoch_losses_count_at = model_len_at + 3 * 8 + 5 + 5 * 8;
+        let mut bytes = valid.clone();
+        assert_eq!(bytes[epoch_losses_count_at], 2, "test offsets are stale");
+        bytes[epoch_losses_count_at..epoch_losses_count_at + 4]
+            .copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(StreamCheckpoint::from_bytes(&bytes).is_err());
+
+        // Every strict prefix of a valid checkpoint is truncated.
+        for cut in 0..valid.len() {
+            assert!(
+                StreamCheckpoint::from_bytes(&valid[..cut]).is_err(),
+                "prefix of {cut} bytes parsed"
+            );
+        }
     }
 }

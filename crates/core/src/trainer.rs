@@ -1,15 +1,16 @@
-//! The strategy-agnostic training loop (Algorithm 1's outer structure)
-//! and its measurement report.
+//! The in-memory training driver (Algorithm 1's outer loop over the
+//! shared [`TrainStep`]), validation, and the measurement report.
 
-// cascade-lint: allow-file(det-wallclock): stage timings land in EpochReport/StageTimings telemetry only; no Duration ever feeds batching, scheduling, or learning decisions.
+// cascade-lint: allow-file(det-wallclock): the one clock pair times strategy.prepare for TrainReport::build_time telemetry; no Duration ever feeds batching, scheduling, or learning decisions.
 use std::time::{Duration, Instant};
 
 use cascade_models::{MemoryDelta, MemoryTgnn};
-use cascade_nn::{average_precision, binary_accuracy, clip_grad_norm, Adam, Module};
-use cascade_tgraph::Dataset;
+use cascade_nn::{average_precision, binary_accuracy};
+use cascade_tgraph::{Dataset, EdgeFeatures, Event};
 
 use crate::batching::BatchingStrategy;
 use crate::instrument::{SpaceBreakdown, StageTimings};
+use crate::step::{RunFacts, TrainStep};
 
 /// Training-run configuration.
 #[derive(Clone, Debug)]
@@ -150,161 +151,47 @@ pub fn train_with_observer(
     cfg: &TrainConfig,
     observer: &mut dyn FnMut(usize, &[MemoryDelta]),
 ) -> TrainReport {
-    assert!(cfg.epochs > 0, "need at least one epoch");
-    model.set_compute_threads(cfg.compute_threads.max(1));
+    let mut step = TrainStep::new(model, cfg);
     let train_range = data.train_range();
     assert!(!train_range.is_empty(), "empty training range");
     let events = data.stream().events();
     let n_train = train_range.end;
 
-    let t_total = Instant::now();
-
     // Preprocessing (dependency tables, profiling).
     let t_prep = Instant::now();
-    strategy.prepare(&events[train_range.clone()], data.num_nodes());
-    let measured_prepare = t_prep.elapsed();
-
-    let params = model.parameters();
-    let mut opt = Adam::new(params.clone(), cfg.lr);
-
-    let mut model_time = Duration::ZERO;
-    let mut measured_lookup = Duration::ZERO;
-    let mut stages = StageTimings::default();
-    let mut num_batches = 0usize;
-    let mut max_batch = 0usize;
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let mut batch_sizes: Vec<u32> = Vec::new();
-    let mut batch_losses: Vec<f32> = Vec::new();
+    strategy.prepare(&events[train_range], data.num_nodes());
+    let prepare = t_prep.elapsed();
 
     for epoch in 0..cfg.epochs {
         model.reset_state();
         strategy.reset_epoch();
-
         let mut start = 0usize;
-        let mut batch_idx = 0usize;
-        let mut loss_sum = 0.0f64;
-        let mut event_sum = 0usize;
         while start < n_train {
-            let t0 = Instant::now();
-            let end = strategy.next_batch_end(start, n_train);
-            let scan_elapsed = t0.elapsed();
-            measured_lookup += scan_elapsed;
-            stages.scan.record(scan_elapsed);
-            debug_assert!(end > start && end <= n_train);
-
-            let t1 = Instant::now();
-            if cfg.scale_lr_with_batch {
-                let scale = ((end - start) as f32 / cfg.eval_batch_size as f32).sqrt();
-                opt.set_lr(cfg.lr * scale);
-            }
-            let fwd = model.forward_batch(&events[start..end], start, data.features());
-            let loss = fwd.loss.item();
-            fwd.loss.backward();
-            if let Some(c) = cfg.clip_norm {
-                clip_grad_norm(&params, c);
-            }
-            opt.step();
-            let compute_elapsed = t1.elapsed();
-            stages.compute.record(compute_elapsed);
-            stages.record_shards(&fwd.shard_busy, cfg.compute_threads.max(1));
-
-            let t2 = Instant::now();
-            let deltas =
-                model.apply_batch(&events[start..end], start, data.features(), fwd.pending);
-            let update_elapsed = t2.elapsed();
-            stages.update.record(update_elapsed);
-            model_time += compute_elapsed + update_elapsed;
-
-            // Batch boundary: the graph is dropped and its buffers are back
-            // in the arena; trim the pool to its steady-state working set.
-            cascade_tensor::arena::reset();
-
-            strategy.after_batch(batch_idx, loss);
-            strategy.observe_updates(&deltas);
-            observer(epoch, &deltas);
-
-            let size = end - start;
-            batch_sizes.push(size as u32);
-            batch_losses.push(loss);
-            loss_sum += loss as f64 * size as f64;
-            event_sum += size;
-            max_batch = max_batch.max(size);
-            num_batches += 1;
-            batch_idx += 1;
+            let end = step.scan(strategy, start, n_train);
+            let out = step
+                .run(model, &events[start..end], start, data.features())
+                .expect("the model's loss is a scalar, so its backward pass is well-formed");
+            TrainStep::feedback(strategy, &out);
+            observer(epoch, &out.deltas);
             start = end;
         }
-        epoch_losses.push((loss_sum / event_sum.max(1) as f64) as f32);
+        step.end_epoch();
     }
-
-    let total_time = t_total.elapsed();
-
-    // Simulated accelerator: charge each batch the configured number of
-    // event-equivalents of measured per-event model compute.
-    let events_processed = (n_train * cfg.epochs) as f64;
-    let per_event = model_time.as_secs_f64() / events_processed.max(1.0);
-    let overhead =
-        Duration::from_secs_f64(per_event * cfg.sim_batch_overhead_events * num_batches as f64);
-    // Pipelined background table building shares this test machine's one
-    // core with training (inflating measured time), but runs on otherwise
-    // idle CPU in the modeled CPU-preprocess/GPU-train deployment: credit
-    // it back, bounded by the non-stall portion of the run.
-    let background = strategy.timers().background_build;
-    let stall = strategy.timers().build_table;
-    let overlap_credit = background.saturating_sub(stall).min(total_time / 2);
-    let modeled_time = (total_time + overhead).saturating_sub(overlap_credit);
 
     // Validation at the fixed evaluation batch size, memory carried over
     // from the final training epoch, no weight updates.
     let val = evaluate(model, data, cfg.eval_batch_size);
-
-    // Prefer the strategy's fine-grained timers when available.
-    let timers = strategy.timers();
-    let build_time = if timers.build_table > Duration::ZERO {
-        timers.build_table
-    } else {
-        measured_prepare
-    };
-    let lookup_time = if timers.lookup > Duration::ZERO {
-        timers.lookup
-    } else {
-        measured_lookup
-    };
-
-    let strat_space = strategy.space();
-    let space = SpaceBreakdown {
-        dependency_table: strat_space.dependency_bytes,
-        stable_flags: strat_space.flag_bytes,
-        graph: std::mem::size_of_val(events),
-        edge_features: data.features().size_bytes(),
-        model: model.parameter_count() * std::mem::size_of::<f32>(),
-        mailbox: model.mailbox_size_bytes(),
-        memory: model.memory_size_bytes(),
-        plane_shards: model.plane().num_shards(),
-    };
-
-    TrainReport {
-        strategy: strategy.name(),
-        model: model.name().to_string(),
-        dataset: data.name().to_string(),
-        epochs: cfg.epochs,
-        total_time,
-        modeled_time,
-        build_time,
-        lookup_time,
-        model_time,
-        num_batches,
-        avg_batch_size: (n_train * cfg.epochs) as f64 / num_batches.max(1) as f64,
-        max_batch_size: max_batch,
-        final_train_loss: *epoch_losses.last().unwrap_or(&f32::NAN),
-        val_loss: val.loss,
-        val_ap: val.average_precision,
-        val_accuracy: val.accuracy,
-        epoch_losses,
-        batch_sizes,
-        batch_losses,
-        space,
-        stages,
-    }
+    step.finish(
+        model,
+        strategy,
+        RunFacts {
+            dataset: data.name().to_string(),
+            prepare,
+            graph_bytes: std::mem::size_of_val(events),
+            feature_bytes: data.features().size_bytes(),
+            val,
+        },
+    )
 }
 
 /// Link-prediction evaluation metrics.
@@ -342,34 +229,62 @@ pub fn evaluate_range(
     batch_size: usize,
 ) -> EvalReport {
     assert!(batch_size > 0, "eval batch size must be positive");
-    if range.is_empty() {
-        return EvalReport {
-            loss: f32::NAN,
-            average_precision: f32::NAN,
-            accuracy: f32::NAN,
-        };
-    }
     let events = data.stream().events();
+    let mut acc = EvalAccumulator::default();
     let mut start = range.start;
-    let mut loss_sum = 0.0f64;
-    let mut n = 0usize;
-    let mut logits = Vec::new();
-    let mut labels = Vec::new();
     while start < range.end {
         let end = (start + batch_size).min(range.end);
-        let out = model.process_batch(&events[start..end], start, data.features());
-        loss_sum += out.loss.item() as f64 * (end - start) as f64;
-        n += end - start;
-        labels.extend(std::iter::repeat_n(1.0, out.pos_logits.len()));
-        logits.extend(out.pos_logits);
-        labels.extend(std::iter::repeat_n(0.0, out.neg_logits.len()));
-        logits.extend(out.neg_logits);
+        acc.batch(model, &events[start..end], start, data.features());
         start = end;
     }
-    EvalReport {
-        loss: (loss_sum / n as f64) as f32,
-        average_precision: average_precision(&logits, &labels),
-        accuracy: binary_accuracy(&logits, &labels),
+    acc.finish()
+}
+
+/// Folds evaluation batches into an [`EvalReport`]: the one validation
+/// loop body, shared by [`evaluate_range`] and the streaming driver's
+/// validation tail.
+#[derive(Default)]
+pub(crate) struct EvalAccumulator {
+    loss_sum: f64,
+    n: usize,
+    logits: Vec<f32>,
+    labels: Vec<f32>,
+}
+
+impl EvalAccumulator {
+    /// Processes one batch (memories advance, weights do not).
+    pub(crate) fn batch(
+        &mut self,
+        model: &mut MemoryTgnn,
+        events: &[Event],
+        first_id: usize,
+        feats: &EdgeFeatures,
+    ) {
+        let out = model.process_batch(events, first_id, feats);
+        self.loss_sum += out.loss.item() as f64 * events.len() as f64;
+        self.n += events.len();
+        self.labels
+            .extend(std::iter::repeat_n(1.0, out.pos_logits.len()));
+        self.logits.extend(out.pos_logits);
+        self.labels
+            .extend(std::iter::repeat_n(0.0, out.neg_logits.len()));
+        self.logits.extend(out.neg_logits);
+    }
+
+    /// The metrics over everything seen; `NaN`s when that is nothing.
+    pub(crate) fn finish(self) -> EvalReport {
+        if self.n == 0 {
+            return EvalReport {
+                loss: f32::NAN,
+                average_precision: f32::NAN,
+                accuracy: f32::NAN,
+            };
+        }
+        EvalReport {
+            loss: (self.loss_sum / self.n as f64) as f32,
+            average_precision: average_precision(&self.logits, &self.labels),
+            accuracy: binary_accuracy(&self.logits, &self.labels),
+        }
     }
 }
 

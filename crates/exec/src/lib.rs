@@ -32,9 +32,8 @@
 //! frontier. Feedback is consumed on a fixed schedule (batch *j*'s
 //! feedback right before scanning batch *j + bound + 1*), so for every
 //! bound the produced batch partition is a deterministic function of the
-//! configuration — and `staleness_bound = 0` (or
-//! [`PipelineConfig::deterministic`]) reproduces the serial trainer
-//! bit for bit.
+//! configuration — and `staleness_bound = 0` reproduces the serial
+//! trainer bit for bit.
 //!
 //! ```
 //! use cascade_core::{train, CascadeConfig, CascadeScheduler, TrainConfig};
@@ -51,7 +50,7 @@
 //! );
 //! let cfg = TrainConfig { epochs: 1, eval_batch_size: 64, ..TrainConfig::default() };
 //!
-//! // Deterministic mode: bit-identical to the serial trainer.
+//! // Staleness 0: bit-identical to the serial trainer.
 //! let mut serial_model = mk_model();
 //! let mut s1 = CascadeScheduler::new(CascadeConfig {
 //!     preset_batch_size: 64, ..CascadeConfig::default()
@@ -67,7 +66,7 @@
 //!     &data,
 //!     &mut s2,
 //!     &cfg,
-//!     &PipelineConfig::default().deterministic(),
+//!     &PipelineConfig::default().with_staleness(0),
 //! ).unwrap();
 //! assert_eq!(serial.epoch_losses, piped.epoch_losses);
 //! ```

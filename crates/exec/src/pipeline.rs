@@ -37,11 +37,10 @@ use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 use cascade_core::{
-    evaluate, BatchingStrategy, SpaceBreakdown, StageTiming, StageTimings, StrategySpace,
-    StrategyTimers, TrainConfig, TrainReport,
+    evaluate, BatchingStrategy, RunFacts, StageTiming, StepOutput, TrainConfig, TrainReport,
+    TrainStep,
 };
-use cascade_models::{MemoryDelta, MemoryTgnn};
-use cascade_nn::{clip_grad_norm, Adam, Module};
+use cascade_models::MemoryTgnn;
 use cascade_tgraph::Dataset;
 
 /// Overlap policy of the pipelined executor.
@@ -59,9 +58,6 @@ pub struct PipelineConfig {
     /// slightly stale boundary decisions (never stale *memories* — the
     /// driver applies every update before the next forward pass).
     pub staleness_bound: usize,
-    /// Force `staleness_bound = 0` regardless of its setting, pinning the
-    /// run to the serial trainer's exact schedule.
-    pub deterministic: bool,
 }
 
 impl Default for PipelineConfig {
@@ -69,7 +65,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             depth: 2,
             staleness_bound: 1,
-            deterministic: false,
         }
     }
 }
@@ -81,25 +76,10 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the staleness bound.
+    /// Sets the staleness bound (`0` pins the serial schedule).
     pub fn with_staleness(mut self, bound: usize) -> Self {
         self.staleness_bound = bound;
         self
-    }
-
-    /// Pins the pipeline to the serial schedule (bit-identical results).
-    pub fn deterministic(mut self) -> Self {
-        self.deterministic = true;
-        self
-    }
-
-    /// The staleness bound actually enforced.
-    pub fn effective_staleness(&self) -> usize {
-        if self.deterministic {
-            0
-        } else {
-            self.staleness_bound
-        }
     }
 }
 
@@ -150,28 +130,19 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// One scanned batch, flowing scout → driver.
+/// One scanned batch, flowing scout → driver. Feedback flows back as
+/// the step's own [`StepOutput`].
 struct BatchPlan {
     epoch: usize,
-    batch_idx: usize,
     start: usize,
     end: usize,
 }
 
-/// One processed batch's feedback, flowing driver → scout.
-struct Feedback {
-    batch_idx: usize,
-    loss: f32,
-    deltas: Vec<MemoryDelta>,
-}
-
-/// What the scout hands back when it retires (it owns the strategy for
-/// the whole run, so strategy-derived accounting must travel with it).
+/// What the scout measured on its own thread; everything else the
+/// report needs is read off the strategy once the scout has retired.
 struct ScoutReport {
     scan: StageTiming,
     prepare: Duration,
-    timers: StrategyTimers,
-    space: StrategySpace,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -188,9 +159,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// pipeline, then evaluates on the validation range — the pipelined
 /// counterpart of [`cascade_core::train`].
 ///
-/// With [`PipelineConfig::deterministic`] (or `staleness_bound = 0`) the
-/// result is bit-identical to the serial trainer: same batch partition,
-/// same losses, same final memory and parameter state. With a positive
+/// With `staleness_bound = 0` the result is bit-identical to the serial
+/// trainer: same batch partition, same losses, same final memory and
+/// parameter state. With a positive
 /// staleness bound the scout overlaps boundary scans and SG-Filter/ABS
 /// refreshes with model compute; the partition may then differ from the
 /// serial one, but it is still deterministic for a given configuration,
@@ -214,34 +185,15 @@ pub fn train_pipelined(
     cfg: &TrainConfig,
     pcfg: &PipelineConfig,
 ) -> Result<TrainReport, PipelineError> {
-    assert!(cfg.epochs > 0, "need at least one epoch");
-    model.set_compute_threads(cfg.compute_threads.max(1));
+    let mut step = TrainStep::new(model, cfg);
     let train_range = data.train_range();
     assert!(!train_range.is_empty(), "empty training range");
     let events = data.stream().events();
     let n_train = train_range.end;
     let num_nodes = data.num_nodes();
     let epochs = cfg.epochs;
-    let staleness = pcfg.effective_staleness();
+    let staleness = pcfg.staleness_bound;
     let depth = pcfg.depth.max(1);
-    let strategy_name = strategy.name();
-
-    let t_total = Instant::now();
-
-    let params = model.parameters();
-    let mut opt = Adam::new(params.clone(), cfg.lr);
-
-    // Driver-side bookkeeping (mirrors the serial trainer).
-    let mut stage_b = StageTiming::default();
-    let mut stage_c = StageTiming::default();
-    // Per-shard sub-division of stage B (collects via record_shards; its
-    // shard_compute vector lands in the final report's StageTimings).
-    let mut shard_t = StageTimings::default();
-    let mut num_batches = 0usize;
-    let mut max_batch = 0usize;
-    let mut epoch_losses: Vec<f32> = Vec::with_capacity(epochs);
-    let mut batch_sizes: Vec<u32> = Vec::new();
-    let mut batch_losses: Vec<f32> = Vec::new();
 
     let scout_outcome = std::thread::scope(|s| {
         // Plans prefetch up to `depth` ahead; the feedback queue is sized
@@ -249,7 +201,7 @@ pub fn train_pipelined(
         // `depth + staleness + 1` batches are ever in flight), which
         // breaks the only possible send/send deadlock cycle.
         let (plan_tx, plan_rx) = sync_channel::<BatchPlan>(depth);
-        let (fb_tx, fb_rx) = sync_channel::<Feedback>(depth + staleness + 2);
+        let (fb_tx, fb_rx) = sync_channel::<StepOutput>(depth + staleness + 2);
 
         let strategy = &mut *strategy;
         let scout = s.spawn(move || -> Result<ScoutReport, ()> {
@@ -258,42 +210,43 @@ pub fn train_pipelined(
             strategy.prepare(&events[..n_train], num_nodes);
             let prepare = t_prep.elapsed();
 
-            // Scanned-but-not-fed-back batches. The gate below keeps it
-            // within `staleness` before every scan, which fixes the
-            // feedback-consumption schedule independently of timing.
+            // Scanned-but-not-fed-back batches.
             let mut in_flight = 0usize;
-            for _epoch in 0..epochs {
+            for epoch in 0..epochs {
                 // The scout drains the feedback queue at every epoch end,
                 // so by this point the whole previous epoch is absorbed.
                 strategy.reset_epoch();
                 let mut start = 0usize;
-                let mut batch_idx = 0usize;
-                while start < n_train {
-                    while in_flight > staleness {
+                loop {
+                    // Before every scan, absorb feedback until at most
+                    // `staleness` batches are outstanding: a counting
+                    // gate, so the feedback-consumption schedule does not
+                    // depend on timing. At the epoch's end absorb all of
+                    // it, so SG-Filter/ABS resets see a fully observed
+                    // epoch (and cross-epoch state matches the serial
+                    // trainer's).
+                    let allowed = if start < n_train { staleness } else { 0 };
+                    while in_flight > allowed {
                         let t0 = Instant::now();
                         let fb = fb_rx.recv().map_err(drop)?;
                         scan.stall += t0.elapsed();
                         let t1 = Instant::now();
-                        strategy.after_batch(fb.batch_idx, fb.loss);
-                        strategy.observe_updates(&fb.deltas);
+                        TrainStep::feedback(strategy, &fb);
                         scan.busy += t1.elapsed();
                         in_flight -= 1;
+                    }
+                    if start >= n_train {
+                        break;
                     }
                     let t0 = Instant::now();
                     let end = strategy.next_batch_end(start, n_train);
                     scan.record(t0.elapsed());
                     let t1 = Instant::now();
                     plan_tx
-                        .send(BatchPlan {
-                            epoch: _epoch,
-                            batch_idx,
-                            start,
-                            end,
-                        })
+                        .send(BatchPlan { epoch, start, end })
                         .map_err(drop)?;
                     scan.stall += t1.elapsed();
                     in_flight += 1;
-                    batch_idx += 1;
                     // A bogus boundary is reported by the driver; stop
                     // scanning rather than loop forever on `end <= start`.
                     if end <= start || end > n_train {
@@ -301,40 +254,20 @@ pub fn train_pipelined(
                     }
                     start = end;
                 }
-                // Epoch barrier: absorb the rest of the epoch's feedback
-                // so SG-Filter/ABS resets see a fully observed epoch (and
-                // cross-epoch state matches the serial trainer's).
-                while in_flight > 0 {
-                    let t0 = Instant::now();
-                    let fb = fb_rx.recv().map_err(drop)?;
-                    scan.stall += t0.elapsed();
-                    let t1 = Instant::now();
-                    strategy.after_batch(fb.batch_idx, fb.loss);
-                    strategy.observe_updates(&fb.deltas);
-                    scan.busy += t1.elapsed();
-                    in_flight -= 1;
-                }
             }
-            Ok(ScoutReport {
-                scan,
-                prepare,
-                timers: strategy.timers(),
-                space: strategy.space(),
-            })
+            Ok(ScoutReport { scan, prepare })
         });
 
-        // ---- Driver: stages B and C over incoming plans. ----
+        // ---- Driver: the train step over incoming plans. ----
         let mut error: Option<PipelineError> = None;
         let mut cur_epoch = usize::MAX;
-        let mut loss_sum = 0.0f64;
-        let mut event_sum = 0usize;
         loop {
             let t0 = Instant::now();
             let plan = match plan_rx.recv() {
                 Ok(p) => p,
                 Err(_) => break, // scout retired (or died; join tells)
             };
-            stage_b.stall += t0.elapsed();
+            step.stages.compute.stall += t0.elapsed();
             if plan.start >= plan.end || plan.end > n_train {
                 error = Some(PipelineError {
                     stage: PipelineStage::Scan,
@@ -347,110 +280,56 @@ pub fn train_pipelined(
             }
             if plan.epoch != cur_epoch {
                 if cur_epoch != usize::MAX {
-                    epoch_losses.push((loss_sum / event_sum.max(1) as f64) as f32);
-                    loss_sum = 0.0;
-                    event_sum = 0;
+                    step.end_epoch();
                 }
                 model.reset_state();
                 cur_epoch = plan.epoch;
             }
 
-            // Stage B: forward, loss, backward, optimizer step. Autograd
-            // failures take the *typed* path: `try_backward` surfaces a
-            // structural problem (non-scalar loss, upstream length
-            // mismatch) as an `AutogradError` without unwinding, and it is
-            // mapped straight to a Compute-stage PipelineError here. The
+            // Autograd failures take the *typed* path: the step surfaces
+            // a structural problem (non-scalar loss, upstream length
+            // mismatch) as an `AutogradError` without unwinding, mapped
+            // straight to a Compute-stage PipelineError here. The
             // surrounding catch_unwind remains as the backstop for
-            // genuine panics elsewhere in the stage (shape asserts,
-            // index bounds), so the scout is always joined either way.
-            let t1 = Instant::now();
-            let step = catch_unwind(AssertUnwindSafe(|| {
-                if cfg.scale_lr_with_batch {
-                    let scale =
-                        ((plan.end - plan.start) as f32 / cfg.eval_batch_size as f32).sqrt();
-                    opt.set_lr(cfg.lr * scale);
-                }
-                let fwd =
-                    model.forward_batch(&events[plan.start..plan.end], plan.start, data.features());
-                let loss = fwd.loss.item();
-                if let Err(e) = fwd.loss.try_backward() {
-                    return Err(format!("autograd failed: {e}"));
-                }
-                if let Some(c) = cfg.clip_norm {
-                    clip_grad_norm(&params, c);
-                }
-                opt.step();
-                Ok((fwd.pending, fwd.shard_busy, loss))
-            }));
-            let (pending, shard_busy, loss) = match step {
-                Ok(Ok(x)) => x,
-                Ok(Err(message)) => {
-                    error = Some(PipelineError {
-                        stage: PipelineStage::Compute,
-                        message,
-                    });
-                    break;
-                }
-                Err(payload) => {
-                    error = Some(PipelineError {
-                        stage: PipelineStage::Compute,
-                        message: panic_message(payload),
-                    });
-                    break;
-                }
-            };
-            stage_b.record(t1.elapsed());
-            shard_t.record_shards(&shard_busy, cfg.compute_threads.max(1));
-
-            // Stage C: memory write-back, messages, adjacency.
-            let t2 = Instant::now();
-            let applied = catch_unwind(AssertUnwindSafe(|| {
-                model.apply_batch(
+            // genuine panics in either stage (shape asserts, index
+            // bounds), so the scout is always joined either way; a panic
+            // after stage B was recorded came from stage C.
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                step.run(
+                    model,
                     &events[plan.start..plan.end],
                     plan.start,
                     data.features(),
-                    pending,
                 )
             }));
-            let deltas = match applied {
-                Ok(d) => d,
-                Err(payload) => {
+            let out = match ran {
+                Ok(Ok(out)) => out,
+                Ok(Err(e)) => {
                     error = Some(PipelineError {
-                        stage: PipelineStage::Update,
+                        stage: PipelineStage::Compute,
+                        message: format!("autograd failed: {e}"),
+                    });
+                    break;
+                }
+                Err(payload) => {
+                    let stage = if step.stages.compute.items > step.stages.update.items {
+                        PipelineStage::Update
+                    } else {
+                        PipelineStage::Compute
+                    };
+                    error = Some(PipelineError {
+                        stage,
                         message: panic_message(payload),
                     });
                     break;
                 }
             };
-            stage_c.record(t2.elapsed());
-
-            // Batch boundary: the batch's graph is gone; trim the arena
-            // back to its steady-state working set.
-            cascade_tensor::arena::reset();
-
-            let size = plan.end - plan.start;
-            batch_sizes.push(size as u32);
-            batch_losses.push(loss);
-            loss_sum += loss as f64 * size as f64;
-            event_sum += size;
-            max_batch = max_batch.max(size);
-            num_batches += 1;
 
             let t3 = Instant::now();
-            if fb_tx
-                .send(Feedback {
-                    batch_idx: plan.batch_idx,
-                    loss,
-                    deltas,
-                })
-                .is_err()
-            {
+            if fb_tx.send(out).is_err() {
                 break; // scout died; join reports the real failure
             }
-            stage_c.stall += t3.elapsed();
-        }
-        if error.is_none() && cur_epoch != usize::MAX {
-            epoch_losses.push((loss_sum / event_sum.max(1) as f64) as f32);
+            step.stages.update.stall += t3.elapsed();
         }
 
         // Unblock and retire the scout: closing our channel ends makes
@@ -474,73 +353,21 @@ pub fn train_pipelined(
         }
     });
     let scout_report = scout_outcome?;
-
-    let total_time = t_total.elapsed();
-    let model_time = stage_b.busy + stage_c.busy;
-
-    // Simulated accelerator and pipelined-preprocessing credit: identical
-    // formulas to the serial trainer so modeled latencies stay comparable.
-    let events_processed = (n_train * epochs) as f64;
-    let per_event = model_time.as_secs_f64() / events_processed.max(1.0);
-    let overhead =
-        Duration::from_secs_f64(per_event * cfg.sim_batch_overhead_events * num_batches as f64);
-    let background = scout_report.timers.background_build;
-    let stall = scout_report.timers.build_table;
-    let overlap_credit = background.saturating_sub(stall).min(total_time / 2);
-    let modeled_time = (total_time + overhead).saturating_sub(overlap_credit);
+    step.end_epoch();
+    step.stages.scan = scout_report.scan;
 
     let val = evaluate(model, data, cfg.eval_batch_size);
-
-    let build_time = if scout_report.timers.build_table > Duration::ZERO {
-        scout_report.timers.build_table
-    } else {
-        scout_report.prepare
-    };
-    let lookup_time = if scout_report.timers.lookup > Duration::ZERO {
-        scout_report.timers.lookup
-    } else {
-        scout_report.scan.busy
-    };
-
-    let space = SpaceBreakdown {
-        dependency_table: scout_report.space.dependency_bytes,
-        stable_flags: scout_report.space.flag_bytes,
-        graph: std::mem::size_of_val(events),
-        edge_features: data.features().size_bytes(),
-        model: model.parameter_count() * std::mem::size_of::<f32>(),
-        mailbox: model.mailbox_size_bytes(),
-        memory: model.memory_size_bytes(),
-        plane_shards: model.plane().num_shards(),
-    };
-
-    Ok(TrainReport {
-        strategy: strategy_name,
-        model: model.name().to_string(),
-        dataset: data.name().to_string(),
-        epochs,
-        total_time,
-        modeled_time,
-        build_time,
-        lookup_time,
-        model_time,
-        num_batches,
-        avg_batch_size: (n_train * epochs) as f64 / num_batches.max(1) as f64,
-        max_batch_size: max_batch,
-        final_train_loss: *epoch_losses.last().unwrap_or(&f32::NAN),
-        val_loss: val.loss,
-        val_ap: val.average_precision,
-        val_accuracy: val.accuracy,
-        epoch_losses,
-        batch_sizes,
-        batch_losses,
-        space,
-        stages: StageTimings {
-            scan: scout_report.scan,
-            compute: stage_b,
-            update: stage_c,
-            shard_compute: shard_t.shard_compute,
+    Ok(step.finish(
+        model,
+        strategy,
+        RunFacts {
+            dataset: data.name().to_string(),
+            prepare: scout_report.prepare,
+            graph_bytes: std::mem::size_of_val(events),
+            feature_bytes: data.features().size_bytes(),
+            val,
         },
-    })
+    ))
 }
 
 #[cfg(test)]
@@ -587,7 +414,7 @@ mod tests {
             &data,
             &mut s2,
             &tiny_cfg(),
-            &PipelineConfig::default().deterministic(),
+            &PipelineConfig::default().with_staleness(0),
         )
         .expect("pipeline failed");
 
@@ -616,13 +443,6 @@ mod tests {
             r.batch_sizes.iter().map(|&b| b as usize).sum::<usize>(),
             data.train_range().end * r.epochs
         );
-    }
-
-    #[test]
-    fn effective_staleness_honors_deterministic() {
-        let p = PipelineConfig::default().with_staleness(7);
-        assert_eq!(p.effective_staleness(), 7);
-        assert_eq!(p.deterministic().effective_staleness(), 0);
     }
 
     #[test]

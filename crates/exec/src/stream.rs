@@ -32,7 +32,7 @@ use cascade_core::{
     StreamMeta, StreamOptions, StreamOutcome, TableSpec, TrainConfig, TrainReport,
 };
 use cascade_models::MemoryTgnn;
-use cascade_tgraph::{EventSource, SourceError};
+use cascade_tgraph::{chronological_split, EventSource, SourceError};
 
 use crate::pipeline::{PipelineConfig, PipelineError, PipelineStage};
 
@@ -156,9 +156,7 @@ pub fn train_streamed<S: EventSource + Send>(
     pipe: &PipelineConfig,
 ) -> Result<TrainReport, PipelineError> {
     let meta = StreamMeta::of(source);
-    let n = meta.num_events;
-    let n_train = n * 70 / 100;
-    let val_end = n * 85 / 100;
+    let (n_train, val_end) = chronological_split(meta.num_events);
     let chunk_size = meta.chunk_size.max(1);
 
     // Learn the strategy's table recipe up front (idempotent: the core

@@ -1,5 +1,5 @@
 //! Integration tests for the pipelined executor: bit-identity with the
-//! serial trainer in deterministic mode, liveness/coverage under random
+//! serial trainer at staleness 0, liveness/coverage under random
 //! pipeline shapes, and panic-safe shutdown.
 
 use cascade_core::{
@@ -41,7 +41,7 @@ fn scheduler() -> CascadeScheduler {
     })
 }
 
-/// Deterministic mode must reproduce the serial trainer bit for bit:
+/// Staleness 0 must reproduce the serial trainer bit for bit:
 /// same partition, same losses, same final node memories, same final
 /// parameters.
 #[test]
@@ -64,7 +64,7 @@ fn deterministic_pipeline_is_bit_identical_to_serial() {
         &data,
         &mut piped_strategy,
         &train_cfg(2),
-        &PipelineConfig::default().with_depth(4).deterministic(),
+        &PipelineConfig::default().with_depth(4).with_staleness(0),
     )
     .expect("deterministic pipeline must not fail");
 
@@ -96,8 +96,8 @@ fn deterministic_pipeline_is_bit_identical_to_serial() {
     }
 }
 
-/// `staleness_bound = 0` alone (without the `deterministic` flag) also
-/// pins the serial schedule.
+/// `staleness_bound = 0` pins the serial schedule at any depth and for
+/// the fixed-size strategy too.
 #[test]
 fn zero_staleness_matches_serial_losses() {
     let data = dataset();

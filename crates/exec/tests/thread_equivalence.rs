@@ -108,7 +108,7 @@ fn pipelined_parallel_compute_matches_serial_single_thread() {
         &data,
         &mut piped_strategy,
         &train_cfg(4),
-        &PipelineConfig::default().with_depth(4).deterministic(),
+        &PipelineConfig::default().with_depth(4).with_staleness(0),
     )
     .expect("deterministic pipeline must not fail");
 

@@ -113,14 +113,13 @@ const TELEMETRY: &[&str] = &[
     "crates/serve/src/stats.rs",
 ];
 
-/// Modules allowed to call `arena::reset()`: the batch-loop drivers
-/// (trainer, streaming driver, pipelined executor) and the arena
-/// implementation itself.
+/// Modules allowed to call `arena::reset()`: the one train step every
+/// driver (trainer, streaming driver, pipelined executor) calls, the
+/// dist worker's round loop (its step is split at the all-reduce), and
+/// the arena implementation itself.
 const ARENA_RESET_SITES: &[&str] = &[
-    "crates/core/src/trainer.rs",
-    "crates/core/src/streaming.rs",
+    "crates/core/src/step.rs",
     "crates/dist/src/runtime.rs",
-    "crates/exec/src/pipeline.rs",
     "crates/tensor/src/arena.rs",
 ];
 
@@ -250,9 +249,9 @@ pub const RULES: &[RuleSpec] = &[
         allowed_paths: ARENA_RESET_SITES,
         applies_to_tests: false,
         why: "arena::reset() trims the thread-local tensor buffer pool and is only \
-              safe at a batch boundary, after the previous batch's graph has been \
-              dropped; mid-batch calls silently degrade recycling. Call sites are \
-              confined to the trainer/executor batch loops.",
+              safe at a batch boundary, after the optimizer step and memory apply; \
+              mid-batch calls silently degrade recycling. Call sites are confined to \
+              the shared train step (core/step.rs) and the dist worker loop.",
     },
     RuleSpec {
         id: "arena-take-balance",
@@ -402,10 +401,15 @@ mod tests {
         assert!(in_scope(spawn, "crates/dist/src/tcp.rs"));
         assert!(!in_scope(spawn, "crates/dist/src/runtime.rs"));
 
-        // Arena resets happen only in the worker batch loop.
+        // Arena resets happen only in the worker batch loop — and, for
+        // every other driver, only inside the shared train step.
         let arena = rule("arena-reset-confined").expect("rule is registered");
         assert!(in_scope(arena, "crates/dist/src/grad.rs"));
         assert!(!in_scope(arena, "crates/dist/src/runtime.rs"));
+        assert!(!in_scope(arena, "crates/core/src/step.rs"));
+        assert!(in_scope(arena, "crates/core/src/trainer.rs"));
+        assert!(in_scope(arena, "crates/core/src/streaming.rs"));
+        assert!(in_scope(arena, "crates/exec/src/pipeline.rs"));
 
         // No ad-hoc fs access: checkpoints go through models/checkpoint.rs.
         let fs = rule("io-fs-confined").expect("io-fs-confined is registered");

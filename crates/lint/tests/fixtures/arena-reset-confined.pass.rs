@@ -1,6 +1,7 @@
-//@ path: crates/core/src/trainer.rs
-// The trainer's batch loop is a designated reset site: the previous
-// batch's graph has been dropped before the boundary trim runs.
-pub fn after_batch() {
+//@ path: crates/core/src/step.rs
+// The shared train step is the designated reset site: every driver's
+// batch boundary runs through it, after the optimizer step and the
+// memory apply.
+pub fn run() {
     cascade_tensor::arena::reset();
 }

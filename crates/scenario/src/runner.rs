@@ -26,7 +26,8 @@ use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_serve::{Engine, EngineConfig};
 use cascade_store::StreamingEventSource;
 use cascade_tgraph::{
-    Dataset, EdgeFeatures, EventSource, EventStream, ReorderPolicy, ReorderingSource,
+    chronological_split, Dataset, EdgeFeatures, EventSource, EventStream, ReorderPolicy,
+    ReorderingSource,
 };
 
 use crate::gen::{generate_to_store, ScenarioSource};
@@ -341,7 +342,7 @@ impl ScenarioRunner {
 
     /// Maps the final epoch's batch trajectory onto phase boundaries.
     fn phase_losses(&self, report: &TrainReport) -> Vec<PhaseLoss> {
-        let n_train = self.recipe.base_events() * 70 / 100;
+        let (n_train, _) = chronological_split(self.recipe.base_events());
         // Split the cross-epoch batch series at train-split boundaries:
         // a batch's start id is its running event offset within the
         // epoch, and an epoch ends when the offsets reach the split.

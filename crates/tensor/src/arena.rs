@@ -21,7 +21,8 @@
 //! unusually large batch left behind. It must only be called between
 //! batches (when no graph from the previous batch is being built) —
 //! cascade-lint's `arena-reset-confined` rule pins call sites to the
-//! trainer/executor batch loops.
+//! shared train step (`cascade-core`'s `step.rs`) and the dist worker
+//! loop.
 //!
 //! # Determinism
 //!

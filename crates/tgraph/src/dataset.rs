@@ -120,8 +120,15 @@ impl EdgeFeatures {
     }
 }
 
+/// The chronological 70/15/15 split (following the TGL setup) of an
+/// `n`-event stream, as `(train_end, val_end)`: training is `0..train_end`,
+/// validation `train_end..val_end`, test `val_end..n`.
+pub fn chronological_split(n: usize) -> (usize, usize) {
+    (n * 70 / 100, n * 85 / 100)
+}
+
 /// A named continuous-time dynamic graph dataset with chronological
-/// train/validation/test splits (70/15/15, following the TGL setup).
+/// train/validation/test splits (see [`chronological_split`]).
 #[derive(Clone, Debug)]
 pub struct Dataset {
     name: String,
@@ -146,9 +153,7 @@ impl Dataset {
                 "feature rows must match event count"
             );
         }
-        let n = stream.len();
-        let train_end = n * 70 / 100;
-        let val_end = n * 85 / 100;
+        let (train_end, val_end) = chronological_split(stream.len());
         Dataset {
             name: name.into(),
             stream,

@@ -30,7 +30,7 @@ mod source;
 mod stats;
 mod synth;
 
-pub use dataset::{synth_features, CsvError, Dataset, EdgeFeatures};
+pub use dataset::{chronological_split, synth_features, CsvError, Dataset, EdgeFeatures};
 pub use event::{Event, EventId, EventStream, NodeId, OrderError, StreamDecodeError};
 pub use ingest::{ReorderPolicy, ReorderingSource, DEDUP_HORIZON};
 // `DetRng` lives in `cascade-util` (so `cascade-tensor` can seed without

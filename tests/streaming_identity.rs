@@ -10,6 +10,7 @@ use cascade_core::{
     CascadeScheduler, FixedBatching, StreamCheckpoint, StreamOptions, StreamOutcome, TrainConfig,
     TrainReport,
 };
+use cascade_exec::{train_pipelined, train_streamed, PipelineConfig};
 use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_store::{export_dataset, StreamingEventSource};
 use cascade_tgraph::{Dataset, SynthConfig};
@@ -35,6 +36,7 @@ fn cfg() -> TrainConfig {
         epochs: 2,
         eval_batch_size: 64,
         scale_lr_with_batch: true,
+        sim_batch_overhead_events: 340.0,
         ..TrainConfig::default()
     }
 }
@@ -70,6 +72,16 @@ fn assert_bit_identical(a: &TrainReport, b: &TrainReport, what: &str) {
         b.val_ap.to_bits(),
         "{what}: validation AP"
     );
+    assert_eq!(a.num_batches, b.num_batches, "{what}: batch count");
+    assert_eq!(a.max_batch_size, b.max_batch_size, "{what}: largest batch");
+    // (`space.dependency_table` is the strategy's own figure and depends
+    // on how it was fed — whole stream vs one chunk at a time — so it is
+    // compared per feeding mode in `all_four_drivers_share_one_step`.)
+    let state_space = |r: &TrainReport| {
+        let s = r.space;
+        (s.model, s.memory, s.mailbox, s.stable_flags)
+    };
+    assert_eq!(state_space(a), state_space(b), "{what}: space accounting");
 }
 
 fn run_streaming(
@@ -111,6 +123,61 @@ fn streaming_cascade_is_bit_identical_to_in_memory() {
         stream.space.graph,
         mem.space.graph
     );
+}
+
+/// Every driver is the same `TrainStep` fed from a different place, so
+/// one model/strategy/config must come out of all four with the same
+/// bits — results, final state, and the report's counters.
+#[test]
+fn all_four_drivers_share_one_step() {
+    let data = dataset();
+    let path = store_path("drivers");
+    export_dataset(&data, &path, CHUNK).expect("export succeeds");
+    type MakeStrategy<'a> = &'a dyn Fn() -> Box<dyn BatchingStrategy + Send>;
+    let strategies: [(&str, MakeStrategy); 2] = [
+        ("cascade", &|| Box::new(cascade_strategy())),
+        ("fixed-48", &|| Box::new(FixedBatching::new(48))),
+    ];
+    for (name, make) in strategies {
+        let mut m_ref = model(&data);
+        let reference = train(&mut m_ref, &data, make().as_mut(), &cfg());
+        assert!(reference.modeled_time > reference.total_time);
+
+        let mut runs: Vec<(&str, TrainReport, Vec<u8>)> = Vec::new();
+        let (r, state) = run_streaming(&data, &path, make().as_mut());
+        runs.push(("train_streaming", r, state));
+        let mut m = model(&data);
+        let pipe = PipelineConfig::default().with_staleness(0);
+        let r = train_pipelined(&mut m, &data, make().as_mut(), &cfg(), &pipe)
+            .expect("pipeline runs cleanly");
+        runs.push(("train_pipelined", r, m.export_state()));
+        let mut m = model(&data);
+        let mut source = StreamingEventSource::open(&path, 2).expect("store opens");
+        let r = train_streamed(&mut m, &mut source, make().as_mut(), &cfg(), &pipe)
+            .expect("streams cleanly");
+        runs.push(("train_streamed", r, m.export_state()));
+
+        for (driver, report, state) in &runs {
+            let what = format!("{name}: {driver} vs train");
+            assert_bit_identical(&reference, report, &what);
+            assert_eq!(&m_ref.export_state(), state, "{what}: model state");
+            for (stage, a, b) in [
+                ("scan", reference.stages.scan, report.stages.scan),
+                ("compute", reference.stages.compute, report.stages.compute),
+                ("update", reference.stages.update, report.stages.update),
+            ] {
+                assert_eq!(a.items, b.items, "{what}: {stage} items");
+            }
+        }
+        let table = |i: usize| runs[i].1.space.dependency_table;
+        assert_eq!(
+            reference.space.dependency_table,
+            table(1),
+            "{name}: in-memory DT"
+        );
+        assert_eq!(table(0), table(2), "{name}: streamed DT");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
