@@ -16,7 +16,7 @@ use cascade_core::{
     TrainConfig, TrainReport,
 };
 use cascade_exec::{train_pipelined, train_streamed, PipelineConfig};
-use cascade_models::{load_parameters, save_parameters, MemoryTgnn, ModelConfig};
+use cascade_models::{load_checkpoint, save_parameters, MemoryTgnn, ModelConfig};
 use cascade_store::{export_dataset, StreamingEventSource};
 use cascade_tgraph::{Dataset, EventSource, SynthConfig};
 
@@ -119,7 +119,9 @@ fn print_usage() {
          --strategy tgl|tglite|cascade|cascade-tb|neutron|etc (default cascade)\n\
          --epochs N --batch N --dim N --scale F --seed N --theta F\n\
          --chunk N  enable chunked preprocessing (Cascade_EX)\n\
-         --save P / --load P  checkpoint parameters\n\
+         --save P             write the trained parameters\n\
+         --load P             warm-start from any checkpoint: a --save file, a\n\
+         \u{20}                    cascade_serve snapshot, or cascade_dist --save\n\
          --test     also evaluate on the held-out test range\n\
          --pipelined          train with the three-stage pipelined executor\n\
          --pipeline-depth N   scan prefetch depth (default 2)\n\
@@ -270,7 +272,9 @@ fn run() -> Result<(), String> {
 
     let mut model = build_model(&args, data.num_nodes(), data.features().dim())?;
     if let Some(path) = &args.load {
-        load_parameters(&mut model, path).map_err(|e| e.to_string())?;
+        // Any checkpoint warm-starts the weights; a full-state file's
+        // memories do not outlive the reset that opens the first epoch.
+        load_checkpoint(&mut model, path).map_err(|e| e.to_string())?;
         println!("loaded parameters from {}", path.display());
     }
 
@@ -332,7 +336,9 @@ fn run_streaming_cli(args: &Args) -> Result<(), String> {
 
     let mut model = build_model(args, source.num_nodes(), source.feature_dim())?;
     if let Some(path) = &args.load {
-        load_parameters(&mut model, path).map_err(|e| e.to_string())?;
+        // Any checkpoint warm-starts the weights; a full-state file's
+        // memories do not outlive the reset that opens the first epoch.
+        load_checkpoint(&mut model, path).map_err(|e| e.to_string())?;
         println!("loaded parameters from {}", path.display());
     }
 

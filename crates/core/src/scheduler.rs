@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use cascade_models::MemoryDelta;
 use cascade_tgraph::{Event, EventId};
+use cascade_util::{ByteReader, ByteWriter, DecodeError};
 
 use crate::abs::{Abs, EnduranceStats};
 use crate::batching::{BatchingStrategy, PrebuiltTable, StrategySpace, StrategyTimers, TableSpec};
@@ -218,6 +219,60 @@ impl CascadeScheduler {
                 .as_ref()
                 .expect("receive loop above inserted this chunk's table before breaking"),
         )
+    }
+}
+
+impl CascadeScheduler {
+    /// Decodes and validates all of `bytes`, then restores from it; a
+    /// refused blob leaves the scheduler as it was.
+    fn decode_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let invalid = |msg: String| Err(DecodeError::Invalid(msg));
+        let mut r = ByteReader::new(bytes);
+        let global_batch_idx = r.usize()?;
+        let max_r = if r.bool()? { Some(r.usize()?) } else { None };
+        if max_r == Some(0) {
+            return invalid("scheduler state holds Max_r = 0".to_string());
+        }
+        let abs = if r.bool()? {
+            let mut abs = Abs::from_stats(EnduranceStats {
+                max: r.usize()?,
+                mean: r.f64()?,
+                min: r.usize()?,
+                batch_count: r.usize()?,
+            });
+            abs.restore_convergence_state(r.f32()?, r.usize()?);
+            Some(abs)
+        } else {
+            None
+        };
+        let sg = if r.bool()? {
+            let count = r.count(1)?;
+            let flags = (0..count).map(|_| r.bool());
+            let flags = flags.collect::<Result<Vec<bool>, _>>()?;
+            Some((flags, r.usize()?, r.usize()?))
+        } else {
+            None
+        };
+        r.finish()?;
+
+        // The filter's restore is the one step that can still refuse
+        // (and is itself all-or-nothing), so it goes first.
+        if let Some((flags, updates, stable)) = sg {
+            let Some(filter) = self.sg.as_mut() else {
+                return invalid("SG-Filter state, but the filter is disabled".to_string());
+            };
+            filter
+                .restore(&flags, updates, stable)
+                .map_err(DecodeError::Invalid)?;
+        }
+        self.global_batch_idx = global_batch_idx;
+        if max_r.is_some() {
+            self.restored_max_r = max_r;
+        }
+        if abs.is_some() {
+            self.abs = abs;
+        }
+        Ok(())
     }
 }
 
@@ -493,85 +548,36 @@ impl BatchingStrategy for CascadeScheduler {
     }
 
     fn export_state(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.push(1u8); // blob version
-        push_u64(&mut buf, self.global_batch_idx as u64);
-        match self.diffuser.as_ref() {
-            Some(d) => {
-                buf.push(1);
-                push_u64(&mut buf, d.max_r() as u64);
-            }
-            None => buf.push(0),
+        let mut w = ByteWriter::new();
+        w.usize(self.global_batch_idx);
+        w.bool(self.diffuser.is_some());
+        if let Some(d) = self.diffuser.as_ref() {
+            w.usize(d.max_r());
         }
-        match self.abs.as_ref() {
-            Some(abs) => {
-                buf.push(1);
-                let s = abs.stats();
-                push_u64(&mut buf, s.max as u64);
-                buf.extend_from_slice(&s.mean.to_le_bytes());
-                push_u64(&mut buf, s.min as u64);
-                push_u64(&mut buf, s.batch_count as u64);
-                let (best, stalled) = abs.convergence_state();
-                buf.extend_from_slice(&best.to_le_bytes());
-                push_u64(&mut buf, stalled as u64);
-            }
-            None => buf.push(0),
+        w.bool(self.abs.is_some());
+        if let Some(abs) = self.abs.as_ref() {
+            let s = abs.stats();
+            w.usize(s.max);
+            w.f64(s.mean);
+            w.usize(s.min);
+            w.usize(s.batch_count);
+            let (best, stalled) = abs.convergence_state();
+            w.f32(best);
+            w.usize(stalled);
         }
-        match self.sg.as_ref() {
-            Some(sg) => {
-                buf.push(1);
-                push_u64(&mut buf, sg.flags().len() as u64);
-                buf.extend(sg.flags().iter().map(|&f| f as u8));
-                let (updates, stable) = sg.epoch_counters();
-                push_u64(&mut buf, updates as u64);
-                push_u64(&mut buf, stable as u64);
-            }
-            None => buf.push(0),
+        w.bool(self.sg.is_some());
+        if let Some(sg) = self.sg.as_ref() {
+            w.usize(sg.flags().len());
+            sg.flags().iter().for_each(|&f| w.bool(f));
+            let (updates, stable) = sg.epoch_counters();
+            w.usize(updates);
+            w.usize(stable);
         }
-        buf
+        w.into_bytes()
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut off = 0usize;
-        if read_u8(bytes, &mut off)? != 1 {
-            return Err("unsupported scheduler state version".to_string());
-        }
-        self.global_batch_idx = read_u64(bytes, &mut off)? as usize;
-        if read_u8(bytes, &mut off)? == 1 {
-            self.restored_max_r = Some(read_u64(bytes, &mut off)? as usize);
-        }
-        if read_u8(bytes, &mut off)? == 1 {
-            let max = read_u64(bytes, &mut off)? as usize;
-            let mean = f64::from_le_bytes(read_array::<8>(bytes, &mut off)?);
-            let min = read_u64(bytes, &mut off)? as usize;
-            let batch_count = read_u64(bytes, &mut off)? as usize;
-            let best = f32::from_le_bytes(read_array::<4>(bytes, &mut off)?);
-            let stalled = read_u64(bytes, &mut off)? as usize;
-            let mut abs = Abs::from_stats(EnduranceStats {
-                max,
-                mean,
-                min,
-                batch_count,
-            });
-            abs.restore_convergence_state(best, stalled);
-            self.abs = Some(abs);
-        }
-        if read_u8(bytes, &mut off)? == 1 {
-            let n = read_u64(bytes, &mut off)? as usize;
-            if off + n > bytes.len() {
-                return Err("scheduler state truncated in stable flags".to_string());
-            }
-            let flags: Vec<bool> = bytes[off..off + n].iter().map(|&b| b != 0).collect();
-            off += n;
-            let updates = read_u64(bytes, &mut off)? as usize;
-            let stable = read_u64(bytes, &mut off)? as usize;
-            let sg = self
-                .sg
-                .as_mut()
-                .ok_or("checkpoint has SG-Filter state but filter is disabled")?;
-            sg.restore(&flags, updates, stable)?;
-        }
-        Ok(())
+        self.decode_state(bytes).map_err(|e| e.to_string())
     }
 
     fn timers(&self) -> StrategyTimers {
@@ -584,30 +590,6 @@ impl BatchingStrategy for CascadeScheduler {
             flag_bytes: self.sg.as_ref().map_or(0, SgFilter::size_bytes),
         }
     }
-}
-
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u8(bytes: &[u8], off: &mut usize) -> Result<u8, String> {
-    let b = *bytes
-        .get(*off)
-        .ok_or("scheduler state truncated".to_string())?;
-    *off += 1;
-    Ok(b)
-}
-
-fn read_u64(bytes: &[u8], off: &mut usize) -> Result<u64, String> {
-    Ok(u64::from_le_bytes(read_array::<8>(bytes, off)?))
-}
-
-fn read_array<const N: usize>(bytes: &[u8], off: &mut usize) -> Result<[u8; N], String> {
-    let slice = bytes
-        .get(*off..*off + N)
-        .ok_or("scheduler state truncated".to_string())?;
-    *off += N;
-    Ok(slice.try_into().expect("slice length checked above"))
 }
 
 #[cfg(test)]
@@ -806,10 +788,45 @@ mod tests {
     }
 
     #[test]
-    fn import_rejects_garbage() {
+    fn import_survives_the_hostile_input_battery() {
         let data = small_data();
-        let mut s = CascadeScheduler::new(base_cfg());
-        assert!(s.prepare_streaming(data.num_events(), data.num_nodes(), 200));
+        let events = data.stream().events();
+        let fresh = || {
+            let mut s = CascadeScheduler::new(base_cfg());
+            assert!(s.prepare_streaming(data.num_events(), data.num_nodes(), 200));
+            s
+        };
+        let mut s = fresh();
+        s.enter_chunk(0, 0, &events[..200], None);
+        for i in 1..=30 {
+            let _ = s.next_batch_end(0, 50);
+            s.after_batch(i, 1.0);
+        }
         assert!(s.import_state(&[9, 9, 9]).is_err());
+        cascade_util::check_decoder("scheduler_state", &s.export_state(), |bytes| {
+            let mut r = fresh();
+            let untouched = r.export_state();
+            if r.import_state(bytes).is_err() {
+                assert_eq!(r.export_state(), untouched, "failed import mutates nothing");
+                return None;
+            }
+            r.enter_chunk(0, 0, &events[..200], None);
+            Some(r.export_state())
+        });
+    }
+
+    #[test]
+    fn import_rejects_a_flag_count_that_wraps_the_offset() {
+        // Regression: `off + n > len` with `n` straight from a `u64`
+        // wrapped in release builds, and the slice then panicked.
+        let mut s = CascadeScheduler::new(base_cfg());
+        assert!(s.prepare_streaming(1000, 10, 200));
+        let mut state = s.export_state();
+        let count_at = state.len() - 10 - 2 * 8 - 8;
+        assert_eq!(state[count_at], 10, "test offsets are stale");
+        for huge in [u64::MAX, u64::MAX - 8, 1 << 40] {
+            state[count_at..count_at + 8].copy_from_slice(&huge.to_le_bytes());
+            assert!(s.import_state(&state).is_err(), "{huge}");
+        }
     }
 }

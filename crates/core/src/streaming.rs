@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use cascade_models::MemoryTgnn;
 use cascade_tgraph::{chronological_split, EdgeFeatures, Event, EventSource, SourceError};
+use cascade_util::bytes::{tag, ByteReader, ByteWriter, DecodeError};
 
 use crate::batching::{BatchingStrategy, PrebuiltTable};
 use crate::step::{CheckpointProgress, RunFacts, TrainStep};
@@ -154,80 +155,70 @@ pub struct StreamCheckpoint {
     pub progress: CheckpointProgress,
 }
 
-const CHECKPOINT_MAGIC: [u8; 4] = *b"CSCK";
-
 impl StreamCheckpoint {
-    /// Serializes the checkpoint (callers handle file I/O).
+    /// Serializes the checkpoint as the checkpoint container: the
+    /// model's own `PARAMS` and `NODE_STATE` sections (so
+    /// [`model`](Self::model) must be [`MemoryTgnn::export_state`]
+    /// bytes), then `POSITION`, `OPTIMIZER`, `STRATEGY` and `PROGRESS`.
+    /// Callers handle file I/O.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&CHECKPOINT_MAGIC);
-        buf.push(1u8); // version
-        for v in [
-            self.epoch as u64,
-            self.chunk as u64,
-            self.start_event as u64,
-        ] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        for blob in [&self.model, &self.optimizer, &self.strategy] {
-            buf.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            buf.extend_from_slice(blob);
-        }
+        let mut w = ByteWriter::container();
+        w.raw(&self.model);
+        w.section(tag::POSITION, |body| {
+            body.usize(self.epoch);
+            body.usize(self.chunk);
+            body.usize(self.start_event);
+        });
+        w.section(tag::OPTIMIZER, |body| body.raw(&self.optimizer));
+        w.section(tag::STRATEGY, |body| body.raw(&self.strategy));
         let p = &self.progress;
-        buf.extend_from_slice(&p.loss_sum.to_bits().to_le_bytes());
-        for v in [
-            p.event_sum as u64,
-            p.batch_idx as u64,
-            p.num_batches as u64,
-            p.max_batch as u64,
-        ] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        buf.extend_from_slice(&(p.epoch_losses.len() as u32).to_le_bytes());
-        for x in &p.epoch_losses {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        buf.extend_from_slice(&(p.batch_sizes.len() as u32).to_le_bytes());
-        for x in &p.batch_sizes {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        buf.extend_from_slice(&(p.batch_losses.len() as u32).to_le_bytes());
-        for x in &p.batch_losses {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        buf
+        w.section(tag::PROGRESS, |body| {
+            body.f64(p.loss_sum);
+            body.usize(p.event_sum);
+            body.usize(p.batch_idx);
+            body.usize(p.num_batches);
+            body.usize(p.max_batch);
+            body.f32s(&p.epoch_losses);
+            body.words(&p.batch_sizes);
+            body.f32s(&p.batch_losses);
+        });
+        w.end()
     }
 
     /// Deserializes a checkpoint written by
-    /// [`to_bytes`](StreamCheckpoint::to_bytes).
+    /// [`to_bytes`](StreamCheckpoint::to_bytes). The model, optimizer
+    /// and strategy sections are carried as bytes and decoded by their
+    /// owners when the run resumes.
     ///
     /// # Errors
     ///
-    /// Returns a description on a bad magic, unsupported version, or
-    /// truncation. Every length and count in `bytes` is checked against
-    /// the bytes that remain before anything is sliced or allocated.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Reader { rest: bytes };
-        if r.take(4)? != CHECKPOINT_MAGIC {
-            return Err("not a cascade streaming checkpoint".to_string());
-        }
-        if r.take(1)? != [1] {
-            return Err("unsupported checkpoint version".to_string());
-        }
-        let epoch = r.u64()? as usize;
-        let chunk = r.u64()? as usize;
-        let start_event = r.u64()? as usize;
-        let model = r.blob()?;
-        let optimizer = r.blob()?;
-        let strategy = r.blob()?;
-        let loss_sum = f64::from_bits(r.u64()?);
-        let event_sum = r.u64()? as usize;
-        let batch_idx = r.u64()? as usize;
-        let num_batches = r.u64()? as usize;
-        let max_batch = r.u64()? as usize;
-        let epoch_losses = r.words()?.into_iter().map(f32::from_bits).collect();
-        let batch_sizes = r.words()?;
-        let batch_losses = r.words()?.into_iter().map(f32::from_bits).collect();
+    /// A [`DecodeError`] on a bad magic, unsupported version, missing or
+    /// stray section, truncation, or a count the remaining bytes cannot
+    /// hold.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = ByteReader::container(bytes)?;
+        let sections = r.rest();
+        r.require(tag::PARAMS)?;
+        r.require(tag::NODE_STATE)?;
+        let model = sections[..sections.len() - r.rest().len()].to_vec();
+        let mut position = r.require(tag::POSITION)?;
+        let (epoch, chunk, start_event) = (position.usize()?, position.usize()?, position.usize()?);
+        position.finish()?;
+        let optimizer = r.require(tag::OPTIMIZER)?.rest().to_vec();
+        let strategy = r.require(tag::STRATEGY)?.rest().to_vec();
+        let mut p = r.require(tag::PROGRESS)?;
+        let progress = CheckpointProgress {
+            loss_sum: p.f64()?,
+            event_sum: p.usize()?,
+            batch_idx: p.usize()?,
+            num_batches: p.usize()?,
+            max_batch: p.usize()?,
+            epoch_losses: p.f32s()?,
+            batch_sizes: p.words()?,
+            batch_losses: p.f32s()?,
+        };
+        p.finish()?;
+        r.end()?;
         Ok(StreamCheckpoint {
             epoch,
             chunk,
@@ -235,64 +226,8 @@ impl StreamCheckpoint {
             model,
             optimizer,
             strategy,
-            progress: CheckpointProgress {
-                loss_sum,
-                event_sum,
-                batch_idx,
-                num_batches,
-                max_batch,
-                epoch_losses,
-                batch_sizes,
-                batch_losses,
-            },
+            progress,
         })
-    }
-}
-
-/// Bounds-checked little-endian reader over untrusted checkpoint bytes.
-struct Reader<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if n > self.rest.len() {
-            return Err("checkpoint truncated".to_string());
-        }
-        let (head, rest) = self.rest.split_at(n);
-        self.rest = rest;
-        Ok(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        let mut b = [0u8; N];
-        b.copy_from_slice(self.take(N)?);
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    /// A `u64` length, then that many bytes (a length beyond `usize` is
-    /// beyond any input, so it reads as truncation).
-    fn blob(&mut self) -> Result<Vec<u8>, String> {
-        let len = usize::try_from(self.u64()?).unwrap_or(usize::MAX);
-        Ok(self.take(len)?.to_vec())
-    }
-
-    /// A `u32` count, then that many 4-byte words.
-    fn words(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n.saturating_mul(4))?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
-            .collect())
     }
 }
 
@@ -465,10 +400,12 @@ pub fn train_streaming_with_provider(
         strategy
             .import_state(&ck.strategy)
             .map_err(SourceError::new)?;
-        model.import_state(&ck.model).map_err(SourceError::new)?;
+        model
+            .import_state(&ck.model)
+            .map_err(|e| SourceError::new(e.to_string()))?;
         step.opt
             .import_state(&ck.optimizer)
-            .map_err(SourceError::new)?;
+            .map_err(|e| SourceError::new(e.to_string()))?;
         step.progress = ck.progress;
         start_epoch = ck.epoch;
         resume_at = Some((ck.chunk, ck.start_event));
@@ -613,13 +550,15 @@ pub fn train_streaming_with_provider(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cascade_models::ModelConfig;
 
     fn sample() -> StreamCheckpoint {
+        let model = MemoryTgnn::new(ModelConfig::jodie().with_dims(2, 2), 3, 1, 1);
         StreamCheckpoint {
             epoch: 2,
             chunk: 7,
             start_event: 901,
-            model: vec![1, 2, 3],
+            model: model.export_state(),
             optimizer: vec![4, 5],
             strategy: vec![],
             progress: CheckpointProgress {
@@ -645,65 +584,32 @@ mod tests {
         );
     }
 
-    /// The version-1 layout, written out by hand: a checkpoint saved by
-    /// any earlier build must keep loading.
     #[test]
-    fn checkpoint_byte_layout_is_pinned() {
-        let mut want: Vec<u8> = b"CSCK\x01".to_vec();
-        for v in [2u64, 7, 901] {
-            want.extend_from_slice(&v.to_le_bytes());
+    fn checkpoint_is_the_container_with_the_models_sections_first() {
+        let ck = sample();
+        let bytes = ck.to_bytes();
+        let mut r = ByteReader::container(&bytes).expect("container header");
+        assert!(r.rest().starts_with(&ck.model), "PARAMS, NODE_STATE");
+        let mut tags = Vec::new();
+        while r.rest().len() > 4 {
+            let tag = ByteReader::new(r.rest()).u32().unwrap();
+            r.require(tag).expect("sections are well formed");
+            tags.push(tag);
         }
-        for blob in [&[1u8, 2, 3][..], &[4, 5], &[]] {
-            want.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            want.extend_from_slice(blob);
-        }
-        for v in [0.625f64.to_bits(), 901, 14, 200, 99] {
-            want.extend_from_slice(&v.to_le_bytes());
-        }
-        for words in [
-            vec![0.5f32.to_bits(), 0.25f32.to_bits()],
-            vec![10, 20, 30],
-            vec![0.9f32.to_bits(), 0.8f32.to_bits(), 0.7f32.to_bits()],
-        ] {
-            want.extend_from_slice(&(words.len() as u32).to_le_bytes());
-            for w in words {
-                want.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        assert_eq!(sample().to_bytes(), want);
+        assert_eq!(tags, [1, 2, 4, 5, 6, 7]);
+        r.end().expect("end marker");
     }
 
     #[test]
-    fn checkpoint_rejects_garbage() {
-        assert!(StreamCheckpoint::from_bytes(b"not a checkpoint").is_err());
-        assert!(StreamCheckpoint::from_bytes(&CHECKPOINT_MAGIC).is_err());
-        let valid = sample().to_bytes();
-        let mut bytes = valid.clone();
-        bytes[4] = 9; // unsupported version
-        assert!(StreamCheckpoint::from_bytes(&bytes).is_err());
-
-        // Hostile lengths: a blob length that overflows `offset + len`,
-        // and an element count that would reserve gigabytes. Both must
-        // be refused against the bytes actually present.
-        let model_len_at = 4 + 1 + 3 * 8;
-        for huge in [u64::MAX, u64::MAX - 7, 1 << 40] {
-            let mut bytes = valid.clone();
-            bytes[model_len_at..model_len_at + 8].copy_from_slice(&huge.to_le_bytes());
-            assert!(StreamCheckpoint::from_bytes(&bytes).is_err());
-        }
-        let epoch_losses_count_at = model_len_at + 3 * 8 + 5 + 5 * 8;
-        let mut bytes = valid.clone();
-        assert_eq!(bytes[epoch_losses_count_at], 2, "test offsets are stale");
-        bytes[epoch_losses_count_at..epoch_losses_count_at + 4]
-            .copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(StreamCheckpoint::from_bytes(&bytes).is_err());
-
-        // Every strict prefix of a valid checkpoint is truncated.
-        for cut in 0..valid.len() {
-            assert!(
-                StreamCheckpoint::from_bytes(&valid[..cut]).is_err(),
-                "prefix of {cut} bytes parsed"
-            );
-        }
+    fn checkpoint_survives_the_hostile_input_battery() {
+        assert_eq!(
+            StreamCheckpoint::from_bytes(b"not a checkpoint"),
+            Err(DecodeError::BadMagic)
+        );
+        cascade_util::check_decoder("stream_checkpoint", &sample().to_bytes(), |bytes| {
+            StreamCheckpoint::from_bytes(bytes)
+                .ok()
+                .map(|ck| ck.to_bytes())
+        });
     }
 }

@@ -11,7 +11,7 @@
 //! shared filesystem: the only bytes on the wire are round payloads.
 
 use cascade_dist::{run_follower, run_leader, train_dist, DistConfig, DistOutcome, RunClock};
-use cascade_models::{save_sharded_state, MemoryTgnn, ModelConfig};
+use cascade_models::{save_state, MemoryTgnn, ModelConfig};
 use cascade_tgraph::{Dataset, SynthConfig};
 
 struct Args {
@@ -101,8 +101,8 @@ fn print_usage() {
          --seed N       model seed                        (default 42)\n\
          --data-seed N  synth dataset seed                (default 7)\n\
          --addr A       leader bind / connect address     (default 127.0.0.1:7744)\n\
-         --save P       write a CSC3 sharded checkpoint (one shard group\n\
-                        per worker) that cascade_serve can boot from\n\n\
+         --save P       write a full-state checkpoint (weights, node state,\n\
+                        events applied) that cascade_serve can boot from\n\n\
          all processes of one run must agree on every flag except\n\
          --mode and --worker"
     );
@@ -194,27 +194,21 @@ fn run() -> Result<(), String> {
         outcome.batches.len()
     );
     if let Some(path) = &args.save {
-        // Rehydrate the exported state into a fresh model so the
-        // checkpoint layer can write it sharded; the watermark is one
-        // full pass over the stream (the final epoch's memories).
+        // Rehydrate the exported state into a fresh model for the
+        // checkpoint layer; the watermark is one full pass over the
+        // stream (the final epoch's memories).
         let mut model = MemoryTgnn::new(
             model_cfg.clone(),
             data.num_nodes(),
             data.features().dim(),
             args.seed,
         );
-        model.import_state(&outcome.state)?;
-        save_sharded_state(
-            &model,
-            std::path::Path::new(path),
-            data.num_events() as u64,
-            args.workers,
-        )
-        .map_err(|e| e.to_string())?;
-        println!(
-            "saved CSC3 checkpoint ({} shard group(s)) to {}",
-            args.workers, path
-        );
+        model
+            .import_state(&outcome.state)
+            .map_err(|e| e.to_string())?;
+        save_state(&model, std::path::Path::new(path), data.num_events() as u64)
+            .map_err(|e| e.to_string())?;
+        println!("saved full-state checkpoint to {}", path);
     }
     Ok(())
 }

@@ -8,7 +8,7 @@
 //! [`ShardMap`] the single-owner
 //! [`ShardedPlane`](cascade_models::ShardedPlane) uses, and uniform
 //! neighbor draws hash by **global** node id, so the shared plane is
-//! bit-identical to the monolithic plane for any read sequence.
+//! bit-identical to the owned plane for any read sequence.
 //!
 //! Locking discipline (checked by `conc-lock-order`): shard locks are
 //! taken **one at a time** — every method acquires a single shard's
@@ -68,21 +68,6 @@ impl SharedPlane {
                 shards,
             }),
         }
-    }
-
-    /// The node → (shard, slot) assignment.
-    pub fn map(&self) -> &ShardMap {
-        &self.inner.map
-    }
-
-    /// The plane's geometry.
-    pub fn geometry(&self) -> &PlaneGeometry {
-        &self.inner.geom
-    }
-
-    /// Number of handles alive (1 = this is the only owner).
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
     }
 
     fn slot(&self, node: NodeId) -> (usize, NodeId) {
@@ -270,7 +255,7 @@ impl MemoryPlane for SharedPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cascade_models::{LocalPlane, ModelConfig};
+    use cascade_models::ModelConfig;
     use cascade_tgraph::Event;
 
     fn geom() -> PlaneGeometry {
@@ -278,9 +263,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_reads_match_local() {
+    fn shared_reads_match_the_monolith() {
+        // The reference is one `PlaneShard` over every node, addressed
+        // by global id: the three stores with no map, lock or trait.
         let g = geom();
-        let mut local = LocalPlane::new(&g);
+        let mut mono = PlaneShard::new(&g, g.num_nodes);
         let mut shared = SharedPlane::new(&g, 4);
         let events = [
             Event::new(0u32, 3u32, 1.0),
@@ -288,18 +275,23 @@ mod tests {
             Event::new(0u32, 15u32, 3.0),
         ];
         for (i, e) in events.iter().enumerate() {
-            for plane in [&mut local as &mut dyn MemoryPlane, &mut shared] {
-                plane.adj_insert(e, i);
-                plane.memory_write(e.src, &[i as f32, 0.5, 1.5, 2.5], e.time);
-                plane.mailbox_push(e.dst, vec![0.25; 12]);
-            }
+            let row = [i as f32, 0.5, 1.5, 2.5];
+            shared.adj_insert(e, i);
+            shared.memory_write(e.src, &row, e.time);
+            shared.mailbox_push(e.dst, vec![0.25; 12]);
+            mono.adjacency.insert_event(e, i);
+            mono.memory.write(e.src, &row, e.time);
+            mono.mailbox.push(e.dst, vec![0.25; 12]);
         }
         for n in 0..16u32 {
             let n = NodeId(n);
-            assert_eq!(local.memory_read(n), shared.memory_read(n));
-            assert_eq!(local.mailbox_messages(n), shared.mailbox_messages(n));
-            assert_eq!(local.adj_most_recent(n, 3), shared.adj_most_recent(n, 3));
-            assert_eq!(local.adj_uniform(n, 6), shared.adj_uniform(n, 6));
+            assert_eq!(mono.memory.read(n), shared.memory_read(n));
+            assert_eq!(mono.mailbox.messages(n), shared.mailbox_messages(n));
+            assert_eq!(
+                mono.adjacency.most_recent(n, 3),
+                shared.adj_most_recent(n, 3)
+            );
+            assert_eq!(mono.adjacency.uniform(n, 6), shared.adj_uniform(n, 6));
         }
     }
 
@@ -308,7 +300,6 @@ mod tests {
         let g = geom();
         let mut a = SharedPlane::new(&g, 2);
         let b = a.clone();
-        assert_eq!(a.handle_count(), 2);
         a.memory_write(NodeId(7), &[1.0; 4], 5.0);
         assert_eq!(b.memory_read(NodeId(7)), vec![1.0; 4]);
 
@@ -322,15 +313,13 @@ mod tests {
     fn concurrent_owned_writes_land_in_distinct_shards() {
         let g = geom();
         let plane = SharedPlane::new(&g, 2);
-        let map = plane.map().clone();
         std::thread::scope(|scope| {
             for w in 0..2usize {
                 let mut handle = plane.clone();
-                let map = map.clone();
                 scope.spawn(move || {
                     for id in 0..16u32 {
                         let n = NodeId(id);
-                        if map.shard_of(n) == w {
+                        if handle.shard_of(n) == w {
                             handle.memory_write(n, &[w as f32 + 1.0; 4], 1.0);
                         }
                     }
@@ -339,7 +328,7 @@ mod tests {
         });
         for id in 0..16u32 {
             let n = NodeId(id);
-            let expect = map.shard_of(n) as f32 + 1.0;
+            let expect = plane.shard_of(n) as f32 + 1.0;
             assert_eq!(plane.memory_read(n), vec![expect; 4]);
         }
     }

@@ -9,20 +9,18 @@
 //! bit-identical.
 //!
 //! The codec is deliberately dumb: fixed-order fields, explicit
-//! lengths, no compression, every length validated before allocation.
-//! A malformed frame surfaces as a typed [`WireError`], never a panic —
-//! a dist peer must not be able to take down the process with a short
-//! read.
+//! lengths, no compression, read through the workspace's one
+//! [`ByteReader`] — every count is checked against the bytes that remain
+//! before anything is reserved, so a frame cannot make the decoder
+//! allocate more than the frame's own size. A malformed frame surfaces
+//! as a typed [`WireError`], never a panic — a dist peer must not be able
+//! to take down the process with a short read.
 
 use cascade_models::BatchPending;
 use cascade_tgraph::{EdgeFeatures, Event, NodeId};
+use cascade_util::{ByteReader, ByteWriter, DecodeError};
 
 use crate::grad::GradSet;
-
-/// Upper bound accepted for any decoded element count (events, centers,
-/// parameters, floats per buffer). Generous for real payloads while
-/// keeping a corrupt length field from forcing a huge allocation.
-const MAX_DECODE_LEN: usize = 1 << 28;
 
 /// A decode failure: what was being read and why it failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,6 +37,17 @@ impl WireError {
             field,
             message: message.into(),
         }
+    }
+}
+
+/// Names the field a [`DecodeError`] was met in.
+trait At<T> {
+    fn at(self, field: &'static str) -> Result<T, WireError>;
+}
+
+impl<T> At<T> for Result<T, DecodeError> {
+    fn at(self, field: &'static str) -> Result<T, WireError> {
+        self.map_err(|e| WireError::new(field, e.to_string()))
     }
 }
 
@@ -106,61 +115,58 @@ impl RoundPayload {
 
     /// Serializes the payload (little-endian, fixed field order).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_usize(&mut buf, self.worker);
-        put_usize(&mut buf, self.first_id);
-        put_usize(&mut buf, self.events.len());
+        let mut w = ByteWriter::new();
+        w.usize(self.worker);
+        w.usize(self.first_id);
+        w.usize(self.events.len());
         for e in &self.events {
-            buf.extend_from_slice(&e.src.0.to_le_bytes());
-            buf.extend_from_slice(&e.dst.0.to_le_bytes());
-            buf.extend_from_slice(&e.time.to_le_bytes());
+            w.u32(e.src.0);
+            w.u32(e.dst.0);
+            w.f64(e.time);
         }
-        put_usize(&mut buf, self.feat_dim);
-        put_f32s(&mut buf, &self.feat_rows);
-        put_usize(&mut buf, self.centers.len());
+        w.usize(self.feat_dim);
+        w.f32s(&self.feat_rows);
+        w.usize(self.centers.len());
         for c in &self.centers {
-            buf.extend_from_slice(&c.0.to_le_bytes());
+            w.u32(c.0);
         }
         for &m in &self.has_msg {
-            buf.push(m as u8);
+            w.bool(m);
         }
-        put_f32s(&mut buf, &self.post);
-        put_usize(&mut buf, self.grads.len());
+        w.f32s(&self.post);
+        w.usize(self.grads.len());
         for g in &self.grads {
-            match g {
-                Some(g) => {
-                    buf.push(1);
-                    put_f32s(&mut buf, g);
-                }
-                None => buf.push(0),
+            w.bool(g.is_some());
+            if let Some(g) = g {
+                w.f32s(g);
             }
         }
-        buf.extend_from_slice(&self.loss.to_le_bytes());
-        buf
+        w.f32(self.loss);
+        w.into_bytes()
     }
 
     /// Decodes a payload serialized by [`encode`](Self::encode).
     ///
     /// # Errors
     ///
-    /// [`WireError`] on truncation, trailing bytes, an implausible
-    /// length field, or internal inconsistency (flag count vs center
-    /// count, feature row count vs event count).
+    /// [`WireError`] on truncation, trailing bytes, a count the remaining
+    /// bytes cannot hold, a flag byte other than 0 or 1, or internal
+    /// inconsistency (feature row count vs event count, post width vs
+    /// center count).
     pub fn decode(bytes: &[u8]) -> Result<RoundPayload, WireError> {
-        let mut cur = Cursor::new(bytes);
-        let worker = cur.usize("worker")?;
-        let first_id = cur.usize("first_id")?;
-        let num_events = cur.len("events", 1)?;
+        let mut r = ByteReader::new(bytes);
+        let worker = r.usize().at("worker")?;
+        let first_id = r.usize().at("first_id")?;
+        let num_events = r.count(16).at("events")?;
         let mut events = Vec::with_capacity(num_events);
         for _ in 0..num_events {
-            let src = cur.u32("event src")?;
-            let dst = cur.u32("event dst")?;
-            let time = cur.f64("event time")?;
-            events.push(Event::new(src, dst, time));
+            let src = r.u32().at("event src")?;
+            let dst = r.u32().at("event dst")?;
+            events.push(Event::new(src, dst, r.f64().at("event time")?));
         }
-        let feat_dim = cur.len("feat_dim", 1)?;
-        let feat_rows = cur.f32s("feat_rows")?;
-        if feat_rows.len() != num_events * feat_dim {
+        let feat_dim = r.usize().at("feat_dim")?;
+        let feat_rows = r.f32s().at("feat_rows")?;
+        if num_events.checked_mul(feat_dim) != Some(feat_rows.len()) {
             return Err(WireError::new(
                 "feat_rows",
                 format!(
@@ -171,33 +177,29 @@ impl RoundPayload {
                 ),
             ));
         }
-        let num_centers = cur.len("centers", 1)?;
-        let mut centers = Vec::with_capacity(num_centers);
-        for _ in 0..num_centers {
-            centers.push(NodeId(cur.u32("center id")?));
-        }
-        let mut has_msg = Vec::with_capacity(num_centers);
-        for _ in 0..num_centers {
-            has_msg.push(cur.u8("has_msg flag")? != 0);
-        }
-        let post = cur.f32s("post")?;
+        // Each center is a 4-byte id and a 1-byte flag.
+        let num_centers = r.count(5).at("centers")?;
+        let centers = (0..num_centers).map(|_| r.u32().map(NodeId));
+        let centers = centers.collect::<Result<Vec<_>, _>>().at("center id")?;
+        let has_msg = (0..num_centers).map(|_| r.bool());
+        let has_msg = has_msg.collect::<Result<Vec<_>, _>>().at("has_msg flag")?;
+        let post = r.f32s().at("post")?;
         if num_centers > 0 && post.len() % num_centers != 0 {
             return Err(WireError::new(
                 "post",
                 format!("{} floats for {} centers", post.len(), num_centers),
             ));
         }
-        let num_params = cur.len("grads", 1)?;
+        let num_params = r.count(1).at("grads")?;
         let mut grads: GradSet = Vec::with_capacity(num_params);
         for _ in 0..num_params {
-            if cur.u8("grad presence")? != 0 {
-                grads.push(Some(cur.f32s("grad values")?));
-            } else {
-                grads.push(None);
-            }
+            grads.push(match r.bool().at("grad presence")? {
+                true => Some(r.f32s().at("grad values")?),
+                false => None,
+            });
         }
-        let loss = f32::from_le_bytes(cur.f32_bits("loss")?);
-        cur.finish("payload")?;
+        let loss = r.f32().at("loss")?;
+        r.finish().at("payload")?;
         Ok(RoundPayload {
             worker,
             first_id,
@@ -246,28 +248,28 @@ const TAG_DONE: u8 = 5;
 impl Frame {
     /// Serializes the frame body (transport adds the length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut w = ByteWriter::new();
         match self {
             Frame::Hello { worker, workers } => {
-                buf.push(TAG_HELLO);
-                buf.extend_from_slice(&worker.to_le_bytes());
-                buf.extend_from_slice(&workers.to_le_bytes());
+                w.u8(TAG_HELLO);
+                w.u32(*worker);
+                w.u32(*workers);
             }
             Frame::Payload(p) => {
-                buf.push(TAG_PAYLOAD);
-                put_opt_payload(&mut buf, p);
+                w.u8(TAG_PAYLOAD);
+                put_opt_payload(&mut w, p);
             }
             Frame::Round(bundle) => {
-                buf.push(TAG_ROUND);
-                put_usize(&mut buf, bundle.len());
+                w.u8(TAG_ROUND);
+                w.usize(bundle.len());
                 for p in bundle {
-                    put_opt_payload(&mut buf, p);
+                    put_opt_payload(&mut w, p);
                 }
             }
-            Frame::EpochEnd => buf.push(TAG_EPOCH_END),
-            Frame::Done => buf.push(TAG_DONE),
+            Frame::EpochEnd => w.u8(TAG_EPOCH_END),
+            Frame::Done => w.u8(TAG_DONE),
         }
-        buf
+        w.into_bytes()
     }
 
     /// Decodes a frame body.
@@ -276,20 +278,18 @@ impl Frame {
     ///
     /// [`WireError`] on an unknown tag or malformed body.
     pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
-        let mut cur = Cursor::new(bytes);
-        let tag = cur.u8("frame tag")?;
-        let frame = match tag {
-            TAG_HELLO => {
-                let worker = cur.u32("hello worker")?;
-                let workers = cur.u32("hello workers")?;
-                Frame::Hello { worker, workers }
-            }
-            TAG_PAYLOAD => Frame::Payload(take_opt_payload(&mut cur)?),
+        let mut r = ByteReader::new(bytes);
+        let frame = match r.u8().at("frame tag")? {
+            TAG_HELLO => Frame::Hello {
+                worker: r.u32().at("hello worker")?,
+                workers: r.u32().at("hello workers")?,
+            },
+            TAG_PAYLOAD => Frame::Payload(take_opt_payload(&mut r)?),
             TAG_ROUND => {
-                let n = cur.len("round size", 64)?;
+                let n = r.count(1).at("round size")?;
                 let mut bundle = Vec::with_capacity(n);
                 for _ in 0..n {
-                    bundle.push(take_opt_payload(&mut cur)?);
+                    bundle.push(take_opt_payload(&mut r)?);
                 }
                 Frame::Round(bundle)
             }
@@ -302,131 +302,24 @@ impl Frame {
                 ))
             }
         };
-        cur.finish("frame")?;
+        r.finish().at("frame")?;
         Ok(frame)
     }
 }
 
-fn put_opt_payload(buf: &mut Vec<u8>, p: &Option<RoundPayload>) {
-    match p {
-        Some(p) => {
-            buf.push(1);
-            let body = p.encode();
-            put_usize(buf, body.len());
-            buf.extend_from_slice(&body);
-        }
-        None => buf.push(0),
+fn put_opt_payload(w: &mut ByteWriter, p: &Option<RoundPayload>) {
+    w.bool(p.is_some());
+    if let Some(p) = p {
+        w.blob(&p.encode());
     }
 }
 
-fn take_opt_payload(cur: &mut Cursor<'_>) -> Result<Option<RoundPayload>, WireError> {
-    if cur.u8("payload presence")? == 0 {
+fn take_opt_payload(r: &mut ByteReader<'_>) -> Result<Option<RoundPayload>, WireError> {
+    if !r.bool().at("payload presence")? {
         return Ok(None);
     }
-    let len = cur.len("payload length", 64)?;
-    let body = cur.bytes("payload body", len)?;
+    let body = r.blob().at("payload body")?;
     Ok(Some(RoundPayload::decode(body)?))
-}
-
-fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    buf.extend_from_slice(&(v as u64).to_le_bytes());
-}
-
-fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
-    put_usize(buf, values.len());
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// A bounds-checked read cursor over a byte slice.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, off: 0 }
-    }
-
-    fn bytes(&mut self, field: &'static str, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .off
-            .checked_add(n)
-            .ok_or_else(|| WireError::new(field, format!("length {} overflows the cursor", n)))?;
-        if end > self.bytes.len() {
-            return Err(WireError::new(
-                field,
-                format!("needs {} bytes, {} remain", n, self.bytes.len() - self.off),
-            ));
-        }
-        let out = &self.bytes[self.off..end];
-        self.off = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, WireError> {
-        Ok(self.bytes(field, 1)?[0])
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, WireError> {
-        let b = self.bytes(field, 4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f64(&mut self, field: &'static str) -> Result<f64, WireError> {
-        let b = self.bytes(field, 8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(f64::from_le_bytes(a))
-    }
-
-    fn f32_bits(&mut self, field: &'static str) -> Result<[u8; 4], WireError> {
-        let b = self.bytes(field, 4)?;
-        Ok([b[0], b[1], b[2], b[3]])
-    }
-
-    fn usize(&mut self, field: &'static str) -> Result<usize, WireError> {
-        let b = self.bytes(field, 8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        let v = u64::from_le_bytes(a);
-        usize::try_from(v).map_err(|_| WireError::new(field, format!("{} exceeds usize range", v)))
-    }
-
-    /// A length field, rejected when implausibly large (`scale` is a
-    /// rough per-element byte weight used to tighten the bound).
-    fn len(&mut self, field: &'static str, scale: usize) -> Result<usize, WireError> {
-        let v = self.usize(field)?;
-        if v > MAX_DECODE_LEN / scale.max(1) {
-            return Err(WireError::new(
-                field,
-                format!("length {} exceeds the decode bound", v),
-            ));
-        }
-        Ok(v)
-    }
-
-    fn f32s(&mut self, field: &'static str) -> Result<Vec<f32>, WireError> {
-        let n = self.len(field, 4)?;
-        let raw = self.bytes(field, n * 4)?;
-        let mut out = Vec::with_capacity(n);
-        for chunk in raw.chunks_exact(4) {
-            out.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-        }
-        Ok(out)
-    }
-
-    fn finish(&self, field: &'static str) -> Result<(), WireError> {
-        if self.off != self.bytes.len() {
-            return Err(WireError::new(
-                field,
-                format!("{} trailing bytes", self.bytes.len() - self.off),
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -500,11 +393,26 @@ mod tests {
 
     #[test]
     fn absurd_length_is_rejected_without_allocating() {
-        let mut bytes = Vec::new();
-        put_usize(&mut bytes, 0); // worker
-        put_usize(&mut bytes, 0); // first_id
-        put_usize(&mut bytes, u64::MAX as usize); // event count
-        let err = RoundPayload::decode(&bytes).expect_err("bound must reject");
-        assert_eq!(err.field, "events");
+        // Regression: any count up to 2^28 used to be reserved up front —
+        // 4 GiB of `Vec<Event>` from this 24-byte frame.
+        for count in [u64::MAX, 1 << 28, 2] {
+            let mut w = ByteWriter::new();
+            w.usize(0); // worker
+            w.usize(0); // first_id
+            w.u64(count); // events
+            let err = RoundPayload::decode(&w.into_bytes()).expect_err("bound must reject");
+            assert_eq!(err.field, "events");
+        }
+    }
+
+    #[test]
+    fn decoders_survive_the_hostile_input_battery() {
+        cascade_util::check_decoder("round_payload", &payload().encode(), |bytes| {
+            RoundPayload::decode(bytes).ok().map(|p| p.encode())
+        });
+        let round = Frame::Round(vec![Some(payload()), None]);
+        cascade_util::check_decoder("round_frame", &round.encode(), |bytes| {
+            Frame::decode(bytes).ok().map(|f| f.encode())
+        });
     }
 }

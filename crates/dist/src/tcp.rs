@@ -32,6 +32,7 @@ use std::net::{TcpListener, TcpStream};
 use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_nn::{Adam, Module};
 use cascade_tgraph::{Dataset, EdgeFeatures, InMemorySource, PartitionedSource};
+use cascade_util::ByteReader;
 
 use crate::round::{Frame, RoundPayload, WireError};
 use crate::runtime::{
@@ -105,7 +106,9 @@ fn send_frame(stream: &mut TcpStream, frame: &Frame) -> Result<(), DistError> {
 fn recv_frame(stream: &mut TcpStream) -> Result<Frame, DistError> {
     let mut len_bytes = [0u8; 4];
     stream.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
+    let len = ByteReader::new(&len_bytes)
+        .u32()
+        .expect("four bytes were just read") as usize;
     if len > MAX_FRAME_LEN {
         return Err(protocol(format!("frame length {} exceeds the bound", len)));
     }

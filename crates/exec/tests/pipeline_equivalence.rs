@@ -77,8 +77,8 @@ fn deterministic_pipeline_is_bit_identical_to_serial() {
 
     for node in 0..data.num_nodes() as u32 {
         assert_eq!(
-            serial_model.memory().read(NodeId(node)),
-            piped_model.memory().read(NodeId(node)),
+            serial_model.plane().memory_read(NodeId(node)),
+            piped_model.plane().memory_read(NodeId(node)),
             "memory row {node} diverged"
         );
     }

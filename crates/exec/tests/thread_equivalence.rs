@@ -42,8 +42,8 @@ fn scheduler() -> CascadeScheduler {
 fn assert_same_state(a: &MemoryTgnn, b: &MemoryTgnn, data: &Dataset, label: &str) {
     for node in 0..data.num_nodes() as u32 {
         assert_eq!(
-            a.memory().read(NodeId(node)),
-            b.memory().read(NodeId(node)),
+            a.plane().memory_read(NodeId(node)),
+            b.plane().memory_read(NodeId(node)),
             "{label}: memory row {node} diverged"
         );
     }

@@ -1,58 +1,53 @@
-//! Parameter checkpointing.
+//! Checkpointing: the one on-disk format for trained models.
 //!
-//! Persists every parameter of a [`Module`](cascade_nn::Module) in a
-//! small self-describing binary format so trained TGNNs can be saved and
-//! served later. Parameter order is the module's `parameters()` order,
-//! which is stable for every model in this workspace.
+//! A checkpoint is the [`cascade_util::bytes`] container — magic,
+//! version, tagged sections in ascending tag order, end marker:
 //!
-//! Three formats share the `.ckpt` extension and are distinguished by
-//! magic:
+//! | section      | body                                                   | written by |
+//! |--------------|--------------------------------------------------------|------------|
+//! | `PARAMS`     | counted parameters, each a counted `f32` run, in the module's `parameters()` order | every file |
+//! | `NODE_STATE` | node count and the three widths, then memory rows, last-update times and each node's pending mailbox messages, all in global node-id order | [`save_state`] |
+//! | `WATERMARK`  | `u64` events the node state reflects                   | [`save_state`] |
 //!
-//! * `CSC1` — parameters only: `u32` parameter count, then per
-//!   parameter a `u32` element count followed by little-endian `f32`
-//!   data ([`save_parameters`]/[`load_parameters`]).
-//! * `CSC2` — full mutable state: `u64` events-applied watermark, `u64`
-//!   blob length, then the [`export_state`](MemoryTgnn::export_state)
-//!   blob (parameters, node memories, last-update times, mailboxes) —
-//!   one call round-trips everything a serving process needs
-//!   ([`save_state`]/[`load_state`]).
-//! * `CSC3` — sharded state: the same information as `CSC2`, but node
-//!   state is grouped into the node-id-hash shard sections of a
-//!   [`ShardMap`](cascade_tgraph::ShardMap), with the shard count in the
-//!   header — the layout a dist run partitions state into, written so a
-//!   serving process can assemble a full snapshot from the shards
-//!   ([`save_sharded_state`]/[`load_sharded_state`]). Parameters appear
-//!   once (data-parallel replicas hold identical weights).
+//! [`save_parameters`] writes the first section only, [`save_state`] all
+//! three; [`MemoryTgnn::export_state`] is the first two with no header
+//! (the bytes a stream checkpoint or a dist run carries in memory), so
+//! parameters are encoded by one function. How a run partitioned its
+//! nodes is not recorded: every reader scatters state back to global
+//! ids, so a file is the same whatever shard count wrote it. The
+//! temporal adjacency store is never stored either — it is a pure
+//! function of the processed event prefix and is replayed
+//! ([`MemoryTgnn::replay_adjacency`]).
 //!
-//! [`load_checkpoint`] sniffs the magic and accepts any of them.
-//!
-//! State snapshots are written to a sibling temp file and renamed into
-//! place, so a crash mid-write leaves the previous snapshot intact and
-//! a reader never observes a half-written file. A truncated `CSC2` file
-//! (e.g. from a copy that died) is still *detected* — the declared blob
-//! length is checked against what the file holds and reported as the
-//! typed [`CheckpointError::PartialSnapshot`].
+//! Every file is written to a sibling `<name>.tmp`, synced, and renamed
+//! into place, so a crash mid-write leaves the previous file intact and
+//! a reader never observes a half-written one. Every load decodes and
+//! validates the whole file against the receiver first and mutates only
+//! then: a load that fails, for whatever reason, has changed nothing.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 use cascade_nn::Module;
-use cascade_tgraph::{NodeId, ShardMap};
+use cascade_tensor::Tensor;
+use cascade_tgraph::NodeId;
+use cascade_util::bytes::{tag, ByteReader, ByteWriter, DecodeError};
 
+use crate::plane::MemoryPlane;
 use crate::MemoryTgnn;
-
-const MAGIC: &[u8; 4] = b"CSC1";
-const STATE_MAGIC: &[u8; 4] = b"CSC2";
-const SHARDED_MAGIC: &[u8; 4] = b"CSC3";
 
 /// Errors from checkpoint I/O.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Not a checkpoint file (bad magic).
+    /// Not a checkpoint file (bad magic) — including files written
+    /// before the container format, which are not migrated.
     BadMagic,
+    /// The bytes are not a well-formed checkpoint: truncated, trailing
+    /// or out-of-order sections, an unsupported version.
+    Decode(DecodeError),
     /// Parameter count or shape disagrees with the receiving module.
     ShapeMismatch {
         /// Parameter index at which the mismatch occurred.
@@ -69,16 +64,8 @@ pub enum CheckpointError {
         /// Parameters found in the file.
         found: usize,
     },
-    /// A state snapshot is shorter than its header declares — the write
-    /// (or a later copy) was cut off before completing.
-    PartialSnapshot {
-        /// Bytes the snapshot header declares.
-        expected: usize,
-        /// Bytes actually present.
-        found: usize,
-    },
-    /// The state blob decoded but does not fit the receiving model
-    /// (wrong architecture, node count, or dimensions).
+    /// The node state decoded but does not fit the receiving model
+    /// (wrong node count, dimensions, or mailbox capacity).
     StateMismatch(String),
 }
 
@@ -87,6 +74,7 @@ impl fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint i/o error: {}", e),
             CheckpointError::BadMagic => write!(f, "not a cascade checkpoint file"),
+            CheckpointError::Decode(e) => write!(f, "malformed checkpoint: {}", e),
             CheckpointError::ShapeMismatch {
                 index,
                 expected,
@@ -101,13 +89,8 @@ impl fmt::Display for CheckpointError {
                 "file holds {} parameters, module expects {}",
                 found, expected
             ),
-            CheckpointError::PartialSnapshot { expected, found } => write!(
-                f,
-                "partial state snapshot: header declares {} bytes, file holds {}",
-                expected, found
-            ),
             CheckpointError::StateMismatch(msg) => {
-                write!(f, "state blob does not fit this model: {}", msg)
+                write!(f, "checkpoint does not fit this model: {}", msg)
             }
         }
     }
@@ -117,6 +100,7 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Io(e) => Some(e),
+            CheckpointError::Decode(e) => Some(e),
             _ => None,
         }
     }
@@ -128,7 +112,203 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Writes every parameter of `module` to `path`.
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::BadMagic => CheckpointError::BadMagic,
+            other => CheckpointError::Decode(other),
+        }
+    }
+}
+
+fn put_params(w: &mut ByteWriter, params: &[Tensor]) {
+    w.section(tag::PARAMS, |body| {
+        body.usize(params.len());
+        for p in params {
+            body.f32s(&p.to_vec());
+        }
+    });
+}
+
+fn put_node_state(w: &mut ByteWriter, plane: &dyn MemoryPlane) {
+    let nodes = || (0..plane.num_nodes()).map(|n| NodeId(n as u32));
+    w.section(tag::NODE_STATE, |body| {
+        body.usize(plane.num_nodes());
+        body.u32(plane.memory_dim() as u32);
+        body.u32(plane.mailbox_msg_dim() as u32);
+        body.u32(plane.mailbox_capacity() as u32);
+        for n in nodes() {
+            body.f32_array(&plane.memory_read(n));
+        }
+        for n in nodes() {
+            body.f64(plane.memory_last_update(n));
+        }
+        for n in nodes() {
+            let msgs = plane.mailbox_messages(n);
+            body.u32(msgs.len() as u32);
+            for msg in &msgs {
+                body.f32_array(msg);
+            }
+        }
+    });
+}
+
+/// The `PARAMS` section's values, checked against the tensors that will
+/// receive them.
+fn take_params(r: &mut ByteReader, params: &[Tensor]) -> Result<Vec<Vec<f32>>, CheckpointError> {
+    let mut body = r.require(tag::PARAMS)?;
+    let found = body.count(8)?;
+    if found != params.len() {
+        return Err(CheckpointError::CountMismatch {
+            expected: params.len(),
+            found,
+        });
+    }
+    let mut values = Vec::with_capacity(found);
+    for (index, p) in params.iter().enumerate() {
+        let data = body.f32s()?;
+        if data.len() != p.len() {
+            return Err(CheckpointError::ShapeMismatch {
+                index,
+                expected: p.len(),
+                found: data.len(),
+            });
+        }
+        values.push(data);
+    }
+    body.finish()?;
+    Ok(values)
+}
+
+/// A decoded `NODE_STATE` section, in global node-id order.
+struct NodeState {
+    memory: Vec<f32>,
+    last_update: Vec<f64>,
+    mailboxes: Vec<Vec<Vec<f32>>>,
+}
+
+/// The `NODE_STATE` section, if it is next, checked against the plane
+/// that will receive it.
+fn take_node_state(
+    r: &mut ByteReader,
+    plane: &dyn MemoryPlane,
+) -> Result<Option<NodeState>, CheckpointError> {
+    let Some(mut body) = r.section(tag::NODE_STATE)? else {
+        return Ok(None);
+    };
+    let found = [
+        body.usize()?,
+        body.u32()? as usize,
+        body.u32()? as usize,
+        body.u32()? as usize,
+    ];
+    let [nodes, dim, msg_dim, capacity] = [
+        plane.num_nodes(),
+        plane.memory_dim(),
+        plane.mailbox_msg_dim(),
+        plane.mailbox_capacity(),
+    ];
+    if found != [nodes, dim, msg_dim, capacity] {
+        return Err(CheckpointError::StateMismatch(format!(
+            "file holds {} nodes x {} memory, mailboxes of {} x {}; model expects {} x {}, {} x {}",
+            found[0], found[1], found[3], found[2], nodes, dim, capacity, msg_dim
+        )));
+    }
+    // The shape is the receiver's own from here on, so it bounds every
+    // reservation below; the reads themselves are bounded by the input.
+    let memory = body.f32_array(nodes * dim)?;
+    let last_update = (0..nodes)
+        .map(|_| body.f64())
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut mailboxes = Vec::with_capacity(nodes);
+    for n in 0..nodes {
+        let count = body.u32()? as usize;
+        if count > capacity {
+            return Err(CheckpointError::StateMismatch(format!(
+                "node {} declares {} messages (capacity {})",
+                n, count, capacity
+            )));
+        }
+        let msgs = (0..count).map(|_| body.f32_array(msg_dim));
+        mailboxes.push(msgs.collect::<Result<Vec<_>, _>>()?);
+    }
+    body.finish()?;
+    Ok(Some(NodeState {
+        memory,
+        last_update,
+        mailboxes,
+    }))
+}
+
+fn apply_params(params: &[Tensor], values: &[Vec<f32>]) {
+    for (p, data) in params.iter().zip(values) {
+        p.set_data(data);
+    }
+}
+
+fn apply_node_state(plane: &mut dyn MemoryPlane, state: NodeState) {
+    let dim = plane.memory_dim();
+    for (n, msgs) in state.mailboxes.into_iter().enumerate() {
+        let node = NodeId(n as u32);
+        let row = &state.memory[n * dim..(n + 1) * dim];
+        plane.memory_write(node, row, state.last_update[n]);
+        plane.mailbox_clear(node);
+        for msg in msgs {
+            plane.mailbox_push(node, msg);
+        }
+    }
+}
+
+impl MemoryTgnn {
+    /// Serializes everything learned or accumulated so far — parameters,
+    /// node memories with their last-update times, and pending mailbox
+    /// messages — as the `PARAMS` and `NODE_STATE` sections of the
+    /// checkpoint container, with no header. The temporal adjacency
+    /// store is excluded: it is a pure function of the already-processed
+    /// event prefix and is rebuilt via
+    /// [`replay_adjacency`](Self::replay_adjacency).
+    pub fn export_state(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put_params(&mut w, &self.parameters());
+        put_node_state(&mut w, self.plane());
+        w.into_bytes()
+    }
+
+    /// Restores state captured by [`export_state`](Self::export_state).
+    /// The adjacency store is *not* restored — call
+    /// [`replay_adjacency`](Self::replay_adjacency) with the processed
+    /// event prefix afterwards.
+    ///
+    /// # Errors
+    ///
+    /// A [`CheckpointError`] when the bytes are malformed or their
+    /// shapes do not match this model, which is then left untouched.
+    pub fn import_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = ByteReader::new(bytes);
+        let params = self.parameters();
+        let values = take_params(&mut r, &params)?;
+        let nodes = take_node_state(&mut r, self.plane())?
+            .ok_or(DecodeError::MissingSection(tag::NODE_STATE))?;
+        r.finish()?;
+        apply_params(&params, &values);
+        apply_node_state(self.plane_mut(), nodes);
+        Ok(())
+    }
+}
+
+/// Writes `bytes` to a sibling temp file, syncs it, and renames it over
+/// `path`.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let tmp = path.with_extension("tmp");
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_data()?;
+    drop(f);
+    std::fs::rename(&tmp, path)?;
+    Ok(())
+}
+
+/// Atomically writes every parameter of `module` to `path`.
 ///
 /// # Errors
 ///
@@ -153,64 +333,28 @@ impl From<std::io::Error> for CheckpointError {
 /// # }
 /// ```
 pub fn save_parameters<M: Module>(module: &M, path: &Path) -> Result<(), CheckpointError> {
-    let params = module.parameters();
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    f.write_all(MAGIC)?;
-    f.write_all(&(params.len() as u32).to_le_bytes())?;
-    for p in &params {
-        let data = p.to_vec();
-        f.write_all(&(data.len() as u32).to_le_bytes())?;
-        for v in data {
-            f.write_all(&v.to_le_bytes())?;
-        }
-    }
-    f.flush()?;
-    Ok(())
+    let mut w = ByteWriter::container();
+    put_params(&mut w, &module.parameters());
+    write_atomic(path, &w.end())
 }
 
-/// Loads parameters saved by [`save_parameters`] into `module`,
-/// overwriting its current values.
+/// Loads the parameters of any checkpoint into `module`, overwriting
+/// its current values; node state and watermark, if the file has them,
+/// are checked for well-formedness and otherwise ignored.
 ///
 /// # Errors
 ///
-/// Fails on I/O errors, wrong magic, or any parameter-count/shape
-/// disagreement; the module is left partially updated only on shape
-/// errors discovered mid-file (validate with matching architectures).
+/// Fails on I/O errors, a malformed file, or any parameter-count/shape
+/// disagreement, and leaves the module untouched when it does.
 pub fn load_parameters<M: Module>(module: &mut M, path: &Path) -> Result<(), CheckpointError> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    let mut magic = [0u8; 4];
-    f.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let mut u32buf = [0u8; 4];
-    f.read_exact(&mut u32buf)?;
-    let count = u32::from_le_bytes(u32buf) as usize;
-
+    let bytes = std::fs::read(path)?;
+    let mut r = ByteReader::container(&bytes)?;
     let params = module.parameters();
-    if count != params.len() {
-        return Err(CheckpointError::CountMismatch {
-            expected: params.len(),
-            found: count,
-        });
-    }
-    for (i, p) in params.iter().enumerate() {
-        f.read_exact(&mut u32buf)?;
-        let len = u32::from_le_bytes(u32buf) as usize;
-        if len != p.len() {
-            return Err(CheckpointError::ShapeMismatch {
-                index: i,
-                expected: p.len(),
-                found: len,
-            });
-        }
-        let mut data = vec![0.0f32; len];
-        for v in &mut data {
-            f.read_exact(&mut u32buf)?;
-            *v = f32::from_le_bytes(u32buf);
-        }
-        p.set_data(&data);
-    }
+    let values = take_params(&mut r, &params)?;
+    r.section(tag::NODE_STATE)?;
+    r.section(tag::WATERMARK)?;
+    r.end()?;
+    apply_params(&params, &values);
     Ok(())
 }
 
@@ -218,10 +362,6 @@ pub fn load_parameters<M: Module>(module: &mut M, path: &Path) -> Result<(), Che
 /// node memories, last-update times, and pending mailbox messages — to
 /// `path`, tagged with `events_applied`, the number of stream events the
 /// state reflects.
-///
-/// The snapshot is written to a sibling `<name>.tmp` file and renamed
-/// into place, so a crash mid-write never clobbers an existing good
-/// snapshot and concurrent readers never see a partial file.
 ///
 /// # Errors
 ///
@@ -231,302 +371,47 @@ pub fn save_state(
     path: &Path,
     events_applied: u64,
 ) -> Result<(), CheckpointError> {
-    let blob = model.export_state();
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        f.write_all(STATE_MAGIC)?;
-        f.write_all(&events_applied.to_le_bytes())?;
-        f.write_all(&(blob.len() as u64).to_le_bytes())?;
-        f.write_all(&blob)?;
-        f.flush()?;
-        f.get_ref().sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    let mut w = ByteWriter::container();
+    w.raw(&model.export_state());
+    w.section(tag::WATERMARK, |body| body.u64(events_applied));
+    write_atomic(path, &w.end())
 }
 
-/// Restores a state snapshot written by [`save_state`] into `model`,
-/// returning the events-applied watermark it was tagged with.
+/// Loads any checkpoint into `model`: a full-state file restores
+/// parameters *and* node state and returns `Some(events_applied)`; a
+/// parameter-only file restores weights and returns `None` (memories
+/// stay as built — a fresh model starts cold).
 ///
 /// # Errors
 ///
-/// I/O failures, wrong magic, [`CheckpointError::PartialSnapshot`] when
-/// the file is shorter than its header declares, and
-/// [`CheckpointError::StateMismatch`] when the blob does not fit the
-/// receiving model. The model is modified only after the blob has been
-/// fully read and size-checked.
-pub fn load_state(model: &mut MemoryTgnn, path: &Path) -> Result<u64, CheckpointError> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    let mut magic = [0u8; 4];
-    f.read_exact(&mut magic)?;
-    if &magic != STATE_MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let mut u64buf = [0u8; 8];
-    f.read_exact(&mut u64buf)?;
-    let events_applied = u64::from_le_bytes(u64buf);
-    f.read_exact(&mut u64buf)?;
-    let declared = u64::from_le_bytes(u64buf) as usize;
-    let mut blob = Vec::with_capacity(declared.min(1 << 30));
-    f.read_to_end(&mut blob)?;
-    if blob.len() != declared {
-        return Err(CheckpointError::PartialSnapshot {
-            expected: declared,
-            found: blob.len(),
-        });
-    }
-    model
-        .import_state(&blob)
-        .map_err(CheckpointError::StateMismatch)?;
-    Ok(events_applied)
-}
-
-/// Atomically snapshots the model's full mutable state to `path` in the
-/// shard-partitioned `CSC3` layout: node memories, last-update times,
-/// and mailboxes are grouped into `num_shards` node-id-hash shard
-/// sections (slot order, ascending global ids within a shard), exactly
-/// the partition a `num_shards`-worker dist run owns. Parameters are
-/// written once.
-///
-/// Works for any model — sharding here is a property of the *file*, not
-/// of the model's plane — but a dist run writing with its own worker
-/// count produces sections that correspond one-to-one to worker-owned
-/// state.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on filesystem failures.
-///
-/// # Panics
-///
-/// Panics if `num_shards == 0`.
-pub fn save_sharded_state(
-    model: &MemoryTgnn,
-    path: &Path,
-    events_applied: u64,
-    num_shards: usize,
-) -> Result<(), CheckpointError> {
-    let plane = model.plane();
-    let nodes = plane.num_nodes();
-    let dim = plane.memory_dim();
-    let msg_dim = plane.mailbox_msg_dim();
-    let map = ShardMap::new(nodes, num_shards);
-
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        f.write_all(SHARDED_MAGIC)?;
-        f.write_all(&events_applied.to_le_bytes())?;
-        f.write_all(&(num_shards as u32).to_le_bytes())?;
-        f.write_all(&(nodes as u64).to_le_bytes())?;
-        f.write_all(&(dim as u32).to_le_bytes())?;
-        f.write_all(&(msg_dim as u32).to_le_bytes())?;
-        f.write_all(&(plane.mailbox_capacity() as u32).to_le_bytes())?;
-        let params = model.parameters();
-        f.write_all(&(params.len() as u32).to_le_bytes())?;
-        for p in &params {
-            let data = p.to_vec();
-            f.write_all(&(data.len() as u32).to_le_bytes())?;
-            for v in data {
-                f.write_all(&v.to_le_bytes())?;
-            }
-        }
-        for shard in 0..num_shards {
-            let owned = map.owned_nodes(shard);
-            f.write_all(&(owned.len() as u64).to_le_bytes())?;
-            for &n in owned {
-                for v in plane.memory_read(n) {
-                    f.write_all(&v.to_le_bytes())?;
-                }
-                f.write_all(&plane.memory_last_update(n).to_le_bytes())?;
-                let msgs = plane.mailbox_messages(n);
-                f.write_all(&(msgs.len() as u32).to_le_bytes())?;
-                for msg in &msgs {
-                    for v in msg {
-                        f.write_all(&v.to_le_bytes())?;
-                    }
-                }
-            }
-        }
-        f.flush()?;
-        f.get_ref().sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Assembles a full model state from the shard sections of a `CSC3`
-/// snapshot written by [`save_sharded_state`], returning the
-/// events-applied watermark. The receiving model may use any plane and
-/// any shard count — the file's [`ShardMap`](cascade_tgraph::ShardMap)
-/// is rebuilt from its header to scatter each section's rows back to
-/// global node ids.
-///
-/// # Errors
-///
-/// I/O failures, wrong magic, and [`CheckpointError::StateMismatch`]
-/// when the declared shapes do not fit the receiving model or a shard
-/// section disagrees with the rebuilt shard map. The model is modified
-/// only after the whole file has been read and validated.
-pub fn load_sharded_state(model: &mut MemoryTgnn, path: &Path) -> Result<u64, CheckpointError> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    let mut magic = [0u8; 4];
-    f.read_exact(&mut magic)?;
-    if &magic != SHARDED_MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let mut u32buf = [0u8; 4];
-    let mut u64buf = [0u8; 8];
-    let mut read_u32 =
-        |f: &mut std::io::BufReader<std::fs::File>| -> Result<usize, CheckpointError> {
-            f.read_exact(&mut u32buf)?;
-            Ok(u32::from_le_bytes(u32buf) as usize)
-        };
-    f.read_exact(&mut u64buf)?;
-    let events_applied = u64::from_le_bytes(u64buf);
-    let num_shards = read_u32(&mut f)?;
-    f.read_exact(&mut u64buf)?;
-    let nodes = u64::from_le_bytes(u64buf) as usize;
-    let dim = read_u32(&mut f)?;
-    let msg_dim = read_u32(&mut f)?;
-    let capacity = read_u32(&mut f)?;
-
-    let plane = model.plane();
-    if num_shards == 0 {
-        return Err(CheckpointError::StateMismatch(
-            "sharded snapshot declares zero shards".to_string(),
-        ));
-    }
-    if nodes != plane.num_nodes() || dim != plane.memory_dim() {
-        return Err(CheckpointError::StateMismatch(format!(
-            "snapshot memory is {}x{}, model expects {}x{}",
-            nodes,
-            dim,
-            plane.num_nodes(),
-            plane.memory_dim()
-        )));
-    }
-    if msg_dim != plane.mailbox_msg_dim() || capacity != plane.mailbox_capacity() {
-        return Err(CheckpointError::StateMismatch(
-            "snapshot mailbox shape mismatch".to_string(),
-        ));
-    }
-
-    let params = model.parameters();
-    let count = read_u32(&mut f)?;
-    if count != params.len() {
-        return Err(CheckpointError::CountMismatch {
-            expected: params.len(),
-            found: count,
-        });
-    }
-    let read_f32s = |f: &mut std::io::BufReader<std::fs::File>,
-                     n: usize|
-     -> Result<Vec<f32>, CheckpointError> {
-        let mut buf = vec![0u8; n * 4];
-        f.read_exact(&mut buf)?;
-        Ok(buf
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("chunk is 4 bytes")))
-            .collect())
-    };
-    let mut restored_params = Vec::with_capacity(count);
-    for (i, p) in params.iter().enumerate() {
-        let len = read_u32(&mut f)?;
-        if len != p.len() {
-            return Err(CheckpointError::ShapeMismatch {
-                index: i,
-                expected: p.len(),
-                found: len,
-            });
-        }
-        restored_params.push(read_f32s(&mut f, len)?);
-    }
-
-    // Scatter shard sections back to global ids via the rebuilt map.
-    let map = ShardMap::new(nodes, num_shards);
-    let mut memory: Vec<(NodeId, Vec<f32>, f64)> = Vec::with_capacity(nodes);
-    let mut mailboxes: Vec<(NodeId, Vec<Vec<f32>>)> = Vec::with_capacity(nodes);
-    for shard in 0..num_shards {
-        let owned = map.owned_nodes(shard);
-        f.read_exact(&mut u64buf)?;
-        let declared = u64::from_le_bytes(u64buf) as usize;
-        if declared != owned.len() {
-            return Err(CheckpointError::StateMismatch(format!(
-                "shard {} section holds {} nodes, shard map assigns {}",
-                shard,
-                declared,
-                owned.len()
-            )));
-        }
-        for &n in owned {
-            let row = read_f32s(&mut f, dim)?;
-            f.read_exact(&mut u64buf)?;
-            let last_update = f64::from_le_bytes(u64buf);
-            let msg_count = read_u32(&mut f)?;
-            if msg_count > capacity {
-                return Err(CheckpointError::StateMismatch(format!(
-                    "node {} declares {} messages (capacity {})",
-                    n.0, msg_count, capacity
-                )));
-            }
-            let mut msgs = Vec::with_capacity(msg_count);
-            for _ in 0..msg_count {
-                msgs.push(read_f32s(&mut f, msg_dim)?);
-            }
-            memory.push((n, row, last_update));
-            mailboxes.push((n, msgs));
-        }
-    }
-
-    // Everything validated: mutate only now.
-    for (p, data) in params.iter().zip(&restored_params) {
-        p.set_data(data);
-    }
-    for (n, row, t) in &memory {
-        model.write_memory(*n, row, *t);
-    }
-    for n in 0..nodes {
-        model.clear_node_mailbox(NodeId(n as u32));
-    }
-    for (n, msgs) in mailboxes {
-        for msg in msgs {
-            model.push_mailbox(n, msg);
-        }
-    }
-    Ok(events_applied)
-}
-
-/// Loads any checkpoint flavor into `model` by sniffing the magic: a
-/// `CSC2` state snapshot or a `CSC3` sharded snapshot restores
-/// parameters *and* mutable state and returns `Some(events_applied)`; a
-/// `CSC1` parameter file restores weights only and returns `None`
-/// (memories stay as built — a fresh model starts cold).
-///
-/// # Errors
-///
-/// The union of [`load_parameters`], [`load_state`], and
-/// [`load_sharded_state`] errors, plus [`CheckpointError::BadMagic`]
-/// when the file is none of the formats.
+/// I/O failures, [`CheckpointError::BadMagic`], a malformed or truncated
+/// file, and any disagreement with the receiving model. The model is
+/// modified only after the whole file has been decoded and validated.
 pub fn load_checkpoint(
     model: &mut MemoryTgnn,
     path: &Path,
 ) -> Result<Option<u64>, CheckpointError> {
-    let mut magic = [0u8; 4];
-    {
-        let mut f = std::fs::File::open(path)?;
-        f.read_exact(&mut magic)?;
+    let bytes = std::fs::read(path)?;
+    let mut r = ByteReader::container(&bytes)?;
+    let params = model.parameters();
+    let values = take_params(&mut r, &params)?;
+    let nodes = take_node_state(&mut r, model.plane())?;
+    // Node state and the watermark that dates it travel together.
+    let events_applied = match &nodes {
+        Some(_) => {
+            let mut body = r.require(tag::WATERMARK)?;
+            let events = body.u64()?;
+            body.finish()?;
+            Some(events)
+        }
+        None => None,
+    };
+    r.end()?;
+    apply_params(&params, &values);
+    if let Some(nodes) = nodes {
+        apply_node_state(model.plane_mut(), nodes);
     }
-    if &magic == STATE_MAGIC {
-        load_state(model, path).map(Some)
-    } else if &magic == SHARDED_MAGIC {
-        load_sharded_state(model, path).map(Some)
-    } else if &magic == MAGIC {
-        load_parameters(model, path).map(|()| None)
-    } else {
-        Err(CheckpointError::BadMagic)
-    }
+    Ok(events_applied)
 }
 
 #[cfg(test)]
@@ -541,13 +426,17 @@ mod tests {
         dir.join(name)
     }
 
+    fn tgn(nodes: usize, seed: u64) -> MemoryTgnn {
+        MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), nodes, 4, seed)
+    }
+
     #[test]
     fn roundtrip_restores_exact_values() {
         let path = tmp("roundtrip.ckpt");
-        let a = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 1);
+        let a = tgn(6, 1);
         save_parameters(&a, &path).unwrap();
 
-        let mut b = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 99);
+        let mut b = tgn(6, 99);
         load_parameters(&mut b, &path).unwrap();
 
         for (pa, pb) in a.parameters().iter().zip(b.parameters().iter()) {
@@ -574,8 +463,7 @@ mod tests {
     #[test]
     fn architecture_mismatch_is_rejected() {
         let path = tmp("mismatch.ckpt");
-        let a = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 1);
-        save_parameters(&a, &path).unwrap();
+        save_parameters(&tgn(6, 1), &path).unwrap();
 
         let mut wrong_width = MemoryTgnn::new(ModelConfig::tgn().with_dims(16, 4), 6, 4, 1);
         assert!(matches!(
@@ -591,26 +479,39 @@ mod tests {
     }
 
     #[test]
-    fn garbage_file_is_rejected() {
-        let path = tmp("garbage.ckpt");
-        std::fs::write(&path, b"definitely not a checkpoint").unwrap();
-        let mut m = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 1);
-        assert!(matches!(
-            load_parameters(&mut m, &path),
-            Err(CheckpointError::BadMagic)
-        ));
+    fn garbage_and_pre_container_files_are_bad_magic() {
+        let mut m = tgn(6, 1);
+        // The magics earlier builds wrote ("CSC" and a version character)
+        // are not migrated.
+        let old = ['1', '2', '3', 'K'].map(|v| format!("CSC{v}{}", "\0".repeat(64)));
+        let garbage = ["definitely not a checkpoint", "CAS", "", "CASD\x01\0\0\0"];
+        for (i, bytes) in garbage
+            .into_iter()
+            .chain(old.iter().map(|s| &s[..]))
+            .enumerate()
+        {
+            let path = tmp(&format!("garbage{i}.ckpt"));
+            std::fs::write(&path, bytes).unwrap();
+            assert!(matches!(
+                load_parameters(&mut m, &path),
+                Err(CheckpointError::BadMagic)
+            ));
+            assert!(matches!(
+                load_checkpoint(&mut m, &path),
+                Err(CheckpointError::BadMagic)
+            ));
+        }
     }
 
     #[test]
     fn missing_file_is_io_error() {
-        let mut m = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 1);
         assert!(matches!(
-            load_parameters(&mut m, Path::new("/nonexistent/nope.ckpt")),
+            load_parameters(&mut tgn(6, 1), Path::new("/nonexistent/nope.ckpt")),
             Err(CheckpointError::Io(_))
         ));
     }
 
-    /// A model with evolved memories, restored from a state snapshot.
+    /// A model with evolved memories and pending mailbox messages.
     fn evolved() -> (MemoryTgnn, Vec<Event>, cascade_tgraph::EdgeFeatures) {
         let events = vec![
             Event::new(0u32, 1u32, 1.0),
@@ -619,7 +520,7 @@ mod tests {
             Event::new(0u32, 2u32, 4.0),
         ];
         let feats = synth_features(8, 4, 11);
-        let mut m = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 3);
+        let mut m = tgn(6, 3);
         m.process_batch(&events[..2], 0, &feats);
         m.process_batch(&events[2..], 2, &feats);
         (m, events, feats)
@@ -631,47 +532,201 @@ mod tests {
         let (a, _, _) = evolved();
         save_state(&a, &path, 4).unwrap();
 
-        let mut b = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 77);
-        let applied = load_state(&mut b, &path).unwrap();
-        assert_eq!(applied, 4);
+        let mut b = tgn(6, 77);
+        assert_eq!(load_checkpoint(&mut b, &path).unwrap(), Some(4));
         assert_eq!(a.export_state(), b.export_state(), "bit-identical state");
     }
 
     #[test]
-    fn sniffer_dispatches_both_formats() {
+    fn one_loader_takes_parameter_and_full_state_files() {
         let (a, _, _) = evolved();
-        let p1 = tmp("sniff_params.ckpt");
-        let p2 = tmp("sniff_state.ckpt");
+        let p1 = tmp("either_params.ckpt");
+        let p2 = tmp("either_state.ckpt");
         save_parameters(&a, &p1).unwrap();
         save_state(&a, &p2, 9).unwrap();
 
-        let mut m = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 1);
+        let mut m = tgn(6, 1);
         assert_eq!(load_checkpoint(&mut m, &p1).unwrap(), None);
         assert_eq!(load_checkpoint(&mut m, &p2).unwrap(), Some(9));
         assert_eq!(a.export_state(), m.export_state());
-        let garbage = tmp("sniff_garbage.ckpt");
-        std::fs::write(&garbage, b"XXXXtrailing").unwrap();
-        assert!(matches!(
-            load_checkpoint(&mut m, &garbage),
-            Err(CheckpointError::BadMagic)
-        ));
+
+        // The weights of a full-state file warm-start any module; its
+        // node state is not this entry point's to apply.
+        let mut warm = tgn(6, 5);
+        let cold_state = warm.export_state();
+        load_parameters(&mut warm, &p2).unwrap();
+        for (pa, pw) in a.parameters().iter().zip(warm.parameters().iter()) {
+            assert_eq!(pa.to_vec(), pw.to_vec());
+        }
+        let params_len = a
+            .parameters()
+            .iter()
+            .map(|p| 8 + 4 * p.len())
+            .sum::<usize>()
+            + 20;
+        assert!(
+            warm.export_state()[params_len..] == cold_state[params_len..],
+            "memories stay cold"
+        );
+    }
+
+    /// The format, written out by hand: header, section order, a
+    /// parameter-only file and a full-state file.
+    #[test]
+    fn golden_bytes_pin_the_container() {
+        struct Two(Tensor, Tensor);
+        impl Module for Two {
+            fn parameters(&self) -> Vec<Tensor> {
+                vec![self.0.clone(), self.1.clone()]
+            }
+        }
+        let path = tmp("golden_params.ckpt");
+        let two = Two(
+            Tensor::from_vec(vec![1.0, -2.0], [2]),
+            Tensor::from_vec(vec![0.5], [1]),
+        );
+        save_parameters(&two, &path).unwrap();
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            b'C', b'A', b'S', b'C', 1, 0, 0, 0,             // magic, version 1
+            1, 0, 0, 0, 36, 0, 0, 0, 0, 0, 0, 0,            // PARAMS, 36-byte body
+            2, 0, 0, 0, 0, 0, 0, 0,                         //   2 parameters
+            2, 0, 0, 0, 0, 0, 0, 0,                         //   2 values:
+            0, 0, 0x80, 0x3f, 0, 0, 0, 0xc0,                //     1.0, -2.0
+            1, 0, 0, 0, 0, 0, 0, 0,                         //   1 value:
+            0, 0, 0, 0x3f,                                  //     0.5
+            0, 0, 0, 0,                                     // END
+        ];
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+
+        // Full state: the same header and PARAMS, then NODE_STATE and
+        // WATERMARK, in that order.
+        let (model, _, _) = evolved();
+        let path = tmp("golden_state.ckpt");
+        save_state(&model, &path, 4).unwrap();
+        let mut want = b"CASC\x01\0\0\0".to_vec();
+        let section = |tag: u32, body: &[u8]| {
+            let mut s = tag.to_le_bytes().to_vec();
+            s.extend_from_slice(&(body.len() as u64).to_le_bytes());
+            s.extend_from_slice(body);
+            s
+        };
+        let f32s = |out: &mut Vec<u8>, values: &[f32]| {
+            out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+        };
+        let mut body = (model.parameters().len() as u64).to_le_bytes().to_vec();
+        for p in model.parameters() {
+            body.extend_from_slice(&(p.len() as u64).to_le_bytes());
+            f32s(&mut body, &p.to_vec());
+        }
+        want.extend(section(1, &body));
+        let plane = model.plane();
+        let mut body = 6u64.to_le_bytes().to_vec(); // nodes
+        for width in [8u32, 2 * 8 + 4 + 1, 1] {
+            body.extend_from_slice(&width.to_le_bytes()); // memory, message, capacity
+        }
+        let nodes = || (0..6).map(NodeId);
+        for n in nodes() {
+            f32s(&mut body, &plane.memory_read(n));
+        }
+        for n in nodes() {
+            body.extend_from_slice(&plane.memory_last_update(n).to_le_bytes());
+        }
+        let mut pending = 0;
+        for n in nodes() {
+            let msgs = plane.mailbox_messages(n);
+            pending += msgs.len();
+            body.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
+            for msg in msgs {
+                f32s(&mut body, &msg);
+            }
+        }
+        assert!(pending > 0, "the pinned file must hold mailbox messages");
+        want.extend(section(2, &body));
+        want.extend(section(3, &4u64.to_le_bytes()));
+        want.extend([0; 4]); // END
+        assert!(std::fs::read(&path).unwrap() == want);
+        assert!(want[8..want.len() - 24] == model.export_state()[..]);
     }
 
     #[test]
-    fn truncated_snapshot_is_partial_and_leaves_model_untouched() {
-        let path = tmp("state_truncated.ckpt");
+    fn a_failed_load_of_any_file_mutates_nothing() {
         let (a, _, _) = evolved();
-        save_state(&a, &path, 4).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 32]).unwrap();
+        let params = tmp("cut_params.ckpt");
+        let state = tmp("cut_state.ckpt");
+        save_parameters(&a, &params).unwrap();
+        save_state(&a, &state, 4).unwrap();
 
-        let mut b = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 77);
+        let mut b = tgn(6, 77);
         let before = b.export_state();
-        assert!(matches!(
-            load_state(&mut b, &path),
-            Err(CheckpointError::PartialSnapshot { .. })
-        ));
-        assert_eq!(b.export_state(), before, "failed load mutates nothing");
+        let cut = tmp("cut.ckpt");
+        for whole in [params, state] {
+            let bytes = std::fs::read(&whole).unwrap();
+            // Every strict prefix, through both entry points. Prefixes
+            // that end inside a parameter's values are the ones an
+            // apply-as-you-read loader leaves half-applied.
+            for len in 0..bytes.len() {
+                std::fs::write(&cut, &bytes[..len]).unwrap();
+                assert!(load_checkpoint(&mut b, &cut).is_err(), "prefix {len}");
+                assert!(load_parameters(&mut b, &cut).is_err(), "prefix {len}");
+                assert!(b.export_state() == before, "prefix {len} mutated the model");
+            }
+            // A wrong last parameter is only found after every earlier
+            // one decoded cleanly.
+            let mut wrong = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 5, 77);
+            let before = wrong.export_state();
+            assert!(load_checkpoint(&mut wrong, &whole).is_err());
+            assert!(load_parameters(&mut wrong, &whole).is_err());
+            assert!(wrong.export_state() == before);
+        }
+    }
+
+    #[test]
+    fn import_survives_the_hostile_input_battery() {
+        // APAN: the one model whose mailboxes hold several messages.
+        let cfg = ModelConfig::apan().with_dims(4, 2);
+        let mut model = MemoryTgnn::new(cfg, 6, 2, 1);
+        let feats = synth_features(6, 2, 2);
+        let events = [
+            Event::new(0u32, 1u32, 1.0),
+            Event::new(2u32, 3u32, 2.0),
+            Event::new(0u32, 2u32, 3.0),
+        ];
+        model.process_batch(&events, 0, &feats);
+        model.process_batch(&events, 3, &feats);
+        cascade_util::check_decoder("model_state", &model.export_state(), |bytes| {
+            let before = model.export_state();
+            let imported = model.import_state(bytes);
+            if imported.is_err() {
+                assert!(
+                    model.export_state() == before,
+                    "failed import mutates nothing"
+                );
+            }
+            imported.ok().map(|()| model.export_state())
+        });
+    }
+
+    #[test]
+    fn import_rejects_a_message_count_beyond_the_mailbox() {
+        // Regression: the count used to size an allocation unchecked and
+        // was never compared with the mailbox capacity.
+        let mut model = MemoryTgnn::new(ModelConfig::tgn().with_dims(4, 2), 3, 2, 1);
+        let state = model.export_state();
+        // Three empty mailboxes end the NODE_STATE body: the first
+        // node's count is 12 bytes from the end.
+        let at = state.len() - 12;
+        for count in [2u32, 1 << 20, u32::MAX] {
+            let mut bytes = state.clone();
+            bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
+            assert!(
+                matches!(
+                    model.import_state(&bytes),
+                    Err(CheckpointError::StateMismatch(_))
+                ),
+                "count {count}"
+            );
+        }
     }
 
     #[test]
@@ -679,50 +734,27 @@ mod tests {
         let path = tmp("state_wrong_arch.ckpt");
         let (a, _, _) = evolved();
         save_state(&a, &path, 4).unwrap();
-        let mut wrong = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 9, 4, 1);
         assert!(matches!(
-            load_state(&mut wrong, &path),
+            load_checkpoint(&mut tgn(9, 1), &path),
             Err(CheckpointError::StateMismatch(_))
         ));
     }
 
     #[test]
-    fn sharded_snapshot_roundtrips_through_any_plane() {
-        let path = tmp("sharded_roundtrip.ckpt");
-        let (a, _, _) = evolved();
-        save_sharded_state(&a, &path, 4, 3).unwrap();
+    fn a_file_is_the_same_whatever_shard_count_wrote_it() {
+        let (mono, events, feats) = evolved();
+        let mut three = MemoryTgnn::new_sharded(ModelConfig::tgn().with_dims(8, 4), 6, 4, 3, 3);
+        three.process_batch(&events[..2], 0, &feats);
+        three.process_batch(&events[2..], 2, &feats);
+        let (p1, p3) = (tmp("shards1.ckpt"), tmp("shards3.ckpt"));
+        save_state(&mono, &p1, 4).unwrap();
+        save_state(&three, &p3, 4).unwrap();
+        assert!(std::fs::read(&p1).unwrap() == std::fs::read(&p3).unwrap());
 
-        // Assemble into a monolithic-plane model…
-        let mut mono = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 77);
-        assert_eq!(load_sharded_state(&mut mono, &path).unwrap(), 4);
-        assert_eq!(a.export_state(), mono.export_state());
-
-        // …and into a sharded-plane model with a different shard count.
-        let mut sharded = MemoryTgnn::new_sharded(ModelConfig::tgn().with_dims(8, 4), 6, 4, 77, 2);
-        assert_eq!(load_sharded_state(&mut sharded, &path).unwrap(), 4);
-        assert_eq!(a.export_state(), sharded.export_state());
-    }
-
-    #[test]
-    fn sniffer_dispatches_sharded_snapshots() {
-        let path = tmp("sniff_sharded.ckpt");
-        let (a, _, _) = evolved();
-        save_sharded_state(&a, &path, 11, 2).unwrap();
-        let mut m = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 1);
-        assert_eq!(load_checkpoint(&mut m, &path).unwrap(), Some(11));
-        assert_eq!(a.export_state(), m.export_state());
-    }
-
-    #[test]
-    fn sharded_snapshot_rejects_wrong_model() {
-        let path = tmp("sharded_wrong.ckpt");
-        let (a, _, _) = evolved();
-        save_sharded_state(&a, &path, 2, 2).unwrap();
-        let mut wrong = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 9, 4, 1);
-        assert!(matches!(
-            load_sharded_state(&mut wrong, &path),
-            Err(CheckpointError::StateMismatch(_))
-        ));
+        // …and loads into a plane of any other shard count.
+        let mut two = MemoryTgnn::new_sharded(ModelConfig::tgn().with_dims(8, 4), 6, 4, 77, 2);
+        assert_eq!(load_checkpoint(&mut two, &p3).unwrap(), Some(4));
+        assert_eq!(mono.export_state(), two.export_state());
     }
 
     #[test]

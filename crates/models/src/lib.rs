@@ -40,11 +40,10 @@ mod model;
 mod plane;
 
 pub use checkpoint::{
-    load_checkpoint, load_parameters, load_sharded_state, load_state, save_parameters,
-    save_sharded_state, save_state, CheckpointError,
+    load_checkpoint, load_parameters, save_parameters, save_state, CheckpointError,
 };
 pub use classifier::NodeClassifier;
 pub use config::{EmbedderKind, ModelConfig, Sampling, UpdaterKind};
 pub use memory::{Mailbox, NodeMemory};
 pub use model::{BatchForward, BatchOutput, BatchPending, MemoryDelta, MemoryTgnn};
-pub use plane::{LocalPlane, MemoryPlane, MemoryView, PlaneGeometry, PlaneShard, ShardedPlane};
+pub use plane::{MemoryPlane, PlaneGeometry, PlaneShard, ShardedPlane};

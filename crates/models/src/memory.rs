@@ -6,7 +6,6 @@
 //! tensors and write detached results back — the stop-gradient-at-batch-
 //! boundary semantics of TGN/TGL training.
 
-use cascade_tensor::Tensor;
 use cascade_tgraph::NodeId;
 
 /// Dense per-node state vectors with last-update timestamps.
@@ -44,16 +43,6 @@ impl NodeMemory {
         }
     }
 
-    /// Memory width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.last_update.len()
-    }
-
     /// Borrow of one node's memory.
     ///
     /// # Panics
@@ -84,15 +73,6 @@ impl NodeMemory {
     /// The node's last memory-update timestamp (0 before any update).
     pub fn last_update(&self, node: NodeId) -> f64 {
         self.last_update[node.index()]
-    }
-
-    /// Gathers rows for `nodes` into a detached `[len, dim]` leaf tensor.
-    pub fn gather(&self, nodes: &[NodeId]) -> Tensor {
-        let mut out = Vec::with_capacity(nodes.len() * self.dim);
-        for &n in nodes {
-            out.extend_from_slice(self.read(n));
-        }
-        Tensor::from_vec(out, [nodes.len(), self.dim])
     }
 
     /// Zeroes all memories and timestamps (epoch start).
@@ -133,16 +113,6 @@ impl Mailbox {
             capacity,
             msg_dim,
         }
-    }
-
-    /// Message width.
-    pub fn msg_dim(&self) -> usize {
-        self.msg_dim
-    }
-
-    /// Per-node capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Appends a message, evicting the oldest beyond capacity.
@@ -209,16 +179,6 @@ mod tests {
         assert_eq!(m.last_update(NodeId(2)), 9.0);
         // Neighbors untouched.
         assert_eq!(m.read(NodeId(1)), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn gather_is_leaf() {
-        let mut m = NodeMemory::new(3, 2);
-        m.write(NodeId(0), &[1.0, 2.0], 1.0);
-        let t = m.gather(&[NodeId(0), NodeId(0), NodeId(1)]);
-        assert_eq!(t.dims(), &[3, 2]);
-        assert_eq!(t.to_vec(), vec![1.0, 2.0, 1.0, 2.0, 0.0, 0.0]);
-        assert!(!t.is_requires_grad());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use cascade_tensor::Tensor;
 use cascade_tgraph::{EdgeFeatures, Event, EventId, NegativeSampler, NeighborRef, NodeId};
 
 use crate::config::{EmbedderKind, ModelConfig, Sampling, UpdaterKind};
-use crate::plane::{LocalPlane, MemoryPlane, MemoryView, PlaneGeometry, ShardedPlane};
+use crate::plane::{MemoryPlane, PlaneGeometry, ShardedPlane};
 
 /// One node-memory transition produced by a batch (consumed by the
 /// SG-Filter to decide stability).
@@ -194,8 +194,8 @@ pub struct MemoryTgnn {
 /// Cloning shares the *parameter* tensors (a [`Tensor`] clone is a
 /// shallow handle onto the same storage, so both clones see the same
 /// trained weights) while copying the memory plane via
-/// [`MemoryPlane::clone_plane`] — a deep copy for the local and sharded
-/// planes ([`LocalPlane`], [`ShardedPlane`]).
+/// [`MemoryPlane::clone_plane`] — a deep copy of the node state (a
+/// [`ShardedPlane`]'s immutable shard map is shared, not copied).
 ///
 /// That split is exactly what online serving needs — a frozen,
 /// internally consistent read snapshot of the evolving state, scored
@@ -223,19 +223,14 @@ impl Clone for MemoryTgnn {
 
 impl MemoryTgnn {
     /// Builds a model for a graph of `num_nodes` nodes with
-    /// `edge_feat_dim`-wide edge features.
+    /// `edge_feat_dim`-wide edge features, over a one-shard
+    /// [`ShardedPlane`]: every node's slot is its id, i.e. the monolith.
     ///
     /// # Panics
     ///
     /// Panics if `num_nodes == 0`.
     pub fn new(config: ModelConfig, num_nodes: usize, edge_feat_dim: usize, seed: u64) -> Self {
-        let geom = PlaneGeometry::for_config(&config, num_nodes, edge_feat_dim, seed);
-        Self::with_plane(
-            config,
-            edge_feat_dim,
-            seed,
-            Box::new(LocalPlane::new(&geom)),
-        )
+        Self::new_sharded(config, num_nodes, edge_feat_dim, seed, 1)
     }
 
     /// Builds a model over a node-id-hash [`ShardedPlane`] of
@@ -363,31 +358,15 @@ impl MemoryTgnn {
         self.edge_feat_dim
     }
 
-    /// Read access to the node-memory rows of the plane.
-    pub fn memory(&self) -> MemoryView<'_> {
-        MemoryView {
-            plane: self.plane.as_ref(),
-        }
-    }
-
-    /// The memory plane backing this model (shard layout queries).
+    /// The memory plane backing this model (node-state reads, shard
+    /// layout queries).
     pub fn plane(&self) -> &dyn MemoryPlane {
         self.plane.as_ref()
     }
 
-    /// Direct memory write for checkpoint restoration.
-    pub(crate) fn write_memory(&mut self, node: NodeId, values: &[f32], time: f64) {
-        self.plane.memory_write(node, values, time);
-    }
-
-    /// Direct mailbox clear for checkpoint restoration.
-    pub(crate) fn clear_node_mailbox(&mut self, node: NodeId) {
-        self.plane.mailbox_clear(node);
-    }
-
-    /// Direct mailbox push for checkpoint restoration.
-    pub(crate) fn push_mailbox(&mut self, node: NodeId, msg: Vec<f32>) {
-        self.plane.mailbox_push(node, msg);
+    /// Write access to the plane, for checkpoint restoration.
+    pub(crate) fn plane_mut(&mut self) -> &mut dyn MemoryPlane {
+        self.plane.as_mut()
     }
 
     /// Bytes held by the node-memory matrix.
@@ -414,159 +393,9 @@ impl MemoryTgnn {
         self.plane.reset();
     }
 
-    /// Serializes everything learned or accumulated so far — parameters,
-    /// node memories with their last-update times, and pending mailbox
-    /// messages — for a mid-training checkpoint. The temporal adjacency
-    /// store is excluded: it is a pure function of the already-processed
-    /// event prefix and is rebuilt via
-    /// [`replay_adjacency`](Self::replay_adjacency).
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.push(1u8); // blob version
-        let params = self.parameters();
-        buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
-        for p in &params {
-            let data = p.to_vec();
-            buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
-            for x in &data {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        let nodes = self.plane.num_nodes();
-        let dim = self.plane.memory_dim();
-        buf.extend_from_slice(&(nodes as u64).to_le_bytes());
-        buf.extend_from_slice(&(dim as u32).to_le_bytes());
-        for n in 0..nodes {
-            for x in self.plane.memory_read(NodeId(n as u32)) {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        for n in 0..nodes {
-            buf.extend_from_slice(
-                &self
-                    .plane
-                    .memory_last_update(NodeId(n as u32))
-                    .to_le_bytes(),
-            );
-        }
-        buf.extend_from_slice(&(self.plane.mailbox_msg_dim() as u32).to_le_bytes());
-        buf.extend_from_slice(&(self.plane.mailbox_capacity() as u32).to_le_bytes());
-        for n in 0..nodes {
-            let msgs = self.plane.mailbox_messages(NodeId(n as u32));
-            buf.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
-            for msg in &msgs {
-                for x in msg {
-                    buf.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-        }
-        buf
-    }
-
-    /// Restores state captured by [`export_state`](Self::export_state).
-    /// The adjacency store is *not* restored — call
-    /// [`replay_adjacency`](Self::replay_adjacency) with the processed
-    /// event prefix afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the blob is truncated or its shapes do
-    /// not match this model.
-    pub fn import_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut off = 0usize;
-        let take = |off: &mut usize, n: usize| -> Result<&[u8], String> {
-            let s = bytes
-                .get(*off..*off + n)
-                .ok_or("model state truncated".to_string())?;
-            *off += n;
-            Ok(s)
-        };
-        let read_u32 = |off: &mut usize| -> Result<usize, String> {
-            Ok(u32::from_le_bytes(take(off, 4)?.try_into().expect("slice is 4 bytes")) as usize)
-        };
-        let read_f32s = |off: &mut usize, n: usize| -> Result<Vec<f32>, String> {
-            Ok(take(off, n * 4)?
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("slice is 4 bytes")))
-                .collect())
-        };
-        if *take(&mut off, 1)?.first().expect("slice is 1 byte") != 1 {
-            return Err("unsupported model state version".to_string());
-        }
-        let params = self.parameters();
-        if read_u32(&mut off)? != params.len() {
-            return Err("model state parameter count mismatch".to_string());
-        }
-        let mut restored = Vec::with_capacity(params.len());
-        for (i, p) in params.iter().enumerate() {
-            let len = read_u32(&mut off)?;
-            if len != p.len() {
-                return Err(format!(
-                    "model state parameter {} has {} values, expected {}",
-                    i,
-                    len,
-                    p.len()
-                ));
-            }
-            restored.push(read_f32s(&mut off, len)?);
-        }
-        let nodes =
-            u64::from_le_bytes(take(&mut off, 8)?.try_into().expect("slice is 8 bytes")) as usize;
-        let dim = read_u32(&mut off)?;
-        if nodes != self.plane.num_nodes() || dim != self.plane.memory_dim() {
-            return Err(format!(
-                "model state memory is {}x{}, expected {}x{}",
-                nodes,
-                dim,
-                self.plane.num_nodes(),
-                self.plane.memory_dim()
-            ));
-        }
-        let memory_data = read_f32s(&mut off, nodes * dim)?;
-        let mut last_updates = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            last_updates.push(f64::from_le_bytes(
-                take(&mut off, 8)?.try_into().expect("slice is 8 bytes"),
-            ));
-        }
-        if read_u32(&mut off)? != self.plane.mailbox_msg_dim() {
-            return Err("model state mailbox message width mismatch".to_string());
-        }
-        if read_u32(&mut off)? != self.plane.mailbox_capacity() {
-            return Err("model state mailbox capacity mismatch".to_string());
-        }
-        let mut mailbox_msgs: Vec<Vec<Vec<f32>>> = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            let count = read_u32(&mut off)?;
-            let mut msgs = Vec::with_capacity(count);
-            for _ in 0..count {
-                msgs.push(read_f32s(&mut off, self.plane.mailbox_msg_dim())?);
-            }
-            mailbox_msgs.push(msgs);
-        }
-        // Everything validated: mutate only now, so a bad blob leaves
-        // the model untouched.
-        for (p, data) in params.iter().zip(&restored) {
-            p.set_data(data);
-        }
-        for n in 0..nodes {
-            let row = &memory_data[n * dim..(n + 1) * dim];
-            self.plane
-                .memory_write(NodeId(n as u32), row, last_updates[n]);
-        }
-        for n in 0..nodes {
-            self.plane.mailbox_clear(NodeId(n as u32));
-        }
-        for (n, msgs) in mailbox_msgs.into_iter().enumerate() {
-            for msg in msgs {
-                self.plane.mailbox_push(NodeId(n as u32), msg);
-            }
-        }
-        Ok(())
-    }
-
     /// Re-registers an already-processed event prefix in the temporal
-    /// adjacency store after [`import_state`](Self::import_state).
+    /// adjacency store after [`import_state`](Self::import_state) (which,
+    /// like `export_state`, lives with the format in `checkpoint.rs`).
     /// `first_id` is the stream id of `events[0]`; insertion is a pure
     /// function of `(event, id)`, so replaying reproduces the store
     /// exactly.
@@ -1457,7 +1286,7 @@ mod tests {
         assert!(!out.deltas.is_empty());
         for dta in &out.deltas {
             assert_ne!(dta.pre, dta.post, "memory must move on update");
-            assert_eq!(model.memory().read(dta.node), &dta.post[..]);
+            assert_eq!(model.plane().memory_read(dta.node), &dta.post[..]);
         }
     }
 
@@ -1478,8 +1307,8 @@ mod tests {
         assert_eq!(restored.export_state(), blob);
         for n in 0..6u32 {
             assert_eq!(
-                restored.memory().read(NodeId(n)),
-                model.memory().read(NodeId(n))
+                restored.plane().memory_read(NodeId(n)),
+                model.plane().memory_read(NodeId(n))
             );
             assert_eq!(
                 restored.history_degree(NodeId(n)),
@@ -1521,7 +1350,7 @@ mod tests {
         let feats = synth_features(3, 4, 2);
         model.process_batch(&toy_events(), 0, &feats);
         model.reset_state();
-        assert_eq!(model.memory().read(NodeId(0)), &[0.0; 8]);
+        assert_eq!(model.plane().memory_read(NodeId(0)), &[0.0; 8]);
         assert_eq!(model.mailbox_size_bytes(), 0);
     }
 
@@ -1595,17 +1424,17 @@ mod tests {
         }
         for n in 0..6u32 {
             assert_eq!(
-                combined.memory().read(NodeId(n)),
-                split.memory().read(NodeId(n))
+                combined.plane().memory_read(NodeId(n)),
+                split.plane().memory_read(NodeId(n))
             );
         }
     }
 
     #[test]
     fn sharded_plane_training_is_bit_identical() {
-        // The tentpole property: a node-id-hash sharded plane is
-        // invisible to training — losses, logits, deltas, and the full
-        // exported state match the monolithic plane bit for bit.
+        // A node-id-hash sharded plane is invisible to training —
+        // losses, logits, deltas, and the full exported state match the
+        // one-shard plane (the monolith) bit for bit.
         for cfg in ModelConfig::all() {
             let cfg = cfg.with_dims(8, 4);
             let mut mono = MemoryTgnn::new(cfg.clone(), 6, 4, 1);

@@ -5,18 +5,20 @@
 //! (DESIGN.md §12). [`MemoryPlane`] abstracts *where* that state lives
 //! so the same [`MemoryTgnn`](crate::MemoryTgnn) compute code drives:
 //!
-//! * [`LocalPlane`] — the monolithic stores, global-id indexed; the
-//!   serial default with zero behavioral delta.
-//! * [`ShardedPlane`] — node-id-hash partitioned stores ([`ShardMap`])
-//!   with dense per-shard slot tables. Every sampling hash stays keyed
-//!   by **global** node id, so reads, writes, and neighbor draws are
-//!   bit-identical to the monolith at any shard count.
+//! * [`ShardedPlane`] — the owned plane: node-id-hash partitioned
+//!   stores ([`ShardMap`]) with dense per-shard slot tables. Every
+//!   sampling hash stays keyed by **global** node id, so reads, writes,
+//!   and neighbor draws are bit-identical at any shard count; at one
+//!   shard a node's slot is its id and the plane *is* the monolith,
+//!   which is what [`MemoryTgnn::new`](crate::MemoryTgnn::new) builds.
 //! * `cascade-dist`'s `SharedPlane` — [`PlaneShard`]s behind per-shard
 //!   `RwLock`s, shared by N worker threads.
 //!
 //! All mutation goes through `&mut self` trait methods, which keeps the
 //! det-taint sink analysis (`memory_write`, `mailbox_push`, receiver
 //! `plane`) attached to every state write regardless of backing.
+
+use std::sync::Arc;
 
 use cascade_tensor::Tensor;
 use cascade_tgraph::{AdjacencyStore, Event, EventId, NeighborRef, NodeId, ShardMap};
@@ -25,8 +27,8 @@ use crate::config::{ModelConfig, UpdaterKind};
 use crate::memory::{Mailbox, NodeMemory};
 
 /// The structural dimensions a plane is built from. Derived once from
-/// the model configuration so every plane implementation — local,
-/// sharded, shared, or a TCP peer's replica — agrees on widths.
+/// the model configuration so every plane implementation — sharded,
+/// shared, or a TCP peer's replica — agrees on widths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlaneGeometry {
     /// Nodes covered.
@@ -82,9 +84,9 @@ pub trait MemoryPlane: Send + Sync {
     fn num_nodes(&self) -> usize;
     /// Node-memory width.
     fn memory_dim(&self) -> usize;
-    /// Number of shards state is partitioned into (1 for local planes).
+    /// Number of shards state is partitioned into.
     fn num_shards(&self) -> usize;
-    /// The shard owning `node` (always 0 for local planes).
+    /// The shard owning `node`.
     fn shard_of(&self, node: NodeId) -> usize;
 
     /// Copies one node's memory row out.
@@ -153,151 +155,6 @@ pub trait MemoryPlane: Send + Sync {
     }
 }
 
-/// A borrowed read view of a plane's node memory, mirroring the old
-/// `&NodeMemory` accessor surface with owned return values.
-pub struct MemoryView<'a> {
-    pub(crate) plane: &'a dyn MemoryPlane,
-}
-
-impl MemoryView<'_> {
-    /// Copies one node's memory out.
-    pub fn read(&self, node: NodeId) -> Vec<f32> {
-        self.plane.memory_read(node)
-    }
-
-    /// Copies one node's memory out (alias of [`read`](Self::read)).
-    pub fn snapshot(&self, node: NodeId) -> Vec<f32> {
-        self.plane.memory_read(node)
-    }
-
-    /// The node's last memory-update timestamp.
-    pub fn last_update(&self, node: NodeId) -> f64 {
-        self.plane.memory_last_update(node)
-    }
-
-    /// Memory width.
-    pub fn dim(&self) -> usize {
-        self.plane.memory_dim()
-    }
-
-    /// Nodes covered.
-    pub fn num_nodes(&self) -> usize {
-        self.plane.num_nodes()
-    }
-}
-
-/// The monolithic single-owner plane: global-id-indexed stores, exactly
-/// the layout the serial trainer has always used.
-#[derive(Clone)]
-pub struct LocalPlane {
-    memory: NodeMemory,
-    mailbox: Mailbox,
-    adjacency: AdjacencyStore,
-}
-
-impl LocalPlane {
-    /// Builds zeroed state for `geom`.
-    pub fn new(geom: &PlaneGeometry) -> Self {
-        LocalPlane {
-            memory: NodeMemory::new(geom.num_nodes, geom.memory_dim),
-            mailbox: Mailbox::new(geom.num_nodes, geom.mailbox_capacity, geom.raw_msg_dim),
-            adjacency: AdjacencyStore::new(geom.num_nodes).with_seed(geom.adj_seed),
-        }
-    }
-}
-
-impl MemoryPlane for LocalPlane {
-    fn num_nodes(&self) -> usize {
-        self.memory.num_nodes()
-    }
-
-    fn memory_dim(&self) -> usize {
-        self.memory.dim()
-    }
-
-    fn num_shards(&self) -> usize {
-        1
-    }
-
-    fn shard_of(&self, _node: NodeId) -> usize {
-        0
-    }
-
-    fn memory_read(&self, node: NodeId) -> Vec<f32> {
-        self.memory.snapshot(node)
-    }
-
-    fn memory_last_update(&self, node: NodeId) -> f64 {
-        self.memory.last_update(node)
-    }
-
-    fn memory_gather(&self, nodes: &[NodeId]) -> Tensor {
-        self.memory.gather(nodes)
-    }
-
-    fn memory_write(&mut self, node: NodeId, values: &[f32], time: f64) {
-        self.memory.write(node, values, time);
-    }
-
-    fn mailbox_capacity(&self) -> usize {
-        self.mailbox.capacity()
-    }
-
-    fn mailbox_msg_dim(&self) -> usize {
-        self.mailbox.msg_dim()
-    }
-
-    fn mailbox_messages(&self, node: NodeId) -> Vec<Vec<f32>> {
-        self.mailbox.messages(node).to_vec()
-    }
-
-    fn mailbox_has_messages(&self, node: NodeId) -> bool {
-        self.mailbox.has_messages(node)
-    }
-
-    fn mailbox_push(&mut self, node: NodeId, msg: Vec<f32>) {
-        self.mailbox.push(node, msg);
-    }
-
-    fn mailbox_clear(&mut self, node: NodeId) {
-        self.mailbox.clear_node(node);
-    }
-
-    fn adj_insert_half(&mut self, owner: NodeId, neighbor: NeighborRef) {
-        self.adjacency.insert_ref(owner, neighbor);
-    }
-
-    fn adj_degree(&self, node: NodeId) -> usize {
-        self.adjacency.degree(node)
-    }
-
-    fn adj_most_recent(&self, node: NodeId, k: usize) -> Vec<NeighborRef> {
-        self.adjacency.most_recent(node, k)
-    }
-
-    fn adj_uniform(&self, node: NodeId, k: usize) -> Vec<NeighborRef> {
-        self.adjacency.uniform(node, k)
-    }
-
-    fn reset(&mut self) {
-        self.memory.reset();
-        self.mailbox.reset();
-        self.adjacency.clear();
-    }
-
-    fn memory_size_bytes(&self) -> usize {
-        self.memory.size_bytes()
-    }
-
-    fn mailbox_size_bytes(&self) -> usize {
-        self.mailbox.size_bytes()
-    }
-
-    fn clone_plane(&self) -> Box<dyn MemoryPlane> {
-        Box::new(self.clone())
-    }
-}
-
 /// One shard's slice of the plane: dense slot-indexed stores for the
 /// nodes a [`ShardMap`] assigns to it. The building block both
 /// [`ShardedPlane`] (single-owner) and `cascade-dist`'s `SharedPlane`
@@ -335,13 +192,15 @@ impl PlaneShard {
     }
 }
 
-/// A node-id-hash sharded plane with a single owner: the state is
-/// partitioned like the dist runtime partitions it, but without locks —
-/// used to prove partitioned storage is bit-identical to the monolith,
-/// and as the local replica each TCP dist process trains against.
+/// The node-id-hash sharded plane with a single owner: state is
+/// partitioned the way the dist runtime partitions it, without locks.
+/// One shard is the serial default; more shards are the local replica
+/// each TCP dist process trains against.
+#[derive(Clone)]
 pub struct ShardedPlane {
     geom: PlaneGeometry,
-    map: ShardMap,
+    /// Immutable once built, so clones (one per served snapshot) share it.
+    map: Arc<ShardMap>,
     shards: Vec<PlaneShard>,
 }
 
@@ -358,43 +217,14 @@ impl ShardedPlane {
             .collect();
         ShardedPlane {
             geom: *geom,
-            map,
+            map: Arc::new(map),
             shards,
         }
-    }
-
-    /// The node → (shard, slot) assignment.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// The plane's geometry.
-    pub fn geometry(&self) -> &PlaneGeometry {
-        &self.geom
-    }
-
-    /// Direct access to one shard's stores (checkpoint assembly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard(&self, shard: usize) -> &PlaneShard {
-        &self.shards[shard]
     }
 
     fn slot(&self, node: NodeId) -> (usize, NodeId) {
         let (shard, slot) = self.map.assignment(node);
         (shard, NodeId(slot as u32))
-    }
-}
-
-impl Clone for ShardedPlane {
-    fn clone(&self) -> Self {
-        ShardedPlane {
-            geom: self.geom,
-            map: self.map.clone(),
-            shards: self.shards.clone(),
-        }
     }
 }
 
@@ -516,10 +346,13 @@ mod tests {
         PlaneGeometry::for_config(&ModelConfig::tgn().with_dims(4, 2), 12, 3, 42)
     }
 
-    fn seeded_planes() -> (LocalPlane, ShardedPlane) {
+    /// The monolith the sharded plane is held to: one [`PlaneShard`]
+    /// covering every node, addressed by global id — the same three
+    /// stores with no shard map and no trait in between.
+    fn seeded_planes(num_shards: usize) -> (PlaneShard, ShardedPlane) {
         let g = geom();
-        let mut local = LocalPlane::new(&g);
-        let mut sharded = ShardedPlane::new(&g, 3);
+        let mut mono = PlaneShard::new(&g, g.num_nodes);
+        let mut sharded = ShardedPlane::new(&g, num_shards);
         let events = [
             Event::new(0u32, 1u32, 1.0),
             Event::new(2u32, 5u32, 2.0),
@@ -527,53 +360,61 @@ mod tests {
             Event::new(11u32, 1u32, 4.0),
         ];
         for (i, e) in events.iter().enumerate() {
-            for plane in [&mut local as &mut dyn MemoryPlane, &mut sharded] {
-                plane.adj_insert(e, i);
-                plane.memory_write(e.src, &[i as f32, 1.0, 2.0, 3.0], e.time);
-                plane.mailbox_push(e.src, vec![0.5; 12]);
+            let row = [i as f32, 1.0, 2.0, 3.0];
+            sharded.adj_insert(e, i);
+            sharded.memory_write(e.src, &row, e.time);
+            sharded.mailbox_push(e.src, vec![0.5; 12]);
+            mono.adjacency.insert_event(e, i);
+            mono.memory.write(e.src, &row, e.time);
+            mono.mailbox.push(e.src, vec![0.5; 12]);
+        }
+        (mono, sharded)
+    }
+
+    #[test]
+    fn sharded_reads_match_the_monolith_at_every_shard_count() {
+        for num_shards in [1, 3, 12] {
+            let (mono, sharded) = seeded_planes(num_shards);
+            for n in 0..12u32 {
+                let n = NodeId(n);
+                assert_eq!(mono.memory.read(n), sharded.memory_read(n));
+                assert_eq!(
+                    mono.memory.last_update(n).to_bits(),
+                    sharded.memory_last_update(n).to_bits()
+                );
+                assert_eq!(mono.mailbox.messages(n), sharded.mailbox_messages(n));
+                assert_eq!(mono.adjacency.degree(n), sharded.adj_degree(n));
+                assert_eq!(
+                    mono.adjacency.most_recent(n, 4),
+                    sharded.adj_most_recent(n, 4)
+                );
+                // The partition-critical property: uniform draws hash by
+                // global id, so shard placement is invisible to sampling.
+                assert_eq!(mono.adjacency.uniform(n, 8), sharded.adj_uniform(n, 8));
             }
+            let picked = [NodeId(0), NodeId(7), NodeId(11)];
+            let rows: Vec<f32> = picked
+                .iter()
+                .flat_map(|&n| mono.memory.snapshot(n))
+                .collect();
+            let gathered = sharded.memory_gather(&picked);
+            assert_eq!(gathered.dims(), &[3, 4]);
+            assert!(!gathered.is_requires_grad(), "gathered rows are a leaf");
+            assert_eq!(rows, gathered.to_vec());
+            assert_eq!(mono.mailbox.size_bytes(), sharded.mailbox_size_bytes());
+            assert_eq!(mono.memory.size_bytes(), sharded.memory_size_bytes());
         }
-        (local, sharded)
     }
 
     #[test]
-    fn sharded_reads_match_local() {
-        let (local, sharded) = seeded_planes();
-        for n in 0..12u32 {
-            let n = NodeId(n);
-            assert_eq!(local.memory_read(n), sharded.memory_read(n));
-            assert_eq!(
-                local.memory_last_update(n).to_bits(),
-                sharded.memory_last_update(n).to_bits()
-            );
-            assert_eq!(local.mailbox_messages(n), sharded.mailbox_messages(n));
-            assert_eq!(local.adj_degree(n), sharded.adj_degree(n));
-            assert_eq!(local.adj_most_recent(n, 4), sharded.adj_most_recent(n, 4));
-            // The partition-critical property: uniform draws hash by
-            // global id, so shard placement is invisible to sampling.
-            assert_eq!(local.adj_uniform(n, 8), sharded.adj_uniform(n, 8));
-        }
-        assert_eq!(
-            local
-                .memory_gather(&[NodeId(0), NodeId(7), NodeId(11)])
-                .to_vec(),
-            sharded
-                .memory_gather(&[NodeId(0), NodeId(7), NodeId(11)])
-                .to_vec()
-        );
-        assert_eq!(local.mailbox_size_bytes(), sharded.mailbox_size_bytes());
-        assert_eq!(local.memory_size_bytes(), sharded.memory_size_bytes());
-    }
-
-    #[test]
-    fn sharded_reset_matches_local() {
-        let (mut local, mut sharded) = seeded_planes();
-        local.reset();
+    fn sharded_reset_matches_the_monolith() {
+        let (mut mono, mut sharded) = seeded_planes(3);
+        mono.reset();
         sharded.reset();
         for n in 0..12u32 {
             let n = NodeId(n);
-            assert_eq!(local.memory_read(n), sharded.memory_read(n));
-            assert_eq!(local.adj_degree(n), 0);
+            assert_eq!(mono.memory.read(n), sharded.memory_read(n));
+            assert_eq!(mono.adjacency.degree(n), 0);
             assert_eq!(sharded.adj_degree(n), 0);
             assert!(!sharded.mailbox_has_messages(n));
         }
@@ -581,7 +422,7 @@ mod tests {
 
     #[test]
     fn clone_plane_detaches_state() {
-        let (_, sharded) = seeded_planes();
+        let (_, sharded) = seeded_planes(3);
         let mut copy = sharded.clone_plane();
         copy.memory_write(NodeId(3), &[9.0; 4], 9.0);
         assert_ne!(sharded.memory_read(NodeId(3)), copy.memory_read(NodeId(3)));

@@ -66,7 +66,7 @@ fn run(
 
     let params: Vec<Vec<f32>> = model.parameters().iter().map(|p| p.to_vec()).collect();
     let memories: Vec<Vec<f32>> = (0..num_nodes)
-        .map(|n| model.memory().read(NodeId(n as u32)).to_vec())
+        .map(|n| model.plane().memory_read(NodeId(n as u32)).to_vec())
         .collect();
     arena::set_enabled(was);
     (

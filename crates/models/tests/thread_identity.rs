@@ -49,7 +49,7 @@ fn run(
         .map(|p| p.grad().unwrap_or_default())
         .collect();
     let memories: Vec<Vec<f32>> = (0..num_nodes)
-        .map(|n| model.memory().read(NodeId(n as u32)).to_vec())
+        .map(|n| model.plane().memory_read(NodeId(n as u32)).to_vec())
         .collect();
     (
         out.loss.item(),

@@ -1,6 +1,7 @@
 //! Optimizers: [`Adam`] (the paper's choice, §2.3) and [`Sgd`].
 
 use cascade_tensor::Tensor;
+use cascade_util::{ByteReader, ByteWriter, DecodeError};
 
 /// The Adam optimizer (Kingma & Ba, 2014).
 ///
@@ -107,69 +108,50 @@ impl Adam {
     /// a mid-training checkpoint. The learning rate and betas are
     /// configuration, not state, and are excluded.
     pub fn export_state(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&self.t.to_le_bytes());
-        buf.extend_from_slice(&(self.params.len() as u32).to_le_bytes());
+        let mut w = ByteWriter::new();
+        w.u64(self.t);
+        w.usize(self.params.len());
         for (m, v) in self.m.iter().zip(&self.v) {
-            buf.extend_from_slice(&(m.len() as u32).to_le_bytes());
-            for x in m {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            for x in v {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
+            w.f32s(m);
+            w.f32_array(v);
         }
-        buf
+        w.into_bytes()
     }
 
     /// Restores state captured by [`export_state`](Adam::export_state).
     ///
     /// # Errors
     ///
-    /// Returns a description when the blob is truncated or its parameter
-    /// shapes do not match this optimizer.
-    pub fn import_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut off = 0usize;
-        let take = |off: &mut usize, n: usize| -> Result<&[u8], String> {
-            let s = bytes
-                .get(*off..*off + n)
-                .ok_or("optimizer state truncated".to_string())?;
-            *off += n;
-            Ok(s)
-        };
-        let t = u64::from_le_bytes(take(&mut off, 8)?.try_into().expect("slice is 8 bytes"));
-        let count =
-            u32::from_le_bytes(take(&mut off, 4)?.try_into().expect("slice is 4 bytes")) as usize;
+    /// A [`DecodeError`] when the blob is truncated, has trailing bytes,
+    /// or its parameter shapes do not match this optimizer; the
+    /// optimizer is unchanged in that case.
+    pub fn import_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut r = ByteReader::new(bytes);
+        let t = r.u64()?;
+        let count = r.count(8)?;
         if count != self.params.len() {
-            return Err(format!(
+            return Err(DecodeError::Invalid(format!(
                 "optimizer state has {} parameters, expected {}",
                 count,
                 self.params.len()
-            ));
+            )));
         }
         let mut m = Vec::with_capacity(count);
         let mut v = Vec::with_capacity(count);
         for (i, p) in self.params.iter().enumerate() {
-            let len = u32::from_le_bytes(take(&mut off, 4)?.try_into().expect("slice is 4 bytes"))
-                as usize;
-            if len != p.len() {
-                return Err(format!(
+            let first = r.f32s()?;
+            if first.len() != p.len() {
+                return Err(DecodeError::Invalid(format!(
                     "optimizer state parameter {} has {} values, expected {}",
                     i,
-                    len,
+                    first.len(),
                     p.len()
-                ));
+                )));
             }
-            let read_vec = |off: &mut usize| -> Result<Vec<f32>, String> {
-                let raw = take(off, len * 4)?;
-                Ok(raw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("slice is 4 bytes")))
-                    .collect())
-            };
-            m.push(read_vec(&mut off)?);
-            v.push(read_vec(&mut off)?);
+            m.push(first);
+            v.push(r.f32_array(p.len())?);
         }
+        r.finish()?;
         self.t = t;
         self.m = m;
         self.v = v;
@@ -324,6 +306,24 @@ mod tests {
         );
         assert!(a.import_state(&b.export_state()).is_err());
         assert!(a.import_state(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn adam_import_survives_the_hostile_input_battery() {
+        let p = Tensor::from_vec(vec![3.0, 4.0, 5.0], [3]).requires_grad();
+        let q = quadratic_param(1.0);
+        let mut opt = Adam::new(vec![p.clone(), q.clone()], 0.1);
+        p.square().sum().backward();
+        q.square().sum().backward();
+        opt.step();
+        cascade_util::check_decoder("adam_state", &opt.export_state(), |bytes| {
+            let before = opt.export_state();
+            let imported = opt.import_state(bytes);
+            if imported.is_err() {
+                assert_eq!(opt.export_state(), before, "failed import mutates nothing");
+            }
+            imported.ok().map(|()| opt.export_state())
+        });
     }
 
     #[test]

@@ -104,8 +104,7 @@ fn print_usage() {
     eprintln!(
         "cascade-serve: online link prediction with live event ingest\n\n\
          --load P             checkpoint from cascade_train / cascade_dist --save\n\
-         \u{20}                    (required); accepts parameter (CSC1), full-state\n\
-         \u{20}                    (CSC2), or sharded full-state (CSC3) files\n\
+         \u{20}                    (required); parameter-only or full-state\n\
          --arch M             jodie|tgn|apan|dysat|tgat       (default tgn)\n\
          --nodes N            node count the model was trained with (required)\n\
          --dim N              memory width used in training     (default 16)\n\

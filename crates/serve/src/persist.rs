@@ -95,18 +95,16 @@ pub fn open_wal(
 /// Loads the snapshot at `path` into `model`, returning its
 /// events-applied watermark — or `None` when no snapshot exists yet.
 ///
-/// Accepts any full-state checkpoint format, monolithic (CSC2) or
-/// sharded (CSC3) — a server can boot directly from the state a
-/// `cascade-dist` run saved with
-/// [`cascade_models::save_sharded_state`], whatever shard count it was
-/// trained with. Parameter-only files (CSC1) are rejected: a snapshot
-/// must carry memories and a watermark, or replay would silently start
-/// from event zero.
+/// Accepts any full-state checkpoint — a server can boot directly from
+/// the state `cascade_dist --save` wrote, whatever worker count it was
+/// trained with, because the one format records no shard layout.
+/// Parameter-only files are rejected: a snapshot must carry memories and
+/// a watermark, or replay would silently start from event zero.
 ///
 /// # Errors
 ///
 /// [`ServeError::Snapshot`] on checkpoint-level failures (including a
-/// detected partial snapshot) and for a parameter-only file.
+/// truncated snapshot) and for a parameter-only file.
 pub fn load_snapshot(model: &mut MemoryTgnn, path: &Path) -> Result<Option<u64>, ServeError> {
     if !path.exists() {
         return Ok(None);
@@ -219,11 +217,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_snapshot_boots_the_server() {
-        use cascade_models::{save_sharded_state, MemoryTgnn, ModelConfig};
+    fn dist_checkpoint_boots_the_server() {
+        use cascade_models::{MemoryTgnn, ModelConfig};
         use cascade_tgraph::EdgeFeatures;
         let cfg = ModelConfig::tgn().with_dims(8, 4);
-        let mut trained = MemoryTgnn::new(cfg.clone(), 6, 2, 1);
+        // A dist run trains over as many shards as it has workers…
+        let mut trained = MemoryTgnn::new_sharded(cfg.clone(), 6, 2, 1, 3);
         let events = [Event::new(0u32, 1u32, 1.0), Event::new(2u32, 3u32, 2.0)];
         let mut feats = EdgeFeatures::zeros(2, 2);
         feats.set_row(0, &[0.5, -0.5]);
@@ -231,10 +230,10 @@ mod tests {
         let fwd = trained.forward_batch(&events, 0, &feats);
         trained.apply_batch(&events, 0, &feats, fwd.pending);
 
-        // A dist run saves with the shard layout it trained under; the
-        // server boots from it with a plain monolithic model.
-        let path = tmp("sharded_boot.ckpt");
-        save_sharded_state(&trained, &path, 2, 3).unwrap();
+        // …and `cascade_dist --save` writes what `save_snapshot` writes;
+        // the server boots from it with a plain one-shard model.
+        let path = tmp("dist_boot.ckpt");
+        save_snapshot(&trained, &path, 2).unwrap();
         let mut served = MemoryTgnn::new(cfg, 6, 2, 1);
         let applied = load_snapshot(&mut served, &path).unwrap();
         assert_eq!(applied, Some(2), "watermark survives the shard layout");

@@ -11,10 +11,14 @@
 //!   xorshift*), the single source of randomness in the workspace.
 //! * [`Json`] — a minimal JSON value with a compact writer and a strict
 //!   parser, replacing `serde` for event-stream and bench-result I/O.
+//! * [`bytes`] — the one little-endian byte codec ([`ByteWriter`], the
+//!   bounds-checked [`ByteReader`], [`DecodeError`]) and the one
+//!   checkpoint container every crate serializes state through.
 //! * [`check`] / [`Gen`] — a seeded property-testing mini-harness
 //!   replacing `proptest`: case counts from `CASCADE_PROP_CASES`
 //!   (default 64), failing-seed reporting, single-seed replay via
-//!   `CASCADE_PROP_REPLAY`.
+//!   `CASCADE_PROP_REPLAY`; [`check_decoder`] is the hostile-input
+//!   battery each byte decoder runs.
 //! * [`BenchSuite`] — a micro-bench harness replacing `criterion`:
 //!   warmup + timed iterations, median/p10/p90 statistics, JSON reports
 //!   under `bench_results/`.
@@ -42,11 +46,13 @@
 //! ```
 
 mod bench;
+pub mod bytes;
 mod json;
 mod prop;
 mod rng;
 
 pub use bench::{BenchStats, BenchSuite};
+pub use bytes::{ByteReader, ByteWriter, DecodeError};
 pub use json::{Json, JsonError};
-pub use prop::{check, Gen};
+pub use prop::{check, check_decoder, Gen};
 pub use rng::DetRng;

@@ -181,6 +181,50 @@ where
     }
 }
 
+/// The hostile-input battery every byte decoder in the workspace runs:
+/// `valid` must round-trip, and every strict prefix of it, a `u32::MAX`,
+/// `u64::MAX` or 2^40 written over every offset (so over every length
+/// field), and [`check`]'s seeded random bit flips must each be refused
+/// or decode to a value that encodes back to exactly the bytes given.
+/// `decode` returns `None` for a refusal and the re-encoding otherwise.
+/// A decoder that panics, or reserves what a hostile count asks for,
+/// fails the calling test.
+///
+/// # Panics
+///
+/// Panics on the first input the decoder mishandles.
+pub fn check_decoder<F>(name: &str, valid: &[u8], mut decode: F)
+where
+    F: FnMut(&[u8]) -> Option<Vec<u8>>,
+{
+    let mut canonical = |what: &str, bytes: &[u8]| match decode(bytes) {
+        Some(again) if again != bytes => Err(format!("{what} decoded, but encodes differently")),
+        other => Ok(other.is_some()),
+    };
+    assert_eq!(canonical("the valid input", valid), Ok(true), "{name}");
+    for cut in 0..valid.len() {
+        let parsed = canonical("a prefix", &valid[..cut]);
+        assert_eq!(parsed, Ok(false), "{name}: prefix of {cut} bytes");
+    }
+    for at in 0..valid.len() {
+        let huge: [&[u8]; 3] = [&[0xff; 4], &[0xff; 8], &(1u64 << 40).to_le_bytes()];
+        for value in huge.into_iter().filter(|v| at + v.len() <= valid.len()) {
+            let mut bytes = valid.to_vec();
+            bytes[at..at + value.len()].copy_from_slice(value);
+            let parsed = canonical("a huge value", &bytes);
+            assert!(parsed.is_ok(), "{name}: {value:?} at {at}: {parsed:?}");
+        }
+    }
+    check(name, |g| {
+        let mut bytes = valid.to_vec();
+        for _ in 0..g.usize_in(1..4) {
+            let at = g.usize_in(0..bytes.len());
+            bytes[at] ^= 1 << g.usize_in(0..8);
+        }
+        canonical("a bit flip", &bytes).map(drop)
+    });
+}
+
 /// Early-returns `Err` from a property closure when a condition fails.
 ///
 /// With a single argument the message is the stringified condition; extra

@@ -193,7 +193,7 @@ fn node_memories_stay_bounded() {
         let mut strat = tgl(48);
         let _ = train(&mut model, &data, &mut strat, &tiny_cfg());
         for n in 0..data.num_nodes() as u32 {
-            let m = model.memory().snapshot(cascade_tgraph::NodeId(n));
+            let m = model.plane().memory_read(cascade_tgraph::NodeId(n));
             assert!(
                 m.iter().all(|v| v.abs() <= 1.0 + 1e-5),
                 "{}: node {} memory escaped [-1, 1]: {:?}",
