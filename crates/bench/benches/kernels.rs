@@ -14,7 +14,7 @@ use cascade_models::MemoryDelta;
 use cascade_nn::{GatLayer, GruCell, TimeEncode};
 use cascade_tensor::Tensor;
 use cascade_tgraph::{AdjacencyStore, NodeId, SynthConfig};
-use cascade_util::BenchSuite;
+use cascade_util::{BenchSuite, Json};
 
 fn bench_tensor_matmul(suite: &mut BenchSuite) {
     // The amortization curve: one [B, 64] × [64, 64] product per batch —
@@ -24,6 +24,53 @@ fn bench_tensor_matmul(suite: &mut BenchSuite) {
         let w = Tensor::randn([64, 64], 2);
         suite.bench(&format!("tensor_matmul/{}", b), || black_box(x.matmul(&w)));
     }
+}
+
+/// The three `+=` layouts at the benchmark's two dominant shapes (a
+/// steady_narrow shard product, a GRU input projection), 2·m·k·n flops
+/// each. `fwd` is `matmul_into` plus the `sum` that roots the graph; `dA`
+/// adds a backward through `matmul_a_bt` (only the activation wants a
+/// gradient), `dB` one through `matmul_at_b` (only the weight does).
+///
+/// Returns one GFLOP/s row per shape, a backward entry's excess over
+/// `fwd` charged to its kernel so the three rates compare directly;
+/// empty in smoke mode, where nothing is recorded.
+fn bench_tensor_matmul_bwd(suite: &mut BenchSuite) -> Vec<Json> {
+    let mut rates = Vec::new();
+    for (m, k, n) in [(646usize, 96usize, 32usize), (3446, 128, 32)] {
+        let shape = format!("{m}x{k}x{n}");
+        let x = Tensor::randn([m, k], 1);
+        let w = Tensor::randn([k, n], 2);
+        suite.bench(&format!("tensor_matmul_bwd/fwd_{shape}"), || {
+            black_box(x.matmul(&w).sum())
+        });
+        let xg = x.detach().requires_grad();
+        suite.bench(&format!("tensor_matmul_bwd/dA_{shape}"), || {
+            xg.matmul(&w).sum().backward();
+            xg.zero_grad();
+        });
+        let wg = w.detach().requires_grad();
+        suite.bench(&format!("tensor_matmul_bwd/dB_{shape}"), || {
+            x.matmul(&wg).sum().backward();
+            wg.zero_grad();
+        });
+        if let [.., fwd, da, db] = suite.stats() {
+            let flops = (2 * m * k * n) as f64;
+            let (f, a, b) = (
+                flops / fwd.median_ns,
+                flops / (da.median_ns - fwd.median_ns),
+                flops / (db.median_ns - fwd.median_ns),
+            );
+            eprintln!("[bench kernels] {shape} GFLOP/s: fwd {f:.1}, dA {a:.1}, dB {b:.1}");
+            rates.push(Json::Obj(vec![
+                ("shape".into(), Json::from(shape.as_str())),
+                ("fwd".into(), Json::from(f)),
+                ("dA".into(), Json::from(a)),
+                ("dB".into(), Json::from(b)),
+            ]));
+        }
+    }
+    rates
 }
 
 fn bench_fused_layers(suite: &mut BenchSuite) {
@@ -167,11 +214,23 @@ fn bench_endurance_profiling(suite: &mut BenchSuite) {
 fn main() {
     let mut suite = BenchSuite::new("kernels").with_seed(7);
     bench_tensor_matmul(&mut suite);
+    let matmul_gflops = bench_tensor_matmul_bwd(&mut suite);
     bench_fused_layers(&mut suite);
     bench_dependency_table(&mut suite);
     bench_diffuser_lookup(&mut suite);
     bench_sgfilter_kernel(&mut suite);
     bench_sampler(&mut suite);
     bench_endurance_profiling(&mut suite);
-    suite.finish();
+    // In measurement mode, append the forward/backward GFLOP/s rows to
+    // the report, so the distance between the layouts is a number in it.
+    if let Some(path) = suite.finish() {
+        let raw = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot re-read {}: {}", path.display(), e));
+        let mut report = Json::parse(&raw).expect("suite report is valid JSON");
+        if let Json::Obj(fields) = &mut report {
+            fields.push(("matmul_gflops".into(), Json::Arr(matmul_gflops)));
+        }
+        std::fs::write(&path, report.to_string())
+            .unwrap_or_else(|e| panic!("cannot write {}: {}", path.display(), e));
+    }
 }

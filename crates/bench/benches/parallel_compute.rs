@@ -19,12 +19,12 @@ const BATCH: usize = 256;
 const BATCHES: usize = 5;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Median serial (`threads1`) time from the committed PR 9 baseline run of
+/// Median serial (`threads1`) time from the committed PR 16 baseline run of
 /// this bench (`bench_results/parallel_compute.json`). The speedup curve
 /// normalizes by the *current* serial median, so it silently forgives
 /// serial regressions; the `serial_baseline` report entry pins this
 /// constant next to the fresh measurement to make serial drift visible.
-const SERIAL_BASELINE_NS: f64 = 36_667_148.5;
+const SERIAL_BASELINE_NS: f64 = 18_303_626.5;
 
 fn bench_data() -> Dataset {
     SynthConfig::wiki()

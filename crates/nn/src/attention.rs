@@ -83,14 +83,14 @@ impl GatLayer {
         assert_eq!(mask.len(), b * k, "GatLayer mask length mismatch");
 
         let wh_c = center.matmul(&self.weight); // [B, out]
-        let e0 = wh_c.matmul(&self.attn_src); // [B, 1], shared by e_self and e_src
-        let e_self = e0.mul_scalar(2.0).leaky_relu(0.2); // [B, 1]
-
         if k == 0 {
-            // No neighborhood: attention collapses onto the self-loop.
+            // No neighborhood: attention collapses onto the self-loop, and
+            // the attention vectors take no part (and get no gradient).
             return wh_c.relu();
         }
 
+        let e0 = wh_c.matmul(&self.attn_src); // [B, 1], shared by e_self and e_src
+        let e_self = e0.mul_scalar(2.0).leaky_relu(0.2); // [B, 1]
         let wh_n = neighbors.matmul(&self.weight); // [B*K, out]
         let e_dst = wh_n.matmul(&self.attn_dst); // [B*K, 1]
 
@@ -141,6 +141,29 @@ mod tests {
         let n = Tensor::zeros([0, 4]);
         let out = g.forward(&c, &n, &[], 0);
         assert_eq!(out.dims(), &[2, 6]);
+    }
+
+    #[test]
+    fn zero_neighbors_is_the_projected_self_loop() {
+        // k = 0 is relu(center · W) to the bit, in value and in gradient;
+        // the attention vectors are never reached.
+        let g = GatLayer::new(4, 6, 1);
+        let c = Tensor::randn([5, 4], 7).requires_grad();
+        let w = Tensor::randn([5, 6], 8);
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+
+        let out = g.forward(&c, &Tensor::zeros([0, 4]), &[], 0);
+        out.mul(&w).sum().backward();
+        let (out, dc, dw) = (out.to_vec(), c.grad().unwrap(), g.weight.grad().unwrap());
+        assert!(g.attn_src.grad().is_none() && g.attn_dst.grad().is_none());
+
+        c.zero_grad();
+        g.weight.zero_grad();
+        let want = c.matmul(&g.weight).relu();
+        want.mul(&w).sum().backward();
+        assert_eq!(bits(out), bits(want.to_vec()));
+        assert_eq!(bits(dc), bits(c.grad().unwrap()));
+        assert_eq!(bits(dw), bits(g.weight.grad().unwrap()));
     }
 
     #[test]

@@ -105,8 +105,9 @@ pub(crate) fn reduce_broadcast_grad(
     out
 }
 
-/// Column sums: `out[c] = Σ_r w[r·cols + c]` in ascending-`r` order.
-fn reduce_to_row(w: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+/// Column sums: `out[c] = Σ_r w[r·cols + c]` in ascending-`r` order — the
+/// gradient of a row broadcast, and of every bias in the fused kernels.
+pub(crate) fn reduce_to_row(w: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     let mut out = arena::take_zeroed(cols);
     for r in 0..rows {
         for (o, &v) in out.iter_mut().zip(&w[r * cols..(r + 1) * cols]) {

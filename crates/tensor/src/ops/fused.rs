@@ -11,28 +11,16 @@
 //!
 //! Numerics: every kernel performs the same per-element float operations
 //! in the same order as the op chain it replaces (matmuls go through the
-//! shared skip-zero kernels in `ops::matmul`, elementwise chains keep
-//! their evaluation order), so swapping a layer to its fused form does not
-//! perturb training trajectories.
+//! same three kernels of `ops::matmul` as [`Tensor::matmul`] and its
+//! backward, elementwise chains keep their evaluation order), so swapping
+//! a layer to its fused form does not perturb training trajectories.
 
 use crate::arena;
 use crate::grad::GradCtx;
+use crate::ops::binary::reduce_to_row;
 use crate::ops::matmul::{matmul_a_bt, matmul_at_b, matmul_into};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-
-/// Column sums of a `[rows, cols]` buffer into an owned `[cols]` buffer,
-/// rows in ascending order (the bias-gradient reduction).
-fn col_sums(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    let mut out = arena::take_zeroed(cols);
-    for r in 0..rows {
-        let row = &src[r * cols..(r + 1) * cols];
-        for (o, &v) in out.iter_mut().zip(row.iter()) {
-            *o += v;
-        }
-    }
-    out
-}
 
 impl Tensor {
     /// Fused GRU cell step: the single-node form of
@@ -205,7 +193,7 @@ impl Tensor {
                 drop(hdat);
                 for (bias, dpre) in [(pbr, &dpre_r), (pbz, &dpre_z), (pbn, &dpre_n)] {
                     if bias.is_requires_grad() {
-                        ctx.accumulate_owned(bias, col_sums(dpre, b, hd));
+                        ctx.accumulate_owned(bias, reduce_to_row(dpre, b, hd));
                     }
                 }
                 arena::recycle(dpre_n);
@@ -286,7 +274,7 @@ impl Tensor {
                     ctx.accumulate_owned(pomega, dw);
                 }
                 if pphase.is_requires_grad() {
-                    ctx.accumulate_owned(pphase, col_sums(&grad, b, d));
+                    ctx.accumulate_owned(pphase, reduce_to_row(&grad, b, d));
                 }
                 arena::recycle(grad);
             }),

@@ -1,13 +1,29 @@
 //! Dense matrix multiplication.
 //!
-//! The kernels keep the `ikj` accumulation discipline — for any output
-//! element, contributions arrive in ascending-`p` order and `a`-side zeros
-//! are skipped — so results are bit-identical to the naive triple loop.
-//! On top of that discipline they add cache blocking over the shared
-//! dimension (a `KC`-wide panel of `b` stays hot across all rows of `a`)
-//! and a 4-way unroll of the panel loop whose separate `o += aᵢ·bᵢ[j]`
-//! statements preserve the per-element rounding order while exposing four
-//! independent streams to the auto-vectorizer.
+//! Three `+=` layouts — `A·B` (forward), `Aᵀ·B` (weight gradient) and
+//! `A·Bᵀ` (input gradient) — over ONE inner loop, [`axpy_quad`]: an output
+//! row takes four scaled operand rows at once, `o[j] += c₀·r₀[j]; … ;
+//! o[j] += c₃·r₃[j]` as four *separate* additions, so every output element
+//! sees its contributions in ascending order of the shared index with the
+//! rounding of the naive triple loop, while the lanes of a vector run
+//! across distinct output elements. Each layout only arranges for its
+//! operand rows to be contiguous:
+//!
+//! * [`matmul_into`] already has them (rows of `b`), and blocks the shared
+//!   dimension into `KC`-row panels of `b` that stay hot across all rows
+//!   of `a`;
+//! * [`matmul_at_b`] walks the shared dimension outermost: four
+//!   consecutive rows of `a` supply the coefficients, the same four rows
+//!   of `b` the operand rows, and the small `[m×n]` output stays resident;
+//! * [`matmul_a_bt`] transposes its small `[k×n]` operand into arena
+//!   scratch first, after which it is `matmul_into` on a private row
+//!   accumulator.
+//!
+//! Zero handling is part of the contract (a skipped `0·∞` is not a NaN):
+//! `matmul_into` and `matmul_at_b` skip `a`-side zeros as the naive
+//! skip-zero loop does, `matmul_a_bt` is a plain dot product and skips
+//! nothing. The naive loops themselves live on in [`oracle`] (test builds
+//! only) and every layout is held to them bit for bit.
 
 use crate::arena;
 use crate::grad::GradCtx;
@@ -18,112 +34,160 @@ use crate::tensor::Tensor;
 /// `n ≤ 256` of TGNN hidden layers) fit comfortably in L2.
 const KC: usize = 128;
 
-/// `out[m×n] += a[m×k] · b[k×n]` with the historical skip-zero semantics.
+/// `out_row[j] += c · row[j]`, unless `SKIP_ZERO` and `c == 0`.
+#[inline(always)]
+fn axpy_one<const SKIP_ZERO: bool>(c: f32, row: &[f32], out_row: &mut [f32]) {
+    if SKIP_ZERO && c == 0.0 {
+        return;
+    }
+    for (o, &v) in out_row.iter_mut().zip(row.iter()) {
+        *o += c * v;
+    }
+}
+
+/// The shared inner loop: `out_row[j] += c[q] · rows[q·n + j]` for
+/// `q = 0, 1, 2, 3` in that order, `n = out_row.len()`.
+///
+/// With `SKIP_ZERO`, terms whose coefficient is `0.0` or `-0.0` are left
+/// out, exactly as the naive skip-zero loop leaves them out.
+///
+/// `inline(always)`, here and on the two helpers around it: at `n = 32` a
+/// quad is some forty cycles of work, and with a plain `#[inline]` LLVM
+/// keeps the `SKIP_ZERO` instantiation out of line, which costs the
+/// callers a third of their FLOP rate (20 → 12 GFLOP/s).
+#[inline(always)]
+fn axpy_quad<const SKIP_ZERO: bool>(c: [f32; 4], rows: &[f32], out_row: &mut [f32]) {
+    let n = out_row.len();
+    let r0 = &rows[..n];
+    let r1 = &rows[n..][..n];
+    let r2 = &rows[2 * n..][..n];
+    let r3 = &rows[3 * n..][..n];
+    if !SKIP_ZERO || (c[0] != 0.0 && c[1] != 0.0 && c[2] != 0.0 && c[3] != 0.0) {
+        for j in 0..n {
+            // Four separate additions: identical rounding to the
+            // sequential loop, but independent loads per lane.
+            let mut acc = out_row[j];
+            acc += c[0] * r0[j];
+            acc += c[1] * r1[j];
+            acc += c[2] * r2[j];
+            acc += c[3] * r3[j];
+            out_row[j] = acc;
+        }
+    } else {
+        // A zero in the quad: one term at a time, so the additions
+        // performed match the naive skip-zero kernel.
+        for (&cv, row) in c.iter().zip([r0, r1, r2, r3]) {
+            axpy_one::<true>(cv, row, out_row);
+        }
+    }
+}
+
+/// `out_row += coef · rows`, where `rows` is `[coef.len() × n]` row-major:
+/// the quads through [`axpy_quad`], the `coef.len() % 4` tail one term at
+/// a time, all in ascending order.
+#[inline(always)]
+fn axpy_rows<const SKIP_ZERO: bool>(coef: &[f32], rows: &[f32], out_row: &mut [f32]) {
+    let n = out_row.len();
+    debug_assert_eq!(rows.len(), coef.len() * n);
+    let quads = coef.len() / 4 * 4;
+    for q in (0..quads).step_by(4) {
+        let c = [coef[q], coef[q + 1], coef[q + 2], coef[q + 3]];
+        axpy_quad::<SKIP_ZERO>(c, &rows[q * n..][..4 * n], out_row);
+    }
+    for q in quads..coef.len() {
+        axpy_one::<SKIP_ZERO>(coef[q], &rows[q * n..][..n], out_row);
+    }
+}
+
+/// `out[m×n] += a[m×k] · b[k×n]`, skipping `a`-side zeros.
 pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
+    #[cfg(test)]
+    if oracle::active() {
+        return oracle::matmul_into(a, b, out, m, k, n);
+    }
     let mut p0 = 0;
     while p0 < k {
         let p_end = (p0 + KC).min(k);
+        let panel = &b[p0 * n..p_end * n];
         for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..][..n];
-            let mut p = p0;
-            while p + 4 <= p_end {
-                let (a0, a1, a2, a3) = (a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]);
-                if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-                    let b0 = &b[p * n..][..n];
-                    let b1 = &b[(p + 1) * n..][..n];
-                    let b2 = &b[(p + 2) * n..][..n];
-                    let b3 = &b[(p + 3) * n..][..n];
-                    for j in 0..n {
-                        // Four separate additions: identical rounding to the
-                        // sequential p loop, but independent loads per lane.
-                        let mut acc = out_row[j];
-                        acc += a0 * b0[j];
-                        acc += a1 * b1[j];
-                        acc += a2 * b2[j];
-                        acc += a3 * b3[j];
-                        out_row[j] = acc;
-                    }
-                } else {
-                    // A zero in the quad: fall back to the skip-zero scalar
-                    // loop so the additions performed match the naive kernel.
-                    for q in p..p + 4 {
-                        let av = a_row[q];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b[q * n..][..n];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-                p += 4;
-            }
-            for q in p..p_end {
-                let av = a_row[q];
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[q * n..][..n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += av * bv;
-                }
-            }
+            let coef = &a[i * k + p0..i * k + p_end];
+            axpy_rows::<true>(coef, panel, &mut out[i * n..][..n]);
         }
         p0 = p_end;
     }
 }
 
-/// `out[m×n] += a[k×m]ᵀ · b[k×n]` (A transposed), used by backward.
+/// `out[m×n] += a[k×m]ᵀ · b[k×n]` (A transposed): the weight gradient
+/// `dB = Aᵀ·dOut`. Skips `a`-side zeros.
 ///
-/// Output-row-resident form: each `out` row is swept `k` times while hot
-/// instead of streaming the whole `m×n` output once per `p` as the old
-/// `p`-outer loop did. Per-element accumulation order (ascending `p`,
-/// `a`-side zeros skipped) is unchanged.
+/// The shared dimension `p` runs outermost, four rows at a time: rows
+/// `p..p+4` of `a` hold the coefficients of every output row (read
+/// contiguously, not at stride `m`), rows `p..p+4` of `b` are the operand
+/// rows, and `a` and `b` are each streamed once while the `[m×n]` output
+/// — a weight matrix — stays in cache. Every output element still
+/// receives its terms in ascending `p`.
 pub(crate) fn matmul_at_b(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let out_row = &mut out[i * n..][..n];
-        for p in 0..k {
-            let av = a[p * m + i];
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..][..n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += av * bv;
-            }
+    #[cfg(test)]
+    if oracle::active() {
+        return oracle::matmul_at_b(a, b, out, k, m, n);
+    }
+    let quads = k / 4 * 4;
+    for p in (0..quads).step_by(4) {
+        let a0 = &a[p * m..][..m];
+        let a1 = &a[(p + 1) * m..][..m];
+        let a2 = &a[(p + 2) * m..][..m];
+        let a3 = &a[(p + 3) * m..][..m];
+        let b_rows = &b[p * n..][..4 * n];
+        for i in 0..m {
+            let c = [a0[i], a1[i], a2[i], a3[i]];
+            axpy_quad::<true>(c, b_rows, &mut out[i * n..][..n]);
+        }
+    }
+    for p in quads..k {
+        let b_row = &b[p * n..][..n];
+        for (i, &c) in a[p * m..][..m].iter().enumerate() {
+            axpy_one::<true>(c, b_row, &mut out[i * n..][..n]);
         }
     }
 }
 
-/// `out[m×k] += a[m×n] · b[k×n]ᵀ` (B transposed), used by backward.
+/// `out[m×k] += a[m×n] · b[k×n]ᵀ` (B transposed): the input gradient
+/// `dA = dOut·Bᵀ`. Skips nothing — each output element is a full dot
+/// product, so `0·∞` contributes its NaN.
 ///
-/// Dot-product form: both operand rows are contiguous and each output
-/// element is one strictly ascending reduction, so there is nothing to
-/// reorder.
+/// `b` (a weight matrix) is transposed into arena scratch so that the
+/// shared index walks contiguous rows; each output row is then summed in
+/// a zeroed private accumulator in ascending order of the shared index and
+/// added to `out` once — per element the same `acc = 0; acc += …;
+/// out += acc` as the dot-product loop. Scratch is `k·n + k` floats.
 pub(crate) fn matmul_a_bt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
     debug_assert_eq!(a.len(), m * n);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * k);
+    #[cfg(test)]
+    if oracle::active() {
+        return oracle::matmul_a_bt(a, b, out, m, n, k);
+    }
+    let mut bt = arena::take_empty(n * k);
+    for q in 0..n {
+        bt.extend(b.iter().skip(q).step_by(n));
+    }
+    let mut acc = arena::take_zeroed(k);
     for i in 0..m {
-        let a_row = &a[i * n..(i + 1) * n];
-        let out_row = &mut out[i * k..(i + 1) * k];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = &b[j * n..(j + 1) * n];
-            let mut acc = 0.0;
-            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                acc += av * bv;
-            }
-            *o += acc;
+        acc.fill(0.0);
+        axpy_rows::<false>(&a[i * n..(i + 1) * n], &bt, &mut acc);
+        for (o, &v) in out[i * k..(i + 1) * k].iter_mut().zip(acc.iter()) {
+            *o += v;
         }
     }
+    arena::recycle(bt);
+    arena::recycle(acc);
 }
 
 impl Tensor {
@@ -183,8 +247,81 @@ impl Tensor {
     }
 }
 
+/// The naive loops the kernels above replaced, kept as the reference every
+/// layout is compared against bit for bit. Inside [`with`](oracle::with)
+/// the three entry points run these instead, which is how the gradient
+/// pins below obtain "the gradient the old kernels produced".
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::cell::Cell;
+
+    thread_local! {
+        static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn active() -> bool {
+        ACTIVE.with(Cell::get)
+    }
+
+    /// Runs `f` with this thread's matmul entry points routed to the
+    /// oracle loops.
+    pub(crate) fn with<R>(f: impl FnOnce() -> R) -> R {
+        ACTIVE.with(|a| a.set(true));
+        let r = f();
+        ACTIVE.with(|a| a.set(false));
+        r
+    }
+
+    /// `out[m×n] += a[m×k] · b[k×n]`: the `ikj` triple loop, `a`-side
+    /// zeros skipped.
+    pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            for p in 0..k {
+                let av = a[i * k + p];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[i * n + j] += av * b[p * n + j];
+                }
+            }
+        }
+    }
+
+    /// `out[m×n] += a[k×m]ᵀ · b[k×n]`: ascending `p` per element, `a`-side
+    /// zeros skipped.
+    pub(crate) fn matmul_at_b(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
+        for i in 0..m {
+            for p in 0..k {
+                let av = a[p * m + i];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[i * n + j] += av * b[p * n + j];
+                }
+            }
+        }
+    }
+
+    /// `out[m×k] += a[m×n] · b[k×n]ᵀ`: one ascending dot product per
+    /// element, nothing skipped.
+    pub(crate) fn matmul_a_bt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
+        for i in 0..m {
+            for j in 0..k {
+                let mut acc = 0.0;
+                for q in 0..n {
+                    acc += a[i * n + q] * b[j * n + q];
+                }
+                out[i * k + j] += acc;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::{oracle, KC};
     use crate::Tensor;
 
     #[test]
@@ -239,13 +376,10 @@ mod tests {
         assert!(c.is_empty());
     }
 
-    #[test]
-    fn unrolled_kernel_matches_naive_reference() {
-        // Sizes straddling the unroll factor (4) and the panel width (128),
-        // with planted zeros so both the quad fast path and the skip-zero
-        // fallback run; results must match the naive triple loop exactly.
-        let mut rng = 0x12345u64;
-        let mut next = move || {
+    /// Seeded values in `[-0.5, 0.5)` with about one exact `0.0` in 25.
+    fn lcg(seed: u64) -> impl FnMut() -> f32 {
+        let mut rng = seed;
+        move || {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -255,25 +389,235 @@ mod tests {
             } else {
                 v
             }
-        };
-        for &(m, k, n) in &[(3, 5, 7), (4, 130, 9), (2, 257, 3), (1, 4, 1)] {
-            let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
-            let mut fast = vec![0.0f32; m * n];
-            super::matmul_into(&a, &b, &mut fast, m, k, n);
-            let mut naive = vec![0.0f32; m * n];
-            for i in 0..m {
-                for p in 0..k {
-                    let av = a[i * k + p];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for j in 0..n {
-                        naive[i * n + j] += av * b[p * n + j];
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+    /// One layout: the kernel, its oracle, and the order in which it
+    /// takes a case's `(rows, shared, cols)`. In every layout `a` holds
+    /// `rows·shared` floats, `b` `shared·cols` and `out` `rows·cols`.
+    struct Layout {
+        name: &'static str,
+        fast: Kernel,
+        naive: Kernel,
+        dims: fn(usize, usize, usize) -> [usize; 3],
+    }
+
+    const LAYOUTS: [Layout; 3] = [
+        Layout {
+            name: "matmul_into",
+            fast: super::matmul_into,
+            naive: oracle::matmul_into,
+            dims: |r, s, c| [r, s, c],
+        },
+        Layout {
+            name: "matmul_at_b",
+            fast: super::matmul_at_b,
+            naive: oracle::matmul_at_b,
+            dims: |r, s, c| [s, r, c],
+        },
+        Layout {
+            name: "matmul_a_bt",
+            fast: super::matmul_a_bt,
+            naive: oracle::matmul_a_bt,
+            dims: |r, s, c| [r, s, c],
+        },
+    ];
+
+    /// Runs `layout` and its oracle on the same operands and a non-zero
+    /// starting `out` (the kernels accumulate) and demands equal bits.
+    /// `rsc` is the case's `[rows, shared, cols]`.
+    fn assert_layout_bitwise(layout: &Layout, a: &[f32], b: &[f32], rsc: [usize; 3], what: &str) {
+        let [r, s, c] = rsc;
+        let mut seed = lcg(0xfeed);
+        let start: Vec<f32> = (0..r * c).map(|_| seed()).collect();
+        let (mut fast, mut naive) = (start.clone(), start);
+        let [d0, d1, d2] = (layout.dims)(r, s, c);
+        (layout.fast)(a, b, &mut fast, d0, d1, d2);
+        (layout.naive)(a, b, &mut naive, d0, d1, d2);
+        assert_eq!(
+            bits(&fast),
+            bits(&naive),
+            "{} differs from its oracle at rows {r}, shared {s}, cols {c} ({what})",
+            layout.name,
+        );
+    }
+
+    #[test]
+    fn unrolled_kernel_matches_naive_reference() {
+        // rows × shared × cols straddling 1, the unroll factor (4), the
+        // SSE/AVX lane widths (4, 8) and the panel width KC, with empty
+        // dimensions and the cols = 1 GAT score-vector shape. The seeded
+        // operands carry exact zeros, so quads with and without a zero
+        // coefficient both occur.
+        let sizes = [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 17];
+        let shared = [
+            0usize,
+            1,
+            3,
+            4,
+            5,
+            8,
+            13,
+            KC - 1,
+            KC,
+            KC + 1,
+            KC + 2,
+            2 * KC + 1,
+        ];
+        let mut next = lcg(0x12345);
+        for layout in &LAYOUTS {
+            for &r in &sizes {
+                for &s in &shared {
+                    for &c in &sizes {
+                        let a: Vec<f32> = (0..r * s).map(|_| next()).collect();
+                        let b: Vec<f32> = (0..s * c).map(|_| next()).collect();
+                        assert_layout_bitwise(layout, &a, &b, [r, s, c], "seeded");
                     }
                 }
             }
-            assert_eq!(fast, naive, "mismatch at ({m},{k},{n})");
         }
+    }
+
+    #[test]
+    fn special_values_follow_each_layouts_zero_rule() {
+        // Planted ±0, subnormals, ±∞ and NaN on either side. Where the
+        // layout skips `a`-side zeros, `0·∞` must stay out of the sum;
+        // where it does not (`matmul_a_bt`), it must poison the element
+        // with NaN — and in both cases bit-for-bit as the naive loop.
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 4.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let (r, s, c) = (6, 11, 9);
+        let mut next = lcg(0xabcdef);
+        for layout in &LAYOUTS {
+            for side in 0..2 {
+                for &sp in &specials {
+                    for stride in [1usize, 3, 4, 7] {
+                        let mut a: Vec<f32> = (0..r * s).map(|_| next()).collect();
+                        let mut b: Vec<f32> = (0..s * c).map(|_| next()).collect();
+                        let target = if side == 0 { &mut a } else { &mut b };
+                        target.iter_mut().step_by(stride).for_each(|v| *v = sp);
+                        let what = format!("{sp:e} every {stride} on side {side}");
+                        assert_layout_bitwise(layout, &a, &b, [r, s, c], &what);
+                    }
+                }
+            }
+        }
+
+        // The rule itself, not just agreement with the oracle: a zero
+        // coefficient against an infinite operand.
+        let a = [0.0f32, 1.0];
+        let b = [f32::INFINITY, 2.0];
+        let mut into = [0.0f32];
+        super::matmul_into(&a, &b, &mut into, 1, 2, 1);
+        assert_eq!(into, [2.0], "matmul_into skips a-side zeros");
+        let mut at_b = [0.0f32];
+        super::matmul_at_b(&a, &b, &mut at_b, 2, 1, 1);
+        assert_eq!(at_b, [2.0], "matmul_at_b skips a-side zeros");
+        let mut a_bt = [0.0f32];
+        super::matmul_a_bt(&a, &b, &mut a_bt, 1, 2, 1);
+        assert!(a_bt[0].is_nan(), "matmul_a_bt skips nothing");
+    }
+
+    /// Gradient bits of every tensor in `leaves` after `loss` is built
+    /// and back-propagated; `None` for a leaf that received no gradient.
+    fn grad_bits(leaves: &[&Tensor], loss: impl FnOnce() -> Tensor) -> Vec<Option<Vec<u32>>> {
+        for t in leaves {
+            t.zero_grad();
+        }
+        loss().backward();
+        leaves.iter().map(|t| t.grad().map(|g| bits(&g))).collect()
+    }
+
+    /// Asserts that `loss` yields the same gradient bits on every leaf
+    /// through the kernels and through their oracles.
+    fn assert_gradients_pinned(leaves: &[&Tensor], loss: impl Fn() -> Tensor) {
+        let fast = grad_bits(leaves, &loss);
+        let naive = oracle::with(|| grad_bits(leaves, &loss));
+        assert!(fast.iter().all(Option::is_some), "a leaf got no gradient");
+        for (i, (f, n)) in fast.iter().zip(naive.iter()).enumerate() {
+            assert_eq!(f, n, "gradient of leaf {i} differs from the oracle's");
+        }
+    }
+
+    #[test]
+    fn shard_product_gradients_match_oracle_kernels() {
+        // The steady_narrow shard product: 646×96 · 96×32.
+        let a = Tensor::randn([646, 96], 1).requires_grad();
+        let b = Tensor::randn([96, 32], 2).requires_grad();
+        let w = Tensor::randn([646, 32], 3);
+        assert_gradients_pinned(&[&a, &b], || a.matmul(&b).mul(&w).sum());
+    }
+
+    #[test]
+    fn gru_step_gradients_match_oracle_kernels() {
+        // A 3 446-row GRU step. Memory rows start at zero, so `h` is zero
+        // except for a few rows: whole quads of hᵀ·dpre are skipped.
+        let (rows, in_dim, hd) = (3446, 128, 32);
+        let x = Tensor::randn([rows, in_dim], 4).requires_grad();
+        let mut hv = vec![0.0f32; rows * hd];
+        let mut next = lcg(5);
+        for row in hv.chunks_mut(hd).step_by(7) {
+            row.iter_mut().for_each(|v| *v = next());
+        }
+        let h = Tensor::from_vec(hv, [rows, hd]).requires_grad();
+        let params: Vec<Tensor> = (0..9u64)
+            .map(|i| match i % 3 {
+                0 => Tensor::randn([in_dim, hd], 10 + i),
+                1 => Tensor::randn([hd, hd], 10 + i),
+                _ => Tensor::randn([hd], 10 + i),
+            })
+            .map(|t| t.mul_scalar(0.1).detach().requires_grad())
+            .collect();
+        let refs: [&Tensor; 9] = std::array::from_fn(|i| &params[i]);
+        let w = Tensor::randn([rows, hd], 6);
+        let mut leaves = vec![&x, &h];
+        leaves.extend(params.iter());
+        assert_gradients_pinned(&leaves, || {
+            Tensor::gru_cell_fused(&x, &h, &refs).mul(&w).sum()
+        });
+    }
+
+    #[test]
+    fn gat_layer_gradients_match_oracle_kernels() {
+        // `cascade_nn::GatLayer::forward`, op for op (the layer itself
+        // lives downstream of this crate): two projections through one
+        // weight, two [·, 1] score products, fused score assembly,
+        // softmax, fused combine.
+        let (b, k, d_in, d_out) = (646, 8, 32, 32);
+        let center = Tensor::randn([b, d_in], 20).requires_grad();
+        let neighbors = Tensor::randn([b * k, d_in], 21).requires_grad();
+        let weight = Tensor::randn([d_in, d_out], 22).requires_grad();
+        let attn_src = Tensor::randn([d_out, 1], 23).requires_grad();
+        let attn_dst = Tensor::randn([d_out, 1], 24).requires_grad();
+        let mask: Vec<f32> = (0..b * k)
+            .map(|i| if i % 5 == 0 { 0.0 } else { 1.0 })
+            .collect();
+        let w = Tensor::randn([b, d_out], 25);
+        let leaves = [&center, &neighbors, &weight, &attn_src, &attn_dst];
+        assert_gradients_pinned(&leaves, || {
+            let wh_c = center.matmul(&weight);
+            let e0 = wh_c.matmul(&attn_src);
+            let e_self = e0.mul_scalar(2.0).leaky_relu(0.2);
+            let wh_n = neighbors.matmul(&weight);
+            let e_dst = wh_n.matmul(&attn_dst);
+            let e_all = Tensor::attn_scores_fused(&e_self, &e0, &e_dst, &mask, k);
+            let alpha = e_all.softmax();
+            Tensor::attn_combine_fused(&wh_c, &wh_n, &alpha, k)
+                .mul(&w)
+                .sum()
+        });
     }
 }
