@@ -8,13 +8,14 @@
 //! `cargo test` each target runs once as a smoke test.
 
 use std::hint::black_box;
+use std::sync::Arc;
 
 use cascade_core::{max_endurance_profiling, DependencyTable, SgFilter, TgDiffuser};
-use cascade_models::MemoryDelta;
-use cascade_nn::{GatLayer, GruCell, TimeEncode};
+use cascade_models::{MemoryDelta, MemoryTgnn, ModelConfig};
+use cascade_nn::{Adam, GatLayer, GruCell, Module, TimeEncode};
 use cascade_tensor::Tensor;
-use cascade_tgraph::{AdjacencyStore, NodeId, SynthConfig};
-use cascade_util::{BenchSuite, Json};
+use cascade_tgraph::{synth_features, AdjacencyStore, Event, NodeId, SynthConfig};
+use cascade_util::{BenchSuite, DetRng, Json};
 
 fn bench_tensor_matmul(suite: &mut BenchSuite) {
     // The amortization curve: one [B, 64] × [64, 64] product per batch —
@@ -121,6 +122,91 @@ fn bench_fused_layers(suite: &mut BenchSuite) {
     });
 }
 
+/// The model the repository's benchmark trains on three of its four
+/// workloads: TGN, 32-wide memory, 16-wide time encoding, one neighbour,
+/// 32 edge features.
+fn benchmark_model(nodes: usize) -> MemoryTgnn {
+    let cfg = ModelConfig::tgn().with_dims(32, 16).with_neighbors(1);
+    MemoryTgnn::new(cfg, nodes, 32, 4)
+}
+
+/// Forward + backward over one dependency-bound batch: 23 events through
+/// the benchmark model (mailboxes filled by a warm-up batch, nothing
+/// applied afterwards, so every call does the same work). At this size
+/// the cost is graphs built and walked, not arithmetic — one shard, one
+/// graph.
+fn bench_small_batch(suite: &mut BenchSuite) {
+    const WARM: usize = 64;
+    let mut model = benchmark_model(256);
+    let mut rng = DetRng::new(7);
+    let events: Vec<Event> = (0..WARM + 23)
+        .map(|i| Event::new(rng.index(256) as u32, rng.index(256) as u32, i as f64))
+        .collect();
+    let feats = synth_features(events.len(), 32, 9);
+    model.process_batch(&events[..WARM], 0, &feats);
+    let params = model.parameters();
+    suite.bench("forward_backward/batch23", || {
+        let fwd = model.forward_batch(&events[WARM..], WARM, &feats);
+        fwd.loss.backward();
+        params.iter().for_each(Tensor::zero_grad);
+        black_box(fwd.loss.item())
+    });
+}
+
+/// One `Adam::step` over the benchmark model's parameter set with every
+/// gradient present — the per-batch cost that does not shrink with the
+/// batch. The closure also pays one copy per parameter to plant the
+/// gradient `step` consumes.
+fn bench_adam_step(suite: &mut BenchSuite) {
+    let params = benchmark_model(64).parameters();
+    let grads: Vec<Vec<f32>> = params
+        .iter()
+        .enumerate()
+        .map(|(i, p)| Tensor::randn([p.len()], i as u64).to_vec())
+        .collect();
+    let mut opt = Adam::new(params.clone(), 1e-3);
+    suite.bench("adam_step/tgn32", || {
+        for (p, g) in params.iter().zip(&grads) {
+            p.set_grad(g);
+        }
+        opt.step();
+    });
+}
+
+/// `Json::parse` over one `/ingest` body of 256 events × 32 features,
+/// rendered the way `benchmark/src/serve.rs` renders it (floats through
+/// `f64`'s shortest round-trip form): the parse every ingest request
+/// pays before the engine sees an event.
+fn bench_json_parse(suite: &mut BenchSuite) {
+    use std::fmt::Write;
+    let mut rng = DetRng::new(7);
+    let mut body = String::from("{\"events\":[");
+    for i in 0..256 {
+        if i > 0 {
+            body.push(',');
+        }
+        let (src, dst) = (rng.index(10_000), rng.index(10_000));
+        write!(
+            body,
+            "{{\"src\":{src},\"dst\":{dst},\"time\":{},\"features\":[",
+            i as f64 * 0.37
+        )
+        .expect("writing to a String cannot fail");
+        for j in 0..32 {
+            if j > 0 {
+                body.push(',');
+            }
+            let x = rng.range_f32(-1.0, 1.0);
+            write!(body, "{}", x as f64).expect("writing to a String cannot fail");
+        }
+        body.push_str("]}");
+    }
+    body.push_str("]}");
+    suite.bench("json_parse/ingest_256x32", || {
+        black_box(Json::parse(black_box(&body)))
+    });
+}
+
 fn bench_dependency_table(suite: &mut BenchSuite) {
     let data = SynthConfig::wiki()
         .with_scale(0.05)
@@ -147,17 +233,52 @@ fn bench_diffuser_lookup(suite: &mut BenchSuite) {
         .with_feature_dim(0)
         .generate(7);
     let events = data.stream().events();
-    let table = DependencyTable::build(events, data.num_nodes());
+    let table = Arc::new(DependencyTable::build(events, data.num_nodes()));
     let stable = vec![false; data.num_nodes()];
 
     suite.bench("diffuser_full_partition", || {
-        let mut d = TgDiffuser::new(table.clone(), 32);
-        let mut start = 0;
-        while start < events.len() {
-            start = d.next_boundary(start, events.len(), &stable);
-        }
-        black_box(start)
+        black_box(partition(&table, 32, events.len(), &stable))
     });
+
+    // The dependency-bound shape: 10 000 nodes, half of 20 000 events on
+    // one of 16 hubs, and a `Max_r` (5) that holds batches to ~20 events
+    // — a thousand boundary lookups, each of which must not cost a sweep
+    // of the whole table.
+    let mut rng = DetRng::new(7);
+    let hub_events: Vec<Event> = (0..20_000)
+        .map(|i| {
+            let src = if rng.chance(0.5) {
+                rng.index(16)
+            } else {
+                rng.index(10_000)
+            };
+            Event::new(src as u32, rng.index(10_000) as u32, i as f64)
+        })
+        .collect();
+    let hub_table = Arc::new(DependencyTable::build(&hub_events, 10_000));
+    let stable = vec![false; 10_000];
+    let mut batches = 0;
+    suite.bench("diffuser_full_partition/hubs16", || {
+        batches = partition(&hub_table, 5, hub_events.len(), &stable);
+        black_box(batches)
+    });
+    eprintln!(
+        "[bench kernels] hubs16: {} batches of ~{:.1} events over {} table entries",
+        batches,
+        hub_events.len() as f64 / batches as f64,
+        hub_table.total_entries()
+    );
+}
+
+/// Partitions `0..len` with a fresh diffuser; returns the batch count.
+fn partition(table: &Arc<DependencyTable>, max_r: usize, len: usize, stable: &[bool]) -> usize {
+    let mut d = TgDiffuser::new(Arc::clone(table), max_r);
+    let (mut start, mut batches) = (0, 0);
+    while start < len {
+        start = d.next_boundary(start, len, stable);
+        batches += 1;
+    }
+    batches
 }
 
 fn bench_sgfilter_kernel(suite: &mut BenchSuite) {
@@ -216,6 +337,9 @@ fn main() {
     bench_tensor_matmul(&mut suite);
     let matmul_gflops = bench_tensor_matmul_bwd(&mut suite);
     bench_fused_layers(&mut suite);
+    bench_small_batch(&mut suite);
+    bench_adam_step(&mut suite);
+    bench_json_parse(&mut suite);
     bench_dependency_table(&mut suite);
     bench_diffuser_lookup(&mut suite);
     bench_sgfilter_kernel(&mut suite);

@@ -154,8 +154,32 @@ impl DependencyTable {
 
     /// Position of the first entry of `node` with global id >= `event`.
     pub fn entry_lower_bound(&self, node: usize, event: EventId) -> usize {
-        let local = event.saturating_sub(self.base).min(u32::MAX as usize) as u32;
+        let local = self.local_id(event);
         self.entries[node].partition_point(|&x| x < local)
+    }
+
+    /// [`entry_lower_bound`](Self::entry_lower_bound) for a caller that
+    /// knows no entry before `from` qualifies (`from` at most the entry's
+    /// length). A galloping search: the probe distance doubles until it
+    /// lands on a qualifying entry, then the last gap is bisected, so the
+    /// cost follows how far the answer lies from `from` — one or two
+    /// entries when a batch consumed that many — not the entry's length.
+    pub fn entry_lower_bound_from(&self, node: usize, from: usize, event: EventId) -> usize {
+        let local = self.local_id(event);
+        let rest = &self.entries[node][from..];
+        let mut probe = 1;
+        while probe <= rest.len() && rest[probe - 1] < local {
+            probe *= 2;
+        }
+        // The last probe that fell short was at `probe / 2 - 1`.
+        let known = probe / 2;
+        let gap = &rest[known..probe.min(rest.len())];
+        from + known + gap.partition_point(|&x| x < local)
+    }
+
+    /// `event` as an offset from `base`, clamped into the entries' range.
+    fn local_id(&self, event: EventId) -> u32 {
+        event.saturating_sub(self.base).min(u32::MAX as usize) as u32
     }
 
     /// Number of node entries.
@@ -318,6 +342,30 @@ mod tests {
                 .map(|&i| i + 4)
                 .collect();
             assert_eq!(chunked.entry(NodeId(n)), shifted, "node {}", n);
+        }
+    }
+
+    #[test]
+    fn lower_bound_from_a_hint_matches_the_full_search() {
+        // A hub (node 0) with 40 entries — five doublings of the probe —
+        // in a chunk whose ids start at 100.
+        let events: Vec<Event> = (0..40)
+            .map(|i| Event::new(0u32, 1 + (i % 5) as u32, i as f64))
+            .collect();
+        let t = DependencyTable::build_range(&events, 6, 100);
+        for n in 0..6 {
+            for from in 0..=t.entry_len(n) {
+                for event in 90..150 {
+                    assert_eq!(
+                        t.entry_lower_bound_from(n, from, event),
+                        t.entry_lower_bound(n, event).max(from),
+                        "node {} from {} event {}",
+                        n,
+                        from,
+                        event
+                    );
+                }
+            }
         }
     }
 

@@ -39,9 +39,18 @@ use crate::dependency::DependencyTable;
 #[derive(Clone, Debug)]
 pub struct TgDiffuser {
     table: Arc<DependencyTable>,
+    /// `pointers[n]`: position in node `n`'s entry of its first
+    /// unprocessed relevant event.
     pointers: Vec<usize>,
+    /// `head[n]`: that event's id — `entry_at(n, pointers[n])` — so the
+    /// advance can skip every node the batch did not reach without
+    /// touching the table. `EventId::MAX` once the entry is consumed.
+    head: Vec<EventId>,
+    /// `bad[n]`: node `n`'s first intolerable event, the `Max_r + 1`-th
+    /// unprocessed one — `entry_at(n, pointers[n] + max_r)` — so the
+    /// boundary is a flat min. `EventId::MAX` when fewer remain.
+    bad: Vec<EventId>,
     max_r: usize,
-    threads: usize,
 }
 
 impl TgDiffuser {
@@ -53,26 +62,15 @@ impl TgDiffuser {
     /// Panics if `max_r == 0` (every batch would be empty).
     pub fn new(table: impl Into<Arc<DependencyTable>>, max_r: usize) -> Self {
         assert!(max_r > 0, "Max_r must be at least 1");
-        let table = table.into();
-        let pointers = vec![0; table.num_nodes()];
-        TgDiffuser {
-            table,
-            pointers,
+        let mut diffuser = TgDiffuser {
+            table: table.into(),
+            pointers: Vec::new(),
+            head: Vec::new(),
+            bad: Vec::new(),
             max_r,
-            threads: 1,
-        }
-    }
-
-    /// Sets the worker-thread count for the loop-parallel scans of
-    /// Algorithm 3 (the paper runs the TG-Diffuser on 32 CPU threads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be positive");
-        self.threads = threads;
-        self
+        };
+        diffuser.reset();
+        diffuser
     }
 
     /// Current `Max_r`.
@@ -87,7 +85,10 @@ impl TgDiffuser {
     /// Panics if `max_r == 0`.
     pub fn set_max_r(&mut self, max_r: usize) {
         assert!(max_r > 0, "Max_r must be at least 1");
-        self.max_r = max_r;
+        if max_r != self.max_r {
+            self.max_r = max_r;
+            self.rebuild_bad();
+        }
     }
 
     /// The dependency table driving this diffuser.
@@ -97,17 +98,28 @@ impl TgDiffuser {
 
     /// Replaces the table (chunk transition) and rewinds all pointers.
     pub fn swap_table(&mut self, table: impl Into<Arc<DependencyTable>>) {
-        let table = table.into();
-        self.pointers.fill(0);
-        if self.pointers.len() < table.num_nodes() {
-            self.pointers.resize(table.num_nodes(), 0);
-        }
-        self.table = table;
+        self.table = table.into();
+        self.reset();
     }
 
     /// Rewinds all event pointers (epoch start).
     pub fn reset(&mut self) {
-        self.pointers.fill(0);
+        let table = &self.table;
+        let nodes = 0..table.num_nodes();
+        self.pointers.clear();
+        self.pointers.resize(table.num_nodes(), 0);
+        self.head.clear();
+        self.head.extend(nodes.map(|n| event_or_max(table, n, 0)));
+        self.rebuild_bad();
+    }
+
+    /// Recomputes `bad` from the pointers and the current `Max_r`.
+    fn rebuild_bad(&mut self) {
+        let (table, max_r) = (&self.table, self.max_r);
+        let pointers = self.pointers.iter().enumerate();
+        self.bad.clear();
+        self.bad
+            .extend(pointers.map(|(n, &p)| event_or_max(table, n, p.saturating_add(max_r))));
     }
 
     /// Computes the exclusive end of the batch starting at `start`
@@ -121,6 +133,10 @@ impl TgDiffuser {
     /// progress even when `Max_r` would forbid any event (the guard the
     /// paper leaves implicit).
     ///
+    /// The cost follows the batch, not the graph: one branch-light pass
+    /// over two flat arrays, plus table work only for the nodes whose
+    /// next relevant event the batch consumed.
+    ///
     /// # Panics
     ///
     /// Panics if `start >= limit` or `stable.len()` differs from the node
@@ -133,79 +149,39 @@ impl TgDiffuser {
             "stable flag width mismatch"
         );
 
-        // The loop-parallel scans of Algorithm 3: partitioned over worker
-        // threads when configured, a single pass otherwise.
-        let n_nodes = self.table.num_nodes();
-        let k = if self.threads > 1 && n_nodes > 256 {
-            let table = &self.table;
-            let pointers = &self.pointers;
-            let max_r = self.max_r;
-            let chunk = n_nodes.div_ceil(self.threads);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..self.threads {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(n_nodes);
-                    if lo >= hi {
-                        break;
-                    }
-                    handles.push(
-                        scope.spawn(move || scan_min(table, pointers, stable, max_r, lo, hi)),
-                    );
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("diffuser scan worker panicked"))
-                    .min()
-                    .unwrap_or(EventId::MAX)
-            })
-        } else {
-            scan_min(&self.table, &self.pointers, stable, self.max_r, 0, n_nodes)
-        };
-
+        // Algorithm 3's min-reduction: the earliest first-intolerable
+        // event over the non-stable nodes.
+        let constraints = self.bad.iter().zip(stable);
+        let masked = constraints.map(|(&bad, &stable)| if stable { EventId::MAX } else { bad });
+        let k = masked.min().unwrap_or(EventId::MAX);
         let end = k.min(limit).max(start + 1);
 
-        // Advance pointers past every event consumed by this batch.
-        let table = Arc::clone(&self.table);
-        if self.threads > 1 && n_nodes > 256 {
-            let chunk = n_nodes.div_ceil(self.threads);
-            std::thread::scope(|scope| {
-                for (t, slot) in self.pointers.chunks_mut(chunk).enumerate() {
-                    let lo = t * chunk;
-                    let table = &table;
-                    scope.spawn(move || {
-                        for (off, p) in slot.iter_mut().enumerate() {
-                            let n = lo + off;
-                            if *p < table.entry_len(n) {
-                                *p = (*p).max(table.entry_lower_bound(n, end));
-                            }
-                        }
-                    });
-                }
-            });
-        } else {
-            for n in 0..n_nodes {
-                let p = &mut self.pointers[n];
-                if *p < table.entry_len(n) {
-                    *p = (*p).max(table.entry_lower_bound(n, end));
-                }
+        // Advance past every event consumed by this batch. A node whose
+        // next relevant event is at or beyond `end` keeps its pointer.
+        let (table, max_r) = (&self.table, self.max_r);
+        let slots = self.pointers.iter_mut().zip(&mut self.head);
+        for (n, ((p, head), bad)) in slots.zip(&mut self.bad).enumerate() {
+            if *head < end {
+                *p = table.entry_lower_bound_from(n, *p, end);
+                *head = event_or_max(table, n, *p);
+                *bad = event_or_max(table, n, p.saturating_add(max_r));
             }
         }
         end
     }
 }
 
-/// One worker's share of Algorithm 3's min-reduction.
-fn scan_min(
-    table: &DependencyTable,
-    pointers: &[usize],
-    stable: &[bool],
-    max_r: usize,
-    lo: usize,
-    hi: usize,
-) -> EventId {
+/// The event at `pos` of node `n`'s entry, `EventId::MAX` past its end.
+fn event_or_max(table: &DependencyTable, n: usize, pos: usize) -> EventId {
+    table.entry_at(n, pos).unwrap_or(EventId::MAX)
+}
+
+/// The reference min-reduction of Algorithm 3, straight off the table:
+/// the oracle the flat arrays are checked against.
+#[cfg(test)]
+fn scan_min(table: &DependencyTable, pointers: &[usize], stable: &[bool], max_r: usize) -> EventId {
     let mut k = EventId::MAX;
-    for n in lo..hi {
+    for n in 0..table.num_nodes() {
         if stable[n] {
             continue;
         }
@@ -355,61 +331,138 @@ mod tests {
     }
 }
 
+/// The flat arrays against the table-walking reference they replaced.
 #[cfg(test)]
-mod parallel_tests {
+mod oracle_tests {
     use super::*;
-    use cascade_tgraph::{DetRng, Event};
+    use cascade_tgraph::Event;
+    use cascade_util::{check, prop_assert_eq, Gen};
 
-    fn random_events(n_nodes: usize, n_events: usize, seed: u64) -> Vec<Event> {
-        let mut rng = DetRng::new(seed);
-        (0..n_events)
+    /// `scan_min` plus the full pointer advance: every node's entry is
+    /// consulted on every call, nothing is cached.
+    struct Reference {
+        table: Arc<DependencyTable>,
+        pointers: Vec<usize>,
+        max_r: usize,
+    }
+
+    impl Reference {
+        fn new(table: Arc<DependencyTable>, max_r: usize) -> Self {
+            let pointers = vec![0; table.num_nodes()];
+            Reference {
+                table,
+                pointers,
+                max_r,
+            }
+        }
+
+        fn next_boundary(&mut self, start: EventId, limit: EventId, stable: &[bool]) -> EventId {
+            let k = scan_min(&self.table, &self.pointers, stable, self.max_r);
+            let end = k.min(limit).max(start + 1);
+            for (n, p) in self.pointers.iter_mut().enumerate() {
+                if *p < self.table.entry_len(n) {
+                    *p = (*p).max(self.table.entry_lower_bound(n, end));
+                }
+            }
+            end
+        }
+    }
+
+    /// A chunk of up to 300 events over `nodes` nodes, a third of them
+    /// touching one of a few hubs, with ids starting at a random base.
+    fn hub_table(g: &mut Gen, nodes: usize) -> Arc<DependencyTable> {
+        let len = g.usize_in(1..300);
+        let hubs = g.usize_in(1..4).min(nodes);
+        let events: Vec<Event> = (0..len)
             .map(|i| {
-                Event::new(
-                    rng.index(n_nodes) as u32,
-                    rng.index(n_nodes) as u32,
-                    i as f64,
-                )
+                let src = if g.usize_in(0..3) == 0 {
+                    g.usize_in(0..hubs)
+                } else {
+                    g.usize_in(0..nodes)
+                };
+                Event::new(src as u32, g.usize_in(0..nodes) as u32, i as f64)
             })
-            .collect()
+            .collect();
+        let base = g.usize_in(0..3) * g.usize_in(0..5000);
+        Arc::new(DependencyTable::build_range(&events, nodes, base))
     }
 
     #[test]
-    fn parallel_boundaries_match_sequential() {
-        // Node count above the parallel threshold so workers actually run.
-        let events = random_events(400, 2000, 3);
-        let table = DependencyTable::build(&events, 400);
-        let mut seq = TgDiffuser::new(table.clone(), 5);
-        let mut par = TgDiffuser::new(table, 5).with_threads(4);
-        let stable = vec![false; 400];
-        let mut start = 0;
-        while start < events.len() {
-            let a = seq.next_boundary(start, events.len(), &stable);
-            let b = par.next_boundary(start, events.len(), &stable);
-            assert_eq!(a, b, "divergence at start {}", start);
-            start = a;
-        }
-    }
-
-    #[test]
-    fn parallel_respects_stable_flags() {
-        let events = random_events(300, 1200, 9);
-        let table = DependencyTable::build(&events, 300);
-        let mut seq = TgDiffuser::new(table.clone(), 3);
-        let mut par = TgDiffuser::new(table, 3).with_threads(3);
-        let mut stable = vec![false; 300];
-        for i in (0..300).step_by(7) {
-            stable[i] = true;
-        }
-        assert_eq!(
-            seq.next_boundary(0, events.len(), &stable),
-            par.next_boundary(0, events.len(), &stable)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count must be positive")]
-    fn zero_threads_rejected() {
-        let table = DependencyTable::build(&[], 1);
-        let _ = TgDiffuser::new(table, 1).with_threads(0);
+    fn flat_arrays_match_the_table_walk() {
+        check("diffuser_flat_arrays_match_table_walk", |g| {
+            let mut nodes = g.usize_in(2..48);
+            let mut table = hub_table(g, nodes);
+            let mut max_r = g.usize_in(1..10);
+            let mut flat = TgDiffuser::new(Arc::clone(&table), max_r);
+            let mut walk = Reference::new(Arc::clone(&table), max_r);
+            let mut stable: Vec<bool> = (0..nodes).map(|_| g.usize_in(0..4) == 0).collect();
+            let mut start = table.base();
+            let mut rewinds = 3;
+            for call in 0..400 {
+                // The SG-Filter flips flags between calls.
+                for _ in 0..g.usize_in(0..4) {
+                    let n = g.usize_in(0..nodes);
+                    stable[n] = !stable[n];
+                }
+                match g.usize_in(0..12) {
+                    // ABS moves Max_r up or down; on every other call
+                    // `set_max_r` below is a move "to" the same value.
+                    0 => max_r = g.usize_in(1..14),
+                    1 => max_r = max_r.saturating_sub(1).max(1),
+                    // Epoch start.
+                    3 if rewinds > 0 => {
+                        rewinds -= 1;
+                        flat.reset();
+                        walk.pointers.fill(0);
+                        start = table.base();
+                    }
+                    // Chunk transition, to a table over more nodes.
+                    4 if rewinds > 0 => {
+                        rewinds -= 1;
+                        nodes += g.usize_in(1..8);
+                        table = hub_table(g, nodes);
+                        flat.swap_table(Arc::clone(&table));
+                        walk = Reference::new(Arc::clone(&table), max_r);
+                        stable.resize(nodes, false);
+                        start = table.base();
+                    }
+                    _ => {}
+                }
+                flat.set_max_r(max_r);
+                walk.max_r = max_r;
+                if start >= table.end() {
+                    break;
+                }
+                // A third of the calls are cut short by the caller's limit.
+                let limit = match g.usize_in(0..3) {
+                    0 => start + 1 + g.usize_in(0..table.end() - start),
+                    _ => table.end(),
+                };
+                let end = flat.next_boundary(start, limit, &stable);
+                prop_assert_eq!(
+                    end,
+                    walk.next_boundary(start, limit, &stable),
+                    "call {}: boundary from {} (limit {}, Max_r {})",
+                    call,
+                    start,
+                    limit,
+                    max_r
+                );
+                prop_assert_eq!(&flat.pointers, &walk.pointers, "call {}: pointers", call);
+                // The arrays hold exactly what their definitions say.
+                for n in 0..nodes {
+                    let p = flat.pointers[n];
+                    prop_assert_eq!(flat.head[n], event_or_max(&table, n, p), "head[{}]", n);
+                    prop_assert_eq!(
+                        flat.bad[n],
+                        event_or_max(&table, n, p + max_r),
+                        "bad[{}]",
+                        n
+                    );
+                }
+                start = end;
+            }
+            Ok(())
+        });
     }
 }

@@ -38,9 +38,6 @@ pub struct CascadeConfig {
     /// Ablation: freeze `Max_r` at its initial value (no Equation 5
     /// decay).
     pub freeze_max_r: bool,
-    /// Worker threads for the loop-parallel diffuser scans (the paper
-    /// uses 32 CPU threads for TG-Diffuser and ABS).
-    pub lookup_threads: usize,
     /// Profiling seed.
     pub seed: u64,
 }
@@ -54,7 +51,6 @@ impl Default for CascadeConfig {
             chunk_size: None,
             incident_only_table: false,
             freeze_max_r: false,
-            lookup_threads: 1,
             seed: 0,
         }
     }
@@ -97,17 +93,6 @@ impl CascadeConfig {
     /// Ablation: freeze `Max_r` at its initial value.
     pub fn with_frozen_max_r(mut self) -> Self {
         self.freeze_max_r = true;
-        self
-    }
-
-    /// Sets the diffuser's worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn with_lookup_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be positive");
-        self.lookup_threads = threads;
         self
     }
 }
@@ -353,8 +338,7 @@ impl BatchingStrategy for CascadeScheduler {
         stats.batch_count = events.len().div_ceil(self.cfg.preset_batch_size);
         let abs = Abs::from_stats(stats);
         let max_r = abs.initial_max_r();
-        self.diffuser =
-            Some(TgDiffuser::new(first_table, max_r).with_threads(self.cfg.lookup_threads));
+        self.diffuser = Some(TgDiffuser::new(first_table, max_r));
         self.abs = Some(abs);
     }
 
@@ -541,8 +525,7 @@ impl BatchingStrategy for CascadeScheduler {
                         .expect("abs was just installed above")
                         .initial_max_r()
                 });
-                self.diffuser =
-                    Some(TgDiffuser::new(table, max_r).with_threads(self.cfg.lookup_threads));
+                self.diffuser = Some(TgDiffuser::new(table, max_r));
             }
         }
     }

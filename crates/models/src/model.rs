@@ -126,11 +126,35 @@ impl BatchPending {
     }
 }
 
-/// Fixed shard count for parallel batch compute: a batch is always split
-/// into `min(MAX_SHARDS, batch_len)` contiguous event ranges regardless
-/// of how many worker threads evaluate them, so the loss graph — and
-/// therefore every gradient bit — is identical at any thread count.
+/// Most shards a batch is cut into for parallel batch compute.
 const MAX_SHARDS: usize = 8;
+
+/// Fewest events worth a shard of their own: every shard is a separate
+/// autograd graph with its own backward pass, a fixed cost that a shard
+/// of two or three events cannot repay — a ~22-event dependency-bound
+/// batch is one graph, not eight. (64 is ~3 % faster still on such
+/// batches but re-buckets the serve ingest thread's arena: +4 % peak
+/// RSS on the benchmark's `serve_mixed`.)
+const MIN_SHARD_EVENTS: usize = 32;
+
+/// How many contiguous event ranges a batch of `b` events is split into.
+///
+/// **Invariant: a function of `b` only** — never of the worker-thread
+/// count, the driver, or anything measured — so the loss graph, and
+/// therefore every gradient bit, is identical at any thread count and
+/// under every executor. Batches of 225 events or more (every preset-
+/// sized and evaluation batch) get exactly [`MAX_SHARDS`].
+fn shard_count(b: usize) -> usize {
+    b.div_ceil(MIN_SHARD_EVENTS).min(MAX_SHARDS)
+}
+
+/// BCE targets for a `[pos… ‖ neg…]` logit column: `b` ones, then `b`
+/// zeros, in one arena-backed buffer.
+fn link_labels(b: usize) -> Tensor {
+    let labels = Tensor::zeros([2 * b, 1]);
+    labels.update_data(|l| l[..b].fill(1.0));
+    labels
+}
 
 /// One shard's forward result, reduced on the driver in shard-index
 /// order.
@@ -442,8 +466,8 @@ impl MemoryTgnn {
     /// goes through [`apply_batch`](Self::apply_batch).
     ///
     /// Outside lite mode the batch's events are split into
-    /// `min(8, batch_len)` contiguous shards whose embedding, prediction,
-    /// and partial loss are evaluated on up to
+    /// `ceil(batch_len / 32)` contiguous shards, at most 8, whose
+    /// embedding, prediction, and partial loss are evaluated on up to
     /// [`compute_threads`](Self::compute_threads) scoped worker threads;
     /// the partial losses are reduced in fixed shard-index order, so the
     /// result is bit-identical at any thread count.
@@ -562,13 +586,10 @@ impl MemoryTgnn {
         let pos_vec = pos_logits.to_vec();
         let neg_vec = neg_logits.to_vec();
         let logits = Tensor::concat_rows(&[&pos_logits, &neg_logits]);
-        let mut labels = vec![1.0; b];
-        labels.extend(vec![0.0; b]);
-        let labels = Tensor::from_vec(labels, [2 * b, 1]);
-        (bce_with_logits(&logits, &labels), pos_vec, neg_vec)
+        (bce_with_logits(&logits, &link_labels(b)), pos_vec, neg_vec)
     }
 
-    /// Splits the batch into `min(MAX_SHARDS, b)` contiguous shards,
+    /// Splits the batch into [`shard_count`] contiguous shards,
     /// evaluates each shard's forward pass (on scoped worker threads when
     /// `compute_threads > 1`), and reduces the per-shard loss sums in
     /// shard-index order via [`Tensor::sharded_sum_scaled`].
@@ -582,7 +603,7 @@ impl MemoryTgnn {
         feats: &EdgeFeatures,
     ) -> (Tensor, Vec<f32>, Vec<f32>, Vec<Duration>) {
         let b = events.len();
-        let shards = b.min(MAX_SHARDS);
+        let shards = shard_count(b);
         // Balanced contiguous partition: shard s covers [bounds[s], bounds[s+1]).
         let bounds: Vec<usize> = (0..=shards).map(|s| s * b / shards).collect();
         let workers = self.compute_threads.max(1).min(shards);
@@ -679,10 +700,7 @@ impl MemoryTgnn {
         let pos = pos_logits.to_vec();
         let neg = neg_logits.to_vec();
         let logits = Tensor::concat_rows(&[&pos_logits, &neg_logits]);
-        let mut labels = vec![1.0; sb];
-        labels.extend(vec![0.0; sb]);
-        let labels = Tensor::from_vec(labels, [2 * sb, 1]);
-        let loss_sum = bce_with_logits_sum(&logits, &labels);
+        let loss_sum = bce_with_logits_sum(&logits, &link_labels(sb));
 
         ShardForward {
             loss_sum,
@@ -1260,6 +1278,20 @@ mod tests {
         let mut model = MemoryTgnn::new(cfg.with_dims(8, 4), 6, 4, 1);
         let feats = synth_features(3, 4, 2);
         model.process_batch(&toy_events(), 0, &feats)
+    }
+
+    #[test]
+    fn shard_count_is_one_per_32_events_capped_at_8() {
+        for b in 1..=32 {
+            assert_eq!(shard_count(b), 1, "{b} events");
+        }
+        let table = [(33, 2), (64, 2), (65, 3), (224, 7)];
+        for (b, shards) in table {
+            assert_eq!(shard_count(b), shards, "{b} events");
+        }
+        for b in [225, 256, 512, 10_000] {
+            assert_eq!(shard_count(b), MAX_SHARDS, "{b} events");
+        }
     }
 
     #[test]

@@ -64,7 +64,8 @@ fn run(
 fn forward_batch_is_bit_identical_across_thread_counts() {
     check("forward_batch_thread_identity", |g| {
         let num_nodes = g.usize_in(4..16);
-        let len = g.usize_in(6..40);
+        // Second batches of 3..100 events: one to four shards.
+        let len = g.usize_in(6..200);
         let events = random_events(g, num_nodes, len);
         let cfg = match g.usize_in(0..3) {
             0 => ModelConfig::tgn(),
@@ -165,4 +166,41 @@ fn parameter_updates_are_bit_identical_across_thread_counts() {
         );
         Ok(())
     });
+}
+
+/// The shard count follows the batch length alone (one shard per 32
+/// events, at most 8), so it — and every bit computed under it — is the
+/// same at 1 and 4 threads on both sides of each step of the rule. 256
+/// events, the preset batch, must stay at 8 shards: that is what keeps
+/// every preset-sized batch's bits across the rule's introduction.
+#[test]
+fn shard_layout_follows_batch_length_at_any_thread_count() {
+    const WARM: usize = 40;
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let cfg = ModelConfig::tgn().with_dims(8, 4).with_neighbors(3);
+    for (len, shards) in [(1, 1), (23, 1), (33, 2), (100, 4), (224, 7), (256, 8)] {
+        let mut g = Gen::new(len as u64);
+        let events = random_events(&mut g, 24, WARM + len);
+        let feats = synth_features(events.len(), 4, 9);
+        let run = |threads: usize| {
+            let mut model = MemoryTgnn::new(cfg.clone(), 24, 4, 3);
+            model.set_compute_threads(threads);
+            // Warm-up batch, so the measured one consumes mailboxes.
+            model.process_batch(&events[..WARM], 0, &feats);
+            let fwd = model.forward_batch(&events[WARM..], WARM, &feats);
+            assert_eq!(
+                fwd.shard_busy.len(),
+                shards,
+                "{len} events, {threads} threads"
+            );
+            fwd.loss.backward();
+            let grads: Vec<Vec<u32>> = model
+                .parameters()
+                .iter()
+                .map(|p| bits(&p.grad().unwrap_or_default()))
+                .collect();
+            (fwd.loss.item().to_bits(), grads, bits(fwd.pending.post()))
+        };
+        assert_eq!(run(1), run(4), "{len} events: 1 vs 4 threads");
+    }
 }

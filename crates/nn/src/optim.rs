@@ -70,13 +70,19 @@ impl Adam {
             let stepped = p
                 .with_grad(|grad| {
                     p.update_data(|data| {
-                        for j in 0..data.len() {
-                            let g = grad[j];
-                            m[j] = b1 * m[j] + (1.0 - b1) * g;
-                            v[j] = b2 * v[j] + (1.0 - b2) * g * g;
-                            let m_hat = m[j] / bc1;
-                            let v_hat = v[j] / bc2;
-                            data[j] -= lr * m_hat / (v_hat.sqrt() + eps);
+                        assert_eq!(grad.len(), data.len(), "gradient shape mismatch");
+                        // Zipped, not indexed: with no bounds checks left
+                        // LLVM vectorises the loop, and `div`/`sqrt` are
+                        // IEEE-exact per lane, so every element sees the
+                        // same operations in the same order as a scalar
+                        // loop — bit-identical parameters.
+                        let state = m.iter_mut().zip(v.iter_mut());
+                        for ((d, &g), (m, v)) in data.iter_mut().zip(grad).zip(state) {
+                            *m = b1 * *m + (1.0 - b1) * g;
+                            *v = b2 * *v + (1.0 - b2) * g * g;
+                            let m_hat = *m / bc1;
+                            let v_hat = *v / bc2;
+                            *d -= lr * m_hat / (v_hat.sqrt() + eps);
                         }
                     });
                 })
@@ -229,6 +235,60 @@ mod tests {
             opt.step();
         }
         assert!(p.at(0).abs() < 0.1, "param stuck at {}", p.at(0));
+    }
+
+    /// The indexed loop `Adam::step` ran before it was zipped — the
+    /// scalar order of operations the vectorised loop must reproduce.
+    #[allow(clippy::needless_range_loop)]
+    fn indexed_step(
+        opt: &Adam,
+        t: u64,
+        data: &mut [f32],
+        grad: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        let (b1, b2, lr, eps) = (opt.beta1, opt.beta2, opt.lr, opt.eps);
+        let bc1 = 1.0 - b1.powi(t as i32);
+        let bc2 = 1.0 - b2.powi(t as i32);
+        for j in 0..data.len() {
+            let g = grad[j];
+            m[j] = b1 * m[j] + (1.0 - b1) * g;
+            v[j] = b2 * v[j] + (1.0 - b2) * g * g;
+            let m_hat = m[j] / bc1;
+            let v_hat = v[j] / bc2;
+            data[j] -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
+    }
+
+    #[test]
+    fn zipped_step_is_bit_identical_to_the_indexed_loop() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut rng = cascade_util::DetRng::new(18);
+        for len in [0usize, 1, 3, 4, 5, 31, 3584] {
+            let mut data: Vec<f32> = (0..len).map(|_| rng.range_f32(-2.0, 2.0)).collect();
+            let p = Tensor::from_vec(data.clone(), [len]).requires_grad();
+            let mut opt = Adam::new(vec![p.clone()], 1e-2);
+            let (mut m, mut v) = (vec![0.0; len], vec![0.0; len]);
+            for step in 1..=5u64 {
+                let mut grad: Vec<f32> = (0..len).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+                // One NaN and one negative zero, moving through the lanes.
+                if len > 0 {
+                    grad[(step as usize * 7) % len] = -0.0;
+                    grad[(step as usize * 3) % len] = f32::NAN;
+                }
+                p.set_grad(&grad);
+                opt.step();
+                indexed_step(&opt, step, &mut data, &grad, &mut m, &mut v);
+                assert_eq!(
+                    bits(&p.to_vec()),
+                    bits(&data),
+                    "data, len {len} step {step}"
+                );
+                assert_eq!(bits(&opt.m[0]), bits(&m), "m, len {len} step {step}");
+                assert_eq!(bits(&opt.v[0]), bits(&v), "v, len {len} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -262,11 +262,13 @@ impl Tensor {
         Tensor::leaf(vec![value], Shape::scalar(), false)
     }
 
-    /// Creates a tensor filled with zeros.
+    /// Creates a tensor filled with zeros. The buffer comes from the
+    /// thread-local arena, like an op's output: a zero leaf built per
+    /// batch is dropped into the pool, so it must be drawn from it too.
     pub fn zeros(shape: impl Into<Shape>) -> Tensor {
         let shape = shape.into();
         let n = shape.len();
-        Tensor::leaf(vec![0.0; n], shape, false)
+        Tensor::leaf(arena::take_zeroed(n), shape, false)
     }
 
     /// Creates a tensor filled with ones.

@@ -237,6 +237,13 @@ struct Parser<'a> {
     pos: usize,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Bytes this thread's parsers have handed to UTF-8 validation: what
+    /// the tests read to tell one pass over a document from many.
+    static VALIDATED_BYTES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
@@ -342,13 +349,22 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run up to the next quote or
+                    // backslash and validate only that slice: both
+                    // delimiters are ASCII, so the run ends on a character
+                    // boundary. (Validating the rest of the document per
+                    // character made a string-heavy body quadratic.)
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    #[cfg(test)]
+                    VALIDATED_BYTES.with(|n| n.set(n.get() + len));
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -441,6 +457,80 @@ mod tests {
             Json::parse("\"\\u0041\\u00e9\"").unwrap(),
             Json::Str("Aé".into())
         );
+    }
+
+    #[test]
+    fn every_escape_form_next_to_multibyte_characters() {
+        let v = Json::parse(r#""é\"日\\😀\/\b\f\n\r\t\u0041\u00e9\u65e5é""#).unwrap();
+        assert_eq!(
+            v,
+            Json::Str("é\"日\\😀/\u{8}\u{c}\n\r\tAé日é".into()),
+            "escapes between multi-byte runs"
+        );
+        // Runs of every UTF-8 width directly against the delimiters.
+        assert_eq!(Json::parse("\"é\"").unwrap(), Json::Str("é".into()));
+        assert_eq!(
+            Json::parse("\"😀\\\\日\"").unwrap().as_str(),
+            Some("😀\\日")
+        );
+        assert_eq!(Json::parse("\"\"").unwrap(), Json::Str(String::new()));
+    }
+
+    #[test]
+    fn truncated_strings_report_the_same_offsets() {
+        let pos = |s: &str| Json::parse(s).unwrap_err().pos;
+        // Unterminated: the error sits at the end of input, after the run.
+        assert_eq!(pos("\"abé"), 5);
+        assert_eq!(pos("{\"aé\":\"b"), 9);
+        assert_eq!(pos("\"é\\n日"), 8);
+        // A dangling backslash and a bad escape point at the escape byte.
+        assert_eq!(pos("\"ab\\"), 4);
+        assert_eq!(pos("\"é\\q\""), 4);
+        // \u escapes: truncated, non-hex, multi-byte inside, surrogate.
+        assert_eq!(pos("\"ab\\u00"), 4);
+        assert_eq!(pos("\"ab\\u00zz\""), 4);
+        assert_eq!(pos("\"ab\\u0é0\""), 4);
+        assert_eq!(pos("\"é\\ud800\""), 4);
+        // Every proper prefix of a document fails at or before its end.
+        let doc = "{\"ké\":[\"a\\u00e9\\\"b\",\"日\\\\\"],\"z\":\"\\t😀\"}";
+        assert!(Json::parse(doc).is_ok());
+        for cut in (1..doc.len()).filter(|&c| doc.is_char_boundary(c)) {
+            let err = Json::parse(&doc[..cut]).expect_err("truncated document");
+            assert!(err.pos <= cut, "cut {}: error at {}", cut, err.pos);
+        }
+    }
+
+    /// `Parser::string` used to re-validate the whole remaining document
+    /// once per character: on this body (2.2 MiB, ~1.6 M string bytes)
+    /// over a terabyte of UTF-8 validation against one pass's 1.6 MB.
+    /// Counted, not timed, so a slow host cannot fail it.
+    #[test]
+    fn string_heavy_body_parses_in_one_pass() {
+        let values = ["v", "é\"", "\"日", "a\\é", "😀\n", "plain ascii", "\u{1}é"];
+        let members: Vec<(String, Json)> = (0..110_000)
+            .map(|i| {
+                let value = values[i % values.len()];
+                (format!("k{:06}é", i), Json::Str(value.to_string()))
+            })
+            .collect();
+        let original = Json::Obj(members);
+        let body = original.to_string();
+        assert!(body.len() >= 2 << 20, "body is {} bytes", body.len());
+        VALIDATED_BYTES.with(|n| n.set(0));
+        let parsed = Json::parse(&body).unwrap();
+        let validated = VALIDATED_BYTES.with(std::cell::Cell::get);
+        assert_eq!(parsed, original);
+        // At least every key's nine bytes, at most the body once.
+        assert!(
+            (110_000 * 9..=body.len()).contains(&validated),
+            "validated {} bytes of a {}-byte body: the string scan is not one pass",
+            validated,
+            body.len()
+        );
+        // Cutting the body inside its last string still fails at the cut.
+        let cut = body.len() - 3;
+        assert!(body.is_char_boundary(cut));
+        assert_eq!(Json::parse(&body[..cut]).unwrap_err().pos, cut);
     }
 
     #[test]
