@@ -9,8 +9,9 @@
 use std::hint::black_box;
 
 use cascade_core::{train, CascadeConfig, CascadeScheduler, FixedBatching, TrainConfig};
+use cascade_exec::{train_streamed, PipelineConfig};
 use cascade_models::{MemoryTgnn, ModelConfig};
-use cascade_tgraph::{Dataset, SynthConfig};
+use cascade_tgraph::{Dataset, InMemorySource, SynthConfig};
 use cascade_util::BenchSuite;
 
 fn bench_data() -> Dataset {
@@ -82,15 +83,22 @@ fn bench_chunked_preprocessing(suite: &mut BenchSuite) {
                     data.features().dim(),
                     1,
                 );
-                let mut cfg = CascadeConfig {
+                let mut s = CascadeScheduler::new(CascadeConfig {
                     preset_batch_size: 64,
                     ..CascadeConfig::default()
-                };
-                if let Some(ch) = chunk {
-                    cfg = cfg.with_chunk_size(ch);
-                }
-                let mut s = CascadeScheduler::new(cfg);
-                black_box(train(&mut model, data, &mut s, &one_epoch_cfg()))
+                });
+                let cfg = one_epoch_cfg();
+                black_box(match chunk {
+                    None => train(&mut model, data, &mut s, &cfg),
+                    // Cascade_EX: the loader builds chunk k + 1's table
+                    // while chunk k trains.
+                    Some(chunk) => {
+                        let mut source = InMemorySource::from_dataset(data, chunk);
+                        let pipe = PipelineConfig::default();
+                        train_streamed(&mut model, &mut source, &mut s, &cfg, &pipe)
+                            .expect("an in-memory source cannot fail")
+                    }
+                })
             },
         );
     }

@@ -4,6 +4,7 @@
 //! ```text
 //! cascade_train --dataset wiki --model tgn --strategy cascade --epochs 4
 //! cascade_train --dataset path/to/events.csv --model jodie --save model.ckpt
+//! cascade_train --dataset wiki --chunk 128 --pipelined       # Cascade_EX from memory
 //! cascade_train --dataset wiki --export-dataset wiki.evt     # write a store file
 //! cascade_train --dataset wiki.evt --pipelined               # train out-of-core
 //! ```
@@ -15,10 +16,15 @@ use cascade_core::{
     evaluate_range, train, train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler,
     TrainConfig, TrainReport,
 };
-use cascade_exec::{train_pipelined, train_streamed, PipelineConfig};
+use cascade_exec::{train_streamed, PipelineConfig};
 use cascade_models::{load_checkpoint, save_parameters, MemoryTgnn, ModelConfig};
 use cascade_store::{export_dataset, StreamingEventSource};
-use cascade_tgraph::{Dataset, EventSource, SynthConfig};
+use cascade_tgraph::{Dataset, EventSource, InMemorySource, SynthConfig};
+
+/// Chunk size when `--chunk` is not given: what `--export-dataset`
+/// writes and what `--pipelined` streams an in-memory dataset at, so the
+/// two feeds of one dataset train identically by default.
+const DEFAULT_CHUNK: usize = 4096;
 
 struct Args {
     dataset: String,
@@ -37,7 +43,6 @@ struct Args {
     test: bool,
     pipelined: bool,
     pipeline_depth: usize,
-    staleness: Option<usize>,
     compute_threads: usize,
 }
 
@@ -60,7 +65,6 @@ impl Args {
             test: false,
             pipelined: false,
             pipeline_depth: 2,
-            staleness: None,
             compute_threads: 1,
         };
         let mut it = std::env::args().skip(1);
@@ -79,7 +83,13 @@ impl Args {
                 "--scale" => a.scale = parse(&val("--scale")?)?,
                 "--seed" => a.seed = parse(&val("--seed")?)?,
                 "--theta" => a.theta = parse(&val("--theta")?)?,
-                "--chunk" => a.chunk = Some(parse(&val("--chunk")?)?),
+                "--chunk" => {
+                    let chunk: usize = parse(&val("--chunk")?)?;
+                    if chunk == 0 {
+                        return Err("--chunk must be positive".to_string());
+                    }
+                    a.chunk = Some(chunk);
+                }
                 "--export-dataset" => {
                     a.export_dataset = Some(PathBuf::from(val("--export-dataset")?));
                 }
@@ -88,7 +98,6 @@ impl Args {
                 "--test" => a.test = true,
                 "--pipelined" => a.pipelined = true,
                 "--pipeline-depth" => a.pipeline_depth = parse(&val("--pipeline-depth")?)?,
-                "--staleness" => a.staleness = Some(parse(&val("--staleness")?)?),
                 "--compute-threads" => a.compute_threads = parse(&val("--compute-threads")?)?,
                 "--help" | "-h" => {
                     print_usage();
@@ -118,18 +127,20 @@ fn print_usage() {
          --model    jodie|tgn|apan|dysat|tgat            (default tgn)\n\
          --strategy tgl|tglite|cascade|cascade-tb|neutron|etc (default cascade)\n\
          --epochs N --batch N --dim N --scale F --seed N --theta F\n\
-         --chunk N  enable chunked preprocessing (Cascade_EX)\n\
+         --chunk N  stream the dataset in chunks of N events, one dependency\n\
+         \u{20}          table resident at a time (Cascade_EX); a store file\n\
+         \u{20}          brings its own chunk size\n\
          --save P             write the trained parameters\n\
          --load P             warm-start from any checkpoint: a --save file, a\n\
          \u{20}                    cascade_serve snapshot, or cascade_dist --save\n\
          --test     also evaluate on the held-out test range\n\
-         --pipelined          train with the three-stage pipelined executor\n\
-         --pipeline-depth N   scan prefetch depth (default 2)\n\
-         --staleness N        scheduler staleness bound in batches\n\
-                              (default 1; 0 = bit-identical to serial;\n\
-                              in-memory datasets only)\n\
+         --pipelined          stream with a loader thread that reads chunk k+1\n\
+         \u{20}                    and builds its table while chunk k trains\n\
+         \u{20}                    (bit-identical to streaming without it; an\n\
+         \u{20}                    in-memory dataset streams at --chunk, default 4096)\n\
+         --pipeline-depth N   chunks of read-ahead (default 2)\n\
          --compute-threads N  shard-parallel batch compute workers\n\
-                              (default 1; any N is bit-identical)"
+         \u{20}                    (default 1; any N is bit-identical)"
     );
 }
 
@@ -166,21 +177,6 @@ fn is_store_file(path: &str) -> bool {
         && magic == cascade_store::MAGIC
 }
 
-/// `--staleness` bounds how far the in-memory pipelined executor's scout
-/// may run ahead of scheduler feedback. Out-of-core training has no
-/// scout (its loader thread only prefetches chunks), so the flag would
-/// be silently ignored there: refuse it instead.
-fn check_staleness_flag(staleness: Option<usize>, store_file: bool) -> Result<(), String> {
-    match staleness {
-        Some(bound) if store_file => Err(format!(
-            "--staleness {} has no effect on a store file: out-of-core training \
-             always follows the serial batch schedule",
-            bound
-        )),
-        _ => Ok(()),
-    }
-}
-
 fn build_model(args: &Args, num_nodes: usize, feature_dim: usize) -> Result<MemoryTgnn, String> {
     let base = match args.model.to_lowercase().as_str() {
         "jodie" => ModelConfig::jodie(),
@@ -200,12 +196,11 @@ fn build_model(args: &Args, num_nodes: usize, feature_dim: usize) -> Result<Memo
     Ok(MemoryTgnn::new(cfg, num_nodes, feature_dim, args.seed))
 }
 
-fn build_strategy(args: &Args) -> Result<Box<dyn BatchingStrategy + Send>, String> {
+fn build_strategy(args: &Args) -> Result<Box<dyn BatchingStrategy>, String> {
     let cascade = CascadeConfig {
         preset_batch_size: args.batch,
         theta: args.theta,
         seed: args.seed,
-        chunk_size: args.chunk,
         ..CascadeConfig::default()
     };
     Ok(match args.strategy.to_lowercase().as_str() {
@@ -238,7 +233,7 @@ fn run() -> Result<(), String> {
             ));
         }
         let data = load_dataset(&args)?;
-        let chunk = args.chunk.unwrap_or(4096);
+        let chunk = args.chunk.unwrap_or(DEFAULT_CHUNK);
         let summary = export_dataset(&data, Path::new(out), chunk).map_err(|e| e.to_string())?;
         println!(
             "exported {}: {} events in {} chunks of {} (dim {}, {} nodes) -> {}",
@@ -253,9 +248,7 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    let store = is_store_file(&args.dataset);
-    check_staleness_flag(args.staleness, store)?;
-    if store {
+    if is_store_file(&args.dataset) {
         return run_streaming_cli(&args);
     }
 
@@ -279,27 +272,12 @@ fn run() -> Result<(), String> {
     }
 
     let mut strategy = build_strategy(&args)?;
-    let cfg = TrainConfig {
-        epochs: args.epochs,
-        lr: 1e-3,
-        eval_batch_size: args.batch,
-        clip_norm: Some(5.0),
-        scale_lr_with_batch: true,
-        compute_threads: args.compute_threads.max(1),
-        ..TrainConfig::default()
-    };
-
-    let report = if args.pipelined {
-        let mut pcfg = PipelineConfig::default().with_depth(args.pipeline_depth);
-        if let Some(bound) = args.staleness {
-            pcfg = pcfg.with_staleness(bound);
-        }
-        println!(
-            "pipelined executor: depth {}, staleness bound {}",
-            pcfg.depth, pcfg.staleness_bound
-        );
-        train_pipelined(&mut model, &data, strategy.as_mut(), &cfg, &pcfg)
-            .map_err(|e| e.to_string())?
+    let cfg = train_config(&args);
+    let report = if args.chunk.is_some() || args.pipelined {
+        let chunk = args.chunk.unwrap_or(DEFAULT_CHUNK);
+        println!("streaming from memory in chunks of {}", chunk);
+        let mut source = InMemorySource::from_dataset(&data, chunk);
+        train_from_source(&args, &mut model, &mut source, strategy.as_mut(), &cfg)?
     } else {
         train(&mut model, &data, strategy.as_mut(), &cfg)
     };
@@ -318,6 +296,38 @@ fn run() -> Result<(), String> {
         println!("saved parameters to {}", path.display());
     }
     Ok(())
+}
+
+fn train_config(args: &Args) -> TrainConfig {
+    TrainConfig {
+        epochs: args.epochs,
+        lr: 1e-3,
+        eval_batch_size: args.batch,
+        clip_norm: Some(5.0),
+        scale_lr_with_batch: true,
+        compute_threads: args.compute_threads.max(1),
+        ..TrainConfig::default()
+    }
+}
+
+/// Streams `source` through the serial driver, or with `--pipelined`
+/// through the loader thread; the two are bit-identical. A strategy that
+/// cannot stream comes back as the driver's typed refusal.
+fn train_from_source<S: EventSource + Send>(
+    args: &Args,
+    model: &mut MemoryTgnn,
+    source: &mut S,
+    strategy: &mut dyn BatchingStrategy,
+    cfg: &TrainConfig,
+) -> Result<TrainReport, String> {
+    if args.pipelined {
+        let pcfg = PipelineConfig::default().with_depth(args.pipeline_depth);
+        println!("loader thread: chunk read-ahead {}", pcfg.depth.max(1));
+        train_streamed(model, source, strategy, cfg, &pcfg)
+    } else {
+        train_streaming(model, source, strategy, cfg)
+    }
+    .map_err(|e| e.to_string())
 }
 
 /// Out-of-core training straight from a store file: only the current
@@ -343,25 +353,8 @@ fn run_streaming_cli(args: &Args) -> Result<(), String> {
     }
 
     let mut strategy = build_strategy(args)?;
-    let cfg = TrainConfig {
-        epochs: args.epochs,
-        lr: 1e-3,
-        eval_batch_size: args.batch,
-        clip_norm: Some(5.0),
-        scale_lr_with_batch: true,
-        compute_threads: args.compute_threads.max(1),
-        ..TrainConfig::default()
-    };
-
-    let report = if args.pipelined {
-        let pcfg = PipelineConfig::default().with_depth(args.pipeline_depth);
-        println!("pipelined loader: chunk read-ahead {}", pcfg.depth.max(1));
-        train_streamed(&mut model, &mut source, strategy.as_mut(), &cfg, &pcfg)
-            .map_err(|e| e.to_string())?
-    } else {
-        train_streaming(&mut model, &mut source, strategy.as_mut(), &cfg)
-            .map_err(|e| e.to_string())?
-    };
+    let cfg = train_config(args);
+    let report = train_from_source(args, &mut model, &mut source, strategy.as_mut(), &cfg)?;
     print_report(&report);
     println!(
         "  resident window   {} bytes (vs {} bytes of stream events on disk)",
@@ -407,17 +400,4 @@ fn print_report(report: &TrainReport) {
         "  validation        loss {:.4}, AP {:.4}, acc {:.4}",
         report.val_loss, report.val_ap, report.val_accuracy
     );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::check_staleness_flag;
-
-    #[test]
-    fn staleness_flag_is_refused_for_store_files_only() {
-        assert!(check_staleness_flag(Some(3), false).is_ok());
-        assert!(check_staleness_flag(None, true).is_ok());
-        let err = check_staleness_flag(Some(3), true).expect_err("no scout to bound");
-        assert!(err.contains("--staleness 3"), "{err}");
-    }
 }

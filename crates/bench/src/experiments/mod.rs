@@ -4,7 +4,6 @@ mod ablation;
 mod analysis;
 mod motivation;
 mod overall;
-mod pipeline;
 mod prior;
 mod scale;
 mod session;
@@ -17,7 +16,7 @@ pub use session::Session;
 pub const ALL: &[&str] = &[
     "table1", "table2", "util", "fig2", "fig3", "fig5", "fig10", "fig11", "fig12a", "fig12b",
     "fig12c", "fig12d", "fig13a", "fig13b", "fig13c", "fig14a", "fig14b", "fig14c", "fig15",
-    "fig16", "ablation", "pipeline", "summary",
+    "fig16", "ablation", "summary",
 ];
 
 /// Runs one experiment by id, returning its formatted report.
@@ -48,7 +47,6 @@ pub fn run(session: &Session, id: &str) -> Result<String, String> {
         "fig15" => Ok(prior::fig15(session)),
         "fig16" => Ok(prior::fig16(session)),
         "ablation" => Ok(ablation::ablation(session)),
-        "pipeline" => Ok(pipeline::pipeline(session)),
         "summary" => Ok(summary::summary(session)),
         other => Err(format!(
             "unknown experiment '{}'; known: {}",

@@ -3,7 +3,6 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use cascade_exec::PipelineConfig;
 use cascade_models::ModelConfig;
 use cascade_tgraph::{Dataset, SynthConfig};
 
@@ -59,32 +58,6 @@ impl Session {
         eprintln!("  [run] {}", key);
         let data = self.dataset(dataset);
         let out = self.harness.run(&data, model, strategy);
-        self.runs.borrow_mut().insert(key, out.clone());
-        out
-    }
-
-    /// Runs (or replays) one training through the pipelined executor.
-    pub fn run_pipelined(
-        &self,
-        dataset: &str,
-        model: ModelConfig,
-        strategy: &StrategyKind,
-        pcfg: &PipelineConfig,
-    ) -> RunOutcome {
-        let key = format!(
-            "{}|{}|{}|pipe(d{},s{})",
-            dataset,
-            model.name,
-            strategy.label(),
-            pcfg.depth,
-            pcfg.staleness_bound
-        );
-        if let Some(o) = self.runs.borrow().get(&key) {
-            return o.clone();
-        }
-        eprintln!("  [run] {}", key);
-        let data = self.dataset(dataset);
-        let out = self.harness.run_pipelined(&data, model, strategy, pcfg);
         self.runs.borrow_mut().insert(key, out.clone());
         out
     }

@@ -5,9 +5,9 @@ use cascade_baselines::{tgl, tgl_lb, tglite, Etc, NeutronStream};
 use cascade_core::{
     train, BatchingStrategy, CascadeConfig, CascadeScheduler, TrainConfig, TrainReport,
 };
-use cascade_exec::{train_pipelined, PipelineConfig};
+use cascade_exec::{train_streamed, PipelineConfig};
 use cascade_models::{MemoryTgnn, ModelConfig};
-use cascade_tgraph::{Dataset, SynthConfig};
+use cascade_tgraph::{Dataset, InMemorySource, SynthConfig};
 
 /// Which scheduler a run uses (plus the paired model-execution mode).
 #[derive(Clone, Debug, PartialEq)]
@@ -26,7 +26,8 @@ pub enum StrategyKind {
     CascadeTb,
     /// Cascade with a custom θ_sim (Figure 13(a)).
     CascadeTheta(f32),
-    /// Cascade with chunk-based pipelined preprocessing ("Cascade_EX").
+    /// Cascade over chunks of this many events, each chunk's table built
+    /// by the loader thread while the previous one trains ("Cascade_EX").
     CascadeEx(usize),
     /// NeutronStream dependency batching.
     Neutron,
@@ -56,7 +57,7 @@ impl StrategyKind {
         matches!(self, StrategyKind::TgLite | StrategyKind::CascadeLite)
     }
 
-    fn build(&self, preset: usize, seed: u64) -> Box<dyn BatchingStrategy + Send> {
+    fn build(&self, preset: usize, seed: u64) -> Box<dyn BatchingStrategy> {
         let cascade = CascadeConfig {
             preset_batch_size: preset,
             seed,
@@ -66,15 +67,14 @@ impl StrategyKind {
             StrategyKind::Tgl => Box::new(tgl(preset)),
             StrategyKind::TglLb(b) => Box::new(tgl_lb(*b)),
             StrategyKind::TgLite => Box::new(tglite(preset)),
-            StrategyKind::Cascade | StrategyKind::CascadeLite => {
+            // Cascade_EX is the same scheduler: the chunks are the
+            // source's, see `Harness::run`.
+            StrategyKind::Cascade | StrategyKind::CascadeLite | StrategyKind::CascadeEx(_) => {
                 Box::new(CascadeScheduler::new(cascade))
             }
             StrategyKind::CascadeTb => Box::new(CascadeScheduler::new(cascade.without_sg_filter())),
             StrategyKind::CascadeTheta(t) => {
                 Box::new(CascadeScheduler::new(cascade.with_theta(*t)))
-            }
-            StrategyKind::CascadeEx(chunk) => {
-                Box::new(CascadeScheduler::new(cascade.with_chunk_size(*chunk)))
             }
             StrategyKind::Neutron => Box::new(NeutronStream::new(preset)),
             StrategyKind::Etc => Box::new(Etc::new(preset)),
@@ -264,42 +264,28 @@ impl Harness {
     }
 
     /// Runs one (dataset, model, strategy) training and returns the
-    /// outcome.
-    pub fn run(&self, data: &Dataset, base: ModelConfig, strategy: &StrategyKind) -> RunOutcome {
-        let mut model = self.build_model(data, base, strategy.lite_model());
-        let mut strat = strategy.build(self.preset_batch, self.seed);
-        let report = train(&mut model, data, strat.as_mut(), &self.train_cfg());
-        RunOutcome {
-            label: strategy.label(),
-            report,
-        }
-    }
-
-    /// Runs one (dataset, model, strategy) training through the
-    /// three-stage pipelined executor (`cascade-exec`).
+    /// outcome. Cascade_EX streams the dataset in chunks through the
+    /// loader thread; everything else trains in memory.
     ///
     /// # Panics
     ///
-    /// Panics if a pipeline stage fails; the harness strategies are
-    /// well-formed, so a failure is a bug worth aborting on.
-    pub fn run_pipelined(
-        &self,
-        data: &Dataset,
-        base: ModelConfig,
-        strategy: &StrategyKind,
-        pcfg: &PipelineConfig,
-    ) -> RunOutcome {
+    /// Panics if the Cascade_EX stream fails; an in-memory source cannot,
+    /// so a failure is a bug worth aborting on.
+    pub fn run(&self, data: &Dataset, base: ModelConfig, strategy: &StrategyKind) -> RunOutcome {
         let mut model = self.build_model(data, base, strategy.lite_model());
         let mut strat = strategy.build(self.preset_batch, self.seed);
-        let report = train_pipelined(&mut model, data, strat.as_mut(), &self.train_cfg(), pcfg)
-            .unwrap_or_else(|e| panic!("pipelined run failed: {}", e));
+        let cfg = self.train_cfg();
+        let report = match strategy {
+            StrategyKind::CascadeEx(chunk) => {
+                let mut source = InMemorySource::from_dataset(data, *chunk);
+                let pipe = PipelineConfig::default();
+                train_streamed(&mut model, &mut source, strat.as_mut(), &cfg, &pipe)
+                    .unwrap_or_else(|e| panic!("Cascade_EX run failed: {}", e))
+            }
+            _ => train(&mut model, data, strat.as_mut(), &cfg),
+        };
         RunOutcome {
-            label: format!(
-                "{}+pipe(d{},s{})",
-                strategy.label(),
-                pcfg.depth,
-                pcfg.staleness_bound
-            ),
+            label: strategy.label(),
             report,
         }
     }

@@ -14,16 +14,14 @@ use crate::dependency::DependencyTable;
 /// and the trainer falls back to its own coarse measurements.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StrategyTimers {
-    /// Dependency-structure construction (including pipeline stalls
-    /// waiting for a chunk table).
+    /// Dependency-structure construction on the driver's own thread.
     pub build_table: Duration,
     /// Batch-boundary lookup and pointer updates.
     pub lookup: Duration,
-    /// Build work performed by a pipelined background builder while
-    /// training proceeded (off the critical path in the paper's
-    /// CPU-builds-while-GPU-trains deployment; on a single test core it
-    /// contends with training, so the trainer credits it back in the
-    /// modeled latency).
+    /// Build work a loader thread performed while training proceeded
+    /// (off the critical path in the paper's CPU-builds-while-GPU-trains
+    /// deployment; on a single test core it contends with training, so
+    /// the trainer credits it back in the modeled latency).
     pub background_build: Duration,
 }
 
@@ -38,7 +36,7 @@ pub struct StrategySpace {
 }
 
 /// How a streaming strategy wants per-chunk dependency tables built —
-/// enough for a pipeline stage to construct chunk `k+1`'s table off the
+/// enough for a loader thread to construct chunk `k+1`'s table off the
 /// critical path while chunk `k` trains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TableSpec {
@@ -62,7 +60,7 @@ impl TableSpec {
     }
 }
 
-/// A dependency table built ahead of time by a pipeline stage, with the
+/// A dependency table built ahead of time by a loader thread, with the
 /// wall-clock the build cost (credited to the strategy's
 /// `background_build` timer rather than the critical path).
 #[derive(Clone, Debug)]
@@ -120,8 +118,9 @@ pub trait BatchingStrategy {
     /// [`enter_chunk`](BatchingStrategy::enter_chunk). Returns `false`
     /// when the strategy cannot stream (the driver then refuses the run
     /// with a typed error rather than silently diverging). Must be
-    /// idempotent: pipelined executors call it before spawning their
-    /// loader to learn the [`table_spec`](BatchingStrategy::table_spec).
+    /// idempotent: `cascade-exec`'s `train_streamed` calls it before
+    /// spawning its loader to learn the
+    /// [`table_spec`](BatchingStrategy::table_spec).
     fn prepare_streaming(
         &mut self,
         _total_train: usize,
@@ -132,7 +131,7 @@ pub trait BatchingStrategy {
     }
 
     /// How this strategy's per-chunk dependency tables are built, so a
-    /// pipeline stage can prebuild them. `None` when the strategy needs
+    /// loader thread can prebuild them. `None` when the strategy needs
     /// no tables.
     fn table_spec(&self) -> Option<TableSpec> {
         None
@@ -140,7 +139,7 @@ pub trait BatchingStrategy {
 
     /// Announces that the stream has reached chunk `idx`, whose events
     /// start at global id `base`. `prebuilt` carries a table constructed
-    /// off the critical path when a pipeline stage ran ahead; otherwise
+    /// off the critical path when a loader thread ran ahead; otherwise
     /// the strategy builds its own.
     fn enter_chunk(
         &mut self,

@@ -1,24 +1,23 @@
 //! Space accounting (Figure 13(c) / Figure 14), the hardware-utilization
-//! proxy behind the §3.1 motivation numbers, and the per-stage pipeline
-//! telemetry shared by the serial trainer and the `cascade-exec`
-//! pipelined executor.
+//! proxy behind the §3.1 motivation numbers, and the per-stage telemetry
+//! every training driver reports.
 
 use std::fmt;
 use std::time::Duration;
 
-/// Wall-clock accounting of one pipeline stage.
+/// Wall-clock accounting of one stage of the batch loop.
 ///
-/// `busy` is time spent doing the stage's own work, `stall` is time spent
-/// blocked on a neighboring stage (waiting on a queue), and `items` is
-/// the number of batches the stage processed. In the serial trainer the
-/// stalls are zero by construction; in the pipelined executor
-/// `stall < busy` on the driver stages is the signature of successful
-/// overlap.
+/// `busy` is time spent doing the stage's own work, `stall` is time the
+/// driver spent waiting for the stage's input, and `items` is the number
+/// of batches the stage processed. Every stage runs on the driver
+/// thread, so the in-memory trainer's stalls are zero by construction;
+/// the streaming drivers charge their waits for the next chunk (a store
+/// read, or `cascade-exec`'s loader thread) to `scan.stall`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTiming {
     /// Time spent in the stage's own work.
     pub busy: Duration,
-    /// Time spent blocked on an adjacent stage's queue.
+    /// Time spent waiting for the stage's input.
     pub stall: Duration,
     /// Batches processed by the stage.
     pub items: usize,
@@ -45,12 +44,9 @@ impl StageTiming {
     }
 }
 
-/// Telemetry of the three-stage batch pipeline (§2.2 / Figure 3):
-/// boundary **scan**, model **compute**, and memory **update**.
-///
-/// Produced by both the serial [`train`](crate::train) loop (stalls are
-/// zero) and `cascade-exec`'s `train_pipelined` (scan runs on a scout
-/// thread, so its busy time overlaps the driver stages).
+/// Telemetry of the three steps of every batch (§2.2 / Figure 3):
+/// boundary **scan**, model **compute**, and memory **update**, as
+/// recorded by the one [`TrainStep`](crate::TrainStep) all drivers share.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Stage A: batch-boundary scan (scheduler lookup + feedback ingest).
@@ -80,13 +76,6 @@ impl StageTimings {
     /// Sum of all stages' stall time.
     pub fn total_stall(&self) -> Duration {
         self.scan.stall + self.compute.stall + self.update.stall
-    }
-
-    /// Stall time of the driver stages (compute + update) — the time the
-    /// critical path actually waited on the pipeline. The scan stage's
-    /// stall is a helper thread idling and does not delay training.
-    pub fn driver_stall(&self) -> Duration {
-        self.compute.stall + self.update.stall
     }
 
     /// Folds one batch's per-shard forward busy times into
@@ -124,27 +113,25 @@ impl StageTimings {
 
 impl fmt::Display for StageTimings {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (label, s) in [
-            ("scan", &self.scan),
-            ("compute", &self.compute),
-            ("update", &self.update),
-        ] {
-            write!(
-                f,
-                "{} busy {:?} stall {:?} ({} items) | ",
-                label, s.busy, s.stall, s.items
-            )?;
-        }
+        let stage =
+            |s: &StageTiming| format!("busy {:?} stall {:?} ({} items)", s.busy, s.stall, s.items);
+        write!(
+            f,
+            "scan {} | compute {} | update {}",
+            stage(&self.scan),
+            stage(&self.compute),
+            stage(&self.update)
+        )?;
         if !self.shard_compute.is_empty() {
             write!(
                 f,
-                "shards x{} busy {:?} straggler {:?} | ",
+                " | shards x{} busy {:?} straggler {:?}",
                 self.shard_compute.len(),
                 self.shard_busy_total(),
                 self.shard_stall_total()
             )?;
         }
-        write!(f, "driver stall {:?}", self.driver_stall())
+        Ok(())
     }
 }
 
@@ -308,10 +295,10 @@ mod tests {
         s.update.record(Duration::from_millis(3));
         assert_eq!(s.total_busy(), Duration::from_millis(24));
         assert_eq!(s.total_stall(), Duration::from_millis(102));
-        assert_eq!(s.driver_stall(), Duration::from_millis(2));
         let text = s.to_string();
+        assert!(text.starts_with("scan busy 1ms stall 100ms"), "{}", text);
         assert!(
-            text.contains("scan") && text.contains("driver stall"),
+            text.ends_with("update busy 3ms stall 0ns (1 items)"),
             "{}",
             text
         );

@@ -1,11 +1,11 @@
 //! The Cascade scheduler: TG-Diffuser + SG-Filter + ABS composed into a
-//! [`BatchingStrategy`], with optional chunk-based pipelined preprocessing
-//! (Cascade_EX, §4.2 / §5.5).
+//! [`BatchingStrategy`]. Chunk-based preprocessing (Cascade_EX, §4.2 /
+//! §5.5) is the streaming protocol: the source owns the chunk geometry,
+//! the driver announces one chunk at a time, and only that chunk's
+//! dependency table is resident.
 
 // cascade-lint: allow-file(det-wallclock): timings feed StrategyTimers telemetry only; chunk boundaries and batch contents are derived purely from event data.
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cascade_models::MemoryDelta;
 use cascade_tgraph::{Event, EventId};
@@ -13,7 +13,6 @@ use cascade_util::{ByteReader, ByteWriter, DecodeError};
 
 use crate::abs::{Abs, EnduranceStats};
 use crate::batching::{BatchingStrategy, PrebuiltTable, StrategySpace, StrategyTimers, TableSpec};
-use crate::dependency::DependencyTable;
 use crate::diffuser::TgDiffuser;
 use crate::sgfilter::SgFilter;
 
@@ -28,10 +27,6 @@ pub struct CascadeConfig {
     /// Whether the SG-Filter runs; disabling it yields the paper's
     /// Cascade-TB ablation (§5.3).
     pub sg_filter: bool,
-    /// Chunk size for divide-and-conquer preprocessing; `None` builds one
-    /// table for the whole stream, `Some(c)` enables Cascade_EX with
-    /// pipelined per-chunk building (the paper uses one million events).
-    pub chunk_size: Option<usize>,
     /// Ablation: drop Algorithm 2's neighbor-future step, keeping only
     /// incident events in the dependency table.
     pub incident_only_table: bool,
@@ -48,7 +43,6 @@ impl Default for CascadeConfig {
             preset_batch_size: 900,
             theta: 0.9,
             sg_filter: true,
-            chunk_size: None,
             incident_only_table: false,
             freeze_max_r: false,
             seed: 0,
@@ -60,13 +54,6 @@ impl CascadeConfig {
     /// The Cascade-TB ablation: TG-Diffuser + ABS only (§5.3).
     pub fn without_sg_filter(mut self) -> Self {
         self.sg_filter = false;
-        self
-    }
-
-    /// Enables chunk-based preprocessing (Cascade_EX).
-    pub fn with_chunk_size(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk size must be positive");
-        self.chunk_size = Some(chunk);
         self
     }
 
@@ -116,24 +103,22 @@ impl CascadeConfig {
 /// ```
 pub struct CascadeScheduler {
     cfg: CascadeConfig,
+    /// Walks the one resident dependency table: the current chunk's.
     diffuser: Option<TgDiffuser>,
     sg: Option<SgFilter>,
     abs: Option<Abs>,
     no_stable: Vec<bool>,
     num_nodes: usize,
-    chunk_bounds: Vec<(EventId, EventId)>,
+    /// Chunk geometry announced by `prepare_streaming`: chunk `k` covers
+    /// events `k * chunk_size .. min((k + 1) * chunk_size, total_train)`.
+    /// Zero until the scheduler is prepared.
+    chunk_size: usize,
+    /// Training-slice length (also drives the ABS batch count,
+    /// Equation 6).
+    total_train: usize,
     current_chunk: usize,
-    tables: Vec<Option<Arc<DependencyTable>>>,
-    pending: Option<Receiver<(usize, DependencyTable, Duration)>>,
     timers: StrategyTimers,
     global_batch_idx: usize,
-    /// Streaming (out-of-core) mode: chunks are announced one at a time
-    /// via `enter_chunk` and only the current chunk's table stays
-    /// resident.
-    streaming: bool,
-    /// Training-slice length announced by `prepare_streaming` (drives
-    /// the ABS batch count, Equation 6).
-    total_train: usize,
     /// `Max_r` restored from a checkpoint, consumed when the first
     /// post-resume chunk creates the diffuser.
     restored_max_r: Option<usize>,
@@ -150,14 +135,11 @@ impl CascadeScheduler {
             abs: None,
             no_stable: Vec::new(),
             num_nodes: 0,
-            chunk_bounds: Vec::new(),
+            chunk_size: 0,
+            total_train: 0,
             current_chunk: 0,
-            tables: Vec::new(),
-            pending: None,
             timers: StrategyTimers::default(),
             global_batch_idx: 0,
-            streaming: false,
-            total_train: 0,
             restored_max_r: None,
         }
     }
@@ -177,33 +159,36 @@ impl CascadeScheduler {
         self.abs.as_ref().map(Abs::stats)
     }
 
-    /// Fetches (or waits for) the table of `chunk`, caching it.
-    fn table_for_chunk(&mut self, chunk: usize) -> Arc<DependencyTable> {
-        if let Some(Some(t)) = self.tables.get(chunk) {
-            return Arc::clone(t);
+    /// Chunks in the announced geometry (0 when unprepared).
+    fn num_chunks(&self) -> usize {
+        self.total_train.div_ceil(self.chunk_size.max(1))
+    }
+
+    fn spec(&self) -> TableSpec {
+        TableSpec {
+            num_nodes: self.num_nodes,
+            incident_only: self.cfg.incident_only_table,
         }
-        let rx = self
-            .pending
-            .as_ref()
-            .expect("chunk table requested before prepare");
-        let start = Instant::now();
-        loop {
-            let (idx, table, work) = rx
-                .recv()
-                .expect("dependency-table builder thread terminated early");
-            self.tables[idx] = Some(Arc::new(table));
-            self.timers.background_build += work;
-            if idx == chunk {
-                break;
-            }
-        }
-        // Pipeline stall counts as table-building latency.
-        self.timers.build_table += start.elapsed();
-        Arc::clone(
-            self.tables[chunk]
-                .as_ref()
-                .expect("receive loop above inserted this chunk's table before breaking"),
-        )
+    }
+
+    /// Adopts a chunk geometry and drops everything derived from a
+    /// previous stream: a fresh run starts here.
+    fn configure(&mut self, total_train: usize, num_nodes: usize, chunk_size: usize) {
+        assert!(total_train > 0, "cannot stream an empty training slice");
+        assert!(chunk_size > 0, "chunk size must be positive");
+        self.total_train = total_train;
+        self.num_nodes = num_nodes;
+        self.chunk_size = chunk_size;
+        self.no_stable = vec![false; num_nodes];
+        self.sg = self
+            .cfg
+            .sg_filter
+            .then(|| SgFilter::new(num_nodes, self.cfg.theta));
+        self.current_chunk = 0;
+        self.abs = None;
+        self.diffuser = None;
+        self.global_batch_idx = 0;
+        self.restored_max_r = None;
     }
 }
 
@@ -268,102 +253,25 @@ impl BatchingStrategy for CascadeScheduler {
         } else {
             "Cascade-TB".to_string()
         };
-        if self.cfg.chunk_size.is_some() {
+        if self.num_chunks() > 1 {
             n.push_str("_EX");
         }
         n
     }
 
+    /// The whole slice as the single chunk of a one-chunk stream.
     fn prepare(&mut self, events: &[Event], num_nodes: usize) {
         assert!(!events.is_empty(), "cannot prepare on an empty stream");
-        self.num_nodes = num_nodes;
-        self.no_stable = vec![false; num_nodes];
-        self.sg = if self.cfg.sg_filter {
-            Some(SgFilter::new(num_nodes, self.cfg.theta))
-        } else {
-            None
-        };
-
-        let chunk = self.cfg.chunk_size.unwrap_or(events.len()).max(1);
-        self.chunk_bounds = (0..events.len())
-            .step_by(chunk)
-            .map(|s| (s, (s + chunk).min(events.len())))
-            .collect();
-        self.tables = vec![None; self.chunk_bounds.len()];
-        self.current_chunk = 0;
-
-        let first_table = if self.chunk_bounds.len() == 1 {
-            // Single table over the whole stream, built synchronously.
-            let t0 = Instant::now();
-            let table = Arc::new(if self.cfg.incident_only_table {
-                DependencyTable::build_incident_only(events, num_nodes)
-            } else {
-                DependencyTable::build(events, num_nodes)
-            });
-            self.timers.build_table += t0.elapsed();
-            self.tables[0] = Some(Arc::clone(&table));
-            table
-        } else {
-            // Chunked mode: a builder thread streams tables through a
-            // bounded (rendezvous + 2 slots) channel, overlapping
-            // construction with training.
-            let bounds = self.chunk_bounds.clone();
-            let events: Arc<[Event]> = events.into();
-            let (tx, rx) = sync_channel(2);
-            std::thread::spawn(move || {
-                for (idx, &(s, e)) in bounds.iter().enumerate() {
-                    let t0 = Instant::now();
-                    let table = DependencyTable::build_range(&events[s..e], num_nodes, s);
-                    if tx.send((idx, table, t0.elapsed())).is_err() {
-                        return; // receiver dropped: training finished early
-                    }
-                }
-            });
-            self.pending = Some(rx);
-            self.table_for_chunk(0)
-        };
-
-        // Maximum Endurance Profiling (over the first chunk's coverage —
-        // the whole stream when unchunked). The batch count `B` entering
-        // the decay schedule (Equation 6) always reflects the full
-        // training stream, not just the profiled chunk.
-        let covered = first_table.end() - first_table.base();
-        let abs = Abs::profile(
-            &first_table,
-            covered,
-            self.cfg.preset_batch_size,
-            self.cfg.seed,
-        );
-        let mut stats = abs.stats();
-        stats.batch_count = events.len().div_ceil(self.cfg.preset_batch_size);
-        let abs = Abs::from_stats(stats);
-        let max_r = abs.initial_max_r();
-        self.diffuser = Some(TgDiffuser::new(first_table, max_r));
-        self.abs = Some(abs);
+        self.configure(events.len(), num_nodes, events.len());
+        self.enter_chunk(0, 0, events, None);
     }
 
     fn reset_epoch(&mut self) {
-        if self.streaming {
-            // The trainer announces chunk 0 again via `enter_chunk`,
-            // which swaps its table in and resets the diffuser's
-            // pointers; nothing to fetch here.
-            self.current_chunk = 0;
-            if let Some(sg) = self.sg.as_mut() {
-                sg.reset();
-            }
-            if let Some(abs) = self.abs.as_mut() {
-                abs.reset_epoch();
-            }
-            return;
-        }
-        if self.current_chunk != 0 {
-            let t = self.table_for_chunk(0);
-            self.diffuser
-                .as_mut()
-                .expect("reset_epoch before prepare")
-                .swap_table(t);
-            self.current_chunk = 0;
-        } else if let Some(d) = self.diffuser.as_mut() {
+        // A multi-chunk driver announces chunk 0 again via `enter_chunk`,
+        // which swaps its table in; a one-chunk run keeps its table and
+        // only rewinds the pointers.
+        self.current_chunk = 0;
+        if let Some(d) = self.diffuser.as_mut() {
             d.reset();
         }
         if let Some(sg) = self.sg.as_mut() {
@@ -376,16 +284,14 @@ impl BatchingStrategy for CascadeScheduler {
 
     fn next_batch_end(&mut self, start: EventId, limit: EventId) -> EventId {
         assert!(start < limit, "next_batch_end on empty range");
-        // Advance to the chunk containing `start`.
-        while start >= self.chunk_bounds[self.current_chunk].1 {
-            self.current_chunk += 1;
-            let t = self.table_for_chunk(self.current_chunk);
-            self.diffuser
-                .as_mut()
-                .expect("scheduler not prepared")
-                .swap_table(t);
-        }
-        let chunk_end = self.chunk_bounds[self.current_chunk].1;
+        let diffuser = self.diffuser.as_mut().expect("scheduler not prepared");
+        let chunk_end = ((self.current_chunk + 1) * self.chunk_size).min(self.total_train);
+        assert!(
+            start < chunk_end,
+            "next_batch_end at event {start} is past the entered chunk {} (ends at event \
+             {chunk_end}): the driver must enter_chunk before scanning into it",
+            self.current_chunk
+        );
         let bound = limit.min(chunk_end);
 
         let t0 = Instant::now();
@@ -393,11 +299,7 @@ impl BatchingStrategy for CascadeScheduler {
             Some(sg) => sg.flags(),
             None => &self.no_stable,
         };
-        let end = self
-            .diffuser
-            .as_mut()
-            .expect("scheduler not prepared")
-            .next_boundary(start, bound, stable);
+        let end = diffuser.next_boundary(start, bound, stable);
         self.timers.lookup += t0.elapsed();
         end
     }
@@ -427,52 +329,18 @@ impl BatchingStrategy for CascadeScheduler {
         num_nodes: usize,
         chunk_size: usize,
     ) -> bool {
-        assert!(total_train > 0, "cannot stream an empty training slice");
-        assert!(chunk_size > 0, "chunk size must be positive");
-        // Idempotent: pipelined executors call this once to learn the
+        // Idempotent: `train_streamed` calls this once to learn the
         // table spec, and the shared driver calls it again.
-        if self.streaming
-            && self.total_train == total_train
-            && self.num_nodes == num_nodes
-            && self
-                .chunk_bounds
-                .first()
-                .is_some_and(|&(_, e)| e == chunk_size.min(total_train))
-        {
-            return true;
+        let same = (self.total_train, self.num_nodes, self.chunk_size)
+            == (total_train, num_nodes, chunk_size);
+        if !same {
+            self.configure(total_train, num_nodes, chunk_size);
         }
-        // Streaming adopts the source's chunk size: the chunk is the
-        // unit of I/O, so `cfg.chunk_size` (the in-memory Cascade_EX
-        // knob) is superseded by what the store file was written with.
-        self.streaming = true;
-        self.total_train = total_train;
-        self.num_nodes = num_nodes;
-        self.no_stable = vec![false; num_nodes];
-        self.sg = if self.cfg.sg_filter {
-            Some(SgFilter::new(num_nodes, self.cfg.theta))
-        } else {
-            None
-        };
-        self.chunk_bounds = (0..total_train)
-            .step_by(chunk_size)
-            .map(|s| (s, (s + chunk_size).min(total_train)))
-            .collect();
-        self.tables = vec![None; self.chunk_bounds.len()];
-        self.current_chunk = 0;
-        self.abs = None;
-        self.diffuser = None;
-        self.pending = None;
         true
     }
 
     fn table_spec(&self) -> Option<TableSpec> {
-        if !self.streaming {
-            return None;
-        }
-        Some(TableSpec {
-            num_nodes: self.num_nodes,
-            incident_only: self.cfg.incident_only_table,
-        })
+        (self.chunk_size > 0).then(|| self.spec())
     }
 
     fn enter_chunk(
@@ -482,36 +350,34 @@ impl BatchingStrategy for CascadeScheduler {
         events: &[Event],
         prebuilt: Option<PrebuiltTable>,
     ) {
-        assert!(self.streaming, "enter_chunk outside streaming mode");
-        let spec = TableSpec {
-            num_nodes: self.num_nodes,
-            incident_only: self.cfg.incident_only_table,
-        };
+        assert!(
+            idx < self.num_chunks(),
+            "enter_chunk {idx} is out of range: {} chunks were announced",
+            self.num_chunks()
+        );
         let table = match prebuilt {
             Some(p) => {
                 self.timers.background_build += p.work;
-                Arc::new(p.table)
+                p.table
             }
             None => {
                 let t0 = Instant::now();
-                let t = Arc::new(spec.build(base, events));
+                let t = self.spec().build(base, events);
                 self.timers.build_table += t0.elapsed();
                 t
             }
         };
-        // Out-of-core: only the current chunk's table stays resident, so
-        // `space()` reports the true streaming footprint.
-        for slot in &mut self.tables {
-            *slot = None;
-        }
-        self.tables[idx] = Some(Arc::clone(&table));
         self.current_chunk = idx;
+        // The previous chunk's table is dropped here: only the current
+        // one stays resident, which is the bound chunking exists to give.
         match self.diffuser.as_mut() {
             Some(d) => d.swap_table(table),
             None => {
                 if self.abs.is_none() {
-                    // First chunk seen: profile it exactly as the
-                    // in-memory `prepare` profiles its first chunk.
+                    // Maximum Endurance Profiling over the first chunk
+                    // seen. The batch count `B` entering the decay
+                    // schedule (Equation 6) reflects the full training
+                    // stream, not just the profiled chunk.
                     let covered = table.end() - table.base();
                     let abs =
                         Abs::profile(&table, covered, self.cfg.preset_batch_size, self.cfg.seed);
@@ -569,7 +435,7 @@ impl BatchingStrategy for CascadeScheduler {
 
     fn space(&self) -> StrategySpace {
         StrategySpace {
-            dependency_bytes: self.tables.iter().flatten().map(|t| t.size_bytes()).sum(),
+            dependency_bytes: self.diffuser.as_ref().map_or(0, |d| d.table().size_bytes()),
             flag_bytes: self.sg.as_ref().map_or(0, SgFilter::size_bytes),
         }
     }
@@ -578,6 +444,7 @@ impl BatchingStrategy for CascadeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dependency::DependencyTable;
     use cascade_tgraph::SynthConfig;
 
     fn small_data() -> cascade_tgraph::Dataset {
@@ -596,6 +463,31 @@ mod tests {
             preset_batch_size: 50,
             ..CascadeConfig::default()
         }
+    }
+
+    /// Drives the chunk protocol over in-memory `events` the way the
+    /// streaming driver does — every chunk entered just before the first
+    /// scan that reaches it — and returns every batch end.
+    fn drive_chunked(
+        s: &mut CascadeScheduler,
+        events: &[Event],
+        num_nodes: usize,
+        chunk: usize,
+    ) -> Vec<usize> {
+        let n = events.len();
+        assert!(s.prepare_streaming(n, num_nodes, chunk));
+        s.reset_epoch();
+        let mut ends = Vec::new();
+        let mut start = 0;
+        while start < n {
+            if start % chunk == 0 {
+                let chunk_end = (start + chunk).min(n);
+                s.enter_chunk(start / chunk, start, &events[start..chunk_end], None);
+            }
+            start = s.next_batch_end(start, n);
+            ends.push(start);
+        }
+        ends
     }
 
     #[test]
@@ -631,12 +523,15 @@ mod tests {
     fn chunked_equals_unchunked_partition_when_chunks_align() {
         // With chunking, boundaries additionally snap to chunk ends, but
         // the stream is still fully partitioned.
-        let (mut s, n) = prepared(base_cfg().with_chunk_size(97));
-        let mut start = 0;
-        while start < n {
-            let end = s.next_batch_end(start, n);
-            assert!(end > start && end <= n);
-            start = end;
+        let data = small_data();
+        let n = data.num_events();
+        let mut s = CascadeScheduler::new(base_cfg());
+        assert_eq!(s.name(), "Cascade", "no geometry announced yet");
+        let ends = drive_chunked(&mut s, data.stream().events(), data.num_nodes(), 97);
+        assert!(ends.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ends.last(), Some(&n));
+        for chunk_end in (97..n).step_by(97) {
+            assert!(ends.contains(&chunk_end), "no batch ends at {chunk_end}");
         }
         assert_eq!(s.name(), "Cascade_EX");
     }
@@ -700,39 +595,110 @@ mod tests {
     #[test]
     fn streaming_boundaries_match_in_memory_chunked() {
         let data = small_data();
-        let n = data.num_events();
         let events = data.stream().events();
         let chunk = 97;
 
-        let mut a = CascadeScheduler::new(base_cfg().with_chunk_size(chunk));
-        a.prepare(events, data.num_nodes());
-        let mut bounds_a = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let e = a.next_batch_end(start, n);
-            bounds_a.push(e);
-            start = e;
-        }
+        let mut s = CascadeScheduler::new(base_cfg());
+        let ends = drive_chunked(&mut s, events, data.num_nodes(), chunk);
 
-        let mut b = CascadeScheduler::new(base_cfg());
-        assert!(b.prepare_streaming(n, data.num_nodes(), chunk));
-        let mut bounds_b = Vec::new();
-        let mut start = 0;
-        let mut next_enter = 0;
-        while start < n {
-            while next_enter * chunk <= start && next_enter * chunk < n {
-                let cs = next_enter * chunk;
-                let ce = (cs + chunk).min(n);
-                b.enter_chunk(next_enter, cs, &events[cs..ce], None);
-                next_enter += 1;
+        // Reference: a bare diffuser over each chunk's range table at the
+        // profiled `Max_r` (no feedback was given, so it never decayed
+        // and no node turned stable).
+        let max_r = s.max_r().expect("prepared");
+        let no_stable = vec![false; data.num_nodes()];
+        let mut reference = Vec::new();
+        for (k, slice) in events.chunks(chunk).enumerate() {
+            let (base, end) = (k * chunk, k * chunk + slice.len());
+            let table = DependencyTable::build_range(slice, data.num_nodes(), base);
+            let mut d = TgDiffuser::new(table, max_r);
+            let mut start = base;
+            while start < end {
+                start = d.next_boundary(start, end, &no_stable);
+                reference.push(start);
             }
-            let e = b.next_batch_end(start, n);
-            bounds_b.push(e);
-            start = e;
         }
-        assert_eq!(bounds_a, bounds_b);
-        // Out-of-core mode keeps a single table resident.
-        assert!(b.space().dependency_bytes < a.space().dependency_bytes);
+        assert_eq!(ends, reference);
+
+        // Only the last chunk's table is resident, not the whole stream's.
+        let last = events.chunks(chunk).last().expect("non-empty stream");
+        let last_base = events.len() - last.len();
+        let resident = DependencyTable::build_range(last, data.num_nodes(), last_base);
+        assert_eq!(s.space().dependency_bytes, resident.size_bytes());
+        let (whole, _) = prepared(base_cfg());
+        assert!(s.space().dependency_bytes < whole.space().dependency_bytes);
+    }
+
+    #[test]
+    fn prepare_twice_re_prepares() {
+        let data = small_data();
+        let (events, nodes) = (data.stream().events(), data.num_nodes());
+        let (mut s, n) = prepared(base_cfg());
+        let fresh_state = s.export_state();
+        let first = s.next_batch_end(0, n);
+        for i in 0..200 {
+            s.after_batch(i, 1.0); // stalled loss: Max_r decays
+        }
+        assert_ne!(s.export_state(), fresh_state);
+
+        // Same geometry again: `prepare` must not take the idempotent
+        // `prepare_streaming` shortcut and keep the used-up state.
+        s.prepare(events, nodes);
+        assert_eq!(s.export_state(), fresh_state);
+        assert_eq!(s.next_batch_end(0, n), first);
+
+        // A different stream re-profiles.
+        s.prepare(&events[..n / 2], nodes);
+        let mut half = CascadeScheduler::new(base_cfg());
+        half.prepare(&events[..n / 2], nodes);
+        assert_eq!(s.export_state(), half.export_state());
+        assert_eq!(s.space(), half.space());
+    }
+
+    #[test]
+    fn reset_epoch_replays_the_one_chunk_path() {
+        // Two epochs over a one-chunk stream with no feedback: the same
+        // table, rewound, gives the same partition; the chunk protocol
+        // fed one whole-stream chunk gives it too.
+        let (mut s, n) = prepared(base_cfg());
+        let mut epochs = Vec::new();
+        for _ in 0..2 {
+            s.reset_epoch();
+            let mut ends = Vec::new();
+            let mut start = 0;
+            while start < n {
+                start = s.next_batch_end(start, n);
+                ends.push(start);
+            }
+            epochs.push(ends);
+        }
+        assert_eq!(epochs[0], epochs[1]);
+        assert!(epochs[0].len() > 1);
+
+        let data = small_data();
+        let mut one = CascadeScheduler::new(base_cfg());
+        let fed = drive_chunked(&mut one, data.stream().events(), data.num_nodes(), n);
+        assert_eq!(fed, epochs[0]);
+        assert_eq!(one.name(), "Cascade");
+        assert_eq!(one.space(), s.space());
+    }
+
+    #[test]
+    #[should_panic(expected = "event 97 is past the entered chunk 0 (ends at event 97)")]
+    fn scanning_past_the_entered_chunk_panics() {
+        let data = small_data();
+        let events = data.stream().events();
+        let mut s = CascadeScheduler::new(base_cfg());
+        assert!(s.prepare_streaming(events.len(), data.num_nodes(), 97));
+        s.enter_chunk(0, 0, &events[..97], None);
+        let _ = s.next_batch_end(97, events.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "enter_chunk 3 is out of range: 3 chunks were announced")]
+    fn entering_a_chunk_past_the_geometry_panics() {
+        let mut s = CascadeScheduler::new(base_cfg());
+        assert!(s.prepare_streaming(250, 10, 100));
+        s.enter_chunk(3, 300, &[], None);
     }
 
     #[test]

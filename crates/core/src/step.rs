@@ -5,11 +5,10 @@
 //! learning rate, `forward_batch`, backward, clip, `opt.step`,
 //! `apply_batch`, trim the arena, fold the batch into the run's
 //! accumulators, then feed loss and memory deltas back to the strategy.
-//! [`TrainStep`] is that sequence; [`train`](crate::train), the
-//! streaming driver and `cascade-exec`'s pipelined executor differ only
-//! in where a batch's events come from and on which thread the strategy
-//! lives, so they are bit-identical by construction rather than by
-//! replication.
+//! [`TrainStep`] is that sequence; [`train`](crate::train) and the
+//! streaming driver (with or without `cascade-exec`'s loader thread)
+//! differ only in where a batch's events come from, so they are
+//! bit-identical by construction rather than by replication.
 
 // cascade-lint: allow-file(det-wallclock): stage timings land in TrainReport/StageTimings telemetry only; no Duration ever feeds batching, scheduling, or learning decisions.
 use std::time::{Duration, Instant};
@@ -83,9 +82,7 @@ pub struct TrainStep {
     pub(crate) progress: CheckpointProgress,
     /// Per-stage telemetry. [`scan`](Self::scan) and [`run`](Self::run)
     /// record busy time and items; drivers add the stalls only they can
-    /// see (queue waits, chunk loads), and the pipelined executor
-    /// installs its scout thread's scan timing before
-    /// [`finish`](Self::finish).
+    /// see (chunk loads).
     pub stages: StageTimings,
     started: Instant,
     total_time: Duration,
@@ -114,17 +111,27 @@ impl TrainStep {
     }
 
     /// Stage A: asks `strategy` where the batch starting at `start` ends.
+    ///
+    /// # Errors
+    ///
+    /// Describes an answer outside `start < end <= limit`: an empty batch
+    /// would never advance the stream.
     pub fn scan(
         &mut self,
         strategy: &mut dyn BatchingStrategy,
         start: EventId,
         limit: EventId,
-    ) -> EventId {
+    ) -> Result<EventId, String> {
         let t0 = Instant::now();
         let end = strategy.next_batch_end(start, limit);
         self.stages.scan.record(t0.elapsed());
-        debug_assert!(end > start && end <= limit);
-        end
+        if end <= start || end > limit {
+            return Err(format!(
+                "strategy {} ended the batch starting at event {start} at {end} (limit {limit})",
+                strategy.name()
+            ));
+        }
+        Ok(end)
     }
 
     /// Stages B and C over one batch: `events` start at global id
@@ -227,15 +234,16 @@ impl TrainStep {
         let overhead = Duration::from_secs_f64(
             per_event * cfg.sim_batch_overhead_events * p.num_batches as f64,
         );
-        // Pipelined background table building shares this test machine's
+        // The loader thread's table building shares this test machine's
         // cores with training (inflating measured time), but runs on
         // otherwise idle CPU in the modeled CPU-preprocess/GPU-train
-        // deployment: credit it back, bounded by the non-stall portion
-        // of the run.
+        // deployment: credit it back, less whatever the driver spent
+        // waiting for a chunk (that part did not overlap anything — the
+        // first chunk's table never does).
         let timers = strategy.timers();
         let overlap_credit = timers
             .background_build
-            .saturating_sub(timers.build_table)
+            .saturating_sub(timers.build_table + stages.scan.stall)
             .min(total_time / 2);
         let modeled_time = (total_time + overhead).saturating_sub(overlap_credit);
 

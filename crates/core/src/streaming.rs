@@ -5,12 +5,12 @@
 //!
 //! The driver feeds the same [`TrainStep`] the serial trainer does, so a
 //! streaming run is **bit-identical** (gradients, memories, post-step
-//! parameters) to an in-memory run over the same
-//! events with the same chunk geometry (`CascadeConfig::chunk_size =
-//! Some(source chunk size)` for the Cascade strategy). The pipelined
-//! executor in `cascade-exec` reuses the same driver through the
-//! [`ChunkProvider`] trait, so overlap changes wall-clock only, never
-//! results.
+//! parameters) to an in-memory run over the same events with the same
+//! chunk geometry — for the Cascade strategy that is [`train`](crate::train)
+//! when the source yields the stream as one chunk, and any other
+//! [`EventSource`] of equal chunk size otherwise. `cascade-exec`'s
+//! `train_streamed` reuses the same driver through the [`ChunkProvider`]
+//! trait, so its loader thread changes wall-clock only, never results.
 //!
 //! Mid-stream suspend/resume: [`StreamOptions::suspend_after`] stops the
 //! run just before a chunk is entered and returns a
@@ -18,7 +18,7 @@
 //! run bit for bit (model parameters, node memories, optimizer moments,
 //! scheduler monitors).
 
-// cascade-lint: allow-file(det-wallclock): the one clock pair times chunk-load stalls for StageTimings telemetry; batch boundaries, chunk handoffs, and checkpoints are derived purely from event data.
+// cascade-lint: allow-file(det-wallclock): the two clock pairs time chunk-load stalls for StageTimings telemetry; batch boundaries, chunk handoffs, and checkpoints are derived purely from event data.
 use std::time::{Duration, Instant};
 
 use cascade_models::MemoryTgnn;
@@ -30,8 +30,8 @@ use crate::step::{CheckpointProgress, RunFacts, TrainStep};
 use crate::trainer::{EvalAccumulator, TrainConfig, TrainReport};
 
 /// Stream geometry the driver needs up front (mirrors the accessors of
-/// [`EventSource`], so pipelined executors can capture it before moving
-/// the source into a loader thread).
+/// [`EventSource`], so `train_streamed` can capture it before moving the
+/// source into its loader thread).
 #[derive(Clone, Debug)]
 pub struct StreamMeta {
     /// Source name, used as the report's dataset name.
@@ -71,7 +71,7 @@ pub struct ProvidedChunk {
     pub events: Vec<Event>,
     /// Row-major feature rows for `events`.
     pub features: Vec<f32>,
-    /// Table built ahead by a pipeline stage (`None` = driver builds).
+    /// Table built ahead by a loader thread (`None` = strategy builds).
     pub prebuilt: Option<PrebuiltTable>,
 }
 
@@ -315,7 +315,9 @@ impl Window {
 /// Trains `model` from a chunked event source without materializing the
 /// stream, then evaluates on the validation split. Results are
 /// bit-identical to [`train`](crate::train) over the imported dataset
-/// when the strategy uses the same chunk geometry.
+/// for strategies that ignore chunk boundaries (fixed batching) and, for
+/// Cascade, when the source yields the stream as one chunk — the chunk
+/// geometry is the source's, and Cascade's batches stop at chunk ends.
 ///
 /// # Errors
 ///
@@ -355,9 +357,9 @@ pub fn train_streaming_with_options(
 }
 
 /// The shared streaming driver: everything between a chunk provider and
-/// a finished [`TrainReport`]. `cascade-exec`'s pipelined streaming path
-/// calls this with its prefetching loader, so serial and pipelined
-/// streaming are bit-identical by construction.
+/// a finished [`TrainReport`]. `cascade-exec`'s `train_streamed` calls
+/// this with its prefetching loader, so streaming with and without the
+/// loader thread is bit-identical by construction.
 ///
 /// # Errors
 ///
@@ -470,11 +472,13 @@ pub fn train_streaming_with_provider(
             while next_enter < train_chunks && chunk_start(next_enter) <= start {
                 let cs = chunk_start(next_enter);
                 let ce = (cs + chunk_size).min(n);
+                let t_load = Instant::now();
                 while window.chunks_loaded <= next_enter {
                     if let Some(pb) = window.load_next(provider)? {
                         prebuilt.push(pb);
                     }
                 }
+                step.stages.scan.stall += t_load.elapsed();
                 let table = prebuilt
                     .iter()
                     .position(|(idx, _)| *idx == next_enter)
@@ -486,7 +490,9 @@ pub fn train_streaming_with_provider(
                 next_enter += 1;
             }
 
-            let end = step.scan(strategy, start, n_train);
+            let end = step
+                .scan(strategy, start, n_train)
+                .map_err(SourceError::new)?;
 
             // A fixed-size batch can straddle into a chunk that is not
             // entered yet; its events must still be resident.

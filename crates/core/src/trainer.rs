@@ -110,9 +110,9 @@ pub struct TrainReport {
     pub batch_losses: Vec<f32>,
     /// Space accounting at end of run.
     pub space: SpaceBreakdown,
-    /// Per-stage wall-time / stall / throughput telemetry. Serial runs
-    /// report zero stalls; pipelined runs (`cascade-exec`) report the
-    /// scout thread's scan stage overlapping the driver stages.
+    /// Per-stage wall-time / stall / throughput telemetry. In-memory
+    /// runs report zero stalls; streaming runs report the driver's waits
+    /// for the next chunk as `scan.stall`.
     pub stages: StageTimings,
 }
 
@@ -143,7 +143,8 @@ pub fn train(
 ///
 /// # Panics
 ///
-/// Panics if the dataset's training range is empty or `cfg.epochs == 0`.
+/// Panics if the dataset's training range is empty, `cfg.epochs == 0`,
+/// or the strategy answers a scan with an empty or overlong batch.
 pub fn train_with_observer(
     model: &mut MemoryTgnn,
     data: &Dataset,
@@ -167,7 +168,9 @@ pub fn train_with_observer(
         strategy.reset_epoch();
         let mut start = 0usize;
         while start < n_train {
-            let end = step.scan(strategy, start, n_train);
+            let end = step
+                .scan(strategy, start, n_train)
+                .expect("a batching strategy returns start < end <= limit");
             let out = step
                 .run(model, &events[start..end], start, data.features())
                 .expect("the model's loss is a scalar, so its backward pass is well-formed");

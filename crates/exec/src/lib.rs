@@ -2,44 +2,35 @@
 #![warn(missing_docs)]
 //! # cascade-exec
 //!
-//! A staleness-aware pipelined training executor for the Cascade TGNN
-//! framework, in the spirit of MSPipe's bounded-staleness pipeline and
-//! DistTGL's prefetch/worker split.
+//! The loader thread for streaming Cascade training: the paper's chunk
+//! variant (Cascade_EX, §4.2), which "pipelines table building with
+//! training".
 //!
-//! Cascade decomposes every batch into three steps (§2.2, Figure 3):
+//! [`cascade_core::train_streaming`] consumes an
+//! [`EventSource`](cascade_tgraph::EventSource) chunk by chunk on one
+//! thread: read chunk `k`, build its dependency table, train on it, read
+//! chunk `k + 1`, … [`train_streamed`] runs the same driver but moves the
+//! first two steps onto a scoped *loader* thread connected by one bounded
+//! [`std::sync::mpsc::sync_channel`]: while the driver trains on chunk
+//! `k`, the loader reads chunk `k + 1` and builds its table, up to
+//! [`PipelineConfig::depth`] chunks ahead. The chunk geometry is the
+//! source's — a store file's, or whatever an
+//! [`InMemorySource`](cascade_tgraph::InMemorySource) was given — and only
+//! the current chunk's table is resident.
 //!
-//! * **Stage A — scan**: the batching strategy decides where the batch
-//!   ends (TG-Diffuser boundary lookup over the dependency table) and
-//!   ingests feedback (losses for ABS, memory deltas for the SG-Filter).
-//! * **Stage B — compute**: message consumption, embedding, link
-//!   prediction, loss, backward, optimizer step.
-//! * **Stage C — update**: detached memory write-back, message
-//!   generation, temporal-adjacency registration.
-//!
-//! The serial [`train`](cascade_core::train) loop runs A→B→C on one
-//! thread, batch after batch, so the boundary scan and every SG-Filter
-//! refresh sit on the critical path. [`train_pipelined`] moves Stage A
-//! onto a *scout* thread connected to the driver by two bounded
-//! [`std::sync::mpsc::sync_channel`] queues: the scout prefetches up to
-//! [`PipelineConfig::depth`] batch boundaries ahead while the driver runs
-//! Stages B and C, and batch feedback flows back to the scout, which
-//! also absorbs the SG-Filter's cosine-similarity refresh off the
-//! critical path.
-//!
-//! Overlap is governed by a **staleness bound**: the scout never scans a
-//! boundary whose scheduler state (stable flags, `Max_r`) is more than
-//! [`PipelineConfig::staleness_bound`] batches behind the training
-//! frontier. Feedback is consumed on a fixed schedule (batch *j*'s
-//! feedback right before scanning batch *j + bound + 1*), so for every
-//! bound the produced batch partition is a deterministic function of the
-//! configuration — and `staleness_bound = 0` reproduces the serial
-//! trainer bit for bit.
+//! Nothing about the schedule moves off the driver thread: the boundary
+//! scan and the SG-Filter / ABS feedback stay where the serial loop has
+//! them (together they measure 1–6 % of training time on this
+//! repository's workloads — too little to be worth a thread of their
+//! own, DESIGN.md §6). The loader therefore changes wall-clock only, and
+//! a run is bit-identical to `train_streaming` over the same source at
+//! every depth.
 //!
 //! ```
-//! use cascade_core::{train, CascadeConfig, CascadeScheduler, TrainConfig};
-//! use cascade_exec::{train_pipelined, PipelineConfig};
+//! use cascade_core::{train_streaming, CascadeConfig, CascadeScheduler, TrainConfig};
+//! use cascade_exec::{train_streamed, PipelineConfig};
 //! use cascade_models::{MemoryTgnn, ModelConfig};
-//! use cascade_tgraph::SynthConfig;
+//! use cascade_tgraph::{InMemorySource, SynthConfig};
 //!
 //! let data = SynthConfig::wiki().with_scale(0.004).generate(1);
 //! let mk_model = || MemoryTgnn::new(
@@ -48,31 +39,32 @@
 //!     data.features().dim(),
 //!     7,
 //! );
+//! let mk_strategy = || CascadeScheduler::new(CascadeConfig {
+//!     preset_batch_size: 64, ..CascadeConfig::default()
+//! });
 //! let cfg = TrainConfig { epochs: 1, eval_batch_size: 64, ..TrainConfig::default() };
 //!
-//! // Staleness 0: bit-identical to the serial trainer.
+//! // Cascade_EX: 128-event chunks, one table resident at a time.
 //! let mut serial_model = mk_model();
-//! let mut s1 = CascadeScheduler::new(CascadeConfig {
-//!     preset_batch_size: 64, ..CascadeConfig::default()
-//! });
-//! let serial = train(&mut serial_model, &data, &mut s1, &cfg);
+//! let mut source = InMemorySource::from_dataset(&data, 128);
+//! let serial = train_streaming(&mut serial_model, &mut source, &mut mk_strategy(), &cfg).unwrap();
 //!
-//! let mut pipe_model = mk_model();
-//! let mut s2 = CascadeScheduler::new(CascadeConfig {
-//!     preset_batch_size: 64, ..CascadeConfig::default()
-//! });
-//! let piped = train_pipelined(
-//!     &mut pipe_model,
-//!     &data,
-//!     &mut s2,
+//! // The same run with the loader building table k + 1 during chunk k.
+//! let mut piped_model = mk_model();
+//! let mut source = InMemorySource::from_dataset(&data, 128);
+//! let piped = train_streamed(
+//!     &mut piped_model,
+//!     &mut source,
+//!     &mut mk_strategy(),
 //!     &cfg,
-//!     &PipelineConfig::default().with_staleness(0),
+//!     &PipelineConfig::default(),
 //! ).unwrap();
+//! assert_eq!(piped.strategy, "Cascade_EX");
 //! assert_eq!(serial.epoch_losses, piped.epoch_losses);
 //! ```
 
 mod pipeline;
 mod stream;
 
-pub use pipeline::{train_pipelined, PipelineConfig, PipelineError, PipelineStage};
+pub use pipeline::PipelineConfig;
 pub use stream::train_streamed;

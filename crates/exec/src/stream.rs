@@ -1,7 +1,9 @@
-//! Out-of-core pipelined training: a loader thread prefetches chunks
-//! from an [`EventSource`] and builds the next chunk's dependency table
-//! while the driver trains on the current one, so chunk `k + 1`'s I/O
-//! and table construction overlap chunk `k`'s model compute.
+//! Streaming training with a loader thread: it pulls chunks from an
+//! [`EventSource`] and builds the next chunk's dependency table while the
+//! driver trains on the current one, so chunk `k + 1`'s I/O and table
+//! construction overlap chunk `k`'s model compute. This is the paper's
+//! chunk variant (Cascade_EX, §4.2) for any source — a store file, or an
+//! in-memory dataset behind `InMemorySource`.
 //!
 //! ```text
 //!            chunks + prebuilt tables (sync_channel, capacity = depth)
@@ -17,11 +19,14 @@
 //! The driver is [`cascade_core::train_streaming_with_provider`] — the
 //! exact code path serial streaming uses — fed through a channel-backed
 //! [`ChunkProvider`]. Prefetching therefore changes wall-clock only:
-//! results are bit-identical to serial streaming (and, transitively, to
-//! in-memory training) by construction. Table-build time moves from the
-//! strategy's critical-path `build_table` timer to its
-//! `background_build` timer, which the modeled-latency credit in the
-//! report already understands.
+//! results are bit-identical to serial streaming by construction.
+//! Table-build time moves from the strategy's critical-path
+//! `build_table` timer to its `background_build` timer, which the
+//! modeled-latency credit in the report already understands.
+//!
+//! The loader is a scoped thread, joined before [`train_streamed`]
+//! returns on every path: each side only blocks on the channel the other
+//! owns, so whichever fails first disconnects it and the survivor exits.
 
 // cascade-lint: allow-file(det-wallclock): Instant readings time background table builds for telemetry; chunk order and batch boundaries derive purely from event data.
 use std::sync::mpsc::sync_channel;
@@ -34,7 +39,7 @@ use cascade_core::{
 use cascade_models::MemoryTgnn;
 use cascade_tgraph::{chronological_split, EventSource, SourceError};
 
-use crate::pipeline::{PipelineConfig, PipelineError, PipelineStage};
+use crate::pipeline::PipelineConfig;
 
 /// What the loader thread sends the driver.
 enum LoaderMsg {
@@ -55,6 +60,9 @@ impl ChunkProvider for LoaderProvider {
     fn next(&mut self) -> Result<Option<ProvidedChunk>, SourceError> {
         match self.rx.recv() {
             Ok(LoaderMsg::Chunk(c)) => Ok(Some(c)),
+            // A disconnect is the loader gone without a word: it
+            // panicked, and `train_streamed` reports that from the join
+            // in place of the driver's "stream ended".
             Ok(LoaderMsg::EndOfPass) | Err(_) => Ok(None),
             Ok(LoaderMsg::Failed(e)) => Err(e),
         }
@@ -137,24 +145,37 @@ fn run_loader(
     }
 }
 
-/// Trains `model` out-of-core from `source` with chunk prefetch and
-/// background dependency-table construction ([`PipelineConfig::depth`]
-/// chunks of read-ahead). Bit-identical to
-/// [`cascade_core::train_streaming`] — and to in-memory training with
-/// the same chunk geometry — because the same driver consumes the
-/// chunks; only the overlap differs.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "no message".to_string()
+    }
+}
+
+/// Trains `model` from `source` with chunk prefetch and background
+/// dependency-table construction ([`PipelineConfig::depth`] chunks of
+/// read-ahead). Bit-identical to [`cascade_core::train_streaming`] over
+/// the same source because the same driver consumes the chunks; only the
+/// overlap differs.
 ///
 /// # Errors
 ///
-/// Returns a [`PipelineError`] naming the load stage when the source
-/// fails (I/O, corruption, early end) or the strategy cannot stream.
+/// As [`cascade_core::train_streaming`]: the source's own
+/// [`SourceError`] (I/O, corruption) with its chunk index, an early end
+/// of the stream, or a strategy that cannot stream. A panic on the
+/// loader thread (inside the source, or a table build) is caught at the
+/// join and returned as an error naming the loader and carrying the
+/// panic message.
 pub fn train_streamed<S: EventSource + Send>(
     model: &mut MemoryTgnn,
     source: &mut S,
     strategy: &mut dyn BatchingStrategy,
     cfg: &TrainConfig,
     pipe: &PipelineConfig,
-) -> Result<TrainReport, PipelineError> {
+) -> Result<TrainReport, SourceError> {
     let meta = StreamMeta::of(source);
     let (n_train, val_end) = chronological_split(meta.num_events);
     let chunk_size = meta.chunk_size.max(1);
@@ -162,10 +183,10 @@ pub fn train_streamed<S: EventSource + Send>(
     // Learn the strategy's table recipe up front (idempotent: the core
     // driver repeats this call and keeps the state we set up here).
     if !strategy.prepare_streaming(n_train.max(1), meta.num_nodes, chunk_size) {
-        return Err(PipelineError {
-            stage: PipelineStage::Load,
-            message: format!("strategy {} does not support streaming", strategy.name()),
-        });
+        return Err(SourceError::new(format!(
+            "strategy {} does not support streaming",
+            strategy.name()
+        )));
     }
     let spec = strategy.table_spec();
     let epochs = cfg.epochs;
@@ -187,16 +208,19 @@ pub fn train_streamed<S: EventSource + Send>(
         // Dropping the provider disconnects the channel, so a loader
         // still producing (driver failed early) exits on its next send.
         drop(provider);
-        let _ = loader.join();
-        result
+        match loader.join() {
+            Ok(()) => result,
+            // The driver's own error, if any, is the secondary "stream
+            // ended" it saw when the channel went quiet.
+            Err(payload) => Err(SourceError::new(format!(
+                "chunk loader thread panicked: {}",
+                panic_message(payload)
+            ))),
+        }
     });
-    match outcome {
-        Ok(StreamOutcome::Completed(report)) => Ok(*report),
+    match outcome? {
+        StreamOutcome::Completed(report) => Ok(*report),
         // cascade-lint: allow(panic-macro): default StreamOptions carry no suspension point, so the driver can only complete
-        Ok(StreamOutcome::Suspended(_)) => unreachable!("no suspension point was requested"),
-        Err(e) => Err(PipelineError {
-            stage: PipelineStage::Load,
-            message: e.to_string(),
-        }),
+        StreamOutcome::Suspended(_) => unreachable!("no suspension point was requested"),
     }
 }

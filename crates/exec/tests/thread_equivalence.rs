@@ -1,12 +1,12 @@
 //! Integration tests for shard-parallel batch compute: any
 //! `compute_threads` value must be bit-identical to the single-threaded
-//! run through both the serial trainer and the pipelined executor.
+//! run through both the in-memory trainer and the loader-thread driver.
 
 use cascade_core::{train, CascadeConfig, CascadeScheduler, TrainConfig, TrainReport};
-use cascade_exec::{train_pipelined, PipelineConfig};
+use cascade_exec::{train_streamed, PipelineConfig};
 use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_nn::Module;
-use cascade_tgraph::{Dataset, NodeId, SynthConfig};
+use cascade_tgraph::{Dataset, InMemorySource, NodeId, SynthConfig};
 
 fn dataset() -> Dataset {
     SynthConfig::wiki().with_scale(0.006).generate(23)
@@ -85,8 +85,9 @@ fn serial_trainer_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The deterministic pipelined executor composes with shard-parallel
-/// compute: pipelined + `compute_threads = 4` still matches the serial
+/// The loader thread composes with shard-parallel compute:
+/// `train_streamed` over the stream as one chunk (the in-memory
+/// trainer's geometry) at `compute_threads = 4` still matches the serial
 /// single-threaded trainer bit for bit.
 #[test]
 fn pipelined_parallel_compute_matches_serial_single_thread() {
@@ -103,14 +104,15 @@ fn pipelined_parallel_compute_matches_serial_single_thread() {
 
     let mut piped_model = model_for(&data);
     let mut piped_strategy = scheduler();
-    let piped = train_pipelined(
+    let mut source = InMemorySource::from_dataset(&data, data.num_events());
+    let piped = train_streamed(
         &mut piped_model,
-        &data,
+        &mut source,
         &mut piped_strategy,
         &train_cfg(4),
-        &PipelineConfig::default().with_depth(4).with_staleness(0),
+        &PipelineConfig::default().with_depth(4),
     )
-    .expect("deterministic pipeline must not fail");
+    .expect("an in-memory source cannot fail");
 
     assert_same_report(&serial, &piped, "pipelined threads=4");
     assert_same_state(&serial_model, &piped_model, &data, "pipelined threads=4");

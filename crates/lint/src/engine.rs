@@ -730,11 +730,11 @@ mod tests {
     }
 
     #[test]
-    fn spawn_banned_in_exec_except_pipeline() {
+    fn spawn_banned_in_exec_and_core_except_the_loader_module() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         assert_eq!(rules_hit(EXEC, src), ["conc-spawn"]);
-        assert!(rules_hit("crates/exec/src/pipeline.rs", src).is_empty());
-        assert!(rules_hit(CORE, src).is_empty(), "conc-spawn is exec-scoped");
+        assert!(rules_hit("crates/exec/src/stream.rs", src).is_empty());
+        assert_eq!(rules_hit(CORE, src), ["conc-spawn"], "core spawns none");
         assert_eq!(
             rules_hit(EXEC, "fn f() { thread::spawn(|| {}); }"),
             ["conc-spawn"]

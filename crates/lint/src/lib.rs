@@ -5,8 +5,8 @@
 //! A zero-dependency static-analysis gate for the Cascade workspace.
 //!
 //! The compiler cannot check the invariants Cascade's correctness claims
-//! rest on: the pipelined executor must stay **bit-identical** to serial
-//! training at staleness 0 (DESIGN.md §6), and the TG-Diffuser /
+//! rest on: every training driver must stay **bit-identical** to the
+//! serial one (serial ≡ streamed ≡ dist N=1, DESIGN.md §6), and the TG-Diffuser /
 //! SG-Filter / ABS loop is only reproducible if no nondeterministic API
 //! leaks into a compute path. Regressions there are silent data
 //! corruption, not crashes — so this crate walks the whole workspace at

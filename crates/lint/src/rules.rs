@@ -7,8 +7,9 @@
 //! a suppression without one is itself a finding). Scopes are path
 //! prefixes relative to the workspace root, so e.g. determinism rules
 //! bind only the compute-path crates whose schedules must stay
-//! bit-identical at staleness 0 (see DESIGN.md §6 and §8), while telemetry
-//! (`core/src/instrument.rs`) and the measurement crates are allowlisted.
+//! bit-identical across drivers (serial ≡ streamed ≡ dist N=1, see
+//! DESIGN.md §6 and §8), while telemetry (`core/src/instrument.rs`) and
+//! the measurement crates are allowlisted.
 
 /// Identifier, scope, and documentation of one lint rule.
 #[derive(Clone, Copy, Debug)]
@@ -27,10 +28,11 @@ pub struct RuleSpec {
     pub why: &'static str,
 }
 
-/// Crates whose compute paths must stay deterministic: the pipelined
-/// executor's staleness-0 bit-identity guarantee (DESIGN.md §6) is only
-/// checkable if no iteration-order or wall-clock dependence leaks into
-/// the schedule these crates produce. The serving engine is bound too —
+/// Crates whose compute paths must stay deterministic: the identity
+/// contract between the drivers (in-memory ≡ streamed with or without
+/// the loader thread ≡ dist N=1, DESIGN.md §6) is only checkable if no
+/// iteration-order or wall-clock dependence leaks into the schedule
+/// these crates produce. The serving engine is bound too —
 /// its restart guarantee (snapshot + WAL replay reproduces memories
 /// bit-for-bit, DESIGN.md §11) dies the moment a clock or hash order
 /// leaks into ingest; only its telemetry module may read clocks.
@@ -57,8 +59,8 @@ const DETERMINISM_SCOPE: &[&str] = &[
     "tests/",
 ];
 
-/// Hot-path crates where an unexpected panic kills a pipeline stage
-/// mid-training (the executor reports it, but the run is lost). The
+/// Hot-path crates where an unexpected panic kills a training thread
+/// mid-run (a loader panic is reported, but the run is lost). The
 /// serving crate is held to the same bar: a panic there drops a client
 /// connection at best and the ingest thread — the whole server — at
 /// worst.
@@ -114,7 +116,7 @@ const TELEMETRY: &[&str] = &[
 ];
 
 /// Modules allowed to call `arena::reset()`: the one train step every
-/// driver (trainer, streaming driver, pipelined executor) calls, the
+/// driver (trainer, streaming driver with or without its loader) calls, the
 /// dist worker's round loop (its step is split at the all-reduce), and
 /// the arena implementation itself.
 const ARENA_RESET_SITES: &[&str] = &[
@@ -124,7 +126,7 @@ const ARENA_RESET_SITES: &[&str] = &[
 ];
 
 /// Crates with real lock graphs: the tensor substrate (per-tensor
-/// RwLocks), the pipelined executor, the serving stack, the storage
+/// RwLocks), the loader-thread executor, the serving stack, the storage
 /// prefetcher, the sharded-memory dist runtime (per-shard RwLocks over
 /// the shared memory plane), and the core drivers that compose them.
 /// Their lock acquisition orders are checked globally.
@@ -145,8 +147,8 @@ pub const RULES: &[RuleSpec] = &[
         allowed_paths: TELEMETRY,
         applies_to_tests: false,
         why: "HashMap/HashSet iteration order is randomized per process; any batch \
-              schedule or float accumulation derived from it breaks the staleness-0 \
-              bit-identity guarantee. Use Vec/BTreeMap, or suppress with proof the \
+              schedule or float accumulation derived from it breaks the serial ≡ \
+              streamed ≡ dist N=1 bit-identity. Use Vec/BTreeMap, or suppress with proof the \
               container is never iterated.",
     },
     RuleSpec {
@@ -172,7 +174,7 @@ pub const RULES: &[RuleSpec] = &[
         allowed_paths: &[],
         applies_to_tests: false,
         why: "A bare unwrap() in a hot path turns a recoverable condition into a dead \
-              pipeline stage. Convert to a typed error, or use expect() with a message \
+              training thread. Convert to a typed error, or use expect() with a message \
               stating the invariant that makes failure impossible.",
     },
     RuleSpec {
@@ -196,23 +198,28 @@ pub const RULES: &[RuleSpec] = &[
         scopes: &["crates/exec/src/"],
         allowed_paths: &[],
         applies_to_tests: false,
-        why: "Unchecked indexing in the executor kills a pipeline stage on the first \
-              off-by-one; use get()/get_mut() and surface a PipelineError.",
+        why: "Unchecked indexing in the executor kills the loader thread on the first \
+              off-by-one; use get()/get_mut() and surface a SourceError.",
     },
     RuleSpec {
         id: "conc-spawn",
-        scopes: &["crates/dist/src/", "crates/exec/src/", "crates/serve/src/"],
+        scopes: &[
+            "crates/core/src/",
+            "crates/dist/src/",
+            "crates/exec/src/",
+            "crates/serve/src/",
+        ],
         allowed_paths: &[
             "crates/dist/src/runtime.rs",
-            "crates/exec/src/pipeline.rs",
+            "crates/exec/src/stream.rs",
             "crates/serve/src/server.rs",
         ],
         applies_to_tests: false,
         why: "Detached thread::spawn outside the designated concurrency modules \
               escapes the panic-safe shutdown protocols (scoped threads + channel \
-              disconnection); executor threads belong in exec/pipeline.rs, serving \
-              threads (accept loop, workers, ingest) in serve/server.rs, and dist \
-              worker threads in dist/runtime.rs.",
+              disconnection); the loader thread belongs in exec/stream.rs, serving \
+              threads (accept loop, workers, ingest) in serve/server.rs, dist \
+              worker threads in dist/runtime.rs, and cascade-core spawns none.",
     },
     RuleSpec {
         id: "conc-guard-across-blocking",
@@ -350,8 +357,10 @@ mod tests {
 
         let spawn = rule("conc-spawn").expect("conc-spawn is registered");
         assert!(in_scope(spawn, "crates/exec/src/workers.rs"));
-        assert!(!in_scope(spawn, "crates/exec/src/pipeline.rs"));
-        assert!(!in_scope(spawn, "crates/core/src/scheduler.rs"));
+        assert!(in_scope(spawn, "crates/exec/src/pipeline.rs"));
+        assert!(!in_scope(spawn, "crates/exec/src/stream.rs"));
+        assert!(in_scope(spawn, "crates/core/src/scheduler.rs"));
+        assert!(!in_scope(spawn, "crates/store/src/source.rs"));
     }
 
     #[test]
@@ -367,7 +376,7 @@ mod tests {
         assert!(!in_scope(fs, "crates/serve/src/persist.rs"));
 
         // Threads are confined to the server module, mirroring
-        // exec/pipeline.rs.
+        // exec/stream.rs.
         let spawn = rule("conc-spawn").expect("conc-spawn is registered");
         assert!(in_scope(spawn, "crates/serve/src/engine.rs"));
         assert!(!in_scope(spawn, "crates/serve/src/server.rs"));
@@ -409,7 +418,7 @@ mod tests {
         assert!(!in_scope(arena, "crates/core/src/step.rs"));
         assert!(in_scope(arena, "crates/core/src/trainer.rs"));
         assert!(in_scope(arena, "crates/core/src/streaming.rs"));
-        assert!(in_scope(arena, "crates/exec/src/pipeline.rs"));
+        assert!(in_scope(arena, "crates/exec/src/stream.rs"));
 
         // No ad-hoc fs access: checkpoints go through models/checkpoint.rs.
         let fs = rule("io-fs-confined").expect("io-fs-confined is registered");

@@ -1,5 +1,5 @@
-//@ path: crates/exec/src/pipeline.rs
-// The pipeline module owns thread lifecycles and is allowlisted.
-pub fn scout() -> std::thread::JoinHandle<()> {
+//@ path: crates/exec/src/stream.rs
+// The loader module owns its thread's lifecycle and is allowlisted.
+pub fn loader() -> std::thread::JoinHandle<()> {
     std::thread::spawn(|| {})
 }

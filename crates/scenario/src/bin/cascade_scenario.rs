@@ -97,7 +97,7 @@ fn print_usage() {
          --train           one streaming training run (out-of-core when\n\
                            --store names a generated CEVT file)\n\
          --store P         train from this CEVT store instead of regenerating\n\
-         --pipelined       use the three-stage pipelined executor\n\
+         --pipelined       read and build chunk k+1 on a loader thread\n\
          --dist N          N-way in-process data-parallel training\n\
          --serve-replay    replay the stream through the serving engine\n\
          --scale F         scale phase event counts        (default 1.0)\n\

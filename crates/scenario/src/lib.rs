@@ -9,7 +9,7 @@
 //! into a deterministic, seed-addressable event stream that never
 //! materializes in RAM — it implements the same
 //! [`EventSource`](cascade_tgraph::EventSource) contract the streaming
-//! trainer, pipelined executor, and dist followers already consume, and
+//! trainer, its loader thread, and dist followers already consume, and
 //! [`generate_to_store`] spills the identical bytes into CEVT chunks
 //! for multi-GB out-of-core runs.
 //!

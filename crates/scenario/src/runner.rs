@@ -1,6 +1,6 @@
 //! The scenario runner: drives a [`Recipe`] through the repo's
 //! existing entry points — out-of-core streaming training
-//! (`cascade-core`), the pipelined executor (`cascade-exec`),
+//! (`cascade-core`), the same with a loader thread (`cascade-exec`),
 //! data-parallel training (`cascade-dist`), and live-ingest replay
 //! (`cascade-serve`) — and distills each run into a
 //! [`ScenarioReport`].
@@ -84,7 +84,8 @@ impl ScenarioRunner {
     /// Trains through the streaming path. With `store` the stream is
     /// read back out-of-core from a generated CEVT file; without it the
     /// stream regenerates on the fly (bit-identical either way). With
-    /// `pipelined` the three-stage executor drives the same splits.
+    /// `pipelined` a loader thread reads chunk k+1 and builds its
+    /// dependency table while chunk k trains (same results).
     ///
     /// # Errors
     ///

@@ -17,7 +17,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor does not hold exactly one element. Hot paths
-    /// that must not unwind (the pipelined executor's compute stage) use
+    /// that must not unwind (the shared train step) use
     /// [`Tensor::try_backward`] instead.
     pub fn backward(&self) {
         self.try_backward().unwrap_or_else(|e| panic!("{e}"));

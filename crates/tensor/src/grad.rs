@@ -22,8 +22,9 @@ use crate::tensor::Tensor;
 /// Typed error for the fallible backward entry points.
 ///
 /// [`Tensor::backward`] keeps its panicking contract for library misuse;
-/// the pipelined executor's hot path calls [`Tensor::try_backward`] and
-/// maps this error into a `PipelineError` instead of unwinding.
+/// the shared train step calls [`Tensor::try_backward`], and the
+/// streaming drivers map this error into a `SourceError` instead of
+/// unwinding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AutogradError {
     /// `backward()` was called on a tensor that is not a scalar.

@@ -2,7 +2,7 @@
 //! out-of-order event arrival.
 //!
 //! Every consumer downstream of an [`EventSource`] — the streaming
-//! trainer, the pipelined executor, the dist workers, the serving WAL —
+//! trainer and its loader thread, the dist workers, the serving WAL —
 //! assumes chronologically ordered, duplicate-free chunks; `EventStream`
 //! construction rejects anything else with an `OrderError`. Real feeds
 //! are messier: network replays deliver the same event twice and

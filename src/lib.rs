@@ -15,7 +15,7 @@
 //! | [`tgraph`] | `cascade-tgraph` | event streams, datasets, samplers |
 //! | [`models`] | `cascade-models` | JODIE / TGN / APAN / DySAT / TGAT |
 //! | [`core`] | `cascade-core` | the Cascade scheduler + trainer |
-//! | [`exec`] | `cascade-exec` | staleness-aware pipelined executor |
+//! | [`exec`] | `cascade-exec` | loader thread for streaming training (Cascade_EX) |
 //! | [`store`] | `cascade-store` | chunked on-disk event store + WAL |
 //! | [`serve`] | `cascade-serve` | online serving with live ingest |
 //! | [`baselines`] | `cascade-baselines` | TGL, TGLite, NeutronStream, ETC |
@@ -64,10 +64,10 @@ pub mod prelude {
         evaluate, train, BatchingStrategy, CascadeConfig, CascadeScheduler, FixedBatching,
         TrainConfig, TrainReport,
     };
-    pub use cascade_exec::{train_pipelined, PipelineConfig};
+    pub use cascade_exec::{train_streamed, PipelineConfig};
     pub use cascade_models::{MemoryTgnn, ModelConfig};
     pub use cascade_nn::{Adam, Module};
-    pub use cascade_tgraph::{Dataset, Event, EventStream, NodeId, SynthConfig};
+    pub use cascade_tgraph::{Dataset, Event, EventStream, InMemorySource, NodeId, SynthConfig};
 }
 
 #[cfg(test)]

@@ -30,6 +30,34 @@ fn partition(
     boundaries
 }
 
+/// [`partition`] through the chunk protocol instead of the one-shot
+/// `prepare`: every `chunk`-sized slice is announced just before the
+/// first scan that reaches it, as the streaming driver does.
+fn partition_chunked(
+    strategy: &mut dyn BatchingStrategy,
+    events: &[Event],
+    num_nodes: usize,
+    chunk: usize,
+) -> Vec<usize> {
+    let n = events.len();
+    assert!(strategy.prepare_streaming(n, num_nodes, chunk));
+    strategy.reset_epoch();
+    let mut boundaries = Vec::new();
+    let mut start = 0;
+    while start < n {
+        if start % chunk == 0 {
+            let chunk_end = (start + chunk).min(n);
+            strategy.enter_chunk(start / chunk, start, &events[start..chunk_end], None);
+        }
+        let end = strategy.next_batch_end(start, n);
+        assert!(end > start, "{} made no progress", strategy.name());
+        assert!(end <= n, "{} overran the stream", strategy.name());
+        boundaries.push(end);
+        start = end;
+    }
+    boundaries
+}
+
 fn arbitrary_stream(g: &mut Gen) -> (Vec<Event>, usize) {
     let nodes = g.usize_in(2..30);
     let events = g.usize_in(20..200);
@@ -59,18 +87,26 @@ fn all_strategies_partition_any_stream() {
                 preset_batch_size: 16,
                 ..CascadeConfig::default()
             })),
-            Box::new(CascadeScheduler::new(
-                CascadeConfig {
-                    preset_batch_size: 16,
-                    ..CascadeConfig::default()
-                }
-                .with_chunk_size(37),
-            )),
         ];
         for mut s in strategies {
             let b = partition(s.as_mut(), &events, nodes);
             prop_assert_eq!(*b.last().unwrap(), events.len());
             prop_assert!(b.windows(2).all(|w| w[0] < w[1]));
+        }
+        // Cascade_EX: the same scheduler fed 37-event chunks.
+        let mut chunked = CascadeScheduler::new(CascadeConfig {
+            preset_batch_size: 16,
+            ..CascadeConfig::default()
+        });
+        let b = partition_chunked(&mut chunked, &events, nodes, 37);
+        prop_assert_eq!(*b.last().unwrap(), events.len());
+        prop_assert!(b.windows(2).all(|w| w[0] < w[1]));
+        for chunk_end in (37..events.len()).step_by(37) {
+            prop_assert!(
+                b.contains(&chunk_end),
+                "a batch crossed chunk end {}",
+                chunk_end
+            );
         }
         Ok(())
     });
@@ -206,9 +242,9 @@ fn chunked_and_dense_agree_when_chunk_covers_stream() {
     }
     .without_sg_filter();
     let mut dense = CascadeScheduler::new(cfg.clone());
-    let mut chunked = CascadeScheduler::new(cfg.with_chunk_size(events.len() + 10));
+    let mut chunked = CascadeScheduler::new(cfg);
     let a = partition(&mut dense, events, data.num_nodes());
-    let b = partition(&mut chunked, events, data.num_nodes());
+    let b = partition_chunked(&mut chunked, events, data.num_nodes(), events.len() + 10);
     assert_eq!(a, b);
 }
 

@@ -4,16 +4,22 @@
 //! training over the same events with the same chunk geometry, and a
 //! run suspended mid-epoch and resumed from its checkpoint must match
 //! the uninterrupted run bit for bit.
+//!
+//! The chunk geometry is the source's. Every comparison therefore keeps
+//! a reference that does not share the code under test on the axis it
+//! checks: the in-memory `train` loop where the geometry allows it (any
+//! chunking for fixed batching, the stream as one chunk for Cascade),
+//! and `InMemorySource` against the store file at equal chunk size.
 
 use cascade_core::{
     train, train_streaming, train_streaming_with_options, BatchingStrategy, CascadeConfig,
     CascadeScheduler, FixedBatching, StreamCheckpoint, StreamOptions, StreamOutcome, TrainConfig,
     TrainReport,
 };
-use cascade_exec::{train_pipelined, train_streamed, PipelineConfig};
+use cascade_exec::{train_streamed, PipelineConfig};
 use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_store::{export_dataset, StreamingEventSource};
-use cascade_tgraph::{Dataset, SynthConfig};
+use cascade_tgraph::{Dataset, EventSource, InMemorySource, SynthConfig};
 
 const CHUNK: usize = 128;
 const MODEL_SEED: u64 = 17;
@@ -44,7 +50,6 @@ fn cfg() -> TrainConfig {
 fn cascade_strategy() -> CascadeScheduler {
     CascadeScheduler::new(CascadeConfig {
         preset_batch_size: 64,
-        chunk_size: Some(CHUNK),
         ..CascadeConfig::default()
     })
 }
@@ -74,14 +79,29 @@ fn assert_bit_identical(a: &TrainReport, b: &TrainReport, what: &str) {
     );
     assert_eq!(a.num_batches, b.num_batches, "{what}: batch count");
     assert_eq!(a.max_batch_size, b.max_batch_size, "{what}: largest batch");
-    // (`space.dependency_table` is the strategy's own figure and depends
-    // on how it was fed — whole stream vs one chunk at a time — so it is
-    // compared per feeding mode in `all_four_drivers_share_one_step`.)
     let state_space = |r: &TrainReport| {
         let s = r.space;
-        (s.model, s.memory, s.mailbox, s.stable_flags)
+        (
+            s.model,
+            s.memory,
+            s.mailbox,
+            s.stable_flags,
+            s.dependency_table,
+        )
     };
     assert_eq!(state_space(a), state_space(b), "{what}: space accounting");
+}
+
+/// `train_streaming` over `source` from a fresh model: the report and
+/// the model's final state.
+fn run_source(
+    data: &Dataset,
+    source: &mut dyn EventSource,
+    strategy: &mut dyn BatchingStrategy,
+) -> (TrainReport, Vec<u8>) {
+    let mut m = model(data);
+    let report = train_streaming(&mut m, source, strategy, &cfg()).expect("streams cleanly");
+    (report, m.export_state())
 }
 
 fn run_streaming(
@@ -89,33 +109,59 @@ fn run_streaming(
     path: &std::path::Path,
     strategy: &mut dyn BatchingStrategy,
 ) -> (TrainReport, Vec<u8>) {
-    let mut m = model(data);
     let mut source = StreamingEventSource::open(path, 2).expect("store opens");
-    let report = train_streaming(&mut m, &mut source, strategy, &cfg()).expect("streams cleanly");
-    (report, m.export_state())
+    run_source(data, &mut source, strategy)
+}
+
+fn run_in_memory_source(
+    data: &Dataset,
+    chunk: usize,
+    strategy: &mut dyn BatchingStrategy,
+) -> (TrainReport, Vec<u8>) {
+    run_source(
+        data,
+        &mut InMemorySource::from_dataset(data, chunk),
+        strategy,
+    )
 }
 
 #[test]
 fn streaming_cascade_is_bit_identical_to_in_memory() {
     let data = dataset();
-    let path = store_path("cascade");
-    export_dataset(&data, &path, CHUNK).expect("export succeeds");
 
+    // (a) The stream as one chunk is the in-memory trainer's geometry:
+    // the store-fed streaming driver must reproduce `train` itself.
+    let path = store_path("cascade-one-chunk");
+    export_dataset(&data, &path, data.num_events()).expect("export succeeds");
     let mut m_mem = model(&data);
-    let mut s_mem = cascade_strategy();
-    let mem = train(&mut m_mem, &data, &mut s_mem, &cfg());
-
-    let mut s_str = cascade_strategy();
-    let (stream, state) = run_streaming(&data, &path, &mut s_str);
+    let mem = train(&mut m_mem, &data, &mut cascade_strategy(), &cfg());
+    let (one_chunk, state) = run_streaming(&data, &path, &mut cascade_strategy());
     std::fs::remove_file(&path).ok();
-
-    assert_bit_identical(&mem, &stream, "cascade streaming vs in-memory");
+    assert_bit_identical(&mem, &one_chunk, "one-chunk store vs train");
     // Post-step parameters, node memories, and mailboxes, bit for bit.
     assert_eq!(
         m_mem.export_state(),
         state,
         "cascade: model state diverged between streaming and in-memory"
     );
+    assert_eq!(one_chunk.strategy, "Cascade");
+
+    // (b) Chunked (Cascade_EX): the in-memory source and the store file
+    // must agree at equal chunk size.
+    let path = store_path("cascade");
+    export_dataset(&data, &path, CHUNK).expect("export succeeds");
+    let (from_ram, ram_state) = run_in_memory_source(&data, CHUNK, &mut cascade_strategy());
+    let (stream, state) = run_streaming(&data, &path, &mut cascade_strategy());
+    std::fs::remove_file(&path).ok();
+    assert_bit_identical(&from_ram, &stream, "chunked store vs InMemorySource");
+    assert_eq!(ram_state, state, "cascade: chunked model state diverged");
+    assert_eq!(stream.strategy, "Cascade_EX");
+    assert_ne!(
+        stream.batch_sizes, mem.batch_sizes,
+        "128-event chunks must cut batches the whole-stream table does not"
+    );
+    // One chunk's table is resident, not the stream's.
+    assert!(stream.space.dependency_table < mem.space.dependency_table);
     // Out-of-core resident events must be a strict subset of the stream.
     assert!(
         stream.space.graph < mem.space.graph,
@@ -127,35 +173,41 @@ fn streaming_cascade_is_bit_identical_to_in_memory() {
 
 /// Every driver is the same `TrainStep` fed from a different place, so
 /// one model/strategy/config must come out of all four with the same
-/// bits — results, final state, and the report's counters.
+/// bits — results, final state, and the report's counters. The
+/// in-memory `train` loop is the reference: for fixed batching across
+/// 128-event chunks (which holds the rolling window's straddle logic to
+/// it), and for Cascade with the stream as one chunk.
 #[test]
 fn all_four_drivers_share_one_step() {
     let data = dataset();
-    let path = store_path("drivers");
-    export_dataset(&data, &path, CHUNK).expect("export succeeds");
-    type MakeStrategy<'a> = &'a dyn Fn() -> Box<dyn BatchingStrategy + Send>;
-    let strategies: [(&str, MakeStrategy); 2] = [
-        ("cascade", &|| Box::new(cascade_strategy())),
-        ("fixed-48", &|| Box::new(FixedBatching::new(48))),
+    type MakeStrategy<'a> = &'a dyn Fn() -> Box<dyn BatchingStrategy>;
+    let strategies: [(&str, MakeStrategy, usize); 2] = [
+        (
+            "cascade",
+            &|| Box::new(cascade_strategy()),
+            data.num_events(),
+        ),
+        ("fixed-48", &|| Box::new(FixedBatching::new(48)), CHUNK),
     ];
-    for (name, make) in strategies {
+    for (name, make, chunk) in strategies {
+        let path = store_path(&format!("drivers-{name}"));
+        export_dataset(&data, &path, chunk).expect("export succeeds");
         let mut m_ref = model(&data);
         let reference = train(&mut m_ref, &data, make().as_mut(), &cfg());
         assert!(reference.modeled_time > reference.total_time);
 
         let mut runs: Vec<(&str, TrainReport, Vec<u8>)> = Vec::new();
+        let (r, state) = run_in_memory_source(&data, chunk, make().as_mut());
+        runs.push(("train_streaming over InMemorySource", r, state));
         let (r, state) = run_streaming(&data, &path, make().as_mut());
-        runs.push(("train_streaming", r, state));
-        let mut m = model(&data);
-        let pipe = PipelineConfig::default().with_staleness(0);
-        let r = train_pipelined(&mut m, &data, make().as_mut(), &cfg(), &pipe)
-            .expect("pipeline runs cleanly");
-        runs.push(("train_pipelined", r, m.export_state()));
+        runs.push(("train_streaming over the store", r, state));
         let mut m = model(&data);
         let mut source = StreamingEventSource::open(&path, 2).expect("store opens");
+        let pipe = PipelineConfig::default();
         let r = train_streamed(&mut m, &mut source, make().as_mut(), &cfg(), &pipe)
             .expect("streams cleanly");
-        runs.push(("train_streamed", r, m.export_state()));
+        runs.push(("train_streamed over the store", r, m.export_state()));
+        std::fs::remove_file(&path).ok();
 
         for (driver, report, state) in &runs {
             let what = format!("{name}: {driver} vs train");
@@ -169,15 +221,7 @@ fn all_four_drivers_share_one_step() {
                 assert_eq!(a.items, b.items, "{what}: {stage} items");
             }
         }
-        let table = |i: usize| runs[i].1.space.dependency_table;
-        assert_eq!(
-            reference.space.dependency_table,
-            table(1),
-            "{name}: in-memory DT"
-        );
-        assert_eq!(table(0), table(2), "{name}: streamed DT");
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
