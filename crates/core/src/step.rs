@@ -9,11 +9,15 @@
 //! streaming driver (with or without `cascade-exec`'s loader thread)
 //! differ only in where a batch's events come from, so they are
 //! bit-identical by construction rather than by replication.
+//! `cascade-dist` calls the sequence's moves one by one
+//! ([`compute`](TrainStep::compute), [`optimize`](TrainStep::optimize),
+//! [`close`](TrainStep::close), [`record`](TrainStep::record)) with its
+//! all-reduce and its split-phase apply between them.
 
 // cascade-lint: allow-file(det-wallclock): stage timings land in TrainReport/StageTimings telemetry only; no Duration ever feeds batching, scheduling, or learning decisions.
 use std::time::{Duration, Instant};
 
-use cascade_models::{MemoryDelta, MemoryTgnn};
+use cascade_models::{BatchForward, MemoryDelta, MemoryTgnn};
 use cascade_nn::{clip_grad_norm, Adam, Module};
 use cascade_tensor::{AutogradError, Tensor};
 use cascade_tgraph::{EdgeFeatures, Event, EventId};
@@ -135,7 +139,12 @@ impl TrainStep {
     }
 
     /// Stages B and C over one batch: `events` start at global id
-    /// `first_id` and `feats` is indexed by global id.
+    /// `first_id` and `feats` is indexed by global id. The serial order
+    /// of the step's five moves; `cascade-dist` calls the same five
+    /// around its all-reduce. (The four moves below are `#[inline]` so
+    /// this stays one function: as four calls `train_events_per_s` read
+    /// 1–1.5 % lower on two benchmark workloads, 11 of 12 alternated
+    /// runs.)
     ///
     /// # Errors
     ///
@@ -148,34 +157,80 @@ impl TrainStep {
         first_id: EventId,
         feats: &EdgeFeatures,
     ) -> Result<StepOutput, AutogradError> {
-        let size = events.len();
-
-        let t1 = Instant::now();
-        if self.cfg.scale_lr_with_batch {
-            let scale = (size as f32 / self.cfg.eval_batch_size as f32).sqrt();
-            self.opt.set_lr(self.cfg.lr * scale);
-        }
-        let fwd = model.forward_batch(events, first_id, feats);
+        let fwd = self.compute(model, events, first_id, feats)?;
         let loss = fwd.loss.item();
-        fwd.loss.try_backward()?;
-        if let Some(c) = self.cfg.clip_norm {
-            clip_grad_norm(&self.params, c);
-        }
-        self.opt.step();
-        self.stages.compute.record(t1.elapsed());
-        self.stages
-            .record_shards(&fwd.shard_busy, self.cfg.compute_threads.max(1));
+        self.optimize();
 
         let t2 = Instant::now();
         let deltas = model.apply_batch(events, first_id, feats, fwd.pending);
         self.stages.update.record(t2.elapsed());
 
-        // Batch boundary: trim the pool's surplus. `fwd.loss` still owns
-        // this batch's graph, whose buffers go back to the pool when it
-        // drops at the end of this function — after the trim, so they
-        // are all there for the next batch to reuse.
-        cascade_tensor::arena::reset();
+        self.close(Some(fwd.loss));
+        Ok(StepOutput {
+            batch_idx: self.record(events.len(), loss),
+            loss,
+            deltas,
+        })
+    }
 
+    /// Forward and backward over one batch: leaves the batch's gradients
+    /// on the parameters and hands back the forward pass — its `pending`
+    /// is the write-back ticket for the model's apply, and its `loss`
+    /// owns the batch's autograd graph: keep it until
+    /// [`close`](Self::close).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`AutogradError`] of a structurally invalid backward
+    /// pass.
+    #[inline]
+    pub fn compute(
+        &mut self,
+        model: &MemoryTgnn,
+        events: &[Event],
+        first_id: EventId,
+        feats: &EdgeFeatures,
+    ) -> Result<BatchForward, AutogradError> {
+        let t1 = Instant::now();
+        if self.cfg.scale_lr_with_batch {
+            let scale = (events.len() as f32 / self.cfg.eval_batch_size as f32).sqrt();
+            self.opt.set_lr(self.cfg.lr * scale);
+        }
+        let fwd = model.forward_batch(events, first_id, feats);
+        fwd.loss.try_backward()?;
+        self.stages.compute.record(t1.elapsed());
+        self.stages
+            .record_shards(&fwd.shard_busy, self.cfg.compute_threads.max(1));
+        Ok(fwd)
+    }
+
+    /// Clips and steps the optimizer over whatever gradients the
+    /// parameters hold: this batch's own, or an all-reduced set installed
+    /// over them.
+    #[inline]
+    pub fn optimize(&mut self) {
+        let t1 = Instant::now();
+        if let Some(c) = self.cfg.clip_norm {
+            clip_grad_norm(&self.params, c);
+        }
+        self.opt.step();
+        self.stages.compute.busy += t1.elapsed();
+    }
+
+    /// Batch boundary: trims the arena's surplus, then drops `graph`.
+    /// The graph's buffers go back to the pool when it drops — after the
+    /// trim, so they are all there for the next batch to reuse. `None`
+    /// when this thread computed no batch since the last boundary.
+    #[inline]
+    pub fn close(&mut self, graph: Option<Tensor>) {
+        cascade_tensor::arena::reset();
+        drop(graph);
+    }
+
+    /// Folds one processed batch into the run's accumulators and returns
+    /// its index within the epoch.
+    #[inline]
+    pub fn record(&mut self, size: usize, loss: f32) -> usize {
         let p = &mut self.progress;
         let batch_idx = p.batch_idx;
         p.batch_sizes.push(size as u32);
@@ -185,11 +240,22 @@ impl TrainStep {
         p.max_batch = p.max_batch.max(size);
         p.num_batches += 1;
         p.batch_idx += 1;
-        Ok(StepOutput {
-            batch_idx,
-            loss,
-            deltas,
-        })
+        batch_idx
+    }
+
+    /// The parameters the step optimizes, in `model.parameters()` order.
+    pub fn params(&self) -> &[Tensor] {
+        &self.params
+    }
+
+    /// The optimizer's exported state.
+    pub fn optimizer_state(&self) -> Vec<u8> {
+        self.opt.export_state()
+    }
+
+    /// Mean losses of the epochs closed so far.
+    pub fn epoch_losses(&self) -> &[f32] {
+        &self.progress.epoch_losses
     }
 
     /// Feeds a processed batch back to the strategy (SG-Filter / ABS).

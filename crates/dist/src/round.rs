@@ -1,8 +1,8 @@
 //! Round payloads and their wire codec.
 //!
 //! One training round moves exactly one [`RoundPayload`] per active
-//! worker: the worker's batch (events + feature rows, globally
-//! addressed), its write-back ticket, and its gradient contribution.
+//! worker: the worker's batch (events, globally addressed), its
+//! write-back ticket, and its gradient contribution.
 //! The in-process runtime passes payloads by value; the TCP transport
 //! serializes them with the little-endian codec here. Both paths apply
 //! the identical payload sequence, which is what keeps the two modes
@@ -17,7 +17,7 @@
 //! to take down the process with a short read.
 
 use cascade_models::BatchPending;
-use cascade_tgraph::{EdgeFeatures, Event, NodeId};
+use cascade_tgraph::{Event, NodeId};
 use cascade_util::{ByteReader, ByteWriter, DecodeError};
 
 use crate::grad::GradSet;
@@ -68,17 +68,8 @@ pub struct RoundPayload {
     pub first_id: usize,
     /// The batch's events, chronologically ordered.
     pub events: Vec<Event>,
-    /// Edge-feature width (0 when the stream has no features).
-    pub feat_dim: usize,
-    /// Row-major feature rows for `events` (`events.len() * feat_dim`).
-    pub feat_rows: Vec<f32>,
-    /// Write-back ticket: distinct batch endpoints in first-appearance
-    /// order.
-    pub centers: Vec<NodeId>,
-    /// Per-center had-pending-messages flags.
-    pub has_msg: Vec<bool>,
-    /// Row-major updated memories, one row per center.
-    pub post: Vec<f32>,
+    /// The forward pass's write-back ticket.
+    pub pending: BatchPending,
     /// The worker's gradient contribution.
     pub grads: GradSet,
     /// Batch loss (telemetry; never fed back into computation).
@@ -86,33 +77,6 @@ pub struct RoundPayload {
 }
 
 impl RoundPayload {
-    /// Reassembles the write-back ticket.
-    pub fn pending(&self) -> BatchPending {
-        BatchPending::from_parts(
-            self.centers.clone(),
-            self.has_msg.clone(),
-            self.post.clone(),
-        )
-    }
-
-    /// The payload's feature rows as a globally-addressed table:
-    /// zero-filled up to `first_id`, then this batch's rows, so
-    /// `row(first_id + i)` works unchanged. Note both transports apply
-    /// rounds against the dataset's full feature table instead (neighbor
-    /// embedding reads arbitrary earlier events' rows, which a
-    /// batch-local table cannot cover) — this view exists so the wire
-    /// format stays self-describing and testable in isolation.
-    pub fn features(&self) -> EdgeFeatures {
-        let mut feats = EdgeFeatures::zeros(self.first_id + self.events.len(), self.feat_dim);
-        for i in 0..self.events.len() {
-            feats.set_row(
-                self.first_id + i,
-                &self.feat_rows[i * self.feat_dim..(i + 1) * self.feat_dim],
-            );
-        }
-        feats
-    }
-
     /// Serializes the payload (little-endian, fixed field order).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -124,16 +88,14 @@ impl RoundPayload {
             w.u32(e.dst.0);
             w.f64(e.time);
         }
-        w.usize(self.feat_dim);
-        w.f32s(&self.feat_rows);
-        w.usize(self.centers.len());
-        for c in &self.centers {
+        w.usize(self.pending.centers().len());
+        for c in self.pending.centers() {
             w.u32(c.0);
         }
-        for &m in &self.has_msg {
+        for &m in self.pending.has_msg() {
             w.bool(m);
         }
-        w.f32s(&self.post);
+        w.f32s(self.pending.post());
         w.usize(self.grads.len());
         for g in &self.grads {
             w.bool(g.is_some());
@@ -151,8 +113,7 @@ impl RoundPayload {
     ///
     /// [`WireError`] on truncation, trailing bytes, a count the remaining
     /// bytes cannot hold, a flag byte other than 0 or 1, or internal
-    /// inconsistency (feature row count vs event count, post width vs
-    /// center count).
+    /// inconsistency (post width vs center count).
     pub fn decode(bytes: &[u8]) -> Result<RoundPayload, WireError> {
         let mut r = ByteReader::new(bytes);
         let worker = r.usize().at("worker")?;
@@ -163,19 +124,6 @@ impl RoundPayload {
             let src = r.u32().at("event src")?;
             let dst = r.u32().at("event dst")?;
             events.push(Event::new(src, dst, r.f64().at("event time")?));
-        }
-        let feat_dim = r.usize().at("feat_dim")?;
-        let feat_rows = r.f32s().at("feat_rows")?;
-        if num_events.checked_mul(feat_dim) != Some(feat_rows.len()) {
-            return Err(WireError::new(
-                "feat_rows",
-                format!(
-                    "{} floats for {} events of dim {}",
-                    feat_rows.len(),
-                    num_events,
-                    feat_dim
-                ),
-            ));
         }
         // Each center is a 4-byte id and a 1-byte flag.
         let num_centers = r.count(5).at("centers")?;
@@ -204,11 +152,7 @@ impl RoundPayload {
             worker,
             first_id,
             events,
-            feat_dim,
-            feat_rows,
-            centers,
-            has_msg,
-            post,
+            pending: BatchPending::from_parts(centers, has_msg, post),
             grads,
             loss,
         })
@@ -331,11 +275,11 @@ mod tests {
             worker: 1,
             first_id: 256,
             events: vec![Event::new(3u32, 9u32, 1.5), Event::new(9u32, 4u32, 2.5)],
-            feat_dim: 2,
-            feat_rows: vec![0.1, 0.2, 0.3, 0.4],
-            centers: vec![NodeId(3), NodeId(9), NodeId(4)],
-            has_msg: vec![true, false, true],
-            post: vec![1.0; 12],
+            pending: BatchPending::from_parts(
+                vec![NodeId(3), NodeId(9), NodeId(4)],
+                vec![true, false, true],
+                vec![1.0; 12],
+            ),
             grads: vec![Some(vec![0.5, -0.5]), None, Some(vec![2.0])],
             loss: 0.693,
         }
@@ -346,11 +290,7 @@ mod tests {
         let p = payload();
         let back = RoundPayload::decode(&p.encode()).expect("own encoding decodes");
         assert_eq!(back, p);
-        assert_eq!(back.pending().centers(), p.centers.as_slice());
-        assert_eq!(back.features().row(256), &[0.1, 0.2]);
-        assert_eq!(back.features().row(257), &[0.3, 0.4]);
-        // Rows before the payload's range are zero-filled padding.
-        assert_eq!(back.features().row(0), &[0.0, 0.0]);
+        assert_eq!(back.pending.centers(), p.pending.centers());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The in-process dist runtime: N worker threads training one model
-//! over a shared, sharded memory plane.
+//! The dist runtime: the one [`Replica`] both transports drive, and the
+//! in-process transport — N worker threads training one model over a
+//! shared, sharded memory plane.
 //!
 //! # Round protocol
 //!
@@ -7,15 +8,17 @@
 //! shard `w` and streams only the chunks `PartitionedSource` routes to
 //! it (`chunk.index % N == w`). Each round:
 //!
-//! 1. **Compute** — every worker with remaining events runs the forward
-//!    and backward pass on its next batch against its own full
-//!    parameter replica, then publishes a [`RoundPayload`] (batch,
-//!    write-back ticket, gradients) into its slot. *Barrier.*
-//! 2. **Reduce** — every worker reads all payloads and performs the
-//!    same worker-index-ordered [`all_reduce`], installs the reduced
-//!    gradients, clips, and steps its own optimizer. Replicas were
-//!    seeded identically and receive identical updates, so parameters
-//!    stay bit-identical across workers without ever being exchanged.
+//! 1. **Compute** — every worker with remaining events runs the train
+//!    step's forward and backward pass (`TrainStep::compute`) on its
+//!    next batch against its own full parameter replica, then publishes
+//!    a [`RoundPayload`] (batch, write-back ticket, gradients) into its
+//!    slot. *Barrier.*
+//! 2. **Reduce** — every worker reads all payloads, performs the same
+//!    worker-index-ordered [`all_reduce`], installs the reduced
+//!    gradients and runs the step's clip + optimizer half
+//!    (`TrainStep::optimize`). Replicas were seeded identically and
+//!    receive identical updates, so parameters stay bit-identical
+//!    across workers without ever being exchanged.
 //! 3. **Phase A (write-backs)** — every worker applies *all* payloads'
 //!    memory write-backs and mailbox clears, filtered to the nodes its
 //!    shard owns, in worker-index payload order. Each write lands
@@ -24,7 +27,8 @@
 //!    message generation and adjacency registration, again filtered by
 //!    ownership. Message content reads both endpoints' memories, which
 //!    is why phase A must complete globally first. *Barrier.*
-//! 5. Each worker trims its thread-local tensor arena.
+//! 5. Each worker closes the step (`TrainStep::close`: the arena trim,
+//!    then its own batch's graph drops) and records every payload.
 //!
 //! With `N == 1` the protocol degenerates to exactly the serial loop
 //! (forward → backward → clip → step → apply → arena trim) and is
@@ -39,11 +43,10 @@
 
 use std::sync::{Barrier, RwLock};
 
+use cascade_core::{TrainConfig, TrainStep};
 use cascade_models::{MemoryTgnn, ModelConfig, PlaneGeometry};
-use cascade_nn::{clip_grad_norm, Adam, Module};
-use cascade_tgraph::{
-    Dataset, EdgeFeatures, Event, EventChunk, EventSource, InMemorySource, PartitionedSource,
-};
+use cascade_tensor::Tensor;
+use cascade_tgraph::{Dataset, Event, EventChunk, EventSource, InMemorySource, PartitionedSource};
 
 use crate::grad::{all_reduce, collect_grads, install_grads, GradSet};
 use crate::plane::SharedPlane;
@@ -62,7 +65,7 @@ pub struct DistConfig {
     pub batch_size: usize,
     /// Epochs to train.
     pub epochs: usize,
-    /// Adam learning rate.
+    /// Learning rate.
     pub lr: f32,
     /// Gradient-clipping threshold (`None` disables).
     pub clip_norm: Option<f32>,
@@ -159,64 +162,275 @@ pub struct DistOutcome {
     pub batches: Vec<BatchRecord>,
 }
 
-/// Cuts a worker's streamed chunks into batches.
+/// Cuts a worker's streamed chunks into batches of `(first_id, events)`.
 ///
 /// `chunk_size % batch_size == 0` guarantees a batch never spans two
-/// chunks, so `first_id = chunk.base + offset` stays globally correct
-/// and every event's features travel with its own payload.
-pub(crate) struct BatchCutter<S> {
-    source: PartitionedSource<S>,
+/// chunks, so `first_id = chunk.base + offset` stays globally correct.
+struct BatchCutter {
+    source: PartitionedSource<InMemorySource>,
     current: Option<EventChunk>,
     offset: usize,
     batch_size: usize,
-    feat_dim: usize,
 }
 
-/// One cut batch: `(first_id, events, feature rows)`.
-pub(crate) type CutBatch = (usize, Vec<Event>, Vec<f32>);
-
-impl<S: EventSource> BatchCutter<S> {
-    pub(crate) fn new(source: PartitionedSource<S>, batch_size: usize, feat_dim: usize) -> Self {
-        BatchCutter {
-            source,
-            current: None,
-            offset: 0,
-            batch_size,
-            feat_dim,
-        }
-    }
-
-    pub(crate) fn next_batch(&mut self) -> Option<CutBatch> {
+impl BatchCutter {
+    fn next_batch(&mut self) -> Option<(usize, Vec<Event>)> {
         loop {
             if let Some(chunk) = &self.current {
                 if self.offset < chunk.events.len() {
                     let start = self.offset;
                     let end = (start + self.batch_size).min(chunk.events.len());
                     self.offset = end;
-                    let events = chunk.events[start..end].to_vec();
-                    let rows = chunk.features[start * self.feat_dim..end * self.feat_dim].to_vec();
-                    return Some((chunk.base + start, events, rows));
+                    return Some((chunk.base + start, chunk.events[start..end].to_vec()));
                 }
-                self.current = None;
             }
-            match self
+            self.offset = 0;
+            self.current = self
                 .source
                 .next_chunk()
-                .expect("in-memory sources never fail")
-            {
-                Some(chunk) => {
-                    self.offset = 0;
-                    self.current = Some(chunk);
-                }
-                None => return None,
-            }
+                .expect("in-memory sources never fail");
+            self.current.as_ref()?;
         }
     }
 
-    pub(crate) fn rewind(&mut self) {
+    fn rewind(&mut self) {
         self.current = None;
         self.offset = 0;
         self.source.reset().expect("in-memory sources never fail");
+    }
+}
+
+/// One worker's whole training state, and the only implementation of
+/// the round protocol's moves: [`next_payload`](Self::next_payload),
+/// [`apply`](Self::apply) and [`end_epoch`](Self::end_epoch). The
+/// in-process worker threads and the TCP leader and followers differ
+/// only in how a round's payloads reach every replica, so their apply
+/// schedules cannot drift apart.
+///
+/// A payload carries no feature rows: every participant holds the
+/// dataset's full feature table, and needs all of it — neighbor
+/// embedding reads the rows of arbitrary *earlier* events (whichever
+/// the plane's adjacency samples), which a batch's own rows could not
+/// cover.
+pub(crate) struct Replica<'a> {
+    worker: usize,
+    data: &'a Dataset,
+    cfg: &'a DistConfig,
+    cutter: BatchCutter,
+    model: MemoryTgnn,
+    step: TrainStep,
+    /// The loss graph of the batch computed for the round in flight,
+    /// kept until the step closes.
+    graph: Option<Tensor>,
+    batches: Vec<BatchRecord>,
+    rounds: usize,
+}
+
+impl<'a> Replica<'a> {
+    /// `model` is this worker's parameter replica over whatever plane
+    /// its transport trains against.
+    pub(crate) fn new(
+        worker: usize,
+        data: &'a Dataset,
+        mut model: MemoryTgnn,
+        cfg: &'a DistConfig,
+    ) -> Self {
+        let source = PartitionedSource::new(
+            InMemorySource::from_dataset(data, cfg.chunk_size),
+            worker,
+            cfg.workers,
+        );
+        let train_cfg = TrainConfig {
+            epochs: cfg.epochs,
+            lr: cfg.lr,
+            clip_norm: cfg.clip_norm,
+            ..TrainConfig::default()
+        };
+        Replica {
+            worker,
+            data,
+            cfg,
+            cutter: BatchCutter {
+                source,
+                current: None,
+                offset: 0,
+                batch_size: cfg.batch_size,
+            },
+            step: TrainStep::new(&mut model, &train_cfg),
+            model,
+            graph: None,
+            batches: Vec::new(),
+            rounds: 0,
+        }
+    }
+
+    /// Forward and backward over this worker's next batch; `None` once
+    /// its partition is exhausted for the epoch.
+    pub(crate) fn next_payload(&mut self) -> Option<RoundPayload> {
+        let (first_id, events) = self.cutter.next_batch()?;
+        let fwd = self
+            .step
+            .compute(&self.model, &events, first_id, self.data.features())
+            .expect("forward_batch's loss is a scalar");
+        let loss = fwd.loss.item();
+        self.graph = Some(fwd.loss);
+        Some(RoundPayload {
+            worker: self.worker,
+            first_id,
+            events,
+            pending: fwd.pending,
+            grads: collect_grads(self.step.params()),
+            loss,
+        })
+    }
+
+    /// Checks a round that came off a socket against this process's own
+    /// dataset and model before [`apply`](Self::apply) indexes with it.
+    /// (In-process payloads are produced by the code that consumes them
+    /// and are not checked.)
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that does not fit.
+    pub(crate) fn check(&self, round: &[Option<RoundPayload>]) -> Result<(), String> {
+        if round.len() != self.cfg.workers {
+            return Err(format!(
+                "round bundle holds {} slots for {} workers",
+                round.len(),
+                self.cfg.workers
+            ));
+        }
+        if round.iter().all(Option::is_none) {
+            return Err("round bundle holds no payload".into());
+        }
+        let stream = self.data.stream().events();
+        let params = self.step.params();
+        let (nodes, width) = (self.model.num_nodes(), self.model.config().memory_dim);
+        for (slot, p) in round.iter().enumerate() {
+            let Some(p) = p else { continue };
+            let centers = p.pending.centers();
+            let end = p.first_id.checked_add(p.events.len());
+            let fault = if p.worker != slot {
+                format!("`worker` is {}", p.worker)
+            } else if end.and_then(|end| stream.get(p.first_id..end)) != Some(&p.events[..]) {
+                format!(
+                    "`events` are not events {}..+{} of this process's dataset: all \
+                     processes must agree on --dataset, --scale and --data-seed",
+                    p.first_id,
+                    p.events.len()
+                )
+            } else if let Some(c) = centers.iter().find(|c| c.index() >= nodes) {
+                format!("`centers` name node {} of {}", c.index(), nodes)
+            } else if p.pending.post().len() != centers.len() * width {
+                format!(
+                    "`post` holds {} floats for {} centers of memory width {}",
+                    p.pending.post().len(),
+                    centers.len(),
+                    width
+                )
+            } else if p.grads.len() != params.len() {
+                format!(
+                    "`grads` hold {} entries for {} parameters",
+                    p.grads.len(),
+                    params.len()
+                )
+            } else if let Some(i) = (0..params.len()).find(|&i| {
+                p.grads[i]
+                    .as_ref()
+                    .is_some_and(|g| g.len() != params[i].len())
+            }) {
+                format!(
+                    "`grads[{}]` is not its parameter's {} floats",
+                    i,
+                    params[i].len()
+                )
+            } else {
+                continue;
+            };
+            return Err(format!("payload in slot {}: {}", slot, fault));
+        }
+        Ok(())
+    }
+
+    /// Applies one round: all-reduce, the step's optimizer half, then the
+    /// two fenced apply phases and the step's close. `shard = Some(w)`
+    /// applies only shard `w`'s writes and waits on `fence` after each
+    /// phase (in process: the plane is shared); `None`/`None` applies
+    /// every write (TCP: each process owns a full local plane).
+    pub(crate) fn apply(
+        &mut self,
+        round: &[Option<RoundPayload>],
+        shard: Option<usize>,
+        fence: Option<&Barrier>,
+    ) {
+        for p in round.iter().flatten() {
+            self.batches.push(BatchRecord {
+                round: self.rounds,
+                worker: p.worker,
+                first_id: p.first_id,
+                events: p.events.len(),
+                loss: p.loss,
+            });
+        }
+        let contributions: Vec<&GradSet> = round.iter().flatten().map(|p| &p.grads).collect();
+        install_grads(self.step.params(), &all_reduce(&contributions));
+        self.step.optimize();
+
+        // Phase A: all payloads' write-backs, in worker-index payload
+        // order, filtered to owned nodes.
+        for p in round.iter().flatten() {
+            self.model.apply_writeback(&p.pending, shard);
+        }
+        if let Some(b) = fence {
+            b.wait();
+        }
+        // Phase B: message generation + adjacency, same order and filter.
+        // Every memory row phase B reads was finalized in phase A.
+        for p in round.iter().flatten() {
+            self.model
+                .apply_messages(&p.events, p.first_id, self.data.features(), shard);
+        }
+        if let Some(b) = fence {
+            b.wait();
+        }
+
+        self.step.close(self.graph.take());
+        for p in round.iter().flatten() {
+            self.step.record(p.events.len(), p.loss);
+        }
+        self.rounds += 1;
+    }
+
+    /// Epoch boundary: closes the step's epoch and — unless the run is
+    /// over — rewinds the partition and, if this replica `resets_plane`,
+    /// resets model state. The final boundary keeps the last epoch's
+    /// memories: they are the exported state (serial trainers reset at
+    /// epoch *start*, never after the run).
+    pub(crate) fn end_epoch(&mut self, done: bool, resets_plane: bool) {
+        self.step.end_epoch();
+        if !done {
+            if resets_plane {
+                self.model.reset_state();
+            }
+            self.cutter.rewind();
+        }
+    }
+
+    /// Every replica sees every payload, so any one's outcome covers the
+    /// whole run in (round, worker) order.
+    pub(crate) fn outcome(self) -> DistOutcome {
+        DistOutcome {
+            report: DistReport {
+                workers: self.cfg.workers,
+                epochs: self.cfg.epochs,
+                rounds: self.rounds,
+                events: self.batches.iter().map(|b| b.events).sum(),
+                epoch_losses: self.step.epoch_losses().to_vec(),
+            },
+            state: self.model.export_state(),
+            optimizer: self.step.optimizer_state(),
+            batches: self.batches,
+        }
     }
 }
 
@@ -252,109 +466,6 @@ impl RoundBoard {
     }
 }
 
-/// Applies one round to the worker's replica: reduce + step, then the
-/// two barrier-fenced apply phases. `shard = None` applies every write
-/// (the TCP path, where each process owns a full local plane);
-/// `Some(w)` applies only shard `w`'s writes (the in-process path,
-/// where the plane is shared). Shared between both transports so their
-/// apply schedules cannot drift apart.
-// one call per transport; a struct would just rename the args
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_round(
-    model: &mut MemoryTgnn,
-    params: &[cascade_tensor::Tensor],
-    opt: &mut Adam,
-    clip_norm: Option<f32>,
-    round: &[Option<RoundPayload>],
-    feats: &EdgeFeatures,
-    shard: Option<usize>,
-    fence: Option<&Barrier>,
-) {
-    let contributions: Vec<&GradSet> = round.iter().flatten().map(|p| &p.grads).collect();
-    if contributions.is_empty() {
-        return;
-    }
-    let reduced = all_reduce(&contributions);
-    install_grads(params, &reduced);
-    if let Some(c) = clip_norm {
-        clip_grad_norm(params, c);
-    }
-    opt.step();
-
-    // Phase A: all payloads' write-backs, in worker-index payload
-    // order, filtered to owned nodes.
-    for p in round.iter().flatten() {
-        model.apply_writeback(&p.pending(), shard);
-    }
-    if let Some(b) = fence {
-        b.wait();
-    }
-    // Phase B: message generation + adjacency, same order and filter.
-    // Every memory row phase B reads was finalized in phase A.
-    for p in round.iter().flatten() {
-        model.apply_messages(&p.events, p.first_id, feats, shard);
-    }
-    if let Some(b) = fence {
-        b.wait();
-    }
-}
-
-/// Round-boundary housekeeping: trims the calling thread's tensor
-/// arena after the round's graph has been dropped. The TCP transport
-/// calls this too — the reset *site* stays in the runtime module
-/// (`arena-reset-confined`).
-pub(crate) fn end_of_round() {
-    cascade_tensor::arena::reset();
-}
-
-/// Computes one worker's payload for the next round: forward, backward,
-/// gradient collection. Shared between the in-process workers and the
-/// TCP processes.
-///
-/// `feats` is the dataset's **full** feature table: neighbor embedding
-/// reads edge features of arbitrary *earlier* events (whichever the
-/// plane's adjacency samples), so a batch-local table is not enough.
-/// Every dist participant holds the complete dataset, which is why the
-/// table needs no exchange; the payload still carries its own rows so
-/// rounds stay self-describing on the wire.
-pub(crate) fn compute_payload(
-    model: &MemoryTgnn,
-    params: &[cascade_tensor::Tensor],
-    worker: usize,
-    batch: CutBatch,
-    feat_dim: usize,
-    feats: &EdgeFeatures,
-) -> RoundPayload {
-    let (first_id, events, feat_rows) = batch;
-    let fwd = model.forward_batch(&events, first_id, feats);
-    let loss = fwd.loss.item();
-    fwd.loss.backward();
-    let grads = collect_grads(params);
-    let pending = fwd.pending;
-    RoundPayload {
-        worker,
-        first_id,
-        events,
-        feat_dim,
-        feat_rows,
-        centers: pending.centers().to_vec(),
-        has_msg: pending.has_msg().to_vec(),
-        post: pending.post().to_vec(),
-        grads,
-        loss,
-    }
-}
-
-/// What each worker thread hands back when the run completes.
-struct WorkerOut {
-    batches: Vec<BatchRecord>,
-    epoch_losses: Vec<f32>,
-    rounds: usize,
-    events: usize,
-    /// Worker 0 only: exported model and optimizer state.
-    state: Option<(Vec<u8>, Vec<u8>)>,
-}
-
 /// Trains `model_cfg` on `data` with `cfg.workers` threads over a
 /// shared sharded memory plane, and returns the run's outcome.
 ///
@@ -373,159 +484,53 @@ pub fn train_dist(data: &Dataset, model_cfg: &ModelConfig, cfg: &DistConfig) -> 
     let plane = SharedPlane::new(&geom, cfg.workers);
     let board = RoundBoard::new(cfg.workers);
 
-    let mut outs: Vec<Option<WorkerOut>> = Vec::new();
-    for _ in 0..cfg.workers {
-        outs.push(None);
-    }
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..cfg.workers {
-            let plane = plane.clone();
-            let board = &board;
-            let model_cfg = model_cfg.clone();
-            let cfg = cfg.clone();
-            handles.push(
-                scope.spawn(move || worker_loop(w, data, model_cfg, cfg, plane, board, feat_dim)),
-            );
+        let handles: Vec<_> = (0..cfg.workers)
+            .map(|w| {
+                let (plane, board) = (plane.clone(), &board);
+                scope.spawn(move || {
+                    let model = MemoryTgnn::with_plane(
+                        model_cfg.clone(),
+                        feat_dim,
+                        cfg.seed,
+                        Box::new(plane),
+                    );
+                    worker_loop(Replica::new(w, data, model, cfg), board)
+                })
+            })
+            .collect();
+        let mut outs = Vec::new();
+        for h in handles {
+            outs.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
-        for (w, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(out) => outs[w] = Some(out),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-    });
-
-    let mut zero = outs[0].take().expect("worker 0 always reports");
-    let (state, optimizer) = zero
-        .state
-        .take()
-        .expect("worker 0 always exports final state");
-    let events: usize = std::iter::once(&zero)
-        .chain(outs.iter().flatten())
-        .map(|o| o.events)
-        .sum();
-    // Every worker sees every payload, so worker 0's log already covers
-    // the whole run in (round, worker) order.
-    let batches = zero.batches.clone();
-    DistOutcome {
-        report: DistReport {
-            workers: cfg.workers,
-            epochs: cfg.epochs,
-            rounds: zero.rounds,
-            events,
-            epoch_losses: zero.epoch_losses,
-        },
-        state,
-        optimizer,
-        batches,
-    }
+        outs.swap_remove(0).expect("worker 0 reports the outcome")
+    })
 }
 
-// the thread entry point takes the full per-worker wiring; boxing it
-// into a struct would just rename the args
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    w: usize,
-    data: &Dataset,
-    model_cfg: ModelConfig,
-    cfg: DistConfig,
-    plane: SharedPlane,
-    board: &RoundBoard,
-    feat_dim: usize,
-) -> WorkerOut {
-    let source = PartitionedSource::new(
-        InMemorySource::from_dataset(data, cfg.chunk_size),
-        w,
-        cfg.workers,
-    );
-    let mut cutter = BatchCutter::new(source, cfg.batch_size, feat_dim);
-    let feats = data.features();
-    let mut model = MemoryTgnn::with_plane(model_cfg, feat_dim, cfg.seed, Box::new(plane));
-    let params = model.parameters();
-    let mut opt = Adam::new(model.parameters(), cfg.lr);
-
-    let mut batches = Vec::new();
-    let mut epoch_losses = Vec::new();
-    let mut rounds = 0usize;
-    let mut own_events = 0usize;
+/// One worker thread: publish → barrier → snapshot → apply, until the
+/// last epoch's boundary. Worker 0 returns the run's outcome.
+fn worker_loop(mut rep: Replica<'_>, board: &RoundBoard) -> Option<DistOutcome> {
+    let w = rep.worker;
     let mut epoch = 0usize;
-    let mut epoch_loss_sum = 0.0f64;
-    let mut epoch_events = 0usize;
-
     loop {
-        let payload = cutter.next_batch().map(|batch| {
-            own_events += batch.1.len();
-            compute_payload(&model, &params, w, batch, feat_dim, feats)
-        });
-        board.publish(w, payload);
+        board.publish(w, rep.next_payload());
         board.barrier.wait();
         let round = board.snapshot();
-
-        if round.iter().all(Option::is_none) {
-            // Epoch boundary: everyone has passed the compute barrier,
-            // so the plane is quiescent. Worker 0 resets it alone,
-            // fenced on both sides. The serial trainers reset at the
-            // *start* of each epoch, so the run's final boundary must
-            // NOT reset — the last epoch's memories are the exported
-            // state.
-            epoch += 1;
-            let done = epoch == cfg.epochs;
-            board.barrier.wait();
-            if w == 0 {
-                epoch_losses.push((epoch_loss_sum / epoch_events.max(1) as f64) as f32);
-                if !done {
-                    model.reset_state();
-                }
-            }
-            board.barrier.wait();
-            if done {
-                break;
-            }
-            epoch_loss_sum = 0.0;
-            epoch_events = 0;
-            cutter.rewind();
+        if round.iter().any(Option::is_some) {
+            rep.apply(&round, Some(w), Some(&board.barrier));
             continue;
         }
-
-        for p in round.iter().flatten() {
-            batches.push(BatchRecord {
-                round: rounds,
-                worker: p.worker,
-                first_id: p.first_id,
-                events: p.events.len(),
-                loss: p.loss,
-            });
-            epoch_loss_sum += p.loss as f64 * p.events.len() as f64;
-            epoch_events += p.events.len();
+        // Epoch boundary: everyone has passed the compute barrier, so
+        // the plane is quiescent. Worker 0 resets it alone, fenced on
+        // both sides.
+        epoch += 1;
+        let done = epoch == rep.cfg.epochs;
+        board.barrier.wait();
+        rep.end_epoch(done, w == 0);
+        board.barrier.wait();
+        if done {
+            return (w == 0).then(|| rep.outcome());
         }
-        apply_round(
-            &mut model,
-            &params,
-            &mut opt,
-            cfg.clip_norm,
-            &round,
-            feats,
-            Some(w),
-            Some(&board.barrier),
-        );
-        end_of_round();
-        rounds += 1;
-    }
-
-    // Final epoch never hits the reset path's loss flush for workers
-    // other than 0 — but only worker 0's telemetry is reported, and it
-    // flushed inside the boundary block above.
-    WorkerOut {
-        batches,
-        epoch_losses,
-        rounds,
-        events: own_events,
-        state: if w == 0 {
-            Some((model.export_state(), opt.export_state()))
-        } else {
-            None
-        },
     }
 }
 
@@ -568,6 +573,81 @@ mod tests {
             covered.iter().all(|&c| c == 1),
             "events must stream exactly once"
         );
+    }
+
+    /// The loop both transports run, with no transport: every replica
+    /// over its own full plane, rounds handed over by value. Three
+    /// workers over two chunks leave worker 2's partition empty all run
+    /// — `None` payloads, a close with no graph — and it must still end
+    /// where worker 0 does, which is where the threaded run ends.
+    #[test]
+    fn a_replica_with_an_empty_partition_tracks_the_others() {
+        let d = data();
+        let model_cfg = ModelConfig::tgn().with_dims(8, 4);
+        let cfg = DistConfig::new()
+            .with_workers(3)
+            .with_batching(512, 64)
+            .with_epochs(2);
+        assert!(d.num_events() <= 2 * cfg.chunk_size, "worker 2 must idle");
+        let mut reps: Vec<Replica<'_>> = (0..cfg.workers)
+            .map(|w| {
+                let dim = d.features().dim();
+                let model =
+                    MemoryTgnn::new_sharded(model_cfg.clone(), d.num_nodes(), dim, cfg.seed, 3);
+                Replica::new(w, &d, model, &cfg)
+            })
+            .collect();
+        for epoch in 1..=cfg.epochs {
+            loop {
+                let round: Vec<_> = reps.iter_mut().map(Replica::next_payload).collect();
+                assert!(round[2].is_none());
+                if round.iter().all(Option::is_none) {
+                    break;
+                }
+                for rep in &mut reps {
+                    rep.check(&round)
+                        .expect("honest rounds pass the peer checks");
+                    rep.apply(&round, None, None);
+                }
+            }
+            for rep in &mut reps {
+                rep.end_epoch(epoch == cfg.epochs, true);
+            }
+        }
+        let idle = reps.pop().expect("three replicas").outcome();
+        let zero = reps.swap_remove(0).outcome();
+        let threaded = train_dist(&d, &model_cfg, &cfg);
+        for other in [&idle, &threaded] {
+            assert_eq!(zero.state, other.state);
+            assert_eq!(zero.optimizer, other.optimizer);
+            assert_eq!(zero.batches, other.batches);
+            assert_eq!(zero.report.epoch_losses, other.report.epoch_losses);
+            assert_eq!(zero.report.events, 2 * d.num_events());
+            assert_eq!(zero.report.rounds, other.report.rounds);
+        }
+    }
+
+    /// The epoch-loss arithmetic lives in `TrainStep`; hold it to the
+    /// definition, recomputed from the per-batch log.
+    #[test]
+    fn epoch_losses_are_the_size_weighted_means_of_their_batches() {
+        let d = data();
+        let cfg = DistConfig::new()
+            .with_workers(2)
+            .with_batching(128, 64)
+            .with_epochs(2);
+        let out = train_dist(&d, &ModelConfig::tgn().with_dims(8, 4), &cfg);
+        // Every epoch streams the same batches, so each is half the log.
+        let halves = out.batches.chunks(out.batches.len() / 2);
+        let means: Vec<f32> = halves
+            .map(|epoch| {
+                let weighted: f64 = epoch.iter().map(|b| b.loss as f64 * b.events as f64).sum();
+                let events: usize = epoch.iter().map(|b| b.events).sum();
+                assert_eq!(events, d.num_events());
+                (weighted / events as f64) as f32
+            })
+            .collect();
+        assert_eq!(out.report.epoch_losses, means);
     }
 
     #[test]

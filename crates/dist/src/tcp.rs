@@ -23,22 +23,20 @@
 //! message order *is* the barrier — no clocks, no retries.
 //!
 //! Framing is a `u32` little-endian length prefix followed by the
-//! [`Frame`] body. Malformed input surfaces as a typed [`DistError`],
-//! never a panic.
+//! [`Frame`] body, and every round that came off a socket is checked
+//! against this process's own dataset and model (`Replica::check`)
+//! before it is applied. Malformed or ill-fitting input surfaces as a
+//! typed [`DistError`], never a panic.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use cascade_models::{MemoryTgnn, ModelConfig};
-use cascade_nn::{Adam, Module};
-use cascade_tgraph::{Dataset, EdgeFeatures, InMemorySource, PartitionedSource};
+use cascade_tgraph::Dataset;
 use cascade_util::ByteReader;
 
 use crate::round::{Frame, RoundPayload, WireError};
-use crate::runtime::{
-    apply_round, compute_payload, end_of_round, BatchCutter, BatchRecord, DistConfig, DistOutcome,
-};
-use crate::stats::DistReport;
+use crate::runtime::{DistConfig, DistOutcome, Replica};
 
 /// Largest accepted frame body (matches the codec's decode bound).
 const MAX_FRAME_LEN: usize = 1 << 28;
@@ -117,127 +115,22 @@ fn recv_frame(stream: &mut TcpStream) -> Result<Frame, DistError> {
     Ok(Frame::decode(&body)?)
 }
 
-/// Per-process training state shared by the leader and follower loops.
-struct Replica<'a> {
-    cutter: BatchCutter<InMemorySource>,
-    model: MemoryTgnn,
-    params: Vec<cascade_tensor::Tensor>,
-    opt: Adam,
-    feats: &'a EdgeFeatures,
-    feat_dim: usize,
+/// This process's [`Replica`]: a full parameter replica over its own
+/// local plane covering every node (processes share no memory).
+fn replica<'a>(
     worker: usize,
-    batches: Vec<BatchRecord>,
-    epoch_losses: Vec<f32>,
-    rounds: usize,
-    events: usize,
-    epoch_loss_sum: f64,
-    epoch_events: usize,
-}
-
-impl<'a> Replica<'a> {
-    fn new(worker: usize, data: &'a Dataset, model_cfg: &ModelConfig, cfg: &DistConfig) -> Self {
-        let feat_dim = data.features().dim();
-        let source = PartitionedSource::new(
-            InMemorySource::from_dataset(data, cfg.chunk_size),
-            worker,
-            cfg.workers,
-        );
-        let model = MemoryTgnn::new_sharded(
-            model_cfg.clone(),
-            data.num_nodes(),
-            feat_dim,
-            cfg.seed,
-            cfg.workers,
-        );
-        let params = model.parameters();
-        let opt = Adam::new(model.parameters(), cfg.lr);
-        Replica {
-            cutter: BatchCutter::new(source, cfg.batch_size, feat_dim),
-            model,
-            params,
-            opt,
-            feats: data.features(),
-            feat_dim,
-            worker,
-            batches: Vec::new(),
-            epoch_losses: Vec::new(),
-            rounds: 0,
-            events: 0,
-            epoch_loss_sum: 0.0,
-            epoch_events: 0,
-        }
-    }
-
-    fn next_payload(&mut self) -> Option<RoundPayload> {
-        let batch = self.cutter.next_batch()?;
-        Some(compute_payload(
-            &self.model,
-            &self.params,
-            self.worker,
-            batch,
-            self.feat_dim,
-            self.feats,
-        ))
-    }
-
-    /// The reduce → step → split-phase apply sequence, `shard = None`:
-    /// this process owns every node locally.
-    fn apply(&mut self, round: &[Option<RoundPayload>], cfg: &DistConfig) {
-        for p in round.iter().flatten() {
-            self.batches.push(BatchRecord {
-                round: self.rounds,
-                worker: p.worker,
-                first_id: p.first_id,
-                events: p.events.len(),
-                loss: p.loss,
-            });
-            self.events += p.events.len();
-            self.epoch_loss_sum += p.loss as f64 * p.events.len() as f64;
-            self.epoch_events += p.events.len();
-        }
-        apply_round(
-            &mut self.model,
-            &self.params,
-            &mut self.opt,
-            cfg.clip_norm,
-            round,
-            self.feats,
-            None,
-            None,
-        );
-        end_of_round();
-        self.rounds += 1;
-    }
-
-    /// Epoch boundary: flush telemetry and — unless the run is over —
-    /// reset model state and rewind the partition. The final boundary
-    /// keeps the last epoch's memories: they are the exported state
-    /// (serial trainers reset at epoch *start*, never after the run).
-    fn end_epoch(&mut self, done: bool) {
-        self.epoch_losses
-            .push((self.epoch_loss_sum / self.epoch_events.max(1) as f64) as f32);
-        self.epoch_loss_sum = 0.0;
-        self.epoch_events = 0;
-        if !done {
-            self.model.reset_state();
-            self.cutter.rewind();
-        }
-    }
-
-    fn outcome(self, cfg: &DistConfig) -> DistOutcome {
-        DistOutcome {
-            report: DistReport {
-                workers: cfg.workers,
-                epochs: cfg.epochs,
-                rounds: self.rounds,
-                events: self.events,
-                epoch_losses: self.epoch_losses,
-            },
-            state: self.model.export_state(),
-            optimizer: self.opt.export_state(),
-            batches: self.batches,
-        }
-    }
+    data: &'a Dataset,
+    model_cfg: &ModelConfig,
+    cfg: &'a DistConfig,
+) -> Replica<'a> {
+    let model = MemoryTgnn::new_sharded(
+        model_cfg.clone(),
+        data.num_nodes(),
+        data.features().dim(),
+        cfg.seed,
+        cfg.workers,
+    );
+    Replica::new(worker, data, model, cfg)
 }
 
 /// Runs the leader (worker 0): binds `addr`, waits for `workers - 1`
@@ -303,26 +196,15 @@ pub fn run_leader_on(
         }
     }
 
-    let mut rep = Replica::new(0, data, model_cfg, cfg);
+    let mut rep = replica(0, data, model_cfg, cfg);
     let mut epoch = 0usize;
     loop {
         let own = rep.next_payload();
         let mut round: Vec<Option<RoundPayload>> = Vec::with_capacity(cfg.workers);
         round.push(own);
-        for (i, peer) in peers.iter_mut().enumerate() {
+        for peer in peers.iter_mut() {
             match recv_frame(peer)? {
-                Frame::Payload(p) => {
-                    if let Some(p) = &p {
-                        if p.worker != i + 1 {
-                            return Err(protocol(format!(
-                                "worker {} sent a payload claiming worker {}",
-                                i + 1,
-                                p.worker
-                            )));
-                        }
-                    }
-                    round.push(p);
-                }
+                Frame::Payload(p) => round.push(p),
                 other => {
                     return Err(protocol(format!(
                         "expected Payload, got {} frame",
@@ -339,20 +221,23 @@ pub fn run_leader_on(
             for peer in peers.iter_mut() {
                 send_frame(peer, &boundary)?;
             }
-            rep.end_epoch(done);
+            rep.end_epoch(done, true);
             if done {
                 break;
             }
             continue;
         }
 
+        // Checked before the broadcast: followers never see a round the
+        // leader refused.
+        rep.check(&round).map_err(DistError::Protocol)?;
         let frame = Frame::Round(round.clone());
         for peer in peers.iter_mut() {
             send_frame(peer, &frame)?;
         }
-        rep.apply(&round, cfg);
+        rep.apply(&round, None, None);
     }
-    Ok(rep.outcome(cfg))
+    Ok(rep.outcome())
 }
 
 /// Runs follower `worker` (in `1..workers`): connects to the leader at
@@ -388,24 +273,18 @@ pub fn run_follower(
         },
     )?;
 
-    let mut rep = Replica::new(worker, data, model_cfg, cfg);
+    let mut rep = replica(worker, data, model_cfg, cfg);
     loop {
         let own = rep.next_payload();
         send_frame(&mut stream, &Frame::Payload(own))?;
         match recv_frame(&mut stream)? {
             Frame::Round(round) => {
-                if round.len() != cfg.workers {
-                    return Err(protocol(format!(
-                        "round bundle holds {} slots for {} workers",
-                        round.len(),
-                        cfg.workers
-                    )));
-                }
-                rep.apply(&round, cfg);
+                rep.check(&round).map_err(DistError::Protocol)?;
+                rep.apply(&round, None, None);
             }
-            Frame::EpochEnd => rep.end_epoch(false),
+            Frame::EpochEnd => rep.end_epoch(false, true),
             Frame::Done => {
-                rep.end_epoch(true);
+                rep.end_epoch(true, true);
                 break;
             }
             other => {
@@ -416,7 +295,7 @@ pub fn run_follower(
             }
         }
     }
-    Ok(rep.outcome(cfg))
+    Ok(rep.outcome())
 }
 
 fn frame_name(f: &Frame) -> &'static str {

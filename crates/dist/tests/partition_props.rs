@@ -5,11 +5,8 @@
 //!   identically across runs and independent of how many *other* nodes
 //!   exist per shard;
 //! * the round-robin chunk partition streams every event to exactly one
-//!   worker, in order, for any worker count;
-//! * the store-side `route_chunks` plan predicts exactly what each
-//!   worker streams.
+//!   worker, in order, for any worker count.
 
-use cascade_store::{export_dataset, route_chunks, scan_chunks};
 use cascade_tgraph::{
     shard_of_node, EventSource, InMemorySource, NodeId, PartitionedSource, ShardMap, SynthConfig,
 };
@@ -113,56 +110,5 @@ fn chunk_partition_streams_every_event_exactly_once() {
             workers
         );
         Ok(())
-    });
-}
-
-#[test]
-fn route_plan_predicts_streamed_partitions() {
-    check("route_plan_matches_streaming", |g| {
-        let data = SynthConfig::wiki()
-            .with_scale(g.f64_in(0.001..0.003))
-            .generate(g.u64());
-        let chunk_size = g.usize_in(16..128);
-        let workers = g.usize_in(1..5);
-        let path = std::env::temp_dir().join(format!(
-            "cascade-dist-route-{}-{}.evt",
-            std::process::id(),
-            g.u64()
-        ));
-        export_dataset(&data, &path, chunk_size).map_err(|e| e.to_string())?;
-        let (_meta, summaries) = scan_chunks(&path).map_err(|e| e.to_string())?;
-        let plan = route_chunks(&summaries, workers);
-        let result: Result<(), String> = (|| {
-            for w in 0..workers {
-                let mut source = PartitionedSource::new(
-                    InMemorySource::from_dataset(&data, chunk_size),
-                    w,
-                    workers,
-                );
-                let mut chunks = Vec::new();
-                let mut events = 0usize;
-                while let Some(chunk) = source.next_chunk().map_err(|e| e.to_string())? {
-                    chunks.push(chunk.index);
-                    events += chunk.events.len();
-                }
-                prop_assert!(
-                    plan.chunks[w] == chunks,
-                    "plan chunks {:?} vs streamed {:?} for worker {}",
-                    plan.chunks[w],
-                    chunks,
-                    w
-                );
-                prop_assert!(
-                    plan.events[w] == events,
-                    "plan predicts {} events, worker {} streamed {}",
-                    plan.events[w],
-                    w,
-                    events
-                );
-            }
-            Ok(())
-        })();
-        let _ = std::fs::remove_file(&path);
-        result
     });
 }

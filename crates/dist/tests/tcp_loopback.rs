@@ -1,8 +1,8 @@
-//! Multi-process transport equivalence: a 2-worker TCP-loopback run is
-//! bit-identical to the 2-worker in-process run — same final state,
-//! same optimizer, same per-batch loss bits on both processes. The
-//! leader and follower here are threads for test convenience; they
-//! share nothing but the socket, exactly like separate processes.
+//! Multi-process transport equivalence: an N-worker TCP-loopback run is
+//! bit-identical to the N-worker in-process run — same final state,
+//! same optimizer, same per-batch loss bits on every process. The
+//! leader and followers here are threads for test convenience; they
+//! share nothing but their sockets, exactly like separate processes.
 
 use std::net::TcpListener;
 
@@ -18,9 +18,9 @@ fn model_cfg() -> ModelConfig {
     ModelConfig::tgn().with_dims(8, 4)
 }
 
-fn dist_cfg() -> DistConfig {
+fn dist_cfg(workers: usize) -> DistConfig {
     DistConfig {
-        workers: 2,
+        workers,
         chunk_size: 128,
         batch_size: 64,
         epochs: 2,
@@ -37,42 +37,51 @@ fn loss_bits(o: &DistOutcome) -> Vec<(usize, usize, u32)> {
         .collect()
 }
 
-#[test]
-fn tcp_loopback_matches_in_process() {
-    let cfg = dist_cfg();
+fn tcp_matches_in_process(workers: usize) {
+    let cfg = dist_cfg(workers);
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind always succeeds");
     let addr = listener
         .local_addr()
         .expect("bound listener has an address")
         .to_string();
 
-    let (leader_out, follower_out) = std::thread::scope(|scope| {
+    let (leader_out, follower_outs) = std::thread::scope(|scope| {
         let leader = scope.spawn(|| {
             let d = data();
             run_leader_on(listener, &d, &model_cfg(), &cfg)
         });
-        let follower = scope.spawn(|| {
-            // A separate Dataset instance: processes share no memory,
-            // only the synth seed.
-            let d = data();
-            run_follower(&addr, 1, &d, &model_cfg(), &cfg)
-        });
+        let followers: Vec<_> = (1..workers)
+            .map(|w| {
+                let (addr, cfg) = (&addr, &cfg);
+                scope.spawn(move || {
+                    // A separate Dataset instance: processes share no
+                    // memory, only the synth seed.
+                    let d = data();
+                    run_follower(addr, w, &d, &model_cfg(), cfg)
+                })
+            })
+            .collect();
         (
             leader.join().expect("leader thread completes"),
-            follower.join().expect("follower thread completes"),
+            followers
+                .into_iter()
+                .map(|f| f.join().expect("follower thread completes"))
+                .collect::<Vec<_>>(),
         )
     });
     let leader_out = leader_out.expect("leader run succeeds");
-    let follower_out = follower_out.expect("follower run succeeds");
 
-    // Leader and follower converge to the same replica.
-    assert_eq!(leader_out.state, follower_out.state, "replicas diverged");
-    assert_eq!(leader_out.optimizer, follower_out.optimizer);
-    assert_eq!(loss_bits(&leader_out), loss_bits(&follower_out));
-    assert_eq!(
-        leader_out.report.epoch_losses, follower_out.report.epoch_losses,
-        "epoch telemetry diverged"
-    );
+    // Leader and followers converge to the same replica.
+    for follower_out in follower_outs {
+        let follower_out = follower_out.expect("follower run succeeds");
+        assert_eq!(leader_out.state, follower_out.state, "replicas diverged");
+        assert_eq!(leader_out.optimizer, follower_out.optimizer);
+        assert_eq!(loss_bits(&leader_out), loss_bits(&follower_out));
+        assert_eq!(
+            leader_out.report.epoch_losses, follower_out.report.epoch_losses,
+            "epoch telemetry diverged"
+        );
+    }
 
     // And the TCP run reproduces the in-process run bit-for-bit.
     let inproc = train_dist(&data(), &model_cfg(), &cfg);
@@ -83,4 +92,17 @@ fn tcp_loopback_matches_in_process() {
     assert_eq!(inproc.optimizer, leader_out.optimizer);
     assert_eq!(loss_bits(&inproc), loss_bits(&leader_out));
     assert_eq!(inproc.report.events, leader_out.report.events);
+}
+
+#[test]
+fn tcp_loopback_matches_in_process() {
+    tcp_matches_in_process(2);
+}
+
+/// Three workers: the fence/ownership arithmetic beyond the one pair,
+/// and (three chunks of 128 over ~470 events, a fourth short) an epoch
+/// whose last round has idle workers.
+#[test]
+fn tcp_loopback_matches_in_process_at_three_workers() {
+    tcp_matches_in_process(3);
 }

@@ -75,7 +75,6 @@ const SINK_FNS: &[&str] = &[
     "all_reduce",
     "apply_writeback",
     "apply_messages",
-    "apply_round",
     "memory_write",
     "mailbox_push",
 ];

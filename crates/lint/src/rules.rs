@@ -116,14 +116,10 @@ const TELEMETRY: &[&str] = &[
 ];
 
 /// Modules allowed to call `arena::reset()`: the one train step every
-/// driver (trainer, streaming driver with or without its loader) calls, the
-/// dist worker's round loop (its step is split at the all-reduce), and
-/// the arena implementation itself.
-const ARENA_RESET_SITES: &[&str] = &[
-    "crates/core/src/step.rs",
-    "crates/dist/src/runtime.rs",
-    "crates/tensor/src/arena.rs",
-];
+/// driver calls (trainer, streaming driver with or without its loader,
+/// and the dist replica, which calls the step's `close` after its fenced
+/// apply), and the arena implementation itself.
+const ARENA_RESET_SITES: &[&str] = &["crates/core/src/step.rs", "crates/tensor/src/arena.rs"];
 
 /// Crates with real lock graphs: the tensor substrate (per-tensor
 /// RwLocks), the loader-thread executor, the serving stack, the storage
@@ -257,8 +253,9 @@ pub const RULES: &[RuleSpec] = &[
         applies_to_tests: false,
         why: "arena::reset() trims the thread-local tensor buffer pool and is only \
               safe at a batch boundary, after the optimizer step and memory apply; \
-              mid-batch calls silently degrade recycling. Call sites are confined to \
-              the shared train step (core/step.rs) and the dist worker loop.",
+              mid-batch calls silently degrade recycling. The one call site is the \
+              shared train step's close (core/step.rs), which every driver and the \
+              dist replica go through.",
     },
     RuleSpec {
         id: "arena-take-balance",
@@ -410,11 +407,11 @@ mod tests {
         assert!(in_scope(spawn, "crates/dist/src/tcp.rs"));
         assert!(!in_scope(spawn, "crates/dist/src/runtime.rs"));
 
-        // Arena resets happen only in the worker batch loop — and, for
-        // every other driver, only inside the shared train step.
+        // Arena resets happen only inside the shared train step, for
+        // the dist replica as for every other driver.
         let arena = rule("arena-reset-confined").expect("rule is registered");
         assert!(in_scope(arena, "crates/dist/src/grad.rs"));
-        assert!(!in_scope(arena, "crates/dist/src/runtime.rs"));
+        assert!(in_scope(arena, "crates/dist/src/runtime.rs"));
         assert!(!in_scope(arena, "crates/core/src/step.rs"));
         assert!(in_scope(arena, "crates/core/src/trainer.rs"));
         assert!(in_scope(arena, "crates/core/src/streaming.rs"));

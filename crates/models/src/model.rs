@@ -79,7 +79,7 @@ pub struct BatchForward {
 /// Deferred memory write-backs computed by [`MemoryTgnn::forward_batch`]
 /// (Figure 1 steps 2–3), detached from the autograd graph so it can cross
 /// pipeline-stage boundaries.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BatchPending {
     /// Distinct batch endpoints, in first-appearance order.
     centers: Vec<NodeId>,

@@ -106,9 +106,10 @@ impl StoreMeta {
         self.num_events.div_ceil(self.chunk_size)
     }
 
-    /// Payload length a frame of `count` events must have.
+    /// Payload length a frame of `count` events must have (saturating:
+    /// no real payload is as long as a count that overflows).
     pub fn expected_payload_len(&self, count: usize) -> usize {
-        count * EVENT_LEN + count * self.feature_dim * 4
+        count.saturating_mul(EVENT_LEN + self.feature_dim * 4)
     }
 }
 

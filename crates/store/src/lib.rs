@@ -41,7 +41,6 @@ mod crc;
 mod error;
 mod format;
 mod reader;
-mod routing;
 mod source;
 mod wal;
 mod writer;
@@ -50,7 +49,6 @@ pub use crc::{crc32, Crc32};
 pub use error::StoreError;
 pub use format::{FrameHeader, StoreMeta, MAGIC, VERSION};
 pub use reader::{import_dataset, ChunkReader, StoredChunk};
-pub use routing::{route_chunks, scan_chunks, ChunkSummary, RoutePlan};
 pub use source::StreamingEventSource;
 pub use wal::{recover_log, WalRecovery};
 pub use writer::{export_dataset, ChunkWriter, StoreSummary};

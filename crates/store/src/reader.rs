@@ -32,6 +32,9 @@ pub struct StoredChunk {
 /// corruption has already been yielded intact.
 pub struct ChunkReader {
     file: BufReader<File>,
+    /// The file's length when opened: no count read from it is trusted
+    /// to allocate more than this.
+    file_len: u64,
     meta: StoreMeta,
     /// Frames yielded so far (index of the next frame).
     next_index: usize,
@@ -48,12 +51,15 @@ impl ChunkReader {
     /// [`StoreError::TruncatedFrame`] when it is shorter than a header,
     /// plus the header validation errors of [`StoreMeta::decode`].
     pub fn open(path: &Path) -> Result<Self, StoreError> {
-        let mut file = BufReader::new(File::open(path)?);
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut file = BufReader::new(file);
         let mut buf = [0u8; HEADER_LEN];
         read_exact_or_truncated(&mut file, &mut buf, 0)?;
         let meta = StoreMeta::decode(&buf)?;
         Ok(ChunkReader {
             file,
+            file_len,
             meta,
             next_index: 0,
             events_seen: 0,
@@ -72,7 +78,8 @@ impl ChunkReader {
     /// [`StoreError::TruncatedFrame`] when the file ends mid-frame or
     /// before the header's declared event count,
     /// [`StoreError::Corrupt`] on an internally inconsistent frame
-    /// header, [`StoreError::CrcMismatch`] when the checksum fails, and
+    /// header or a frame short of `chunk_size` that does not end the
+    /// stream, [`StoreError::CrcMismatch`] when the checksum fails, and
     /// [`StoreError::Io`] on other read failures.
     pub fn next_frame(&mut self) -> Result<Option<StoredChunk>, StoreError> {
         self.read_frame(true)
@@ -85,9 +92,9 @@ impl ChunkReader {
     /// This is the write-ahead-log read mode: a WAL produced by
     /// [`ChunkWriter::sync`](crate::ChunkWriter::sync) is never
     /// `finish`ed, so its header permanently declares zero events while
-    /// the frames behind it are valid. All per-frame validation (CRC,
-    /// shape, base continuity) is unchanged — only the end-of-stream
-    /// accounting is relaxed.
+    /// the frames behind it are valid, each as long as one ack. All
+    /// per-frame validation (CRC, shape, base continuity) is unchanged —
+    /// only the accounting against the declared count is relaxed.
     pub fn next_frame_tolerant(&mut self) -> Result<Option<StoredChunk>, StoreError> {
         self.read_frame(false)
     }
@@ -132,6 +139,21 @@ impl ChunkReader {
                 ),
             });
         }
+        // Only the stream's last frame may be short of `chunk_size`, so a
+        // file has one framing. (A write-ahead log closes a frame at every
+        // sync; its frames are as long as its acks.)
+        if strict_eof
+            && header.event_count < self.meta.chunk_size
+            && self.events_seen.checked_add(header.event_count) != Some(self.meta.num_events)
+        {
+            return Err(StoreError::Corrupt {
+                chunk,
+                message: format!(
+                    "frame holds {} events, short of chunk size {}, but does not end the stream",
+                    header.event_count, self.meta.chunk_size
+                ),
+            });
+        }
         if header.base != self.events_seen {
             return Err(StoreError::Corrupt {
                 chunk,
@@ -140,6 +162,9 @@ impl ChunkReader {
                     header.base, self.events_seen
                 ),
             });
+        }
+        if header.payload_len as u64 > self.file_len {
+            return Err(StoreError::TruncatedFrame { chunk });
         }
         let mut payload = vec![0u8; header.payload_len + 4];
         read_exact_or_truncated(&mut self.file, &mut payload, chunk)?;
@@ -246,8 +271,12 @@ fn decode_payload(
 pub fn import_dataset(path: &Path, name: &str) -> Result<Dataset, StoreError> {
     let mut reader = ChunkReader::open(path)?;
     let meta = reader.meta();
-    let mut events = Vec::with_capacity(meta.num_events);
-    let mut features = Vec::with_capacity(meta.num_events * meta.feature_dim);
+    // Reserve for the declared count only as far as the file could hold it.
+    let declared = meta
+        .num_events
+        .min(reader.file_len as usize / meta.expected_payload_len(1));
+    let mut events = Vec::with_capacity(declared);
+    let mut features = Vec::with_capacity(declared * meta.feature_dim);
     while let Some(chunk) = reader.next_frame()? {
         events.extend_from_slice(&chunk.events);
         features.extend_from_slice(&chunk.features);

@@ -4,9 +4,10 @@
 use std::path::{Path, PathBuf};
 
 use cascade_store::{
-    export_dataset, import_dataset, ChunkReader, StoreError, StreamingEventSource, MAGIC,
+    export_dataset, import_dataset, ChunkReader, ChunkWriter, StoreError, StreamingEventSource,
+    MAGIC,
 };
-use cascade_tgraph::{EventSource, SynthConfig};
+use cascade_tgraph::{Event, EventSource, SynthConfig};
 
 const CHUNK: usize = 128;
 
@@ -255,4 +256,59 @@ fn streaming_source_matches_in_memory_source() {
         disk.reset().expect("reset reopens the file");
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_header_declaring_events_the_file_cannot_hold_reserves_nothing() {
+    let (path, _) = write_sample("hugecount");
+    let mut bytes = std::fs::read(&path).expect("file readable");
+    bytes[16..24].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    std::fs::write(&path, &bytes).expect("file writable");
+    // Sixteen TiB of events if the count were believed up front.
+    let err = import_dataset(&path, "huge").expect_err("the frames run out first");
+    assert!(matches!(err, StoreError::Corrupt { chunk: 4, .. }), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// The workspace's hostile-input battery over the `CEVT` reader: every
+/// strict prefix, a huge value over every offset and seeded bit flips of
+/// a small store (features on, frames of 3 + 3 + 2 events) must each be
+/// a typed [`StoreError`] or read to the end and — written back through
+/// [`ChunkWriter`] under the header the reader accepted — reproduce the
+/// input byte for byte. The write-back allocates by the accepted
+/// header, so a count the reader lets through unbounded aborts here.
+#[test]
+fn chunk_reader_survives_the_hostile_input_battery() {
+    let (input, output) = (scratch("battery_in"), scratch("battery_out"));
+    let mut writer = ChunkWriter::create(&input, 6, 2, 3).expect("temp file is writable");
+    for i in 0..8u32 {
+        let event = Event::new(i % 6, (i + 1) % 6, f64::from(i) + 0.5);
+        let row = [i as f32, -0.25];
+        writer.push(event, &row).expect("temp file is writable");
+    }
+    assert_eq!(writer.finish().expect("temp file is writable").chunks, 3);
+    let valid = std::fs::read(&input).expect("file readable");
+
+    cascade_util::check_decoder("cevt_store", &valid, |bytes| {
+        std::fs::write(&input, bytes).expect("temp file is writable");
+        let mut reader = ChunkReader::open(&input).ok()?;
+        let mut chunks = Vec::new();
+        while let Some(chunk) = reader.next_frame().ok()? {
+            chunks.push(chunk);
+        }
+        let meta = reader.meta();
+        let mut writer =
+            ChunkWriter::create(&output, meta.num_nodes, meta.feature_dim, meta.chunk_size)
+                .expect("temp file is writable");
+        for chunk in &chunks {
+            for (i, e) in chunk.events.iter().enumerate() {
+                let row = &chunk.features[i * meta.feature_dim..(i + 1) * meta.feature_dim];
+                writer.push(*e, row).expect("temp file is writable");
+            }
+        }
+        writer.finish().expect("temp file is writable");
+        Some(std::fs::read(&output).expect("file readable"))
+    });
+    std::fs::remove_file(&input).ok();
+    std::fs::remove_file(&output).ok();
 }

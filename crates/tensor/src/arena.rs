@@ -20,9 +20,9 @@
 //! bounded steady-state working set, releasing whatever surplus an
 //! unusually large batch left behind. It must only be called between
 //! batches (when no graph from the previous batch is being built) —
-//! cascade-lint's `arena-reset-confined` rule pins call sites to the
-//! shared train step (`cascade-core`'s `step.rs`) and the dist worker
-//! loop.
+//! cascade-lint's `arena-reset-confined` rule pins the one call site to
+//! the shared train step's `close` (`cascade-core`'s `step.rs`), which
+//! every driver and each dist replica goes through.
 //!
 //! # Determinism
 //!
