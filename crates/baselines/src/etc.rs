@@ -9,8 +9,10 @@
 
 use std::time::Instant;
 
-use cascade_core::{BatchingStrategy, StrategyTimers};
+use cascade_core::{BatchingStrategy, PrebuiltTable, StrategyTimers};
 use cascade_tgraph::{Event, EventId};
+
+use crate::{Chunk, NodeMarks};
 
 /// The ETC batching scheme.
 ///
@@ -32,11 +34,10 @@ use cascade_tgraph::{Event, EventId};
 #[derive(Clone, Debug)]
 pub struct Etc {
     preset_batch: usize,
+    /// The entered chunk's detected loss bound.
     threshold: usize,
-    events: Vec<Event>,
-    num_nodes: usize,
-    counts: Vec<u32>,
-    touched: Vec<u32>,
+    chunk: Chunk,
+    marks: NodeMarks,
     timers: StrategyTimers,
 }
 
@@ -51,37 +52,29 @@ impl Etc {
         Etc {
             preset_batch,
             threshold: 0,
-            events: Vec::new(),
-            num_nodes: 0,
-            counts: Vec::new(),
-            touched: Vec::new(),
+            chunk: Chunk::default(),
+            marks: NodeMarks::default(),
             timers: StrategyTimers::default(),
         }
     }
 
-    /// The detected information-loss threshold.
+    /// The information-loss threshold detected for the entered chunk.
     pub fn threshold(&self) -> usize {
         self.threshold
     }
 
     /// Information loss of `events`: per node, every appearance after the
     /// first uses stale memory.
-    fn information_loss(events: &[Event], counts: &mut [u32], touched: &mut Vec<u32>) -> usize {
+    fn information_loss(events: &[Event], marks: &mut NodeMarks) -> usize {
         let mut loss = 0usize;
         for e in events {
             for n in [e.src.index(), e.dst.index()] {
-                if counts[n] > 0 {
+                if marks.bump(n) > 0 {
                     loss += 1;
-                } else {
-                    touched.push(n as u32);
                 }
-                counts[n] += 1;
             }
         }
-        for &n in touched.iter() {
-            counts[n as usize] = 0;
-        }
-        touched.clear();
+        marks.clear();
         loss
     }
 }
@@ -91,64 +84,67 @@ impl BatchingStrategy for Etc {
         "ETC".to_string()
     }
 
-    fn prepare(&mut self, events: &[Event], num_nodes: usize) {
-        let t0 = Instant::now();
-        self.events = events.to_vec();
-        self.num_nodes = num_nodes;
-        self.counts = vec![0; num_nodes];
-        self.touched = Vec::new();
-
-        // Auto-detect the loss bound: the largest information loss any
-        // preset-size batch incurs (the "upper bound of the detected
-        // information loss", §5.6).
-        let mut threshold = 0usize;
-        for chunk in events.chunks(self.preset_batch) {
-            threshold = threshold.max(Self::information_loss(
-                chunk,
-                &mut self.counts,
-                &mut self.touched,
-            ));
-        }
-        self.threshold = threshold.max(1);
-        self.timers.build_table += t0.elapsed();
-    }
-
     fn next_batch_end(&mut self, start: EventId, limit: EventId) -> EventId {
         assert!(start < limit, "next_batch_end on empty range");
-        let t0 = Instant::now();
+        let bound = self.chunk.bound(start, limit);
         let mut loss = 0usize;
         let mut end = start;
-        while end < limit {
-            let e = &self.events[end];
+        while end < bound {
+            let e = self.chunk.event(end);
             let mut added = 0usize;
             for n in [e.src.index(), e.dst.index()] {
-                if self.counts[n] > 0 {
+                if self.marks.bump(n) > 0 {
                     added += 1;
-                } else {
-                    self.touched.push(n as u32);
                 }
-                self.counts[n] += 1;
             }
             if loss + added > self.threshold && end > start {
                 // Undo the tentative admission.
                 for n in [e.src.index(), e.dst.index()] {
-                    self.counts[n] -= 1;
+                    self.marks.unbump(n);
                 }
                 break;
             }
             loss += added;
             end += 1;
         }
-        for &n in self.touched.iter() {
-            self.counts[n as usize] = 0;
-        }
-        self.touched.clear();
-        self.timers.lookup += t0.elapsed();
+        self.marks.clear();
         end.max(start + 1)
     }
 
     fn timers(&self) -> StrategyTimers {
         self.timers
+    }
+
+    fn prepare_streaming(
+        &mut self,
+        _total_train: usize,
+        num_nodes: usize,
+        _chunk_size: usize,
+    ) -> bool {
+        self.threshold = 0;
+        self.chunk = Chunk::default();
+        self.marks = NodeMarks::new(num_nodes);
+        true
+    }
+
+    fn enter_chunk(
+        &mut self,
+        _idx: usize,
+        base: EventId,
+        events: &[Event],
+        _prebuilt: Option<PrebuiltTable>,
+    ) {
+        let t0 = Instant::now();
+        self.chunk.enter(base, events);
+        // Auto-detect the chunk's loss bound: the largest information
+        // loss any preset-size batch of it incurs (the "upper bound of
+        // the detected information loss", §5.6).
+        let mut threshold = 0usize;
+        for batch in events.chunks(self.preset_batch) {
+            threshold = threshold.max(Self::information_loss(batch, &mut self.marks));
+        }
+        self.threshold = threshold.max(1);
+        self.timers.build_table += t0.elapsed();
     }
 }
 
@@ -163,19 +159,16 @@ mod tests {
     #[test]
     fn loss_counts_repeat_touches() {
         let events = vec![ev(0, 1, 0.0), ev(0, 2, 1.0), ev(0, 1, 2.0)];
-        let mut counts = vec![0u32; 3];
-        let mut touched = Vec::new();
+        let mut marks = NodeMarks::new(3);
         // Node 0 appears 3x (loss 2), node 1 appears 2x (loss 1).
-        assert_eq!(Etc::information_loss(&events, &mut counts, &mut touched), 3);
-        assert!(counts.iter().all(|&c| c == 0), "scratch must be reset");
+        assert_eq!(Etc::information_loss(&events, &mut marks), 3);
+        assert!((0..3).all(|n| marks.get(n) == 0), "scratch must be reset");
     }
 
     #[test]
     fn disjoint_events_have_zero_loss() {
         let events = vec![ev(0, 1, 0.0), ev(2, 3, 1.0)];
-        let mut counts = vec![0u32; 4];
-        let mut touched = Vec::new();
-        assert_eq!(Etc::information_loss(&events, &mut counts, &mut touched), 0);
+        assert_eq!(Etc::information_loss(&events, &mut NodeMarks::new(4)), 0);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! independent of (share no endpoint with) every event already admitted.
 //! The first dependent event closes the batch.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
-use cascade_core::{BatchingStrategy, StrategySpace, StrategyTimers};
+use cascade_core::{BatchingStrategy, PrebuiltTable, StrategySpace, StrategyTimers};
 use cascade_tgraph::{Event, EventId};
+
+use crate::{Chunk, NodeMarks};
 
 /// The NeutronStream batching scheme.
 ///
@@ -33,10 +34,12 @@ use cascade_tgraph::{Event, EventId};
 #[derive(Clone, Debug)]
 pub struct NeutronStream {
     base_batch: usize,
-    /// For each event, the id of the closest earlier event sharing a node
-    /// (the dependency edge NeutronStream materializes).
+    /// For each event of the entered chunk, the global id of the closest
+    /// earlier event of the chunk sharing a node (the dependency edge
+    /// NeutronStream materializes).
     dependency_edges: Vec<Option<EventId>>,
-    events: Vec<Event>,
+    chunk: Chunk,
+    marks: NodeMarks,
     timers: StrategyTimers,
 }
 
@@ -51,15 +54,16 @@ impl NeutronStream {
         NeutronStream {
             base_batch,
             dependency_edges: Vec::new(),
-            events: Vec::new(),
+            chunk: Chunk::default(),
+            marks: NodeMarks::default(),
             timers: StrategyTimers::default(),
         }
     }
 
-    /// The materialized per-event dependency edges (`None` for events
-    /// with no earlier neighbor-sharing event).
-    pub fn dependency_edges(&self) -> &[Option<EventId>] {
-        &self.dependency_edges
+    /// Marks both endpoints of `e` as batched.
+    fn admit(&mut self, e: Event) {
+        self.marks.bump(e.src.index());
+        self.marks.bump(e.dst.index());
     }
 }
 
@@ -68,53 +72,25 @@ impl BatchingStrategy for NeutronStream {
         "NeutronStream".to_string()
     }
 
-    fn prepare(&mut self, events: &[Event], num_nodes: usize) {
-        // Dependency-graph construction: the preprocessing cost §5.6
-        // observes ("they spend a lot of time constructing dependency
-        // graphs").
-        let t0 = Instant::now();
-        let mut last_touch: Vec<Option<EventId>> = vec![None; num_nodes];
-        self.dependency_edges = events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let dep = match (last_touch[e.src.index()], last_touch[e.dst.index()]) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (Some(a), None) => Some(a),
-                    (None, Some(b)) => Some(b),
-                    (None, None) => None,
-                };
-                last_touch[e.src.index()] = Some(i);
-                last_touch[e.dst.index()] = Some(i);
-                dep
-            })
-            .collect();
-        self.events = events.to_vec();
-        self.timers.build_table += t0.elapsed();
-    }
-
     fn next_batch_end(&mut self, start: EventId, limit: EventId) -> EventId {
         assert!(start < limit, "next_batch_end on empty range");
-        let t0 = Instant::now();
-        let mut end = (start + self.base_batch).min(limit);
+        let bound = self.chunk.bound(start, limit);
+        let mut end = (start + self.base_batch).min(bound);
 
-        // Collect the base batch's node set, then admit subsequent events
-        // while they are independent of everything already batched.
-        let mut touched: HashSet<u32> = HashSet::new();
-        for e in &self.events[start..end] {
-            touched.insert(e.src.0);
-            touched.insert(e.dst.0);
+        // Mark the base batch's nodes, then admit subsequent events while
+        // they are independent of everything already batched.
+        for id in start..end {
+            self.admit(*self.chunk.event(id));
         }
-        while end < limit {
-            let e = &self.events[end];
-            if touched.contains(&e.src.0) || touched.contains(&e.dst.0) {
+        while end < bound {
+            let e = *self.chunk.event(end);
+            if self.marks.get(e.src.index()) > 0 || self.marks.get(e.dst.index()) > 0 {
                 break;
             }
-            touched.insert(e.src.0);
-            touched.insert(e.dst.0);
+            self.admit(e);
             end += 1;
         }
-        self.timers.lookup += t0.elapsed();
+        self.marks.clear();
         end
     }
 
@@ -127,6 +103,47 @@ impl BatchingStrategy for NeutronStream {
 
     fn timers(&self) -> StrategyTimers {
         self.timers
+    }
+
+    fn prepare_streaming(
+        &mut self,
+        _total_train: usize,
+        num_nodes: usize,
+        _chunk_size: usize,
+    ) -> bool {
+        self.dependency_edges.clear();
+        self.chunk = Chunk::default();
+        self.marks = NodeMarks::new(num_nodes);
+        true
+    }
+
+    fn enter_chunk(
+        &mut self,
+        _idx: usize,
+        base: EventId,
+        events: &[Event],
+        _prebuilt: Option<PrebuiltTable>,
+    ) {
+        // Dependency-graph construction: the preprocessing cost §5.6
+        // observes ("they spend a lot of time constructing dependency
+        // graphs").
+        let t0 = Instant::now();
+        let mut last_touch: Vec<Option<EventId>> = vec![None; self.marks.num_nodes()];
+        self.dependency_edges = events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let dep = match (last_touch[e.src.index()], last_touch[e.dst.index()]) {
+                    (Some(a), Some(b)) => Some(a.max(b)),
+                    (a, b) => a.or(b),
+                };
+                last_touch[e.src.index()] = Some(base + i);
+                last_touch[e.dst.index()] = Some(base + i);
+                dep
+            })
+            .collect();
+        self.chunk.enter(base, events);
+        self.timers.build_table += t0.elapsed();
     }
 }
 
@@ -143,7 +160,7 @@ mod tests {
         let events = vec![ev(0, 1, 0.0), ev(2, 3, 1.0), ev(1, 2, 2.0)];
         let mut n = NeutronStream::new(1);
         n.prepare(&events, 4);
-        assert_eq!(n.dependency_edges(), &[None, None, Some(1)]);
+        assert_eq!(n.dependency_edges, [None, None, Some(1)]);
     }
 
     #[test]

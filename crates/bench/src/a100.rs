@@ -1,0 +1,201 @@
+//! The modelled A100: what the latency figures plot.
+//!
+//! The paper's speedups arise from GPU underutilization at small batches
+//! (17.2% SM utilization at BS = 900, §3.1; a 71% latency cut going to
+//! BS = 6000, Figure 2). On one CPU core per-event compute does not
+//! depend on batch size, so that effect is modelled, not measured: a
+//! pure function of a finished [`TrainReport`] and the strategy's
+//! [`StrategyTimers`]. Nothing here feeds training.
+
+use std::time::Duration;
+
+use cascade_core::{StrategyTimers, TrainReport};
+
+/// Per-batch accelerator overhead at the paper's preset batch of 900, in
+/// event-equivalents of model compute. Calibrated jointly to §3.1's
+/// utilization numbers and Figure 2's latency cut, which both fall out
+/// of [`UtilizationProxy`]'s curve.
+const OVERHEAD_EVENTS_AT_900: f64 = 4877.0;
+
+/// The accelerator latency model:
+/// `modelled = measured + per-event compute · overhead · batches − overlap`.
+#[derive(Clone, Copy, Debug)]
+pub struct A100 {
+    /// Event-equivalents of measured per-event compute charged per batch.
+    batch_overhead_events: f64,
+}
+
+impl A100 {
+    /// The calibration scaled from the paper's preset batch of 900 to
+    /// `preset_batch`.
+    pub fn at_preset(preset_batch: usize) -> Self {
+        A100 {
+            batch_overhead_events: OVERHEAD_EVENTS_AT_900 * preset_batch as f64 / 900.0,
+        }
+    }
+
+    /// The modelled latency of a finished run: its wall time, plus each
+    /// batch's overhead charged at the run's measured per-event model
+    /// compute, less the loader thread's table builds that overlapped
+    /// training.
+    pub fn modelled_time(&self, report: &TrainReport, timers: &StrategyTimers) -> Duration {
+        let events: usize = report.batch_sizes.iter().map(|&b| b as usize).sum();
+        let per_event = report.model_time.as_secs_f64() / (events as f64).max(1.0);
+        let overhead = Duration::from_secs_f64(
+            per_event * self.batch_overhead_events * report.num_batches as f64,
+        );
+        (report.total_time + overhead).saturating_sub(overlap_credit(report, timers))
+    }
+}
+
+/// The loader thread's table building shares this machine's cores with
+/// training (inflating measured time), but runs on otherwise idle CPU in
+/// the paper's CPU-preprocess/GPU-train deployment: credit it back, less
+/// whatever the driver built itself or spent waiting for a chunk (that
+/// part overlapped nothing — the first chunk's table never does), and
+/// never more than half the run.
+fn overlap_credit(report: &TrainReport, timers: &StrategyTimers) -> Duration {
+    timers
+        .background_build
+        .saturating_sub(timers.build_table + report.stages.scan.stall)
+        .min(report.total_time / 2)
+}
+
+/// Analytic GPU-utilization proxy calibrated against the §3.1
+/// measurements: training TGN on WIKI at batch size 900 showed 17.2% SM /
+/// 15.2% memory utilization; 6000 showed 39.8% / 34.2%.
+///
+/// The model is a saturating curve `u(B) = u_max · B / (B + C)` with
+/// `C = 2000` events; it exists so the motivation experiment can report
+/// the *shape* of the utilization argument without GPU counters.
+#[derive(Clone, Copy, Debug)]
+pub struct UtilizationProxy {
+    /// Asymptotic SM utilization.
+    pub sm_max: f64,
+    /// Asymptotic memory-bandwidth utilization.
+    pub mem_max: f64,
+    /// Half-saturation batch size.
+    pub half_batch: f64,
+}
+
+impl Default for UtilizationProxy {
+    fn default() -> Self {
+        UtilizationProxy {
+            sm_max: 0.55,
+            mem_max: 0.47,
+            half_batch: 2000.0,
+        }
+    }
+}
+
+impl UtilizationProxy {
+    /// Streaming-multiprocessor utilization at the given batch size.
+    pub fn sm_utilization(&self, batch: f64) -> f64 {
+        self.sm_max * batch / (batch + self.half_batch)
+    }
+
+    /// Memory utilization at the given batch size.
+    pub fn mem_utilization(&self, batch: f64) -> f64 {
+        self.mem_max * batch / (batch + self.half_batch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cascade_baselines::tgl;
+    use cascade_core::{train, BatchingStrategy, CascadeConfig, CascadeScheduler, TrainConfig};
+    use cascade_exec::{train_streamed, PipelineConfig};
+    use cascade_models::{MemoryTgnn, ModelConfig};
+    use cascade_tgraph::{Dataset, InMemorySource, SynthConfig};
+
+    fn data() -> Dataset {
+        SynthConfig::wiki()
+            .with_scale(0.006)
+            .with_node_scale(0.02)
+            .with_feature_dim(4)
+            .generate(3)
+    }
+
+    fn model(data: &Dataset) -> MemoryTgnn {
+        MemoryTgnn::new(
+            ModelConfig::jodie().with_dims(8, 4),
+            data.num_nodes(),
+            data.features().dim(),
+            7,
+        )
+    }
+
+    fn cfg() -> TrainConfig {
+        TrainConfig {
+            epochs: 2,
+            eval_batch_size: 48,
+            ..TrainConfig::default()
+        }
+    }
+
+    #[test]
+    fn modelled_time_at_least_wall_time_without_pipeline() {
+        let data = data();
+        let mut strategy = tgl(48);
+        let report = train(&mut model(&data), &data, &mut strategy, &cfg());
+        let timers = strategy.timers();
+        let off = A100 {
+            batch_overhead_events: 0.0,
+        };
+        assert_eq!(off.modelled_time(&report, &timers), report.total_time);
+        // Without the loader nothing is credited back.
+        assert!(A100::at_preset(48).modelled_time(&report, &timers) >= report.total_time);
+    }
+
+    #[test]
+    fn loader_credit_is_bounded() {
+        let data = data();
+        let mut strategy = CascadeScheduler::new(CascadeConfig {
+            preset_batch_size: 48,
+            ..CascadeConfig::default()
+        });
+        let mut source = InMemorySource::from_dataset(&data, 128);
+        let pipe = PipelineConfig::default();
+        let report =
+            train_streamed(&mut model(&data), &mut source, &mut strategy, &cfg(), &pipe).unwrap();
+        let timers = strategy.timers();
+        assert!(timers.background_build > Duration::ZERO);
+        let credit = overlap_credit(&report, &timers);
+        assert!(credit <= report.total_time / 2);
+        assert!(
+            credit
+                <= timers
+                    .background_build
+                    .saturating_sub(timers.build_table + report.stages.scan.stall)
+        );
+        let off = A100 {
+            batch_overhead_events: 0.0,
+        };
+        assert_eq!(
+            off.modelled_time(&report, &timers),
+            report.total_time - credit
+        );
+    }
+
+    #[test]
+    fn utilization_is_monotone_and_bounded() {
+        let u = UtilizationProxy::default();
+        let mut last = 0.0;
+        for b in [100.0, 900.0, 3000.0, 6000.0, 100000.0] {
+            let v = u.sm_utilization(b);
+            assert!(v > last);
+            assert!(v < u.sm_max);
+            last = v;
+        }
+    }
+
+    #[test]
+    fn calibration_matches_section31() {
+        let u = UtilizationProxy::default();
+        assert!((u.sm_utilization(900.0) - 0.172).abs() < 0.02);
+        assert!((u.mem_utilization(900.0) - 0.152).abs() < 0.02);
+        assert!((u.sm_utilization(6000.0) - 0.398).abs() < 0.04);
+        assert!((u.mem_utilization(6000.0) - 0.342).abs() < 0.02);
+    }
+}

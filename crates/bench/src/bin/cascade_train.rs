@@ -47,7 +47,7 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Result<Args, String> {
+    fn parse(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         let mut a = Args {
             dataset: "wiki".into(),
             model: "tgn".into(),
@@ -67,7 +67,6 @@ impl Args {
             pipeline_depth: 2,
             compute_threads: 1,
         };
-        let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
             let mut val = |name: &str| {
                 it.next()
@@ -78,7 +77,12 @@ impl Args {
                 "--model" => a.model = val("--model")?,
                 "--strategy" => a.strategy = val("--strategy")?,
                 "--epochs" => a.epochs = parse(&val("--epochs")?)?,
-                "--batch" => a.batch = parse(&val("--batch")?)?,
+                "--batch" => {
+                    a.batch = parse(&val("--batch")?)?;
+                    if a.batch == 0 {
+                        return Err("--batch must be positive".to_string());
+                    }
+                }
                 "--dim" => a.dim = parse(&val("--dim")?)?,
                 "--scale" => a.scale = parse(&val("--scale")?)?,
                 "--seed" => a.seed = parse(&val("--seed")?)?,
@@ -223,7 +227,7 @@ fn main() {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::parse()?;
+    let args = Args::parse(std::env::args().skip(1))?;
 
     if let Some(out) = &args.export_dataset {
         if is_store_file(&args.dataset) {
@@ -306,13 +310,11 @@ fn train_config(args: &Args) -> TrainConfig {
         clip_norm: Some(5.0),
         scale_lr_with_batch: true,
         compute_threads: args.compute_threads.max(1),
-        ..TrainConfig::default()
     }
 }
 
 /// Streams `source` through the serial driver, or with `--pipelined`
-/// through the loader thread; the two are bit-identical. A strategy that
-/// cannot stream comes back as the driver's typed refusal.
+/// through the loader thread; the two are bit-identical.
 fn train_from_source<S: EventSource + Send>(
     args: &Args,
     model: &mut MemoryTgnn,
@@ -400,4 +402,25 @@ fn print_report(report: &TrainReport) {
         "  validation        loss {:.4}, AP {:.4}, acc {:.4}",
         report.val_loss, report.val_ap, report.val_accuracy
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn zero_sizes_fail_at_argument_parsing() {
+        for (flag, err) in [
+            ("--batch", "--batch must be positive"),
+            ("--chunk", "--chunk must be positive"),
+        ] {
+            assert_eq!(parse_args(&[flag, "0"]).err().as_deref(), Some(err));
+        }
+        let args = parse_args(&["--batch", "7", "--chunk", "9"]).expect("positive sizes parse");
+        assert_eq!((args.batch, args.chunk), (7, Some(9)));
+    }
 }

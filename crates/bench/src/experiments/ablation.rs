@@ -10,7 +10,7 @@
 //! * **Max_r initialization**: `mr_mean` vs the paper's `2·mr_mean` vs
 //!   `mr_max`.
 
-use cascade_core::{train, CascadeConfig, CascadeScheduler};
+use cascade_core::{train, BatchingStrategy, CascadeConfig, CascadeScheduler};
 use cascade_models::ModelConfig;
 
 use crate::harness::StrategyKind;
@@ -25,7 +25,7 @@ pub fn ablation(session: &Session) -> String {
         "Dataset",
         "Variant",
         "AvgBatch",
-        "Speedup vs TGL",
+        "Modelled speedup vs TGL",
         "ValLoss",
         "Loss vs TGL",
     ]);
@@ -33,7 +33,7 @@ pub fn ablation(session: &Session) -> String {
     for name in ["WIKI", "REDDIT"] {
         let data = session.dataset(name);
         let tgl = session.run(name, ModelConfig::tgn(), &StrategyKind::Tgl);
-        let base_time = tgl.report.modeled_time.as_secs_f64();
+        let base_time = tgl.modelled.as_secs_f64();
         let base_loss = tgl.report.val_loss as f64;
 
         let variants: Vec<(&str, CascadeConfig)> = vec![
@@ -78,11 +78,12 @@ pub fn ablation(session: &Session) -> String {
             let mut model = h.build_model(&data, ModelConfig::tgn(), false);
             let mut strat = CascadeScheduler::new(cfg);
             let report = train(&mut model, &data, &mut strat, &h.train_cfg());
+            let modelled = h.a100().modelled_time(&report, &strat.timers());
             t.row(&[
                 name.to_string(),
                 label.to_string(),
                 f2(report.avg_batch_size),
-                format!("{:.2}x", base_time / report.modeled_time.as_secs_f64()),
+                format!("{:.2}x", base_time / modelled.as_secs_f64()),
                 f3(report.val_loss as f64),
                 f2(report.val_loss as f64 / base_loss),
             ]);

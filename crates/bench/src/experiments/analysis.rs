@@ -25,15 +25,14 @@ pub fn fig13a(session: &Session) -> String {
                     name.to_string(),
                     model.name.to_string(),
                     format!("{:.2}", theta),
-                    f2(out.report.modeled_time.as_secs_f64()
-                        / tgl.report.modeled_time.as_secs_f64()),
+                    f2(out.modelled.as_secs_f64() / tgl.modelled.as_secs_f64()),
                     f2(out.report.val_loss as f64 / tgl.report.val_loss as f64),
                 ]);
             }
         }
     }
     format!(
-        "Figure 13(a): θ_sim sweep (normalized to TGL)\n\
+        "Figure 13(a): θ_sim sweep (modelled A100 latency, normalized to TGL)\n\
          Paper: lower θ -> faster but lossier (θ=0.85: 2.7x, +8% loss);\n\
          higher θ -> safer but slower (θ=0.95: 2.0x, no loss increase).\n{}",
         t
@@ -44,8 +43,8 @@ pub fn fig13a(session: &Session) -> String {
 /// lookup & pointer updates, and model training, with the training slice
 /// sub-divided into the shard-parallel forward/backward work
 /// (`StageTimings::shard_compute`) and the serial remainder (reduction,
-/// optimizer, memory write-back, simulated overhead). The four shares
-/// sum to 100% of the modeled total by construction.
+/// optimizer, memory write-back, modelled overhead). The four shares
+/// sum to 100% of the modelled total by construction.
 pub fn fig13b(session: &Session) -> String {
     let mut t = TextTable::new(&[
         "Dataset",
@@ -64,9 +63,9 @@ pub fn fig13b(session: &Session) -> String {
         ] {
             let cas = session.run(name, model.clone(), &StrategyKind::Cascade);
             let r = &cas.report;
-            let total = r.modeled_time.as_secs_f64().max(1e-12);
+            let total = cas.modelled.as_secs_f64().max(1e-12);
             let build = r.build_time.as_secs_f64();
-            let lookup = r.lookup_time.as_secs_f64();
+            let lookup = r.stages.scan.busy.as_secs_f64();
             // Per-shard forward/backward busy time is a sub-division of
             // the training slice; whatever the shards did not cover is
             // the serial remainder, so the row always sums to the total.
@@ -88,7 +87,7 @@ pub fn fig13b(session: &Session) -> String {
         }
     }
     format!(
-        "Figure 13(b): Cascade latency breakdown\n\
+        "Figure 13(b): Cascade latency breakdown (shares of the modelled A100 latency)\n\
          Paper: ~17% total overhead on moderate graphs; table building ~0.1%,\n\
          event lookup ~16%, the rest is model training.\n\
          ShardCompute + SerialRest = the paper's \"model training\" share,\n\

@@ -2,10 +2,11 @@
 //! Figure 3 (intra-batch degree distribution), Figure 5 (stable-node
 //! ratio), and the §3.1 utilization proxy.
 
-use cascade_core::{train_with_observer, FixedBatching, SgFilter, UtilizationProxy};
-use cascade_models::ModelConfig;
+use cascade_core::{train, BatchingStrategy, FixedBatching, SgFilter};
+use cascade_models::{MemoryDelta, ModelConfig};
 use cascade_tgraph::{batch_degree_histogram, max_batch_degree, SynthConfig};
 
+use crate::a100::UtilizationProxy;
 use crate::harness::StrategyKind;
 use crate::table::{f2, f3, pct, TextTable};
 
@@ -35,7 +36,7 @@ pub fn fig2(session: &Session) -> String {
                 } else {
                     session.run(name, model.clone(), &StrategyKind::TglLb(bs))
                 };
-                let lat = out.report.modeled_time.as_secs_f64();
+                let lat = out.modelled.as_secs_f64();
                 let loss = out.report.val_loss as f64;
                 let (bl, bv) = *base.get_or_insert((lat, loss));
                 t.row(&[
@@ -49,7 +50,7 @@ pub fn fig2(session: &Session) -> String {
         }
     }
     format!(
-        "Figure 2: batch-size trade-off (normalized to BS={})\n\
+        "Figure 2: batch-size trade-off (modelled A100 latency, normalized to BS={})\n\
          Paper shape: larger batches cut latency but inflate validation loss.\n{}",
         preset, t
     )
@@ -86,6 +87,49 @@ pub fn fig3(_session: &Session) -> String {
     )
 }
 
+/// Fixed batching that feeds every batch's memory transitions to an
+/// SG-Filter and closes its stable ratio at each epoch end.
+struct StableRatios {
+    inner: FixedBatching,
+    filter: SgFilter,
+    /// Stable ratios of the epochs closed so far.
+    ratios: Vec<f64>,
+}
+
+impl StableRatios {
+    /// Every epoch's stable ratio, the last one included.
+    fn ratios(mut self) -> Vec<f64> {
+        self.ratios.push(self.filter.epoch_stable_ratio());
+        self.ratios
+    }
+}
+
+impl BatchingStrategy for StableRatios {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn reset_epoch(&mut self) {
+        // The first epoch opens on an empty filter: nothing to close.
+        if self.filter.epoch_counters().0 > 0 {
+            self.ratios.push(self.filter.epoch_stable_ratio());
+        }
+        self.filter.reset();
+    }
+
+    fn next_batch_end(&mut self, start: usize, limit: usize) -> usize {
+        self.inner.next_batch_end(start, limit)
+    }
+
+    fn observe_updates(&mut self, deltas: &[MemoryDelta]) {
+        self.filter.observe(deltas);
+    }
+
+    fn prepare_streaming(&mut self, total: usize, nodes: usize, chunk: usize) -> bool {
+        self.inner.prepare_streaming(total, nodes, chunk)
+    }
+}
+
 /// Figure 5: ratio of stable node updates (cosine ≥ 0.9) per epoch while
 /// training TGN and JODIE conventionally.
 pub fn fig5(session: &Session) -> String {
@@ -97,23 +141,17 @@ pub fn fig5(session: &Session) -> String {
         let data = session.dataset(name);
         for model in [ModelConfig::tgn(), ModelConfig::jodie()] {
             let mut m = h.build_model(&data, model.clone(), false);
-            let mut strat = FixedBatching::new(h.preset_batch);
-            let mut filter = SgFilter::new(data.num_nodes(), 0.9);
-            let mut ratios = vec![0.0f64; epochs];
-            let mut last_epoch = 0usize;
+            let mut strat = StableRatios {
+                inner: FixedBatching::new(h.preset_batch),
+                filter: SgFilter::new(data.num_nodes(), 0.9),
+                ratios: Vec::new(),
+            };
             let cfg = cascade_core::TrainConfig {
                 epochs,
                 ..h.train_cfg()
             };
-            let _ = train_with_observer(&mut m, &data, &mut strat, &cfg, &mut |epoch, deltas| {
-                if epoch != last_epoch {
-                    ratios[last_epoch] = filter.epoch_stable_ratio();
-                    filter.reset();
-                    last_epoch = epoch;
-                }
-                filter.observe(deltas);
-            });
-            ratios[last_epoch] = filter.epoch_stable_ratio();
+            let _ = train(&mut m, &data, &mut strat, &cfg);
+            let ratios = strat.ratios();
             for &e in &epoch_marks {
                 t.row(&[
                     name.to_string(),

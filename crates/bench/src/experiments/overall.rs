@@ -31,18 +31,17 @@ pub fn fig10(session: &Session) -> String {
             let cas = session.run(name, model.clone(), &StrategyKind::Cascade);
             let lite = session.run(name, model.clone(), &StrategyKind::TgLite);
             let clite = session.run(name, model.clone(), &StrategyKind::CascadeLite);
-            let s = tgl.report.modeled_time.as_secs_f64() / cas.report.modeled_time.as_secs_f64();
-            let sl =
-                lite.report.modeled_time.as_secs_f64() / clite.report.modeled_time.as_secs_f64();
+            let s = tgl.modelled.as_secs_f64() / cas.modelled.as_secs_f64();
+            let sl = lite.modelled.as_secs_f64() / clite.modelled.as_secs_f64();
             speedups.push(s);
             t.row(&[
                 name.to_string(),
                 model.name.to_string(),
-                f2(tgl.report.modeled_time.as_secs_f64()),
-                f2(cas.report.modeled_time.as_secs_f64()),
+                f2(tgl.modelled.as_secs_f64()),
+                f2(cas.modelled.as_secs_f64()),
                 format!("{:.2}x", s),
-                f2(lite.report.modeled_time.as_secs_f64()),
-                f2(clite.report.modeled_time.as_secs_f64()),
+                f2(lite.modelled.as_secs_f64()),
+                f2(clite.modelled.as_secs_f64()),
                 format!("{:.2}x", sl),
             ]);
         }
@@ -50,7 +49,7 @@ pub fn fig10(session: &Session) -> String {
     let geo = geometric_mean(&speedups);
     let max = speedups.iter().cloned().fold(0.0, f64::max);
     format!(
-        "Figure 10: Cascade speedups over TGL / TGLite\n\
+        "Figure 10: Cascade speedups over TGL / TGLite (modelled A100 latency, s)\n\
          Paper: 1.3x-5.1x, average 2.3x; sparser datasets and lighter models gain more.\n{}\n\
          Mean Cascade-vs-TGL speedup: {:.2}x (max {:.2}x)\n",
         t, geo, max
@@ -181,17 +180,18 @@ pub fn fig12c(session: &Session) -> String {
                 model.name.to_string(),
                 format!(
                     "{:.2}x",
-                    tgl.report.modeled_time.as_secs_f64() / tb.report.modeled_time.as_secs_f64()
+                    tgl.modelled.as_secs_f64() / tb.modelled.as_secs_f64()
                 ),
                 format!(
                     "{:.2}x",
-                    tgl.report.modeled_time.as_secs_f64() / cas.report.modeled_time.as_secs_f64()
+                    tgl.modelled.as_secs_f64() / cas.modelled.as_secs_f64()
                 ),
             ]);
         }
     }
     format!(
         "Figure 12(c): ablation — TG-Diffuser alone (Cascade-TB) vs full Cascade\n\
+         (speedups of the modelled A100 latency)\n\
          Paper: TB averages 1.8x; SG-Filter lifts it to 2.2x, most on APAN.\n{}",
         t
     )

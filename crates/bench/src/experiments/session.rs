@@ -61,11 +61,6 @@ impl Session {
         self.runs.borrow_mut().insert(key, out.clone());
         out
     }
-
-    /// Number of memoized runs.
-    pub fn cached_runs(&self) -> usize {
-        self.runs.borrow().len()
-    }
 }
 
 /// Looks up a Table 2 profile by display name.
@@ -118,9 +113,9 @@ mod tests {
     fn runs_are_memoized() {
         let s = tiny_session();
         let _ = s.run("WIKI", ModelConfig::jodie(), &StrategyKind::Tgl);
-        assert_eq!(s.cached_runs(), 1);
+        assert_eq!(s.runs.borrow().len(), 1);
         let _ = s.run("WIKI", ModelConfig::jodie(), &StrategyKind::Tgl);
-        assert_eq!(s.cached_runs(), 1);
+        assert_eq!(s.runs.borrow().len(), 1);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Shared experiment plumbing: scaled datasets, model construction, and
 //! single-run execution.
 
+use std::time::Duration;
+
 use cascade_baselines::{tgl, tgl_lb, tglite, Etc, NeutronStream};
 use cascade_core::{
     train, BatchingStrategy, CascadeConfig, CascadeScheduler, TrainConfig, TrainReport,
@@ -8,6 +10,8 @@ use cascade_core::{
 use cascade_exec::{train_streamed, PipelineConfig};
 use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_tgraph::{Dataset, InMemorySource, SynthConfig};
+
+use crate::a100::A100;
 
 /// Which scheduler a run uses (plus the paired model-execution mode).
 #[derive(Clone, Debug, PartialEq)]
@@ -82,24 +86,16 @@ impl StrategyKind {
     }
 }
 
-/// One (dataset, model, strategy) run request.
-#[derive(Clone, Debug)]
-pub struct RunSpec {
-    /// Dataset profile name.
-    pub dataset: String,
-    /// Model name.
-    pub model: String,
-    /// Strategy.
-    pub strategy: StrategyKind,
-}
-
-/// The outcome of a run: the trainer's full report plus the display label.
+/// The outcome of a run: the trainer's full report, the display label,
+/// and the modelled A100 latency every latency figure plots.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
     /// Strategy label (Cascade, TGL, …).
     pub label: String,
     /// The measured report.
     pub report: TrainReport,
+    /// The run's modelled A100 latency ([`A100::modelled_time`]).
+    pub modelled: Duration,
 }
 
 /// Global experiment knobs.
@@ -209,14 +205,6 @@ impl Harness {
             .generate(self.seed)
     }
 
-    /// All five moderate datasets in the paper's order.
-    pub fn moderate_datasets(&self) -> Vec<Dataset> {
-        SynthConfig::moderate_profiles()
-            .into_iter()
-            .map(|p| self.dataset(p))
-            .collect()
-    }
-
     /// A model configuration scaled to the harness dimensions.
     pub fn model_cfg(&self, base: ModelConfig, lite: bool) -> ModelConfig {
         let mut cfg = base.with_dims(self.memory_dim, self.time_dim);
@@ -229,27 +217,21 @@ impl Harness {
         cfg
     }
 
-    /// All five scaled model configurations in the paper's plot order.
-    pub fn model_cfgs(&self) -> Vec<ModelConfig> {
-        ModelConfig::all()
-            .into_iter()
-            .map(|m| self.model_cfg(m, false))
-            .collect()
-    }
-
-    /// The trainer configuration, including the accelerator overhead
-    /// model scaled from the paper's calibration (4877 event-equivalents
-    /// per 900-event batch).
+    /// The trainer configuration.
     pub fn train_cfg(&self) -> TrainConfig {
         TrainConfig {
             epochs: self.epochs,
             lr: self.lr,
             eval_batch_size: self.preset_batch,
             clip_norm: Some(5.0),
-            sim_batch_overhead_events: 4877.0 * self.preset_batch as f64 / 900.0,
             scale_lr_with_batch: true,
             compute_threads: self.compute_threads,
         }
+    }
+
+    /// The latency model at this harness's preset batch.
+    pub fn a100(&self) -> A100 {
+        A100::at_preset(self.preset_batch)
     }
 
     /// Builds a fresh model (identical weights for every strategy so loss
@@ -286,6 +268,7 @@ impl Harness {
         };
         RunOutcome {
             label: strategy.label(),
+            modelled: self.a100().modelled_time(&report, &strat.timers()),
             report,
         }
     }

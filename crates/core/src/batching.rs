@@ -5,23 +5,22 @@
 use std::time::Duration;
 
 use cascade_models::MemoryDelta;
-use cascade_tgraph::{Event, EventId};
+use cascade_tgraph::{Event, EventId, SourceError};
 
 use crate::dependency::DependencyTable;
 
-/// Wall-clock spent inside a strategy, split the way Figures 13(b) and
-/// 14(c) report it. Strategies with no auxiliary structures report zeros
-/// and the trainer falls back to its own coarse measurements.
+/// Dependency-structure build time spent inside a strategy (the
+/// BuildTable share of Figures 13(b) and 14(c)); strategies without
+/// auxiliary structures report zeros. Boundary lookup is not here: the
+/// train step times every scan (`stages.scan.busy`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StrategyTimers {
     /// Dependency-structure construction on the driver's own thread.
     pub build_table: Duration,
-    /// Batch-boundary lookup and pointer updates.
-    pub lookup: Duration,
     /// Build work a loader thread performed while training proceeded
     /// (off the critical path in the paper's CPU-builds-while-GPU-trains
     /// deployment; on a single test core it contends with training, so
-    /// the trainer credits it back in the modeled latency).
+    /// `cascade-bench`'s modelled latency credits it back).
     pub background_build: Duration,
 }
 
@@ -73,18 +72,36 @@ pub struct PrebuiltTable {
 
 /// Decides where each training batch ends.
 ///
-/// The [`train`](crate::train) loop drives one strategy per run: it calls
-/// [`prepare`](BatchingStrategy::prepare) once before training,
-/// [`reset_epoch`](BatchingStrategy::reset_epoch) at each epoch start,
-/// [`next_batch_end`](BatchingStrategy::next_batch_end) to segment the
-/// stream, and feeds back losses and memory transitions.
+/// Every strategy speaks one protocol, the chunk protocol of the
+/// streaming driver (which [`train`](crate::train) runs with the dataset
+/// as one chunk). Once per run the driver announces the chunk geometry
+/// ([`prepare_streaming`](BatchingStrategy::prepare_streaming), through
+/// [`announce_chunks`]); each epoch it calls
+/// [`reset_epoch`](BatchingStrategy::reset_epoch), announces chunk `k`
+/// ([`enter_chunk`](BatchingStrategy::enter_chunk)) just before the first
+/// scan that reaches it, asks
+/// [`next_batch_end`](BatchingStrategy::next_batch_end) where each batch
+/// ends, and feeds back losses and memory transitions. A strategy builds
+/// whatever it needs for a chunk when it enters that chunk; one whose
+/// batches depend on that structure ends no batch past the chunk (fixed
+/// batching needs none, and straddles). A one-chunk stream is entered
+/// once per run: every epoch would announce the same chunk, so the
+/// strategy keeps what it built and `reset_epoch` rewinds it.
 pub trait BatchingStrategy {
     /// Human-readable strategy name (used in reports).
     fn name(&self) -> String;
 
-    /// One-time preprocessing over the training stream (dependency-table
-    /// construction, endurance profiling, …). Called before epoch 0.
-    fn prepare(&mut self, _events: &[Event], _num_nodes: usize) {}
+    /// The one-chunk case of the protocol: announces `events` as a stream
+    /// of one chunk and enters it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `events` is empty or the strategy cannot stream.
+    fn prepare(&mut self, events: &[Event], num_nodes: usize) {
+        announce_chunks(self, events.len(), num_nodes, events.len())
+            .expect("prepare drives the chunk protocol, which the strategy must speak");
+        self.enter_chunk(0, 0, events, None);
+    }
 
     /// Resets per-epoch state (event pointers, stable flags, convergence
     /// monitors).
@@ -110,17 +127,13 @@ pub trait BatchingStrategy {
         StrategyTimers::default()
     }
 
-    // ---- streaming protocol (out-of-core training) ------------------
+    // ---- the chunk protocol -----------------------------------------
 
-    /// Switches the strategy into streaming mode: instead of a one-shot
-    /// [`prepare`](BatchingStrategy::prepare) over the full training
-    /// slice, the driver announces chunks one at a time via
-    /// [`enter_chunk`](BatchingStrategy::enter_chunk). Returns `false`
-    /// when the strategy cannot stream (the driver then refuses the run
-    /// with a typed error rather than silently diverging). Must be
-    /// idempotent: `cascade-exec`'s `train_streamed` calls it before
-    /// spawning its loader to learn the
-    /// [`table_spec`](BatchingStrategy::table_spec).
+    /// Starts a run over a training slice of `total_train` events cut
+    /// into chunks of `chunk_size` (the last one shorter), dropping
+    /// everything derived from a previous run. Returns `false` when the
+    /// strategy cannot stream (the driver then refuses the run with a
+    /// typed error rather than silently diverging).
     fn prepare_streaming(
         &mut self,
         _total_train: usize,
@@ -164,6 +177,34 @@ pub trait BatchingStrategy {
     /// Returns a description when the bytes do not match this strategy.
     fn import_state(&mut self, _bytes: &[u8]) -> Result<(), String> {
         Ok(())
+    }
+}
+
+/// Announces a run's chunk geometry to `strategy`: the one
+/// [`prepare_streaming`](BatchingStrategy::prepare_streaming) call of a
+/// run, made by the entry point that owns the run.
+///
+/// # Errors
+///
+/// A [`SourceError`] naming the strategy when it cannot stream.
+///
+/// # Panics
+///
+/// Panics if `total_train == 0` (an empty training range).
+pub fn announce_chunks<S: BatchingStrategy + ?Sized>(
+    strategy: &mut S,
+    total_train: usize,
+    num_nodes: usize,
+    chunk_size: usize,
+) -> Result<(), SourceError> {
+    assert!(total_train > 0, "empty training range");
+    if strategy.prepare_streaming(total_train, num_nodes, chunk_size) {
+        Ok(())
+    } else {
+        Err(SourceError::new(format!(
+            "strategy {} does not support streaming",
+            strategy.name()
+        )))
     }
 }
 
@@ -222,8 +263,8 @@ impl BatchingStrategy for FixedBatching {
         (start + self.batch_size).min(limit)
     }
 
-    // Fixed batching is stateless across chunks: streaming is trivially
-    // supported with no tables and no checkpoint state.
+    // Fixed batching ignores chunk ends: it needs no tables and no
+    // checkpoint state, and a batch may straddle into the next chunk.
     fn prepare_streaming(
         &mut self,
         _total_train: usize,

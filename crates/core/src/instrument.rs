@@ -1,6 +1,5 @@
-//! Space accounting (Figure 13(c) / Figure 14), the hardware-utilization
-//! proxy behind the §3.1 motivation numbers, and the per-stage telemetry
-//! every training driver reports.
+//! Space accounting (Figure 13(c) / Figure 14) and the per-stage
+//! telemetry every training run reports.
 
 use std::fmt;
 use std::time::Duration;
@@ -10,9 +9,9 @@ use std::time::Duration;
 /// `busy` is time spent doing the stage's own work, `stall` is time the
 /// driver spent waiting for the stage's input, and `items` is the number
 /// of batches the stage processed. Every stage runs on the driver
-/// thread, so the in-memory trainer's stalls are zero by construction;
-/// the streaming drivers charge their waits for the next chunk (a store
-/// read, or `cascade-exec`'s loader thread) to `scan.stall`.
+/// thread, so compute and update never stall; the driver charges its
+/// waits for the next chunk (a store read, `cascade-exec`'s loader
+/// thread, or an in-memory copy) to `scan.stall`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTiming {
     /// Time spent in the stage's own work.
@@ -28,19 +27,6 @@ impl StageTiming {
     pub fn record(&mut self, busy: Duration) {
         self.busy += busy;
         self.items += 1;
-    }
-
-    /// Busy plus stall time — the stage's total wall-clock footprint.
-    pub fn wall(&self) -> Duration {
-        self.busy + self.stall
-    }
-
-    /// Items per second of busy time (0 when nothing ran).
-    pub fn throughput(&self) -> f64 {
-        if self.busy.is_zero() {
-            return 0.0;
-        }
-        self.items as f64 / self.busy.as_secs_f64()
     }
 }
 
@@ -61,23 +47,13 @@ pub struct StageTimings {
     /// slowest shard when more than one worker thread ran.
     ///
     /// A sub-division of `compute.busy`, **not** an extra pipeline stage:
-    /// excluded from [`total_busy`](Self::total_busy) /
-    /// [`total_stall`](Self::total_stall) so serial invariants (zero total
-    /// stall, `compute.busy + update.busy == model_time`) are unchanged.
+    /// shard stalls never reach `compute.stall`, so the stage invariants
+    /// (no compute or update stall, `compute.busy + update.busy ==
+    /// model_time`) hold at any thread count.
     pub shard_compute: Vec<StageTiming>,
 }
 
 impl StageTimings {
-    /// Sum of all stages' busy time.
-    pub fn total_busy(&self) -> Duration {
-        self.scan.busy + self.compute.busy + self.update.busy
-    }
-
-    /// Sum of all stages' stall time.
-    pub fn total_stall(&self) -> Duration {
-        self.scan.stall + self.compute.stall + self.update.stall
-    }
-
     /// Folds one batch's per-shard forward busy times into
     /// `shard_compute`. With `threads > 1` each shard is also charged the
     /// straggler gap to the batch's slowest shard as stall; a serial run
@@ -194,55 +170,6 @@ impl fmt::Display for SpaceBreakdown {
     }
 }
 
-/// Analytic GPU-utilization proxy calibrated against the §3.1
-/// measurements: training TGN on WIKI at batch size 900 showed 17.2% SM /
-/// 15.2% memory utilization; 6000 showed 39.8% / 34.2%.
-///
-/// The model is a saturating curve `u(B) = u_max · B / (B + C)` with
-/// `C = 2000` events; it exists so the motivation experiment can report
-/// the *shape* of the utilization argument without GPU counters.
-///
-/// # Examples
-///
-/// ```
-/// use cascade_core::UtilizationProxy;
-///
-/// let u = UtilizationProxy::default();
-/// assert!((u.sm_utilization(900.0) - 0.172).abs() < 0.02);
-/// assert!((u.sm_utilization(6000.0) - 0.398).abs() < 0.04);
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct UtilizationProxy {
-    /// Asymptotic SM utilization.
-    pub sm_max: f64,
-    /// Asymptotic memory-bandwidth utilization.
-    pub mem_max: f64,
-    /// Half-saturation batch size.
-    pub half_batch: f64,
-}
-
-impl Default for UtilizationProxy {
-    fn default() -> Self {
-        UtilizationProxy {
-            sm_max: 0.55,
-            mem_max: 0.47,
-            half_batch: 2000.0,
-        }
-    }
-}
-
-impl UtilizationProxy {
-    /// Streaming-multiprocessor utilization at the given batch size.
-    pub fn sm_utilization(&self, batch: f64) -> f64 {
-        self.sm_max * batch / (batch + self.half_batch)
-    }
-
-    /// Memory utilization at the given batch size.
-    pub fn mem_utilization(&self, batch: f64) -> f64 {
-        self.mem_max * batch / (batch + self.half_batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,21 +207,17 @@ mod tests {
         t.stall += Duration::from_millis(5);
         assert_eq!(t.items, 2);
         assert_eq!(t.busy, Duration::from_millis(40));
-        assert_eq!(t.wall(), Duration::from_millis(45));
-        assert!((t.throughput() - 50.0).abs() < 1e-6);
-        assert_eq!(StageTiming::default().throughput(), 0.0);
+        assert_eq!(t.stall, Duration::from_millis(5));
     }
 
     #[test]
-    fn stage_timings_totals() {
+    fn stage_timings_display() {
         let mut s = StageTimings::default();
         s.scan.record(Duration::from_millis(1));
         s.scan.stall += Duration::from_millis(100);
         s.compute.record(Duration::from_millis(20));
         s.compute.stall += Duration::from_millis(2);
         s.update.record(Duration::from_millis(3));
-        assert_eq!(s.total_busy(), Duration::from_millis(24));
-        assert_eq!(s.total_stall(), Duration::from_millis(102));
         let text = s.to_string();
         assert!(text.starts_with("scan busy 1ms stall 100ms"), "{}", text);
         assert!(
@@ -318,9 +241,8 @@ mod tests {
         assert_eq!(s.shard_busy_total(), Duration::from_millis(28));
         assert_eq!(s.shard_stall_total(), Duration::from_millis(6));
         assert_eq!(s.shard_compute[0].items, 2);
-        // Shard telemetry never leaks into the pipeline totals.
-        assert_eq!(s.total_busy(), Duration::ZERO);
-        assert_eq!(s.total_stall(), Duration::ZERO);
+        // Shard telemetry never leaks into the stages.
+        assert_eq!(s.compute, StageTiming::default());
         assert!(s.to_string().contains("shards x2"), "{}", s);
     }
 
@@ -329,26 +251,5 @@ mod tests {
         let mut s = StageTimings::default();
         s.record_shards(&[], 4);
         assert!(s.shard_compute.is_empty());
-    }
-
-    #[test]
-    fn utilization_is_monotone_and_bounded() {
-        let u = UtilizationProxy::default();
-        let mut last = 0.0;
-        for b in [100.0, 900.0, 3000.0, 6000.0, 100000.0] {
-            let v = u.sm_utilization(b);
-            assert!(v > last);
-            assert!(v < u.sm_max);
-            last = v;
-        }
-    }
-
-    #[test]
-    fn calibration_matches_section31() {
-        let u = UtilizationProxy::default();
-        assert!((u.sm_utilization(900.0) - 0.172).abs() < 0.02);
-        assert!((u.mem_utilization(900.0) - 0.152).abs() < 0.02);
-        assert!((u.sm_utilization(6000.0) - 0.398).abs() < 0.04);
-        assert!((u.mem_utilization(6000.0) - 0.342).abs() < 0.02);
     }
 }

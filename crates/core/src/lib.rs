@@ -20,9 +20,13 @@
 //!   logarithmically when convergence stalls (Equations 5–7).
 //!
 //! [`CascadeScheduler`] composes all three behind the
-//! [`BatchingStrategy`] trait; [`train`] runs any strategy against any
-//! [`MemoryTgnn`](cascade_models::MemoryTgnn) model and measures
-//! everything the paper's figures report.
+//! [`BatchingStrategy`] trait, whose one protocol is the chunk protocol
+//! of Cascade_EX (§4.2). One driver, [`train_streaming`], runs any
+//! strategy against any [`MemoryTgnn`](cascade_models::MemoryTgnn) model
+//! from any chunked event source through the one [`TrainStep`], and
+//! measures what the paper's figures report; [`train`] is that driver
+//! over an in-memory dataset as one chunk. The modelled A100 latency the
+//! figures plot is `cascade-bench`'s view of a finished report.
 //!
 //! # Examples
 //!
@@ -65,11 +69,12 @@ mod trainer;
 
 pub use abs::{max_endurance_profiling, Abs, EnduranceStats};
 pub use batching::{
-    BatchingStrategy, FixedBatching, PrebuiltTable, StrategySpace, StrategyTimers, TableSpec,
+    announce_chunks, BatchingStrategy, FixedBatching, PrebuiltTable, StrategySpace, StrategyTimers,
+    TableSpec,
 };
 pub use dependency::DependencyTable;
 pub use diffuser::TgDiffuser;
-pub use instrument::{SpaceBreakdown, StageTiming, StageTimings, UtilizationProxy};
+pub use instrument::{SpaceBreakdown, StageTiming, StageTimings};
 pub use scheduler::{CascadeConfig, CascadeScheduler};
 pub use sgfilter::SgFilter;
 pub use step::{CheckpointProgress, RunFacts, StepOutput, TrainStep};
@@ -77,6 +82,4 @@ pub use streaming::{
     train_streaming, train_streaming_with_options, train_streaming_with_provider, ChunkProvider,
     ProvidedChunk, StreamCheckpoint, StreamMeta, StreamOptions, StreamOutcome,
 };
-pub use trainer::{
-    evaluate, evaluate_range, train, train_with_observer, EvalReport, TrainConfig, TrainReport,
-};
+pub use trainer::{evaluate, evaluate_range, train, EvalReport, TrainConfig, TrainReport};

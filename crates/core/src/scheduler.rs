@@ -1,10 +1,10 @@
 //! The Cascade scheduler: TG-Diffuser + SG-Filter + ABS composed into a
 //! [`BatchingStrategy`]. Chunk-based preprocessing (Cascade_EX, §4.2 /
-//! §5.5) is the streaming protocol: the source owns the chunk geometry,
-//! the driver announces one chunk at a time, and only that chunk's
-//! dependency table is resident.
+//! §5.5) is the chunk protocol: the source owns the chunk geometry, the
+//! driver announces one chunk at a time, and only that chunk's
+//! dependency table is resident; in-memory Cascade is the one-chunk case.
 
-// cascade-lint: allow-file(det-wallclock): timings feed StrategyTimers telemetry only; chunk boundaries and batch contents are derived purely from event data.
+// cascade-lint: allow-file(det-wallclock): table-build timings feed StrategyTimers telemetry only; chunk boundaries and batch contents are derived purely from event data.
 use std::time::Instant;
 
 use cascade_models::MemoryDelta;
@@ -60,13 +60,6 @@ impl CascadeConfig {
     /// Overrides θ_sim.
     pub fn with_theta(mut self, theta: f32) -> Self {
         self.theta = theta;
-        self
-    }
-
-    /// Overrides the preset (profiling) batch size.
-    pub fn with_preset_batch_size(mut self, bs: usize) -> Self {
-        assert!(bs > 0, "preset batch size must be positive");
-        self.preset_batch_size = bs;
         self
     }
 
@@ -154,11 +147,6 @@ impl CascadeScheduler {
         self.sg.as_ref()
     }
 
-    /// The profiled endurance statistics, if prepared.
-    pub fn endurance_stats(&self) -> Option<crate::abs::EnduranceStats> {
-        self.abs.as_ref().map(Abs::stats)
-    }
-
     /// Chunks in the announced geometry (0 when unprepared).
     fn num_chunks(&self) -> usize {
         self.total_train.div_ceil(self.chunk_size.max(1))
@@ -171,28 +159,6 @@ impl CascadeScheduler {
         }
     }
 
-    /// Adopts a chunk geometry and drops everything derived from a
-    /// previous stream: a fresh run starts here.
-    fn configure(&mut self, total_train: usize, num_nodes: usize, chunk_size: usize) {
-        assert!(total_train > 0, "cannot stream an empty training slice");
-        assert!(chunk_size > 0, "chunk size must be positive");
-        self.total_train = total_train;
-        self.num_nodes = num_nodes;
-        self.chunk_size = chunk_size;
-        self.no_stable = vec![false; num_nodes];
-        self.sg = self
-            .cfg
-            .sg_filter
-            .then(|| SgFilter::new(num_nodes, self.cfg.theta));
-        self.current_chunk = 0;
-        self.abs = None;
-        self.diffuser = None;
-        self.global_batch_idx = 0;
-        self.restored_max_r = None;
-    }
-}
-
-impl CascadeScheduler {
     /// Decodes and validates all of `bytes`, then restores from it; a
     /// refused blob leaves the scheduler as it was.
     fn decode_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
@@ -259,17 +225,10 @@ impl BatchingStrategy for CascadeScheduler {
         n
     }
 
-    /// The whole slice as the single chunk of a one-chunk stream.
-    fn prepare(&mut self, events: &[Event], num_nodes: usize) {
-        assert!(!events.is_empty(), "cannot prepare on an empty stream");
-        self.configure(events.len(), num_nodes, events.len());
-        self.enter_chunk(0, 0, events, None);
-    }
-
     fn reset_epoch(&mut self) {
-        // A multi-chunk driver announces chunk 0 again via `enter_chunk`,
-        // which swaps its table in; a one-chunk run keeps its table and
-        // only rewinds the pointers.
+        // A multi-chunk run enters chunk 0 again, which swaps its table
+        // in; a one-chunk run keeps its table and only rewinds the
+        // pointers.
         self.current_chunk = 0;
         if let Some(d) = self.diffuser.as_mut() {
             d.reset();
@@ -292,16 +251,11 @@ impl BatchingStrategy for CascadeScheduler {
              {chunk_end}): the driver must enter_chunk before scanning into it",
             self.current_chunk
         );
-        let bound = limit.min(chunk_end);
-
-        let t0 = Instant::now();
         let stable: &[bool] = match &self.sg {
             Some(sg) => sg.flags(),
             None => &self.no_stable,
         };
-        let end = diffuser.next_boundary(start, bound, stable);
-        self.timers.lookup += t0.elapsed();
-        end
+        diffuser.next_boundary(start, limit.min(chunk_end), stable)
     }
 
     fn after_batch(&mut self, _batch_idx: usize, train_loss: f32) {
@@ -329,13 +283,20 @@ impl BatchingStrategy for CascadeScheduler {
         num_nodes: usize,
         chunk_size: usize,
     ) -> bool {
-        // Idempotent: `train_streamed` calls this once to learn the
-        // table spec, and the shared driver calls it again.
-        let same = (self.total_train, self.num_nodes, self.chunk_size)
-            == (total_train, num_nodes, chunk_size);
-        if !same {
-            self.configure(total_train, num_nodes, chunk_size);
-        }
+        assert!(chunk_size > 0, "chunk size must be positive");
+        self.total_train = total_train;
+        self.num_nodes = num_nodes;
+        self.chunk_size = chunk_size;
+        self.no_stable = vec![false; num_nodes];
+        self.sg = self
+            .cfg
+            .sg_filter
+            .then(|| SgFilter::new(num_nodes, self.cfg.theta));
+        self.current_chunk = 0;
+        self.abs = None;
+        self.diffuser = None;
+        self.global_batch_idx = 0;
+        self.restored_max_r = None;
         true
     }
 
@@ -586,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty stream")]
+    #[should_panic(expected = "empty training range")]
     fn prepare_rejects_empty() {
         let mut s = CascadeScheduler::new(base_cfg());
         s.prepare(&[], 0);
@@ -640,8 +601,7 @@ mod tests {
         }
         assert_ne!(s.export_state(), fresh_state);
 
-        // Same geometry again: `prepare` must not take the idempotent
-        // `prepare_streaming` shortcut and keep the used-up state.
+        // Same geometry again: a new run, not the used-up state.
         s.prepare(events, nodes);
         assert_eq!(s.export_state(), fresh_state);
         assert_eq!(s.next_batch_end(0, n), first);
@@ -702,25 +662,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_prepare_is_idempotent() {
-        let data = small_data();
-        let mut s = CascadeScheduler::new(base_cfg());
-        assert!(s.prepare_streaming(data.num_events(), data.num_nodes(), 128));
-        let spec = s.table_spec().expect("streaming mode has a table spec");
-        assert_eq!(spec.num_nodes, data.num_nodes());
-        s.enter_chunk(0, 0, &data.stream().events()[..128], None);
-        let max_r = s.max_r();
-        // A second call with identical geometry must not reset state.
-        assert!(s.prepare_streaming(data.num_events(), data.num_nodes(), 128));
-        assert_eq!(s.max_r(), max_r);
-    }
-
-    #[test]
     fn state_roundtrip_restores_monitors() {
         let data = small_data();
         let events = data.stream().events();
         let mut s = CascadeScheduler::new(base_cfg());
+        assert_eq!(s.table_spec(), None, "no geometry announced yet");
         assert!(s.prepare_streaming(data.num_events(), data.num_nodes(), 200));
+        assert_eq!(s.table_spec().map(|t| t.num_nodes), Some(data.num_nodes()));
         s.enter_chunk(0, 0, &events[..200], None);
         for i in 1..=30 {
             let _ = s.next_batch_end(0, 50);

@@ -5,9 +5,9 @@
 //! learning rate, `forward_batch`, backward, clip, `opt.step`,
 //! `apply_batch`, trim the arena, fold the batch into the run's
 //! accumulators, then feed loss and memory deltas back to the strategy.
-//! [`TrainStep`] is that sequence; [`train`](crate::train) and the
-//! streaming driver (with or without `cascade-exec`'s loader thread)
-//! differ only in where a batch's events come from, so they are
+//! [`TrainStep`] is that sequence; the streaming driver (under
+//! [`train`](crate::train), and with or without `cascade-exec`'s loader
+//! thread) feeds it wherever a batch's events come from, so every feed is
 //! bit-identical by construction rather than by replication.
 //! `cascade-dist` calls the sequence's moves one by one
 //! ([`compute`](TrainStep::compute), [`optimize`](TrainStep::optimize),
@@ -65,9 +65,6 @@ pub struct StepOutput {
 pub struct RunFacts {
     /// Dataset (or source) name.
     pub dataset: String,
-    /// Measured one-shot preprocessing time — the `build_time` fallback
-    /// for strategies without their own timers (zero when streaming).
-    pub prepare: Duration,
     /// Bytes of events resident at peak.
     pub graph_bytes: usize,
     /// Bytes of edge-feature rows resident.
@@ -98,9 +95,11 @@ impl TrainStep {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.epochs == 0`.
+    /// Panics if `cfg.epochs == 0` or `cfg.eval_batch_size == 0` (the
+    /// validation batch, and the reference of `scale_lr_with_batch`).
     pub fn new(model: &mut MemoryTgnn, cfg: &TrainConfig) -> Self {
         assert!(cfg.epochs > 0, "need at least one epoch");
+        assert!(cfg.eval_batch_size > 0, "eval batch size must be positive");
         model.set_compute_threads(cfg.compute_threads.max(1));
         let params = model.parameters();
         TrainStep {
@@ -291,40 +290,7 @@ impl TrainStep {
             total_time,
             ..
         } = self;
-        let model_time = stages.compute.busy + stages.update.busy;
         let events_processed: usize = p.batch_sizes.iter().map(|&b| b as usize).sum();
-
-        // Simulated accelerator: charge each batch the configured number
-        // of event-equivalents of measured per-event model compute.
-        let per_event = model_time.as_secs_f64() / (events_processed as f64).max(1.0);
-        let overhead = Duration::from_secs_f64(
-            per_event * cfg.sim_batch_overhead_events * p.num_batches as f64,
-        );
-        // The loader thread's table building shares this test machine's
-        // cores with training (inflating measured time), but runs on
-        // otherwise idle CPU in the modeled CPU-preprocess/GPU-train
-        // deployment: credit it back, less whatever the driver spent
-        // waiting for a chunk (that part did not overlap anything — the
-        // first chunk's table never does).
-        let timers = strategy.timers();
-        let overlap_credit = timers
-            .background_build
-            .saturating_sub(timers.build_table + stages.scan.stall)
-            .min(total_time / 2);
-        let modeled_time = (total_time + overhead).saturating_sub(overlap_credit);
-
-        // Prefer the strategy's fine-grained timers when available.
-        let build_time = if timers.build_table > Duration::ZERO {
-            timers.build_table
-        } else {
-            facts.prepare
-        };
-        let lookup_time = if timers.lookup > Duration::ZERO {
-            timers.lookup
-        } else {
-            stages.scan.busy
-        };
-
         let strat_space = strategy.space();
         let space = SpaceBreakdown {
             dependency_table: strat_space.dependency_bytes,
@@ -343,10 +309,8 @@ impl TrainStep {
             dataset: facts.dataset,
             epochs: cfg.epochs,
             total_time,
-            modeled_time,
-            build_time,
-            lookup_time,
-            model_time,
+            build_time: strategy.timers().build_table,
+            model_time: stages.compute.busy + stages.update.busy,
             num_batches: p.num_batches,
             avg_batch_size: events_processed as f64 / p.num_batches.max(1) as f64,
             max_batch_size: p.max_batch,

@@ -1,16 +1,12 @@
-//! Out-of-core training: the streaming counterpart of
-//! [`train`](crate::train), consuming the event stream chunk by chunk
-//! from an [`EventSource`] while keeping only a bounded rolling window
-//! of events resident.
-//!
-//! The driver feeds the same [`TrainStep`] the serial trainer does, so a
-//! streaming run is **bit-identical** (gradients, memories, post-step
-//! parameters) to an in-memory run over the same events with the same
-//! chunk geometry — for the Cascade strategy that is [`train`](crate::train)
-//! when the source yields the stream as one chunk, and any other
-//! [`EventSource`] of equal chunk size otherwise. `cascade-exec`'s
-//! `train_streamed` reuses the same driver through the [`ChunkProvider`]
-//! trait, so its loader thread changes wall-clock only, never results.
+//! The training driver: it consumes the event stream chunk by chunk from
+//! an [`EventSource`] while keeping only a bounded rolling window of
+//! events resident, and feeds every batch through the one [`TrainStep`].
+//! [`train`](crate::train) is this driver over an in-memory dataset as
+//! one chunk, and `cascade-exec`'s `train_streamed` reuses it through the
+//! [`ChunkProvider`] trait, so its loader thread changes wall-clock only,
+//! never results. Two sources with the same events and the same chunk
+//! geometry train **bit-identically** (gradients, memories, post-step
+//! parameters).
 //!
 //! Mid-stream suspend/resume: [`StreamOptions::suspend_after`] stops the
 //! run just before a chunk is entered and returns a
@@ -19,13 +15,13 @@
 //! scheduler monitors).
 
 // cascade-lint: allow-file(det-wallclock): the two clock pairs time chunk-load stalls for StageTimings telemetry; batch boundaries, chunk handoffs, and checkpoints are derived purely from event data.
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cascade_models::MemoryTgnn;
 use cascade_tgraph::{chronological_split, EdgeFeatures, Event, EventSource, SourceError};
 use cascade_util::bytes::{tag, ByteReader, ByteWriter, DecodeError};
 
-use crate::batching::{BatchingStrategy, PrebuiltTable};
+use crate::batching::{announce_chunks, BatchingStrategy, PrebuiltTable};
 use crate::step::{CheckpointProgress, RunFacts, TrainStep};
 use crate::trainer::{EvalAccumulator, TrainConfig, TrainReport};
 
@@ -313,16 +309,21 @@ impl Window {
 }
 
 /// Trains `model` from a chunked event source without materializing the
-/// stream, then evaluates on the validation split. Results are
-/// bit-identical to [`train`](crate::train) over the imported dataset
-/// for strategies that ignore chunk boundaries (fixed batching) and, for
-/// Cascade, when the source yields the stream as one chunk — the chunk
-/// geometry is the source's, and Cascade's batches stop at chunk ends.
+/// stream, then evaluates on the validation split. The chunk geometry is
+/// the source's: fixed batching ignores it, so any chunking reproduces
+/// [`train`](crate::train) over the imported dataset; Cascade, ETC and
+/// NeutronStream end batches at chunk ends, so they reproduce it when the
+/// source yields the stream as one chunk.
 ///
 /// # Errors
 ///
 /// Returns a [`SourceError`] when the source fails (I/O, corruption),
 /// ends early, or the strategy does not support streaming.
+///
+/// # Panics
+///
+/// Panics if the training split is empty, `cfg.epochs == 0` or
+/// `cfg.eval_batch_size == 0`.
 pub fn train_streaming(
     model: &mut MemoryTgnn,
     source: &mut dyn EventSource,
@@ -352,6 +353,8 @@ pub fn train_streaming_with_options(
     opts: StreamOptions,
 ) -> Result<StreamOutcome, SourceError> {
     let meta = StreamMeta::of(source);
+    let (n_train, _) = chronological_split(meta.num_events);
+    announce_chunks(strategy, n_train, meta.num_nodes, meta.chunk_size.max(1))?;
     let mut provider = SourceProvider { source };
     train_streaming_with_provider(model, &meta, &mut provider, strategy, cfg, opts)
 }
@@ -359,7 +362,9 @@ pub fn train_streaming_with_options(
 /// The shared streaming driver: everything between a chunk provider and
 /// a finished [`TrainReport`]. `cascade-exec`'s `train_streamed` calls
 /// this with its prefetching loader, so streaming with and without the
-/// loader thread is bit-identical by construction.
+/// loader thread is bit-identical by construction. The caller owns the
+/// run and has announced `meta`'s geometry to `strategy`
+/// ([`announce_chunks`]).
 ///
 /// # Errors
 ///
@@ -367,7 +372,7 @@ pub fn train_streaming_with_options(
 ///
 /// # Panics
 ///
-/// Panics if `cfg.epochs == 0` or the stream's training split is empty.
+/// Panics if `cfg.epochs == 0` or `cfg.eval_batch_size == 0`.
 pub fn train_streaming_with_provider(
     model: &mut MemoryTgnn,
     meta: &StreamMeta,
@@ -378,17 +383,9 @@ pub fn train_streaming_with_provider(
 ) -> Result<StreamOutcome, SourceError> {
     let n = meta.num_events;
     let (n_train, val_end) = chronological_split(n);
-    assert!(n_train > 0, "empty training range");
     let chunk_size = meta.chunk_size.max(1);
     let train_chunks = n_train.div_ceil(chunk_size);
     let chunk_start = |k: usize| k * chunk_size;
-
-    if !strategy.prepare_streaming(n_train, meta.num_nodes, chunk_size) {
-        return Err(SourceError::new(format!(
-            "strategy {} does not support streaming",
-            strategy.name()
-        )));
-    }
     let mut step = TrainStep::new(model, cfg);
 
     let mut window = Window::new(meta.feature_dim);
@@ -414,6 +411,7 @@ pub fn train_streaming_with_provider(
     }
 
     let mut first_pass = true;
+    let mut entered = false;
     for epoch in start_epoch..cfg.epochs {
         let mut start;
         let mut next_enter;
@@ -485,8 +483,12 @@ pub fn train_streaming_with_provider(
                     .map(|at| prebuilt.swap_remove(at).1);
                 // The last training chunk is entered truncated at the
                 // split boundary; the window keeps the full chunk for
-                // the validation pass.
-                strategy.enter_chunk(next_enter, cs, window.slice(cs, ce.min(n_train)), table);
+                // the validation pass. A one-chunk stream is entered once
+                // per run: the strategy keeps what it built for it.
+                if train_chunks > 1 || !entered {
+                    strategy.enter_chunk(next_enter, cs, window.slice(cs, ce.min(n_train)), table);
+                    entered = true;
+                }
                 next_enter += 1;
             }
 
@@ -542,7 +544,6 @@ pub fn train_streaming_with_provider(
         strategy,
         RunFacts {
             dataset: meta.name.clone(),
-            prepare: Duration::ZERO,
             // Out-of-core: the graph term is the peak resident window,
             // not the full stream (the headline saving of streaming
             // training).

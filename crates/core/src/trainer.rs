@@ -1,16 +1,15 @@
-//! The in-memory training driver (Algorithm 1's outer loop over the
-//! shared [`TrainStep`]), validation, and the measurement report.
+//! Training configuration, the measurement report, in-memory training
+//! (the streaming driver over the dataset as one chunk), and validation.
 
-// cascade-lint: allow-file(det-wallclock): the one clock pair times strategy.prepare for TrainReport::build_time telemetry; no Duration ever feeds batching, scheduling, or learning decisions.
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cascade_models::{MemoryDelta, MemoryTgnn};
+use cascade_models::MemoryTgnn;
 use cascade_nn::{average_precision, binary_accuracy};
-use cascade_tgraph::{Dataset, EdgeFeatures, Event};
+use cascade_tgraph::{Dataset, EdgeFeatures, Event, InMemorySource};
 
 use crate::batching::BatchingStrategy;
 use crate::instrument::{SpaceBreakdown, StageTimings};
-use crate::step::{RunFacts, TrainStep};
+use crate::streaming::train_streaming;
 
 /// Training-run configuration.
 #[derive(Clone, Debug)]
@@ -24,18 +23,6 @@ pub struct TrainConfig {
     pub eval_batch_size: usize,
     /// Optional global gradient-norm clip.
     pub clip_norm: Option<f32>,
-    /// Simulated-accelerator per-batch overhead, in event-equivalents of
-    /// model compute. The paper's speedups arise from GPU underutilization
-    /// at small batches (17.2% SM utilization at BS = 900, §3.1; a 71%
-    /// latency cut going to BS = 6000, Figure 2). On one CPU core that
-    /// effect does not exist, so it is modeled: each batch is charged this
-    /// many events' worth of measured per-event compute, which reproduces
-    /// the paper's own utilization curve exactly (see
-    /// [`UtilizationProxy`](crate::UtilizationProxy)). The calibrated
-    /// value at the paper's scale is 4877 event-equivalents per 900-event
-    /// batch; scale it by `preset/900`. Zero disables the model, making
-    /// [`TrainReport::modeled_time`] equal measured wall time.
-    pub sim_batch_overhead_events: f64,
     /// Square-root learning-rate scaling with batch size, relative to
     /// `eval_batch_size`: `lr_eff = lr · √(B / eval_batch_size)`. The
     /// standard compensation for larger batches taking fewer optimizer
@@ -55,7 +42,6 @@ impl Default for TrainConfig {
             lr: 1e-3,
             eval_batch_size: 900,
             clip_norm: Some(5.0),
-            sim_batch_overhead_events: 0.0,
             scale_lr_with_batch: false,
             compute_threads: 1,
         }
@@ -77,14 +63,10 @@ pub struct TrainReport {
     /// End-to-end wall-clock (preprocessing + training, excluding
     /// validation).
     pub total_time: Duration,
-    /// `total_time` plus the simulated accelerator per-batch overhead
-    /// (equals `total_time` when the overhead model is disabled). The
-    /// latency figures report this.
-    pub modeled_time: Duration,
-    /// Dependency-structure construction time.
+    /// Dependency-structure construction time on the driver's thread
+    /// (the strategy's `build_table` timer). Boundary lookup is
+    /// `stages.scan.busy`.
     pub build_time: Duration,
-    /// Batch-boundary lookup time.
-    pub lookup_time: Duration,
     /// Model compute time (forward, backward, optimizer).
     pub model_time: Duration,
     /// Total batches processed across all epochs.
@@ -110,9 +92,9 @@ pub struct TrainReport {
     pub batch_losses: Vec<f32>,
     /// Space accounting at end of run.
     pub space: SpaceBreakdown,
-    /// Per-stage wall-time / stall / throughput telemetry. In-memory
-    /// runs report zero stalls; streaming runs report the driver's waits
-    /// for the next chunk as `scan.stall`.
+    /// Per-stage wall-time / stall / throughput telemetry; the driver's
+    /// waits for the next chunk (a store read, the loader thread, or the
+    /// in-memory copy of the one chunk) are `scan.stall`.
     pub stages: StageTimings,
 }
 
@@ -125,75 +107,26 @@ impl TrainReport {
 }
 
 /// Trains `model` on `data`'s training range with the given batching
-/// strategy, then evaluates on the validation range.
+/// strategy, then evaluates on the validation range: the streaming
+/// driver over the dataset as one chunk. A strategy observes every
+/// batch's memory transitions through
+/// [`observe_updates`](BatchingStrategy::observe_updates), so an
+/// experiment that needs them wraps its strategy.
 ///
-/// See [`train_with_observer`] for a variant that surfaces per-batch
-/// memory transitions (used by the Figure 5 stable-ratio experiment).
+/// # Panics
+///
+/// Panics if the dataset's training range is empty, `cfg.epochs == 0`,
+/// `cfg.eval_batch_size == 0`, the strategy cannot stream, or it answers
+/// a scan with an empty or overlong batch.
 pub fn train(
     model: &mut MemoryTgnn,
     data: &Dataset,
     strategy: &mut dyn BatchingStrategy,
     cfg: &TrainConfig,
 ) -> TrainReport {
-    train_with_observer(model, data, strategy, cfg, &mut |_, _| {})
-}
-
-/// [`train`] with a per-batch observer receiving `(epoch, deltas)` for
-/// every processed batch.
-///
-/// # Panics
-///
-/// Panics if the dataset's training range is empty, `cfg.epochs == 0`,
-/// or the strategy answers a scan with an empty or overlong batch.
-pub fn train_with_observer(
-    model: &mut MemoryTgnn,
-    data: &Dataset,
-    strategy: &mut dyn BatchingStrategy,
-    cfg: &TrainConfig,
-    observer: &mut dyn FnMut(usize, &[MemoryDelta]),
-) -> TrainReport {
-    let mut step = TrainStep::new(model, cfg);
-    let train_range = data.train_range();
-    assert!(!train_range.is_empty(), "empty training range");
-    let events = data.stream().events();
-    let n_train = train_range.end;
-
-    // Preprocessing (dependency tables, profiling).
-    let t_prep = Instant::now();
-    strategy.prepare(&events[train_range], data.num_nodes());
-    let prepare = t_prep.elapsed();
-
-    for epoch in 0..cfg.epochs {
-        model.reset_state();
-        strategy.reset_epoch();
-        let mut start = 0usize;
-        while start < n_train {
-            let end = step
-                .scan(strategy, start, n_train)
-                .expect("a batching strategy returns start < end <= limit");
-            let out = step
-                .run(model, &events[start..end], start, data.features())
-                .expect("the model's loss is a scalar, so its backward pass is well-formed");
-            TrainStep::feedback(strategy, &out);
-            observer(epoch, &out.deltas);
-            start = end;
-        }
-        step.end_epoch();
-    }
-
-    // Validation at the fixed evaluation batch size, memory carried over
-    // from the final training epoch, no weight updates.
-    let val = evaluate(model, data, cfg.eval_batch_size);
-    step.finish(
-        model,
-        strategy,
-        RunFacts {
-            dataset: data.name().to_string(),
-            prepare,
-            graph_bytes: std::mem::size_of_val(events),
-            feature_bytes: data.features().size_bytes(),
-            val,
-        },
+    let mut source = InMemorySource::from_dataset(data, data.num_events().max(1));
+    train_streaming(model, &mut source, strategy, cfg).expect(
+        "in-memory training fails only on a strategy that cannot stream or cuts a bad batch",
     )
 }
 
@@ -373,8 +306,12 @@ mod tests {
         assert_eq!(r.stages.compute.items, r.num_batches);
         assert_eq!(r.stages.update.items, r.num_batches);
         assert!(r.stages.compute.busy > Duration::ZERO);
-        // Serial execution never waits on a queue.
-        assert_eq!(r.stages.total_stall(), Duration::ZERO);
+        // The one chunk's copy is the only wait: the compute and update
+        // stages never stall, and shard stalls stay out of the totals.
+        assert_eq!(
+            r.stages.compute.stall + r.stages.update.stall,
+            Duration::ZERO
+        );
         // The coarse model_time is exactly the two driver stages.
         assert_eq!(r.stages.compute.busy + r.stages.update.busy, r.model_time);
     }
@@ -396,16 +333,47 @@ mod tests {
         );
     }
 
+    /// Fixed batching that counts the memory transitions fed back to it.
+    struct Observed(FixedBatching, usize);
+
+    impl BatchingStrategy for Observed {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn next_batch_end(&mut self, start: usize, limit: usize) -> usize {
+            self.0.next_batch_end(start, limit)
+        }
+        fn observe_updates(&mut self, deltas: &[cascade_models::MemoryDelta]) {
+            self.1 += deltas.len();
+        }
+        fn prepare_streaming(&mut self, _: usize, _: usize, _: usize) -> bool {
+            true
+        }
+    }
+
     #[test]
-    fn observer_sees_updates() {
+    fn strategy_observes_updates() {
         let data = tiny_dataset();
         let mut model = tiny_model(&data);
-        let mut strat = FixedBatching::new(64);
-        let mut seen = 0usize;
-        let _ = train_with_observer(&mut model, &data, &mut strat, &tiny_cfg(), &mut |_, d| {
-            seen += d.len();
-        });
-        assert!(seen > 0, "observer never saw a memory update");
+        let mut strat = Observed(FixedBatching::new(64), 0);
+        let _ = train(&mut model, &data, &mut strat, &tiny_cfg());
+        assert!(strat.1 > 0, "the strategy never saw a memory update");
+    }
+
+    #[test]
+    #[should_panic(expected = "eval batch size must be positive")]
+    fn rejects_zero_eval_batch() {
+        let data = tiny_dataset();
+        let mut model = tiny_model(&data);
+        let cfg = TrainConfig {
+            eval_batch_size: 0,
+            scale_lr_with_batch: true,
+            ..tiny_cfg()
+        };
+        // Through the chunked driver, whose validation tail has no guard
+        // of its own.
+        let mut source = InMemorySource::from_dataset(&data, 128);
+        let _ = train_streaming(&mut model, &mut source, &mut FixedBatching::new(64), &cfg);
     }
 
     #[test]

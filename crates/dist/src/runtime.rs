@@ -94,12 +94,6 @@ impl DistConfig {
         self
     }
 
-    /// Sets epochs.
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs;
-        self
-    }
-
     /// Sets chunk and batch size together.
     pub fn with_batching(mut self, chunk_size: usize, batch_size: usize) -> Self {
         self.chunk_size = chunk_size;
@@ -546,7 +540,10 @@ mod tests {
     #[test]
     fn single_worker_runs_and_reports() {
         let d = data();
-        let cfg = DistConfig::new().with_batching(128, 64).with_epochs(2);
+        let cfg = DistConfig {
+            epochs: 2,
+            ..DistConfig::new().with_batching(128, 64)
+        };
         let out = train_dist(&d, &ModelConfig::tgn().with_dims(8, 4), &cfg);
         assert_eq!(out.report.workers, 1);
         assert_eq!(out.report.epochs, 2);
@@ -584,10 +581,10 @@ mod tests {
     fn a_replica_with_an_empty_partition_tracks_the_others() {
         let d = data();
         let model_cfg = ModelConfig::tgn().with_dims(8, 4);
-        let cfg = DistConfig::new()
-            .with_workers(3)
-            .with_batching(512, 64)
-            .with_epochs(2);
+        let cfg = DistConfig {
+            epochs: 2,
+            ..DistConfig::new().with_workers(3).with_batching(512, 64)
+        };
         assert!(d.num_events() <= 2 * cfg.chunk_size, "worker 2 must idle");
         let mut reps: Vec<Replica<'_>> = (0..cfg.workers)
             .map(|w| {
@@ -632,10 +629,10 @@ mod tests {
     #[test]
     fn epoch_losses_are_the_size_weighted_means_of_their_batches() {
         let d = data();
-        let cfg = DistConfig::new()
-            .with_workers(2)
-            .with_batching(128, 64)
-            .with_epochs(2);
+        let cfg = DistConfig {
+            epochs: 2,
+            ..DistConfig::new().with_workers(2).with_batching(128, 64)
+        };
         let out = train_dist(&d, &ModelConfig::tgn().with_dims(8, 4), &cfg);
         // Every epoch streams the same batches, so each is half the log.
         let halves = out.batches.chunks(out.batches.len() / 2);

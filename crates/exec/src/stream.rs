@@ -21,8 +21,8 @@
 //! [`ChunkProvider`]. Prefetching therefore changes wall-clock only:
 //! results are bit-identical to serial streaming by construction.
 //! Table-build time moves from the strategy's critical-path
-//! `build_table` timer to its `background_build` timer, which the
-//! modeled-latency credit in the report already understands.
+//! `build_table` timer to its `background_build` timer, which
+//! `cascade-bench`'s modelled latency credits back.
 //!
 //! The loader is a scoped thread, joined before [`train_streamed`]
 //! returns on every path: each side only blocks on the channel the other
@@ -33,8 +33,8 @@ use std::sync::mpsc::sync_channel;
 use std::time::Instant;
 
 use cascade_core::{
-    train_streaming_with_provider, BatchingStrategy, ChunkProvider, PrebuiltTable, ProvidedChunk,
-    StreamMeta, StreamOptions, StreamOutcome, TableSpec, TrainConfig, TrainReport,
+    announce_chunks, train_streaming_with_provider, BatchingStrategy, ChunkProvider, PrebuiltTable,
+    ProvidedChunk, StreamMeta, StreamOptions, StreamOutcome, TableSpec, TrainConfig, TrainReport,
 };
 use cascade_models::MemoryTgnn;
 use cascade_tgraph::{chronological_split, EventSource, SourceError};
@@ -180,14 +180,9 @@ pub fn train_streamed<S: EventSource + Send>(
     let (n_train, val_end) = chronological_split(meta.num_events);
     let chunk_size = meta.chunk_size.max(1);
 
-    // Learn the strategy's table recipe up front (idempotent: the core
-    // driver repeats this call and keeps the state we set up here).
-    if !strategy.prepare_streaming(n_train.max(1), meta.num_nodes, chunk_size) {
-        return Err(SourceError::new(format!(
-            "strategy {} does not support streaming",
-            strategy.name()
-        )));
-    }
+    // The run is this call's: announce its geometry here, before the
+    // loader needs the strategy's table recipe.
+    announce_chunks(strategy, n_train, meta.num_nodes, chunk_size)?;
     let spec = strategy.table_spec();
     let epochs = cfg.epochs;
 

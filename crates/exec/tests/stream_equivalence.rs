@@ -4,7 +4,6 @@
 //! errors: whichever side fails first, `train_streamed` joins the loader
 //! and returns what actually went wrong.
 
-use cascade_baselines::Etc;
 use cascade_core::{
     train, train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler, FixedBatching,
     TrainConfig, TrainReport,
@@ -290,16 +289,29 @@ fn short_stream_is_reported_at_the_event_it_ended_on() {
     );
 }
 
+/// A strategy that keeps the trait's default `prepare_streaming`: it
+/// does not speak the chunk protocol.
+struct Unchunked;
+
+impl BatchingStrategy for Unchunked {
+    fn name(&self) -> String {
+        "Unchunked".to_string()
+    }
+    fn next_batch_end(&mut self, _start: usize, limit: usize) -> usize {
+        limit
+    }
+}
+
 #[test]
 fn strategy_that_cannot_stream_is_refused_by_name() {
     let data = dataset();
     expect_failure(
         || InMemorySource::from_dataset(&data, CHUNK),
-        || Box::new(Etc::new(64)),
+        || Box::new(Unchunked),
         |err, depth| {
             assert_eq!(
                 err,
-                &SourceError::new("strategy ETC does not support streaming"),
+                &SourceError::new("strategy Unchunked does not support streaming"),
                 "depth {depth}"
             );
         },

@@ -120,8 +120,8 @@ fn pipelined_parallel_compute_matches_serial_single_thread() {
 
 /// Shard telemetry appears exactly when the batch compute is sharded:
 /// multi-thread runs populate `shard_compute`, and the per-shard busy
-/// split stays a sub-division of the compute stage (excluded from the
-/// stage totals, so the serial invariants hold unchanged).
+/// split stays a sub-division of the compute stage (its straggler stall
+/// never reaches the stages, so the serial invariants hold unchanged).
 #[test]
 fn shard_telemetry_is_populated_and_excluded_from_totals() {
     let data = dataset();
@@ -138,11 +138,10 @@ fn shard_telemetry_is_populated_and_excluded_from_totals() {
     for (s, shard) in stages.shard_compute.iter().enumerate() {
         assert!(shard.items > 0, "shard {s} recorded no batches");
     }
-    // Per-shard timings sub-divide compute.busy; they must not leak
-    // into the cross-stage totals the serial invariants rely on.
+    // Per-shard timings sub-divide compute.busy; their straggler stalls
+    // must not leak into the stages the serial invariants rely on.
     assert_eq!(
-        stages.total_busy(),
-        stages.scan.busy + stages.compute.busy + stages.update.busy
+        stages.compute.stall + stages.update.stall,
+        std::time::Duration::ZERO
     );
-    assert_eq!(stages.total_stall(), std::time::Duration::ZERO);
 }

@@ -403,14 +403,6 @@ impl MemoryTgnn {
         self.plane.mailbox_size_bytes()
     }
 
-    /// Number of past events registered for `node` in the temporal
-    /// adjacency store — the sampler's visible history. Events of a batch
-    /// are registered only *after* the batch is processed, so embeddings
-    /// can never see the future (asserted by the temporal-leakage tests).
-    pub fn history_degree(&self, node: NodeId) -> usize {
-        self.plane.adj_degree(node)
-    }
-
     /// Clears memory, mailboxes, and the temporal adjacency store
     /// (called at the start of every epoch).
     pub fn reset_state(&mut self) {
@@ -1343,8 +1335,8 @@ mod tests {
                 model.plane().memory_read(NodeId(n))
             );
             assert_eq!(
-                restored.history_degree(NodeId(n)),
-                model.history_degree(NodeId(n))
+                restored.plane().adj_degree(NodeId(n)),
+                model.plane().adj_degree(NodeId(n))
             );
         }
         // Both models continue identically from the restored state.
@@ -1526,8 +1518,8 @@ mod tests {
         assert_eq!(whole.export_state(), split.export_state());
         for n in 0..6u32 {
             assert_eq!(
-                whole.history_degree(NodeId(n)),
-                split.history_degree(NodeId(n))
+                whole.plane().adj_degree(NodeId(n)),
+                split.plane().adj_degree(NodeId(n))
             );
         }
     }
@@ -1556,14 +1548,14 @@ mod temporal_leakage_tests {
         let batch1 = vec![Event::new(0u32, 1u32, 1.0), Event::new(2u32, 3u32, 2.0)];
         let batch2 = vec![Event::new(0u32, 4u32, 3.0), Event::new(5u32, 1u32, 4.0)];
 
-        assert_eq!(model.history_degree(NodeId(0)), 0);
+        assert_eq!(model.plane().adj_degree(NodeId(0)), 0);
         model.process_batch(&batch1, 0, &feats);
         // Only batch-1 events visible now.
-        assert_eq!(model.history_degree(NodeId(0)), 1);
-        assert_eq!(model.history_degree(NodeId(4)), 0);
+        assert_eq!(model.plane().adj_degree(NodeId(0)), 1);
+        assert_eq!(model.plane().adj_degree(NodeId(4)), 0);
         model.process_batch(&batch2, 2, &feats);
-        assert_eq!(model.history_degree(NodeId(0)), 2);
-        assert_eq!(model.history_degree(NodeId(4)), 1);
+        assert_eq!(model.plane().adj_degree(NodeId(0)), 2);
+        assert_eq!(model.plane().adj_degree(NodeId(4)), 1);
     }
 
     /// First-batch embeddings cannot depend on first-batch edges: two
@@ -1593,8 +1585,8 @@ mod temporal_leakage_tests {
         let mut model = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 8, 4, 1);
         let feats = synth_features(2, 4, 2);
         model.process_batch(&[Event::new(0u32, 1u32, 1.0)], 0, &feats);
-        assert_eq!(model.history_degree(NodeId(0)), 1);
+        assert_eq!(model.plane().adj_degree(NodeId(0)), 1);
         model.reset_state();
-        assert_eq!(model.history_degree(NodeId(0)), 0);
+        assert_eq!(model.plane().adj_degree(NodeId(0)), 0);
     }
 }

@@ -1,8 +1,6 @@
-//! Normalization and regularization layers: [`LayerNorm`] and
-//! [`Dropout`].
+//! Layer normalization: [`LayerNorm`].
 
 use cascade_tensor::Tensor;
-use cascade_tgraph::DetRng;
 
 use crate::module::{zeros_bias, Module};
 
@@ -71,54 +69,6 @@ impl Module for LayerNorm {
     }
 }
 
-/// Inverted dropout: during training, zeroes each element with
-/// probability `p` and scales survivors by `1/(1−p)`; the identity at
-/// evaluation time.
-///
-/// The mask is drawn from an internal deterministic RNG so training runs
-/// stay reproducible.
-#[derive(Clone, Debug)]
-pub struct Dropout {
-    p: f32,
-    rng: std::cell::RefCell<DetRng>,
-    training: std::cell::Cell<bool>,
-}
-
-impl Dropout {
-    /// Creates a dropout layer with drop probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ p < 1`.
-    pub fn new(p: f32, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout p must be in [0, 1)");
-        Dropout {
-            p,
-            rng: std::cell::RefCell::new(DetRng::new(seed)),
-            training: std::cell::Cell::new(true),
-        }
-    }
-
-    /// Switches between training (masking) and evaluation (identity).
-    pub fn set_training(&self, training: bool) {
-        self.training.set(training);
-    }
-
-    /// Applies the layer.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        if !self.training.get() || self.p == 0.0 {
-            return x.clone();
-        }
-        let keep = 1.0 - self.p;
-        let mut rng = self.rng.borrow_mut();
-        let mask: Vec<f32> = (0..x.len())
-            .map(|_| if rng.f32() < self.p { 0.0 } else { 1.0 / keep })
-            .collect();
-        let mask = Tensor::from_vec(mask, x.dims());
-        x.mul(&mask)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,37 +109,5 @@ mod tests {
         for (u, v) in a.iter().zip(b.iter()) {
             assert!((u - v).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn dropout_eval_is_identity() {
-        let d = Dropout::new(0.5, 1);
-        d.set_training(false);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
-        assert_eq!(d.forward(&x).to_vec(), x.to_vec());
-    }
-
-    #[test]
-    fn dropout_preserves_expectation() {
-        let d = Dropout::new(0.3, 2);
-        let x = Tensor::ones([10_000]);
-        let y = d.forward(&x).to_vec();
-        let mean: f32 = y.iter().sum::<f32>() / y.len() as f32;
-        assert!((mean - 1.0).abs() < 0.05, "mean {}", mean);
-        // Survivors are scaled by 1/keep.
-        assert!(y.iter().all(|&v| v == 0.0 || (v - 1.0 / 0.7).abs() < 1e-5));
-    }
-
-    #[test]
-    fn dropout_zero_probability_is_identity() {
-        let d = Dropout::new(0.0, 3);
-        let x = Tensor::from_vec(vec![1.0, -2.0], [2]);
-        assert_eq!(d.forward(&x).to_vec(), x.to_vec());
-    }
-
-    #[test]
-    #[should_panic(expected = "must be in [0, 1)")]
-    fn dropout_rejects_p_one() {
-        let _ = Dropout::new(1.0, 0);
     }
 }

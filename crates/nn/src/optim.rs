@@ -1,4 +1,5 @@
-//! Optimizers: [`Adam`] (the paper's choice, §2.3) and [`Sgd`].
+//! The optimizer, [`Adam`] (the paper's choice, §2.3), and gradient
+//! clipping.
 
 use cascade_tensor::Tensor;
 use cascade_util::{ByteReader, ByteWriter, DecodeError};
@@ -46,13 +47,6 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
         }
-    }
-
-    /// Overrides the moment coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
     }
 
     /// Applies one update using the accumulated gradients, then clears
@@ -165,39 +159,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent, `p ← p − lr·g`.
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Tensor>,
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(params: Vec<Tensor>, lr: f32) -> Self {
-        Sgd { params, lr }
-    }
-
-    /// Applies one descent step and clears gradients.
-    pub fn step(&mut self) {
-        for p in &self.params {
-            let lr = self.lr;
-            let stepped = p
-                .with_grad(|grad| {
-                    p.update_data(|data| {
-                        for (d, g) in data.iter_mut().zip(grad.iter()) {
-                            *d -= lr * g;
-                        }
-                    });
-                })
-                .is_some();
-            if stepped {
-                p.zero_grad();
-            }
-        }
-    }
-}
-
 /// Rescales gradients in place so their global L2 norm is at most
 /// `max_norm`. Returns the pre-clip norm.
 pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> f32 {
@@ -289,17 +250,6 @@ mod tests {
                 assert_eq!(bits(&opt.v[0]), bits(&v), "v, len {len} step {step}");
             }
         }
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let p = quadratic_param(4.0);
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
-        for _ in 0..100 {
-            p.square().sum().backward();
-            opt.step();
-        }
-        assert!(p.at(0).abs() < 0.01);
     }
 
     #[test]

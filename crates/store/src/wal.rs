@@ -35,17 +35,6 @@ pub struct WalRecovery {
     pub torn_tail: Option<StoreError>,
 }
 
-impl WalRecovery {
-    /// All recovered events flattened into stream order.
-    pub fn events_flat(&self) -> Vec<cascade_tgraph::Event> {
-        let mut out = Vec::with_capacity(self.events);
-        for f in &self.frames {
-            out.extend_from_slice(&f.events);
-        }
-        out
-    }
-}
-
 /// Scans the WAL at `path` and returns its longest valid frame prefix.
 ///
 /// Frame-level damage (`TruncatedFrame`, `CrcMismatch`, `Corrupt`) ends
@@ -130,7 +119,7 @@ mod tests {
         assert_eq!(rec.frames.len(), 3, "one frame per synced batch");
         assert!(rec.torn_tail.is_none());
         assert_eq!(rec.meta.num_events, 0, "header was never finished");
-        let flat = rec.events_flat();
+        let flat: Vec<_> = rec.frames.iter().flat_map(|f| f.events.clone()).collect();
         assert_eq!(flat, (0..12).map(ev).collect::<Vec<_>>());
         assert_eq!(rec.frames[1].base, 4);
         assert_eq!(rec.frames[1].features.len(), 4 * 2);

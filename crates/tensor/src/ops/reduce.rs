@@ -159,19 +159,6 @@ impl Tensor {
             }),
         )
     }
-
-    /// Largest element (no autograd).
-    pub fn max_value(&self) -> f32 {
-        self.data()
-            .iter()
-            .cloned()
-            .fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Smallest element (no autograd).
-    pub fn min_value(&self) -> f32 {
-        self.data().iter().cloned().fold(f32::INFINITY, f32::min)
-    }
 }
 
 #[cfg(test)]
@@ -232,13 +219,6 @@ mod tests {
         for g in t.grad().unwrap() {
             assert!(g.abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn min_max_values() {
-        let t = Tensor::from_vec(vec![3.0, -1.0, 2.0], [3]);
-        assert_eq!(t.max_value(), 3.0);
-        assert_eq!(t.min_value(), -1.0);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use cascade_util::Json;
-
 /// Identifies a node of the dynamic graph.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
@@ -64,64 +62,7 @@ impl Event {
     pub fn touches(&self, node: NodeId) -> bool {
         self.src == node || self.dst == node
     }
-
-    /// This event as a compact JSON triple `[src, dst, time]`.
-    pub fn to_json_value(&self) -> Json {
-        Json::Arr(vec![
-            Json::from(self.src.0),
-            Json::from(self.dst.0),
-            Json::from(self.time),
-        ])
-    }
-
-    /// Parses an event from the `[src, dst, time]` triple form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamDecodeError`] if the value is not a triple of two
-    /// node ids and a finite timestamp.
-    pub fn from_json_value(v: &Json) -> Result<Event, StreamDecodeError> {
-        let arr = v
-            .as_arr()
-            .filter(|a| a.len() == 3)
-            .ok_or_else(|| StreamDecodeError::new("event must be a [src, dst, time] triple"))?;
-        let node = |j: &Json, which: &str| -> Result<NodeId, StreamDecodeError> {
-            j.as_usize()
-                .filter(|&id| id <= u32::MAX as usize)
-                .map(|id| NodeId(id as u32))
-                .ok_or_else(|| StreamDecodeError::new(format!("{} is not a node id", which)))
-        };
-        let time = arr[2]
-            .as_f64()
-            .filter(|t| t.is_finite())
-            .ok_or_else(|| StreamDecodeError::new("time is not a finite number"))?;
-        Ok(Event {
-            src: node(&arr[0], "src")?,
-            dst: node(&arr[1], "dst")?,
-            time,
-        })
-    }
 }
-
-/// Error decoding an [`EventStream`] (or [`Event`]) from JSON.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamDecodeError {
-    msg: String,
-}
-
-impl StreamDecodeError {
-    fn new(msg: impl Into<String>) -> Self {
-        StreamDecodeError { msg: msg.into() }
-    }
-}
-
-impl fmt::Display for StreamDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid event-stream JSON: {}", self.msg)
-    }
-}
-
-impl std::error::Error for StreamDecodeError {}
 
 /// A chronologically ordered sequence of events.
 ///
@@ -238,74 +179,6 @@ impl EventStream {
             num_nodes: self.num_nodes,
         }
     }
-
-    /// Average degree: `2·|E| / |V|` (each event contributes to two
-    /// endpoints). Returns 0 on empty graphs.
-    pub fn average_degree(&self) -> f64 {
-        if self.num_nodes == 0 {
-            return 0.0;
-        }
-        2.0 * self.events.len() as f64 / self.num_nodes as f64
-    }
-
-    /// Serializes the stream as compact JSON:
-    /// `{"num_nodes": N, "events": [[src, dst, time], …]}`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cascade_tgraph::{Event, EventStream};
-    ///
-    /// let stream = EventStream::new(vec![Event::new(0u32, 1u32, 0.5)]).unwrap();
-    /// let restored = EventStream::from_json(&stream.to_json()).unwrap();
-    /// assert_eq!(restored.events(), stream.events());
-    /// assert_eq!(restored.num_nodes(), stream.num_nodes());
-    /// ```
-    pub fn to_json(&self) -> String {
-        Json::Obj(vec![
-            ("num_nodes".into(), Json::from(self.num_nodes)),
-            (
-                "events".into(),
-                Json::Arr(self.events.iter().map(Event::to_json_value).collect()),
-            ),
-        ])
-        .to_string()
-    }
-
-    /// Parses a stream written by [`EventStream::to_json`], revalidating
-    /// chronological order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamDecodeError`] on malformed JSON, out-of-order
-    /// events, or a stored `num_nodes` smaller than the events imply
-    /// (the stored value may be larger: restricted sub-streams keep the
-    /// parent's node count).
-    pub fn from_json(text: &str) -> Result<EventStream, StreamDecodeError> {
-        let v = Json::parse(text).map_err(|e| StreamDecodeError::new(e.to_string()))?;
-        let num_nodes = v
-            .get("num_nodes")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| StreamDecodeError::new("missing integer field 'num_nodes'"))?;
-        let events = v
-            .get("events")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| StreamDecodeError::new("missing array field 'events'"))?
-            .iter()
-            .map(Event::from_json_value)
-            .collect::<Result<Vec<Event>, StreamDecodeError>>()?;
-        let stream = EventStream::new(events).map_err(|e| StreamDecodeError::new(e.to_string()))?;
-        if num_nodes < stream.num_nodes {
-            return Err(StreamDecodeError::new(format!(
-                "num_nodes {} is smaller than the {} the events imply",
-                num_nodes, stream.num_nodes
-            )));
-        }
-        Ok(EventStream {
-            events: stream.events,
-            num_nodes,
-        })
-    }
 }
 
 impl<'a> IntoIterator for &'a EventStream {
@@ -358,7 +231,6 @@ mod tests {
         let s = EventStream::new(vec![]).unwrap();
         assert!(s.is_empty());
         assert_eq!(s.num_nodes(), 0);
-        assert_eq!(s.average_degree(), 0.0);
     }
 
     #[test]
@@ -379,101 +251,5 @@ mod tests {
         let r = s.restricted(1..2);
         assert_eq!(r.len(), 1);
         assert_eq!(r.num_nodes(), 10);
-    }
-
-    #[test]
-    fn average_degree_formula() {
-        let s = EventStream::new(vec![Event::new(0u32, 1u32, 0.0); 10]).unwrap();
-        assert_eq!(s.average_degree(), 10.0);
-    }
-}
-
-impl EventStream {
-    /// Splits the stream into DTDG snapshots of fixed time width —
-    /// discrete-time dynamic graphs are "specific instances of CTDGs,
-    /// distinguished by the segmentation of events into uniform time
-    /// intervals" (paper §2.1). Each snapshot holds the events of one
-    /// interval; empty intervals yield empty snapshots, and trailing
-    /// events land in the final snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is not positive and finite.
-    pub fn snapshots(&self, interval: f64) -> Vec<EventStream> {
-        assert!(
-            interval.is_finite() && interval > 0.0,
-            "snapshot interval must be positive"
-        );
-        if self.events.is_empty() {
-            return Vec::new();
-        }
-        let t0 = self.events.first().expect("non-empty").time;
-        let t1 = self.events.last().expect("non-empty").time;
-        let n_snaps = (((t1 - t0) / interval).floor() as usize) + 1;
-        let mut out: Vec<Vec<Event>> = vec![Vec::new(); n_snaps];
-        for e in &self.events {
-            let idx = (((e.time - t0) / interval).floor() as usize).min(n_snaps - 1);
-            out[idx].push(*e);
-        }
-        out.into_iter()
-            .map(|events| EventStream {
-                events,
-                num_nodes: self.num_nodes,
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-
-    #[test]
-    fn snapshots_partition_events() {
-        let s =
-            EventStream::new((0..10).map(|i| Event::new(0u32, 1u32, i as f64)).collect()).unwrap();
-        let snaps = s.snapshots(3.0);
-        assert_eq!(snaps.len(), 4);
-        let total: usize = snaps.iter().map(EventStream::len).sum();
-        assert_eq!(total, 10);
-        assert_eq!(snaps[0].len(), 3); // t = 0, 1, 2
-        assert_eq!(snaps[3].len(), 1); // t = 9
-    }
-
-    #[test]
-    fn snapshots_preserve_node_count() {
-        let s = EventStream::new(vec![
-            Event::new(0u32, 9u32, 0.0),
-            Event::new(1u32, 2u32, 10.0),
-        ])
-        .unwrap();
-        for snap in s.snapshots(4.0) {
-            assert_eq!(snap.num_nodes(), 10);
-        }
-    }
-
-    #[test]
-    fn empty_stream_has_no_snapshots() {
-        let s = EventStream::new(vec![]).unwrap();
-        assert!(s.snapshots(1.0).is_empty());
-    }
-
-    #[test]
-    fn single_interval_holds_everything() {
-        let s = EventStream::new(vec![
-            Event::new(0u32, 1u32, 0.0),
-            Event::new(1u32, 0u32, 0.5),
-        ])
-        .unwrap();
-        let snaps = s.snapshots(100.0);
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn rejects_bad_interval() {
-        let s = EventStream::new(vec![Event::new(0u32, 1u32, 0.0)]).unwrap();
-        let _ = s.snapshots(0.0);
     }
 }

@@ -31,7 +31,7 @@ mod stats;
 mod synth;
 
 pub use dataset::{chronological_split, synth_features, CsvError, Dataset, EdgeFeatures};
-pub use event::{Event, EventId, EventStream, NodeId, OrderError, StreamDecodeError};
+pub use event::{Event, EventId, EventStream, NodeId, OrderError};
 pub use ingest::{ReorderPolicy, ReorderingSource, DEDUP_HORIZON};
 // `DetRng` lives in `cascade-util` (so `cascade-tensor` can seed without
 // depending on this crate) and is re-exported here for its historical

@@ -110,15 +110,6 @@ impl ShardMap {
         (shard as usize, slot as usize)
     }
 
-    /// The dense slot of `node` inside its owning shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn slot_of(&self, node: NodeId) -> usize {
-        self.assign[node.index()].1 as usize
-    }
-
     /// Number of nodes assigned to `shard`.
     ///
     /// # Panics
@@ -182,7 +173,7 @@ mod tests {
         for shard in 0..4 {
             let owned = map.owned_nodes(shard);
             for (slot, &n) in owned.iter().enumerate() {
-                assert_eq!(map.slot_of(n), slot);
+                assert_eq!(map.assignment(n).1, slot);
                 if slot > 0 {
                     assert!(owned[slot - 1].0 < n.0);
                 }

@@ -265,12 +265,6 @@ impl SynthConfig {
         self
     }
 
-    /// Overrides the scaled-node lower bound.
-    pub fn with_min_nodes(mut self, n: usize) -> Self {
-        self.min_nodes = n;
-        self
-    }
-
     /// Overrides the edge-feature width (used by the scaled experiment
     /// harness to keep compute tractable).
     pub fn with_feature_dim(mut self, dim: usize) -> Self {

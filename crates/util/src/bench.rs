@@ -74,36 +74,6 @@ impl BenchStats {
             ("max_ns".into(), Json::from(self.max_ns)),
         ])
     }
-
-    /// Parses a record written by [`BenchStats::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or mistyped field.
-    pub fn from_json(v: &Json) -> Result<BenchStats, String> {
-        let field = |k: &str| -> Result<f64, String> {
-            v.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing or non-numeric field '{}'", k))
-        };
-        Ok(BenchStats {
-            id: v
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or("missing or non-string field 'id'")?
-                .to_string(),
-            iters: v
-                .get("iters")
-                .and_then(Json::as_usize)
-                .ok_or("missing or non-integer field 'iters'")?,
-            mean_ns: field("mean_ns")?,
-            median_ns: field("median_ns")?,
-            p10_ns: field("p10_ns")?,
-            p90_ns: field("p90_ns")?,
-            min_ns: field("min_ns")?,
-            max_ns: field("max_ns")?,
-        })
-    }
 }
 
 /// Linear-interpolated quantile of an ascending-sorted sample set.
@@ -315,19 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_round_trip() {
-        let s = BenchStats::from_samples("kernel/matmul_64", &[3.0, 1.0, 2.0]);
-        let parsed = BenchStats::from_json(&Json::parse(&s.to_json().to_string()).unwrap());
-        assert_eq!(parsed, Ok(s));
-    }
-
-    #[test]
-    fn from_json_rejects_missing_fields() {
-        let v = Json::parse("{\"id\": \"x\"}").unwrap();
-        assert!(BenchStats::from_json(&v).unwrap_err().contains("iters"));
-    }
-
-    #[test]
     fn suite_measures_and_serializes() {
         let mut suite = BenchSuite::with_config("unit", 8, 1, false);
         suite.bench("spin", || {
@@ -337,11 +294,11 @@ mod tests {
         let json = suite.to_json();
         assert_eq!(json.get("suite").and_then(Json::as_str), Some("unit"));
         let results = json.get("results").and_then(Json::as_arr).unwrap();
-        let parsed = BenchStats::from_json(&results[0]).unwrap();
-        assert_eq!(parsed.id, "spin");
-        assert_eq!(parsed.iters, 8);
-        assert!(parsed.min_ns <= parsed.median_ns && parsed.median_ns <= parsed.max_ns);
-        assert!(parsed.p10_ns <= parsed.median_ns && parsed.median_ns <= parsed.p90_ns);
+        assert_eq!(results[0].get("id").and_then(Json::as_str), Some("spin"));
+        assert_eq!(results[0].get("iters").and_then(Json::as_usize), Some(8));
+        let ns = |k: &str| results[0].get(k).and_then(Json::as_f64).unwrap();
+        assert!(ns("min_ns") <= ns("median_ns") && ns("median_ns") <= ns("max_ns"));
+        assert!(ns("p10_ns") <= ns("median_ns") && ns("median_ns") <= ns("p90_ns"));
     }
 
     #[test]

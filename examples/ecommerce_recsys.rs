@@ -10,10 +10,73 @@
 //! cargo run --release --example ecommerce_recsys
 //! ```
 
-use cascade_core::{train_with_observer, CascadeConfig, CascadeScheduler, SgFilter, TrainConfig};
-use cascade_models::{MemoryTgnn, ModelConfig};
+use cascade_core::{
+    train, BatchingStrategy, CascadeConfig, CascadeScheduler, PrebuiltTable, SgFilter,
+    StrategySpace, StrategyTimers, TrainConfig,
+};
+use cascade_models::{MemoryDelta, MemoryTgnn, ModelConfig};
 use cascade_nn::Module;
-use cascade_tgraph::{NodeId, SynthConfig};
+use cascade_tgraph::{Event, NodeId, SynthConfig};
+
+/// Cascade, watched: every memory transition fed back to the scheduler
+/// also goes to an SG-Filter that reports its stable ratio per epoch.
+struct Watched {
+    inner: CascadeScheduler,
+    filter: SgFilter,
+    epoch: usize,
+}
+
+impl Watched {
+    fn report_epoch(&self) {
+        println!(
+            "epoch {}: {:.1}% of memory updates were stable",
+            self.epoch,
+            self.filter.epoch_stable_ratio() * 100.0
+        );
+    }
+}
+
+impl BatchingStrategy for Watched {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn reset_epoch(&mut self) {
+        if self.filter.epoch_counters().0 > 0 {
+            self.report_epoch();
+            self.epoch += 1;
+        }
+        self.filter.reset();
+        self.inner.reset_epoch();
+    }
+    fn next_batch_end(&mut self, start: usize, limit: usize) -> usize {
+        self.inner.next_batch_end(start, limit)
+    }
+    fn after_batch(&mut self, batch_idx: usize, train_loss: f32) {
+        self.inner.after_batch(batch_idx, train_loss);
+    }
+    fn observe_updates(&mut self, deltas: &[MemoryDelta]) {
+        self.filter.observe(deltas);
+        self.inner.observe_updates(deltas);
+    }
+    fn space(&self) -> StrategySpace {
+        self.inner.space()
+    }
+    fn timers(&self) -> StrategyTimers {
+        self.inner.timers()
+    }
+    fn prepare_streaming(&mut self, total: usize, nodes: usize, chunk: usize) -> bool {
+        self.inner.prepare_streaming(total, nodes, chunk)
+    }
+    fn enter_chunk(
+        &mut self,
+        idx: usize,
+        base: usize,
+        events: &[Event],
+        pb: Option<PrebuiltTable>,
+    ) {
+        self.inner.enter_chunk(idx, base, events, pb);
+    }
+}
 
 fn main() {
     // A bipartite interaction graph in the spirit of the REDDIT/WIKI
@@ -44,15 +107,16 @@ fn main() {
     );
     println!("model: JODIE with {} parameters", model.parameter_count());
 
-    let mut cascade = CascadeScheduler::new(CascadeConfig {
-        preset_batch_size: 64,
-        ..CascadeConfig::default()
-    });
-
     // Track stability the same way the SG-Filter does, per epoch.
-    let mut filter = SgFilter::new(data.num_nodes(), 0.9);
-    let mut last_epoch = 0usize;
-    let report = train_with_observer(
+    let mut cascade = Watched {
+        inner: CascadeScheduler::new(CascadeConfig {
+            preset_batch_size: 64,
+            ..CascadeConfig::default()
+        }),
+        filter: SgFilter::new(data.num_nodes(), 0.9),
+        epoch: 0,
+    };
+    let report = train(
         &mut model,
         &data,
         &mut cascade,
@@ -63,24 +127,8 @@ fn main() {
             scale_lr_with_batch: true,
             ..TrainConfig::default()
         },
-        &mut |epoch, deltas| {
-            if epoch != last_epoch {
-                println!(
-                    "epoch {}: {:.1}% of memory updates were stable",
-                    last_epoch,
-                    filter.epoch_stable_ratio() * 100.0
-                );
-                filter.reset();
-                last_epoch = epoch;
-            }
-            filter.observe(deltas);
-        },
     );
-    println!(
-        "epoch {}: {:.1}% of memory updates were stable",
-        last_epoch,
-        filter.epoch_stable_ratio() * 100.0
-    );
+    cascade.report_epoch();
     println!(
         "\ntrained in {} adaptive batches (avg {:.0} events), val loss {:.4}",
         report.num_batches, report.avg_batch_size, report.val_loss

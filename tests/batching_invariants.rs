@@ -93,20 +93,29 @@ fn all_strategies_partition_any_stream() {
             prop_assert_eq!(*b.last().unwrap(), events.len());
             prop_assert!(b.windows(2).all(|w| w[0] < w[1]));
         }
-        // Cascade_EX: the same scheduler fed 37-event chunks.
-        let mut chunked = CascadeScheduler::new(CascadeConfig {
-            preset_batch_size: 16,
-            ..CascadeConfig::default()
-        });
-        let b = partition_chunked(&mut chunked, &events, nodes, 37);
-        prop_assert_eq!(*b.last().unwrap(), events.len());
-        prop_assert!(b.windows(2).all(|w| w[0] < w[1]));
-        for chunk_end in (37..events.len()).step_by(37) {
-            prop_assert!(
-                b.contains(&chunk_end),
-                "a batch crossed chunk end {}",
-                chunk_end
-            );
+        // The chunk protocol: the strategies that cut batches by a
+        // chunk's structure (Cascade_EX, ETC, NeutronStream) fed 37-event
+        // chunks partition the stream and end a batch at every chunk end.
+        let chunked: Vec<Box<dyn BatchingStrategy>> = vec![
+            Box::new(NeutronStream::new(16)),
+            Box::new(Etc::new(16)),
+            Box::new(CascadeScheduler::new(CascadeConfig {
+                preset_batch_size: 16,
+                ..CascadeConfig::default()
+            })),
+        ];
+        for mut s in chunked {
+            let b = partition_chunked(s.as_mut(), &events, nodes, 37);
+            prop_assert_eq!(*b.last().unwrap(), events.len());
+            prop_assert!(b.windows(2).all(|w| w[0] < w[1]));
+            for chunk_end in (37..events.len()).step_by(37) {
+                prop_assert!(
+                    b.contains(&chunk_end),
+                    "{}: a batch crossed chunk end {}",
+                    s.name(),
+                    chunk_end
+                );
+            }
         }
         Ok(())
     });
@@ -137,40 +146,54 @@ fn cascade_boundaries_repeat_across_epochs() {
     });
 }
 
+/// The information loss of `events`: every appearance of a node after
+/// its first in the batch.
+fn information_loss(events: &[Event]) -> usize {
+    let mut counts = std::collections::BTreeMap::new();
+    let mut loss = 0usize;
+    for e in events {
+        for n in [e.src, e.dst] {
+            let c = counts.entry(n).or_insert(0usize);
+            if *c > 0 {
+                loss += 1;
+            }
+            *c += 1;
+        }
+    }
+    loss
+}
+
 #[test]
 fn etc_never_exceeds_detected_loss() {
     check("etc_never_exceeds_detected_loss", |g| {
         let (events, nodes) = arbitrary_stream(g);
-        let mut s = Etc::new(16);
-        s.prepare(&events, nodes);
-        let threshold = s.threshold();
-        let mut start = 0;
-        while start < events.len() {
-            let end = s.next_batch_end(start, events.len());
-            // Recompute the admitted batch's loss independently.
-            let mut counts = std::collections::HashMap::new();
-            let mut loss = 0usize;
-            for e in &events[start..end] {
-                for n in [e.src, e.dst] {
-                    let c = counts.entry(n).or_insert(0usize);
-                    if *c > 0 {
-                        loss += 1;
-                    }
-                    *c += 1;
+        // One chunk (the whole stream), then 37-event chunks, each with
+        // the threshold detected when it was entered.
+        for chunk in [events.len(), 37] {
+            let mut s = Etc::new(16);
+            prop_assert!(s.prepare_streaming(events.len(), nodes, chunk));
+            let mut start = 0;
+            while start < events.len() {
+                if start % chunk == 0 {
+                    let chunk_end = (start + chunk).min(events.len());
+                    s.enter_chunk(start / chunk, start, &events[start..chunk_end], None);
                 }
+                let end = s.next_batch_end(start, events.len());
+                let loss = information_loss(&events[start..end]);
+                // Single-event batches are always admissible (progress).
+                if end - start > 1 {
+                    prop_assert!(
+                        loss <= s.threshold(),
+                        "batch {}..{} loss {} > threshold {} (chunk {})",
+                        start,
+                        end,
+                        loss,
+                        s.threshold(),
+                        chunk
+                    );
+                }
+                start = end;
             }
-            // Single-event batches are always admissible (progress).
-            if end - start > 1 {
-                prop_assert!(
-                    loss <= threshold,
-                    "batch {}..{} loss {} > threshold {}",
-                    start,
-                    end,
-                    loss,
-                    threshold
-                );
-            }
-            start = end;
         }
         Ok(())
     });

@@ -144,25 +144,6 @@ fn lite_models_train_under_cascade() {
 }
 
 #[test]
-fn modeled_time_at_least_wall_time_without_pipeline() {
-    let data = tiny_dataset();
-    let mut model = tiny_model(&data, ModelConfig::jodie());
-    let mut strategy = tgl(48);
-    let cfg = TrainConfig {
-        sim_batch_overhead_events: 100.0,
-        ..tiny_cfg()
-    };
-    let report = train(&mut model, &data, &mut strategy, &cfg);
-    assert!(report.modeled_time >= report.total_time);
-
-    // Overhead disabled: modeled equals measured.
-    let mut model = tiny_model(&data, ModelConfig::jodie());
-    let mut strategy = tgl(48);
-    let report = train(&mut model, &data, &mut strategy, &tiny_cfg());
-    assert_eq!(report.modeled_time, report.total_time);
-}
-
-#[test]
 fn space_breakdown_is_complete() {
     let data = tiny_dataset();
     let mut model = tiny_model(&data, ModelConfig::tgn());

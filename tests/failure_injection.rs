@@ -39,6 +39,23 @@ fn two_node_graph_trains() {
     assert!(report.val_loss.is_finite());
 }
 
+/// A zero evaluation batch would make `scale_lr_with_batch`'s learning
+/// rate √(B/0) = +∞ and die later in validation on an empty batch; the
+/// train step refuses it up front.
+#[test]
+#[should_panic(expected = "eval batch size must be positive")]
+fn zero_eval_batch_is_refused() {
+    let events: Vec<(u32, u32)> = (0..40).map(|i| (i % 4, (i + 1) % 4)).collect();
+    let data = Dataset::new("zero-eval", stream(&events), EdgeFeatures::none());
+    let mut model = MemoryTgnn::new(ModelConfig::jodie().with_dims(4, 2), data.num_nodes(), 0, 1);
+    let cfg = TrainConfig {
+        eval_batch_size: 0,
+        scale_lr_with_batch: true,
+        ..TrainConfig::default()
+    };
+    let _ = train(&mut model, &data, &mut FixedBatching::new(8), &cfg);
+}
+
 #[test]
 fn self_loop_events_are_handled() {
     let data = Dataset::new(

@@ -7,14 +7,15 @@
 //!
 //! The chunk geometry is the source's. Every comparison therefore keeps
 //! a reference that does not share the code under test on the axis it
-//! checks: the in-memory `train` loop where the geometry allows it (any
-//! chunking for fixed batching, the stream as one chunk for Cascade),
-//! and `InMemorySource` against the store file at equal chunk size.
+//! checks: a test-local loop over the train step on the in-memory slice,
+//! with no rolling window, where the geometry allows it (any chunking for
+//! fixed batching, the stream as one chunk for Cascade), and
+//! `InMemorySource` against the store file at equal chunk size.
 
 use cascade_core::{
-    train, train_streaming, train_streaming_with_options, BatchingStrategy, CascadeConfig,
-    CascadeScheduler, FixedBatching, StreamCheckpoint, StreamOptions, StreamOutcome, TrainConfig,
-    TrainReport,
+    evaluate, train, train_streaming, train_streaming_with_options, BatchingStrategy,
+    CascadeConfig, CascadeScheduler, FixedBatching, RunFacts, StreamCheckpoint, StreamOptions,
+    StreamOutcome, TrainConfig, TrainReport, TrainStep,
 };
 use cascade_exec::{train_streamed, PipelineConfig};
 use cascade_models::{MemoryTgnn, ModelConfig};
@@ -42,7 +43,6 @@ fn cfg() -> TrainConfig {
         epochs: 2,
         eval_batch_size: 64,
         scale_lr_with_batch: true,
-        sim_batch_overhead_events: 340.0,
         ..TrainConfig::default()
     }
 }
@@ -92,6 +92,41 @@ fn assert_bit_identical(a: &TrainReport, b: &TrainReport, what: &str) {
     assert_eq!(state_space(a), state_space(b), "{what}: space accounting");
 }
 
+/// The rolling window's independent reference, from a fresh model: one
+/// `prepare`, then each epoch's batches straight off the dataset's slice
+/// through the train step, with no window, chunk or source in between.
+/// Returns the report and the model's state.
+fn reference(data: &Dataset, strategy: &mut dyn BatchingStrategy) -> (TrainReport, Vec<u8>) {
+    let (cfg, mut model) = (cfg(), model(data));
+    let (events, n_train) = (data.stream().events(), data.train_range().end);
+    let mut step = TrainStep::new(&mut model, &cfg);
+    strategy.prepare(&events[..n_train], data.num_nodes());
+    for _ in 0..cfg.epochs {
+        model.reset_state();
+        strategy.reset_epoch();
+        let mut start = 0;
+        while start < n_train {
+            let end = step
+                .scan(strategy, start, n_train)
+                .expect("a well-formed batch");
+            let batch = &events[start..end];
+            let out = step
+                .run(&mut model, batch, start, data.features())
+                .expect("a scalar loss");
+            TrainStep::feedback(strategy, &out);
+            start = end;
+        }
+        step.end_epoch();
+    }
+    let facts = RunFacts {
+        dataset: data.name().to_string(),
+        graph_bytes: std::mem::size_of_val(events),
+        feature_bytes: data.features().size_bytes(),
+        val: evaluate(&mut model, data, cfg.eval_batch_size),
+    };
+    (step.finish(&model, strategy, facts), model.export_state())
+}
+
 /// `train_streaming` over `source` from a fresh model: the report and
 /// the model's final state.
 fn run_source(
@@ -129,19 +164,17 @@ fn run_in_memory_source(
 fn streaming_cascade_is_bit_identical_to_in_memory() {
     let data = dataset();
 
-    // (a) The stream as one chunk is the in-memory trainer's geometry:
-    // the store-fed streaming driver must reproduce `train` itself.
+    // (a) The stream as one chunk is the in-memory geometry: the
+    // store-fed streaming driver must reproduce the reference loop.
     let path = store_path("cascade-one-chunk");
     export_dataset(&data, &path, data.num_events()).expect("export succeeds");
-    let mut m_mem = model(&data);
-    let mem = train(&mut m_mem, &data, &mut cascade_strategy(), &cfg());
+    let (mem, mem_state) = reference(&data, &mut cascade_strategy());
     let (one_chunk, state) = run_streaming(&data, &path, &mut cascade_strategy());
     std::fs::remove_file(&path).ok();
-    assert_bit_identical(&mem, &one_chunk, "one-chunk store vs train");
+    assert_bit_identical(&mem, &one_chunk, "one-chunk store vs reference");
     // Post-step parameters, node memories, and mailboxes, bit for bit.
     assert_eq!(
-        m_mem.export_state(),
-        state,
+        mem_state, state,
         "cascade: model state diverged between streaming and in-memory"
     );
     assert_eq!(one_chunk.strategy, "Cascade");
@@ -173,10 +206,10 @@ fn streaming_cascade_is_bit_identical_to_in_memory() {
 
 /// Every driver is the same `TrainStep` fed from a different place, so
 /// one model/strategy/config must come out of all four with the same
-/// bits — results, final state, and the report's counters. The
-/// in-memory `train` loop is the reference: for fixed batching across
-/// 128-event chunks (which holds the rolling window's straddle logic to
-/// it), and for Cascade with the stream as one chunk.
+/// bits — results, final state, and the report's counters. The test-local
+/// reference loop is the yardstick: for fixed batching across 128-event
+/// chunks (which holds the rolling window's straddle logic to it), and
+/// for Cascade with the stream as one chunk.
 #[test]
 fn all_four_drivers_share_one_step() {
     let data = dataset();
@@ -192,11 +225,12 @@ fn all_four_drivers_share_one_step() {
     for (name, make, chunk) in strategies {
         let path = store_path(&format!("drivers-{name}"));
         export_dataset(&data, &path, chunk).expect("export succeeds");
-        let mut m_ref = model(&data);
-        let reference = train(&mut m_ref, &data, make().as_mut(), &cfg());
-        assert!(reference.modeled_time > reference.total_time);
+        let (expected, expected_state) = reference(&data, make().as_mut());
 
-        let mut runs: Vec<(&str, TrainReport, Vec<u8>)> = Vec::new();
+        // `train` is one chunk, which either strategy's chunking matches.
+        let mut m = model(&data);
+        let r = train(&mut m, &data, make().as_mut(), &cfg());
+        let mut runs: Vec<(&str, TrainReport, Vec<u8>)> = vec![("train", r, m.export_state())];
         let (r, state) = run_in_memory_source(&data, chunk, make().as_mut());
         runs.push(("train_streaming over InMemorySource", r, state));
         let (r, state) = run_streaming(&data, &path, make().as_mut());
@@ -210,13 +244,13 @@ fn all_four_drivers_share_one_step() {
         std::fs::remove_file(&path).ok();
 
         for (driver, report, state) in &runs {
-            let what = format!("{name}: {driver} vs train");
-            assert_bit_identical(&reference, report, &what);
-            assert_eq!(&m_ref.export_state(), state, "{what}: model state");
+            let what = format!("{name}: {driver} vs the reference loop");
+            assert_bit_identical(&expected, report, &what);
+            assert_eq!(&expected_state, state, "{what}: model state");
             for (stage, a, b) in [
-                ("scan", reference.stages.scan, report.stages.scan),
-                ("compute", reference.stages.compute, report.stages.compute),
-                ("update", reference.stages.update, report.stages.update),
+                ("scan", expected.stages.scan, report.stages.scan),
+                ("compute", expected.stages.compute, report.stages.compute),
+                ("update", expected.stages.update, report.stages.update),
             ] {
                 assert_eq!(a.items, b.items, "{what}: {stage} items");
             }
@@ -232,16 +266,12 @@ fn streaming_fixed_batching_handles_chunk_straddle() {
 
     // 48 does not divide 128, so batches straddle chunk boundaries and
     // the rolling window must retain straddled prefixes.
-    let mut m_mem = model(&data);
-    let mut s_mem = FixedBatching::new(48);
-    let mem = train(&mut m_mem, &data, &mut s_mem, &cfg());
-
-    let mut s_str = FixedBatching::new(48);
-    let (stream, state) = run_streaming(&data, &path, &mut s_str);
+    let (mem, mem_state) = reference(&data, &mut FixedBatching::new(48));
+    let (stream, state) = run_streaming(&data, &path, &mut FixedBatching::new(48));
     std::fs::remove_file(&path).ok();
 
     assert_bit_identical(&mem, &stream, "fixed streaming vs in-memory");
-    assert_eq!(m_mem.export_state(), state, "fixed: model state diverged");
+    assert_eq!(mem_state, state, "fixed: model state diverged");
 }
 
 fn resume_roundtrip(
