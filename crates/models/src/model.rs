@@ -77,8 +77,8 @@ pub struct BatchForward {
 }
 
 /// Deferred memory write-backs computed by [`MemoryTgnn::forward_batch`]
-/// (Figure 1 steps 2–3), detached from the autograd graph so it can cross
-/// pipeline-stage boundaries.
+/// or [`MemoryTgnn::pending_batch`] (Figure 1 steps 2–3), detached from
+/// the autograd graph so it can cross pipeline-stage boundaries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchPending {
     /// Distinct batch endpoints, in first-appearance order.
@@ -156,6 +156,33 @@ fn link_labels(b: usize) -> Tensor {
     labels
 }
 
+/// A batch after step 1a: its endpoints and their updated memories, on
+/// the autograd graph until [`Consumed::detach`].
+struct Consumed {
+    /// Distinct batch endpoints, in first-appearance order.
+    centers: Vec<NodeId>,
+    /// Row of each center in `updated`.
+    // cascade-lint: allow(det-hash-iter): lookup-only index map; ordered traversal runs over `centers`.
+    center_idx: HashMap<NodeId, usize>,
+    /// `[C, d]` memories after mailbox consumption.
+    updated: Tensor,
+    /// Per-center: had pending mailbox messages.
+    has_msg: Vec<bool>,
+}
+
+impl Consumed {
+    /// Updated memories leave the autograd graph here: `post` holds the
+    /// detached rows `apply_batch` writes back (Figure 1 step 3).
+    fn detach(self, memory_dim: usize) -> BatchPending {
+        let post = self.updated.data()[..self.centers.len() * memory_dim].to_vec();
+        BatchPending {
+            centers: self.centers,
+            has_msg: self.has_msg,
+            post,
+        }
+    }
+}
+
 /// One shard's forward result, reduced on the driver in shard-index
 /// order.
 struct ShardForward {
@@ -221,9 +248,10 @@ pub struct MemoryTgnn {
 /// [`MemoryPlane::clone_plane`] — a deep copy of the node state (a
 /// [`ShardedPlane`]'s immutable shard map is shared, not copied).
 ///
-/// That split is exactly what online serving needs — a frozen,
-/// internally consistent read snapshot of the evolving state, scored
-/// with the live weights. It also means a clone is **not** an
+/// That split is what online serving needs: a second copy of the
+/// evolving state, scored with the same weights. `cascade-serve` keeps
+/// two and alternates them, cloning only when a reader still holds the
+/// copy it would reuse. It also means a clone is **not** an
 /// independent trainable model: stepping an optimizer on either clone
 /// moves the weights of both. Use
 /// [`export_state`](MemoryTgnn::export_state) /
@@ -474,9 +502,58 @@ impl MemoryTgnn {
         feats: &EdgeFeatures,
     ) -> BatchForward {
         assert!(!events.is_empty(), "process_batch on empty batch");
-        let d = self.config.memory_dim;
+        let consumed = self.consume_batch(events);
 
-        // ---- Step 1a: consume pending messages through the updater. ----
+        // ---- Step 1b: embed src/dst/neg and compute the loss. ----
+        // Negative draws are keyed by global event id, so a shard's draws
+        // depend only on which events it holds, never on evaluation order.
+        let negs: Vec<NodeId> = events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| self.neg_sampler.sample(e.dst, (first_id + i) as u64))
+            .collect();
+
+        let updated = &consumed.updated;
+        let center_idx = &consumed.center_idx;
+        let (loss, pos_vec, neg_vec, shard_busy) = if self.config.lite {
+            // Lite mode deduplicates embeddings across the whole batch, so
+            // its events are not independent; it stays on the serial path.
+            let (loss, p, n) = self.lite_forward(events, updated, center_idx, &negs, feats);
+            (loss, p, n, Vec::new())
+        } else {
+            self.sharded_forward(events, updated, center_idx, &negs, feats)
+        };
+
+        BatchForward {
+            loss,
+            pos_logits: pos_vec,
+            neg_logits: neg_vec,
+            shard_busy,
+            pending: consumed.detach(self.config.memory_dim),
+        }
+    }
+
+    /// The state half of [`forward_batch`](Self::forward_batch) alone:
+    /// the write-back ticket for [`apply_batch`](Self::apply_batch),
+    /// without negatives, embeddings, a loss or the graph behind it — all
+    /// a served ingest needs to carry memory forward (Figure 1 steps 2–3).
+    ///
+    /// Bit-identical to `forward_batch(events, ..).pending`: both run the
+    /// same step 1a (gather the batch's endpoints, consume their
+    /// mailboxes) and detach the same rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `events` is empty or any endpoint is out of range.
+    pub fn pending_batch(&self, events: &[Event]) -> BatchPending {
+        assert!(!events.is_empty(), "pending_batch on empty batch");
+        self.consume_batch(events).detach(self.config.memory_dim)
+    }
+
+    /// Step 1a of a batch: collects its distinct endpoints in
+    /// first-appearance order, gathers their stored memories and consumes
+    /// their pending mailbox messages through the updater.
+    fn consume_batch(&self, events: &[Event]) -> Consumed {
         let mut centers: Vec<NodeId> = Vec::new();
         // cascade-lint: allow(det-hash-iter): insert/lookup only, never iterated — ordered traversal runs over `centers`, which records insertion order.
         let mut center_idx: HashMap<NodeId, usize> = HashMap::new();
@@ -490,39 +567,11 @@ impl MemoryTgnn {
         }
         let stored = self.plane.memory_gather(&centers); // [C, d] leaf
         let (updated, has_msg) = self.consume_mailboxes(&centers, &stored);
-
-        // ---- Step 1b: embed src/dst/neg and compute the loss. ----
-        // Negative draws are keyed by global event id, so a shard's draws
-        // depend only on which events it holds, never on evaluation order.
-        let negs: Vec<NodeId> = events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| self.neg_sampler.sample(e.dst, (first_id + i) as u64))
-            .collect();
-
-        let (loss, pos_vec, neg_vec, shard_busy) = if self.config.lite {
-            // Lite mode deduplicates embeddings across the whole batch, so
-            // its events are not independent; it stays on the serial path.
-            let (loss, p, n) = self.lite_forward(events, &updated, &center_idx, &negs, feats);
-            (loss, p, n, Vec::new())
-        } else {
-            self.sharded_forward(events, &updated, &center_idx, &negs, feats)
-        };
-
-        // Updated memories leave the autograd graph here: `post` holds the
-        // detached rows apply_batch writes back (Figure 1 step 3).
-        let post = updated.data()[..centers.len() * d].to_vec();
-
-        BatchForward {
-            loss,
-            pos_logits: pos_vec,
-            neg_logits: neg_vec,
-            shard_busy,
-            pending: BatchPending {
-                centers,
-                has_msg,
-                post,
-            },
+        Consumed {
+            centers,
+            center_idx,
+            updated,
+            has_msg,
         }
     }
 
@@ -729,8 +778,11 @@ impl MemoryTgnn {
     /// the events in the temporal adjacency store.
     ///
     /// `events`, `first_id`, and `feats` must be exactly the arguments of
-    /// the [`forward_batch`](Self::forward_batch) call that produced
-    /// `pending`, and no other forward pass may run in between.
+    /// the [`forward_batch`](Self::forward_batch) (or
+    /// [`pending_batch`](Self::pending_batch)) call that produced
+    /// `pending`, and no other forward pass may run in between. The ticket
+    /// is a pure function of the state it was computed on, so it applies
+    /// equally to any bit-identical copy of that state.
     ///
     /// # Panics
     ///

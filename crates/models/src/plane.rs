@@ -199,7 +199,7 @@ impl PlaneShard {
 #[derive(Clone)]
 pub struct ShardedPlane {
     geom: PlaneGeometry,
-    /// Immutable once built, so clones (one per served snapshot) share it.
+    /// Immutable once built, so clones share it.
     map: Arc<ShardMap>,
     shards: Vec<PlaneShard>,
 }

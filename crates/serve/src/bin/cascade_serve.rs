@@ -34,7 +34,6 @@ struct Args {
     snapshot_every: usize,
     wal_chunk: usize,
     workers: usize,
-    compute_threads: usize,
 }
 
 impl Args {
@@ -53,7 +52,6 @@ impl Args {
             snapshot_every: 4096,
             wal_chunk: 256,
             workers: 2,
-            compute_threads: 1,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -75,7 +73,6 @@ impl Args {
                 "--snapshot-every" => a.snapshot_every = parse(&val("--snapshot-every")?)?,
                 "--wal-chunk" => a.wal_chunk = parse(&val("--wal-chunk")?)?,
                 "--workers" => a.workers = parse(&val("--workers")?)?,
-                "--compute-threads" => a.compute_threads = parse(&val("--compute-threads")?)?,
                 "--help" | "-h" => {
                     print_usage();
                     std::process::exit(0);
@@ -116,8 +113,7 @@ fn print_usage() {
          --snapshot P         durable state snapshot path       (default serve_state.ckpt)\n\
          --snapshot-every N   events between snapshots, 0 = off (default 4096)\n\
          --wal-chunk N        WAL frame / apply unit            (default 256)\n\
-         --workers N          HTTP worker threads               (default 2)\n\
-         --compute-threads N  shard-parallel forward workers    (default 1)\n\n\
+         --workers N          HTTP worker threads               (default 2)\n\n\
          endpoints: POST /predict  {{\"src\", \"dsts\", \"time\"}}\n\
          \u{20}          POST /ingest   {{\"events\": [{{\"src\", \"dst\", \"time\", \"features\"}}]}}\n\
          \u{20}          GET  /stats"
@@ -164,7 +160,6 @@ fn run() -> Result<(), String> {
         ),
         None => println!("loaded parameters from {}", args.load.display()),
     }
-    model.set_compute_threads(args.compute_threads.max(1));
 
     let config = EngineConfig::new(&args.wal, &args.snapshot)
         .with_wal_chunk(args.wal_chunk)

@@ -3,16 +3,25 @@
 //!
 //! # Ownership and concurrency
 //!
-//! Exactly one thread owns an [`Engine`] and with it all memory writes;
-//! predict handlers never touch the live model. Instead, after every
-//! applied ingest request the engine *publishes* an immutable
-//! [`ServeSnapshot`] — a clone of the model (shared parameters, deep
-//! copy of memories/mailboxes/adjacency) plus the feature history —
-//! behind an [`RwLock`]`<Arc<…>>`. Readers hold the lock only long
-//! enough to clone the `Arc`, then score against a frozen state with no
-//! lock held: a reader can never observe a torn mid-batch state, and
-//! ingest never waits for readers. Staleness is bounded by one ingest
-//! request (MSPipe-style bounded staleness, DESIGN.md §11).
+//! Exactly one thread owns an [`Engine`] and with it all memory writes.
+//! The engine holds two copies of the served state — model (parameters
+//! shared, node state its own) plus feature history, a
+//! [`ServeSnapshot`]: the *front*, published behind an
+//! [`RwLock`]`<Arc<…>>`, and the *retired* copy published before it,
+//! together with the WAL frames the front has and it lacks. Readers
+//! hold the lock only long enough to clone the front's `Arc`, then
+//! score against a frozen state with no lock held: a reader can never
+//! observe a torn mid-batch state, and ingest never waits for readers.
+//! Staleness is bounded by one ingest request (MSPipe-style bounded
+//! staleness, DESIGN.md §11).
+//!
+//! An ingest request reclaims the retired copy ([`Arc::try_unwrap`]),
+//! re-applies the frames it lacks from their write-back tickets,
+//! applies its own frames, and publishes the copy as the new front: a
+//! request costs O(its batch), not O(the model). Only when a reader
+//! still holds the retired copy does the engine clone the front
+//! instead; so does the first request after [`Engine::open`], which has
+//! no second copy yet. `/stats` counts each clone as `publish_copies`.
 //!
 //! # Durability
 //!
@@ -30,8 +39,8 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError, RwLock};
 
-use cascade_models::MemoryTgnn;
-use cascade_tgraph::{EdgeFeatures, Event};
+use cascade_models::{BatchPending, MemoryTgnn};
+use cascade_tgraph::{EdgeFeatures, Event, EventId};
 
 use crate::error::ServeError;
 use crate::persist;
@@ -82,8 +91,10 @@ impl EngineConfig {
 }
 
 /// An immutable published state readers score against.
+#[derive(Clone)]
 pub struct ServeSnapshot {
-    /// Frozen model: shared parameters, deep-copied mutable state.
+    /// Frozen model: parameters shared with every copy, node state its
+    /// own.
     pub model: MemoryTgnn,
     /// Feature history aligned with the model's adjacency event ids.
     pub feats: EdgeFeatures,
@@ -138,14 +149,25 @@ pub struct IngestAck {
     pub total_acked: usize,
 }
 
+/// One applied WAL frame, kept until the retired copy has it too.
+struct Frame {
+    events: Vec<Event>,
+    first_id: EventId,
+    rows: Vec<f32>,
+    pending: BatchPending,
+}
+
 /// The single-writer serving engine. See the module docs for the
 /// ownership and durability story.
 pub struct Engine {
-    model: MemoryTgnn,
-    feats: EdgeFeatures,
+    /// The published copy: every acked frame applied.
+    front: Arc<ServeSnapshot>,
+    /// The copy published before `front` (none until the first ingest).
+    retired: Option<Arc<ServeSnapshot>>,
+    /// The frames `front` has and `retired` lacks, in apply order.
+    behind: Vec<Frame>,
     wal: cascade_store::ChunkWriter,
     frame_unit: usize,
-    applied: usize,
     last_time: f64,
     since_snapshot: usize,
     config: EngineConfig,
@@ -210,9 +232,10 @@ impl Engine {
                 // Tail beyond the snapshot: re-apply with the original
                 // frame as the batch — boundaries preserved, so the
                 // mailbox consumption pattern (and therefore every
-                // memory bit) matches the uninterrupted run.
-                let fwd = model.forward_batch(&frame.events, applied, &feats);
-                model.apply_batch(&frame.events, applied, &feats, fwd.pending);
+                // memory bit) matches the uninterrupted run. Same
+                // state-only advance as a live ingest.
+                let pending = model.pending_batch(&frame.events);
+                model.apply_batch(&frame.events, applied, &feats, pending);
             } else {
                 return Err(ServeError::ShapeMismatch(format!(
                     "snapshot watermark {} falls inside a WAL frame ({}..{}); \
@@ -225,12 +248,13 @@ impl Engine {
             applied += n;
         }
 
+        let front = Arc::new(ServeSnapshot {
+            model,
+            feats,
+            events: applied,
+        });
         let shared = Arc::new(SharedState {
-            snapshot: RwLock::new(Arc::new(ServeSnapshot {
-                model: model.clone(),
-                feats: feats.clone(),
-                events: applied,
-            })),
+            snapshot: RwLock::new(front.clone()),
             stats: Stats::default(),
         });
         shared
@@ -242,10 +266,10 @@ impl Engine {
             .events_published
             .store(applied as u64, Ordering::Relaxed);
         Ok(Engine {
-            model,
-            feats,
+            front,
+            retired: None,
+            behind: Vec::new(),
             frame_unit: wal.chunk_size,
-            applied,
             last_time,
             since_snapshot: 0,
             shared,
@@ -271,17 +295,17 @@ impl Engine {
 
     /// Events durably applied so far.
     pub fn applied(&self) -> usize {
-        self.applied
+        self.front.events
     }
 
     /// The serialized model state (for bit-identity checks in tests and
     /// tooling).
     pub fn export_state(&self) -> Vec<u8> {
-        self.model.export_state()
+        self.front.model.export_state()
     }
 
-    /// Durably writes, then acks, then applies `events` to the live
-    /// model, and publishes a fresh read snapshot.
+    /// Durably writes, then acks, then applies `events`, and publishes
+    /// the result as the new read snapshot.
     ///
     /// The request is split into sub-batches of at most the WAL frame
     /// unit; each sub-batch is synced to the log *before* it touches
@@ -294,12 +318,14 @@ impl Engine {
     /// [`ServeError::BadRequest`] for structural problems (out-of-range
     /// nodes, wrong feature width, time regressions) — the log and
     /// model are untouched in that case — and [`ServeError::Wal`] /
-    /// [`ServeError::Snapshot`] for persistence failures.
+    /// [`ServeError::Snapshot`] for persistence failures. Frames synced
+    /// before a WAL failure are applied and published all the same, so
+    /// the served state never falls behind the log.
     pub fn ingest(&mut self, events: &[Event], features: &[f32]) -> Result<IngestAck, ServeError> {
         if events.is_empty() {
             return Err(ServeError::BadRequest("empty ingest batch".to_string()));
         }
-        let dim = self.model.edge_feat_dim();
+        let dim = self.front.model.edge_feat_dim();
         if features.len() != events.len() * dim {
             return Err(ServeError::BadRequest(format!(
                 "{} feature values for {} events of width {}",
@@ -308,7 +334,7 @@ impl Engine {
                 dim
             )));
         }
-        let num_nodes = self.model.num_nodes();
+        let num_nodes = self.front.model.num_nodes();
         let mut prev = self.last_time;
         for (i, e) in events.iter().enumerate() {
             if e.src.index() >= num_nodes || e.dst.index() >= num_nodes {
@@ -326,6 +352,77 @@ impl Engine {
             prev = e.time;
         }
 
+        // The working copy is owned here, not inside the frame loop, so
+        // no early return from the loop can drop it: whatever was synced
+        // is installed before an error surfaces.
+        let mut work = self.reclaim();
+        let appended = self.append(&mut work, events, features);
+        self.install(work);
+        appended?;
+
+        if self.config.snapshot_every > 0 && self.since_snapshot >= self.config.snapshot_every {
+            self.snapshot_now()?;
+        }
+        Ok(IngestAck {
+            acked: events.len(),
+            total_acked: self.front.events,
+        })
+    }
+
+    /// Forces a durable state snapshot at the current watermark.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Snapshot`] on checkpoint failures.
+    pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
+        persist::save_snapshot(
+            &self.front.model,
+            &self.config.snapshot_path,
+            self.front.events as u64,
+        )?;
+        self.since_snapshot = 0;
+        self.shared
+            .stats
+            .snapshots_written
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// A private copy equal to the front: the retired copy with the
+    /// frames it lacks re-applied from their tickets when no reader
+    /// holds it (no second updater pass), a clone of the front when one
+    /// does.
+    fn reclaim(&mut self) -> ServeSnapshot {
+        let behind = std::mem::take(&mut self.behind);
+        match self.retired.take().map(Arc::try_unwrap) {
+            Some(Ok(mut work)) => {
+                for f in behind {
+                    work.feats.push_rows(&f.rows);
+                    work.model
+                        .apply_batch(&f.events, f.first_id, &work.feats, f.pending);
+                }
+                work.events = self.front.events;
+                work
+            }
+            _ => {
+                self.shared
+                    .stats
+                    .publish_copies
+                    .fetch_add(1, Ordering::Relaxed);
+                (*self.front).clone()
+            }
+        }
+    }
+
+    /// Frames, syncs and applies `events` to `work` one WAL frame at a
+    /// time, recording each frame for the copy that lacks it.
+    fn append(
+        &mut self,
+        work: &mut ServeSnapshot,
+        events: &[Event],
+        features: &[f32],
+    ) -> Result<(), ServeError> {
+        let dim = work.model.edge_feat_dim();
         let mut done = 0usize;
         while done < events.len() {
             let n = (events.len() - done).min(self.frame_unit);
@@ -341,50 +438,37 @@ impl Engine {
                 .stats
                 .events_acked
                 .store(acked as u64, Ordering::Relaxed);
-            self.feats.push_rows(rows);
-            let fwd = self.model.forward_batch(sub, self.applied, &self.feats);
-            self.model
-                .apply_batch(sub, self.applied, &self.feats, fwd.pending);
-            self.applied += n;
+            let first_id = work.events;
+            work.feats.push_rows(rows);
+            let pending = work.model.pending_batch(sub);
+            work.model
+                .apply_batch(sub, first_id, &work.feats, pending.clone());
+            work.events += n;
+            self.behind.push(Frame {
+                events: sub.to_vec(),
+                first_id,
+                rows: rows.to_vec(),
+                pending,
+            });
+            self.last_time = sub[n - 1].time;
             self.since_snapshot += n;
             done += n;
         }
-        self.last_time = prev;
-        self.publish();
-
-        if self.config.snapshot_every > 0 && self.since_snapshot >= self.config.snapshot_every {
-            self.snapshot_now()?;
-        }
-        Ok(IngestAck {
-            acked: events.len(),
-            total_acked: self.applied,
-        })
-    }
-
-    /// Forces a durable state snapshot at the current watermark.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Snapshot`] on checkpoint failures.
-    pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
-        persist::save_snapshot(&self.model, &self.config.snapshot_path, self.applied as u64)?;
-        self.since_snapshot = 0;
-        self.shared
-            .stats
-            .snapshots_written
-            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    fn publish(&self) {
-        self.shared.publish(Arc::new(ServeSnapshot {
-            model: self.model.clone(),
-            feats: self.feats.clone(),
-            events: self.applied,
-        }));
+    /// Publishes `work` as the front; the old front becomes the retired
+    /// copy, lacking exactly the frames recorded since [`reclaim`].
+    ///
+    /// [`reclaim`]: Engine::reclaim
+    fn install(&mut self, work: ServeSnapshot) {
+        let events = work.events;
+        let front = Arc::new(work);
+        self.shared.publish(front.clone());
+        self.retired = Some(std::mem::replace(&mut self.front, front));
         self.shared
             .stats
             .events_published
-            .store(self.applied as u64, Ordering::Relaxed);
+            .store(events as u64, Ordering::Relaxed);
     }
 }

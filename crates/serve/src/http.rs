@@ -14,7 +14,11 @@ use std::net::TcpStream;
 /// Longest accepted request body, in bytes (a 16 MiB ingest batch).
 pub const MAX_BODY: usize = 16 << 20;
 /// Most headers accepted per request.
-const MAX_HEADERS: usize = 64;
+pub const MAX_HEADERS: usize = 64;
+/// Longest accepted request or header line, in bytes, its `\n`
+/// included: a client that never ends a line costs a worker at most
+/// this much buffer.
+pub const MAX_LINE: usize = 8 << 10;
 
 /// One parsed request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,12 +72,13 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// boundary (the normal end of a keep-alive connection) and
 /// [`HttpError::Idle`] when a read timeout fires there — poll again.
 /// Everything else is a real error: [`HttpError::Malformed`] for
-/// protocol violations (including a timeout mid-request),
+/// protocol violations (including a timeout mid-request, a line longer
+/// than [`MAX_LINE`] and more than [`MAX_HEADERS`] headers),
 /// [`HttpError::TooLarge`] for oversized bodies, [`HttpError::Io`] for
 /// transport failures.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpError> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
+    let mut line = Vec::new();
+    match read_line(reader, &mut line) {
         Ok(0) => return Err(HttpError::Closed),
         Ok(_) => {}
         Err(e) if is_timeout(&e) && line.is_empty() => return Err(HttpError::Idle),
@@ -82,7 +87,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
         }
         Err(e) => return Err(HttpError::Io(e)),
     }
-    let line = line.trim_end();
+    let line = decode_line(&line)?;
     let mut parts = line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/1.") => {
@@ -99,9 +104,10 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
     let mut keep_alive = version != "HTTP/1.0";
 
     let mut content_length = 0usize;
-    for _ in 0..MAX_HEADERS {
-        let mut header = String::new();
-        match reader.read_line(&mut header) {
+    // Up to MAX_HEADERS header lines, then the blank line ending them.
+    for _ in 0..=MAX_HEADERS {
+        let mut header = Vec::new();
+        match read_line(reader, &mut header) {
             Ok(0) => return Err(HttpError::Malformed("eof inside headers".to_string())),
             Ok(_) => {}
             Err(e) if is_timeout(&e) => {
@@ -109,7 +115,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
             }
             Err(e) => return Err(HttpError::Io(e)),
         }
-        let header = header.trim_end();
+        let header = decode_line(&header)?;
         if header.is_empty() {
             if content_length > MAX_BODY {
                 return Err(HttpError::TooLarge(content_length));
@@ -140,6 +146,29 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
         }
     }
     Err(HttpError::Malformed("too many headers".to_string()))
+}
+
+/// Reads one `\n`-terminated line into `line`, buffering at most
+/// [`MAX_LINE`] bytes of it.
+fn read_line(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>) -> std::io::Result<usize> {
+    reader
+        .by_ref()
+        .take(MAX_LINE as u64)
+        .read_until(b'\n', line)
+}
+
+/// A line [`read_line`] returned, as text without its line ending;
+/// refused when it filled [`MAX_LINE`] without ending or is not UTF-8.
+fn decode_line(line: &[u8]) -> Result<&str, HttpError> {
+    if line.len() >= MAX_LINE && line.last() != Some(&b'\n') {
+        return Err(HttpError::Malformed(format!(
+            "line longer than {} bytes",
+            MAX_LINE
+        )));
+    }
+    std::str::from_utf8(line)
+        .map(str::trim_end)
+        .map_err(|_| HttpError::Malformed("line is not UTF-8".to_string()))
 }
 
 fn read_exact_with_timeout(

@@ -227,8 +227,8 @@ mod tests {
         let mut feats = EdgeFeatures::zeros(2, 2);
         feats.set_row(0, &[0.5, -0.5]);
         feats.set_row(1, &[1.0, 0.25]);
-        let fwd = trained.forward_batch(&events, 0, &feats);
-        trained.apply_batch(&events, 0, &feats, fwd.pending);
+        let pending = trained.pending_batch(&events);
+        trained.apply_batch(&events, 0, &feats, pending);
 
         // …and `cascade_dist --save` writes what `save_snapshot` writes;
         // the server boots from it with a plain one-shard model.

@@ -88,7 +88,8 @@ pub fn parse_predict(body: &str) -> Result<PredictRequest, ServeError> {
 /// Parses an `/ingest` body against the model's `feature_dim`.
 ///
 /// Every event must carry a `features` array of exactly `feature_dim`
-/// floats (omitted entirely when the model was trained featureless).
+/// floats, each finite as an `f32` (omitted entirely when the model was
+/// trained featureless).
 ///
 /// # Errors
 ///
@@ -103,7 +104,10 @@ pub fn parse_ingest(body: &str, feature_dim: usize) -> Result<IngestRequest, Ser
         return Err(bad("'events' must hold at least one event"));
     }
     let mut events = Vec::with_capacity(events_json.len());
-    let mut features = Vec::with_capacity(events_json.len() * feature_dim);
+    // Every feature value takes at least two body bytes ("0,"), so the
+    // reservation never exceeds what the client actually sent — however
+    // many empty events it claims.
+    let mut features = Vec::with_capacity((events_json.len() * feature_dim).min(body.len() / 2));
     for (i, e) in events_json.iter().enumerate() {
         let src = field_u32(e, "src").map_err(|err| bad(format!("event {}: {}", i, err)))?;
         let dst = field_u32(e, "dst").map_err(|err| bad(format!("event {}: {}", i, err)))?;
@@ -124,8 +128,14 @@ pub fn parse_ingest(body: &str, feature_dim: usize) -> Result<IngestRequest, Ser
                 for v in row {
                     let x = v
                         .as_f64()
-                        .ok_or_else(|| bad(format!("event {}: non-numeric feature", i)))?;
-                    features.push(x as f32);
+                        .ok_or_else(|| bad(format!("event {}: non-numeric feature", i)))?
+                        as f32;
+                    // One infinite feature would poison every memory it
+                    // reaches, for good.
+                    if !x.is_finite() {
+                        return Err(bad(format!("event {}: feature overflows f32", i)));
+                    }
+                    features.push(x);
                 }
             }
             None => {
@@ -228,6 +238,51 @@ mod tests {
             parse_ingest(no_feats, 2),
             Err(ServeError::BadRequest(_))
         ));
+    }
+
+    /// `check_decoder` over the two JSON bodies, decoding through
+    /// `from_utf8` and the parser the server runs. JSON has many
+    /// spellings of one request, so there is no canonical re-encoding to
+    /// compare: a decoded request hands back its input once its own
+    /// invariants hold, and the battery checks that every prefix, huge
+    /// value and bit flip is a typed refusal or such a request, never a
+    /// panic.
+    #[test]
+    fn json_bodies_survive_the_hostile_input_battery() {
+        let ingest = r#"{"events":[{"src":3,"dst":5,"time":17.25,"features":[0.5,-1.25]},{"src":0,"dst":9,"time":18,"features":[2,0]}]}"#;
+        cascade_util::check_decoder("serve ingest body", ingest.as_bytes(), |bytes| {
+            let req = parse_ingest(std::str::from_utf8(bytes).ok()?, 2).ok()?;
+            assert!(!req.events.is_empty());
+            assert_eq!(req.features.len(), req.events.len() * 2);
+            assert!(req.events.iter().all(|e| e.time.is_finite()));
+            assert!(req.features.iter().all(|x| x.is_finite()));
+            Some(bytes.to_vec())
+        });
+        let predict = r#"{"src":3,"dsts":[1,2,7],"time":42.5}"#;
+        cascade_util::check_decoder("serve predict body", predict.as_bytes(), |bytes| {
+            let req = parse_predict(std::str::from_utf8(bytes).ok()?).ok()?;
+            assert!(!req.dsts.is_empty());
+            assert!(req.time.is_finite());
+            Some(bytes.to_vec())
+        });
+    }
+
+    #[test]
+    fn ingest_refuses_features_that_overflow_f32() {
+        for value in ["1e39", "-4e38", "1e309"] {
+            let body = format!(
+                r#"{{"events": [{{"src": 0, "dst": 1, "time": 1.0, "features": [0.5, {}]}}]}}"#,
+                value
+            );
+            assert!(
+                matches!(parse_ingest(&body, 2), Err(ServeError::BadRequest(_))),
+                "should reject feature {}",
+                value
+            );
+        }
+        let edge =
+            r#"{"events": [{"src": 0, "dst": 1, "time": 1.0, "features": [3.4e38, -3.4e38]}]}"#;
+        assert!(parse_ingest(edge, 2).is_ok(), "f32::MAX range is finite");
     }
 
     #[test]

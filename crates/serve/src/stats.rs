@@ -132,6 +132,10 @@ pub struct Stats {
     pub ingest_requests: AtomicU64,
     /// Durable state snapshots written.
     pub snapshots_written: AtomicU64,
+    /// Ingest requests that deep-copied the published state because a
+    /// reader still held the copy they would have reused (and the first
+    /// request after start, which has no second copy yet).
+    pub publish_copies: AtomicU64,
     /// `/predict` end-to-end handler latency.
     pub predict_latency: LatencyHistogram,
     /// `/ingest` end-to-end handler latency (includes fsync + apply).
@@ -164,6 +168,7 @@ impl Stats {
                 "snapshots_written".to_string(),
                 load(&self.snapshots_written),
             ),
+            ("publish_copies".to_string(), load(&self.publish_copies)),
             (
                 "predict_latency".to_string(),
                 self.predict_latency.to_json(),
@@ -216,6 +221,7 @@ mod tests {
         s.predict_latency.record(500);
         let j = s.to_json();
         assert!(j.get("staleness_lag").is_some());
+        assert_eq!(j.get("publish_copies").and_then(Json::as_usize), Some(0));
         let p = j.get("predict_latency").expect("predict_latency present");
         assert_eq!(p.get("count").and_then(Json::as_usize), Some(1));
         assert!(p.get("p99_ms").and_then(Json::as_f64).is_some());

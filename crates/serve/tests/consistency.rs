@@ -199,3 +199,61 @@ fn old_snapshots_stay_valid_after_further_ingest() {
     assert_eq!(shared.snapshot().events, 16);
     std::fs::remove_file(&wal).ok();
 }
+
+/// The engine keeps two copies and writes the one published before the
+/// current: a reader still holding that copy makes the engine clone the
+/// front instead, and once the reader lets go the copy is reused again.
+/// Every published state, down either path, scores like the offline
+/// reference.
+#[test]
+fn a_held_retired_snapshot_forces_one_copy_then_reuse_resumes() {
+    const PER: usize = 8;
+    const FRAME: usize = 4;
+    let wal = tmp("reuse.wal");
+    let snap = tmp("reuse.ckpt");
+    let expected = expected_scores(6 * PER, PER, FRAME);
+
+    let mut engine = Engine::open(
+        base_model(),
+        EngineConfig::new(&wal, &snap).with_wal_chunk(FRAME),
+    )
+    .unwrap();
+    let shared = engine.shared();
+    let copies = || shared.stats.publish_copies.load(Ordering::Relaxed);
+    let mut at = 0;
+    let mut ingest = |engine: &mut Engine| {
+        let (events, feats) = batch(at..at + PER);
+        engine.ingest(&events, &feats).unwrap();
+        at += PER;
+        let front = shared.snapshot();
+        assert_eq!(front.events, at);
+        assert_eq!(
+            query(&front.model, &front.feats),
+            expected[&at],
+            "served != offline at {}",
+            at
+        );
+    };
+
+    // The first request has no second copy yet.
+    ingest(&mut engine);
+    assert_eq!(copies(), 1);
+    let held = shared.snapshot();
+    let frozen = query(&held.model, &held.feats);
+
+    // Next request: the copy published before `held` is free — reused.
+    ingest(&mut engine);
+    assert_eq!(copies(), 1, "a free retired copy is reused, not cloned");
+    // Now `held` is the retired copy, and a reader has it.
+    ingest(&mut engine);
+    assert_eq!(copies(), 2, "a held retired copy falls back to a clone");
+    assert_eq!(held.events, PER);
+    assert_eq!(query(&held.model, &held.feats), frozen, "held state moved");
+
+    drop(held);
+    for _ in 0..3 {
+        ingest(&mut engine);
+    }
+    assert_eq!(copies(), 2, "reuse resumes once the reader lets go");
+    std::fs::remove_file(&wal).ok();
+}

@@ -6,7 +6,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 use cascade_models::{MemoryTgnn, ModelConfig};
-use cascade_serve::{Engine, EngineConfig, Server};
+use cascade_serve::{Engine, EngineConfig, Server, MAX_BODY, MAX_HEADERS, MAX_LINE};
 use cascade_util::Json;
 
 const NODES: usize = 8;
@@ -79,6 +79,17 @@ fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> 
     let mut stream = TcpStream::connect(addr).unwrap();
     send_request(&mut stream, method, path, body);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
+    read_response(&mut reader)
+}
+
+/// Sends `raw` unchanged on a fresh connection and reads the response.
+/// Each refusal below is pinned with input the server reads to its last
+/// byte before refusing: closing a socket with unread input resets the
+/// connection, which could discard the response in flight.
+fn raw_request(addr: std::net::SocketAddr, raw: &[u8]) -> (u16, Json) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(raw).unwrap();
+    let mut reader = BufReader::new(stream);
     read_response(&mut reader)
 }
 
@@ -259,6 +270,64 @@ fn restart_from_wal_serves_identical_scores() {
     assert_eq!(status, 200);
     assert_eq!(body.get("total_acked").and_then(Json::as_usize), Some(14));
 
+    server.shutdown();
+    std::fs::remove_file(&wal).ok();
+}
+
+#[test]
+fn request_framing_limits_hold_over_the_socket() {
+    let wal = tmp("framing.wal");
+    let snap = tmp("framing.ckpt");
+    let server = start_server(&wal, &snap);
+    let addr = server.addr();
+    let padded = |prefix: &str, len: usize| {
+        let mut line = prefix.as_bytes().to_vec();
+        line.resize(len, b'a');
+        line
+    };
+
+    // A request line or header line that fills MAX_LINE without ending
+    // is refused at the cap — not later, when the read times out.
+    let mut long_header = b"GET /stats HTTP/1.1\r\n".to_vec();
+    long_header.extend(padded("x-long: ", MAX_LINE));
+    for raw in [padded("GET /", MAX_LINE), long_header] {
+        let (status, body) = raw_request(addr, &raw);
+        assert_eq!(status, 400);
+        assert!(body.to_string().contains("longer than"), "{}", body);
+    }
+    // A header of exactly MAX_LINE bytes, CRLF included, is a line.
+    let mut full_header = b"GET /stats HTTP/1.1\r\n".to_vec();
+    full_header.extend(padded("x-full: ", MAX_LINE - 2));
+    full_header.extend(b"\r\n\r\n");
+    assert_eq!(raw_request(addr, &full_header).0, 200);
+
+    // MAX_HEADERS headers are accepted, one more is refused (before the
+    // blank line would be read, so none is sent).
+    let headers = |n: usize| {
+        (0..n)
+            .map(|i| format!("x-h{}: v\r\n", i))
+            .collect::<String>()
+    };
+    let at_cap = format!("GET /stats HTTP/1.1\r\n{}\r\n", headers(MAX_HEADERS));
+    assert_eq!(raw_request(addr, at_cap.as_bytes()).0, 200);
+    let over_cap = format!("GET /stats HTTP/1.1\r\n{}", headers(MAX_HEADERS + 1));
+    let (status, body) = raw_request(addr, over_cap.as_bytes());
+    assert_eq!(status, 400);
+    assert!(body.to_string().contains("too many headers"), "{}", body);
+
+    // A body one byte over MAX_BODY is refused from its declared length.
+    let too_large = format!(
+        "POST /ingest HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        MAX_BODY + 1
+    );
+    let (status, body) = raw_request(addr, too_large.as_bytes());
+    assert_eq!(status, 400);
+    assert!(body.to_string().contains("exceeds the limit"), "{}", body);
+
+    // None of it reached the engine, and the server still serves.
+    let (status, stats) = request(addr, "GET", "/stats", "");
+    assert_eq!(status, 200);
+    assert_eq!(stats.get("events_acked").and_then(Json::as_usize), Some(0));
     server.shutdown();
     std::fs::remove_file(&wal).ok();
 }

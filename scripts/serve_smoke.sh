@@ -64,7 +64,12 @@ req POST /ingest "$(ingest_body 6 6)" | grep -q '"total_acked":12'
 PREDICT='{"src": 1, "dsts": [2, 3], "time": 100.0}'
 BEFORE="$(req POST /predict "$PREDICT")"
 echo "$BEFORE" | grep -q '"snapshot_events":12'
-req GET /stats | grep -q '"events_acked":12'
+STATS="$(req GET /stats)"
+echo "$STATS" | grep -q '"events_acked":12'
+echo "$STATS" | grep -q '"publish_copies":[0-9]' || {
+  echo "serve_smoke: /stats lacks publish_copies: $STATS"
+  exit 1
+}
 
 # Error paths stay typed (non-200, hence raw curl without -f).
 [ "$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/predict" -d 'not json')" = 400 ]
