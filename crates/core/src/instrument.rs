@@ -129,9 +129,6 @@ pub struct SpaceBreakdown {
     pub mailbox: usize,
     /// Node memory matrix.
     pub memory: usize,
-    /// Shards the memory plane is partitioned into (1 = monolithic).
-    /// A count, not a byte term — excluded from [`total`](Self::total).
-    pub plane_shards: usize,
 }
 
 impl SpaceBreakdown {
@@ -184,11 +181,10 @@ mod tests {
             model: 10,
             mailbox: 3,
             memory: 2,
-            plane_shards: 4,
         };
         let sum: f64 = s.fractions().iter().map(|(_, f)| f).sum();
         assert!((sum - 1.0).abs() < 1e-9);
-        assert_eq!(s.total(), 100, "shard count is telemetry, not bytes");
+        assert_eq!(s.total(), 100);
     }
 
     #[test]

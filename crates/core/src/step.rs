@@ -300,7 +300,6 @@ impl TrainStep {
             model: model.parameter_count() * std::mem::size_of::<f32>(),
             mailbox: model.mailbox_size_bytes(),
             memory: model.memory_size_bytes(),
-            plane_shards: model.plane().num_shards(),
         };
 
         TrainReport {

@@ -1,4 +1,4 @@
-//! `cascade-dist`: shard-partitioned data-parallel TGNN training.
+//! `cascade-dist`: data-parallel TGNN training.
 //!
 //! ```text
 //! cascade_dist --workers 2 --epochs 2                    # in-process threads
@@ -90,11 +90,11 @@ fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 
 fn print_usage() {
     eprintln!(
-        "cascade-dist: shard-partitioned data-parallel TGNN training\n\n\
+        "cascade-dist: data-parallel TGNN training\n\n\
          --mode M       inproc|leader|follower            (default inproc)\n\
          --dataset D    wiki|reddit|mooc                  (default wiki)\n\
          --model M      jodie|tgn|apan|dysat|tgat         (default tgn)\n\
-         --workers N    worker (= shard) count            (default 2)\n\
+         --workers N    worker count                      (default 2)\n\
          --worker N     this follower's index, 1..N       (follower mode)\n\
          --epochs N --batch N --chunk N --dim N --lr F\n\
          --scale F      synth dataset scale               (default 0.01)\n\

@@ -17,11 +17,11 @@ use cascade_tensor::Tensor;
 /// One worker's gradients, one entry per parameter in
 /// `model.parameters()` order; `None` where the backward pass left no
 /// gradient (unused parameter).
-pub type GradSet = Vec<Option<Vec<f32>>>;
+pub(crate) type GradSet = Vec<Option<Vec<f32>>>;
 
 /// Copies the current gradients out of `params` (after `backward()`,
 /// before any optimizer step clears them).
-pub fn collect_grads(params: &[Tensor]) -> GradSet {
+pub(crate) fn collect_grads(params: &[Tensor]) -> GradSet {
     params.iter().map(|p| p.grad()).collect()
 }
 
@@ -37,7 +37,7 @@ pub fn collect_grads(params: &[Tensor]) -> GradSet {
 ///
 /// Panics if `contributions` is empty or two contributions disagree on
 /// a parameter's length.
-pub fn all_reduce(contributions: &[&GradSet]) -> GradSet {
+pub(crate) fn all_reduce(contributions: &[&GradSet]) -> GradSet {
     assert!(!contributions.is_empty(), "all_reduce over zero workers");
     if contributions.len() == 1 {
         return contributions[0].clone();
@@ -89,7 +89,7 @@ pub fn all_reduce(contributions: &[&GradSet]) -> GradSet {
 /// # Panics
 ///
 /// Panics if `reduced` and `params` disagree in length.
-pub fn install_grads(params: &[Tensor], reduced: &GradSet) {
+pub(crate) fn install_grads(params: &[Tensor], reduced: &GradSet) {
     assert_eq!(
         params.len(),
         reduced.len(),

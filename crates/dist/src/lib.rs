@@ -1,14 +1,12 @@
-//! `cascade-dist`: shard-partitioned data-parallel training for the
-//! Cascade TGNN stack.
+//! `cascade-dist`: data-parallel training for the Cascade TGNN stack.
 //!
-//! The crate implements the "memory plane" half of distributed TGNN
-//! training (DESIGN.md §12): node memory, mailboxes, and adjacency are
-//! partitioned over N shards by the workspace-wide
-//! [`ShardMap`](cascade_tgraph::ShardMap) hash, and N workers — threads
-//! over one [`SharedPlane`], or processes over the TCP transport — each
-//! own one shard, stream their round-robin partition of the CEVT chunk
-//! stream, and exchange gradients through a deterministic
-//! worker-index-ordered all-reduce.
+//! N workers — threads in one process, or processes over the TCP
+//! transport — each hold a full parameter replica and a full memory
+//! plane (DESIGN.md §12), stream their round-robin partition of the
+//! chunk stream, exchange gradients through a deterministic
+//! worker-index-ordered all-reduce, and apply every worker's memory
+//! writes in the same order, so every replica's node state stays equal
+//! without any of it being shared.
 //!
 //! Determinism contract:
 //!
@@ -26,14 +24,11 @@
 #![warn(missing_docs)]
 
 mod grad;
-mod plane;
 mod round;
 mod runtime;
 mod stats;
 mod tcp;
 
-pub use grad::{all_reduce, collect_grads, install_grads, GradSet};
-pub use plane::SharedPlane;
 pub use round::{Frame, RoundPayload, WireError};
 pub use runtime::{train_dist, BatchRecord, DistConfig, DistOutcome};
 pub use stats::{DistReport, RunClock};

@@ -1,33 +1,31 @@
 //! The dist runtime: the one [`Replica`] both transports drive, and the
-//! in-process transport — N worker threads training one model over a
-//! shared, sharded memory plane.
+//! in-process transport — N worker threads, each a full replica over its
+//! own memory plane, sharing nothing but a board of round payloads.
 //!
 //! # Round protocol
 //!
-//! Training proceeds in synchronous rounds. Worker `w` owns memory
-//! shard `w` and streams only the chunks `PartitionedSource` routes to
-//! it (`chunk.index % N == w`). Each round:
+//! Training proceeds in synchronous rounds. Worker `w` streams only the
+//! chunks `PartitionedSource` routes to it (`chunk.index % N == w`).
+//! Each round:
 //!
 //! 1. **Compute** — every worker with remaining events runs the train
 //!    step's forward and backward pass (`TrainStep::compute`) on its
-//!    next batch against its own full parameter replica, then publishes
-//!    a [`RoundPayload`] (batch, write-back ticket, gradients) into its
-//!    slot. *Barrier.*
-//! 2. **Reduce** — every worker reads all payloads, performs the same
+//!    next batch against its own replica, then publishes a
+//!    [`RoundPayload`] (batch, write-back ticket, gradients).
+//! 2. **Reduce** — every replica takes all payloads, performs the same
 //!    worker-index-ordered [`all_reduce`], installs the reduced
 //!    gradients and runs the step's clip + optimizer half
 //!    (`TrainStep::optimize`). Replicas were seeded identically and
 //!    receive identical updates, so parameters stay bit-identical
 //!    across workers without ever being exchanged.
-//! 3. **Phase A (write-backs)** — every worker applies *all* payloads'
-//!    memory write-backs and mailbox clears, filtered to the nodes its
-//!    shard owns, in worker-index payload order. Each write lands
-//!    exactly once, on its owner. *Barrier.*
-//! 4. **Phase B (messages)** — every worker applies all payloads'
-//!    message generation and adjacency registration, again filtered by
-//!    ownership. Message content reads both endpoints' memories, which
-//!    is why phase A must complete globally first. *Barrier.*
-//! 5. Each worker closes the step (`TrainStep::close`: the arena trim,
+//! 3. **Apply** — every replica applies *all* payloads' memory
+//!    write-backs and mailbox clears, then all payloads' message
+//!    generation and adjacency registration, in worker-index payload
+//!    order. Message content reads both endpoints' memories, which is
+//!    why every write-back lands first. Every replica runs the same
+//!    write sequence on the same state, so node state stays equal
+//!    across replicas without ever being exchanged either.
+//! 4. Each replica closes the step (`TrainStep::close`: the arena trim,
 //!    then its own batch's graph drops) and records every payload.
 //!
 //! With `N == 1` the protocol degenerates to exactly the serial loop
@@ -41,22 +39,21 @@
 //! gradients are averaged rather than applied sequentially. See
 //! DESIGN.md §12.
 
-use std::sync::{Barrier, RwLock};
+use std::sync::{Arc, Barrier, RwLock};
 
 use cascade_core::{TrainConfig, TrainStep};
-use cascade_models::{MemoryTgnn, ModelConfig, PlaneGeometry};
+use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_tensor::Tensor;
 use cascade_tgraph::{Dataset, Event, EventChunk, EventSource, InMemorySource, PartitionedSource};
 
 use crate::grad::{all_reduce, collect_grads, install_grads, GradSet};
-use crate::plane::SharedPlane;
 use crate::round::RoundPayload;
 use crate::stats::DistReport;
 
 /// Configuration of a dist training run.
 #[derive(Clone, Debug)]
 pub struct DistConfig {
-    /// Worker thread (= memory shard) count.
+    /// Worker count.
     pub workers: usize,
     /// Events per streamed chunk; must be a multiple of `batch_size` so
     /// batches never straddle chunk (= ownership) boundaries.
@@ -147,7 +144,7 @@ pub struct DistOutcome {
     /// Run telemetry.
     pub report: DistReport,
     /// Final model state (`MemoryTgnn::export_state` of worker 0 —
-    /// parameters are replica-identical and the plane is shared, so
+    /// every replica applied the same updates and the same writes, so
     /// this is *the* model).
     pub state: Vec<u8>,
     /// Final optimizer state (worker 0's, replica-identical).
@@ -201,6 +198,9 @@ impl BatchCutter {
 /// only in how a round's payloads reach every replica, so their apply
 /// schedules cannot drift apart.
 ///
+/// Each replica builds its own model from the shared configuration and
+/// seed, so parameters and node state start equal everywhere.
+///
 /// A payload carries no feature rows: every participant holds the
 /// dataset's full feature table, and needs all of it — neighbor
 /// embedding reads the rows of arbitrary *earlier* events (whichever
@@ -221,14 +221,18 @@ pub(crate) struct Replica<'a> {
 }
 
 impl<'a> Replica<'a> {
-    /// `model` is this worker's parameter replica over whatever plane
-    /// its transport trains against.
     pub(crate) fn new(
         worker: usize,
         data: &'a Dataset,
-        mut model: MemoryTgnn,
+        model_cfg: &ModelConfig,
         cfg: &'a DistConfig,
     ) -> Self {
+        let mut model = MemoryTgnn::new(
+            model_cfg.clone(),
+            data.num_nodes(),
+            data.features().dim(),
+            cfg.seed,
+        );
         let source = PartitionedSource::new(
             InMemorySource::from_dataset(data, cfg.chunk_size),
             worker,
@@ -286,7 +290,7 @@ impl<'a> Replica<'a> {
     /// # Errors
     ///
     /// Names the first field that does not fit.
-    pub(crate) fn check(&self, round: &[Option<RoundPayload>]) -> Result<(), String> {
+    pub(crate) fn check(&self, round: &[Option<Arc<RoundPayload>>]) -> Result<(), String> {
         if round.len() != self.cfg.workers {
             return Err(format!(
                 "round bundle holds {} slots for {} workers",
@@ -346,17 +350,10 @@ impl<'a> Replica<'a> {
         Ok(())
     }
 
-    /// Applies one round: all-reduce, the step's optimizer half, then the
-    /// two fenced apply phases and the step's close. `shard = Some(w)`
-    /// applies only shard `w`'s writes and waits on `fence` after each
-    /// phase (in process: the plane is shared); `None`/`None` applies
-    /// every write (TCP: each process owns a full local plane).
-    pub(crate) fn apply(
-        &mut self,
-        round: &[Option<RoundPayload>],
-        shard: Option<usize>,
-        fence: Option<&Barrier>,
-    ) {
+    /// Applies one round: all-reduce, the step's optimizer half, every
+    /// payload's write-backs and then every payload's messages, and the
+    /// step's close.
+    pub(crate) fn apply(&mut self, round: &[Option<Arc<RoundPayload>>]) {
         for p in round.iter().flatten() {
             self.batches.push(BatchRecord {
                 round: self.rounds,
@@ -370,22 +367,14 @@ impl<'a> Replica<'a> {
         install_grads(self.step.params(), &all_reduce(&contributions));
         self.step.optimize();
 
-        // Phase A: all payloads' write-backs, in worker-index payload
-        // order, filtered to owned nodes.
+        // Every payload's write-backs, in worker-index payload order,
+        // before any message reads a memory row.
         for p in round.iter().flatten() {
-            self.model.apply_writeback(&p.pending, shard);
+            self.model.apply_writeback(&p.pending);
         }
-        if let Some(b) = fence {
-            b.wait();
-        }
-        // Phase B: message generation + adjacency, same order and filter.
-        // Every memory row phase B reads was finalized in phase A.
         for p in round.iter().flatten() {
             self.model
-                .apply_messages(&p.events, p.first_id, self.data.features(), shard);
-        }
-        if let Some(b) = fence {
-            b.wait();
+                .apply_messages(&p.events, p.first_id, self.data.features());
         }
 
         self.step.close(self.graph.take());
@@ -396,16 +385,14 @@ impl<'a> Replica<'a> {
     }
 
     /// Epoch boundary: closes the step's epoch and — unless the run is
-    /// over — rewinds the partition and, if this replica `resets_plane`,
-    /// resets model state. The final boundary keeps the last epoch's
-    /// memories: they are the exported state (serial trainers reset at
-    /// epoch *start*, never after the run).
-    pub(crate) fn end_epoch(&mut self, done: bool, resets_plane: bool) {
+    /// over — rewinds the partition and resets this replica's node
+    /// state. The final boundary keeps the last epoch's memories: they
+    /// are the exported state (serial trainers reset at epoch *start*,
+    /// never after the run).
+    pub(crate) fn end_epoch(&mut self, done: bool) {
         self.step.end_epoch();
         if !done {
-            if resets_plane {
-                self.model.reset_state();
-            }
+            self.model.reset_state();
             self.cutter.rewind();
         }
     }
@@ -428,12 +415,13 @@ impl<'a> Replica<'a> {
     }
 }
 
-/// Shared round state: one payload slot per worker, fenced by the
-/// barrier. Slots are written by their owner before the compute barrier
-/// and read by everyone after it; the phase-A barrier keeps any worker
-/// from overwriting a slot before all peers have copied the round.
+/// The one thing in-process workers share: one payload slot per
+/// worker, fenced by the barrier. Slots are written by their owner
+/// before the first barrier of a round and copied by everyone after it;
+/// the second barrier keeps any worker from overwriting a slot before
+/// all peers have copied the round. A copy is one `Arc` per slot.
 struct RoundBoard {
-    slots: Vec<RwLock<Option<RoundPayload>>>,
+    slots: Vec<RwLock<Option<Arc<RoundPayload>>>>,
     barrier: Barrier,
 }
 
@@ -449,10 +437,10 @@ impl RoundBoard {
         let mut slot = self.slots[worker]
             .write()
             .expect("round slots are never poisoned");
-        *slot = payload;
+        *slot = payload.map(Arc::new);
     }
 
-    fn snapshot(&self) -> Vec<Option<RoundPayload>> {
+    fn snapshot(&self) -> Vec<Option<Arc<RoundPayload>>> {
         self.slots
             .iter()
             .map(|s| s.read().expect("round slots are never poisoned").clone())
@@ -460,8 +448,8 @@ impl RoundBoard {
     }
 }
 
-/// Trains `model_cfg` on `data` with `cfg.workers` threads over a
-/// shared sharded memory plane, and returns the run's outcome.
+/// Trains `model_cfg` on `data` with `cfg.workers` threads, each a full
+/// replica over its own memory plane, and returns the run's outcome.
 ///
 /// The run covers the dataset's full event stream each epoch (the dist
 /// trainer has no train/validation split of its own; evaluation goes
@@ -473,24 +461,12 @@ impl RoundBoard {
 /// not a multiple of batch size) or if a worker thread panics.
 pub fn train_dist(data: &Dataset, model_cfg: &ModelConfig, cfg: &DistConfig) -> DistOutcome {
     cfg.validate();
-    let feat_dim = data.features().dim();
-    let geom = PlaneGeometry::for_config(model_cfg, data.num_nodes(), feat_dim, cfg.seed);
-    let plane = SharedPlane::new(&geom, cfg.workers);
     let board = RoundBoard::new(cfg.workers);
-
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.workers)
             .map(|w| {
-                let (plane, board) = (plane.clone(), &board);
-                scope.spawn(move || {
-                    let model = MemoryTgnn::with_plane(
-                        model_cfg.clone(),
-                        feat_dim,
-                        cfg.seed,
-                        Box::new(plane),
-                    );
-                    worker_loop(Replica::new(w, data, model, cfg), board)
-                })
+                let board = &board;
+                scope.spawn(move || worker_loop(Replica::new(w, data, model_cfg, cfg), board))
             })
             .collect();
         let mut outs = Vec::new();
@@ -501,8 +477,8 @@ pub fn train_dist(data: &Dataset, model_cfg: &ModelConfig, cfg: &DistConfig) -> 
     })
 }
 
-/// One worker thread: publish → barrier → snapshot → apply, until the
-/// last epoch's boundary. Worker 0 returns the run's outcome.
+/// One worker thread: publish → barrier → snapshot → barrier → apply,
+/// until the last epoch's boundary. Worker 0 returns the run's outcome.
 fn worker_loop(mut rep: Replica<'_>, board: &RoundBoard) -> Option<DistOutcome> {
     let w = rep.worker;
     let mut epoch = 0usize;
@@ -510,18 +486,14 @@ fn worker_loop(mut rep: Replica<'_>, board: &RoundBoard) -> Option<DistOutcome> 
         board.publish(w, rep.next_payload());
         board.barrier.wait();
         let round = board.snapshot();
+        board.barrier.wait();
         if round.iter().any(Option::is_some) {
-            rep.apply(&round, Some(w), Some(&board.barrier));
+            rep.apply(&round);
             continue;
         }
-        // Epoch boundary: everyone has passed the compute barrier, so
-        // the plane is quiescent. Worker 0 resets it alone, fenced on
-        // both sides.
         epoch += 1;
         let done = epoch == rep.cfg.epochs;
-        board.barrier.wait();
-        rep.end_epoch(done, w == 0);
-        board.barrier.wait();
+        rep.end_epoch(done);
         if done {
             return (w == 0).then(|| rep.outcome());
         }
@@ -587,16 +559,14 @@ mod tests {
         };
         assert!(d.num_events() <= 2 * cfg.chunk_size, "worker 2 must idle");
         let mut reps: Vec<Replica<'_>> = (0..cfg.workers)
-            .map(|w| {
-                let dim = d.features().dim();
-                let model =
-                    MemoryTgnn::new_sharded(model_cfg.clone(), d.num_nodes(), dim, cfg.seed, 3);
-                Replica::new(w, &d, model, &cfg)
-            })
+            .map(|w| Replica::new(w, &d, &model_cfg, &cfg))
             .collect();
         for epoch in 1..=cfg.epochs {
             loop {
-                let round: Vec<_> = reps.iter_mut().map(Replica::next_payload).collect();
+                let round: Vec<_> = reps
+                    .iter_mut()
+                    .map(|rep| rep.next_payload().map(Arc::new))
+                    .collect();
                 assert!(round[2].is_none());
                 if round.iter().all(Option::is_none) {
                     break;
@@ -604,11 +574,11 @@ mod tests {
                 for rep in &mut reps {
                     rep.check(&round)
                         .expect("honest rounds pass the peer checks");
-                    rep.apply(&round, None, None);
+                    rep.apply(&round);
                 }
             }
             for rep in &mut reps {
-                rep.end_epoch(epoch == cfg.epochs, true);
+                rep.end_epoch(epoch == cfg.epochs);
             }
         }
         let idle = reps.pop().expect("three replicas").outcome();

@@ -35,7 +35,7 @@ impl RunClock {
 /// it with [`DistReport::events_per_sec`].
 #[derive(Clone, Debug)]
 pub struct DistReport {
-    /// Worker (= shard) count.
+    /// Worker count.
     pub workers: usize,
     /// Epochs trained.
     pub epochs: usize,

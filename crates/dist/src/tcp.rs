@@ -3,15 +3,10 @@
 //!
 //! One process is the **leader** (worker 0); the rest are **followers**
 //! (workers `1..N`). Every process holds the full dataset (rebuilt from
-//! the same seed or loaded identically), a full parameter replica, and
-//! its own *local* sharded plane covering all nodes — processes share
-//! no memory, so unlike the in-process runtime nobody can rely on peers
-//! to maintain remote shards. Instead each process applies **every**
-//! payload's write-backs and messages (`shard = None`) in worker-index
-//! payload order, split-phase (all write-backs, then all messages).
-//! That per-node write/push sequence is identical to the in-process
-//! schedule where each of N workers applies its own shard's filtered
-//! slice of the same payloads — so TCP training is bit-identical to
+//! the same seed or loaded identically) and one [`Replica`] — a full
+//! parameter replica over its own memory plane, exactly what each
+//! in-process worker thread holds. Only the way a round's payloads
+//! reach every replica differs, so TCP training is bit-identical to
 //! in-process training for the same `(workers, seed, stream)`, which
 //! the `tcp_loopback` integration test asserts.
 //!
@@ -30,8 +25,9 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 
-use cascade_models::{MemoryTgnn, ModelConfig};
+use cascade_models::ModelConfig;
 use cascade_tgraph::Dataset;
 use cascade_util::ByteReader;
 
@@ -115,22 +111,9 @@ fn recv_frame(stream: &mut TcpStream) -> Result<Frame, DistError> {
     Ok(Frame::decode(&body)?)
 }
 
-/// This process's [`Replica`]: a full parameter replica over its own
-/// local plane covering every node (processes share no memory).
-fn replica<'a>(
-    worker: usize,
-    data: &'a Dataset,
-    model_cfg: &ModelConfig,
-    cfg: &'a DistConfig,
-) -> Replica<'a> {
-    let model = MemoryTgnn::new_sharded(
-        model_cfg.clone(),
-        data.num_nodes(),
-        data.features().dim(),
-        cfg.seed,
-        cfg.workers,
-    );
-    Replica::new(worker, data, model, cfg)
+/// A decoded round in the form [`Replica::apply`] takes.
+fn shared(round: Vec<Option<RoundPayload>>) -> Vec<Option<Arc<RoundPayload>>> {
+    round.into_iter().map(|p| p.map(Arc::new)).collect()
 }
 
 /// Runs the leader (worker 0): binds `addr`, waits for `workers - 1`
@@ -196,7 +179,7 @@ pub fn run_leader_on(
         }
     }
 
-    let mut rep = replica(0, data, model_cfg, cfg);
+    let mut rep = Replica::new(0, data, model_cfg, cfg);
     let mut epoch = 0usize;
     loop {
         let own = rep.next_payload();
@@ -221,7 +204,7 @@ pub fn run_leader_on(
             for peer in peers.iter_mut() {
                 send_frame(peer, &boundary)?;
             }
-            rep.end_epoch(done, true);
+            rep.end_epoch(done);
             if done {
                 break;
             }
@@ -230,12 +213,13 @@ pub fn run_leader_on(
 
         // Checked before the broadcast: followers never see a round the
         // leader refused.
+        let round = shared(round);
         rep.check(&round).map_err(DistError::Protocol)?;
-        let frame = Frame::Round(round.clone());
+        let frame = Frame::Round(round.iter().map(|p| p.as_deref().cloned()).collect());
         for peer in peers.iter_mut() {
             send_frame(peer, &frame)?;
         }
-        rep.apply(&round, None, None);
+        rep.apply(&round);
     }
     Ok(rep.outcome())
 }
@@ -273,18 +257,19 @@ pub fn run_follower(
         },
     )?;
 
-    let mut rep = replica(worker, data, model_cfg, cfg);
+    let mut rep = Replica::new(worker, data, model_cfg, cfg);
     loop {
         let own = rep.next_payload();
         send_frame(&mut stream, &Frame::Payload(own))?;
         match recv_frame(&mut stream)? {
             Frame::Round(round) => {
+                let round = shared(round);
                 rep.check(&round).map_err(DistError::Protocol)?;
-                rep.apply(&round, None, None);
+                rep.apply(&round);
             }
-            Frame::EpochEnd => rep.end_epoch(false, true),
+            Frame::EpochEnd => rep.end_epoch(false),
             Frame::Done => {
-                rep.end_epoch(true, true);
+                rep.end_epoch(true);
                 break;
             }
             other => {

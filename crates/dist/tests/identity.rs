@@ -7,8 +7,8 @@
 //!   stream)` and diverges from serial only through the documented
 //!   bounded-staleness model.
 
-use cascade_dist::{train_dist, DistConfig, SharedPlane};
-use cascade_models::{MemoryTgnn, ModelConfig, PlaneGeometry};
+use cascade_dist::{train_dist, DistConfig};
+use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_nn::{clip_grad_norm, Adam, Module};
 use cascade_tgraph::{Dataset, SynthConfig};
 
@@ -107,25 +107,26 @@ fn n1_dist_is_bit_identical_to_serial() {
     assert_eq!(serial.opt_state, dist.optimizer, "optimizer state diverged");
 }
 
-/// One forward pass over a shared 1-shard plane produces bit-identical
-/// logits to the monolithic plane (the loss equality above implies
-/// this, but logits are part of the stated contract, so pin them
-/// directly).
+/// The next batch's forward pass from the N = 1 run's final state
+/// produces bit-identical logits to the same pass from the serial
+/// loop's (the state equality above implies this, but logits are part
+/// of the stated contract, so pin them directly).
 #[test]
 fn n1_forward_logits_match_serial() {
     let d = data();
-    let feat_dim = d.features().dim();
-    let serial = MemoryTgnn::new(model_cfg(), d.num_nodes(), feat_dim, SEED);
-    let geom = PlaneGeometry::for_config(&model_cfg(), d.num_nodes(), feat_dim, SEED);
-    let shared = MemoryTgnn::with_plane(
-        model_cfg(),
-        feat_dim,
-        SEED,
-        Box::new(SharedPlane::new(&geom, 1)),
-    );
+    let serial = serial_reference(&d);
+    let dist = train_dist(&d, &model_cfg(), &dist_cfg(1));
+    let resume = |state: &[u8]| {
+        let feat_dim = d.features().dim();
+        let mut model = MemoryTgnn::new(model_cfg(), d.num_nodes(), feat_dim, SEED);
+        model.import_state(state).expect("own state imports");
+        model.replay_adjacency(d.stream().events(), 0);
+        model
+    };
+    let (a, b) = (resume(&serial.state), resume(&dist.state));
     let events = &d.stream().events()[..BATCH];
-    let a = serial.forward_batch(events, 0, d.features());
-    let b = shared.forward_batch(events, 0, d.features());
+    let a = a.forward_batch(events, 0, d.features());
+    let b = b.forward_batch(events, 0, d.features());
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&a.pos_logits), bits(&b.pos_logits));
     assert_eq!(bits(&a.neg_logits), bits(&b.neg_logits));

@@ -68,8 +68,8 @@ const SINK_FNS: &[&str] = &[
     "apply_events",
     "ingest_batch",
     "apply_ingest",
-    // cascade-dist: the shard-index-ordered gradient exchange and the
-    // split-phase shard memory application. A clock or hash-order value
+    // cascade-dist: the worker-index-ordered gradient exchange and the
+    // split-phase memory application. A clock or hash-order value
     // reaching any of these breaks the N=1 bit-identity guarantee the
     // dist tests and DESIGN.md §12 rely on.
     "all_reduce",
@@ -81,8 +81,8 @@ const SINK_FNS: &[&str] = &[
 
 /// Receiver-chain segments that name training state: a method call on
 /// one of these with arguments is treated as a state mutation sink.
-/// `plane`/`shards` cover the dist memory plane (sharded node state).
-const SINK_RECEIVERS: &[&str] = &["memory", "mailbox", "params", "plane", "shards"];
+/// `plane` covers the memory plane (all of a model's node state).
+const SINK_RECEIVERS: &[&str] = &["memory", "mailbox", "params", "plane"];
 
 /// Detects lock-order cycles across the program.
 ///

@@ -123,8 +123,8 @@ const ARENA_RESET_SITES: &[&str] = &["crates/core/src/step.rs", "crates/tensor/s
 
 /// Crates with real lock graphs: the tensor substrate (per-tensor
 /// RwLocks), the loader-thread executor, the serving stack, the storage
-/// prefetcher, the sharded-memory dist runtime (per-shard RwLocks over
-/// the shared memory plane), and the core drivers that compose them.
+/// prefetcher, the dist runtime (the in-process round board's slot
+/// locks), and the core drivers that compose them.
 /// Their lock acquisition orders are checked globally.
 const LOCK_SCOPE: &[&str] = &[
     "crates/core/src/",
@@ -393,12 +393,14 @@ mod tests {
         assert!(!in_scope(wall, "crates/dist/src/stats.rs"));
 
         let taint = rule("det-taint").expect("det-taint is registered");
-        assert!(in_scope(taint, "crates/dist/src/plane.rs"));
+        assert!(in_scope(taint, "crates/dist/src/runtime.rs"));
+        assert!(in_scope(taint, "crates/models/src/plane.rs"));
         assert!(!in_scope(taint, "crates/dist/src/stats.rs"));
 
-        // Shard locks participate in the global lock-order analysis.
+        // The round board's slot locks participate in the global
+        // lock-order analysis.
         let order = rule("conc-lock-order").expect("conc-lock-order is registered");
-        assert!(in_scope(order, "crates/dist/src/plane.rs"));
+        assert!(in_scope(order, "crates/dist/src/runtime.rs"));
         let guard = rule("conc-guard-across-blocking").expect("rule is registered");
         assert!(in_scope(guard, "crates/dist/src/runtime.rs"));
 

@@ -1,26 +1,26 @@
-//@ path: crates/dist/src/plane.rs
+//@ path: crates/dist/src/runtime.rs
 //@ expect: conc-lock-order
 //@ expect: conc-lock-order
 use std::sync::RwLock;
 
-pub struct SharedPlane {
-    shard_a: RwLock<Vec<f32>>,
-    shard_b: RwLock<Vec<f32>>,
+pub struct RoundBoard {
+    slot_a: RwLock<Vec<f32>>,
+    slot_b: RwLock<Vec<f32>>,
 }
 
-impl SharedPlane {
-    // Migration nests the shard locks a -> b …
-    pub fn migrate(&self) {
-        let a = self.shard_a.write().expect("shard locks are never poisoned");
-        let b = self.shard_b.write().expect("shard locks are never poisoned");
+impl RoundBoard {
+    // Swapping nests the slot locks a -> b …
+    pub fn swap(&self) {
+        let a = self.slot_a.write().expect("round slots are never poisoned");
+        let b = self.slot_b.write().expect("round slots are never poisoned");
         drop(b);
         drop(a);
     }
 
-    // … while rebalance nests them b -> a: first interleaving deadlocks.
-    pub fn rebalance(&self) {
-        let b = self.shard_b.write().expect("shard locks are never poisoned");
-        let a = self.shard_a.write().expect("shard locks are never poisoned");
+    // … while rotate nests them b -> a: first interleaving deadlocks.
+    pub fn rotate(&self) {
+        let b = self.slot_b.write().expect("round slots are never poisoned");
+        let a = self.slot_a.write().expect("round slots are never poisoned");
         drop(a);
         drop(b);
     }

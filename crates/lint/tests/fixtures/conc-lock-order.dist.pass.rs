@@ -1,32 +1,32 @@
-//@ path: crates/dist/src/plane.rs
+//@ path: crates/dist/src/runtime.rs
 use std::sync::RwLock;
 
-pub struct SharedPlane {
-    shard_a: RwLock<Vec<f32>>,
-    shard_b: RwLock<Vec<f32>>,
+pub struct RoundBoard {
+    slot_a: RwLock<Vec<f32>>,
+    slot_b: RwLock<Vec<f32>>,
 }
 
-impl SharedPlane {
-    // The shared-plane idiom: locks are taken one at a time and dropped
+impl RoundBoard {
+    // The round-board idiom: locks are taken one at a time and dropped
     // before the next acquisition, so no held -> acquired edge exists.
-    pub fn gather(&self) -> f32 {
+    pub fn snapshot(&self) -> f32 {
         let first = {
-            let a = self.shard_a.read().expect("shard locks are never poisoned");
+            let a = self.slot_a.read().expect("round slots are never poisoned");
             a.first().copied().unwrap_or(0.0)
         };
         let second = {
-            let b = self.shard_b.read().expect("shard locks are never poisoned");
+            let b = self.slot_b.read().expect("round slots are never poisoned");
             b.first().copied().unwrap_or(0.0)
         };
         first + second
     }
 
-    pub fn writeback(&self, value: f32) {
+    pub fn publish(&self, value: f32) {
         {
-            let mut a = self.shard_a.write().expect("shard locks are never poisoned");
+            let mut a = self.slot_a.write().expect("round slots are never poisoned");
             a.push(value);
         }
-        let mut b = self.shard_b.write().expect("shard locks are never poisoned");
+        let mut b = self.slot_b.write().expect("round slots are never poisoned");
         b.push(value);
     }
 }

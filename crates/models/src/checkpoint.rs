@@ -12,12 +12,9 @@
 //! [`save_parameters`] writes the first section only, [`save_state`] all
 //! three; [`MemoryTgnn::export_state`] is the first two with no header
 //! (the bytes a stream checkpoint or a dist run carries in memory), so
-//! parameters are encoded by one function. How a run partitioned its
-//! nodes is not recorded: every reader scatters state back to global
-//! ids, so a file is the same whatever shard count wrote it. The
-//! temporal adjacency store is never stored either — it is a pure
-//! function of the processed event prefix and is replayed
-//! ([`MemoryTgnn::replay_adjacency`]).
+//! parameters are encoded by one function. The temporal adjacency store
+//! is never stored — it is a pure function of the processed event
+//! prefix and is replayed ([`MemoryTgnn::replay_adjacency`]).
 //!
 //! Every file is written to a sibling `<name>.tmp`, synced, and renamed
 //! into place, so a crash mid-write leaves the previous file intact and
@@ -130,7 +127,7 @@ fn put_params(w: &mut ByteWriter, params: &[Tensor]) {
     });
 }
 
-fn put_node_state(w: &mut ByteWriter, plane: &dyn MemoryPlane) {
+fn put_node_state(w: &mut ByteWriter, plane: &MemoryPlane) {
     let nodes = || (0..plane.num_nodes()).map(|n| NodeId(n as u32));
     w.section(tag::NODE_STATE, |body| {
         body.usize(plane.num_nodes());
@@ -138,7 +135,7 @@ fn put_node_state(w: &mut ByteWriter, plane: &dyn MemoryPlane) {
         body.u32(plane.mailbox_msg_dim() as u32);
         body.u32(plane.mailbox_capacity() as u32);
         for n in nodes() {
-            body.f32_array(&plane.memory_read(n));
+            body.f32_array(plane.memory_read(n));
         }
         for n in nodes() {
             body.f64(plane.memory_last_update(n));
@@ -146,7 +143,7 @@ fn put_node_state(w: &mut ByteWriter, plane: &dyn MemoryPlane) {
         for n in nodes() {
             let msgs = plane.mailbox_messages(n);
             body.u32(msgs.len() as u32);
-            for msg in &msgs {
+            for msg in msgs {
                 body.f32_array(msg);
             }
         }
@@ -191,7 +188,7 @@ struct NodeState {
 /// that will receive it.
 fn take_node_state(
     r: &mut ByteReader,
-    plane: &dyn MemoryPlane,
+    plane: &MemoryPlane,
 ) -> Result<Option<NodeState>, CheckpointError> {
     let Some(mut body) = r.section(tag::NODE_STATE)? else {
         return Ok(None);
@@ -246,7 +243,7 @@ fn apply_params(params: &[Tensor], values: &[Vec<f32>]) {
     }
 }
 
-fn apply_node_state(plane: &mut dyn MemoryPlane, state: NodeState) {
+fn apply_node_state(plane: &mut MemoryPlane, state: NodeState) {
     let dim = plane.memory_dim();
     for (n, msgs) in state.mailboxes.into_iter().enumerate() {
         let node = NodeId(n as u32);
@@ -627,7 +624,7 @@ mod tests {
         }
         let nodes = || (0..6).map(NodeId);
         for n in nodes() {
-            f32s(&mut body, &plane.memory_read(n));
+            f32s(&mut body, plane.memory_read(n));
         }
         for n in nodes() {
             body.extend_from_slice(&plane.memory_last_update(n).to_le_bytes());
@@ -638,7 +635,7 @@ mod tests {
             pending += msgs.len();
             body.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
             for msg in msgs {
-                f32s(&mut body, &msg);
+                f32s(&mut body, msg);
             }
         }
         assert!(pending > 0, "the pinned file must hold mailbox messages");
@@ -738,23 +735,6 @@ mod tests {
             load_checkpoint(&mut tgn(9, 1), &path),
             Err(CheckpointError::StateMismatch(_))
         ));
-    }
-
-    #[test]
-    fn a_file_is_the_same_whatever_shard_count_wrote_it() {
-        let (mono, events, feats) = evolved();
-        let mut three = MemoryTgnn::new_sharded(ModelConfig::tgn().with_dims(8, 4), 6, 4, 3, 3);
-        three.process_batch(&events[..2], 0, &feats);
-        three.process_batch(&events[2..], 2, &feats);
-        let (p1, p3) = (tmp("shards1.ckpt"), tmp("shards3.ckpt"));
-        save_state(&mono, &p1, 4).unwrap();
-        save_state(&three, &p3, 4).unwrap();
-        assert!(std::fs::read(&p1).unwrap() == std::fs::read(&p3).unwrap());
-
-        // …and loads into a plane of any other shard count.
-        let mut two = MemoryTgnn::new_sharded(ModelConfig::tgn().with_dims(8, 4), 6, 4, 77, 2);
-        assert_eq!(load_checkpoint(&mut two, &p3).unwrap(), Some(4));
-        assert_eq!(mono.export_state(), two.export_state());
     }
 
     #[test]

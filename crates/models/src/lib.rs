@@ -44,6 +44,5 @@ pub use checkpoint::{
 };
 pub use classifier::NodeClassifier;
 pub use config::{EmbedderKind, ModelConfig, Sampling, UpdaterKind};
-pub use memory::{Mailbox, NodeMemory};
 pub use model::{BatchForward, BatchOutput, BatchPending, MemoryDelta, MemoryTgnn};
-pub use plane::{MemoryPlane, PlaneGeometry, PlaneShard, ShardedPlane};
+pub use plane::MemoryPlane;

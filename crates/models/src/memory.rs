@@ -9,20 +9,8 @@
 use cascade_tgraph::NodeId;
 
 /// Dense per-node state vectors with last-update timestamps.
-///
-/// # Examples
-///
-/// ```
-/// use cascade_models::NodeMemory;
-/// use cascade_tgraph::NodeId;
-///
-/// let mut mem = NodeMemory::new(10, 4);
-/// mem.write(NodeId(3), &[1.0, 2.0, 3.0, 4.0], 0.5);
-/// assert_eq!(mem.read(NodeId(3)), &[1.0, 2.0, 3.0, 4.0]);
-/// assert_eq!(mem.last_update(NodeId(3)), 0.5);
-/// ```
 #[derive(Clone, Debug)]
-pub struct NodeMemory {
+pub(crate) struct NodeMemory {
     data: Vec<f32>,
     last_update: Vec<f64>,
     dim: usize,
@@ -53,9 +41,9 @@ impl NodeMemory {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Copies one node's memory out.
-    pub fn snapshot(&self, node: NodeId) -> Vec<f32> {
-        self.read(node).to_vec()
+    /// Memory width.
+    pub fn dim(&self) -> usize {
+        self.dim
     }
 
     /// Overwrites one node's memory and records the update time.
@@ -93,7 +81,7 @@ impl NodeMemory {
 /// Capacity 1 realizes the `most_recent(num = 1)` aggregation of JODIE and
 /// TGN; capacity 10 realizes APAN's asynchronous mailbox (Table 1).
 #[derive(Clone, Debug)]
-pub struct Mailbox {
+pub(crate) struct Mailbox {
     slots: Vec<Vec<Vec<f32>>>,
     capacity: usize,
     msg_dim: usize,
@@ -113,6 +101,16 @@ impl Mailbox {
             capacity,
             msg_dim,
         }
+    }
+
+    /// Per-node capacity.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Message width.
+    pub fn msg_dim(&self) -> usize {
+        self.msg_dim
     }
 
     /// Appends a message, evicting the oldest beyond capacity.

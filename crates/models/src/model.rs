@@ -22,10 +22,10 @@ use cascade_nn::{
     RnnCell, TimeEncode,
 };
 use cascade_tensor::Tensor;
-use cascade_tgraph::{EdgeFeatures, Event, EventId, NegativeSampler, NeighborRef, NodeId};
+use cascade_tgraph::{EdgeFeatures, Event, EventId, NegativeSampler, NodeId};
 
 use crate::config::{EmbedderKind, ModelConfig, Sampling, UpdaterKind};
-use crate::plane::{MemoryPlane, PlaneGeometry, ShardedPlane};
+use crate::plane::MemoryPlane;
 
 /// One node-memory transition produced by a batch (consumed by the
 /// SG-Filter to decide stability).
@@ -230,23 +230,10 @@ enum Embedder {
 /// let out = model.process_batch(&events, 0, &feats);
 /// assert!(out.loss.item().is_finite());
 /// ```
-pub struct MemoryTgnn {
-    config: ModelConfig,
-    edge_feat_dim: usize,
-    plane: Box<dyn MemoryPlane>,
-    time_enc: TimeEncode,
-    updater: Updater,
-    embedder: Embedder,
-    predictor: EdgePredictor,
-    neg_sampler: NegativeSampler,
-    compute_threads: usize,
-}
-
+///
 /// Cloning shares the *parameter* tensors (a [`Tensor`] clone is a
 /// shallow handle onto the same storage, so both clones see the same
-/// trained weights) while copying the memory plane via
-/// [`MemoryPlane::clone_plane`] — a deep copy of the node state (a
-/// [`ShardedPlane`]'s immutable shard map is shared, not copied).
+/// trained weights) while deep-copying the [`MemoryPlane`].
 ///
 /// That split is what online serving needs: a second copy of the
 /// evolving state, scored with the same weights. `cascade-serve` keeps
@@ -257,86 +244,33 @@ pub struct MemoryTgnn {
 /// [`export_state`](MemoryTgnn::export_state) /
 /// [`import_state`](MemoryTgnn::import_state) into a freshly built model
 /// for a fully detached copy.
-impl Clone for MemoryTgnn {
-    fn clone(&self) -> Self {
-        MemoryTgnn {
-            config: self.config.clone(),
-            edge_feat_dim: self.edge_feat_dim,
-            plane: self.plane.clone_plane(),
-            time_enc: self.time_enc.clone(),
-            updater: self.updater.clone(),
-            embedder: self.embedder.clone(),
-            predictor: self.predictor.clone(),
-            neg_sampler: self.neg_sampler.clone(),
-            compute_threads: self.compute_threads,
-        }
-    }
+#[derive(Clone)]
+pub struct MemoryTgnn {
+    config: ModelConfig,
+    edge_feat_dim: usize,
+    plane: MemoryPlane,
+    time_enc: TimeEncode,
+    updater: Updater,
+    embedder: Embedder,
+    predictor: EdgePredictor,
+    neg_sampler: NegativeSampler,
+    compute_threads: usize,
 }
 
 impl MemoryTgnn {
     /// Builds a model for a graph of `num_nodes` nodes with
-    /// `edge_feat_dim`-wide edge features, over a one-shard
-    /// [`ShardedPlane`]: every node's slot is its id, i.e. the monolith.
+    /// `edge_feat_dim`-wide edge features.
     ///
     /// # Panics
     ///
     /// Panics if `num_nodes == 0`.
     pub fn new(config: ModelConfig, num_nodes: usize, edge_feat_dim: usize, seed: u64) -> Self {
-        Self::new_sharded(config, num_nodes, edge_feat_dim, seed, 1)
-    }
-
-    /// Builds a model over a node-id-hash [`ShardedPlane`] of
-    /// `num_shards` shards. Bit-identical to [`new`](Self::new) — shard
-    /// placement is invisible to every read, write, and neighbor draw —
-    /// but state is stored exactly the way dist workers partition it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_nodes == 0` or `num_shards == 0`.
-    pub fn new_sharded(
-        config: ModelConfig,
-        num_nodes: usize,
-        edge_feat_dim: usize,
-        seed: u64,
-        num_shards: usize,
-    ) -> Self {
-        let geom = PlaneGeometry::for_config(&config, num_nodes, edge_feat_dim, seed);
-        Self::with_plane(
-            config,
-            edge_feat_dim,
-            seed,
-            Box::new(ShardedPlane::new(&geom, num_shards)),
-        )
-    }
-
-    /// Builds a model over an externally constructed memory plane (the
-    /// dist runtime hands every worker a handle onto one shared sharded
-    /// plane). The plane must match
-    /// [`PlaneGeometry::for_config`]`(&config, …, edge_feat_dim, seed)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plane's dimensions disagree with the configuration.
-    pub fn with_plane(
-        config: ModelConfig,
-        edge_feat_dim: usize,
-        seed: u64,
-        plane: Box<dyn MemoryPlane>,
-    ) -> Self {
-        assert!(plane.num_nodes() > 0, "model needs at least one node");
+        let plane = MemoryPlane::new(&config, num_nodes, edge_feat_dim, seed);
         let d = config.memory_dim;
         let td = config.time_dim;
         let f = edge_feat_dim;
-        // Raw mailbox message: [s_src ‖ s_partner ‖ feat ‖ abs_time].
-        let raw_msg_dim = 2 * d + f + 1;
         // Message after time encoding at consumption.
         let msg_in_dim = 2 * d + f + td;
-        assert_eq!(plane.memory_dim(), d, "plane memory width mismatch");
-        assert_eq!(
-            plane.mailbox_msg_dim(),
-            raw_msg_dim,
-            "plane mailbox width mismatch"
-        );
 
         let updater = match config.updater {
             UpdaterKind::Rnn => Updater::Rnn(RnnCell::new(msg_in_dim, d, seed ^ 0x01)),
@@ -363,7 +297,6 @@ impl MemoryTgnn {
             ),
         };
 
-        let num_nodes = plane.num_nodes();
         MemoryTgnn {
             edge_feat_dim,
             plane,
@@ -410,15 +343,14 @@ impl MemoryTgnn {
         self.edge_feat_dim
     }
 
-    /// The memory plane backing this model (node-state reads, shard
-    /// layout queries).
-    pub fn plane(&self) -> &dyn MemoryPlane {
-        self.plane.as_ref()
+    /// The memory plane holding this model's node state.
+    pub fn plane(&self) -> &MemoryPlane {
+        &self.plane
     }
 
     /// Write access to the plane, for checkpoint restoration.
-    pub(crate) fn plane_mut(&mut self) -> &mut dyn MemoryPlane {
-        self.plane.as_mut()
+    pub(crate) fn plane_mut(&mut self) -> &mut MemoryPlane {
+        &mut self.plane
     }
 
     /// Bytes held by the node-memory matrix.
@@ -795,19 +727,9 @@ impl MemoryTgnn {
         feats: &EdgeFeatures,
         pending: BatchPending,
     ) -> Vec<MemoryDelta> {
-        let deltas = self.apply_writeback(&pending, None);
-        self.apply_messages(events, first_id, feats, None);
+        let deltas = self.apply_writeback(&pending);
+        self.apply_messages(events, first_id, feats);
         deltas
-    }
-
-    /// `true` when a write targeting `node` should be applied under
-    /// `shard`: always for `None` (serial path), only for owned nodes
-    /// under `Some(s)` (one dist worker's slice of the apply).
-    fn owns(&self, node: NodeId, shard: Option<usize>) -> bool {
-        match shard {
-            None => true,
-            Some(s) => self.plane.shard_of(node) == s,
-        }
     }
 
     /// The write-back half of [`apply_batch`](Self::apply_batch) (Figure 1
@@ -815,17 +737,9 @@ impl MemoryTgnn {
     /// their consumed mailbox messages, and returns one [`MemoryDelta`]
     /// per applied write.
     ///
-    /// `shard` filters which **writes** are applied: `None` applies all of
-    /// them (the serial path), `Some(s)` applies only those targeting
-    /// nodes owned by shard `s`. Reads are unrestricted either way. The
-    /// dist runtime calls this once per peer payload with each worker's
-    /// own shard, so every write is applied by exactly one worker, in the
-    /// same payload order on every worker.
-    pub fn apply_writeback(
-        &mut self,
-        pending: &BatchPending,
-        shard: Option<usize>,
-    ) -> Vec<MemoryDelta> {
+    /// A dist replica calls this for every payload of a round, in worker
+    /// order, before any payload's [`apply_messages`](Self::apply_messages).
+    pub fn apply_writeback(&mut self, pending: &BatchPending) -> Vec<MemoryDelta> {
         let d = self.config.memory_dim;
         let centers = &pending.centers;
         let has_msg = &pending.has_msg;
@@ -836,10 +750,10 @@ impl MemoryTgnn {
         // ---- Step 3: write back updated memories (detached). ----
         let mut deltas = Vec::new();
         for (c, &node) in centers.iter().enumerate() {
-            if !has_msg[c] || !self.owns(node, shard) {
+            if !has_msg[c] {
                 continue;
             }
-            let pre = self.plane.memory_read(node);
+            let pre = self.plane.memory_read(node).to_vec();
             let row = post[c * d..(c + 1) * d].to_vec();
             // The node is now fresh as of its newest consumed message.
             let t = self.newest_message_time(node);
@@ -852,7 +766,7 @@ impl MemoryTgnn {
         }
         // Consumed messages are dropped.
         for (c, &node) in centers.iter().enumerate() {
-            if has_msg[c] && self.owns(node, shard) {
+            if has_msg[c] {
                 self.clear_mailbox(node);
             }
         }
@@ -862,74 +776,34 @@ impl MemoryTgnn {
     /// The message-generation half of [`apply_batch`](Self::apply_batch)
     /// (Figure 1 step 2 plus adjacency registration): every event reads
     /// both endpoints' *current* memories, pushes the raw messages, and
-    /// registers the event in the temporal adjacency store.
-    ///
-    /// `shard` filters **writes** exactly as in
-    /// [`apply_writeback`](Self::apply_writeback): a mailbox push or
-    /// adjacency half-insert lands only if its target node is owned.
-    /// Memory *reads* for message content are global, which is why the
-    /// dist runtime runs all write-backs (phase A) to completion across
-    /// workers before any message generation (phase B) starts.
-    pub fn apply_messages(
-        &mut self,
-        events: &[Event],
-        first_id: EventId,
-        feats: &EdgeFeatures,
-        shard: Option<usize>,
-    ) {
+    /// registers the event in the temporal adjacency store. Message
+    /// content reads memories, so in a dist round every payload's
+    /// write-back lands first.
+    pub fn apply_messages(&mut self, events: &[Event], first_id: EventId, feats: &EdgeFeatures) {
         let d = self.config.memory_dim;
         // ---- Step 2: generate messages from this batch's events. ----
         for (i, e) in events.iter().enumerate() {
-            let own_src = self.owns(e.src, shard);
-            let own_dst = self.owns(e.dst, shard);
-            if !own_src && !own_dst {
-                continue;
-            }
             let feat = feats.row(first_id + i);
             let s_src = self.plane.memory_read(e.src);
             let s_dst = self.plane.memory_read(e.dst);
-            if own_src {
-                let mut msg_src = Vec::with_capacity(2 * d + feat.len() + 1);
-                msg_src.extend_from_slice(&s_src);
-                msg_src.extend_from_slice(&s_dst);
-                msg_src.extend_from_slice(feat);
-                msg_src.push(e.time as f32);
-                self.plane.mailbox_push(e.src, msg_src);
-            }
-            if own_dst {
-                let mut msg_dst = Vec::with_capacity(2 * d + feat.len() + 1);
-                msg_dst.extend_from_slice(&s_dst);
-                msg_dst.extend_from_slice(&s_src);
-                msg_dst.extend_from_slice(feat);
-                msg_dst.push(e.time as f32);
-                self.plane.mailbox_push(e.dst, msg_dst);
-            }
+            let mut msg_src = Vec::with_capacity(2 * d + feat.len() + 1);
+            msg_src.extend_from_slice(s_src);
+            msg_src.extend_from_slice(s_dst);
+            msg_src.extend_from_slice(feat);
+            msg_src.push(e.time as f32);
+            let mut msg_dst = Vec::with_capacity(2 * d + feat.len() + 1);
+            msg_dst.extend_from_slice(s_dst);
+            msg_dst.extend_from_slice(s_src);
+            msg_dst.extend_from_slice(feat);
+            msg_dst.push(e.time as f32);
+            self.plane.mailbox_push(e.src, msg_src);
+            self.plane.mailbox_push(e.dst, msg_dst);
         }
 
         // Register the batch in the temporal adjacency store so later
-        // batches can sample these events as neighbors. Each endpoint's
-        // half lands in that endpoint's shard.
+        // batches can sample these events as neighbors.
         for (i, e) in events.iter().enumerate() {
-            if self.owns(e.src, shard) {
-                self.plane.adj_insert_half(
-                    e.src,
-                    NeighborRef {
-                        node: e.dst,
-                        event: first_id + i,
-                        time: e.time,
-                    },
-                );
-            }
-            if self.owns(e.dst, shard) {
-                self.plane.adj_insert_half(
-                    e.dst,
-                    NeighborRef {
-                        node: e.src,
-                        event: first_id + i,
-                        time: e.time,
-                    },
-                );
-            }
+            self.plane.adj_insert(e, first_id + i);
         }
     }
 
@@ -1024,7 +898,7 @@ impl MemoryTgnn {
                     if msgs.is_empty() {
                         continue;
                     }
-                    for m in &msgs {
+                    for m in msgs {
                         for (j, &v) in m[..2 * d + f].iter().enumerate() {
                             agg[i * (2 * d + f) + j] += v / msgs.len() as f32;
                         }
@@ -1507,73 +1381,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_plane_training_is_bit_identical() {
-        // A node-id-hash sharded plane is invisible to training —
-        // losses, logits, deltas, and the full exported state match the
-        // one-shard plane (the monolith) bit for bit.
-        for cfg in ModelConfig::all() {
-            let cfg = cfg.with_dims(8, 4);
-            let mut mono = MemoryTgnn::new(cfg.clone(), 6, 4, 1);
-            let mut shard = MemoryTgnn::new_sharded(cfg.clone(), 6, 4, 1, 3);
-            let feats = synth_features(9, 4, 2);
-            for first_id in [0usize, 3, 6] {
-                let a = mono.process_batch(&toy_events(), first_id, &feats);
-                let b = shard.process_batch(&toy_events(), first_id, &feats);
-                assert_eq!(
-                    a.loss.item().to_bits(),
-                    b.loss.item().to_bits(),
-                    "{} loss diverged",
-                    cfg.name
-                );
-                assert_eq!(a.pos_logits, b.pos_logits);
-                assert_eq!(a.neg_logits, b.neg_logits);
-            }
-            assert_eq!(mono.export_state(), shard.export_state(), "{}", cfg.name);
-        }
-    }
-
-    #[test]
-    fn per_shard_filtered_apply_equals_unfiltered() {
-        // Applying a ticket shard-by-shard (write-backs for every shard,
-        // then messages for every shard) reproduces the monolithic apply:
-        // this is the dist runtime's two-phase protocol in miniature.
-        let shards = 3;
-        let feats = synth_features(9, 4, 2);
-        let mut whole =
-            MemoryTgnn::new_sharded(ModelConfig::tgn().with_dims(8, 4), 6, 4, 1, shards);
-        let mut split =
-            MemoryTgnn::new_sharded(ModelConfig::tgn().with_dims(8, 4), 6, 4, 1, shards);
-        for first_id in [0usize, 3, 6] {
-            let events = toy_events();
-            let a = whole.forward_batch(&events, first_id, &feats);
-            let b = split.forward_batch(&events, first_id, &feats);
-            let mut whole_deltas = whole.apply_batch(&events, first_id, &feats, a.pending);
-            let mut split_deltas = Vec::new();
-            for s in 0..shards {
-                split_deltas.extend(split.apply_writeback(&b.pending, Some(s)));
-            }
-            for s in 0..shards {
-                split.apply_messages(&events, first_id, &feats, Some(s));
-            }
-            // Per-shard application reorders deltas across shards; the
-            // set of transitions must still be identical.
-            let key = |d: &MemoryDelta| d.node.0;
-            whole_deltas.sort_by_key(key);
-            split_deltas.sort_by_key(key);
-            assert_eq!(whole_deltas.len(), split_deltas.len());
-            for (x, y) in whole_deltas.iter().zip(&split_deltas) {
-                assert_eq!(x.node, y.node);
-                assert_eq!(x.pre, y.pre);
-                assert_eq!(x.post, y.post);
-            }
-        }
-        assert_eq!(whole.export_state(), split.export_state());
-        for n in 0..6u32 {
-            assert_eq!(
-                whole.plane().adj_degree(NodeId(n)),
-                split.plane().adj_degree(NodeId(n))
-            );
-        }
+    fn clone_detaches_node_state() {
+        let mut model = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 1);
+        let feats = synth_features(3, 4, 2);
+        model.process_batch(&toy_events(), 0, &feats);
+        let copy = model.clone();
+        let frozen = copy.export_state();
+        model.plane_mut().memory_write(NodeId(3), &[9.0; 8], 9.0);
+        model.plane_mut().mailbox_clear(NodeId(0));
+        model
+            .plane_mut()
+            .adj_insert(&Event::new(3u32, 5u32, 4.0), 3);
+        assert_eq!(copy.plane().memory_read(NodeId(3)), &[0.0; 8]);
+        assert!(copy.plane().mailbox_has_messages(NodeId(0)));
+        assert_eq!(copy.plane().adj_degree(NodeId(5)), 0);
+        assert_eq!(copy.export_state(), frozen);
+        model.reset_state();
+        assert_eq!(copy.export_state(), frozen, "a reset stays on its side");
     }
 
     #[test]

@@ -184,7 +184,6 @@ impl ScenarioReport {
                     ("model".into(), Json::from(space.model)),
                     ("mailbox".into(), Json::from(space.mailbox)),
                     ("memory".into(), Json::from(space.memory)),
-                    ("plane_shards".into(), Json::from(space.plane_shards)),
                     ("total".into(), Json::from(space.total())),
                 ]),
             ));

@@ -221,8 +221,7 @@ mod tests {
         use cascade_models::{MemoryTgnn, ModelConfig};
         use cascade_tgraph::EdgeFeatures;
         let cfg = ModelConfig::tgn().with_dims(8, 4);
-        // A dist run trains over as many shards as it has workers…
-        let mut trained = MemoryTgnn::new_sharded(cfg.clone(), 6, 2, 1, 3);
+        let mut trained = MemoryTgnn::new(cfg.clone(), 6, 2, 1);
         let events = [Event::new(0u32, 1u32, 1.0), Event::new(2u32, 3u32, 2.0)];
         let mut feats = EdgeFeatures::zeros(2, 2);
         feats.set_row(0, &[0.5, -0.5]);
@@ -230,13 +229,13 @@ mod tests {
         let pending = trained.pending_batch(&events);
         trained.apply_batch(&events, 0, &feats, pending);
 
-        // …and `cascade_dist --save` writes what `save_snapshot` writes;
-        // the server boots from it with a plain one-shard model.
+        // `cascade_dist --save` writes what `save_snapshot` writes; the
+        // server boots from it.
         let path = tmp("dist_boot.ckpt");
         save_snapshot(&trained, &path, 2).unwrap();
         let mut served = MemoryTgnn::new(cfg, 6, 2, 1);
         let applied = load_snapshot(&mut served, &path).unwrap();
-        assert_eq!(applied, Some(2), "watermark survives the shard layout");
+        assert_eq!(applied, Some(2), "watermark survives");
         assert_eq!(
             served.export_state(),
             trained.export_state(),

@@ -22,8 +22,8 @@
 //!   are valid self-consistent streams; rejecting them is the caller's
 //!   business).
 //! - [`DropDuplicates`](ReorderPolicy::DropDuplicates): like `Reject`,
-//!   but an event bit-identical to one seen within the trailing
-//!   [`DEDUP_HORIZON`] emitted events is silently dropped.
+//!   but an event bit-identical to one seen within the trailing 1024
+//!   emitted events is silently dropped.
 //! - [`BufferedReorder(w)`](ReorderPolicy::BufferedReorder): holds up to
 //!   `w` events in a sorted buffer, releasing the oldest only once the
 //!   buffer is full — any event displaced by at most `w` positions is
@@ -45,7 +45,7 @@ use crate::source::{EventChunk, EventSource, SourceError};
 
 /// How many trailing emitted events [`ReorderPolicy::DropDuplicates`]
 /// remembers when testing an incoming event for duplication.
-pub const DEDUP_HORIZON: usize = 1024;
+const DEDUP_HORIZON: usize = 1024;
 
 /// Tolerance policy for duplicate / out-of-order arrival on an
 /// [`EventSource`]; see the module docs for exact semantics.
@@ -53,8 +53,8 @@ pub const DEDUP_HORIZON: usize = 1024;
 pub enum ReorderPolicy {
     /// Any timestamp regression is an error; duplicates pass through.
     Reject,
-    /// In-order required; bit-identical repeats within
-    /// [`DEDUP_HORIZON`] are dropped.
+    /// In-order required; bit-identical repeats within the last 1024
+    /// emitted events are dropped.
     DropDuplicates,
     /// Sort within a sliding window of this many events and drop
     /// duplicates inside it; displacement beyond the window is an error.

@@ -25,20 +25,18 @@ mod dataset;
 mod event;
 mod ingest;
 mod sampler;
-mod shard;
 mod source;
 mod stats;
 mod synth;
 
 pub use dataset::{chronological_split, synth_features, CsvError, Dataset, EdgeFeatures};
 pub use event::{Event, EventId, EventStream, NodeId, OrderError};
-pub use ingest::{ReorderPolicy, ReorderingSource, DEDUP_HORIZON};
+pub use ingest::{ReorderPolicy, ReorderingSource};
 // `DetRng` lives in `cascade-util` (so `cascade-tensor` can seed without
 // depending on this crate) and is re-exported here for its historical
 // users.
 pub use cascade_util::DetRng;
 pub use sampler::{AdjacencyStore, NegativeSampler, NeighborRef};
-pub use shard::{shard_of_node, ShardMap};
 pub use source::{EventChunk, EventSource, InMemorySource, PartitionedSource, SourceError};
-pub use stats::{batch_degree_histogram, max_batch_degree, DatasetStats, TemporalStats};
+pub use stats::{batch_degree_histogram, max_batch_degree, DatasetStats};
 pub use synth::SynthConfig;

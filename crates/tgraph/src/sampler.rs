@@ -87,20 +87,6 @@ impl AdjacencyStore {
         });
     }
 
-    /// Records a pre-built neighbor entry in `slot`'s list only.
-    ///
-    /// Sharded adjacency storage (DESIGN.md §12) keeps each shard's lists
-    /// dense under **local slot** indices while the entries themselves
-    /// still name **global** nodes; the two endpoint halves of one event
-    /// may land in different shards, so they are inserted independently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub fn insert_ref(&mut self, slot: NodeId, neighbor: NeighborRef) {
-        self.lists[slot.index()].push(neighbor);
-    }
-
     /// The `k` most recent neighbors of `node` (most recent first).
     pub fn most_recent(&self, node: NodeId, k: usize) -> Vec<NeighborRef> {
         let list = &self.lists[node.index()];
@@ -121,26 +107,6 @@ impl AdjacencyStore {
             .map(|slot| {
                 let b = ((list.len() as u64) << 32) | slot as u64;
                 list[keyed_index(self.seed, node.0 as u64, b, list.len())]
-            })
-            .collect()
-    }
-
-    /// `k` uniform samples from `slot`'s history, hashed under the
-    /// **global** node id `key` instead of the storage index.
-    ///
-    /// A sharded store holds node `key`'s history at a local slot, but
-    /// the draw must be the exact hash the monolithic store would
-    /// compute — `(seed, key, history length, slot#)` — so that sampling
-    /// is bit-identical regardless of how storage is partitioned.
-    pub fn uniform_keyed(&self, slot: NodeId, key: NodeId, k: usize) -> Vec<NeighborRef> {
-        let list = &self.lists[slot.index()];
-        if list.is_empty() {
-            return Vec::new();
-        }
-        (0..k)
-            .map(|draw| {
-                let b = ((list.len() as u64) << 32) | draw as u64;
-                list[keyed_index(self.seed, key.0 as u64, b, list.len())]
             })
             .collect()
     }
@@ -260,43 +226,6 @@ mod tests {
         // Different slots within one query still vary.
         let many = adj.uniform(NodeId(0), 64);
         assert!(many.iter().any(|s| s.node != many[0].node));
-    }
-
-    #[test]
-    fn uniform_keyed_matches_monolithic_draws() {
-        // A sharded store holding node 0's history at local slot 1 must
-        // reproduce the monolithic store's draws exactly when keyed by
-        // the global id.
-        let adj = store_with_events();
-        let mut sharded = AdjacencyStore::new(2);
-        for r in adj.most_recent(NodeId(0), usize::MAX).into_iter().rev() {
-            sharded.insert_ref(NodeId(1), r);
-        }
-        assert_eq!(
-            adj.uniform(NodeId(0), 16),
-            sharded.uniform_keyed(NodeId(1), NodeId(0), 16)
-        );
-        // Keying by the slot instead would alias a different node's hash.
-        assert_ne!(
-            adj.uniform(NodeId(0), 16),
-            sharded.uniform_keyed(NodeId(1), NodeId(1), 16)
-        );
-    }
-
-    #[test]
-    fn insert_ref_is_unidirectional() {
-        let mut adj = AdjacencyStore::new(2);
-        adj.insert_ref(
-            NodeId(0),
-            NeighborRef {
-                node: NodeId(7),
-                event: 3,
-                time: 1.5,
-            },
-        );
-        assert_eq!(adj.degree(NodeId(0)), 1);
-        assert_eq!(adj.degree(NodeId(1)), 0);
-        assert_eq!(adj.most_recent(NodeId(0), 1)[0].node, NodeId(7));
     }
 
     #[test]

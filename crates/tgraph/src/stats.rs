@@ -200,89 +200,89 @@ mod tests {
     }
 }
 
-/// Temporal-structure statistics of an event stream — the properties the
-/// synthetic generators must reproduce for Cascade's mechanisms to behave
-/// as on real data (DESIGN.md §2).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TemporalStats {
-    /// Fraction of events whose (src, dst) pair occurred before —
-    /// temporal recurrence (users re-contacting partners).
-    pub recurrence_ratio: f64,
-    /// Coefficient of variation of inter-event times; > 1 indicates
-    /// burstiness beyond a Poisson process.
-    pub interarrival_cv: f64,
-    /// Fraction of all endpoint slots occupied by the top 1% most active
-    /// nodes — hub concentration.
-    pub hub_share_top1pct: f64,
-    /// Mean number of distinct partners per active node.
-    pub mean_distinct_partners: f64,
-}
-
-impl TemporalStats {
-    /// Computes the statistics for a stream.
-    ///
-    /// Returns zeros for streams with fewer than two events.
-    pub fn of(stream: &EventStream) -> Self {
-        if stream.len() < 2 {
-            return TemporalStats {
-                recurrence_ratio: 0.0,
-                interarrival_cv: 0.0,
-                hub_share_top1pct: 0.0,
-                mean_distinct_partners: 0.0,
-            };
-        }
-
-        // Recurrence: repeated (src, dst) pairs.
-        let mut seen = std::collections::HashSet::new();
-        let mut repeats = 0usize;
-        for e in stream {
-            if !seen.insert((e.src, e.dst)) {
-                repeats += 1;
-            }
-        }
-        let recurrence_ratio = repeats as f64 / stream.len() as f64;
-
-        // Inter-arrival coefficient of variation.
-        let times: Vec<f64> = stream.iter().map(|e| e.time).collect();
-        let gaps: Vec<f64> = times.windows(2).map(|w| w[1] - w[0]).collect();
-        let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gaps.len() as f64;
-        let interarrival_cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-
-        // Hub share and distinct partners.
-        let mut degree = vec![0usize; stream.num_nodes()];
-        let mut partners: Vec<std::collections::HashSet<u32>> =
-            vec![std::collections::HashSet::new(); stream.num_nodes()];
-        for e in stream {
-            degree[e.src.index()] += 1;
-            degree[e.dst.index()] += 1;
-            partners[e.src.index()].insert(e.dst.0);
-            partners[e.dst.index()].insert(e.src.0);
-        }
-        let mut sorted = degree.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let top = (stream.num_nodes() / 100).max(1);
-        let hub_share_top1pct =
-            sorted.iter().take(top).sum::<usize>() as f64 / (2 * stream.len()) as f64;
-
-        let active = partners.iter().filter(|p| !p.is_empty()).count().max(1);
-        let mean_distinct_partners =
-            partners.iter().map(|p| p.len()).sum::<usize>() as f64 / active as f64;
-
-        TemporalStats {
-            recurrence_ratio,
-            interarrival_cv,
-            hub_share_top1pct,
-            mean_distinct_partners,
-        }
-    }
-}
-
 #[cfg(test)]
 mod temporal_tests {
     use super::*;
     use crate::event::Event;
     use crate::synth::SynthConfig;
+
+    /// Temporal-structure statistics of an event stream — the properties the
+    /// synthetic generators must reproduce for Cascade's mechanisms to behave
+    /// as on real data (DESIGN.md §2).
+    #[derive(Clone, Debug, PartialEq)]
+    struct TemporalStats {
+        /// Fraction of events whose (src, dst) pair occurred before —
+        /// temporal recurrence (users re-contacting partners).
+        recurrence_ratio: f64,
+        /// Coefficient of variation of inter-event times; > 1 indicates
+        /// burstiness beyond a Poisson process.
+        interarrival_cv: f64,
+        /// Fraction of all endpoint slots occupied by the top 1% most active
+        /// nodes — hub concentration.
+        hub_share_top1pct: f64,
+        /// Mean number of distinct partners per active node.
+        mean_distinct_partners: f64,
+    }
+
+    impl TemporalStats {
+        /// Computes the statistics for a stream.
+        ///
+        /// Returns zeros for streams with fewer than two events.
+        fn of(stream: &EventStream) -> Self {
+            if stream.len() < 2 {
+                return TemporalStats {
+                    recurrence_ratio: 0.0,
+                    interarrival_cv: 0.0,
+                    hub_share_top1pct: 0.0,
+                    mean_distinct_partners: 0.0,
+                };
+            }
+
+            // Recurrence: repeated (src, dst) pairs.
+            let mut seen = std::collections::HashSet::new();
+            let mut repeats = 0usize;
+            for e in stream {
+                if !seen.insert((e.src, e.dst)) {
+                    repeats += 1;
+                }
+            }
+            let recurrence_ratio = repeats as f64 / stream.len() as f64;
+
+            // Inter-arrival coefficient of variation.
+            let times: Vec<f64> = stream.iter().map(|e| e.time).collect();
+            let gaps: Vec<f64> = times.windows(2).map(|w| w[1] - w[0]).collect();
+            let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
+            let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gaps.len() as f64;
+            let interarrival_cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
+
+            // Hub share and distinct partners.
+            let mut degree = vec![0usize; stream.num_nodes()];
+            let mut partners: Vec<std::collections::HashSet<u32>> =
+                vec![std::collections::HashSet::new(); stream.num_nodes()];
+            for e in stream {
+                degree[e.src.index()] += 1;
+                degree[e.dst.index()] += 1;
+                partners[e.src.index()].insert(e.dst.0);
+                partners[e.dst.index()].insert(e.src.0);
+            }
+            let mut sorted = degree.clone();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            let top = (stream.num_nodes() / 100).max(1);
+            let hub_share_top1pct =
+                sorted.iter().take(top).sum::<usize>() as f64 / (2 * stream.len()) as f64;
+
+            let active = partners.iter().filter(|p| !p.is_empty()).count().max(1);
+            let mean_distinct_partners =
+                partners.iter().map(|p| p.len()).sum::<usize>() as f64 / active as f64;
+
+            TemporalStats {
+                recurrence_ratio,
+                interarrival_cv,
+                hub_share_top1pct,
+                mean_distinct_partners,
+            }
+        }
+    }
 
     #[test]
     fn trivial_streams_are_zero() {

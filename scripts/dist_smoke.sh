@@ -2,7 +2,9 @@
 # Dist smoke: gate on the N=1 bit-identity test, run a 2-worker
 # in-process epoch through the cascade_dist CLI, then the same run as
 # two real processes over TCP loopback (leader backgrounded), and
-# assert all three transports report identical per-epoch losses.
+# assert all three transports report identical per-epoch losses and
+# that the in-process run and the TCP leader save byte-identical
+# full-state checkpoints.
 # Used by CI; runnable locally:
 #
 #   cargo build --release -p cascade-dist --bin cascade_dist
@@ -23,7 +25,7 @@ RUN_ARGS=(--dataset wiki --model tgn --workers 2 --epochs 2 \
   --batch 64 --chunk 128 --dim 8 --scale 0.003 --seed 33 --data-seed 29)
 
 echo "dist_smoke: 2-worker in-process epoch"
-"$BIN" --mode inproc "${RUN_ARGS[@]}" | tee "$WORK/inproc.log"
+"$BIN" --mode inproc "${RUN_ARGS[@]}" --save "$WORK/inproc.ckpt" | tee "$WORK/inproc.log"
 grep -q '^epoch ' "$WORK/inproc.log"
 grep -q 'batches logged' "$WORK/inproc.log"
 
@@ -32,7 +34,7 @@ PORT=$(( (RANDOM % 20000) + 20000 ))
 ADDR="127.0.0.1:$PORT"
 echo "dist_smoke: TCP loopback on $ADDR"
 "$BIN" --mode leader --addr "$ADDR" "${RUN_ARGS[@]}" \
-  >"$WORK/leader.log" 2>&1 &
+  --save "$WORK/leader.ckpt" >"$WORK/leader.log" 2>&1 &
 LEADER_PID=$!
 
 # The follower retries until the leader's listener is up.
@@ -65,6 +67,13 @@ cmp -s "$WORK/leader.losses" "$WORK/follower.losses" || {
 cmp -s "$WORK/inproc.losses" "$WORK/leader.losses" || {
   echo "dist_smoke: TCP and in-process transports diverged"
   diff "$WORK/inproc.losses" "$WORK/leader.losses" || true
+  exit 1
+}
+
+# Losses agreeing is not enough: the whole trained state (weights,
+# optimizer, node memories, mailboxes, adjacency) must match too.
+cmp "$WORK/inproc.ckpt" "$WORK/leader.ckpt" || {
+  echo "dist_smoke: TCP and in-process checkpoints differ"
   exit 1
 }
 
