@@ -1,12 +1,12 @@
 //! Lint self-benchmark: times a whole-workspace `cascade-lint` scan —
-//! walk, lex, token rules, item parse, intraprocedural flow, and the
-//! interprocedural call-graph fixpoints — over this very repository.
+//! walk, then one lex + token-rule pass per file — over this very
+//! repository.
 //!
 //! The gate runs on every CI push and inside `cargo test` (self_gate),
-//! so its wall time is a developer-facing latency budget: the ISSUE-8
-//! ceiling is 10 s single-core for the full workspace. This bench pins
-//! that number in `bench_results/lint.json` so a regression in the
-//! fixpoint loops or the lexer shows up as a curve, not an anecdote.
+//! so its wall time is a developer-facing latency budget: the ceiling
+//! is 10 s single-core for the full workspace. This bench pins that
+//! number in `bench_results/lint.json` so a regression in the lexer or
+//! the rule pass shows up as a curve, not an anecdote.
 //!
 //! Run with `cargo bench -p cascade-bench --bench lint`.
 

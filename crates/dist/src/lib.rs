@@ -12,7 +12,7 @@
 //!
 //! * **N = 1** is bit-identical to the serial trainer — same losses,
 //!   same logits, same memories, same post-step parameters (enforced by
-//!   the `identity` integration tests and the `det-taint` lint gate).
+//!   the `identity` integration tests).
 //! * **N > 1** is bit-reproducible for a given `(workers, seed,
 //!   stream)` across runs *and* across transports, but deliberately
 //!   diverges from serial training by a bounded amount: same-round

@@ -121,20 +121,6 @@ const TELEMETRY: &[&str] = &[
 /// apply), and the arena implementation itself.
 const ARENA_RESET_SITES: &[&str] = &["crates/core/src/step.rs", "crates/tensor/src/arena.rs"];
 
-/// Crates with real lock graphs: the tensor substrate (per-tensor
-/// RwLocks), the loader-thread executor, the serving stack, the storage
-/// prefetcher, the dist runtime (the in-process round board's slot
-/// locks), and the core drivers that compose them.
-/// Their lock acquisition orders are checked globally.
-const LOCK_SCOPE: &[&str] = &[
-    "crates/core/src/",
-    "crates/dist/src/",
-    "crates/exec/src/",
-    "crates/serve/src/",
-    "crates/store/src/",
-    "crates/tensor/src/",
-];
-
 /// All rules, in reporting order.
 pub const RULES: &[RuleSpec] = &[
     RuleSpec {
@@ -218,27 +204,6 @@ pub const RULES: &[RuleSpec] = &[
               worker threads in dist/runtime.rs, and cascade-core spawns none.",
     },
     RuleSpec {
-        id: "conc-guard-across-blocking",
-        scopes: LOCK_SCOPE,
-        allowed_paths: &[],
-        applies_to_tests: false,
-        why: "Holding a lock guard across a blocking call (channel send/recv, thread \
-              join, fsync, accept, condvar wait) couples the lock to external \
-              progress — the classic pipeline deadlock. Drop the guard before \
-              blocking. (Flow-aware successor to conc-guard-across-channel: tracks \
-              real scopes, drop(), and shadowing.)",
-    },
-    RuleSpec {
-        id: "conc-lock-order",
-        scopes: LOCK_SCOPE,
-        allowed_paths: &[],
-        applies_to_tests: false,
-        why: "Two code paths acquiring the same pair of named locks in opposite \
-              orders (directly or through calls) deadlock the first time they \
-              interleave; pick one global order per lock pair. Checked across the \
-              whole workspace call graph.",
-    },
-    RuleSpec {
         id: "conc-static-mut",
         scopes: &[],
         allowed_paths: &[],
@@ -256,27 +221,6 @@ pub const RULES: &[RuleSpec] = &[
               mid-batch calls silently degrade recycling. The one call site is the \
               shared train step's close (core/step.rs), which every driver and the \
               dist replica go through.",
-    },
-    RuleSpec {
-        id: "arena-take-balance",
-        scopes: &["crates/tensor/src/"],
-        allowed_paths: &[],
-        applies_to_tests: false,
-        why: "A buffer from arena::take_* that is neither recycled, returned, nor \
-              moved out on some path out of the function silently leaks from the \
-              recycling pool — recycle rates degrade without any test failing. \
-              Every take_* needs a recycle/move on every exit path.",
-    },
-    RuleSpec {
-        id: "det-taint",
-        scopes: DETERMINISM_SCOPE,
-        allowed_paths: TELEMETRY,
-        applies_to_tests: false,
-        why: "A wall-clock or hash-iteration value flowing (possibly through \
-              helpers) into a function that mutates training state — params, \
-              memory, mailboxes — silently breaks bit-identical replay even when \
-              the clock read itself sits in allowlisted telemetry code. Flagged at \
-              the call site where the tainted value enters the mutation chain.",
     },
     RuleSpec {
         id: "io-fs-confined",
@@ -385,24 +329,12 @@ mod tests {
 
     #[test]
     fn dist_crate_is_bound_with_its_designated_escapes() {
-        // Determinism + taint rules bind the whole dist runtime; only the
+        // Determinism rules bind the whole dist runtime; only the
         // telemetry module may read clocks.
         let wall = rule("det-wallclock").expect("det-wallclock is registered");
         assert!(in_scope(wall, "crates/dist/src/runtime.rs"));
         assert!(in_scope(wall, "crates/dist/src/grad.rs"));
         assert!(!in_scope(wall, "crates/dist/src/stats.rs"));
-
-        let taint = rule("det-taint").expect("det-taint is registered");
-        assert!(in_scope(taint, "crates/dist/src/runtime.rs"));
-        assert!(in_scope(taint, "crates/models/src/plane.rs"));
-        assert!(!in_scope(taint, "crates/dist/src/stats.rs"));
-
-        // The round board's slot locks participate in the global
-        // lock-order analysis.
-        let order = rule("conc-lock-order").expect("conc-lock-order is registered");
-        assert!(in_scope(order, "crates/dist/src/runtime.rs"));
-        let guard = rule("conc-guard-across-blocking").expect("rule is registered");
-        assert!(in_scope(guard, "crates/dist/src/runtime.rs"));
 
         // Worker threads are confined to the runtime module.
         let spawn = rule("conc-spawn").expect("conc-spawn is registered");
@@ -440,10 +372,6 @@ mod tests {
 
         let hash = rule("det-hash-iter").expect("det-hash-iter is registered");
         assert!(in_scope(hash, "crates/scenario/src/gen.rs"));
-
-        let taint = rule("det-taint").expect("det-taint is registered");
-        assert!(in_scope(taint, "crates/scenario/src/runner.rs"));
-        assert!(!in_scope(taint, "crates/scenario/src/rss.rs"));
 
         // All fs access — recipe loading, report writing, the
         // /proc/self/status read — is confined to the report module.

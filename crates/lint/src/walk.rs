@@ -11,12 +11,8 @@ use std::path::{Path, PathBuf};
 const SKIP_DIRS: &[&str] = &[".git", "target", "bench_results"];
 
 /// Path prefixes (workspace-relative) excluded from scanning: the lint
-/// crate's rule fixtures and the deliberately-broken fixture workspace
-/// are violations *by design*.
-const SKIP_PREFIXES: &[&str] = &[
-    "crates/lint/tests/fixtures/",
-    "crates/lint/tests/fixture_tree/",
-];
+/// crate's rule fixtures are violations *by design*.
+const SKIP_PREFIXES: &[&str] = &["crates/lint/tests/fixtures/"];
 
 /// A file selected for scanning.
 #[derive(Clone, Debug)]
@@ -124,12 +120,6 @@ mod tests {
         assert!(
             !files.iter().any(|f| f.rel_path.contains("tests/fixtures/")),
             "fixture violations must not be scanned"
-        );
-        assert!(
-            !files
-                .iter()
-                .any(|f| f.rel_path.contains("tests/fixture_tree/")),
-            "the deliberately-broken fixture workspace must not be scanned"
         );
         assert!(
             files

@@ -36,8 +36,7 @@ fn workspace_is_clean_against_committed_baseline() {
 fn two_scans_render_byte_identical_baselines() {
     // The baseline file is reviewed as a diff: findings are sorted by
     // (path, line, col, rule) before rendering, so two runs over the
-    // same tree — including the interprocedural passes, whose findings
-    // come out of set-ordered fixpoints — must agree byte for byte.
+    // same tree must agree byte for byte.
     let here = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let root = find_root(&here).expect("lint crate lives inside the workspace");
     let (first, _, _) = scan_workspace(&root).expect("workspace sources are readable");

@@ -6,9 +6,8 @@
 //! node id, and is the only place a model's node state lives — a dist
 //! replica owns one like every other driver does.
 //!
-//! All mutation goes through `&mut self` methods on a receiver named
-//! `plane`, which keeps the det-taint sink analysis (`memory_write`,
-//! `mailbox_push`) attached to every state write.
+//! All mutation goes through `&mut self` methods (`memory_write`,
+//! `mailbox_push`, …), so every state write has one call site to audit.
 
 use cascade_tensor::Tensor;
 use cascade_tgraph::{AdjacencyStore, Event, EventId, NeighborRef, NodeId};

@@ -141,6 +141,51 @@ fn training_step_is_bit_identical_with_and_without_arena() {
     });
 }
 
+/// Nothing new leaks from the pool: once two warm-up batches have filled
+/// it, a third identical batch misses it exactly as often as the known
+/// leaks below account for. A `take_*` buffer that some path drops
+/// instead of recycling (say, in one backward closure) is gone when the
+/// next batch asks for it, and shows up here as one more miss. The batch
+/// runs in the shared train step's order: forward, backward, optimizer
+/// step, memory apply, then the boundary trim before the graph drops.
+#[test]
+fn a_steady_state_batch_misses_the_pool_only_where_known() {
+    let _ = arena::set_enabled(true);
+    let events: Vec<Event> = (0..16)
+        .map(|i| Event::new((i % 5) as u32, ((i + 2) % 5) as u32, i as f64 * 0.5))
+        .collect();
+    let feats = synth_features(events.len(), 4, 9);
+    let cfg = ModelConfig::tgn().with_dims(8, 4).with_neighbors(3);
+    let mut model = MemoryTgnn::new(cfg, 5, 4, 3);
+    let mut opt = Adam::new(model.parameters(), 1e-2);
+    let mut batch = || {
+        let fwd = model.forward_batch(&events, 0, &feats);
+        fwd.loss.backward();
+        opt.step();
+        model.apply_batch(&events, 0, &feats, fwd.pending);
+        arena::reset();
+        drop(fwd.loss);
+    };
+    batch();
+    batch();
+    let before = arena::stats();
+    batch();
+    let after = arena::stats();
+    assert!(after.hits > before.hits, "the batch ran through the pool");
+    // Not 0: the fused ops' backward closures capture forward buffers
+    // taken from the pool — the GRU cell's `r`, `z`, `n` and `hn`
+    // (`[5, 8]` each here) and the `pre` of three time encodings and one
+    // attention score — and a captured buffer drops with the graph
+    // instead of going back. Eight buffers leave the pool every batch;
+    // the non-power-of-two buffers the batch returns cover three of
+    // them, so five takes miss. Pinned exactly, so a new leak fails.
+    assert_eq!(
+        after.misses - before.misses,
+        5,
+        "a steady-state batch misses the pool only for the captured buffers"
+    );
+}
+
 /// The arena must actually be doing something in the pooled arm — a pool
 /// that never hits would make the identity test vacuous.
 #[test]

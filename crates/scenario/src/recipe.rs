@@ -85,6 +85,19 @@ pub enum PhaseKind {
     },
 }
 
+impl Phase {
+    /// Duplicates this phase delivers on top of its base events (only a
+    /// reorder phase with a duplicate cadence injects any).
+    fn duplicates(&self) -> usize {
+        match self.kind {
+            PhaseKind::Reorder {
+                duplicate_every, ..
+            } if duplicate_every > 0 => self.events / duplicate_every,
+            _ => 0,
+        }
+    }
+}
+
 impl PhaseKind {
     /// Schema keyword for this kind.
     pub fn keyword(&self) -> &'static str {
@@ -222,6 +235,16 @@ impl Recipe {
         for (i, p) in phases_json.iter().enumerate() {
             phases.push(parse_phase(p, i)?);
         }
+        // The delivered total bounds every sum `base_events` and
+        // `delivered_events` take, so neither can overflow once it fits.
+        phases
+            .iter()
+            .try_fold(0usize, |n, p| {
+                n.checked_add(p.events)?.checked_add(p.duplicates())
+            })
+            .ok_or_else(|| {
+                ScenarioError::new("recipe phases total more events than a usize holds")
+            })?;
 
         Ok(Recipe {
             name,
@@ -249,17 +272,7 @@ impl Recipe {
     /// Total events as *delivered*, including injected duplicates —
     /// the raw stream length a generated CEVT file holds.
     pub fn delivered_events(&self) -> usize {
-        self.base_events()
-            + self
-                .phases
-                .iter()
-                .map(|p| match p.kind {
-                    PhaseKind::Reorder {
-                        duplicate_every, ..
-                    } if duplicate_every > 0 => p.events / duplicate_every,
-                    _ => 0,
-                })
-                .sum::<usize>()
+        self.base_events() + self.phases.iter().map(Phase::duplicates).sum::<usize>()
     }
 
     /// The widest reorder window any phase uses (0 when no phase
@@ -471,5 +484,52 @@ mod tests {
         assert_eq!(c.phases[2].kind, r.phases[2].kind);
         assert_eq!(c.base_events(), r.base_events());
         assert_eq!(c.delivered_events(), c.base_events());
+    }
+
+    #[test]
+    fn event_totals_past_usize_are_refused() {
+        // Each count alone is a valid usize; their sum is not.
+        let two = r#"{"name": "x", "seed": 1, "nodes": 10, "phases": [
+                        {"events": 1e19}, {"events": 1e19}]}"#;
+        let err = Recipe::parse(two).expect_err("1e19 + 1e19 overflows a usize");
+        assert!(err.to_string().contains("total"), "{err}");
+        // Duplicates count toward the delivered total too.
+        let dups = r#"{"name": "x", "seed": 1, "nodes": 10, "phases": [
+                        {"kind": "reorder", "events": 1e19, "duplicate_every": 1}]}"#;
+        assert!(Recipe::parse(dups).is_err());
+        let one = r#"{"name": "x", "seed": 1, "nodes": 10, "phases": [{"events": 1e19}]}"#;
+        let r = Recipe::parse(one).expect("one 1e19 phase fits");
+        assert_eq!(r.delivered_events(), 10_000_000_000_000_000_000);
+    }
+
+    /// `check_decoder` over every committed recipe, decoding through
+    /// `from_utf8` and [`Recipe::parse`]. JSON has many spellings of one
+    /// recipe, so a decoded recipe hands back its input once its own
+    /// invariants hold, and the battery checks that every prefix, huge
+    /// value and bit flip is a typed refusal or such a recipe, never a
+    /// panic. Trailing whitespace is trimmed: a prefix that only drops it
+    /// is the same document.
+    #[test]
+    fn committed_recipes_survive_the_hostile_input_battery() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../recipes");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("recipes/ is committed")
+            .map(|e| e.expect("recipes/ entries are readable").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        paths.sort();
+        assert!(!paths.is_empty(), "no recipes under {}", dir.display());
+        for path in paths {
+            let text = std::fs::read_to_string(&path).expect("recipes are UTF-8");
+            let name = path.display().to_string();
+            cascade_util::check_decoder(&name, text.trim().as_bytes(), |bytes| {
+                let r = Recipe::parse(std::str::from_utf8(bytes).ok()?).ok()?;
+                assert!(r.nodes > 0 && r.chunk_size > 0);
+                assert!(r.train.batch > 0 && r.train.dim > 0 && r.train.epochs > 0);
+                assert!(r.phases.iter().all(|p| p.events > 0));
+                assert!(r.delivered_events() >= r.base_events());
+                Some(bytes.to_vec())
+            });
+        }
     }
 }

@@ -173,7 +173,9 @@ fn worker_loop(
     loop {
         let next = {
             let rx = conns.lock().unwrap_or_else(PoisonError::into_inner);
-            // cascade-lint: allow(conc-guard-across-blocking): the shared-Receiver-behind-Mutex idiom — the lock exists precisely to serialize recv_timeout among workers, the timeout bounds the hold, and no other lock is ever taken with it
+            // The shared-Receiver-behind-Mutex idiom: the lock exists to
+            // serialize recv_timeout among workers, the timeout bounds the
+            // hold, and no other lock is ever taken with it.
             rx.recv_timeout(IDLE_TICK)
         };
         match next {
