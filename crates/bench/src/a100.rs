@@ -104,8 +104,9 @@ impl UtilizationProxy {
 mod tests {
     use super::*;
     use cascade_baselines::tgl;
-    use cascade_core::{train, BatchingStrategy, CascadeConfig, CascadeScheduler, TrainConfig};
-    use cascade_exec::{train_streamed, PipelineConfig};
+    use cascade_core::{
+        train, train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler, TrainConfig,
+    };
     use cascade_models::{MemoryTgnn, ModelConfig};
     use cascade_tgraph::{Dataset, InMemorySource, SynthConfig};
 
@@ -144,7 +145,7 @@ mod tests {
             batch_overhead_events: 0.0,
         };
         assert_eq!(off.modelled_time(&report, &timers), report.total_time);
-        // Without the loader nothing is credited back.
+        // Fixed batching builds no tables, so nothing is credited back.
         assert!(A100::at_preset(48).modelled_time(&report, &timers) >= report.total_time);
     }
 
@@ -156,9 +157,8 @@ mod tests {
             ..CascadeConfig::default()
         });
         let mut source = InMemorySource::from_dataset(&data, 128);
-        let pipe = PipelineConfig::default();
         let report =
-            train_streamed(&mut model(&data), &mut source, &mut strategy, &cfg(), &pipe).unwrap();
+            train_streaming(&mut model(&data), &mut source, &mut strategy, &cfg()).unwrap();
         let timers = strategy.timers();
         assert!(timers.background_build > Duration::ZERO);
         let credit = overlap_credit(&report, &timers);

@@ -4,9 +4,9 @@
 //! ```text
 //! cascade_train --dataset wiki --model tgn --strategy cascade --epochs 4
 //! cascade_train --dataset path/to/events.csv --model jodie --save model.ckpt
-//! cascade_train --dataset wiki --chunk 128 --pipelined       # Cascade_EX from memory
+//! cascade_train --dataset wiki --chunk 128                  # Cascade_EX from memory
 //! cascade_train --dataset wiki --export-dataset wiki.evt     # write a store file
-//! cascade_train --dataset wiki.evt --pipelined               # train out-of-core
+//! cascade_train --dataset wiki.evt                           # train out-of-core
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -16,14 +16,11 @@ use cascade_core::{
     evaluate_range, train, train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler,
     TrainConfig, TrainReport,
 };
-use cascade_exec::{train_streamed, PipelineConfig};
 use cascade_models::{load_checkpoint, save_parameters, MemoryTgnn, ModelConfig};
 use cascade_store::{export_dataset, StreamingEventSource};
 use cascade_tgraph::{Dataset, EventSource, InMemorySource, SynthConfig};
 
-/// Chunk size when `--chunk` is not given: what `--export-dataset`
-/// writes and what `--pipelined` streams an in-memory dataset at, so the
-/// two feeds of one dataset train identically by default.
+/// Chunk size `--export-dataset` writes when `--chunk` is not given.
 const DEFAULT_CHUNK: usize = 4096;
 
 struct Args {
@@ -41,8 +38,6 @@ struct Args {
     save: Option<PathBuf>,
     load: Option<PathBuf>,
     test: bool,
-    pipelined: bool,
-    pipeline_depth: usize,
     compute_threads: usize,
 }
 
@@ -63,8 +58,6 @@ impl Args {
             save: None,
             load: None,
             test: false,
-            pipelined: false,
-            pipeline_depth: 2,
             compute_threads: 1,
         };
         while let Some(flag) = it.next() {
@@ -100,8 +93,6 @@ impl Args {
                 "--save" => a.save = Some(PathBuf::from(val("--save")?)),
                 "--load" => a.load = Some(PathBuf::from(val("--load")?)),
                 "--test" => a.test = true,
-                "--pipelined" => a.pipelined = true,
-                "--pipeline-depth" => a.pipeline_depth = parse(&val("--pipeline-depth")?)?,
                 "--compute-threads" => a.compute_threads = parse(&val("--compute-threads")?)?,
                 "--help" | "-h" => {
                     print_usage();
@@ -138,11 +129,6 @@ fn print_usage() {
          --load P             warm-start from any checkpoint: a --save file, a\n\
          \u{20}                    cascade_serve snapshot, or cascade_dist --save\n\
          --test     also evaluate on the held-out test range\n\
-         --pipelined          stream with a loader thread that reads chunk k+1\n\
-         \u{20}                    and builds its table while chunk k trains\n\
-         \u{20}                    (bit-identical to streaming without it; an\n\
-         \u{20}                    in-memory dataset streams at --chunk, default 4096)\n\
-         --pipeline-depth N   chunks of read-ahead (default 2)\n\
          --compute-threads N  shard-parallel batch compute workers\n\
          \u{20}                    (default 1; any N is bit-identical)"
     );
@@ -277,11 +263,11 @@ fn run() -> Result<(), String> {
 
     let mut strategy = build_strategy(&args)?;
     let cfg = train_config(&args);
-    let report = if args.chunk.is_some() || args.pipelined {
-        let chunk = args.chunk.unwrap_or(DEFAULT_CHUNK);
+    let report = if let Some(chunk) = args.chunk {
         println!("streaming from memory in chunks of {}", chunk);
         let mut source = InMemorySource::from_dataset(&data, chunk);
-        train_from_source(&args, &mut model, &mut source, strategy.as_mut(), &cfg)?
+        train_streaming(&mut model, &mut source, strategy.as_mut(), &cfg)
+            .map_err(|e| e.to_string())?
     } else {
         train(&mut model, &data, strategy.as_mut(), &cfg)
     };
@@ -313,25 +299,6 @@ fn train_config(args: &Args) -> TrainConfig {
     }
 }
 
-/// Streams `source` through the serial driver, or with `--pipelined`
-/// through the loader thread; the two are bit-identical.
-fn train_from_source<S: EventSource + Send>(
-    args: &Args,
-    model: &mut MemoryTgnn,
-    source: &mut S,
-    strategy: &mut dyn BatchingStrategy,
-    cfg: &TrainConfig,
-) -> Result<TrainReport, String> {
-    if args.pipelined {
-        let pcfg = PipelineConfig::default().with_depth(args.pipeline_depth);
-        println!("loader thread: chunk read-ahead {}", pcfg.depth.max(1));
-        train_streamed(model, source, strategy, cfg, &pcfg)
-    } else {
-        train_streaming(model, source, strategy, cfg)
-    }
-    .map_err(|e| e.to_string())
-}
-
 /// Out-of-core training straight from a store file: only the current
 /// chunk window is resident; the dataset never materializes in memory.
 fn run_streaming_cli(args: &Args) -> Result<(), String> {
@@ -356,7 +323,8 @@ fn run_streaming_cli(args: &Args) -> Result<(), String> {
 
     let mut strategy = build_strategy(args)?;
     let cfg = train_config(args);
-    let report = train_from_source(args, &mut model, &mut source, strategy.as_mut(), &cfg)?;
+    let report = train_streaming(&mut model, &mut source, strategy.as_mut(), &cfg)
+        .map_err(|e| e.to_string())?;
     print_report(&report);
     println!(
         "  resident window   {} bytes (vs {} bytes of stream events on disk)",

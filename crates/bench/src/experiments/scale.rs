@@ -93,8 +93,8 @@ pub fn fig14c(session: &Session) -> String {
                 let r = &out.report;
                 let total = out.modelled.as_secs_f64().max(1e-12);
                 // Table time on the critical path: the scheduler's own
-                // builds, plus (Cascade_EX) the driver's waits for the
-                // loader's — chunk 0's table is never overlapped.
+                // builds plus the driver's waits for the loader's — chunk
+                // 0's table is never overlapped.
                 let build = (r.build_time + r.stages.scan.stall).as_secs_f64();
                 let lookup = r.stages.scan.busy.as_secs_f64();
                 t.row(&[

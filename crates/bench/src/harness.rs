@@ -5,9 +5,9 @@ use std::time::Duration;
 
 use cascade_baselines::{tgl, tgl_lb, tglite, Etc, NeutronStream};
 use cascade_core::{
-    train, BatchingStrategy, CascadeConfig, CascadeScheduler, TrainConfig, TrainReport,
+    train, train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler, TrainConfig,
+    TrainReport,
 };
-use cascade_exec::{train_streamed, PipelineConfig};
 use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_tgraph::{Dataset, InMemorySource, SynthConfig};
 
@@ -246,8 +246,8 @@ impl Harness {
     }
 
     /// Runs one (dataset, model, strategy) training and returns the
-    /// outcome. Cascade_EX streams the dataset in chunks through the
-    /// loader thread; everything else trains in memory.
+    /// outcome. Cascade_EX streams the dataset in chunks; everything else
+    /// trains in memory as one chunk.
     ///
     /// # Panics
     ///
@@ -260,8 +260,7 @@ impl Harness {
         let report = match strategy {
             StrategyKind::CascadeEx(chunk) => {
                 let mut source = InMemorySource::from_dataset(data, *chunk);
-                let pipe = PipelineConfig::default();
-                train_streamed(&mut model, &mut source, strat.as_mut(), &cfg, &pipe)
+                train_streaming(&mut model, &mut source, strat.as_mut(), &cfg)
                     .unwrap_or_else(|e| panic!("Cascade_EX run failed: {}", e))
             }
             _ => train(&mut model, data, strat.as_mut(), &cfg),

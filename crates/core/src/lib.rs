@@ -24,8 +24,10 @@
 //! of Cascade_EX (§4.2). One driver, [`train_streaming`], runs any
 //! strategy against any [`MemoryTgnn`](cascade_models::MemoryTgnn) model
 //! from any chunked event source through the one [`TrainStep`], and
-//! measures what the paper's figures report; [`train`] is that driver
-//! over an in-memory dataset as one chunk. The modelled A100 latency the
+//! measures what the paper's figures report. One loader thread per call
+//! reads the source and builds the next chunk's dependency table while
+//! the current chunk trains (Cascade_EX's overlap); [`train`] is that
+//! driver over an in-memory dataset as one chunk. The modelled A100 latency the
 //! figures plot is `cascade-bench`'s view of a finished report.
 //!
 //! # Examples
@@ -79,7 +81,6 @@ pub use scheduler::{CascadeConfig, CascadeScheduler};
 pub use sgfilter::SgFilter;
 pub use step::{CheckpointProgress, RunFacts, StepOutput, TrainStep};
 pub use streaming::{
-    train_streaming, train_streaming_with_options, train_streaming_with_provider, ChunkProvider,
-    ProvidedChunk, StreamCheckpoint, StreamMeta, StreamOptions, StreamOutcome,
+    train_streaming, train_streaming_with_options, StreamCheckpoint, StreamOptions, StreamOutcome,
 };
 pub use trainer::{evaluate, evaluate_range, train, EvalReport, TrainConfig, TrainReport};

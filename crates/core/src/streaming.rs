@@ -2,11 +2,30 @@
 //! an [`EventSource`] while keeping only a bounded rolling window of
 //! events resident, and feeds every batch through the one [`TrainStep`].
 //! [`train`](crate::train) is this driver over an in-memory dataset as
-//! one chunk, and `cascade-exec`'s `train_streamed` reuses it through the
-//! [`ChunkProvider`] trait, so its loader thread changes wall-clock only,
-//! never results. Two sources with the same events and the same chunk
+//! one chunk. Two sources with the same events and the same chunk
 //! geometry train **bit-identically** (gradients, memories, post-step
 //! parameters).
+//!
+//! Every run reads through one scoped *loader* thread, the paper's
+//! Cascade_EX overlap (§4.2: it "pipelines table building with
+//! training"). The loader calls the source's `next_chunk` (a store's
+//! read and CRC, a `ReorderingSource`'s reorder and dedupe) and builds
+//! each training chunk's dependency table from the strategy's
+//! [`TableSpec`], while the driver trains on the chunk before:
+//!
+//! ```text
+//!              chunk + its table (sync_channel, LOADER_DEPTH = 2)
+//!   ┌──────────────┐ ───────────────────────────────────► ┌──────────────┐
+//!   │ loader:      │                                      │ driver:      │
+//!   │ next_chunk + │                                      │ scan, train, │
+//!   │ build table  │                                      │ feedback     │
+//!   └──────────────┘                                      └──────────────┘
+//! ```
+//!
+//! The schedule never leaves the driver thread, so the loader moves
+//! wall-clock only, never results. It is joined before the call returns
+//! on every path: each side blocks only on the channel the other owns,
+//! so whichever fails first disconnects it and the survivor exits.
 //!
 //! Mid-stream suspend/resume: [`StreamOptions::suspend_after`] stops the
 //! run just before a chunk is entered and returns a
@@ -14,99 +33,103 @@
 //! run bit for bit (model parameters, node memories, optimizer moments,
 //! scheduler monitors).
 
-// cascade-lint: allow-file(det-wallclock): the two clock pairs time chunk-load stalls for StageTimings telemetry; batch boundaries, chunk handoffs, and checkpoints are derived purely from event data.
+// cascade-lint: allow-file(det-wallclock): the clock pairs time chunk-load stalls and the loader's table builds for telemetry; batch boundaries, chunk handoffs, and checkpoints are derived purely from event data.
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread;
 use std::time::Instant;
 
 use cascade_models::MemoryTgnn;
-use cascade_tgraph::{chronological_split, EdgeFeatures, Event, EventSource, SourceError};
+use cascade_tgraph::{
+    chronological_split, EdgeFeatures, Event, EventChunk, EventSource, SourceError,
+};
 use cascade_util::bytes::{tag, ByteReader, ByteWriter, DecodeError};
 
-use crate::batching::{announce_chunks, BatchingStrategy, PrebuiltTable};
+use crate::batching::{announce_chunks, BatchingStrategy, PrebuiltTable, TableSpec};
 use crate::step::{CheckpointProgress, RunFacts, TrainStep};
 use crate::trainer::{EvalAccumulator, TrainConfig, TrainReport};
 
-/// Stream geometry the driver needs up front (mirrors the accessors of
-/// [`EventSource`], so `train_streamed` can capture it before moving the
-/// source into its loader thread).
-#[derive(Clone, Debug)]
-pub struct StreamMeta {
-    /// Source name, used as the report's dataset name.
-    pub name: String,
-    /// Number of nodes the stream covers.
-    pub num_nodes: usize,
-    /// Total events in the stream.
-    pub num_events: usize,
-    /// Edge-feature width.
-    pub feature_dim: usize,
-    /// Nominal chunk size.
-    pub chunk_size: usize,
+/// Chunks, each with its table, the loader may queue ahead of the driver.
+const LOADER_DEPTH: usize = 2;
+
+/// Stream geometry, captured before the source moves to the loader.
+struct StreamMeta {
+    name: String,
+    num_events: usize,
+    feature_dim: usize,
+    /// Nominal chunk size, at least 1.
+    chunk_size: usize,
 }
 
-impl StreamMeta {
-    /// Captures the geometry of `source`.
-    pub fn of(source: &dyn EventSource) -> Self {
-        StreamMeta {
-            name: source.name(),
-            num_nodes: source.num_nodes(),
-            num_events: source.num_events(),
-            feature_dim: source.feature_dim(),
-            chunk_size: source.chunk_size(),
+/// What the loader sends the driver: the next chunk with the table it
+/// built for it, or the error that stopped the loader.
+type Loaded = Result<(EventChunk, Option<PrebuiltTable>), SourceError>;
+
+/// What the loader reads: `passes` passes over the source, each ending
+/// at the training split except the last, which continues through the
+/// validation range so the driver's evaluation can stream.
+struct LoadPlan {
+    /// How to build each training chunk's table (`None`: no tables).
+    spec: Option<TableSpec>,
+    passes: usize,
+    n_train: usize,
+    val_end: usize,
+}
+
+/// The loader side: reads, pass by pass, exactly the chunks the driver
+/// will ask for, and builds each training chunk's dependency table,
+/// truncated at the training split exactly as the strategy would build
+/// it. The driver consumes every chunk it is sent, so passes need no
+/// marker between them. A one-chunk stream is entered once per call, so
+/// its table is built on the first pass only. Returns the error that
+/// stopped it, or `Ok` when it finished or the driver hung up.
+fn run_loader(
+    source: &mut dyn EventSource,
+    tx: &SyncSender<Loaded>,
+    plan: &LoadPlan,
+) -> Result<(), SourceError> {
+    let one_chunk = plan.n_train <= source.chunk_size().max(1);
+    for pass in 0..plan.passes {
+        if pass > 0 {
+            source.reset()?;
+        }
+        let pass_end = if pass + 1 == plan.passes {
+            plan.val_end
+        } else {
+            plan.n_train
+        };
+        let spec = plan.spec.filter(|_| pass == 0 || !one_chunk);
+        let mut next_base = 0;
+        while next_base < pass_end {
+            let Some(chunk) = source.next_chunk()? else {
+                return Err(SourceError::new(format!(
+                    "stream ended at event {next_base} before the requested range"
+                )));
+            };
+            next_base = chunk.base + chunk.events.len();
+            let table = spec.filter(|_| chunk.base < plan.n_train).map(|spec| {
+                let train_len = chunk.events.len().min(plan.n_train - chunk.base);
+                let t0 = Instant::now();
+                let table = spec.build(chunk.base, &chunk.events[..train_len]);
+                PrebuiltTable {
+                    table,
+                    work: t0.elapsed(),
+                }
+            });
+            if tx.send(Ok((chunk, table))).is_err() {
+                return Ok(()); // driver gone (done or failed): stop quietly
+            }
         }
     }
+    Ok(())
 }
 
-/// One chunk handed to the streaming driver, optionally with a
-/// dependency table prebuilt off the critical path.
-#[derive(Debug)]
-pub struct ProvidedChunk {
-    /// Chunk index in the stream.
-    pub index: usize,
-    /// Global id of `events[0]`.
-    pub base: usize,
-    /// The chunk's events.
-    pub events: Vec<Event>,
-    /// Row-major feature rows for `events`.
-    pub features: Vec<f32>,
-    /// Table built ahead by a loader thread (`None` = strategy builds).
-    pub prebuilt: Option<PrebuiltTable>,
-}
-
-/// What feeds chunks to [`train_streaming_with_provider`]: either a
-/// plain [`EventSource`] adapter or `cascade-exec`'s prefetching loader.
-pub trait ChunkProvider {
-    /// Yields the next chunk of the current pass, `Ok(None)` when the
-    /// pass is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates source failures (I/O, corruption).
-    fn next(&mut self) -> Result<Option<ProvidedChunk>, SourceError>;
-
-    /// Rewinds to chunk 0 for the next pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates source failures.
-    fn reset(&mut self) -> Result<(), SourceError>;
-}
-
-struct SourceProvider<'a> {
-    source: &'a mut dyn EventSource,
-}
-
-impl ChunkProvider for SourceProvider<'_> {
-    fn next(&mut self) -> Result<Option<ProvidedChunk>, SourceError> {
-        Ok(self.source.next_chunk()?.map(|c| ProvidedChunk {
-            index: c.index,
-            base: c.base,
-            events: c.events,
-            features: c.features,
-            prebuilt: None,
-        }))
-    }
-
-    fn reset(&mut self) -> Result<(), SourceError> {
-        self.source.reset()
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "no message".to_string()
     }
 }
 
@@ -265,17 +288,16 @@ impl Window {
         self.chunks_loaded = 0;
     }
 
-    /// Appends one chunk from `provider`; returns its prebuilt table.
+    /// Appends the loader's next chunk; returns its prebuilt table.
     fn load_next(
         &mut self,
-        provider: &mut dyn ChunkProvider,
+        loader: &Receiver<Loaded>,
     ) -> Result<Option<(usize, PrebuiltTable)>, SourceError> {
-        let Some(chunk) = provider.next()? else {
-            return Err(SourceError::new(format!(
-                "stream ended at event {} before the requested range",
-                self.loaded_end()
-            )));
-        };
+        // A disconnect is the loader gone without a word: it panicked,
+        // and the join reports that in place of this error.
+        let (chunk, table) = loader
+            .recv()
+            .map_err(|_| SourceError::new("chunk loader thread exited early"))??;
         if chunk.base != self.loaded_end() || chunk.index != self.chunks_loaded {
             return Err(SourceError::at_chunk(
                 chunk.index,
@@ -290,7 +312,7 @@ impl Window {
         self.buf.extend_from_slice(&chunk.events);
         self.feats.push_rows(&chunk.features);
         self.peak_events = self.peak_events.max(self.buf.len());
-        Ok(chunk.prebuilt.map(|p| (chunk.index, p)))
+        Ok(table.map(|p| (chunk.index, p)))
     }
 
     /// Drops events below `keep_from` (already consumed and not needed
@@ -313,12 +335,15 @@ impl Window {
 /// the source's: fixed batching ignores it, so any chunking reproduces
 /// [`train`](crate::train) over the imported dataset; Cascade, ETC and
 /// NeutronStream end batches at chunk ends, so they reproduce it when the
-/// source yields the stream as one chunk.
+/// source yields the stream as one chunk. The source is read, and each
+/// chunk's table built, on the call's loader thread (module docs).
 ///
 /// # Errors
 ///
 /// Returns a [`SourceError`] when the source fails (I/O, corruption),
-/// ends early, or the strategy does not support streaming.
+/// ends early, or the strategy does not support streaming. A panic on
+/// the loader thread (inside the source, or a table build) is caught at
+/// the join and returned as `chunk loader thread panicked: <message>`.
 ///
 /// # Panics
 ///
@@ -326,7 +351,7 @@ impl Window {
 /// `cfg.eval_batch_size == 0`.
 pub fn train_streaming(
     model: &mut MemoryTgnn,
-    source: &mut dyn EventSource,
+    source: &mut (dyn EventSource + Send),
     strategy: &mut dyn BatchingStrategy,
     cfg: &TrainConfig,
 ) -> Result<TrainReport, SourceError> {
@@ -347,43 +372,64 @@ pub fn train_streaming(
 /// not match the model/strategy shapes.
 pub fn train_streaming_with_options(
     model: &mut MemoryTgnn,
-    source: &mut dyn EventSource,
+    source: &mut (dyn EventSource + Send),
     strategy: &mut dyn BatchingStrategy,
     cfg: &TrainConfig,
     opts: StreamOptions,
 ) -> Result<StreamOutcome, SourceError> {
-    let meta = StreamMeta::of(source);
-    let (n_train, _) = chronological_split(meta.num_events);
-    announce_chunks(strategy, n_train, meta.num_nodes, meta.chunk_size.max(1))?;
-    let mut provider = SourceProvider { source };
-    train_streaming_with_provider(model, &meta, &mut provider, strategy, cfg, opts)
+    let meta = StreamMeta {
+        name: source.name(),
+        num_events: source.num_events(),
+        feature_dim: source.feature_dim(),
+        chunk_size: source.chunk_size().max(1),
+    };
+    let (n_train, val_end) = chronological_split(meta.num_events);
+    // The run is this call's: announce its geometry before the loader
+    // needs the strategy's table recipe.
+    announce_chunks(strategy, n_train, source.num_nodes(), meta.chunk_size)?;
+    let resumed_epoch = opts.resume_from.as_ref().map_or(0, |ck| ck.epoch);
+    let plan = LoadPlan {
+        spec: strategy.table_spec(),
+        passes: cfg.epochs.saturating_sub(resumed_epoch).max(1),
+        n_train,
+        val_end,
+    };
+    let (tx, rx) = sync_channel(LOADER_DEPTH);
+    thread::scope(|s| {
+        let loader = s.spawn(move || {
+            if let Err(e) = run_loader(source, &tx, &plan) {
+                let _ = tx.send(Err(e));
+            }
+        });
+        // `drive` owns the receiver and drops it on every return, so a
+        // loader still producing exits on its next send.
+        let result = drive(model, &meta, rx, strategy, cfg, opts);
+        match loader.join() {
+            Ok(()) => result,
+            // The driver's own error, if any, is the secondary
+            // disconnect it saw when the loader died.
+            Err(payload) => Err(SourceError::new(format!(
+                "chunk loader thread panicked: {}",
+                panic_message(payload)
+            ))),
+        }
+    })
 }
 
-/// The shared streaming driver: everything between a chunk provider and
-/// a finished [`TrainReport`]. `cascade-exec`'s `train_streamed` calls
-/// this with its prefetching loader, so streaming with and without the
-/// loader thread is bit-identical by construction. The caller owns the
-/// run and has announced `meta`'s geometry to `strategy`
-/// ([`announce_chunks`]).
-///
-/// # Errors
-///
-/// As [`train_streaming`].
-///
-/// # Panics
-///
-/// Panics if `cfg.epochs == 0` or `cfg.eval_batch_size == 0`.
-pub fn train_streaming_with_provider(
+/// The driver: everything between the loader's chunks and a finished
+/// [`TrainReport`], on the calling thread. The caller has announced
+/// `meta`'s geometry to `strategy` ([`announce_chunks`]).
+fn drive(
     model: &mut MemoryTgnn,
     meta: &StreamMeta,
-    provider: &mut dyn ChunkProvider,
+    loader: Receiver<Loaded>,
     strategy: &mut dyn BatchingStrategy,
     cfg: &TrainConfig,
     opts: StreamOptions,
 ) -> Result<StreamOutcome, SourceError> {
     let n = meta.num_events;
     let (n_train, val_end) = chronological_split(n);
-    let chunk_size = meta.chunk_size.max(1);
+    let chunk_size = meta.chunk_size;
     let train_chunks = n_train.div_ceil(chunk_size);
     let chunk_start = |k: usize| k * chunk_size;
     let mut step = TrainStep::new(model, cfg);
@@ -410,7 +456,6 @@ pub fn train_streaming_with_provider(
         resume_at = Some((ck.chunk, ck.start_event));
     }
 
-    let mut first_pass = true;
     let mut entered = false;
     for epoch in start_epoch..cfg.epochs {
         let mut start;
@@ -421,7 +466,7 @@ pub fn train_streaming_with_provider(
             // the restored model/strategy state.
             while window.chunks_loaded < sk {
                 let loaded_from = window.loaded_end();
-                let _ = window.load_next(provider)?;
+                let _ = window.load_next(&loader)?;
                 let replay_to = window.loaded_end().min(se);
                 if replay_to > loaded_from {
                     model.replay_adjacency(window.slice(loaded_from, replay_to), loaded_from);
@@ -432,16 +477,13 @@ pub fn train_streaming_with_provider(
             // suspension: load it and replay its processed prefix.
             if se > chunk_start(sk) {
                 while window.loaded_end() < se {
-                    let _ = window.load_next(provider)?;
+                    prebuilt.extend(window.load_next(&loader)?);
                 }
                 model.replay_adjacency(window.slice(chunk_start(sk), se), chunk_start(sk));
             }
             start = se;
             next_enter = sk;
         } else {
-            if !first_pass {
-                provider.reset()?;
-            }
             window.clear_for_epoch();
             prebuilt.clear();
             model.reset_state();
@@ -449,7 +491,6 @@ pub fn train_streaming_with_provider(
             start = 0;
             next_enter = 0;
         }
-        first_pass = false;
 
         while start < n_train {
             if let Some((se, sk)) = opts.suspend_after {
@@ -472,9 +513,7 @@ pub fn train_streaming_with_provider(
                 let ce = (cs + chunk_size).min(n);
                 let t_load = Instant::now();
                 while window.chunks_loaded <= next_enter {
-                    if let Some(pb) = window.load_next(provider)? {
-                        prebuilt.push(pb);
-                    }
+                    prebuilt.extend(window.load_next(&loader)?);
                 }
                 step.stages.scan.stall += t_load.elapsed();
                 let table = prebuilt
@@ -500,9 +539,7 @@ pub fn train_streaming_with_provider(
             // entered yet; its events must still be resident.
             let t_load = Instant::now();
             while window.loaded_end() < end {
-                if let Some(pb) = window.load_next(provider)? {
-                    prebuilt.push(pb);
-                }
+                prebuilt.extend(window.load_next(&loader)?);
             }
             step.stages.scan.stall += t_load.elapsed();
 
@@ -532,7 +569,7 @@ pub fn train_streaming_with_provider(
     while start < val_end {
         let end = (start + cfg.eval_batch_size).min(val_end);
         while window.loaded_end() < end {
-            let _ = window.load_next(provider)?;
+            let _ = window.load_next(&loader)?;
         }
         acc.batch(model, window.slice(start, end), start, &window.feats);
         start = end;
@@ -618,5 +655,49 @@ mod tests {
                 .ok()
                 .map(|ck| ck.to_bytes())
         });
+    }
+
+    /// Runs the loader over `passes` passes of a small stream cut into
+    /// `chunk`-event chunks (at most the stream); returns (chunks sent,
+    /// chunks sent with a table).
+    fn loader_sends(passes: usize, chunk: usize) -> (usize, usize) {
+        let data = cascade_tgraph::SynthConfig::wiki()
+            .with_scale(0.002)
+            .generate(5);
+        let chunk = chunk.min(data.num_events());
+        let mut source = cascade_tgraph::InMemorySource::from_dataset(&data, chunk);
+        let (n_train, val_end) = chronological_split(data.num_events());
+        let plan = LoadPlan {
+            spec: Some(TableSpec {
+                num_nodes: data.num_nodes(),
+                incident_only: false,
+            }),
+            passes,
+            n_train,
+            val_end,
+        };
+        // Room for every chunk, so the loader never blocks.
+        let (tx, rx) = sync_channel(passes * data.num_events().div_ceil(chunk));
+        run_loader(&mut source, &tx, &plan).expect("an in-memory source cannot fail");
+        drop(tx);
+        let tables: Vec<Option<PrebuiltTable>> = rx
+            .into_iter()
+            .map(|msg| msg.expect("the loader sent no error").1)
+            .collect();
+        (tables.len(), tables.iter().flatten().count())
+    }
+
+    #[test]
+    fn the_loader_builds_a_one_chunk_streams_table_on_the_first_pass_only() {
+        // The driver enters a one-chunk stream once per call, so a table
+        // built on a later pass would only be thrown away.
+        assert_eq!(loader_sends(3, usize::MAX), (3, 1));
+        // A chunked stream enters every training chunk on every pass.
+        let (sent, tables) = loader_sends(3, 128);
+        assert!(
+            tables > 3 && tables < sent,
+            "{tables} tables, {sent} chunks"
+        );
+        assert_eq!(tables % 3, 0, "each pass builds the same tables");
     }
 }

@@ -480,6 +480,7 @@ mod tests {
 
     const EXEC: &str = "crates/exec/src/worker.rs";
     const CORE: &str = "crates/core/src/scheduler.rs";
+    const STREAMING: &str = "crates/core/src/streaming.rs";
 
     fn rules_hit(path: &str, src: &str) -> Vec<&'static str> {
         check_source(path, src)
@@ -538,16 +539,21 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_index_only_in_exec_and_ranges_pass() {
+    fn unchecked_index_only_in_the_streaming_driver_and_ranges_pass() {
         let idx = "fn f(v: &[u32], i: usize) -> u32 { v[i] }";
-        assert_eq!(rules_hit(EXEC, idx), ["panic-index"]);
+        assert_eq!(rules_hit(STREAMING, idx), ["panic-index"]);
         assert!(
             rules_hit(CORE, idx).is_empty(),
-            "panic-index is exec-scoped"
+            "panic-index binds the streaming driver only"
         );
-        assert!(rules_hit(EXEC, "fn f(v: &[u32]) -> &[u32] { &v[1..3] }").is_empty());
-        assert!(rules_hit(EXEC, "fn f() { let [a, b] = [1u32, 2]; let _ = (a, b); }").is_empty());
-        assert!(rules_hit(EXEC, "#[derive(Clone)]\nstruct S;").is_empty());
+        assert!(rules_hit(EXEC, idx).is_empty());
+        assert!(rules_hit(STREAMING, "fn f(v: &[u32]) -> &[u32] { &v[1..3] }").is_empty());
+        assert!(rules_hit(
+            STREAMING,
+            "fn f() { let [a, b] = [1u32, 2]; let _ = (a, b); }"
+        )
+        .is_empty());
+        assert!(rules_hit(STREAMING, "#[derive(Clone)]\nstruct S;").is_empty());
     }
 
     #[test]
@@ -580,11 +586,16 @@ mod tests {
     }
 
     #[test]
-    fn spawn_banned_in_exec_and_core_except_the_loader_module() {
+    fn detached_spawn_banned_in_exec_and_core_but_the_scoped_loader_passes() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         assert_eq!(rules_hit(EXEC, src), ["conc-spawn"]);
-        assert!(rules_hit("crates/exec/src/stream.rs", src).is_empty());
         assert_eq!(rules_hit(CORE, src), ["conc-spawn"], "core spawns none");
+        assert_eq!(rules_hit(STREAMING, src), ["conc-spawn"]);
+        let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }";
+        assert!(
+            rules_hit(STREAMING, scoped).is_empty(),
+            "the loader is scoped, not detached"
+        );
         assert_eq!(
             rules_hit(EXEC, "fn f() { thread::spawn(|| {}); }"),
             ["conc-spawn"]

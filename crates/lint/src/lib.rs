@@ -18,7 +18,7 @@
 //!   serving, storage and scenario crates; telemetry is allowlisted.
 //! * **panic-safety** — no bare `unwrap()` / one-word `expect()` /
 //!   `panic!`-family macros in hot paths; unchecked indexing is banned
-//!   in the executor.
+//!   in the streaming driver and its loader.
 //! * **concurrency** — no detached `thread::spawn` outside the
 //!   designated modules, no `static mut` anywhere.
 //! * **confinement** — `arena::reset()` only at the batch boundary,
@@ -45,7 +45,7 @@
 //! use cascade_lint::check_source;
 //!
 //! let report = check_source(
-//!     "crates/exec/src/worker.rs",
+//!     "crates/core/src/scheduler.rs",
 //!     "fn f(v: &[u32]) -> u32 { v.first().copied().unwrap() }",
 //! );
 //! assert_eq!(report.findings.len(), 1);

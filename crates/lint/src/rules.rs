@@ -29,10 +29,9 @@ pub struct RuleSpec {
 }
 
 /// Crates whose compute paths must stay deterministic: the identity
-/// contract between the drivers (in-memory ≡ streamed with or without
-/// the loader thread ≡ dist N=1, DESIGN.md §6) is only checkable if no
-/// iteration-order or wall-clock dependence leaks into the schedule
-/// these crates produce. The serving engine is bound too —
+/// contract between the drivers (in-memory ≡ streamed ≡ dist N=1,
+/// DESIGN.md §6) is only checkable if no iteration-order or wall-clock
+/// dependence leaks into the schedule these crates produce. The serving engine is bound too —
 /// its restart guarantee (snapshot + WAL replay reproduces memories
 /// bit-for-bit, DESIGN.md §11) dies the moment a clock or hash order
 /// leaks into ingest; only its telemetry module may read clocks.
@@ -116,9 +115,9 @@ const TELEMETRY: &[&str] = &[
 ];
 
 /// Modules allowed to call `arena::reset()`: the one train step every
-/// driver calls (trainer, streaming driver with or without its loader,
-/// and the dist replica, which calls the step's `close` after its fenced
-/// apply), and the arena implementation itself.
+/// driver calls (trainer, streaming driver, and the dist replica, which
+/// calls the step's `close` after its fenced apply), and the arena
+/// implementation itself.
 const ARENA_RESET_SITES: &[&str] = &["crates/core/src/step.rs", "crates/tensor/src/arena.rs"];
 
 /// All rules, in reporting order.
@@ -177,11 +176,12 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         id: "panic-index",
-        scopes: &["crates/exec/src/"],
+        scopes: &["crates/core/src/streaming.rs"],
         allowed_paths: &[],
         applies_to_tests: false,
-        why: "Unchecked indexing in the executor kills the loader thread on the first \
-              off-by-one; use get()/get_mut() and surface a SourceError.",
+        why: "Unchecked indexing in the streaming driver kills the run, or its loader \
+              thread, on the first off-by-one; use get()/get_mut() and surface a \
+              SourceError.",
     },
     RuleSpec {
         id: "conc-spawn",
@@ -191,17 +191,15 @@ pub const RULES: &[RuleSpec] = &[
             "crates/exec/src/",
             "crates/serve/src/",
         ],
-        allowed_paths: &[
-            "crates/dist/src/runtime.rs",
-            "crates/exec/src/stream.rs",
-            "crates/serve/src/server.rs",
-        ],
+        allowed_paths: &["crates/dist/src/runtime.rs", "crates/serve/src/server.rs"],
         applies_to_tests: false,
         why: "Detached thread::spawn outside the designated concurrency modules \
               escapes the panic-safe shutdown protocols (scoped threads + channel \
-              disconnection); the loader thread belongs in exec/stream.rs, serving \
-              threads (accept loop, workers, ingest) in serve/server.rs, dist \
-              worker threads in dist/runtime.rs, and cascade-core spawns none.",
+              disconnection); serving threads (accept loop, workers, ingest) belong \
+              in serve/server.rs and dist worker threads in dist/runtime.rs. The \
+              training loader in core/streaming.rs is a thread::scope spawn, joined \
+              on every path, which this thread::spawn pattern does not match; \
+              cascade-core spawns no detached thread.",
     },
     RuleSpec {
         id: "conc-static-mut",
@@ -297,11 +295,15 @@ mod tests {
         assert!(!in_scope(wall, "crates/util/src/bench.rs"));
 
         let spawn = rule("conc-spawn").expect("conc-spawn is registered");
-        assert!(in_scope(spawn, "crates/exec/src/workers.rs"));
-        assert!(in_scope(spawn, "crates/exec/src/pipeline.rs"));
-        assert!(!in_scope(spawn, "crates/exec/src/stream.rs"));
+        assert!(in_scope(spawn, "crates/exec/src/lib.rs"));
+        assert!(in_scope(spawn, "crates/core/src/streaming.rs"));
         assert!(in_scope(spawn, "crates/core/src/scheduler.rs"));
         assert!(!in_scope(spawn, "crates/store/src/source.rs"));
+
+        let index = rule("panic-index").expect("panic-index is registered");
+        assert!(in_scope(index, "crates/core/src/streaming.rs"));
+        assert!(!in_scope(index, "crates/core/src/scheduler.rs"));
+        assert!(!in_scope(index, "crates/exec/src/lib.rs"));
     }
 
     #[test]
@@ -316,8 +318,7 @@ mod tests {
         assert!(in_scope(fs, "crates/serve/src/engine.rs"));
         assert!(!in_scope(fs, "crates/serve/src/persist.rs"));
 
-        // Threads are confined to the server module, mirroring
-        // exec/stream.rs.
+        // Threads are confined to the server module.
         let spawn = rule("conc-spawn").expect("conc-spawn is registered");
         assert!(in_scope(spawn, "crates/serve/src/engine.rs"));
         assert!(!in_scope(spawn, "crates/serve/src/server.rs"));
@@ -349,7 +350,6 @@ mod tests {
         assert!(!in_scope(arena, "crates/core/src/step.rs"));
         assert!(in_scope(arena, "crates/core/src/trainer.rs"));
         assert!(in_scope(arena, "crates/core/src/streaming.rs"));
-        assert!(in_scope(arena, "crates/exec/src/stream.rs"));
 
         // No ad-hoc fs access: checkpoints go through models/checkpoint.rs.
         let fs = rule("io-fs-confined").expect("io-fs-confined is registered");

@@ -1,6 +1,6 @@
 //@ path: crates/dist/src/runtime.rs
 // The dist runtime module owns the worker thread lifecycles and is
-// allowlisted, mirroring exec/stream.rs and serve/server.rs.
+// allowlisted, mirroring serve/server.rs.
 pub fn worker() -> std::thread::JoinHandle<()> {
     std::thread::spawn(|| {})
 }

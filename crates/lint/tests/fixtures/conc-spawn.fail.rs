@@ -1,5 +1,7 @@
-//@ path: crates/exec/src/worker.rs
+//@ path: crates/core/src/streaming.rs
 //@ expect: conc-spawn
+// Not even the loader's module may detach a thread: only a scoped one is
+// joined on every return path.
 pub fn detach() {
     std::thread::spawn(|| {});
 }

@@ -1,4 +1,4 @@
-//@ path: crates/exec/src/plan.rs
+//@ path: crates/core/src/streaming.rs
 //@ expect: panic-index
 pub fn pick(plans: &[u32], i: usize) -> u32 {
     plans[i]

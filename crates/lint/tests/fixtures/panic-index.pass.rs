@@ -1,4 +1,4 @@
-//@ path: crates/exec/src/plan.rs
+//@ path: crates/core/src/streaming.rs
 pub fn pick(plans: &[u32], i: usize) -> Option<u32> {
     // `.get()` and range slicing are both fine; only `expr[i]` panics.
     let window = &plans[0..plans.len().min(8)];

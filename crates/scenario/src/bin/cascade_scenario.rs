@@ -26,7 +26,6 @@ struct Args {
     out: Option<String>,
     train: bool,
     store: Option<String>,
-    pipelined: bool,
     dist: Option<usize>,
     serve_replay: bool,
     scale: f64,
@@ -44,7 +43,6 @@ impl Args {
             out: None,
             train: false,
             store: None,
-            pipelined: false,
             dist: None,
             serve_replay: false,
             scale: 1.0,
@@ -65,7 +63,6 @@ impl Args {
                 "--out" => a.out = Some(val("--out")?),
                 "--train" => a.train = true,
                 "--store" => a.store = Some(val("--store")?),
-                "--pipelined" => a.pipelined = true,
                 "--dist" => a.dist = Some(parse(&val("--dist")?)?),
                 "--serve-replay" => a.serve_replay = true,
                 "--scale" => a.scale = parse(&val("--scale")?)?,
@@ -97,7 +94,6 @@ fn print_usage() {
          --train           one streaming training run (out-of-core when\n\
                            --store names a generated CEVT file)\n\
          --store P         train from this CEVT store instead of regenerating\n\
-         --pipelined       read and build chunk k+1 on a loader thread\n\
          --dist N          N-way in-process data-parallel training\n\
          --serve-replay    replay the stream through the serving engine\n\
          --scale F         scale phase event counts        (default 1.0)\n\
@@ -206,9 +202,7 @@ fn run() -> Result<(), String> {
         ran = true;
     }
     if args.train {
-        let report = runner
-            .train(store.as_deref(), args.pipelined)
-            .map_err(|e| e.to_string())?;
+        let report = runner.train(store.as_deref()).map_err(|e| e.to_string())?;
         finish(report)?;
         ran = true;
     }

@@ -14,7 +14,7 @@
 //! for multi-GB out-of-core runs.
 //!
 //! [`ScenarioRunner`] drives a recipe end to end (generate, train,
-//! train-pipelined, train-dist, serve-replay) and emits a structured
+//! train-dist, serve-replay) and emits a structured
 //! [`ScenarioReport`] — peak RSS, sustained events/sec, per-phase loss
 //! trajectory — to `bench_results/scenario_<name>.json`.
 

@@ -81,8 +81,8 @@ pub struct ScenarioReport {
     pub seed: u64,
     /// Cores the host granted (`std::thread::available_parallelism`).
     pub host_parallelism: usize,
-    /// What ran: `generate`, `train`, `train-pipelined`,
-    /// `train-dist<N>`, or `serve-replay`.
+    /// What ran: `generate`, `train`, `train-dist<N>`, or
+    /// `serve-replay`.
     pub mode: String,
     /// Node-id space.
     pub nodes: usize,

@@ -1,7 +1,7 @@
 //! The scenario runner: drives a [`Recipe`] through the repo's
 //! existing entry points — out-of-core streaming training
-//! (`cascade-core`), the same with a loader thread (`cascade-exec`),
-//! data-parallel training (`cascade-dist`), and live-ingest replay
+//! (`cascade-core`), data-parallel training (`cascade-dist`), and
+//! live-ingest replay
 //! (`cascade-serve`) — and distills each run into a
 //! [`ScenarioReport`].
 //!
@@ -17,11 +17,8 @@
 
 use std::path::Path;
 
-use cascade_core::{
-    train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler, TrainConfig, TrainReport,
-};
+use cascade_core::{train_streaming, CascadeConfig, CascadeScheduler, TrainConfig, TrainReport};
 use cascade_dist::{train_dist, DistConfig};
-use cascade_exec::{train_streamed, PipelineConfig};
 use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_serve::{Engine, EngineConfig};
 use cascade_store::StreamingEventSource;
@@ -83,19 +80,13 @@ impl ScenarioRunner {
 
     /// Trains through the streaming path. With `store` the stream is
     /// read back out-of-core from a generated CEVT file; without it the
-    /// stream regenerates on the fly (bit-identical either way). With
-    /// `pipelined` a loader thread reads chunk k+1 and builds its
-    /// dependency table while chunk k trains (same results).
+    /// stream regenerates on the fly (bit-identical either way).
     ///
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] on recipe misuse, store corruption,
     /// or a training-driver failure.
-    pub fn train(
-        &self,
-        store: Option<&Path>,
-        pipelined: bool,
-    ) -> Result<ScenarioReport, ScenarioError> {
+    pub fn train(&self, store: Option<&Path>) -> Result<ScenarioReport, ScenarioError> {
         let (train_report, secs) = match store {
             Some(path) => {
                 let inner = StreamingEventSource::open(path, 2).map_err(|e| {
@@ -110,19 +101,14 @@ impl ScenarioRunner {
                         self.recipe.delivered_events()
                     )));
                 }
-                self.train_source(inner, pipelined)?
+                self.train_source(inner)?
             }
             None => {
                 let inner = ScenarioSource::new(self.recipe.clone())?;
-                self.train_source(inner, pipelined)?
+                self.train_source(inner)?
             }
         };
-        let mode = if pipelined {
-            "train-pipelined"
-        } else {
-            "train"
-        };
-        let mut report = self.blank_report(mode);
+        let mut report = self.blank_report("train");
         report.wall_secs = secs;
         report.events_per_sec = rate(
             self.recipe.delivered_events() * self.recipe.train.epochs,
@@ -300,7 +286,6 @@ impl ScenarioRunner {
     fn train_source<S: EventSource + Send>(
         &self,
         inner: S,
-        pipelined: bool,
     ) -> Result<(TrainReport, f64), ScenarioError> {
         let mut source =
             ReorderingSource::with_declared_events(inner, self.policy(), self.recipe.base_events());
@@ -320,24 +305,8 @@ impl ScenarioRunner {
             ..TrainConfig::default()
         };
         let sw = Stopwatch::start();
-        let report = if pipelined {
-            train_streamed(
-                &mut model,
-                &mut source,
-                &mut strategy as &mut dyn BatchingStrategy,
-                &cfg,
-                &PipelineConfig::default(),
-            )
-            .map_err(|e| ScenarioError::new(format!("pipelined training failed: {}", e)))?
-        } else {
-            train_streaming(
-                &mut model,
-                &mut source,
-                &mut strategy as &mut dyn BatchingStrategy,
-                &cfg,
-            )
-            .map_err(|e| ScenarioError::new(format!("streaming training failed: {}", e)))?
-        };
+        let report = train_streaming(&mut model, &mut source, &mut strategy, &cfg)
+            .map_err(|e| ScenarioError::new(format!("streaming training failed: {}", e)))?;
         Ok((report, sw.elapsed_secs()))
     }
 

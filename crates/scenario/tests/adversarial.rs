@@ -26,7 +26,7 @@ fn all_four_adversarial_recipes_train_without_panics() {
             .expect("committed recipe parses")
             .scaled(0.02);
         let report = ScenarioRunner::new(recipe)
-            .train(None, false)
+            .train(None)
             .unwrap_or_else(|e| panic!("{} failed: {}", name, e));
         assert_eq!(report.epochs, 1, "{}: one epoch trained", name);
         assert!(
@@ -59,10 +59,10 @@ fn reorder_training_is_bit_identical_to_the_presorted_control() {
     assert_eq!(control.delivered_events(), control.base_events());
 
     let scrambled_report = ScenarioRunner::new(scrambled)
-        .train(None, false)
+        .train(None)
         .expect("scrambled run trains");
     let control_report = ScenarioRunner::new(control)
-        .train(None, false)
+        .train(None)
         .expect("control run trains");
 
     assert_eq!(

@@ -11,8 +11,8 @@
 //!
 //! [`ChunkWriter`]/[`export_dataset`] produce store files;
 //! [`ChunkReader`]/[`import_dataset`] read them back; and
-//! [`StreamingEventSource`] feeds training directly from disk through a
-//! bounded prefetch thread, yielding chunks bit-identical to the
+//! [`StreamingEventSource`] feeds training directly from disk one chunk
+//! at a time, yielding chunks bit-identical to the
 //! in-memory [`InMemorySource`](cascade_tgraph::InMemorySource) over the
 //! same events. [`ChunkWriter::sync`] and [`recover_log`] turn the same
 //! format into a crash-consistent write-ahead log: every synced frame

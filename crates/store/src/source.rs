@@ -1,111 +1,47 @@
-//! Out-of-core event sources: a prefetch thread reads chunk frames ahead
-//! of training, bounded by a small read-ahead window.
+//! The out-of-core event source: a store file read chunk by chunk.
 
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::thread::JoinHandle;
 
 use cascade_tgraph::{EventChunk, EventSource, SourceError};
 
 use crate::error::StoreError;
 use crate::format::StoreMeta;
-use crate::reader::{ChunkReader, StoredChunk};
+use crate::reader::ChunkReader;
 
 /// An [`EventSource`] that streams a `CEVT` file chunk by chunk.
 ///
-/// A dedicated prefetch thread reads and checksums frames, keeping up to
-/// `read_ahead` decoded chunks buffered in a bounded channel. Disk I/O
-/// and CRC work therefore overlap with whatever the consumer does with
-/// the previous chunk (table building, training) — the overlap the
-/// `store_io` bench quantifies. At most `read_ahead + 1` chunks are ever
-/// resident, which is what makes training out-of-core.
+/// Each [`next_chunk`](EventSource::next_chunk) reads and checksums one
+/// frame on the caller's thread; the training driver calls it from its
+/// loader thread, so the read overlaps training. One chunk is decoded at
+/// a time, which is what makes training out-of-core.
 pub struct StreamingEventSource {
     path: PathBuf,
     meta: StoreMeta,
     name: String,
-    read_ahead: usize,
-    rx: Option<Receiver<Result<StoredChunk, StoreError>>>,
-    worker: Option<JoinHandle<()>>,
+    /// `None` once the stream ended or failed: the source is then inert
+    /// until [`reset`](EventSource::reset).
+    reader: Option<ChunkReader>,
 }
 
 impl StreamingEventSource {
-    /// Opens `path`, validates its header, and starts the prefetch
-    /// thread with a buffer of `read_ahead` chunks (clamped to at least
-    /// one).
+    /// Opens `path` and validates its header. `read_ahead` is ignored:
+    /// reading ahead is the training driver's loader's job.
     ///
     /// # Errors
     ///
     /// Propagates header validation failures from [`ChunkReader::open`].
-    pub fn open(path: &Path, read_ahead: usize) -> Result<Self, StoreError> {
-        // Validate the header on the caller's thread so open errors are
-        // immediate and typed.
+    pub fn open(path: &Path, _read_ahead: usize) -> Result<Self, StoreError> {
         let reader = ChunkReader::open(path)?;
-        let meta = reader.meta();
         let name = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "store".to_string());
-        let mut source = StreamingEventSource {
+        Ok(StreamingEventSource {
             path: path.to_path_buf(),
-            meta,
+            meta: reader.meta(),
             name,
-            read_ahead: read_ahead.max(1),
-            rx: None,
-            worker: None,
-        };
-        source.spawn_worker();
-        Ok(source)
-    }
-
-    /// The store file's validated header.
-    pub fn meta(&self) -> StoreMeta {
-        self.meta
-    }
-
-    fn spawn_worker(&mut self) {
-        let (tx, rx) = sync_channel::<Result<StoredChunk, StoreError>>(self.read_ahead);
-        let path = self.path.clone();
-        let builder = std::thread::Builder::new().name("store-prefetch".to_string());
-        let handle = builder
-            .spawn(move || {
-                let mut reader = match ChunkReader::open(&path) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
-                };
-                loop {
-                    match reader.next_frame() {
-                        Ok(Some(chunk)) => {
-                            // A send error means the consumer dropped the
-                            // receiver (reset or drop): stop reading.
-                            if tx.send(Ok(chunk)).is_err() {
-                                return;
-                            }
-                        }
-                        // Clean end of stream: channel disconnect is the
-                        // end-of-stream signal.
-                        Ok(None) => return,
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            })
-            .expect("spawning the prefetch thread cannot fail under normal limits");
-        self.rx = Some(rx);
-        self.worker = Some(handle);
-    }
-
-    fn shutdown(&mut self) {
-        // Dropping the receiver unblocks a worker parked on send(); then
-        // the thread exits and can be joined.
-        self.rx = None;
-        if let Some(handle) = self.worker.take() {
-            let _ = handle.join();
-        }
+            reader: Some(reader),
+        })
     }
 }
 
@@ -127,42 +63,31 @@ impl EventSource for StreamingEventSource {
     }
 
     fn next_chunk(&mut self) -> Result<Option<EventChunk>, SourceError> {
-        let Some(rx) = self.rx.as_ref() else {
+        let Some(reader) = self.reader.as_mut() else {
             return Ok(None);
         };
-        match rx.recv() {
-            Ok(Ok(chunk)) => Ok(Some(EventChunk {
+        match reader.next_frame() {
+            Ok(Some(chunk)) => Ok(Some(EventChunk {
                 index: chunk.index,
                 base: chunk.base,
                 events: chunk.events,
                 features: chunk.features,
             })),
-            Ok(Err(e)) => {
-                let err: SourceError = e.into();
-                self.shutdown();
-                Err(err)
-            }
-            // Disconnected: the worker hit a clean end of stream.
-            Err(_) => {
-                self.shutdown();
-                Ok(None)
+            // The end of the stream, or a failure: the source goes inert.
+            end_or_error => {
+                self.reader = None;
+                end_or_error.map(|_| None).map_err(SourceError::from)
             }
         }
     }
 
     fn reset(&mut self) -> Result<(), SourceError> {
-        self.shutdown();
-        self.spawn_worker();
+        self.reader = None;
+        self.reader = Some(ChunkReader::open(&self.path)?);
         Ok(())
     }
 
     fn name(&self) -> String {
         self.name.clone()
-    }
-}
-
-impl Drop for StreamingEventSource {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }

@@ -233,6 +233,24 @@ fn streaming_source_surfaces_corruption_with_chunk_index() {
 }
 
 #[test]
+fn streaming_source_reset_reports_a_failed_reopen() {
+    let (path, _) = write_sample("reset_reopen");
+    let mut src = StreamingEventSource::open(&path, 2).expect("header is valid at open");
+    assert!(src.next_chunk().expect("frame 0 intact").is_some());
+    let mut bytes = std::fs::read(&path).expect("file readable");
+    bytes[..4].copy_from_slice(b"JUNK");
+    std::fs::write(&path, &bytes).expect("file writable");
+
+    let err = src.reset().expect_err("the reopen reads a bad header");
+    assert!(err.message.contains("not a cascade event store"), "{err}");
+    assert!(src
+        .next_chunk()
+        .expect("a source whose reopen failed is inert")
+        .is_none());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn streaming_source_matches_in_memory_source() {
     let data = SynthConfig::wiki().with_scale(0.004).generate(13);
     let path = scratch("identical");

@@ -4,10 +4,10 @@
 //! A [`EventSource`] yields the stream as ordered [`EventChunk`]s — the
 //! unit the chunk-based Cascade variant (§4.2) already schedules over.
 //! [`InMemorySource`] adapts an in-RAM [`Dataset`]; the on-disk
-//! `cascade-store` crate provides a streaming implementation backed by a
-//! prefetch thread. Both must yield byte-identical chunks for the same
-//! underlying events, which is what makes out-of-core training
-//! bit-identical to in-memory training.
+//! `cascade-store` crate provides a streaming implementation that reads
+//! one checksummed frame per chunk. Both must yield byte-identical
+//! chunks for the same underlying events, which is what makes
+//! out-of-core training bit-identical to in-memory training.
 
 use std::fmt;
 

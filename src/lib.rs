@@ -14,8 +14,7 @@
 //! | [`nn`] | `cascade-nn` | layers, losses, optimizers |
 //! | [`tgraph`] | `cascade-tgraph` | event streams, datasets, samplers |
 //! | [`models`] | `cascade-models` | JODIE / TGN / APAN / DySAT / TGAT |
-//! | [`core`] | `cascade-core` | the Cascade scheduler + trainer |
-//! | [`exec`] | `cascade-exec` | loader thread for streaming training (Cascade_EX) |
+//! | [`core`] | `cascade-core` | the Cascade scheduler + the streaming trainer and its loader thread |
 //! | [`store`] | `cascade-store` | chunked on-disk event store + WAL |
 //! | [`serve`] | `cascade-serve` | online serving with live ingest |
 //! | [`baselines`] | `cascade-baselines` | TGL, TGLite, NeutronStream, ETC |
@@ -50,7 +49,6 @@
 
 pub use cascade_baselines as baselines;
 pub use cascade_core as core;
-pub use cascade_exec as exec;
 pub use cascade_models as models;
 pub use cascade_nn as nn;
 pub use cascade_serve as serve;
@@ -61,10 +59,9 @@ pub use cascade_tgraph as tgraph;
 /// The types most training programs need, in one import.
 pub mod prelude {
     pub use cascade_core::{
-        evaluate, train, BatchingStrategy, CascadeConfig, CascadeScheduler, FixedBatching,
-        TrainConfig, TrainReport,
+        evaluate, train, train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler,
+        FixedBatching, TrainConfig, TrainReport,
     };
-    pub use cascade_exec::{train_streamed, PipelineConfig};
     pub use cascade_models::{MemoryTgnn, ModelConfig};
     pub use cascade_nn::{Adam, Module};
     pub use cascade_tgraph::{Dataset, Event, EventStream, InMemorySource, NodeId, SynthConfig};
