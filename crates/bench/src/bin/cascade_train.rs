@@ -58,7 +58,7 @@ impl Args {
             save: None,
             load: None,
             test: false,
-            compute_threads: 1,
+            compute_threads: TrainConfig::default().compute_threads,
         };
         while let Some(flag) = it.next() {
             let mut val = |name: &str| {
@@ -130,7 +130,8 @@ fn print_usage() {
          \u{20}                    cascade_serve snapshot, or cascade_dist --save\n\
          --test     also evaluate on the held-out test range\n\
          --compute-threads N  shard-parallel batch compute workers\n\
-         \u{20}                    (default 1; any N is bit-identical)"
+         \u{20}                    (default: the host's cores; any N is\n\
+         \u{20}                    bit-identical)"
     );
 }
 

@@ -149,7 +149,7 @@ impl Default for Harness {
             preset_batch: 64,
             lr: 1e-3,
             seed: 42,
-            compute_threads: 1,
+            compute_threads: TrainConfig::default().compute_threads,
         }
     }
 }

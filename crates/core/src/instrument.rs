@@ -4,6 +4,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use cascade_tensor::shard_chunk;
+
 /// Wall-clock accounting of one stage of the batch loop.
 ///
 /// `busy` is time spent doing the stage's own work, `stall` is time the
@@ -43,8 +45,9 @@ pub struct StageTimings {
     pub update: StageTiming,
     /// Per-shard forward telemetry of stage B's shard-parallel batch
     /// compute: entry `j` accumulates shard `j`'s forward busy time across
-    /// all batches, and its `stall` is the straggler gap to the batch's
-    /// slowest shard when more than one worker thread ran.
+    /// all batches. When more than one worker ran, the last shard of each
+    /// worker's chunk is charged that worker's straggler gap — its wait
+    /// for the batch's slowest worker — as `stall`.
     ///
     /// A sub-division of `compute.busy`, **not** an extra pipeline stage:
     /// shard stalls never reach `compute.stall`, so the stage invariants
@@ -55,9 +58,11 @@ pub struct StageTimings {
 
 impl StageTimings {
     /// Folds one batch's per-shard forward busy times into
-    /// `shard_compute`. With `threads > 1` each shard is also charged the
-    /// straggler gap to the batch's slowest shard as stall; a serial run
-    /// has no straggler, so its gap is definitionally zero.
+    /// `shard_compute`. Workers run contiguous chunks of shards (the
+    /// model's [`shard_chunk`]), so a worker's straggler gap is the
+    /// slowest chunk's busy sum minus its own, charged as stall to the
+    /// chunk's last shard; one worker has no straggler, so its gap is
+    /// definitionally zero.
     pub fn record_shards(&mut self, busy: &[Duration], threads: usize) {
         if busy.is_empty() {
             return;
@@ -66,12 +71,18 @@ impl StageTimings {
             self.shard_compute
                 .resize(busy.len(), StageTiming::default());
         }
-        let slowest = busy.iter().copied().max().unwrap_or_default();
         for (shard, &b) in self.shard_compute.iter_mut().zip(busy.iter()) {
             shard.record(b);
-            if threads > 1 {
-                shard.stall += slowest - b;
-            }
+        }
+        let chunk = shard_chunk(busy.len(), threads);
+        if chunk >= busy.len() {
+            return;
+        }
+        let sums: Vec<Duration> = busy.chunks(chunk).map(|c| c.iter().sum()).collect();
+        let slowest = sums.iter().copied().max().unwrap_or_default();
+        for (c, &sum) in sums.iter().enumerate() {
+            let last = ((c + 1) * chunk).min(busy.len()) - 1;
+            self.shard_compute[last].stall += slowest - sum;
         }
     }
 
@@ -240,6 +251,21 @@ mod tests {
         // Shard telemetry never leaks into the stages.
         assert_eq!(s.compute, StageTiming::default());
         assert!(s.to_string().contains("shards x2"), "{}", s);
+    }
+
+    #[test]
+    fn record_shards_charges_the_gap_per_worker_chunk() {
+        let mut s = StageTimings::default();
+        let busy: Vec<Duration> = [4, 1, 1, 1, 2, 2, 2, 2]
+            .into_iter()
+            .map(Duration::from_millis)
+            .collect();
+        // Two workers run shards 0..4 (7 ms) and 4..8 (8 ms): only the
+        // first waits, 1 ms, not the 17 ms of a per-shard gap.
+        s.record_shards(&busy, 2);
+        assert_eq!(s.shard_stall_total(), Duration::from_millis(1));
+        assert_eq!(s.shard_compute[3].stall, Duration::from_millis(1));
+        assert_eq!(s.shard_busy_total(), Duration::from_millis(15));
     }
 
     #[test]

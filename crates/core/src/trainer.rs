@@ -28,10 +28,14 @@ pub struct TrainConfig {
     /// standard compensation for larger batches taking fewer optimizer
     /// steps; applied uniformly to every strategy.
     pub scale_lr_with_batch: bool,
-    /// Worker threads for shard-parallel batch compute inside the model's
-    /// forward pass. The shard layout is fixed by batch size, so any value
-    /// here produces bit-identical parameters and memories — higher values
-    /// only trade wall-clock time (clamped to at least 1).
+    /// Threads for shard-parallel batch compute: a batch's forward and
+    /// backward shards run on the training thread and up to
+    /// `compute_threads - 1` scoped workers that borrow its arena.
+    /// Defaults to the host's
+    /// [`available_parallelism`](std::thread::available_parallelism) (1
+    /// when unknown). The shard layout is fixed by batch size, so any value
+    /// here produces bit-identical parameters and memories — it only
+    /// trades wall-clock time (clamped to at least 1).
     pub compute_threads: usize,
 }
 
@@ -43,7 +47,7 @@ impl Default for TrainConfig {
             eval_batch_size: 900,
             clip_norm: Some(5.0),
             scale_lr_with_batch: false,
-            compute_threads: 1,
+            compute_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }

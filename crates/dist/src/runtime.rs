@@ -238,11 +238,16 @@ impl<'a> Replica<'a> {
             worker,
             cfg.workers,
         );
+        // The host's cores are divided among the replicas; thread count
+        // never moves a bit, so this only keeps N replicas from running
+        // N × host workers.
+        let defaults = TrainConfig::default();
         let train_cfg = TrainConfig {
             epochs: cfg.epochs,
             lr: cfg.lr,
             clip_norm: cfg.clip_norm,
-            ..TrainConfig::default()
+            compute_threads: (defaults.compute_threads / cfg.workers).max(1),
+            ..defaults
         };
         Replica {
             worker,

@@ -21,7 +21,7 @@ use cascade_nn::{
     bce_with_logits, bce_with_logits_sum, EdgePredictor, GatLayer, GruCell, Linear, Module,
     RnnCell, TimeEncode,
 };
-use cascade_tensor::Tensor;
+use cascade_tensor::{scoped_chunks, Tensor};
 use cascade_tgraph::{EdgeFeatures, Event, EventId, NegativeSampler, NodeId};
 
 use crate::config::{EmbedderKind, ModelConfig, Sampling, UpdaterKind};
@@ -420,7 +420,8 @@ impl MemoryTgnn {
     /// Outside lite mode the batch's events are split into
     /// `ceil(batch_len / 32)` contiguous shards, at most 8, whose
     /// embedding, prediction, and partial loss are evaluated on up to
-    /// [`compute_threads`](Self::compute_threads) scoped worker threads;
+    /// [`compute_threads`](Self::compute_threads) threads (the caller's
+    /// and scoped workers, see [`scoped_chunks`]);
     /// the partial losses are reduced in fixed shard-index order, so the
     /// result is bit-identical at any thread count.
     ///
@@ -563,8 +564,8 @@ impl MemoryTgnn {
     }
 
     /// Splits the batch into [`shard_count`] contiguous shards,
-    /// evaluates each shard's forward pass (on scoped worker threads when
-    /// `compute_threads > 1`), and reduces the per-shard loss sums in
+    /// evaluates each shard's forward pass through [`scoped_chunks`], and
+    /// reduces the per-shard loss sums in
     /// shard-index order via [`Tensor::sharded_sum_scaled`].
     fn sharded_forward(
         &self,
@@ -579,11 +580,10 @@ impl MemoryTgnn {
         let shards = shard_count(b);
         // Balanced contiguous partition: shard s covers [bounds[s], bounds[s+1]).
         let bounds: Vec<usize> = (0..=shards).map(|s| s * b / shards).collect();
-        let workers = self.compute_threads.max(1).min(shards);
-
         let mut results: Vec<Option<ShardForward>> = (0..shards).map(|_| None).collect();
-        if workers <= 1 {
-            for (s, slot) in results.iter_mut().enumerate() {
+        scoped_chunks(&mut results, self.compute_threads, |first, part| {
+            for (off, slot) in part.iter_mut().enumerate() {
+                let s = first + off;
                 *slot = Some(self.shard_forward(
                     &events[bounds[s]..bounds[s + 1]],
                     &negs[bounds[s]..bounds[s + 1]],
@@ -592,26 +592,7 @@ impl MemoryTgnn {
                     feats,
                 ));
             }
-        } else {
-            let chunk = shards.div_ceil(workers);
-            let bounds = &bounds;
-            std::thread::scope(|scope| {
-                for (c, slot_chunk) in results.chunks_mut(chunk).enumerate() {
-                    scope.spawn(move || {
-                        for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                            let s = c * chunk + off;
-                            *slot = Some(self.shard_forward(
-                                &events[bounds[s]..bounds[s + 1]],
-                                &negs[bounds[s]..bounds[s + 1]],
-                                updated,
-                                center_idx,
-                                feats,
-                            ));
-                        }
-                    });
-                }
-            });
-        }
+        });
 
         // Reduce in fixed shard-index order regardless of which worker
         // finished first — this is what makes thread count invisible.

@@ -28,11 +28,13 @@ fn random_events(g: &mut Gen, num_nodes: usize, len: usize) -> Vec<Event> {
         .collect()
 }
 
-/// One two-batch training step; returns (loss, pos logits, neg logits,
-/// gradient bits, post-step parameters, node memories).
+/// One two-batch training step at `threads` compute threads; returns
+/// (loss, pos logits, neg logits, gradient bits, post-step parameters,
+/// node memories). An arena-off run must not hit the pool on any thread.
 #[allow(clippy::type_complexity)]
 fn run(
     arena_on: bool,
+    threads: usize,
     cfg: &ModelConfig,
     events: &[Event],
     num_nodes: usize,
@@ -45,8 +47,10 @@ fn run(
     Vec<Vec<f32>>,
 ) {
     let was = arena::set_enabled(arena_on);
+    let hits = arena::stats().hits;
     let feats = synth_features(events.len(), 4, 9);
     let mut model = MemoryTgnn::new(cfg.clone(), num_nodes, 4, 3);
+    model.set_compute_threads(threads);
     let mut opt = Adam::new(model.parameters(), 1e-2);
     let mid = events.len() / 2;
 
@@ -68,6 +72,13 @@ fn run(
     let memories: Vec<Vec<f32>> = (0..num_nodes)
         .map(|n| model.plane().memory_read(NodeId(n as u32)).to_vec())
         .collect();
+    if !arena_on {
+        assert_eq!(
+            arena::stats().hits,
+            hits,
+            "an arena-off run took a pooled buffer"
+        );
+    }
     arena::set_enabled(was);
     (
         out.loss.item(),
@@ -93,7 +104,8 @@ fn training_step_is_bit_identical_with_and_without_arena() {
 
     check("arena_identity", |g| {
         let num_nodes = g.usize_in(4..16);
-        let len = g.usize_in(6..40);
+        // Up to 100 events: up to four shards, so two threads fan out.
+        let len = g.usize_in(6..100);
         let events = random_events(g, num_nodes, len);
         let cfg = match g.usize_in(0..3) {
             0 => ModelConfig::tgn(),
@@ -103,36 +115,41 @@ fn training_step_is_bit_identical_with_and_without_arena() {
         .with_dims(8, 4)
         .with_neighbors(3);
 
-        let pooled = run(true, &cfg, &events, num_nodes);
-        let fresh = run(false, &cfg, &events, num_nodes);
-
-        prop_assert!(
-            pooled.0.to_bits() == fresh.0.to_bits(),
-            "loss differs: {} (arena) vs {} (fresh)",
-            pooled.0,
-            fresh.0
-        );
-        prop_assert_eq!(&pooled.1, &fresh.1, "pos logits differ");
-        prop_assert_eq!(&pooled.2, &fresh.2, "neg logits differ");
-        for (i, (a, b)) in pooled.3.iter().zip(fresh.3.iter()).enumerate() {
+        let pooled = run(true, 1, &cfg, &events, num_nodes);
+        for (arena_on, threads) in [(false, 1), (false, 2), (true, 2)] {
+            let other = run(arena_on, threads, &cfg, &events, num_nodes);
+            let arm = format!("arena {arena_on} at {threads} threads");
             prop_assert!(
-                a.iter()
-                    .map(|x| x.to_bits())
-                    .eq(b.iter().map(|x| x.to_bits())),
-                "gradient of parameter {} differs",
-                i
+                pooled.0.to_bits() == other.0.to_bits(),
+                "loss differs: {} (arena, 1 thread) vs {} ({})",
+                pooled.0,
+                other.0,
+                arm
             );
+            prop_assert_eq!(&pooled.1, &other.1, "pos logits differ: {}", arm);
+            prop_assert_eq!(&pooled.2, &other.2, "neg logits differ: {}", arm);
+            for (i, (a, b)) in pooled.3.iter().zip(other.3.iter()).enumerate() {
+                prop_assert!(
+                    a.iter()
+                        .map(|x| x.to_bits())
+                        .eq(b.iter().map(|x| x.to_bits())),
+                    "gradient of parameter {} differs: {}",
+                    i,
+                    arm
+                );
+            }
+            for (i, (a, b)) in pooled.4.iter().zip(other.4.iter()).enumerate() {
+                prop_assert!(
+                    a.iter()
+                        .map(|x| x.to_bits())
+                        .eq(b.iter().map(|x| x.to_bits())),
+                    "post-step parameter {} differs: {}",
+                    i,
+                    arm
+                );
+            }
+            prop_assert_eq!(&pooled.5, &other.5, "node memories differ: {}", arm);
         }
-        for (i, (a, b)) in pooled.4.iter().zip(fresh.4.iter()).enumerate() {
-            prop_assert!(
-                a.iter()
-                    .map(|x| x.to_bits())
-                    .eq(b.iter().map(|x| x.to_bits())),
-                "post-step parameter {} differs",
-                i
-            );
-        }
-        prop_assert_eq!(&pooled.5, &fresh.5, "node memories differ");
 
         // Leave the pool enabled for whichever test runs next on this
         // thread (the default state).
@@ -148,30 +165,44 @@ fn training_step_is_bit_identical_with_and_without_arena() {
 /// next batch asks for it, and shows up here as one more miss. The batch
 /// runs in the shared train step's order: forward, backward, optimizer
 /// step, memory apply, then the boundary trim before the graph drops.
+/// Pool misses of the third of three identical batches of `len` events
+/// at `threads` compute threads, worker takes included — on a fresh
+/// thread, so no earlier run's pool state carries over.
+fn steady_state_misses(len: usize, threads: usize) -> u64 {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let events: Vec<Event> = (0..len)
+                    .map(|i| Event::new((i % 5) as u32, ((i + 2) % 5) as u32, i as f64 * 0.5))
+                    .collect();
+                let feats = synth_features(events.len(), 4, 9);
+                let cfg = ModelConfig::tgn().with_dims(8, 4).with_neighbors(3);
+                let mut model = MemoryTgnn::new(cfg, 5, 4, 3);
+                model.set_compute_threads(threads);
+                let mut opt = Adam::new(model.parameters(), 1e-2);
+                let mut batch = || {
+                    let fwd = model.forward_batch(&events, 0, &feats);
+                    fwd.loss.backward();
+                    opt.step();
+                    model.apply_batch(&events, 0, &feats, fwd.pending);
+                    arena::reset();
+                    drop(fwd.loss);
+                };
+                batch();
+                batch();
+                let before = arena::stats();
+                batch();
+                let after = arena::stats();
+                assert!(after.hits > before.hits, "the batch ran through the pool");
+                after.misses - before.misses
+            })
+            .join()
+            .expect("the batches ran")
+    })
+}
+
 #[test]
 fn a_steady_state_batch_misses_the_pool_only_where_known() {
-    let _ = arena::set_enabled(true);
-    let events: Vec<Event> = (0..16)
-        .map(|i| Event::new((i % 5) as u32, ((i + 2) % 5) as u32, i as f64 * 0.5))
-        .collect();
-    let feats = synth_features(events.len(), 4, 9);
-    let cfg = ModelConfig::tgn().with_dims(8, 4).with_neighbors(3);
-    let mut model = MemoryTgnn::new(cfg, 5, 4, 3);
-    let mut opt = Adam::new(model.parameters(), 1e-2);
-    let mut batch = || {
-        let fwd = model.forward_batch(&events, 0, &feats);
-        fwd.loss.backward();
-        opt.step();
-        model.apply_batch(&events, 0, &feats, fwd.pending);
-        arena::reset();
-        drop(fwd.loss);
-    };
-    batch();
-    batch();
-    let before = arena::stats();
-    batch();
-    let after = arena::stats();
-    assert!(after.hits > before.hits, "the batch ran through the pool");
     // Not 0: the fused ops' backward closures capture forward buffers
     // taken from the pool — the GRU cell's `r`, `z`, `n` and `hn`
     // (`[5, 8]` each here) and the `pre` of three time encodings and one
@@ -180,10 +211,25 @@ fn a_steady_state_batch_misses_the_pool_only_where_known() {
     // the non-power-of-two buffers the batch returns cover three of
     // them, so five takes miss. Pinned exactly, so a new leak fails.
     assert_eq!(
-        after.misses - before.misses,
+        steady_state_misses(16, 1),
         5,
         "a steady-state batch misses the pool only for the captured buffers"
     );
+}
+
+/// Shard workers borrow the training thread's pool and hand it back, so a batch
+/// fanned out over two threads finds its buffers as well as the same
+/// batch run serially: at two shards (64 events) and four (128).
+#[test]
+fn a_two_thread_batch_misses_the_pool_no_more_than_one_thread() {
+    for len in [64, 128] {
+        let serial = steady_state_misses(len, 1);
+        let threaded = steady_state_misses(len, 2);
+        assert!(
+            threaded <= serial,
+            "{len} events: {threaded} misses at 2 threads vs {serial} at 1"
+        );
+    }
 }
 
 /// The arena must actually be doing something in the pooled arm — a pool

@@ -182,8 +182,9 @@ impl Tensor {
     ///
     /// The forward value is a left-associated serial sum, so it does not
     /// depend on `threads`. The backward pass evaluates each shard's
-    /// subgraph on `std::thread::scope` workers (contiguous shard chunks
-    /// per worker), parking gradients of shared tensors in per-shard
+    /// subgraph through [`scoped_chunks`](crate::scoped_chunks)
+    /// (contiguous shard chunks per thread, out of the caller's arena),
+    /// parking gradients of shared tensors in per-shard
     /// [`GradSink`]s, then merges the sinks serially in shard-index order —
     /// making gradients bit-identical at any thread count.
     ///
@@ -228,39 +229,20 @@ impl Tensor {
             Box::new(move |_out, grad, _parents, _ctx| {
                 let upstream = [grad[0] * scale];
                 crate::arena::recycle(grad);
-                let n = shards.len();
-                let mut sinks: Vec<GradSink> = (0..n).map(|_| GradSink::new()).collect();
-                let workers = threads.max(1).min(n);
-                if workers <= 1 {
-                    for (shard, sink) in shards.iter().zip(sinks.iter_mut()) {
+                let mut work: Vec<(&Tensor, GradSink)> =
+                    shards.iter().map(|s| (s, GradSink::new())).collect();
+                crate::scoped_chunks(&mut work, threads, |_, part| {
+                    for (shard, sink) in part {
                         let mut ctx = GradCtx::sharded(sink, &barrier);
                         shard
                             .run_backward(&upstream, &mut ctx)
                             .expect("shard upstream is scalar by construction");
                     }
-                } else {
-                    let chunk = n.div_ceil(workers);
-                    let barrier = &barrier;
-                    let upstream = &upstream;
-                    std::thread::scope(|scope| {
-                        for (sink_chunk, shard_chunk) in
-                            sinks.chunks_mut(chunk).zip(shards.chunks(chunk))
-                        {
-                            scope.spawn(move || {
-                                for (sink, shard) in sink_chunk.iter_mut().zip(shard_chunk.iter()) {
-                                    let mut ctx = GradCtx::sharded(sink, barrier);
-                                    shard
-                                        .run_backward(upstream, &mut ctx)
-                                        .expect("shard upstream is scalar by construction");
-                                }
-                            });
-                        }
-                    });
-                }
+                });
                 // Fixed shard-index order, then fixed id order inside each
                 // sink: the accumulation order is a pure function of the
                 // graph, never of thread scheduling.
-                for sink in sinks {
+                for (_, sink) in work {
                     sink.merge();
                 }
             }),

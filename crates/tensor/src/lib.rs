@@ -61,10 +61,12 @@ mod grad;
 mod ops;
 mod shape;
 mod tensor;
+mod workers;
 
 pub use grad::AutogradError;
 pub use shape::Shape;
 pub use tensor::{DataRef, Tensor};
+pub use workers::{scoped_chunks, shard_chunk};
 
 /// Cosine similarity between two equal-length vectors.
 ///
