@@ -13,6 +13,7 @@ use std::sync::Arc;
 use cascade_core::{max_endurance_profiling, DependencyTable, SgFilter, TgDiffuser};
 use cascade_models::{MemoryDelta, MemoryTgnn, ModelConfig};
 use cascade_nn::{Adam, GatLayer, GruCell, Module, TimeEncode};
+use cascade_serve::parse_ingest;
 use cascade_tensor::Tensor;
 use cascade_tgraph::{synth_features, AdjacencyStore, Event, NodeId, SynthConfig};
 use cascade_util::{BenchSuite, DetRng, Json};
@@ -173,38 +174,41 @@ fn bench_adam_step(suite: &mut BenchSuite) {
     });
 }
 
-/// `Json::parse` over one `/ingest` body of 256 events × 32 features,
-/// rendered the way `benchmark/src/serve.rs` renders it (floats through
-/// `f64`'s shortest round-trip form): the parse every ingest request
-/// pays before the engine sees an event.
-fn bench_json_parse(suite: &mut BenchSuite) {
+/// `parse_ingest` — what the server runs on every `/ingest` body before
+/// the engine sees an event — at two shapes: 256 events × 32 features
+/// (`serve_mixed`'s requests are this wide) and 64 × 186 (`wide_store`'s).
+/// Bodies are rendered the way `benchmark/src/serve.rs` renders them
+/// (floats through `f64`'s shortest round-trip form).
+fn bench_ingest_decode(suite: &mut BenchSuite) {
     use std::fmt::Write;
     let mut rng = DetRng::new(7);
-    let mut body = String::from("{\"events\":[");
-    for i in 0..256 {
-        if i > 0 {
-            body.push(',');
-        }
-        let (src, dst) = (rng.index(10_000), rng.index(10_000));
-        write!(
-            body,
-            "{{\"src\":{src},\"dst\":{dst},\"time\":{},\"features\":[",
-            i as f64 * 0.37
-        )
-        .expect("writing to a String cannot fail");
-        for j in 0..32 {
-            if j > 0 {
+    for (events, dim) in [(256usize, 32usize), (64, 186)] {
+        let mut body = String::from("{\"events\":[");
+        for i in 0..events {
+            if i > 0 {
                 body.push(',');
             }
-            let x = rng.range_f32(-1.0, 1.0);
-            write!(body, "{}", x as f64).expect("writing to a String cannot fail");
+            let (src, dst) = (rng.index(10_000), rng.index(10_000));
+            write!(
+                body,
+                "{{\"src\":{src},\"dst\":{dst},\"time\":{},\"features\":[",
+                i as f64 * 0.37
+            )
+            .expect("writing to a String cannot fail");
+            for j in 0..dim {
+                if j > 0 {
+                    body.push(',');
+                }
+                let x = rng.range_f32(-1.0, 1.0);
+                write!(body, "{}", x as f64).expect("writing to a String cannot fail");
+            }
+            body.push_str("]}");
         }
         body.push_str("]}");
+        suite.bench(&format!("ingest_decode/{}x{}", events, dim), || {
+            black_box(parse_ingest(black_box(&body), dim).expect("the body is a valid request"))
+        });
     }
-    body.push_str("]}");
-    suite.bench("json_parse/ingest_256x32", || {
-        black_box(Json::parse(black_box(&body)))
-    });
 }
 
 fn bench_dependency_table(suite: &mut BenchSuite) {
@@ -339,7 +343,7 @@ fn main() {
     bench_fused_layers(&mut suite);
     bench_small_batch(&mut suite);
     bench_adam_step(&mut suite);
-    bench_json_parse(&mut suite);
+    bench_ingest_decode(&mut suite);
     bench_dependency_table(&mut suite);
     bench_diffuser_lookup(&mut suite);
     bench_sgfilter_kernel(&mut suite);

@@ -1,12 +1,14 @@
 //! A deliberately small HTTP/1.1 subset: request parsing and response
 //! writing over a [`TcpStream`], enough for the serving endpoints and
-//! nothing more (no chunked encoding, no continuations, no TLS).
+//! nothing more (no transfer codings, no continuations, no TLS).
 //!
 //! Zero-dependency policy: this replaces an HTTP crate, not the
 //! protocol — requests are `METHOD PATH HTTP/1.x`, headers until a
-//! blank line, and an optional `Content-Length` body. Every deviation
-//! is a typed [`HttpError`], never a panic, so a hostile or broken
-//! client can at worst get its own connection closed.
+//! blank line, and an optional `Content-Length` body. A request whose
+//! body could be framed two ways — any `Transfer-Encoding`, or two
+//! `Content-Length`s that disagree — is refused, not guessed at. Every
+//! deviation is a typed [`HttpError`], never a panic, so a hostile or
+//! broken client can at worst get its own connection closed.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -73,7 +75,9 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// [`HttpError::Idle`] when a read timeout fires there — poll again.
 /// Everything else is a real error: [`HttpError::Malformed`] for
 /// protocol violations (including a timeout mid-request, a line longer
-/// than [`MAX_LINE`] and more than [`MAX_HEADERS`] headers),
+/// than [`MAX_LINE`], more than [`MAX_HEADERS`] headers, any
+/// `Transfer-Encoding`, and a `Content-Length` that is not plain digits
+/// or disagrees with an earlier one),
 /// [`HttpError::TooLarge`] for oversized bodies, [`HttpError::Io`] for
 /// transport failures.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpError> {
@@ -103,7 +107,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
     // HTTP/1.1 defaults to keep-alive, 1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     // Up to MAX_HEADERS header lines, then the blank line ending them.
     for _ in 0..=MAX_HEADERS {
         let mut header = Vec::new();
@@ -117,6 +121,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
         }
         let header = decode_line(&header)?;
         if header.is_empty() {
+            let content_length = content_length.unwrap_or(0);
             if content_length > MAX_BODY {
                 return Err(HttpError::TooLarge(content_length));
             }
@@ -138,9 +143,26 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
             None => return Err(HttpError::Malformed(format!("bad header: {:?}", header))),
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse::<usize>()
-                .map_err(|_| HttpError::Malformed(format!("bad content-length: {:?}", value)))?;
+            // Digits only: `usize::from_str` would also take a `+` sign.
+            let length = Some(value)
+                .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse::<usize>().ok())
+                .ok_or_else(|| HttpError::Malformed(format!("bad content-length: {:?}", value)))?;
+            // Two lengths that disagree leave the body's end ambiguous to
+            // anything in front of the server that framed it by the other.
+            if content_length.is_some_and(|n| n != length) {
+                return Err(HttpError::Malformed(
+                    "conflicting content-length headers".to_string(),
+                ));
+            }
+            content_length = Some(length);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // No transfer coding is supported: a chunked body read as
+            // empty would have its chunks parsed as the next request.
+            return Err(HttpError::Malformed(format!(
+                "unsupported transfer-encoding: {:?}",
+                value
+            )));
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         }

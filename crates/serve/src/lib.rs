@@ -40,6 +40,6 @@ mod stats;
 pub use engine::{Engine, EngineConfig, IngestAck, RecoveryReport, ServeSnapshot, SharedState};
 pub use error::ServeError;
 pub use http::{HttpError, Request, MAX_BODY, MAX_HEADERS, MAX_LINE};
-pub use proto::{IngestRequest, PredictRequest};
+pub use proto::{parse_ingest, parse_predict, IngestRequest, PredictRequest};
 pub use server::Server;
 pub use stats::{LatencyHistogram, Stats, Timer};

@@ -7,7 +7,7 @@
 //! and worker layers, which know the model's shape.
 
 use cascade_tgraph::Event;
-use cascade_util::Json;
+use cascade_util::{Json, JsonError, JsonKind, JsonReader};
 
 use crate::error::ServeError;
 
@@ -35,121 +35,234 @@ fn bad(msg: impl Into<String>) -> ServeError {
     ServeError::BadRequest(msg.into())
 }
 
-fn field_u32(obj: &Json, key: &str) -> Result<u32, ServeError> {
-    let v = obj
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad(format!("missing or non-numeric field '{}'", key)))?;
-    if v < 0.0 || v.fract() != 0.0 || v > u32::MAX as f64 {
-        return Err(bad(format!("field '{}' is not a valid node id", key)));
+impl From<JsonError> for ServeError {
+    fn from(e: JsonError) -> Self {
+        bad(format!("invalid JSON: {}", e))
     }
-    Ok(v as u32)
 }
 
-fn field_f64(obj: &Json, key: &str) -> Result<f64, ServeError> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad(format!("missing or non-numeric field '{}'", key)))
+/// The number at the reader, which must be one, as `f64`.
+fn number(r: &mut JsonReader<'_>, field: &str) -> Result<f64, ServeError> {
+    if r.peek()? != JsonKind::Num {
+        return Err(bad(format!("missing or non-numeric field '{}'", field)));
+    }
+    Ok(r.number()?)
+}
+
+/// A whole number in `u32` range, as a node id.
+fn node_id(v: f64) -> Option<u32> {
+    (v >= 0.0 && v.fract() == 0.0 && v <= u32::MAX as f64).then_some(v as u32)
+}
+
+/// The node id at the reader.
+fn field_u32(r: &mut JsonReader<'_>, field: &str) -> Result<u32, ServeError> {
+    node_id(number(r, field)?)
+        .ok_or_else(|| bad(format!("field '{}' is not a valid node id", field)))
+}
+
+/// The finite time at the reader.
+fn field_time(r: &mut JsonReader<'_>) -> Result<f64, ServeError> {
+    let time = number(r, "time")?;
+    if !time.is_finite() {
+        return Err(bad("field 'time' must be finite"));
+    }
+    Ok(time)
+}
+
+/// Reads a body's top-level object, handing each member's key to
+/// `member` with the reader at its value, then checks that nothing
+/// follows. A body that is not an object has none of the fields, so it
+/// is refused as `missing`.
+fn read_body<'a>(
+    body: &'a str,
+    missing: &str,
+    mut member: impl FnMut(&str, &mut JsonReader<'a>) -> Result<(), ServeError>,
+) -> Result<(), ServeError> {
+    let mut r = JsonReader::new(body);
+    if r.peek()? != JsonKind::Obj {
+        return Err(bad(missing));
+    }
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        member(&key, &mut r)?;
+    }
+    Ok(r.finish()?)
 }
 
 /// Parses a `/predict` body.
 ///
+/// Decodes straight from the text: no [`cascade_util::Json`] tree is
+/// built. The first occurrence of a duplicate key wins, and every other
+/// member is still validated.
+///
 /// # Errors
 ///
-/// [`ServeError::BadRequest`] on any structural problem (missing
-/// fields, empty candidate list, non-finite time).
+/// [`ServeError::BadRequest`] on any structural problem (malformed
+/// JSON, missing fields, empty candidate list, ids outside `u32`).
 pub fn parse_predict(body: &str) -> Result<PredictRequest, ServeError> {
-    let json = Json::parse(body).map_err(|e| bad(format!("invalid JSON: {}", e)))?;
-    let src = field_u32(&json, "src")?;
-    let time = field_f64(&json, "time")?;
-    if !time.is_finite() {
-        return Err(bad("field 'time' must be finite"));
-    }
-    let dsts_json = json
-        .get("dsts")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("missing array field 'dsts'"))?;
-    if dsts_json.is_empty() {
+    let (mut src, mut time, mut dsts) = (None, None, None);
+    read_body(body, "missing or non-numeric field 'src'", |key, r| {
+        match key {
+            "src" if src.is_none() => src = Some(field_u32(r, "src")?),
+            "time" if time.is_none() => time = Some(field_time(r)?),
+            "dsts" if dsts.is_none() => dsts = Some(read_dsts(r)?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    let src = src.ok_or_else(|| bad("missing or non-numeric field 'src'"))?;
+    let time = time.ok_or_else(|| bad("missing or non-numeric field 'time'"))?;
+    let dsts = dsts.ok_or_else(|| bad("missing array field 'dsts'"))?;
+    if dsts.is_empty() {
         return Err(bad("'dsts' must name at least one candidate"));
     }
-    let mut dsts = Vec::with_capacity(dsts_json.len());
-    for d in dsts_json {
-        let v = d
-            .as_f64()
-            .ok_or_else(|| bad("'dsts' entries must be node ids"))?;
-        if v < 0.0 || v.fract() != 0.0 || v > u32::MAX as f64 {
-            return Err(bad("'dsts' entries must be valid node ids"));
-        }
-        dsts.push(v as u32);
-    }
     Ok(PredictRequest { src, dsts, time })
+}
+
+fn read_dsts(r: &mut JsonReader<'_>) -> Result<Vec<u32>, ServeError> {
+    if r.peek()? != JsonKind::Arr {
+        return Err(bad("missing array field 'dsts'"));
+    }
+    let mut dsts = Vec::new();
+    r.begin_array()?;
+    while r.next_item()? {
+        if r.peek()? != JsonKind::Num {
+            return Err(bad("'dsts' entries must be node ids"));
+        }
+        let id =
+            node_id(r.number()?).ok_or_else(|| bad("'dsts' entries must be valid node ids"))?;
+        dsts.push(id);
+    }
+    Ok(dsts)
 }
 
 /// Parses an `/ingest` body against the model's `feature_dim`.
 ///
 /// Every event must carry a `features` array of exactly `feature_dim`
-/// floats, each finite as an `f32` (omitted entirely when the model was
-/// trained featureless).
+/// floats, each finite as an `f32` (omitted, or not an array, when the
+/// model was trained featureless). Events and feature rows are decoded
+/// straight from the text into the request's vectors — each feature is
+/// `str::parse::<f64>` of its literal, then `as f32` — and no
+/// [`cascade_util::Json`] tree is built. The first occurrence of a
+/// duplicate key wins, and every other member is still validated.
 ///
 /// # Errors
 ///
 /// [`ServeError::BadRequest`] on any structural problem.
 pub fn parse_ingest(body: &str, feature_dim: usize) -> Result<IngestRequest, ServeError> {
-    let json = Json::parse(body).map_err(|e| bad(format!("invalid JSON: {}", e)))?;
-    let events_json = json
-        .get("events")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("missing array field 'events'"))?;
-    if events_json.is_empty() {
+    let mut decoded = None;
+    read_body(body, "missing array field 'events'", |key, r| {
+        if key == "events" && decoded.is_none() {
+            decoded = Some(read_events(r, feature_dim)?);
+        } else {
+            r.skip()?;
+        }
+        Ok(())
+    })?;
+    let request = decoded.ok_or_else(|| bad("missing array field 'events'"))?;
+    if request.events.is_empty() {
         return Err(bad("'events' must hold at least one event"));
     }
-    let mut events = Vec::with_capacity(events_json.len());
-    // Every feature value takes at least two body bytes ("0,"), so the
-    // reservation never exceeds what the client actually sent — however
-    // many empty events it claims.
-    let mut features = Vec::with_capacity((events_json.len() * feature_dim).min(body.len() / 2));
-    for (i, e) in events_json.iter().enumerate() {
-        let src = field_u32(e, "src").map_err(|err| bad(format!("event {}: {}", i, err)))?;
-        let dst = field_u32(e, "dst").map_err(|err| bad(format!("event {}: {}", i, err)))?;
-        let time = field_f64(e, "time").map_err(|err| bad(format!("event {}: {}", i, err)))?;
-        if !time.is_finite() {
-            return Err(bad(format!("event {}: time must be finite", i)));
-        }
-        match e.get("features").and_then(Json::as_arr) {
-            Some(row) => {
-                if row.len() != feature_dim {
-                    return Err(bad(format!(
-                        "event {}: {} feature values, model expects {}",
-                        i,
-                        row.len(),
-                        feature_dim
-                    )));
-                }
-                for v in row {
-                    let x = v
-                        .as_f64()
-                        .ok_or_else(|| bad(format!("event {}: non-numeric feature", i)))?
-                        as f32;
-                    // One infinite feature would poison every memory it
-                    // reaches, for good.
-                    if !x.is_finite() {
-                        return Err(bad(format!("event {}: feature overflows f32", i)));
-                    }
-                    features.push(x);
-                }
-            }
-            None => {
-                if feature_dim != 0 {
-                    return Err(bad(format!(
-                        "event {}: missing 'features' ({} values expected)",
-                        i, feature_dim
-                    )));
-                }
-            }
-        }
-        events.push(Event::new(src, dst, time));
+    Ok(request)
+}
+
+fn read_events(r: &mut JsonReader<'_>, feature_dim: usize) -> Result<IngestRequest, ServeError> {
+    if r.peek()? != JsonKind::Arr {
+        return Err(bad("missing array field 'events'"));
     }
-    Ok(IngestRequest { events, features })
+    let mut request = IngestRequest {
+        events: Vec::new(),
+        features: Vec::new(),
+    };
+    r.begin_array()?;
+    while r.next_item()? {
+        let i = request.events.len();
+        let event = read_event(r, feature_dim, &mut request.features).map_err(|e| match e {
+            ServeError::BadRequest(msg) => bad(format!("event {}: {}", i, msg)),
+            e => e,
+        })?;
+        request.events.push(event);
+    }
+    Ok(request)
+}
+
+/// Reads one event object, appending its feature row to `features`.
+fn read_event(
+    r: &mut JsonReader<'_>,
+    feature_dim: usize,
+    features: &mut Vec<f32>,
+) -> Result<Event, ServeError> {
+    if r.peek()? != JsonKind::Obj {
+        return Err(bad("missing or non-numeric field 'src'"));
+    }
+    let (mut src, mut dst, mut time) = (None, None, None);
+    // `None` until the first `features` member; then whether it was an
+    // array (a non-array counts as missing).
+    let mut row = None;
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "src" if src.is_none() => src = Some(field_u32(r, "src")?),
+            "dst" if dst.is_none() => dst = Some(field_u32(r, "dst")?),
+            "time" if time.is_none() => time = Some(field_time(r)?),
+            "features" if row.is_none() => row = Some(read_row(r, feature_dim, features)?),
+            _ => r.skip()?,
+        }
+    }
+    let src = src.ok_or_else(|| bad("missing or non-numeric field 'src'"))?;
+    let dst = dst.ok_or_else(|| bad("missing or non-numeric field 'dst'"))?;
+    let time = time.ok_or_else(|| bad("missing or non-numeric field 'time'"))?;
+    if row != Some(true) && feature_dim != 0 {
+        return Err(bad(format!(
+            "missing 'features' ({} values expected)",
+            feature_dim
+        )));
+    }
+    Ok(Event::new(src, dst, time))
+}
+
+/// Reads a `features` value: `false` (skipped) when it is not an array,
+/// otherwise exactly `feature_dim` finite `f32`s appended to `features`.
+fn read_row(
+    r: &mut JsonReader<'_>,
+    feature_dim: usize,
+    features: &mut Vec<f32>,
+) -> Result<bool, ServeError> {
+    if r.peek()? != JsonKind::Arr {
+        r.skip()?;
+        return Ok(false);
+    }
+    // Every value takes at least two body bytes ("0,"), so the
+    // reservation never exceeds what the client actually sent.
+    features.reserve(feature_dim.min(r.remaining() / 2));
+    let mut width = 0;
+    r.begin_array()?;
+    while r.next_item()? {
+        if width == feature_dim {
+            return Err(bad(format!(
+                "more than {} feature values, model expects {}",
+                width, feature_dim
+            )));
+        }
+        if r.peek()? != JsonKind::Num {
+            return Err(bad("non-numeric feature"));
+        }
+        let x = r.number()? as f32;
+        // One infinite feature would poison every memory it reaches,
+        // for good.
+        if !x.is_finite() {
+            return Err(bad("feature overflows f32"));
+        }
+        features.push(x);
+        width += 1;
+    }
+    if width != feature_dim {
+        return Err(bad(format!(
+            "{} feature values, model expects {}",
+            width, feature_dim
+        )));
+    }
+    Ok(true)
 }
 
 /// Encodes a `/predict` response: per-candidate scores plus the

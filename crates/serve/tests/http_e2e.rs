@@ -331,3 +331,47 @@ fn request_framing_limits_hold_over_the_socket() {
     server.shutdown();
     std::fs::remove_file(&wal).ok();
 }
+
+#[test]
+fn ambiguous_body_framing_is_refused_and_closes_the_connection() {
+    let wal = tmp("ambiguous.wal");
+    let snap = tmp("ambiguous.ckpt");
+    let server = start_server(&wal, &snap);
+    let addr = server.addr();
+
+    // Each is refused at the header that makes the framing ambiguous, so
+    // no blank line or body follows it: a chunked body's chunks, read as
+    // an empty body, would otherwise be parsed as the next request.
+    for (raw, why) in [
+        (
+            "POST /ingest HTTP/1.1\r\ntransfer-encoding: chunked\r\n",
+            "transfer-encoding",
+        ),
+        (
+            "POST /ingest HTTP/1.1\r\ncontent-length: 5\r\nContent-Length: 6\r\n",
+            "conflicting content-length",
+        ),
+        (
+            "POST /ingest HTTP/1.1\r\ncontent-length: +5\r\n",
+            "bad content-length",
+        ),
+    ] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let (status, body) = read_response(&mut reader);
+        assert_eq!(status, 400, "{:?}", raw);
+        assert!(body.to_string().contains(why), "{:?}: {}", raw, body);
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "{:?}", raw);
+    }
+
+    // Agreeing duplicates frame the body one way, so they are accepted.
+    let agreeing = "GET /stats HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\n{}";
+    assert_eq!(raw_request(addr, agreeing.as_bytes()).0, 200);
+    let (status, stats) = request(addr, "GET", "/stats", "");
+    assert_eq!(status, 200);
+    assert_eq!(stats.get("events_acked").and_then(Json::as_usize), Some(0));
+    server.shutdown();
+    std::fs::remove_file(&wal).ok();
+}

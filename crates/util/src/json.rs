@@ -1,10 +1,15 @@
-//! A minimal JSON value with a compact writer and a strict parser.
+//! A minimal JSON value with a compact writer, over one strict pull
+//! reader.
 //!
-//! Replaces `serde` for the workspace's two serialization needs: event
-//! streams (`cascade-tgraph`) and bench-result reports (`cascade-bench`).
-//! Numbers are stored as `f64`; integers up to 2^53 round-trip exactly,
-//! which covers every id and nanosecond count the workspace writes.
+//! Replaces `serde` for the workspace's serialization needs: recipes,
+//! bench-result reports and serve's request bodies. [`JsonReader`] is
+//! the one grammar (RFC 8259, nesting capped at 128): [`Json::parse`]
+//! builds a tree over it, and a typed decoder reads straight into its
+//! own types without building one. Numbers are `f64`; integers up to
+//! 2^53 round-trip exactly, which covers every id and nanosecond count
+//! the workspace writes.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON value.
@@ -36,7 +41,8 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Error produced by [`Json::parse`]: what went wrong and the byte offset.
+/// Error produced by [`JsonReader`] and [`Json::parse`]: what went wrong
+/// and the byte offset.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure in the input.
@@ -61,18 +67,40 @@ impl Json {
     ///
     /// Returns [`JsonError`] on malformed input or trailing garbage.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after value"));
-        }
-        Ok(v)
+        let mut reader = JsonReader::new(input);
+        let value = Json::read(&mut reader)?;
+        reader.finish()?;
+        Ok(value)
+    }
+
+    /// Reads the reader's next value as a tree.
+    fn read(r: &mut JsonReader<'_>) -> Result<Json, JsonError> {
+        Ok(match r.peek()? {
+            JsonKind::Null => {
+                r.null()?;
+                Json::Null
+            }
+            JsonKind::Bool => Json::Bool(r.bool()?),
+            JsonKind::Num => Json::Num(r.number()?),
+            JsonKind::Str => Json::Str(r.string()?.into_owned()),
+            JsonKind::Arr => {
+                let mut items = Vec::new();
+                r.begin_array()?;
+                while r.next_item()? {
+                    items.push(Json::read(r)?);
+                }
+                Json::Arr(items)
+            }
+            JsonKind::Obj => {
+                let mut members = Vec::new();
+                r.begin_object()?;
+                while let Some(key) = r.next_key()? {
+                    let key = key.into_owned();
+                    members.push((key, Json::read(r)?));
+                }
+                Json::Obj(members)
+            }
+        })
     }
 
     /// Member of an object by key; `None` for missing keys or non-objects.
@@ -233,45 +261,154 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
-/// Deepest array/object nesting [`Json::parse`] accepts. The parser
-/// recurses once per level, so without a cap a body of brackets would
-/// overflow the stack of whichever thread parses it.
+/// Deepest array/object nesting [`JsonReader`] accepts. Tree building
+/// and skipping recurse once per level, so without a cap a body of
+/// brackets would overflow the stack of whichever thread reads it.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open.
-    depth: usize,
+/// The kind of the value a [`JsonReader`] sits at, from its first byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JsonKind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// A number.
+    Num,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
 }
+
+/// Byte classes for the scanner, one table lookup per byte.
+const WS: u8 = 1;
+const DIGIT: u8 = 2;
+/// Any byte a number literal may hold: a number followed by one of
+/// these is malformed, not a number and some trailing text.
+const NUM: u8 = 4;
+/// A byte that ends a run of string content.
+const STRING_END: u8 = 8;
+
+static CLASS: [u8; 256] = {
+    let mut table = [0u8; 256];
+    table[b' ' as usize] = WS;
+    table[b'\t' as usize] = WS;
+    table[b'\n' as usize] = WS;
+    table[b'\r' as usize] = WS;
+    let mut d = b'0';
+    while d <= b'9' {
+        table[d as usize] = DIGIT | NUM;
+        d += 1;
+    }
+    table[b'-' as usize] = NUM;
+    table[b'+' as usize] = NUM;
+    table[b'.' as usize] = NUM;
+    table[b'e' as usize] = NUM;
+    table[b'E' as usize] = NUM;
+    table[b'"' as usize] = STRING_END;
+    table[b'\\' as usize] = STRING_END;
+    table
+};
 
 #[cfg(test)]
 thread_local! {
-    /// Bytes this thread's parsers have handed to UTF-8 validation: what
-    /// the tests read to tell one pass over a document from many.
-    static VALIDATED_BYTES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Bytes this thread's string scans have consumed as content runs:
+    /// what the tests read to tell one pass over a document from many.
+    static SCANNED_BYTES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-impl<'a> Parser<'a> {
+/// A strict pull reader over one JSON document.
+///
+/// The reader walks the text once, front to back, and hands out one
+/// value at a time: scalars as `f64`, `bool` and borrowed strings,
+/// containers as [`begin_array`](Self::begin_array) /
+/// [`next_item`](Self::next_item) and
+/// [`begin_object`](Self::begin_object) /
+/// [`next_key`](Self::next_key) loops, anything unwanted through
+/// [`skip`](Self::skip), which still validates it. Between calls it sits
+/// at the first byte of the next value. Errors carry the byte offset of
+/// the failure; [`finish`](Self::finish) refuses trailing text.
+///
+/// # Examples
+///
+/// ```
+/// use cascade_util::{JsonKind, JsonReader};
+///
+/// let mut r = JsonReader::new(r#"{"xs": [1, 2.5], "note": "skipped"}"#);
+/// let mut xs = Vec::new();
+/// r.begin_object().unwrap();
+/// while let Some(key) = r.next_key().unwrap() {
+///     if key == "xs" && r.peek().unwrap() == JsonKind::Arr {
+///         r.begin_array().unwrap();
+///         while r.next_item().unwrap() {
+///             xs.push(r.number().unwrap());
+///         }
+///     } else {
+///         r.skip().unwrap();
+///     }
+/// }
+/// r.finish().unwrap();
+/// assert_eq!(xs, [1.0, 2.5]);
+/// ```
+pub struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
+    /// Whether the innermost container was just opened: its first
+    /// member takes no `,`.
+    first: bool,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`'s value (leading whitespace
+    /// skipped).
+    pub fn new(text: &'a str) -> JsonReader<'a> {
+        let mut r = JsonReader {
+            text,
+            pos: 0,
+            depth: 0,
+            first: false,
+        };
+        r.skip_ws();
+        r
+    }
+
+    /// Bytes of the text not yet read.
+    pub fn remaining(&self) -> usize {
+        self.text.len() - self.pos
+    }
+
     fn err(&self, msg: &str) -> JsonError {
+        self.err_at(self.pos, msg)
+    }
+
+    fn err_at(&self, pos: usize, msg: &str) -> JsonError {
         JsonError {
-            pos: self.pos,
+            pos,
             msg: msg.to_string(),
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.text.as_bytes().get(at).copied()
+    }
+
+    fn class(&self, at: usize) -> u8 {
+        self.byte(at).map_or(0, |b| CLASS[b as usize])
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while self.class(self.pos) & WS != 0 {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.byte(self.pos) == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -279,169 +416,331 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected '{}'", word)))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+    /// The kind of the next value, without consuming it.
+    ///
+    /// # Errors
+    ///
+    /// At a byte no value starts with, or at the end of the text.
+    #[inline]
+    pub fn peek(&self) -> Result<JsonKind, JsonError> {
+        match self.byte(self.pos) {
+            Some(b'n') => Ok(JsonKind::Null),
+            Some(b't' | b'f') => Ok(JsonKind::Bool),
+            Some(b'"') => Ok(JsonKind::Str),
+            Some(b'[') => Ok(JsonKind::Arr),
+            Some(b'{') => Ok(JsonKind::Obj),
+            Some(b'-' | b'0'..=b'9') => Ok(JsonKind::Num),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    /// Parses one array or object one level deeper, refusing past
-    /// [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<Json, JsonError>,
-    ) -> Result<Json, JsonError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err(&format!("nesting deeper than {} levels", MAX_DEPTH)));
-        }
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
+    /// Consumes `null`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not `null`.
+    pub fn null(&mut self) -> Result<(), JsonError> {
+        self.literal("null")
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Consumes `true` or `false`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a boolean.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        if self.byte(self.pos) == Some(b'f') {
+            self.literal("false").map(|()| false)
+        } else {
+            self.literal("true").map(|()| true)
+        }
+    }
+
+    /// Consumes a number: `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`, and
+    /// nothing number-like straight after it. The literal goes through
+    /// `str::parse::<f64>`, so every value is the correctly rounded one.
+    ///
+    /// # Errors
+    ///
+    /// At the first byte that breaks the grammar, or at the literal's
+    /// start when it overflows `f64`.
+    #[inline]
+    pub fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
+        let mut at = start;
+        if self.byte(at) == Some(b'-') {
+            at += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("invalid number '{}'", text)))
+        match self.byte(at) {
+            Some(b'0') => at += 1,
+            Some(b'1'..=b'9') => at = self.digits(at + 1),
+            _ => return Err(self.err_at(at, "expected a digit")),
+        }
+        if self.byte(at) == Some(b'.') {
+            at = self.some_digits(at + 1)?;
+        }
+        if matches!(self.byte(at), Some(b'e' | b'E')) {
+            at += 1;
+            if matches!(self.byte(at), Some(b'+' | b'-')) {
+                at += 1;
+            }
+            at = self.some_digits(at)?;
+        }
+        if self.class(at) & NUM != 0 {
+            return Err(self.err_at(at, "invalid number"));
+        }
+        let literal = &self.text[start..at];
+        let value = literal
+            .parse::<f64>()
+            .map_err(|_| self.err_at(start, "invalid number"))?;
+        if value.is_infinite() {
+            return Err(self.err_at(start, &format!("number '{}' overflows f64", literal)));
+        }
+        self.pos = at;
+        Ok(value)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// End of the digit run starting at `at`.
+    fn digits(&self, mut at: usize) -> usize {
+        while self.class(at) & DIGIT != 0 {
+            at += 1;
+        }
+        at
+    }
+
+    /// End of the digit run starting at `at`, which must hold one.
+    fn some_digits(&self, at: usize) -> Result<usize, JsonError> {
+        match self.digits(at) {
+            end if end == at => Err(self.err_at(at, "expected a digit")),
+            end => Ok(end),
+        }
+    }
+
+    /// Consumes a string: borrowed from the text when it holds no
+    /// escape, decoded otherwise.
+    ///
+    /// # Errors
+    ///
+    /// On a missing quote, a bad escape (at the byte after the
+    /// backslash) or the end of the text inside the string.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.scan_run();
+        if self.byte(self.pos) == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
         loop {
-            match self.peek() {
+            match self.byte(self.pos) {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogates are rejected rather than paired;
-                            // nothing in the workspace emits them.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
                 Some(_) => {
-                    // Consume the whole run up to the next quote or
-                    // backslash and validate only that slice: both
-                    // delimiters are ASCII, so the run ends on a character
-                    // boundary. (Validating the rest of the document per
-                    // character made a string-heavy body quadratic.)
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    #[cfg(test)]
-                    VALIDATED_BYTES.with(|n| n.set(n.get() + len));
-                    let run =
-                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(run);
-                    self.pos += len;
+                    let from = self.pos;
+                    self.scan_run();
+                    out.push_str(&self.text[from..self.pos]);
                 }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+    /// Moves past string content up to the next quote or backslash. Both
+    /// are ASCII, so the run ends on a character boundary of the text,
+    /// which is already UTF-8: no run is validated again.
+    fn scan_run(&mut self) {
+        let rest = &self.text.as_bytes()[self.pos..];
+        let len = rest
+            .iter()
+            .position(|&b| CLASS[b as usize] & STRING_END != 0)
+            .unwrap_or(rest.len());
+        #[cfg(test)]
+        SCANNED_BYTES.with(|n| n.set(n.get() + len));
+        self.pos += len;
+    }
+
+    /// Decodes the escape whose backslash was just consumed.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.byte(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hex = self
+                    .text
+                    .as_bytes()
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let code = hex
+                    .iter()
+                    .try_fold(0u32, |code, &b| Some(code * 16 + (b as char).to_digit(16)?))
+                    .ok_or_else(|| self.err("invalid \\u escape"))?;
+                // Surrogates are rejected rather than paired; nothing in
+                // the workspace emits them.
+                let c = char::from_u32(code)
+                    .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
+                self.pos += 4;
+                c
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Opens the container `bracket` starts, one level deeper.
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {} levels", MAX_DEPTH)));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Closes the innermost container at its closing bracket.
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+    }
+
+    /// Consumes the `[` of an array; read its items with
+    /// [`next_item`](Self::next_item).
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an array, or is nested too deep.
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[')
+    }
+
+    /// Moves to the open array's next item: `true` with the reader at
+    /// the item, which the caller must consume, or `false` once the
+    /// closing `]` is consumed.
+    ///
+    /// # Errors
+    ///
+    /// When neither `,` nor `]` follows the previous item.
+    #[inline]
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.first, false);
+        match self.byte(self.pos) {
+            Some(b']') => {
+                self.close();
+                return Ok(false);
+            }
+            Some(b',') if !first => self.pos += 1,
+            _ if first => return Ok(true),
+            _ => return Err(self.err("expected ',' or ']'")),
+        }
+        self.skip_ws();
+        Ok(true)
+    }
+
+    /// Consumes the `{` of an object; read its members with
+    /// [`next_key`](Self::next_key).
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an object, or is nested too deep.
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{')
+    }
+
+    /// Moves to the open object's next member: its key, with the reader
+    /// at the value, which the caller must consume, or `None` once the
+    /// closing `}` is consumed.
+    ///
+    /// # Errors
+    ///
+    /// When neither `,` nor `}` follows the previous member, or the key
+    /// or its `:` is malformed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.first, false);
+        match self.byte(self.pos) {
+            Some(b'}') => {
+                self.close();
+                return Ok(None);
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ if first => {}
+            _ => return Err(self.err("expected ',' or '}'")),
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Consumes the next value, whatever it is, validating it as
+    /// strictly as reading it would.
+    ///
+    /// # Errors
+    ///
+    /// Wherever the value is malformed.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            JsonKind::Null => self.null(),
+            JsonKind::Bool => self.bool().map(drop),
+            JsonKind::Num => self.number().map(drop),
+            JsonKind::Str => self.string().map(drop),
+            JsonKind::Arr => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip()?;
                 }
-                _ => return Err(self.err("expected ',' or ']'")),
+                Ok(())
+            }
+            JsonKind::Obj => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
+    /// Checks that only whitespace follows the value just read.
+    ///
+    /// # Errors
+    ///
+    /// At the first byte of trailing text.
+    pub fn finish(mut self) -> Result<(), JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after value"));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
+        Ok(())
     }
 }
 
@@ -523,10 +822,12 @@ mod tests {
         }
     }
 
-    /// `Parser::string` used to re-validate the whole remaining document
+    /// The string scan once re-validated the whole remaining document
     /// once per character: on this body (2.2 MiB, ~1.6 M string bytes)
     /// over a terabyte of UTF-8 validation against one pass's 1.6 MB.
-    /// Counted, not timed, so a slow host cannot fail it.
+    /// The text is a `&str`, so no run is validated now; what is counted
+    /// is the content the scan consumes, which one pass bounds by the
+    /// body. Counted, not timed, so a slow host cannot fail it.
     #[test]
     fn string_heavy_body_parses_in_one_pass() {
         let values = ["v", "é\"", "\"日", "a\\é", "😀\n", "plain ascii", "\u{1}é"];
@@ -539,15 +840,15 @@ mod tests {
         let original = Json::Obj(members);
         let body = original.to_string();
         assert!(body.len() >= 2 << 20, "body is {} bytes", body.len());
-        VALIDATED_BYTES.with(|n| n.set(0));
+        SCANNED_BYTES.with(|n| n.set(0));
         let parsed = Json::parse(&body).unwrap();
-        let validated = VALIDATED_BYTES.with(std::cell::Cell::get);
+        let scanned = SCANNED_BYTES.with(std::cell::Cell::get);
         assert_eq!(parsed, original);
         // At least every key's nine bytes, at most the body once.
         assert!(
-            (110_000 * 9..=body.len()).contains(&validated),
-            "validated {} bytes of a {}-byte body: the string scan is not one pass",
-            validated,
+            (110_000 * 9..=body.len()).contains(&scanned),
+            "scanned {} bytes of a {}-byte body: the string scan is not one pass",
+            scanned,
             body.len()
         );
         // Cutting the body inside its last string still fails at the cut.
@@ -600,6 +901,83 @@ mod tests {
                 rendered
             );
         }
+    }
+
+    /// RFC 8259's number grammar, `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`:
+    /// each spelling outside it is refused at the first byte that breaks
+    /// it, and a literal that overflows `f64` at its start.
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for (text, pos) in [
+            ("01", 1),
+            ("00.5", 1),
+            ("-01", 2),
+            ("1.", 2),
+            ("-.5", 1),
+            ("1.e5", 2),
+            ("1e", 2),
+            ("1e+", 3),
+            ("-", 1),
+            ("1.5.2", 3),
+            ("1e5e", 3),
+            ("2-1", 1),
+            ("9e999", 0),
+            ("-1e309", 0),
+            ("[0, 1.e5]", 6),
+            ("+1", 0),
+            (".5", 0),
+        ] {
+            let err = Json::parse(text).expect_err(text);
+            assert_eq!(err.pos, pos, "{}: {}", text, err);
+        }
+        for (text, value) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-2.5e-3", -2.5e-3),
+            ("1E5", 1e5),
+            ("1e+2", 100.0),
+            ("1e-999", 0.0),
+        ] {
+            let parsed = Json::parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), value.to_bits(), "{}", text);
+        }
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_decodes_escaped_keys() {
+        let mut r =
+            JsonReader::new(r#" {"src": 1, "\u0064st": [true, null, {"x": "y"}], "k\"": "v"} "#);
+        r.begin_object().unwrap();
+        let key = r.next_key().unwrap().unwrap();
+        assert!(matches!(key, Cow::Borrowed("src")));
+        assert_eq!(r.number().unwrap(), 1.0);
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("dst"));
+        assert_eq!(r.peek().unwrap(), JsonKind::Arr);
+        r.skip().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("k\""));
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("v")));
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn skip_validates_what_it_skips() {
+        let skipped = |text: &str| {
+            let mut r = JsonReader::new(text);
+            r.skip().and_then(|()| r.finish()).map_err(|e| e.pos)
+        };
+        assert_eq!(
+            skipped(r#"{"a": [1, {"b": "\u00e9"}], "c": -0.5e1}"#),
+            Ok(())
+        );
+        assert_eq!(skipped("[1, 01]"), Err(5));
+        assert_eq!(skipped(r#"{"a": "\q"}"#), Err(8));
+        assert_eq!(skipped("[[]] x"), Err(5));
+        assert_eq!(skipped("[tru]"), Err(1));
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(skipped(&deep), Err(MAX_DEPTH));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! * [`DetRng`] — a tiny cloneable deterministic RNG (splitmix64 +
 //!   xorshift*), the single source of randomness in the workspace.
-//! * [`Json`] — a minimal JSON value with a compact writer and a strict
-//!   parser, replacing `serde` for event-stream and bench-result I/O.
+//! * [`Json`] — a minimal JSON value with a compact writer, built over
+//!   [`JsonReader`], the one strict pull reader, replacing `serde` for
+//!   recipes, bench reports and serve's request bodies.
 //! * [`bytes`] — the one little-endian byte codec ([`ByteWriter`], the
 //!   bounds-checked [`ByteReader`], [`DecodeError`]) and the one
 //!   checkpoint container every crate serializes state through.
@@ -53,6 +54,6 @@ mod rng;
 
 pub use bench::{BenchStats, BenchSuite};
 pub use bytes::{ByteReader, ByteWriter, DecodeError};
-pub use json::{Json, JsonError};
+pub use json::{Json, JsonError, JsonKind, JsonReader};
 pub use prop::{check, check_decoder, Gen};
 pub use rng::DetRng;
