@@ -14,7 +14,7 @@ use cascade_core::{max_endurance_profiling, DependencyTable, SgFilter, TgDiffuse
 use cascade_models::{MemoryDelta, MemoryTgnn, ModelConfig};
 use cascade_nn::{Adam, GatLayer, GruCell, Module, TimeEncode};
 use cascade_serve::parse_ingest;
-use cascade_tensor::Tensor;
+use cascade_tensor::{ColBlock, Tensor};
 use cascade_tgraph::{synth_features, AdjacencyStore, Event, NodeId, SynthConfig};
 use cascade_util::{BenchSuite, DetRng, Json};
 
@@ -94,6 +94,30 @@ fn bench_fused_layers(suite: &mut BenchSuite) {
         }
         black_box(out.len())
     });
+
+    // The updater at `steady_narrow`'s real blocks: `[agg | φ]` =
+    // `[96 | 16]` → 32 over 1 536 memory rows, where only φ wants an input
+    // gradient — serial, and fanned out over two threads.
+    let rows = 1536;
+    let updater = GruCell::new(112, 32, 5);
+    let agg = Tensor::randn([rows, 96], 16);
+    let phi = Tensor::randn([rows, 16], 17).requires_grad();
+    let mem = Tensor::randn([rows, 32], 18);
+    let input = [ColBlock::from(&agg), ColBlock::from(&phi)];
+    for threads in [1, 2] {
+        suite.bench(
+            &format!("gru_cell/fwd_bwd_1536x112/threads{threads}"),
+            || {
+                let out = updater.forward_cols(&input, &mem, threads);
+                out.sum().backward();
+                phi.zero_grad();
+                for p in cascade_nn::Module::parameters(&updater) {
+                    p.zero_grad();
+                }
+                black_box(out.len())
+            },
+        );
+    }
 
     let enc = TimeEncode::new(32);
     let dts = Tensor::randn([b, 1], 13);

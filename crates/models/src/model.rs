@@ -21,7 +21,7 @@ use cascade_nn::{
     bce_with_logits, bce_with_logits_sum, EdgePredictor, GatLayer, GruCell, Linear, Module,
     RnnCell, TimeEncode,
 };
-use cascade_tensor::{scoped_chunks, Tensor};
+use cascade_tensor::{scoped_chunks, ColBlock, Tensor};
 use cascade_tgraph::{EdgeFeatures, Event, EventId, NegativeSampler, NodeId};
 
 use crate::config::{EmbedderKind, ModelConfig, Sampling, UpdaterKind};
@@ -310,10 +310,11 @@ impl MemoryTgnn {
         }
     }
 
-    /// Sets how many worker threads evaluate a batch's compute shards
-    /// (clamped to at least 1). The shard *count* is fixed by batch size,
-    /// so results are bit-identical at any thread setting — this only
-    /// trades wall-clock time.
+    /// Sets how many worker threads evaluate a batch's compute shards and
+    /// its GRU memory updater's rows (clamped to at least 1). The shard
+    /// *count* is fixed by batch size and the updater keeps every float
+    /// operation's order, so results are bit-identical at any thread
+    /// setting — this only trades wall-clock time.
     pub fn set_compute_threads(&mut self, threads: usize) {
         self.compute_threads = threads.max(1);
     }
@@ -894,11 +895,12 @@ impl MemoryTgnn {
                 let agg = Tensor::from_vec(agg, [c, 2 * d + f]);
                 let dts = Tensor::from_vec(dts, [c, 1]);
                 let phi = self.time_enc.forward(&dts);
-                let input = Tensor::concat_cols(&[&agg, &phi]);
+                // `[agg | φ]`, never concatenated: `agg` wants no gradient.
+                let input = [ColBlock::Dense(agg), ColBlock::Dense(phi)];
                 match &self.updater {
-                    Updater::Rnn(cell) => cell.forward(&input, stored),
-                    Updater::Gru(cell) => cell.forward(&input, stored),
-                    Updater::Identity(proj) => proj.forward(&input).tanh(),
+                    Updater::Rnn(cell) => cell.forward_cols(&input, stored),
+                    Updater::Gru(cell) => cell.forward_cols(&input, stored, self.compute_threads),
+                    Updater::Identity(proj) => proj.forward_cols(&input).tanh(),
                     // cascade-lint: allow(panic-macro): the enclosing match routed Attention to attention_update above; this arm cannot be reached from the `_` branch.
                     Updater::Attention { .. } => unreachable!(),
                 }
@@ -947,11 +949,11 @@ impl MemoryTgnn {
         }
         let raw = Tensor::from_vec(raw, [c * cap, raw_w]);
         let phi = self.time_enc.forward(&Tensor::from_vec(dts, [c * cap, 1]));
-        let msgs = Tensor::concat_cols(&[&raw, &phi]); // [C*cap, msg_in]
+        let msgs = [ColBlock::Dense(raw), ColBlock::Dense(phi)]; // [C*cap, msg_in]
 
         let q = query.forward(stored); // [C, d]
-        let k = key.forward(&msgs); // [C*cap, d]
-        let v = value.forward(&msgs); // [C*cap, d]
+        let k = key.forward_cols(&msgs); // [C*cap, d]
+        let v = value.forward_cols(&msgs); // [C*cap, d]
 
         // Row-wise grouped dot product q_i · k_{i,j}.
         let rep: Vec<usize> = (0..c).flat_map(|i| std::iter::repeat_n(i, cap)).collect();
@@ -969,7 +971,7 @@ impl MemoryTgnn {
             .mul(&alpha.reshape([c * cap, 1]))
             .reshape([c, cap, d])
             .sum_axis(1); // [C, d]
-        out.forward(&Tensor::concat_cols(&[stored, &attended]))
+        out.forward_cols(&[ColBlock::from(stored), ColBlock::Dense(attended)])
             .tanh()
     }
 
@@ -1001,7 +1003,7 @@ impl MemoryTgnn {
                 let k = self.config.sampling.count();
                 let (n_in, mask) = self.neighbor_inputs(nodes, times, k, feats);
                 let c_in = self.center_inputs(base);
-                gat.forward(&c_in, &n_in, &mask, k)
+                gat.forward_cols(&c_in, &n_in, &mask, k)
             }
             Embedder::Gat2(l1, l2) => {
                 let k = self.config.sampling.count();
@@ -1012,18 +1014,18 @@ impl MemoryTgnn {
                 // Layer 1 on hop-1 nodes (their own memories as base).
                 let hop1_base = self.plane.memory_gather(&hop1_nodes);
                 let hop1_center_in = self.center_inputs(&hop1_base);
-                let emb1 = l1.forward(&hop1_center_in, &n2_in, &mask2, k);
+                let emb1 = l1.forward_cols(&hop1_center_in, &n2_in, &mask2, k);
                 // Layer 1 on the centers themselves.
                 let n1_in =
                     self.assemble_rows(&hop1_base, &hop1_times, &hop1_events, times, k, feats);
                 let c_in = self.center_inputs(base);
-                let emb0 = l1.forward(&c_in, &n1_in, &mask1, k);
+                let emb0 = l1.forward_cols(&c_in, &n1_in, &mask1, k);
                 // Layer 2: centers = emb0, neighbors = emb1 with hop-1
                 // edge features and time deltas.
                 let n1_emb_in =
                     self.assemble_rows(&emb1, &hop1_times, &hop1_events, times, k, feats);
                 let c2_in = self.center_inputs(&emb0);
-                l2.forward(&c2_in, &n1_emb_in, &mask1, k)
+                l2.forward_cols(&c2_in, &n1_emb_in, &mask1, k)
             }
         }
     }
@@ -1061,14 +1063,15 @@ impl MemoryTgnn {
         (out_nodes, out_times, out_events, mask)
     }
 
-    /// Builds `[n·k, d + f + time]` neighbor input rows by sampling.
+    /// Builds `[n·k, d + f + time]` neighbor input rows by sampling, as
+    /// column blocks.
     fn neighbor_inputs(
         &self,
         nodes: &[NodeId],
         times: &[f64],
         k: usize,
         feats: &EdgeFeatures,
-    ) -> (Tensor, Vec<f32>) {
+    ) -> (Vec<ColBlock>, Vec<f32>) {
         let (nb_nodes, nb_times, nb_events, mask) = self.sample_hop(nodes, k);
         let mem = self.plane.memory_gather(&nb_nodes);
         let t = self.assemble_rows(&mem, &nb_times, &nb_events, times, k, feats);
@@ -1076,8 +1079,8 @@ impl MemoryTgnn {
     }
 
     /// Assembles neighbor rows `[base ‖ e_feat ‖ φ(Δt)]` for sampled
-    /// neighbors; `base` is either raw memories (layer 1) or lower-layer
-    /// embeddings (layer 2 of TGAT).
+    /// neighbors, as column blocks for the projection; `base` is either
+    /// raw memories (layer 1) or lower-layer embeddings (layer 2 of TGAT).
     fn assemble_rows(
         &self,
         base: &Tensor,
@@ -1086,7 +1089,7 @@ impl MemoryTgnn {
         center_times: &[f64],
         k: usize,
         feats: &EdgeFeatures,
-    ) -> Tensor {
+    ) -> Vec<ColBlock> {
         let rows = nb_times.len();
         let f = self.edge_feat_dim;
         debug_assert_eq!(rows, center_times.len() * k);
@@ -1107,23 +1110,23 @@ impl MemoryTgnn {
                 }
             }
             let feat = Tensor::from_vec(feat, [rows, f]);
-            Tensor::concat_cols(&[base, &feat, &phi])
+            vec![base.into(), ColBlock::Dense(feat), ColBlock::Dense(phi)]
         } else {
-            Tensor::concat_cols(&[base, &phi])
+            vec![base.into(), ColBlock::Dense(phi)]
         }
     }
 
-    /// Builds `[n, d + f + time]` center rows: base plus zero features and
-    /// a zero time delta.
-    fn center_inputs(&self, base: &Tensor) -> Tensor {
+    /// Builds `[n, d + f + time]` center rows as column blocks: base, zero
+    /// features (never materialised) and the encoding of a zero time
+    /// delta.
+    fn center_inputs(&self, base: &Tensor) -> Vec<ColBlock> {
         let n = base.dims()[0];
-        let f = self.edge_feat_dim;
         let phi = self.time_enc.forward(&Tensor::zeros([n, 1]));
-        if f > 0 {
-            Tensor::concat_cols(&[base, &Tensor::zeros([n, f]), &phi])
-        } else {
-            Tensor::concat_cols(&[base, &phi])
-        }
+        vec![
+            base.into(),
+            ColBlock::Zeros(self.edge_feat_dim),
+            ColBlock::Dense(phi),
+        ]
     }
 }
 

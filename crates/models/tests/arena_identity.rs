@@ -166,18 +166,21 @@ fn training_step_is_bit_identical_with_and_without_arena() {
 /// runs in the shared train step's order: forward, backward, optimizer
 /// step, memory apply, then the boundary trim before the graph drops.
 /// Pool misses of the third of three identical batches of `len` events
-/// at `threads` compute threads, worker takes included — on a fresh
-/// thread, so no earlier run's pool state carries over.
-fn steady_state_misses(len: usize, threads: usize) -> u64 {
+/// over `nodes` nodes at `threads` compute threads, worker takes included
+/// — on a fresh thread, so no earlier run's pool state carries over.
+fn steady_state_misses(len: usize, nodes: usize, threads: usize) -> u64 {
     std::thread::scope(|scope| {
         scope
             .spawn(|| {
                 let events: Vec<Event> = (0..len)
-                    .map(|i| Event::new((i % 5) as u32, ((i + 2) % 5) as u32, i as f64 * 0.5))
+                    .map(|i| {
+                        let (src, dst) = (i % nodes, (i + 2) % nodes);
+                        Event::new(src as u32, dst as u32, i as f64 * 0.5)
+                    })
                     .collect();
                 let feats = synth_features(events.len(), 4, 9);
                 let cfg = ModelConfig::tgn().with_dims(8, 4).with_neighbors(3);
-                let mut model = MemoryTgnn::new(cfg, 5, 4, 3);
+                let mut model = MemoryTgnn::new(cfg, nodes, 4, 3);
                 model.set_compute_threads(threads);
                 let mut opt = Adam::new(model.parameters(), 1e-2);
                 let mut batch = || {
@@ -211,7 +214,7 @@ fn a_steady_state_batch_misses_the_pool_only_where_known() {
     // the non-power-of-two buffers the batch returns cover three of
     // them, so five takes miss. Pinned exactly, so a new leak fails.
     assert_eq!(
-        steady_state_misses(16, 1),
+        steady_state_misses(16, 5, 1),
         5,
         "a steady-state batch misses the pool only for the captured buffers"
     );
@@ -219,12 +222,15 @@ fn a_steady_state_batch_misses_the_pool_only_where_known() {
 
 /// Shard workers borrow the training thread's pool and hand it back, so a batch
 /// fanned out over two threads finds its buffers as well as the same
-/// batch run serially: at two shards (64 events) and four (128).
+/// batch run serially: at two shards (64 events), four (128), and at 512
+/// events over 512 nodes, whose 512 memory rows also fan the GRU
+/// updater's forward and backward out over both threads.
 #[test]
 fn a_two_thread_batch_misses_the_pool_no_more_than_one_thread() {
-    for len in [64, 128] {
-        let serial = steady_state_misses(len, 1);
-        let threaded = steady_state_misses(len, 2);
+    const { assert!(512 >= 2 * cascade_tensor::GRU_MIN_ROWS_PER_WORKER) };
+    for (len, nodes) in [(64, 5), (128, 5), (512, 512)] {
+        let serial = steady_state_misses(len, nodes, 1);
+        let threaded = steady_state_misses(len, nodes, 2);
         assert!(
             threaded <= serial,
             "{len} events: {threaded} misses at 2 threads vs {serial} at 1"

@@ -204,3 +204,39 @@ fn shard_layout_follows_batch_length_at_any_thread_count() {
         assert_eq!(run(1), run(4), "{len} events: 1 vs 4 threads");
     }
 }
+
+/// A batch whose memory updater has enough rows to fan out (the shard
+/// tests above stay under a few dozen): after two warm-up batches have
+/// written non-zero memories, 500 events over 1 000 nodes touch some 630
+/// centers, so the fused GRU cell splits its forward and backward over
+/// two and four threads. Loss, every gradient and the
+/// written-back memories must not move a bit.
+#[test]
+fn a_fanned_out_updater_is_bit_identical_across_thread_counts() {
+    const NODES: usize = 1000;
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let mut g = Gen::new(29);
+    let events = random_events(&mut g, NODES, 1100);
+    let feats = synth_features(events.len(), 4, 9);
+    let run = |threads: usize| {
+        let cfg = ModelConfig::tgn().with_dims(8, 4).with_neighbors(3);
+        let mut model = MemoryTgnn::new(cfg, NODES, 4, 3);
+        model.set_compute_threads(threads);
+        model.process_batch(&events[..300], 0, &feats);
+        model.process_batch(&events[300..600], 300, &feats);
+        let fwd = model.forward_batch(&events[600..], 600, &feats);
+        let fanned = fwd.pending.centers().len();
+        assert!(fanned >= threads * cascade_tensor::GRU_MIN_ROWS_PER_WORKER);
+        fwd.loss.backward();
+        let grads: Vec<Vec<u32>> = model
+            .parameters()
+            .iter()
+            .map(|p| bits(&p.grad().unwrap_or_default()))
+            .collect();
+        (fwd.loss.item().to_bits(), grads, bits(fwd.pending.post()))
+    };
+    let serial = run(1);
+    for threads in [2, 4] {
+        assert_eq!(serial, run(threads), "1 vs {threads} threads");
+    }
+}

@@ -5,7 +5,7 @@
 //! attention over a fixed-width sampled neighborhood with a validity mask,
 //! always including the center node as an attention target (self-loop).
 
-use cascade_tensor::Tensor;
+use cascade_tensor::{ColBlock, Tensor};
 
 use crate::module::{xavier_uniform, Module};
 
@@ -69,20 +69,40 @@ impl GatLayer {
     ///
     /// Panics on any dimension inconsistency.
     pub fn forward(&self, center: &Tensor, neighbors: &Tensor, mask: &[f32], k: usize) -> Tensor {
-        let b = center.dims()[0];
+        self.forward_cols(
+            &[ColBlock::from(center)],
+            &[ColBlock::from(neighbors)],
+            mask,
+            k,
+        )
+    }
+
+    /// [`forward`](Self::forward) on center and neighbor rows given as
+    /// column blocks: both projections run through
+    /// [`Tensor::matmul_cols`], so no concatenation is built, zero blocks
+    /// cost nothing and only blocks that want a gradient get one.
+    /// Bit-identical to `forward` on the concatenations.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any dimension inconsistency.
+    pub fn forward_cols(
+        &self,
+        center: &[ColBlock],
+        neighbors: &[ColBlock],
+        mask: &[f32],
+        k: usize,
+    ) -> Tensor {
+        let [b, width] = ColBlock::shape_of(center);
+        assert_eq!(width, self.in_dim, "GatLayer center width mismatch");
         assert_eq!(
-            center.dims()[1],
-            self.in_dim,
-            "GatLayer center width mismatch"
-        );
-        assert_eq!(
-            neighbors.dims(),
-            &[b * k, self.in_dim],
+            ColBlock::shape_of(neighbors),
+            [b * k, self.in_dim],
             "GatLayer neighbors must be [B*K, in]"
         );
         assert_eq!(mask.len(), b * k, "GatLayer mask length mismatch");
 
-        let wh_c = center.matmul(&self.weight); // [B, out]
+        let wh_c = Tensor::matmul_cols(center, &self.weight); // [B, out]
         if k == 0 {
             // No neighborhood: attention collapses onto the self-loop, and
             // the attention vectors take no part (and get no gradient).
@@ -91,7 +111,7 @@ impl GatLayer {
 
         let e0 = wh_c.matmul(&self.attn_src); // [B, 1], shared by e_self and e_src
         let e_self = e0.mul_scalar(2.0).leaky_relu(0.2); // [B, 1]
-        let wh_n = neighbors.matmul(&self.weight); // [B*K, out]
+        let wh_n = Tensor::matmul_cols(neighbors, &self.weight); // [B*K, out]
         let e_dst = wh_n.matmul(&self.attn_dst); // [B*K, 1]
 
         // Score assembly (leaky-ReLU, mask to -1e9, self-loop in column 0)
@@ -164,6 +184,45 @@ mod tests {
         assert_eq!(bits(out), bits(want.to_vec()));
         assert_eq!(bits(dc), bits(c.grad().unwrap()));
         assert_eq!(bits(dw), bits(g.weight.grad().unwrap()));
+    }
+
+    #[test]
+    fn column_blocks_match_the_concatenated_rows() {
+        // The memory model's rows: centers `[base | 0 | φ]`, neighbours
+        // `[mem | feat | φ]`, where `base` and both φ want gradients and
+        // `mem` and `feat` do not. Blocked against `concat_cols` with the
+        // zero block materialised: output, every parameter gradient and
+        // every input gradient to the bit, at a row count off the quad grid.
+        let (b, k, d, f, td) = (13, 3, 5, 6, 3);
+        let g = GatLayer::new(d + f + td, 4, 5);
+        let base = Tensor::randn([b, d], 1).requires_grad();
+        let phi_c = Tensor::randn([b, td], 2).requires_grad();
+        let mem = Tensor::randn([b * k, d], 3);
+        let feat = Tensor::randn([b * k, f], 4);
+        let phi_n = Tensor::randn([b * k, td], 5).requires_grad();
+        let mask: Vec<f32> = (0..b * k).map(|i| (i % 4 != 1) as u8 as f32).collect();
+        let up = Tensor::randn([b, 4], 6);
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let mut leaves = g.parameters();
+        leaves.extend([base.clone(), phi_c.clone(), phi_n.clone()]);
+        let run = |out: Tensor| {
+            leaves.iter().for_each(Tensor::zero_grad);
+            out.mul(&up).sum().backward();
+            let grads: Vec<_> = leaves.iter().map(|t| bits(t.grad().unwrap())).collect();
+            (bits(out.to_vec()), grads)
+        };
+
+        let center = [
+            ColBlock::from(&base),
+            ColBlock::Zeros(f),
+            ColBlock::from(&phi_c),
+        ];
+        let neighbors = [&mem, &feat, &phi_n].map(ColBlock::from);
+        let blocked = run(g.forward_cols(&center, &neighbors, &mask, k));
+        let zeros = Tensor::zeros([b, f]);
+        let c_in = Tensor::concat_cols(&[&base, &zeros, &phi_c]);
+        let n_in = Tensor::concat_cols(&[&mem, &feat, &phi_n]);
+        assert_eq!(blocked, run(g.forward(&c_in, &n_in, &mask, k)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Affine layers and multi-layer perceptrons.
 
-use cascade_tensor::Tensor;
+use cascade_tensor::{ColBlock, Tensor};
 
 use crate::module::{xavier_uniform, zeros_bias, Module};
 
@@ -50,7 +50,20 @@ impl Linear {
             self.out_dim,
             x.shape()
         );
-        x.matmul(&self.weight).add(&self.bias)
+        self.forward_cols(&[ColBlock::from(x)])
+    }
+
+    /// Applies the layer to the column-wise concatenation of `x` without
+    /// building it (see [`Tensor::matmul_cols`]): bit-identical to
+    /// `forward(&Tensor::concat_cols(..))`, with zero blocks skipped and
+    /// input gradients only for the blocks that want one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blocks are not `in_dim` columns wide in total or
+    /// disagree on their row count.
+    pub fn forward_cols(&self, x: &[ColBlock]) -> Tensor {
+        Tensor::matmul_cols(x, &self.weight).add(&self.bias)
     }
 
     /// Input width.

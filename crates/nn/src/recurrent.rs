@@ -4,7 +4,7 @@
 //! The paper's `UPDT(·)` of Equation 3 is "usually implemented by a
 //! recurrent neural network such as a Gated-Recurrent-Unit" (§2.2).
 
-use cascade_tensor::Tensor;
+use cascade_tensor::{ColBlock, Tensor};
 
 use crate::module::{xavier_uniform, zeros_bias, Module};
 
@@ -71,13 +71,27 @@ impl GruCell {
     /// Panics if `x` or `h` widths disagree with the cell configuration or
     /// their batch sizes differ.
     pub fn forward(&self, x: &Tensor, h: &Tensor) -> Tensor {
-        assert_eq!(x.dims()[1], self.in_dim, "GruCell input width mismatch");
+        self.forward_cols(&[ColBlock::from(x)], h, 1)
+    }
+
+    /// One recurrence step on the column-wise concatenation of `x`,
+    /// without building it, fanned out over up to `threads` threads (see
+    /// [`Tensor::gru_cell_fused`]). Bit-identical to `forward` on the
+    /// concatenation at any `threads`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `h` widths disagree with the cell configuration or
+    /// their batch sizes differ.
+    pub fn forward_cols(&self, x: &[ColBlock], h: &Tensor, threads: usize) -> Tensor {
+        let [rows, width] = ColBlock::shape_of(x);
+        assert_eq!(width, self.in_dim, "GruCell input width mismatch");
         assert_eq!(
             h.dims()[1],
             self.hidden_dim,
             "GruCell hidden width mismatch"
         );
-        assert_eq!(x.dims()[0], h.dims()[0], "GruCell batch mismatch");
+        assert_eq!(rows, h.dims()[0], "GruCell batch mismatch");
         Tensor::gru_cell_fused(
             x,
             h,
@@ -85,6 +99,7 @@ impl GruCell {
                 &self.w_xr, &self.w_hr, &self.b_r, &self.w_xz, &self.w_hz, &self.b_z, &self.w_xn,
                 &self.w_hn, &self.b_n,
             ],
+            threads,
         )
     }
 
@@ -140,14 +155,26 @@ impl RnnCell {
     ///
     /// Panics on width or batch mismatches.
     pub fn forward(&self, x: &Tensor, h: &Tensor) -> Tensor {
-        assert_eq!(x.dims()[1], self.in_dim, "RnnCell input width mismatch");
+        self.forward_cols(&[ColBlock::from(x)], h)
+    }
+
+    /// One recurrence step on the column-wise concatenation of `x`,
+    /// without building it (see [`Tensor::matmul_cols`]); bit-identical
+    /// to `forward` on the concatenation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on width or batch mismatches.
+    pub fn forward_cols(&self, x: &[ColBlock], h: &Tensor) -> Tensor {
+        let [rows, width] = ColBlock::shape_of(x);
+        assert_eq!(width, self.in_dim, "RnnCell input width mismatch");
         assert_eq!(
             h.dims()[1],
             self.hidden_dim,
             "RnnCell hidden width mismatch"
         );
-        assert_eq!(x.dims()[0], h.dims()[0], "RnnCell batch mismatch");
-        x.matmul(&self.w_x)
+        assert_eq!(rows, h.dims()[0], "RnnCell batch mismatch");
+        Tensor::matmul_cols(x, &self.w_x)
             .add(&h.matmul(&self.w_h))
             .add(&self.b)
             .tanh()

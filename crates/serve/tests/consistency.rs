@@ -140,6 +140,21 @@ fn concurrent_predicts_only_ever_see_published_states() {
     std::fs::remove_file(&wal).ok();
 }
 
+/// The single writer runs its memory updater on its own thread: a model
+/// trained at four compute threads is served at one, so an ingest never
+/// fans out onto the cores the predict handlers run on.
+#[test]
+fn the_writer_runs_the_updater_on_its_own_thread() {
+    let wal = tmp("threads.wal");
+    let mut model = base_model();
+    model.set_compute_threads(4);
+    let mut engine = Engine::open(model, EngineConfig::new(&wal, tmp("threads.ckpt"))).unwrap();
+    let (events, feats) = batch(0..6);
+    engine.ingest(&events, &feats).unwrap();
+    assert_eq!(engine.shared().snapshot().model.compute_threads(), 1);
+    std::fs::remove_file(&wal).ok();
+}
+
 #[test]
 fn served_snapshot_scores_match_offline_scoring_bitwise() {
     const TOTAL: usize = 24;

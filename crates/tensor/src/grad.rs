@@ -142,6 +142,12 @@ impl<'a> GradCtx<'a> {
         }
     }
 
+    /// Whether this context belongs to a shard worker: ops that fan out
+    /// on their own stay on the worker's thread.
+    pub(crate) fn is_sharded(&self) -> bool {
+        self.sink.is_some()
+    }
+
     /// Whether the backward traversal must not descend past `id` (it is a
     /// shared subgraph boundary that finishes serially on the driver).
     pub(crate) fn stops_at(&self, id: u64) -> bool {

@@ -64,6 +64,7 @@ mod tensor;
 mod workers;
 
 pub use grad::AutogradError;
+pub use ops::{ColBlock, GRU_MIN_ROWS_PER_WORKER};
 pub use shape::Shape;
 pub use tensor::{DataRef, Tensor};
 pub use workers::{scoped_chunks, shard_chunk};

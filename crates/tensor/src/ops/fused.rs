@@ -15,12 +15,105 @@
 //! backward, elementwise chains keep their evaluation order), so swapping
 //! a layer to its fused form does not perturb training trajectories.
 
+use std::ops::Range;
+
 use crate::arena;
 use crate::grad::GradCtx;
 use crate::ops::binary::reduce_to_row;
-use crate::ops::matmul::{matmul_a_bt, matmul_at_b, matmul_into};
+use crate::ops::matmul::{
+    matmul_a_bt, matmul_a_bt_cols, matmul_at_b_rows, matmul_cols_into, matmul_into, ColBlock,
+};
 use crate::shape::Shape;
-use crate::tensor::Tensor;
+use crate::tensor::{DataRef, Tensor};
+use crate::workers::scoped_chunks;
+
+/// Fewest rows each worker of a fanned-out [`Tensor::gru_cell_fused`]
+/// runs: a cell of fewer than twice this many rows stays on the calling
+/// thread. A constant, not an option — the fan-out never moves a bit, it
+/// only decides where a spawn pays for itself, and a dependency-bound
+/// batch of ~20 events (a few dozen rows) never fans out.
+pub const GRU_MIN_ROWS_PER_WORKER: usize = 128;
+
+/// Row bounds of a [`Tensor::gru_cell_fused`] fan-out over at most
+/// `threads` workers: balanced contiguous ranges of at least
+/// [`GRU_MIN_ROWS_PER_WORKER`] rows, or the one range `0..rows`.
+fn row_bounds(rows: usize, threads: usize) -> Vec<usize> {
+    balanced(rows, threads.min(rows / GRU_MIN_ROWS_PER_WORKER).max(1))
+}
+
+/// The bounds of `parts` balanced contiguous ranges covering `0..len`.
+fn balanced(len: usize, parts: usize) -> Vec<usize> {
+    (0..=parts).map(|c| c * len / parts).collect()
+}
+
+/// `buf` (`[rows × width]`, row-major) cut at the row `bounds`.
+fn row_chunks<'a>(
+    buf: &'a mut [f32],
+    width: usize,
+    bounds: &[usize],
+) -> std::vec::IntoIter<&'a mut [f32]> {
+    let mut rest = buf;
+    let mut chunks = Vec::with_capacity(bounds.len());
+    for w in bounds.windows(2) {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut((w[1] - w[0]) * width);
+        chunks.push(head);
+        rest = tail;
+    }
+    chunks.into_iter()
+}
+
+/// One row range of the fused GRU cell's backward row phase.
+struct RowGrads<'a> {
+    rows: Range<usize>,
+    /// The rows of `dpre_r`, `dpre_z`, `dpre_n` and `dhn`.
+    dpre: [&'a mut [f32]; 4],
+    /// The rows of `dh`, if `h` wants a gradient.
+    dh: Option<&'a mut [f32]>,
+    /// Per input block, the rows of its gradient, if it wants one.
+    dx: Vec<Option<&'a mut [f32]>>,
+}
+
+/// One range of output rows of a weight gradient `aᵀ·dpre`.
+struct AtBRows<'a> {
+    /// `[k × m]`: the layer input block.
+    a: &'a [f32],
+    m: usize,
+    /// `[k × n]`: a gate's pre-activation gradient.
+    dpre: &'a [f32],
+    rows: Range<usize>,
+    /// `[rows.len() × n]`.
+    out: &'a mut [f32],
+}
+
+impl<'a> AtBRows<'a> {
+    /// Deals `out = aᵀ·dpre` (`[m × n]`) out as one balanced range of
+    /// output rows per worker list in `tasks`.
+    fn deal(
+        tasks: &mut [Vec<AtBRows<'a>>],
+        a: &'a [f32],
+        dpre: &'a [f32],
+        out: &'a mut [f32],
+        m: usize,
+        n: usize,
+    ) {
+        let bounds = balanced(m, tasks.len());
+        let parts = row_chunks(out, n, &bounds).zip(bounds.windows(2));
+        for (list, (out, w)) in tasks.iter_mut().zip(parts) {
+            let rows = w[0]..w[1];
+            list.push(AtBRows {
+                a,
+                m,
+                dpre,
+                rows,
+                out,
+            });
+        }
+    }
+
+    fn run(&mut self, k: usize, n: usize) {
+        matmul_at_b_rows(self.a, self.dpre, self.out, k, self.m, n, self.rows.clone());
+    }
+}
 
 impl Tensor {
     /// Fused GRU cell step: the single-node form of
@@ -33,17 +126,34 @@ impl Tensor {
     /// h' = (1 − z) ⊙ n + z ⊙ h
     /// ```
     ///
-    /// `params` is `[w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, w_hn, b_n]`
-    /// with weights `[in, H]` / `[H, H]` and biases `[H]`.
+    /// `x` is given as column blocks (see [`Tensor::matmul_cols`]): no
+    /// concatenation is built, a [`ColBlock::Zeros`] block is skipped, and
+    /// only blocks whose tensors require a gradient get one. `params` is
+    /// `[w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, w_hn, b_n]` with weights
+    /// `[in, H]` / `[H, H]` and biases `[H]`.
+    ///
+    /// Forward and backward fan out over up to `threads` threads through
+    /// [`scoped_chunks`](crate::scoped_chunks), at least
+    /// [`GRU_MIN_ROWS_PER_WORKER`] rows each: the projections, gates,
+    /// gate gradients and input gradients by contiguous row ranges, the
+    /// weight gradients `Aᵀ·dpre` by ranges of their output rows. Every
+    /// output element keeps its sequence of float operations, so the
+    /// result and every gradient are the same bits at any `threads`. A
+    /// backward pass inside a shard worker (a sharded gradient context)
+    /// stays on its thread.
     ///
     /// # Panics
     ///
     /// Panics on any shape inconsistency.
-    pub fn gru_cell_fused(x: &Tensor, h: &Tensor, params: &[&Tensor; 9]) -> Tensor {
+    pub fn gru_cell_fused(
+        x: &[ColBlock],
+        h: &Tensor,
+        params: &[&Tensor; 9],
+        threads: usize,
+    ) -> Tensor {
         let [w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, w_hn, b_n] = *params;
-        assert_eq!(x.dims().len(), 2, "gru_cell_fused x must be rank-2");
         assert_eq!(h.dims().len(), 2, "gru_cell_fused h must be rank-2");
-        let (b, in_dim) = (x.dims()[0], x.dims()[1]);
+        let [b, in_dim] = ColBlock::shape_of(x);
         let hd = h.dims()[1];
         assert_eq!(h.dims()[0], b, "gru_cell_fused batch mismatch");
         for (w, rows, name) in [
@@ -61,136 +171,237 @@ impl Tensor {
         }
 
         let bh = b * hd;
-        let xd = x.data();
-        let hdat = h.data();
+        let (xs, spans) = ColBlock::spans(x);
+        let bounds = row_bounds(b, threads);
 
-        // Six projections through the shared skip-zero matmul kernel.
+        // Six projections, the three gates and the output, every buffer
+        // cut at the same row bounds.
         let mut xr = arena::take_zeroed(bh);
-        matmul_into(&xd, &w_xr.data(), &mut xr, b, in_dim, hd);
         let mut hr = arena::take_zeroed(bh);
-        matmul_into(&hdat, &w_hr.data(), &mut hr, b, hd, hd);
         let mut xz = arena::take_zeroed(bh);
-        matmul_into(&xd, &w_xz.data(), &mut xz, b, in_dim, hd);
         let mut hz = arena::take_zeroed(bh);
-        matmul_into(&hdat, &w_hz.data(), &mut hz, b, hd, hd);
         let mut xn = arena::take_zeroed(bh);
-        matmul_into(&xd, &w_xn.data(), &mut xn, b, in_dim, hd);
         let mut hn = arena::take_zeroed(bh);
-        matmul_into(&hdat, &w_hn.data(), &mut hn, b, hd, hd);
+        let mut r = arena::take_zeroed(bh);
+        let mut z = arena::take_zeroed(bh);
+        let mut n = arena::take_zeroed(bh);
+        let mut out = arena::take_zeroed(bh);
+        {
+            let xd: Vec<DataRef> = xs.iter().map(Tensor::data).collect();
+            let hdat = h.data();
+            let [wxr, whr, wxz, whz, wxn, whn, brd, bzd, bnd] =
+                [w_xr, w_hr, w_xz, w_hz, w_xn, w_hn, b_r, b_z, b_n].map(Tensor::data);
+            let mut bufs = [
+                &mut xr, &mut hr, &mut xz, &mut hz, &mut xn, &mut hn, &mut r, &mut z, &mut n,
+                &mut out,
+            ]
+            .map(|buf| row_chunks(buf, hd, &bounds));
+            let mut slots: Vec<_> = bounds
+                .windows(2)
+                .map(|w| {
+                    (
+                        w[0]..w[1],
+                        bufs.each_mut().map(|c| c.next().expect("one per range")),
+                    )
+                })
+                .collect();
+            let rows_job = |rows: Range<usize>, bufs: [&mut [f32]; 10]| {
+                let [xr, hr, xz, hz, xn, hn, r, z, n, out] = bufs;
+                let m = rows.len();
+                let xrows: Vec<&[f32]> = xd
+                    .iter()
+                    .zip(&spans)
+                    .map(|(x, s)| &x[rows.start * s.len()..rows.end * s.len()])
+                    .collect();
+                let hrows = &hdat[rows.start * hd..rows.end * hd];
+                // The shared skip-zero matmul kernel, block by block.
+                matmul_cols_into(&xrows, &spans, &wxr, xr, m, hd);
+                matmul_into(hrows, &whr, hr, m, hd, hd);
+                matmul_cols_into(&xrows, &spans, &wxz, xz, m, hd);
+                matmul_into(hrows, &whz, hz, m, hd, hd);
+                matmul_cols_into(&xrows, &spans, &wxn, xn, m, hd);
+                matmul_into(hrows, &whn, hn, m, hd, hd);
 
-        // Gate chains, elementwise, same evaluation order as the op chain:
-        // ((x·W + h·W) + bias) then the activation.
-        let brd = b_r.data();
-        let bzd = b_z.data();
-        let bnd = b_n.data();
-        let mut r = arena::take_empty(bh);
-        let mut z = arena::take_empty(bh);
-        for i in 0..bh {
-            let j = i % hd;
-            let pre_r = (xr[i] + hr[i]) + brd[j];
-            r.push(1.0 / (1.0 + (-pre_r).exp()));
-            let pre_z = (xz[i] + hz[i]) + bzd[j];
-            z.push(1.0 / (1.0 + (-pre_z).exp()));
+                // Gate chains, elementwise, same evaluation order as the
+                // op chain: ((x·W + h·W) + bias) then the activation.
+                for i in 0..m * hd {
+                    let j = i % hd;
+                    let pre_r = (xr[i] + hr[i]) + brd[j];
+                    r[i] = 1.0 / (1.0 + (-pre_r).exp());
+                    let pre_z = (xz[i] + hz[i]) + bzd[j];
+                    z[i] = 1.0 / (1.0 + (-pre_z).exp());
+                }
+                for i in 0..m * hd {
+                    let pre_n = (xn[i] + (r[i] * hn[i])) + bnd[i % hd];
+                    n[i] = pre_n.tanh();
+                }
+                for i in 0..m * hd {
+                    out[i] = ((-z[i] + 1.0) * n[i]) + (z[i] * hrows[i]);
+                }
+            };
+            scoped_chunks(&mut slots, threads, |_, part| {
+                for (rows, bufs) in part {
+                    rows_job(rows.clone(), bufs.each_mut().map(std::mem::take));
+                }
+            });
         }
-        let mut n = arena::take_empty(bh);
-        for i in 0..bh {
-            let j = i % hd;
-            let pre_n = (xn[i] + (r[i] * hn[i])) + bnd[j];
-            n.push(pre_n.tanh());
-        }
-        let mut out = arena::take_empty(bh);
-        for i in 0..bh {
-            out.push(((-z[i] + 1.0) * n[i]) + (z[i] * hdat[i]));
-        }
-        drop((brd, bzd, bnd, xd, hdat));
         arena::recycle(xr);
         arena::recycle(hr);
         arena::recycle(xz);
         arena::recycle(hz);
         arena::recycle(xn);
 
-        let parents = vec![
-            x.clone(),
-            h.clone(),
-            w_xr.clone(),
-            w_hr.clone(),
-            b_r.clone(),
-            w_xz.clone(),
-            w_hz.clone(),
-            b_z.clone(),
-            w_xn.clone(),
-            w_hn.clone(),
-            b_n.clone(),
-        ];
+        let mut parents = xs;
+        parents.push(h.clone());
+        parents.extend(params.iter().map(|&p| p.clone()));
         Tensor::from_op(
             out,
             Shape::new(vec![b, hd]),
             parents,
             Box::new(move |_out, grad, parents, ctx: &mut GradCtx| {
-                let (px, ph) = (&parents[0], &parents[1]);
-                let (pwxr, pwhr, pbr) = (&parents[2], &parents[3], &parents[4]);
-                let (pwxz, pwhz, pbz) = (&parents[5], &parents[6], &parents[7]);
-                let (pwxn, pwhn, pbn) = (&parents[8], &parents[9], &parents[10]);
-                let need_x = px.is_requires_grad();
-                let need_h = ph.is_requires_grad();
+                let (px, rest) = parents.split_at(spans.len());
+                let ph = &rest[0];
+                let [pwxr, pwhr, pbr, pwxz, pwhz, pbz, pwxn, pwhn, pbn] =
+                    std::array::from_fn(|i| &rest[1 + i]);
+                let threads = if ctx.is_sharded() { 1 } else { threads };
+                let bounds = row_bounds(b, threads);
                 let hdat = ph.data();
+                let xd: Vec<DataRef> = px.iter().map(Tensor::data).collect();
 
-                // Pre-activation gradients for the three gates.
-                let mut dpre_n = arena::take_empty(bh);
-                let mut dpre_z = arena::take_empty(bh);
-                for i in 0..bh {
-                    let dn = grad[i] * (1.0 - z[i]);
-                    dpre_n.push(dn * (1.0 - n[i] * n[i]));
-                    let dz = grad[i] * (hdat[i] - n[i]);
-                    dpre_z.push(dz * z[i] * (1.0 - z[i]));
+                // Row phase: the gates' pre-activation gradients, then the
+                // input gradients of every block and of `h` that want one.
+                let mut dpre_n = arena::take_zeroed(bh);
+                let mut dpre_z = arena::take_zeroed(bh);
+                let mut dpre_r = arena::take_zeroed(bh);
+                let mut dhn = arena::take_zeroed(bh);
+                let mut dx: Vec<Option<Vec<f32>>> = px
+                    .iter()
+                    .zip(&spans)
+                    .map(|(p, s)| {
+                        p.is_requires_grad()
+                            .then(|| arena::take_zeroed(b * s.len()))
+                    })
+                    .collect();
+                let mut dh = ph.is_requires_grad().then(|| arena::take_zeroed(bh));
+                {
+                    let [wxr, whr, wxz, whz, wxn, whn] =
+                        [pwxr, pwhr, pwxz, pwhz, pwxn, pwhn].map(|w| w.data());
+                    let mut dpre = [&mut dpre_r, &mut dpre_z, &mut dpre_n, &mut dhn]
+                        .map(|buf| row_chunks(buf, hd, &bounds));
+                    let mut dh_rows = dh.as_mut().map(|buf| row_chunks(buf, hd, &bounds));
+                    let mut dx_rows: Vec<_> = dx
+                        .iter_mut()
+                        .zip(&spans)
+                        .map(|(buf, s)| buf.as_mut().map(|buf| row_chunks(buf, s.len(), &bounds)))
+                        .collect();
+                    let mut slots: Vec<RowGrads> = bounds
+                        .windows(2)
+                        .map(|w| RowGrads {
+                            rows: w[0]..w[1],
+                            dpre: dpre.each_mut().map(|c| c.next().expect("one per range")),
+                            dh: dh_rows.as_mut().and_then(Iterator::next),
+                            dx: dx_rows
+                                .iter_mut()
+                                .map(|c| c.as_mut().and_then(Iterator::next))
+                                .collect(),
+                        })
+                        .collect();
+                    let rows_job = |slot: &mut RowGrads| {
+                        let (lo, hi) = (slot.rows.start * hd, slot.rows.end * hd);
+                        let m = slot.rows.len();
+                        let (g, z, n, r, hn) = (
+                            &grad[lo..hi],
+                            &z[lo..hi],
+                            &n[lo..hi],
+                            &r[lo..hi],
+                            &hn[lo..hi],
+                        );
+                        let h = &hdat[lo..hi];
+                        let [dpre_r, dpre_z, dpre_n, dhn] = slot.dpre.each_mut().map(|d| &mut **d);
+                        for i in 0..m * hd {
+                            let dn = g[i] * (1.0 - z[i]);
+                            dpre_n[i] = dn * (1.0 - n[i] * n[i]);
+                            let dz = g[i] * (h[i] - n[i]);
+                            dpre_z[i] = dz * z[i] * (1.0 - z[i]);
+                        }
+                        for i in 0..m * hd {
+                            let dr = dpre_n[i] * hn[i];
+                            dpre_r[i] = dr * r[i] * (1.0 - r[i]);
+                            dhn[i] = dpre_n[i] * r[i];
+                        }
+                        for (dx, s) in slot.dx.iter_mut().zip(&spans) {
+                            if let Some(dx) = dx {
+                                matmul_a_bt_cols(dpre_r, &wxr, dx, m, hd, s.clone());
+                                matmul_a_bt_cols(dpre_z, &wxz, dx, m, hd, s.clone());
+                                matmul_a_bt_cols(dpre_n, &wxn, dx, m, hd, s.clone());
+                            }
+                        }
+                        if let Some(dh) = slot.dh.as_deref_mut() {
+                            for i in 0..m * hd {
+                                dh[i] = g[i] * z[i];
+                            }
+                            matmul_a_bt(dhn, &whn, dh, m, hd, hd);
+                            matmul_a_bt(dpre_r, &whr, dh, m, hd, hd);
+                            matmul_a_bt(dpre_z, &whz, dh, m, hd, hd);
+                        }
+                    };
+                    scoped_chunks(&mut slots, threads, |_, part| {
+                        part.iter_mut().for_each(&rows_job)
+                    });
                 }
-                let mut dpre_r = arena::take_empty(bh);
-                let mut dhn = arena::take_empty(bh);
-                for i in 0..bh {
-                    let dr = dpre_n[i] * hn[i];
-                    dpre_r.push(dr * r[i] * (1.0 - r[i]));
-                    dhn.push(dpre_n[i] * r[i]);
-                }
-
-                // Input-side gradients.
-                if need_x {
-                    let mut dx = arena::take_zeroed(b * in_dim);
-                    matmul_a_bt(&dpre_r, &pwxr.data(), &mut dx, b, hd, in_dim);
-                    matmul_a_bt(&dpre_z, &pwxz.data(), &mut dx, b, hd, in_dim);
-                    matmul_a_bt(&dpre_n, &pwxn.data(), &mut dx, b, hd, in_dim);
-                    ctx.accumulate_owned(px, dx);
-                }
-                if need_h {
-                    let mut dh = arena::take_empty(bh);
-                    for i in 0..bh {
-                        dh.push(grad[i] * z[i]);
+                for (p, dx) in px.iter().zip(dx) {
+                    if let Some(dx) = dx {
+                        ctx.accumulate_owned(p, dx);
                     }
-                    matmul_a_bt(&dhn, &pwhn.data(), &mut dh, b, hd, hd);
-                    matmul_a_bt(&dpre_r, &pwhr.data(), &mut dh, b, hd, hd);
-                    matmul_a_bt(&dpre_z, &pwhz.data(), &mut dh, b, hd, hd);
+                }
+                if let Some(dh) = dh {
                     ctx.accumulate_owned(ph, dh);
                 }
                 arena::recycle(grad);
 
-                // Parameter gradients: dW_x* = xᵀ·dpre_*, dW_h* = hᵀ·dpre_*
-                // (hᵀ·dhn for the candidate gate), db_* = column sums.
-                let xd = px.data();
-                for (w, dpre) in [(pwxr, &dpre_r), (pwxz, &dpre_z), (pwxn, &dpre_n)] {
-                    if w.is_requires_grad() {
-                        let mut dw = arena::take_zeroed(in_dim * hd);
-                        matmul_at_b(&xd, dpre, &mut dw, b, in_dim, hd);
+                // Weight phase: dW_x* = xᵀ·dpre_*, dW_h* = hᵀ·dpre_* (hᵀ·dhn
+                // for the candidate gate), each cut into ranges of output
+                // rows; rows of zero blocks stay 0.
+                let workers = bounds.len() - 1;
+                let x_side = [(pwxr, &dpre_r), (pwxz, &dpre_z), (pwxn, &dpre_n)];
+                let h_side = [(pwhr, &dpre_r), (pwhz, &dpre_z), (pwhn, &dhn)];
+                let mut dw_x = x_side.map(|(w, _)| {
+                    w.is_requires_grad()
+                        .then(|| arena::take_zeroed(in_dim * hd))
+                });
+                let mut dw_h =
+                    h_side.map(|(w, _)| w.is_requires_grad().then(|| arena::take_zeroed(hd * hd)));
+                {
+                    let mut tasks: Vec<Vec<AtBRows>> = (0..workers).map(|_| Vec::new()).collect();
+                    // Cut at `0, start₀, end₀, start₁, …`: every second
+                    // piece is a block's rows, the others a zero block's.
+                    let edges: Vec<usize> = std::iter::once(0)
+                        .chain(spans.iter().flat_map(|s| [s.start, s.end]))
+                        .collect();
+                    for ((_, dpre), dw) in x_side.iter().zip(dw_x.iter_mut()) {
+                        let Some(dw) = dw else { continue };
+                        let blocks = row_chunks(dw, hd, &edges).skip(1).step_by(2);
+                        for ((x, s), rows) in xd.iter().zip(&spans).zip(blocks) {
+                            AtBRows::deal(&mut tasks, x, dpre, rows, s.len(), hd);
+                        }
+                    }
+                    for ((_, dpre), dw) in h_side.iter().zip(dw_h.iter_mut()) {
+                        if let Some(dw) = dw {
+                            AtBRows::deal(&mut tasks, &hdat, dpre, dw, hd, hd);
+                        }
+                    }
+                    scoped_chunks(&mut tasks, threads, |_, part| {
+                        for task in part.iter_mut().flatten() {
+                            task.run(b, hd);
+                        }
+                    });
+                }
+                drop((hdat, xd));
+                for ((w, _), dw) in x_side.iter().zip(dw_x).chain(h_side.iter().zip(dw_h)) {
+                    if let Some(dw) = dw {
                         ctx.accumulate_owned(w, dw);
                     }
                 }
-                drop(xd);
-                for (w, dpre) in [(pwhr, &dpre_r), (pwhz, &dpre_z), (pwhn, &dhn)] {
-                    if w.is_requires_grad() {
-                        let mut dw = arena::take_zeroed(hd * hd);
-                        matmul_at_b(&hdat, dpre, &mut dw, b, hd, hd);
-                        ctx.accumulate_owned(w, dw);
-                    }
-                }
-                drop(hdat);
                 for (bias, dpre) in [(pbr, &dpre_r), (pbz, &dpre_z), (pbn, &dpre_n)] {
                     if bias.is_requires_grad() {
                         ctx.accumulate_owned(bias, reduce_to_row(dpre, b, hd));
@@ -513,7 +724,8 @@ impl Tensor {
 
 #[cfg(test)]
 mod tests {
-    use crate::Tensor;
+    use super::GRU_MIN_ROWS_PER_WORKER;
+    use crate::{ColBlock, Tensor};
 
     fn lcg(seed: u64) -> impl FnMut() -> f32 {
         let mut s = seed;
@@ -569,7 +781,7 @@ mod tests {
 
         let (x1, h1, p1) = make();
         let refs1: [&Tensor; 9] = std::array::from_fn(|i| &p1[i]);
-        let fused = Tensor::gru_cell_fused(&x1, &h1, &refs1);
+        let fused = Tensor::gru_cell_fused(&[ColBlock::from(&x1)], &h1, &refs1, 1);
         let (x2, h2, p2) = make();
         let refs2: [&Tensor; 9] = std::array::from_fn(|i| &p2[i]);
         let composed = gru_composed(&x2, &h2, &refs2);
@@ -597,6 +809,71 @@ mod tests {
         }
     }
 
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn blocked_gru_matches_the_concatenated_input_at_any_thread_count() {
+        // The updater's input `[agg | φ]`: `agg` wants no gradient, φ and
+        // `h` do; one memory row in three is still zero. The blocked cell
+        // at 1, 2 and 4 threads against the old `concat_cols` input on one
+        // thread, on both sides of each fan-out edge: the output and all
+        // eleven gradients (six weights, three biases, φ, h) to the bit.
+        // Then once more with a 3-wide zero block between the two, which
+        // the blocked cell never materialises.
+        let (da, dp, hd) = (10, 6, 8);
+        let floor = GRU_MIN_ROWS_PER_WORKER;
+        for (gap, rows) in [0, 3].into_iter().flat_map(|gap| {
+            [1, floor - 1, floor, 2 * floor - 1, 2 * floor, 3000].map(|rows| (gap, rows))
+        }) {
+            let agg = rand_tensor([rows, da], 40).detach();
+            let phi = rand_tensor([rows, dp], 41);
+            let mut hv = rand_tensor([rows, hd], 42).to_vec();
+            hv.chunks_mut(hd).step_by(3).for_each(|row| row.fill(0.0));
+            let h = Tensor::from_vec(hv, [rows, hd]).requires_grad();
+            let params: Vec<Tensor> = (0..9u64)
+                .map(|i| match i % 3 {
+                    0 => rand_tensor([da + gap + dp, hd], 50 + i),
+                    1 => rand_tensor([hd, hd], 50 + i),
+                    _ => rand_tensor([1, hd], 50 + i)
+                        .reshape([hd])
+                        .detach()
+                        .requires_grad(),
+                })
+                .collect();
+            let refs: [&Tensor; 9] = std::array::from_fn(|i| &params[i]);
+            let up = rand_tensor([rows, hd], 43).detach();
+            let run = |x: &[ColBlock], threads: usize| {
+                let mut leaves: Vec<&Tensor> = params.iter().collect();
+                leaves.extend([&phi, &h]);
+                leaves.iter().for_each(|t| t.zero_grad());
+                let out = Tensor::gru_cell_fused(x, &h, &refs, threads);
+                out.mul(&up).sum().backward();
+                let grads: Vec<Vec<u32>> = leaves
+                    .iter()
+                    .map(|t| bits(&t.grad().expect("every leaf gets a gradient")))
+                    .collect();
+                (bits(&out.to_vec()), grads)
+            };
+            let cat = Tensor::concat_cols(&[&agg, &Tensor::zeros([rows, gap]), &phi]);
+            let reference = run(&[ColBlock::from(&cat)], 1);
+            assert_eq!(reference.1.len(), 11);
+            let blocks = [
+                ColBlock::from(&agg),
+                ColBlock::Zeros(gap),
+                ColBlock::from(&phi),
+            ];
+            for threads in [1, 2, 4] {
+                let blocked = run(&blocks, threads);
+                assert_eq!(
+                    reference, blocked,
+                    "{rows} rows, gap {gap}, {threads} threads"
+                );
+            }
+        }
+    }
+
     #[test]
     fn gru_fused_skips_frozen_inputs() {
         let x = Tensor::ones([2, 3]);
@@ -613,7 +890,9 @@ mod tests {
             Tensor::zeros([4]).requires_grad(),
         ];
         let refs: [&Tensor; 9] = std::array::from_fn(|i| &params[i]);
-        Tensor::gru_cell_fused(&x, &h, &refs).sum().backward();
+        Tensor::gru_cell_fused(&[ColBlock::from(&x)], &h, &refs, 1)
+            .sum()
+            .backward();
         assert!(x.grad().is_none(), "frozen x must receive no grad");
         assert!(h.grad().is_none(), "frozen h must receive no grad");
         for p in &params {
@@ -723,7 +1002,12 @@ mod tests {
             Tensor::zeros([2]),
         ];
         let refs: [&Tensor; 9] = std::array::from_fn(|i| &params[i]);
-        let _ = Tensor::gru_cell_fused(&Tensor::zeros([2, 2]), &Tensor::zeros([3, 2]), &refs);
+        let _ = Tensor::gru_cell_fused(
+            &[ColBlock::Dense(Tensor::zeros([2, 2]))],
+            &Tensor::zeros([3, 2]),
+            &refs,
+            1,
+        );
     }
 
     #[test]

@@ -19,11 +19,22 @@
 //!   scratch first, after which it is `matmul_into` on a private row
 //!   accumulator.
 //!
+//! Because every output element keeps its own ascending sequence of
+//! additions, each layout also runs on a *part* of its output with no
+//! bit moved: [`matmul_cols_into`] projects a column-blocked input
+//! `[x₀ | x₁ | …]` block by block and never touches a block known to be
+//! zero, [`matmul_a_bt_cols`] computes only the input-gradient columns of
+//! one block, and [`matmul_at_b_rows`] only a range of weight-gradient
+//! rows — the pieces [`Tensor::matmul_cols`] and the fused GRU cell split
+//! their work into.
+//!
 //! Zero handling is part of the contract (a skipped `0·∞` is not a NaN):
 //! `matmul_into` and `matmul_at_b` skip `a`-side zeros as the naive
 //! skip-zero loop does, `matmul_a_bt` is a plain dot product and skips
 //! nothing. The naive loops themselves live on in [`oracle`] (test builds
 //! only) and every layout is held to them bit for bit.
+
+use std::ops::Range;
 
 use crate::arena;
 use crate::grad::GradCtx;
@@ -121,21 +132,37 @@ pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
 }
 
 /// `out[m×n] += a[k×m]ᵀ · b[k×n]` (A transposed): the weight gradient
-/// `dB = Aᵀ·dOut`. Skips `a`-side zeros.
+/// `dB = Aᵀ·dOut`. Skips `a`-side zeros. See [`matmul_at_b_rows`].
+pub(crate) fn matmul_at_b(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
+    matmul_at_b_rows(a, b, out, k, m, n, 0..m);
+}
+
+/// The output rows `rows` of `a[k×m]ᵀ · b[k×n]`, added into the
+/// `[rows.len() × n]` block `out`. Skips `a`-side zeros.
 ///
 /// The shared dimension `p` runs outermost, four rows at a time: rows
 /// `p..p+4` of `a` hold the coefficients of every output row (read
 /// contiguously, not at stride `m`), rows `p..p+4` of `b` are the operand
-/// rows, and `a` and `b` are each streamed once while the `[m×n]` output
-/// — a weight matrix — stays in cache. Every output element still
-/// receives its terms in ascending `p`.
-pub(crate) fn matmul_at_b(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
+/// rows, and `a` and `b` are each streamed once while the output block —
+/// (part of) a weight matrix — stays in cache. Every output element still
+/// receives its terms in ascending `p`, so disjoint row ranges may run on
+/// different threads and together equal [`matmul_at_b`] to the bit.
+pub(crate) fn matmul_at_b_rows(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    rows: Range<usize>,
+) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+    debug_assert!(rows.end <= m);
+    debug_assert_eq!(out.len(), rows.len() * n);
     #[cfg(test)]
     if oracle::active() {
-        return oracle::matmul_at_b(a, b, out, k, m, n);
+        return oracle::matmul_at_b_rows(a, b, out, k, m, n, rows);
     }
     let quads = k / 4 * 4;
     for p in (0..quads).step_by(4) {
@@ -144,15 +171,15 @@ pub(crate) fn matmul_at_b(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: us
         let a2 = &a[(p + 2) * m..][..m];
         let a3 = &a[(p + 3) * m..][..m];
         let b_rows = &b[p * n..][..4 * n];
-        for i in 0..m {
+        for (o, i) in rows.clone().enumerate() {
             let c = [a0[i], a1[i], a2[i], a3[i]];
-            axpy_quad::<true>(c, b_rows, &mut out[i * n..][..n]);
+            axpy_quad::<true>(c, b_rows, &mut out[o * n..][..n]);
         }
     }
     for p in quads..k {
         let b_row = &b[p * n..][..n];
-        for (i, &c) in a[p * m..][..m].iter().enumerate() {
-            axpy_one::<true>(c, b_row, &mut out[i * n..][..n]);
+        for (o, &c) in a[p * m..][rows.clone()].iter().enumerate() {
+            axpy_one::<true>(c, b_row, &mut out[o * n..][..n]);
         }
     }
 }
@@ -190,6 +217,105 @@ pub(crate) fn matmul_a_bt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: us
     arena::recycle(acc);
 }
 
+/// The columns `cols` of `a[m×n] · b[k×n]ᵀ`, added into the
+/// `[m × cols.len()]` block `out`: the input gradient of one column block
+/// of a projection. Each column of [`matmul_a_bt`] is its own dot
+/// product, so the block's columns are those of the full product to the
+/// bit, and the other `k − cols.len()` are never computed.
+pub(crate) fn matmul_a_bt_cols(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    n: usize,
+    cols: Range<usize>,
+) {
+    matmul_a_bt(a, &b[cols.start * n..cols.end * n], out, m, n, cols.len());
+}
+
+/// `out[m×n] += [x₀ | x₁ | …] · w[K×n]` for the `[m × len(spans[b])]`
+/// blocks `xs[b]`, where `spans[b]` is the ascending, disjoint range of
+/// `w`'s rows block `b` meets. Rows of `w` no span covers belong to a
+/// block known to be zero: the skip-zero kernel would skip every one of
+/// their terms, so leaving the block out is exact (an `∞` in those rows
+/// of `w` never meets a `0`).
+pub(crate) fn matmul_cols_into(
+    xs: &[&[f32]],
+    spans: &[Range<usize>],
+    w: &[f32],
+    out: &mut [f32],
+    m: usize,
+    n: usize,
+) {
+    for (x, span) in xs.iter().zip(spans) {
+        matmul_into(x, &w[span.start * n..span.end * n], out, m, span.len(), n);
+    }
+}
+
+/// One column block of a projection's input (see [`Tensor::matmul_cols`]):
+/// the columns of a rank-2 tensor, or a run of columns known to be zero,
+/// which is never materialised, multiplied or differentiated.
+#[derive(Clone, Debug)]
+pub enum ColBlock {
+    /// The columns of this `[rows, width]` tensor.
+    Dense(Tensor),
+    /// This many all-zero columns.
+    Zeros(usize),
+}
+
+impl ColBlock {
+    /// Number of columns the block contributes.
+    fn width(&self) -> usize {
+        match self {
+            ColBlock::Dense(t) => t.dims()[1],
+            ColBlock::Zeros(w) => *w,
+        }
+    }
+
+    /// `[rows, total width]` of the concatenation `blocks` stands for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block is a tensor, a tensor is not rank-2, or two
+    /// tensors disagree on their row count.
+    pub fn shape_of(blocks: &[ColBlock]) -> [usize; 2] {
+        let mut rows = None;
+        for block in blocks {
+            if let ColBlock::Dense(t) = block {
+                assert_eq!(t.dims().len(), 2, "column blocks must be rank-2");
+                let r = *rows.get_or_insert(t.dims()[0]);
+                assert_eq!(t.dims()[0], r, "column blocks disagree on rows");
+            }
+        }
+        let rows = rows.expect("column blocks need at least one tensor");
+        [rows, blocks.iter().map(ColBlock::width).sum()]
+    }
+
+    /// The tensor blocks and, for each, the range of the concatenation's
+    /// columns (= rows of the weight) it covers; zero blocks only shift
+    /// the ranges of the blocks after them.
+    pub(crate) fn spans(blocks: &[ColBlock]) -> (Vec<Tensor>, Vec<Range<usize>>) {
+        let mut tensors = Vec::new();
+        let mut spans = Vec::new();
+        let mut col = 0;
+        for block in blocks {
+            let w = block.width();
+            if let ColBlock::Dense(t) = block {
+                tensors.push(t.clone());
+                spans.push(col..col + w);
+            }
+            col += w;
+        }
+        (tensors, spans)
+    }
+}
+
+impl From<&Tensor> for ColBlock {
+    fn from(t: &Tensor) -> ColBlock {
+        ColBlock::Dense(t.clone())
+    }
+}
+
 impl Tensor {
     /// Matrix product of two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
     ///
@@ -210,36 +336,78 @@ impl Tensor {
             "matmul rhs must be rank-2, got {}",
             other.shape()
         );
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (k2, n) = (other.dims()[0], other.dims()[1]);
         assert_eq!(
-            k,
-            k2,
+            self.dims()[1],
+            other.dims()[0],
             "matmul inner dimensions disagree: {} vs {}",
             self.shape(),
             other.shape()
         );
+        Tensor::matmul_cols(&[ColBlock::from(self)], other)
+    }
+
+    /// `[x₀ | x₁ | …] · w`: the product of the column-wise concatenation
+    /// of `blocks` with the `[K, n]` weight `w`, without building the
+    /// concatenation. A [`ColBlock::Zeros`] block costs nothing, and the
+    /// backward pass computes an input gradient only for the blocks whose
+    /// tensors require one. Bit-identical to
+    /// `Tensor::concat_cols(blocks).matmul(w)` in value and in every
+    /// gradient (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blocks' shapes disagree (see [`ColBlock::shape_of`]),
+    /// `w` is not rank-2, or the total width differs from `w`'s rows.
+    pub fn matmul_cols(blocks: &[ColBlock], w: &Tensor) -> Tensor {
+        let [m, k] = ColBlock::shape_of(blocks);
+        assert_eq!(
+            w.dims().len(),
+            2,
+            "matmul rhs must be rank-2, got {}",
+            w.shape()
+        );
+        assert_eq!(
+            w.dims()[0],
+            k,
+            "matmul_cols: blocks are {k} columns wide, the weight is {}",
+            w.shape()
+        );
+        let n = w.dims()[1];
+        let (mut parents, spans) = ColBlock::spans(blocks);
 
         let mut out = arena::take_zeroed(m * n);
-        matmul_into(&self.data(), &other.data(), &mut out, m, k, n);
+        {
+            let xs: Vec<_> = parents.iter().map(Tensor::data).collect();
+            let xs: Vec<&[f32]> = xs.iter().map(|x| &**x).collect();
+            matmul_cols_into(&xs, &spans, &w.data(), &mut out, m, n);
+        }
 
+        parents.push(w.clone());
         Tensor::from_op(
             out,
             Shape::new(vec![m, n]),
-            vec![self.clone(), other.clone()],
+            parents,
             Box::new(move |_out, grad, parents, ctx: &mut GradCtx| {
-                let (a, b) = (&parents[0], &parents[1]);
-                if a.is_requires_grad() {
-                    // dA = dOut · Bᵀ  : [m,n]·[k,n]ᵀ → [m,k]
-                    let mut ga = arena::take_zeroed(m * k);
-                    matmul_a_bt(&grad, &b.data(), &mut ga, m, n, k);
-                    ctx.accumulate_owned(a, ga);
+                let (xs, w) = parents.split_at(parents.len() - 1);
+                let w = &w[0];
+                let wd = w.data();
+                for (x, span) in xs.iter().zip(&spans) {
+                    if x.is_requires_grad() {
+                        // dX = dOut · W[span]ᵀ : [m,n]·[w,n]ᵀ → [m,w]
+                        let mut gx = arena::take_zeroed(m * span.len());
+                        matmul_a_bt_cols(&grad, &wd, &mut gx, m, n, span.clone());
+                        ctx.accumulate_owned(x, gx);
+                    }
                 }
-                if b.is_requires_grad() {
-                    // dB = Aᵀ · dOut : [m,k]ᵀ·[m,n] → [k,n]
-                    let mut gb = arena::take_zeroed(k * n);
-                    matmul_at_b(&a.data(), &grad, &mut gb, m, k, n);
-                    ctx.accumulate_owned(b, gb);
+                drop(wd);
+                if w.is_requires_grad() {
+                    // dW[span] = Xᵀ · dOut, rows of zero blocks stay 0.
+                    let mut gw = arena::take_zeroed(k * n);
+                    for (x, span) in xs.iter().zip(&spans) {
+                        let rows = &mut gw[span.start * n..span.end * n];
+                        matmul_at_b(&x.data(), &grad, rows, m, span.len(), n);
+                    }
+                    ctx.accumulate_owned(w, gw);
                 }
                 arena::recycle(grad);
             }),
@@ -291,14 +459,28 @@ pub(crate) mod oracle {
     /// `out[m×n] += a[k×m]ᵀ · b[k×n]`: ascending `p` per element, `a`-side
     /// zeros skipped.
     pub(crate) fn matmul_at_b(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-        for i in 0..m {
+        matmul_at_b_rows(a, b, out, k, m, n, 0..m);
+    }
+
+    /// Output rows `rows` of the loop above, into a `[rows.len() × n]`
+    /// block.
+    pub(crate) fn matmul_at_b_rows(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        k: usize,
+        m: usize,
+        n: usize,
+        rows: std::ops::Range<usize>,
+    ) {
+        for (o, i) in rows.enumerate() {
             for p in 0..k {
                 let av = a[p * m + i];
                 if av == 0.0 {
                     continue;
                 }
                 for j in 0..n {
-                    out[i * n + j] += av * b[p * n + j];
+                    out[o * n + j] += av * b[p * n + j];
                 }
             }
         }
@@ -321,7 +503,7 @@ pub(crate) mod oracle {
 
 #[cfg(test)]
 mod tests {
-    use super::{oracle, KC};
+    use super::{oracle, ColBlock, KC};
     use crate::Tensor;
 
     #[test]
@@ -531,6 +713,213 @@ mod tests {
         assert!(a_bt[0].is_nan(), "matmul_a_bt skips nothing");
     }
 
+    /// ±0, subnormals and ±∞, the values whose products the zero rule
+    /// decides, and NaN.
+    const SPECIALS: [f32; 7] = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 4.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+
+    /// Column spans of a `[3 | zero 5 | 7 | zero 2 | 13]` input, 30 wide:
+    /// every edge but 0 and 30 is off the 4-wide quad grid, and the zero
+    /// blocks sit between dense ones and at neither end.
+    const BLOCKS: [(usize, bool); 5] = [(3, true), (5, false), (7, true), (2, false), (13, true)];
+
+    /// The dense spans of [`BLOCKS`] and the total width.
+    fn dense_spans() -> (Vec<std::ops::Range<usize>>, usize) {
+        let mut spans = Vec::new();
+        let mut col = 0;
+        for (w, dense) in BLOCKS {
+            if dense {
+                spans.push(col..col + w);
+            }
+            col += w;
+        }
+        (spans, col)
+    }
+
+    /// Seeded operands with `sp` planted every `stride` elements on
+    /// `side` 0 (`a`) or 1 (`b`); no plant for `side` 2.
+    fn planted(
+        next: &mut impl FnMut() -> f32,
+        a_len: usize,
+        b_len: usize,
+        plant: (usize, f32, usize),
+    ) -> (Vec<f32>, Vec<f32>) {
+        let mut a: Vec<f32> = (0..a_len).map(|_| next()).collect();
+        let mut b: Vec<f32> = (0..b_len).map(|_| next()).collect();
+        let (side, sp, stride) = plant;
+        match side {
+            0 => a.iter_mut().step_by(stride).for_each(|v| *v = sp),
+            1 => b.iter_mut().step_by(stride).for_each(|v| *v = sp),
+            _ => {}
+        }
+        (a, b)
+    }
+
+    /// Every plant the block oracles run: none, then each special value
+    /// on either side at strides on and off the quad grid.
+    fn plants() -> Vec<(usize, f32, usize)> {
+        let mut plants = vec![(2, 0.0, 1)];
+        for side in 0..2 {
+            for sp in SPECIALS {
+                for stride in [1, 3, 4, 7] {
+                    plants.push((side, sp, stride));
+                }
+            }
+        }
+        plants
+    }
+
+    #[test]
+    fn column_block_forward_matches_the_oracle_on_the_concatenation() {
+        // `[x₀ | 0 | x₁ | 0 | x₂] · w` block by block against the naive
+        // loop over the materialised concatenation. An ∞ planted in the
+        // rows of `w` a zero block meets must stay out of the sum.
+        let (spans, k) = dense_spans();
+        let n = 9;
+        let mut next = lcg(0xb10c);
+        for m in [0usize, 1, 5, 8] {
+            for plant in plants() {
+                let (cat, w) = planted(&mut next, m * k, k * n, plant);
+                let mut cat = cat;
+                let mut col = 0;
+                for (width, dense) in BLOCKS {
+                    if !dense {
+                        for row in cat.chunks_mut(k) {
+                            row[col..col + width].fill(0.0);
+                        }
+                    }
+                    col += width;
+                }
+                let xs: Vec<Vec<f32>> = spans
+                    .iter()
+                    .map(|s| {
+                        cat.chunks(k)
+                            .flat_map(|row| row[s.clone()].to_vec())
+                            .collect()
+                    })
+                    .collect();
+                let xs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+                let mut seed = lcg(0xfeed);
+                let start: Vec<f32> = (0..m * n).map(|_| seed()).collect();
+                let (mut fast, mut naive) = (start.clone(), start);
+                super::matmul_cols_into(&xs, &spans, &w, &mut fast, m, n);
+                oracle::matmul_into(&cat, &w, &mut naive, m, k, n);
+                assert_eq!(bits(&fast), bits(&naive), "rows {m}, plant {plant:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_restricted_a_bt_matches_the_oracles_columns() {
+        // Each block's columns of a·bᵀ alone, against the same columns of
+        // the naive full product; `matmul_a_bt` skips nothing, so a 0·∞
+        // inside the block's own terms still poisons its element.
+        let (spans, k) = dense_spans();
+        let mut next = lcg(0xa_b7);
+        for (m, n) in [(0usize, 5usize), (1, 1), (6, 4), (7, 11)] {
+            for plant in plants() {
+                let (a, b) = planted(&mut next, m * n, k * n, plant);
+                let mut seed = lcg(0xfeed);
+                let start: Vec<f32> = (0..m * k).map(|_| seed()).collect();
+                let mut naive = start.clone();
+                oracle::matmul_a_bt(&a, &b, &mut naive, m, n, k);
+                for s in &spans {
+                    let cols = |v: &[f32]| -> Vec<f32> {
+                        v.chunks(k)
+                            .flat_map(|row| row[s.clone()].to_vec())
+                            .collect()
+                    };
+                    let mut fast = cols(&start);
+                    super::matmul_a_bt_cols(&a, &b, &mut fast, m, n, s.clone());
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&cols(&naive)),
+                        "m {m}, n {n}, columns {s:?}, plant {plant:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn output_row_range_at_b_matches_the_oracles_rows() {
+        // Ranges of aᵀ·b's output rows, cut at every edge of `BLOCKS`
+        // (zero spans included), against the same rows of the naive full
+        // product, with the shared dimension on and off the quad grid.
+        let (_, m) = dense_spans();
+        let mut cuts = vec![0];
+        for (w, _) in BLOCKS {
+            cuts.push(cuts.last().unwrap() + w);
+        }
+        let n = 6;
+        let mut next = lcg(0x40b5);
+        for k in [0usize, 1, 3, 4, 5, 13] {
+            for plant in plants() {
+                let (a, b) = planted(&mut next, k * m, k * n, plant);
+                let mut seed = lcg(0xfeed);
+                let start: Vec<f32> = (0..m * n).map(|_| seed()).collect();
+                let mut naive = start.clone();
+                oracle::matmul_at_b(&a, &b, &mut naive, k, m, n);
+                let mut fast = start.clone();
+                for w in cuts.windows(2) {
+                    let rows = w[0]..w[1];
+                    let out = &mut fast[rows.start * n..rows.end * n];
+                    super::matmul_at_b_rows(&a, &b, out, k, m, n, rows);
+                }
+                assert_eq!(bits(&fast), bits(&naive), "k {k}, plant {plant:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn column_block_product_gradients_match_the_concatenated_product() {
+        // `Tensor::matmul_cols` against `concat_cols(..).matmul(..)` with
+        // the zero blocks materialised: the same value and, for every
+        // block that wants one and the weight, the same gradient bits;
+        // the rows of the weight gradient a zero block meets are +0.
+        let (m, n) = (37, 11);
+        let x0 = Tensor::randn([m, 3], 30);
+        let x1 = Tensor::randn([m, 7], 31).requires_grad();
+        let x2 = Tensor::randn([m, 13], 32).requires_grad();
+        let w = Tensor::randn([30, n], 33).requires_grad();
+        let up = Tensor::randn([m, n], 34);
+        let blocks = [
+            ColBlock::from(&x0),
+            ColBlock::Zeros(5),
+            ColBlock::from(&x1),
+            ColBlock::Zeros(2),
+            ColBlock::from(&x2),
+        ];
+        let grads = |loss: Tensor| {
+            for t in [&x1, &x2, &w] {
+                t.zero_grad();
+            }
+            loss.backward();
+            [&x1, &x2, &w].map(|t| bits(&t.grad().expect("a gradient")))
+        };
+        let blocked = Tensor::matmul_cols(&blocks, &w);
+        let (z5, z2) = (Tensor::zeros([m, 5]), Tensor::zeros([m, 2]));
+        let cat = Tensor::concat_cols(&[&x0, &z5, &x1, &z2, &x2]).matmul(&w);
+        assert_eq!(bits(&blocked.to_vec()), bits(&cat.to_vec()));
+        let fast = grads(blocked.mul(&up).sum());
+        assert_eq!(fast, grads(cat.mul(&up).sum()));
+        assert!(
+            x0.grad().is_none(),
+            "a block that wants no gradient gets none"
+        );
+        assert!(
+            fast[2][3 * n..8 * n].iter().all(|&b| b == 0),
+            "zero-block rows are +0"
+        );
+    }
+
     /// Gradient bits of every tensor in `leaves` after `loss` is built
     /// and back-propagated; `None` for a leaf that received no gradient.
     fn grad_bits(leaves: &[&Tensor], loss: impl FnOnce() -> Tensor) -> Vec<Option<Vec<u32>>> {
@@ -586,7 +975,9 @@ mod tests {
         let mut leaves = vec![&x, &h];
         leaves.extend(params.iter());
         assert_gradients_pinned(&leaves, || {
-            Tensor::gru_cell_fused(&x, &h, &refs).mul(&w).sum()
+            Tensor::gru_cell_fused(&[ColBlock::from(&x)], &h, &refs, 1)
+                .mul(&w)
+                .sum()
         });
     }
 

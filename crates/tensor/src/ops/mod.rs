@@ -11,3 +11,6 @@ mod reduce;
 mod select;
 mod shape_ops;
 mod unary;
+
+pub use fused::GRU_MIN_ROWS_PER_WORKER;
+pub use matmul::ColBlock;
