@@ -145,6 +145,29 @@ fn bench_fused_layers(suite: &mut BenchSuite) {
         }
         black_box(out.len())
     });
+
+    // The serve_mixed model's attention: 56-wide rows (16 memory, 32
+    // features, 8 time) into 16, four slots per center, 65 % of them
+    // padding — so 358 of the 1 024 slots are valid and computed.
+    let lens = [0usize, 1, 2, 4, 0, 1, 3, 0, 2, 1];
+    let offsets: Vec<usize> = (0..=b)
+        .map(|c| (0..c).map(|i| lens[i % lens.len()]).sum())
+        .collect();
+    let gat = GatLayer::new(56, 16, 7);
+    let center = Tensor::randn([b, 56], 19);
+    let neighbors = Tensor::randn([offsets[b], 56], 20);
+    suite.bench("gat_attention/fwd_bwd_256x16k4_pad65", || {
+        let out = gat.forward_ragged(
+            &[ColBlock::from(&center)],
+            &[ColBlock::from(&neighbors)],
+            &offsets,
+        );
+        out.sum().backward();
+        for p in cascade_nn::Module::parameters(&gat) {
+            p.zero_grad();
+        }
+        black_box(out.len())
+    });
 }
 
 /// The model the repository's benchmark trains on three of its four

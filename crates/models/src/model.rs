@@ -183,6 +183,20 @@ impl Consumed {
     }
 }
 
+/// The valid neighbour slots of one sampling hop, back to back: node
+/// `i`'s are entries `offsets[i]..offsets[i + 1]`. Nodes with fewer than
+/// `k` neighbours own fewer entries; nothing is padded.
+struct Hop {
+    /// The neighbours.
+    nodes: Vec<NodeId>,
+    /// Time of each connecting event.
+    times: Vec<f64>,
+    /// Id of each connecting event.
+    events: Vec<EventId>,
+    /// `nodes.len() + 1` ascending bounds.
+    offsets: Vec<usize>,
+}
+
 /// One shard's forward result, reduced on the driver in shard-index
 /// order.
 struct ShardForward {
@@ -848,21 +862,25 @@ impl MemoryTgnn {
         self.plane.mailbox_clear(node);
     }
 
-    /// Aggregates each center's mailbox and applies the memory updater.
-    /// Returns the `[C, d]` updated-memory tensor and a per-center
-    /// had-pending-messages flag; centers without messages keep their
-    /// stored memory.
+    /// Aggregates the mailboxes of the centers that have mail and runs the
+    /// memory updater on those rows only. Returns the `[C, d]`
+    /// updated-memory tensor, which is `stored` with the updater's rows
+    /// merged in by index, and a per-center had-pending-messages flag;
+    /// centers without messages keep their stored memory and cost nothing.
     fn consume_mailboxes(&self, centers: &[NodeId], stored: &Tensor) -> (Tensor, Vec<bool>) {
-        let c = centers.len();
         let d = self.config.memory_dim;
         let f = self.edge_feat_dim;
         let has_msg: Vec<bool> = centers
             .iter()
             .map(|&n| self.plane.mailbox_has_messages(n))
             .collect();
-        if !has_msg.iter().any(|&m| m) {
+        let rows: Vec<usize> = (0..centers.len()).filter(|&i| has_msg[i]).collect();
+        if rows.is_empty() {
             return (stored.clone(), has_msg);
         }
+        let mailed: Vec<NodeId> = rows.iter().map(|&i| centers[i]).collect();
+        let m = mailed.len();
+        let h = self.plane.memory_gather(&mailed); // [M, d] leaf
 
         let upd = match &self.updater {
             Updater::Attention {
@@ -870,21 +888,18 @@ impl MemoryTgnn {
                 key,
                 value,
                 out,
-            } => self.attention_update(centers, stored, query, key, value, out),
+            } => self.attention_update(&mailed, &h, query, key, value, out),
             _ => {
                 // Mean-aggregate raw messages, then encode time.
-                let mut agg = vec![0.0f32; c * (2 * d + f)];
-                let mut dts = vec![0.0f32; c];
-                for (i, &n) in centers.iter().enumerate() {
+                let mut agg = vec![0.0f32; m * (2 * d + f)];
+                let mut dts = vec![0.0f32; m];
+                for (i, &n) in mailed.iter().enumerate() {
                     let msgs = self.plane.mailbox_messages(n);
-                    if msgs.is_empty() {
-                        continue;
-                    }
-                    for m in msgs {
-                        for (j, &v) in m[..2 * d + f].iter().enumerate() {
+                    for msg in msgs {
+                        for (j, &v) in msg[..2 * d + f].iter().enumerate() {
                             agg[i * (2 * d + f) + j] += v / msgs.len() as f32;
                         }
-                        let t_msg = *m
+                        let t_msg = *msg
                             .last()
                             .expect("mailbox rows end with the event time column")
                             as f64;
@@ -892,27 +907,21 @@ impl MemoryTgnn {
                             / msgs.len() as f64) as f32;
                     }
                 }
-                let agg = Tensor::from_vec(agg, [c, 2 * d + f]);
-                let dts = Tensor::from_vec(dts, [c, 1]);
+                let agg = Tensor::from_vec(agg, [m, 2 * d + f]);
+                let dts = Tensor::from_vec(dts, [m, 1]);
                 let phi = self.time_enc.forward(&dts);
                 // `[agg | φ]`, never concatenated: `agg` wants no gradient.
                 let input = [ColBlock::Dense(agg), ColBlock::Dense(phi)];
                 match &self.updater {
-                    Updater::Rnn(cell) => cell.forward_cols(&input, stored),
-                    Updater::Gru(cell) => cell.forward_cols(&input, stored, self.compute_threads),
+                    Updater::Rnn(cell) => cell.forward_cols(&input, &h),
+                    Updater::Gru(cell) => cell.forward_cols(&input, &h, self.compute_threads),
                     Updater::Identity(proj) => proj.forward_cols(&input).tanh(),
                     // cascade-lint: allow(panic-macro): the enclosing match routed Attention to attention_update above; this arm cannot be reached from the `_` branch.
                     Updater::Attention { .. } => unreachable!(),
                 }
             }
         };
-
-        // Mix: updated where messages exist, stored elsewhere.
-        let mask: Vec<f32> = has_msg.iter().map(|&m| if m { 1.0 } else { 0.0 }).collect();
-        let mask = Tensor::from_vec(mask, [c, 1]);
-        let inv = mask.neg().add_scalar(1.0);
-        let mixed = upd.mul(&mask).add(&stored.mul(&inv));
-        (mixed, has_msg)
+        (stored.merge_rows(&rows, &upd), has_msg)
     }
 
     /// APAN-style single-head attention over the mailbox: the stored
@@ -1001,113 +1010,102 @@ impl MemoryTgnn {
             }
             Embedder::Gat1(gat) => {
                 let k = self.config.sampling.count();
-                let (n_in, mask) = self.neighbor_inputs(nodes, times, k, feats);
+                let (n_in, offsets) = self.neighbor_inputs(nodes, times, k, feats);
                 let c_in = self.center_inputs(base);
-                gat.forward_cols(&c_in, &n_in, &mask, k)
+                gat.forward_ragged(&c_in, &n_in, &offsets)
             }
             Embedder::Gat2(l1, l2) => {
                 let k = self.config.sampling.count();
-                // Hop 1: sample neighbors of the centers.
-                let (hop1_nodes, hop1_times, hop1_events, mask1) = self.sample_hop(nodes, k);
+                // Hop 1: the centers' valid neighbour slots; padded slots
+                // never reach layer 1.
+                let hop1 = self.sample_hop(nodes, k);
                 // Hop 2: neighbors of the hop-1 nodes.
-                let (n2_in, mask2) = self.neighbor_inputs(&hop1_nodes, &hop1_times, k, feats);
+                let (n2_in, offsets2) = self.neighbor_inputs(&hop1.nodes, &hop1.times, k, feats);
                 // Layer 1 on hop-1 nodes (their own memories as base).
-                let hop1_base = self.plane.memory_gather(&hop1_nodes);
+                let hop1_base = self.plane.memory_gather(&hop1.nodes);
                 let hop1_center_in = self.center_inputs(&hop1_base);
-                let emb1 = l1.forward_cols(&hop1_center_in, &n2_in, &mask2, k);
+                let emb1 = l1.forward_ragged(&hop1_center_in, &n2_in, &offsets2);
                 // Layer 1 on the centers themselves.
-                let n1_in =
-                    self.assemble_rows(&hop1_base, &hop1_times, &hop1_events, times, k, feats);
+                let n1_in = self.assemble_rows(&hop1_base, &hop1, times, feats);
                 let c_in = self.center_inputs(base);
-                let emb0 = l1.forward_cols(&c_in, &n1_in, &mask1, k);
+                let emb0 = l1.forward_ragged(&c_in, &n1_in, &hop1.offsets);
                 // Layer 2: centers = emb0, neighbors = emb1 with hop-1
                 // edge features and time deltas.
-                let n1_emb_in =
-                    self.assemble_rows(&emb1, &hop1_times, &hop1_events, times, k, feats);
+                let n1_emb_in = self.assemble_rows(&emb1, &hop1, times, feats);
                 let c2_in = self.center_inputs(&emb0);
-                l2.forward_cols(&c2_in, &n1_emb_in, &mask1, k)
+                l2.forward_ragged(&c2_in, &n1_emb_in, &hop1.offsets)
             }
         }
     }
 
-    /// Samples `k` neighbor slots per node; returns nodes, their event
-    /// times, their connecting-event ids, and the validity mask.
-    fn sample_hop(
-        &self,
-        nodes: &[NodeId],
-        k: usize,
-    ) -> (Vec<NodeId>, Vec<f64>, Vec<Option<EventId>>, Vec<f32>) {
-        let mut out_nodes = Vec::with_capacity(nodes.len() * k);
-        let mut out_times = Vec::with_capacity(nodes.len() * k);
-        let mut out_events = Vec::with_capacity(nodes.len() * k);
-        let mut mask = Vec::with_capacity(nodes.len() * k);
+    /// Samples up to `k` neighbours of each node and keeps only the slots
+    /// the sampler filled: node `i`'s neighbours are entries
+    /// `offsets[i]..offsets[i + 1]` of the returned [`Hop`].
+    fn sample_hop(&self, nodes: &[NodeId], k: usize) -> Hop {
+        let mut hop = Hop {
+            nodes: Vec::with_capacity(nodes.len() * k),
+            times: Vec::with_capacity(nodes.len() * k),
+            events: Vec::with_capacity(nodes.len() * k),
+            offsets: Vec::with_capacity(nodes.len() + 1),
+        };
+        hop.offsets.push(0);
         for &n in nodes {
             let nbrs = match self.config.sampling {
                 Sampling::MostRecent(_) => self.plane.adj_most_recent(n, k),
                 Sampling::Uniform(_) => self.plane.adj_uniform(n, k),
             };
-            for j in 0..k {
-                if let Some(nb) = nbrs.get(j) {
-                    out_nodes.push(nb.node);
-                    out_times.push(nb.time);
-                    out_events.push(Some(nb.event));
-                    mask.push(1.0);
-                } else {
-                    out_nodes.push(NodeId(0));
-                    out_times.push(0.0);
-                    out_events.push(None);
-                    mask.push(0.0);
-                }
+            for nb in &nbrs {
+                hop.nodes.push(nb.node);
+                hop.times.push(nb.time);
+                hop.events.push(nb.event);
             }
+            hop.offsets.push(hop.nodes.len());
         }
-        (out_nodes, out_times, out_events, mask)
+        hop
     }
 
-    /// Builds `[n·k, d + f + time]` neighbor input rows by sampling, as
-    /// column blocks.
+    /// Builds the `[V, d + f + time]` rows of the valid neighbours of
+    /// `nodes` by sampling, as column blocks, with their per-node offsets.
     fn neighbor_inputs(
         &self,
         nodes: &[NodeId],
         times: &[f64],
         k: usize,
         feats: &EdgeFeatures,
-    ) -> (Vec<ColBlock>, Vec<f32>) {
-        let (nb_nodes, nb_times, nb_events, mask) = self.sample_hop(nodes, k);
-        let mem = self.plane.memory_gather(&nb_nodes);
-        let t = self.assemble_rows(&mem, &nb_times, &nb_events, times, k, feats);
-        (t, mask)
+    ) -> (Vec<ColBlock>, Vec<usize>) {
+        let hop = self.sample_hop(nodes, k);
+        let mem = self.plane.memory_gather(&hop.nodes);
+        let rows = self.assemble_rows(&mem, &hop, times, feats);
+        (rows, hop.offsets)
     }
 
-    /// Assembles neighbor rows `[base ‖ e_feat ‖ φ(Δt)]` for sampled
-    /// neighbors, as column blocks for the projection; `base` is either
-    /// raw memories (layer 1) or lower-layer embeddings (layer 2 of TGAT).
+    /// Assembles neighbor rows `[base ‖ e_feat ‖ φ(Δt)]` for the sampled
+    /// neighbours of `hop`, as column blocks for the projection; `base`
+    /// is either raw memories (layer 1) or lower-layer embeddings (layer 2
+    /// of TGAT), one row per neighbour.
     fn assemble_rows(
         &self,
         base: &Tensor,
-        nb_times: &[f64],
-        nb_events: &[Option<EventId>],
+        hop: &Hop,
         center_times: &[f64],
-        k: usize,
         feats: &EdgeFeatures,
     ) -> Vec<ColBlock> {
-        let rows = nb_times.len();
+        let rows = hop.times.len();
         let f = self.edge_feat_dim;
-        debug_assert_eq!(rows, center_times.len() * k);
+        debug_assert_eq!(hop.offsets.len(), center_times.len() + 1);
 
         let mut dts = Vec::with_capacity(rows);
-        for (i, &t_nb) in nb_times.iter().enumerate() {
-            let center_t = center_times[i / k];
-            dts.push((center_t - t_nb).max(0.0) as f32);
+        for (c, &center_t) in center_times.iter().enumerate() {
+            for &t_nb in &hop.times[hop.offsets[c]..hop.offsets[c + 1]] {
+                dts.push((center_t - t_nb).max(0.0) as f32);
+            }
         }
         let phi = self.time_enc.forward(&Tensor::from_vec(dts, [rows, 1]));
 
         if f > 0 {
-            let mut feat = vec![0.0f32; rows * f];
-            for (i, ev) in nb_events.iter().enumerate() {
-                if let Some(id) = ev {
-                    let row = feats.row(*id);
-                    feat[i * f..(i + 1) * f].copy_from_slice(row);
-                }
+            let mut feat = Vec::with_capacity(rows * f);
+            for &id in &hop.events {
+                feat.extend_from_slice(feats.row(id));
             }
             let feat = Tensor::from_vec(feat, [rows, f]);
             vec![base.into(), ColBlock::Dense(feat), ColBlock::Dense(phi)]

@@ -15,6 +15,8 @@ use cascade_tensor::arena;
 use cascade_tgraph::{synth_features, Event, NodeId};
 use cascade_util::{check, prop_assert, prop_assert_eq, Gen};
 
+mod sparse;
+
 /// A random, time-ordered synthetic event stream over `num_nodes` nodes.
 fn random_events(g: &mut Gen, num_nodes: usize, len: usize) -> Vec<Event> {
     let mut t = 0.0f64;
@@ -156,6 +158,42 @@ fn training_step_is_bit_identical_with_and_without_arena() {
         let _ = arena::set_enabled(true);
         Ok(())
     });
+}
+
+/// The arena under compaction: the second batch of [`sparse::stream`]
+/// drops about half of its neighbour slots and a third of its updater
+/// rows. For each of the five models, a full training step leaves the
+/// same bits with the pool on and off, at one and two threads.
+#[test]
+fn a_sparse_batch_is_bit_identical_with_and_without_arena() {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let events = sparse::stream();
+    for base in ModelConfig::all() {
+        let cfg = base.with_dims(8, 4).with_neighbors(sparse::K);
+        let step = |arena_on: bool, threads: usize| {
+            let (loss, pos, neg, grads, params, memories) =
+                run(arena_on, threads, &cfg, &events, sparse::NODES);
+            let rows = |rows: &[Vec<f32>]| rows.iter().map(|r| bits(r)).collect::<Vec<_>>();
+            (
+                loss.to_bits(),
+                bits(&pos),
+                bits(&neg),
+                rows(&grads),
+                rows(&params),
+                rows(&memories),
+            )
+        };
+        let pooled = step(true, 1);
+        for (arena_on, threads) in [(false, 1), (false, 2), (true, 2)] {
+            assert_eq!(
+                pooled,
+                step(arena_on, threads),
+                "{}: arena {arena_on} at {threads} threads",
+                cfg.name
+            );
+        }
+    }
+    let _ = arena::set_enabled(true);
 }
 
 /// Nothing new leaks from the pool: once two warm-up batches have filled

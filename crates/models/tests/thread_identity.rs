@@ -13,6 +13,8 @@ use cascade_nn::Module;
 use cascade_tgraph::{synth_features, Event, NodeId};
 use cascade_util::{check, prop_assert, prop_assert_eq, Gen};
 
+mod sparse;
+
 /// A random, time-ordered synthetic event stream over `num_nodes` nodes.
 fn random_events(g: &mut Gen, num_nodes: usize, len: usize) -> Vec<Event> {
     let mut t = 0.0f64;
@@ -238,5 +240,48 @@ fn a_fanned_out_updater_is_bit_identical_across_thread_counts() {
     let serial = run(1);
     for threads in [2, 4] {
         assert_eq!(serial, run(threads), "1 vs {threads} threads");
+    }
+}
+
+/// Compaction at work: the second batch of [`sparse::stream`] leaves
+/// about half of its neighbour slots empty and a third of its centers
+/// without mail, so the ragged attention and the compacted updater drop
+/// that many rows. For each of the five models, the loss, which
+/// parameters hold a gradient and every gradient bit, and the written-back
+/// memories are the same at 1, 2 and 4 threads.
+#[test]
+fn a_sparse_batch_is_bit_identical_across_thread_counts() {
+    let events = sparse::stream();
+    let feats = synth_features(events.len(), 4, 9);
+    let (warm, batch) = events.split_at(sparse::HALF);
+    for base in ModelConfig::all() {
+        let cfg = base.with_dims(8, 4).with_neighbors(sparse::K);
+        let run = |threads: usize| {
+            let mut model = MemoryTgnn::new(cfg.clone(), sparse::NODES, 4, 3);
+            model.set_compute_threads(threads);
+            model.process_batch(warm, 0, &feats);
+            let (padded, mailless) = sparse::shares(&model, batch);
+            assert!(
+                (0.45..0.6).contains(&padded),
+                "{padded} of the slots padded"
+            );
+            assert!(
+                (0.28..0.4).contains(&mailless),
+                "{mailless} of the centers mail-less"
+            );
+            let fwd = model.forward_batch(batch, sparse::HALF, &feats);
+            fwd.loss.backward();
+            let grads: Vec<Option<Vec<u32>>> = model
+                .parameters()
+                .iter()
+                .map(|p| p.grad().map(|g| g.iter().map(|x| x.to_bits()).collect()))
+                .collect();
+            let post: Vec<u32> = fwd.pending.post().iter().map(|x| x.to_bits()).collect();
+            (fwd.loss.item().to_bits(), grads, post)
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            assert_eq!(serial, run(threads), "{}: 1 vs {threads} threads", cfg.name);
+        }
     }
 }

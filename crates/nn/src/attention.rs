@@ -2,8 +2,9 @@
 //!
 //! TGN, DySAT, and TGAT embed node memories with attention modules
 //! (Table 1 of the paper). [`GatLayer`] implements single-head GATv1-style
-//! attention over a fixed-width sampled neighborhood with a validity mask,
-//! always including the center node as an attention target (self-loop).
+//! attention over ragged sampled neighbourhoods — each center attends
+//! over its valid neighbours only, with no padded slot computed — always
+//! including the center node as an attention target (self-loop).
 
 use cascade_tensor::{ColBlock, Tensor};
 
@@ -11,8 +12,8 @@ use crate::module::{xavier_uniform, Module};
 
 /// A single-head graph attention layer.
 ///
-/// For a batch of `B` center nodes, each with `K` sampled neighbor slots
-/// (invalid slots masked out), computes
+/// For a batch of `B` center nodes, each with its own list of sampled
+/// neighbours, computes
 ///
 /// ```text
 /// e_j   = LeakyReLU(a_srcᵀ·W h_center + a_dstᵀ·W h_j)
@@ -24,13 +25,13 @@ use crate::module::{xavier_uniform, Module};
 ///
 /// ```
 /// use cascade_nn::GatLayer;
-/// use cascade_tensor::Tensor;
+/// use cascade_tensor::{ColBlock, Tensor};
 ///
 /// let gat = GatLayer::new(8, 16, 4);
 /// let center = Tensor::ones([2, 8]);
-/// let neighbors = Tensor::ones([2 * 3, 8]);
-/// let mask = vec![1.0; 6];
-/// let out = gat.forward(&center, &neighbors, &mask, 3);
+/// // Center 0 has three neighbours, center 1 none.
+/// let neighbors = Tensor::ones([3, 8]);
+/// let out = gat.forward_ragged(&[ColBlock::from(&center)], &[ColBlock::from(&neighbors)], &[0, 3, 3]);
 /// assert_eq!(out.dims(), &[2, 16]);
 /// ```
 #[derive(Clone, Debug)]
@@ -55,70 +56,81 @@ impl GatLayer {
         }
     }
 
-    /// Attends each of the `B` center rows over its `K` neighbor slots.
+    /// Attends each of the `B` center rows over its neighbour rows.
     ///
-    /// * `center`: `[B, in_dim]`
-    /// * `neighbors`: `[B·K, in_dim]`, row `i·K + j` is neighbor `j` of
-    ///   center `i`
-    /// * `mask`: length `B·K`; `1.0` for valid slots, `0.0` for padding
-    /// * `k`: neighbor slots per center
+    /// * `center`: `[B, in_dim]`, as column blocks
+    /// * `neighbors`: `[V, in_dim]`, as column blocks; rows
+    ///   `offsets[i]..offsets[i + 1]` are the neighbours of center `i`
+    /// * `offsets`: `B + 1` ascending bounds from 0 to `V`
     ///
-    /// Returns `[B, out_dim]`.
+    /// Both projections run through [`Tensor::matmul_cols`], so no
+    /// concatenation is built, zero blocks cost nothing and only blocks
+    /// that want a gradient get one; the scores, the per-center softmax
+    /// and the combine run as [`Tensor::attn_weights_ragged`] and
+    /// [`Tensor::attn_combine_ragged`]. A center with no neighbour
+    /// attends over its self-loop alone, and both attention vectors get a
+    /// gradient even when no center has one. Returns `[B, out_dim]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any dimension inconsistency or malformed `offsets`.
+    pub fn forward_ragged(
+        &self,
+        center: &[ColBlock],
+        neighbors: &[ColBlock],
+        offsets: &[usize],
+    ) -> Tensor {
+        let [b, width] = ColBlock::shape_of(center);
+        assert_eq!(width, self.in_dim, "GatLayer center width mismatch");
+        assert_eq!(offsets.len(), b + 1, "GatLayer needs B + 1 offsets");
+        assert_eq!(
+            ColBlock::shape_of(neighbors),
+            [offsets[b], self.in_dim],
+            "GatLayer neighbors must be [offsets[B], in]"
+        );
+
+        let wh_c = Tensor::matmul_cols(center, &self.weight); // [B, out]
+        let e0 = wh_c.matmul(&self.attn_src); // [B, 1], shared by e_self and e_src
+        let e_self = e0.mul_scalar(2.0).leaky_relu(0.2); // [B, 1]
+        let wh_n = Tensor::matmul_cols(neighbors, &self.weight); // [V, out]
+        let e_dst = wh_n.matmul(&self.attn_dst); // [V, 1]
+        let alpha = Tensor::attn_weights_ragged(&e_self, &e0, &e_dst, offsets); // [B + V]
+        Tensor::attn_combine_ragged(&wh_c, &wh_n, &alpha, offsets)
+    }
+
+    /// [`forward_ragged`](Self::forward_ragged) on a padded neighbourhood:
+    /// `neighbors` is `[B·K, in_dim]` (row `i·K + j` is slot `j` of center
+    /// `i`) and `mask[i·K + j]` is `0.0` for a padded slot. Gathers the
+    /// valid rows and attends over those; `k = 0` is the projected
+    /// self-loop alone, which the attention vectors take no part in (and
+    /// get no gradient from).
     ///
     /// # Panics
     ///
     /// Panics on any dimension inconsistency.
     pub fn forward(&self, center: &Tensor, neighbors: &Tensor, mask: &[f32], k: usize) -> Tensor {
-        self.forward_cols(
-            &[ColBlock::from(center)],
-            &[ColBlock::from(neighbors)],
-            mask,
-            k,
-        )
-    }
-
-    /// [`forward`](Self::forward) on center and neighbor rows given as
-    /// column blocks: both projections run through
-    /// [`Tensor::matmul_cols`], so no concatenation is built, zero blocks
-    /// cost nothing and only blocks that want a gradient get one.
-    /// Bit-identical to `forward` on the concatenations.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any dimension inconsistency.
-    pub fn forward_cols(
-        &self,
-        center: &[ColBlock],
-        neighbors: &[ColBlock],
-        mask: &[f32],
-        k: usize,
-    ) -> Tensor {
-        let [b, width] = ColBlock::shape_of(center);
-        assert_eq!(width, self.in_dim, "GatLayer center width mismatch");
+        let b = center.dims()[0];
         assert_eq!(
-            ColBlock::shape_of(neighbors),
-            [b * k, self.in_dim],
+            neighbors.dims(),
+            &[b * k, self.in_dim],
             "GatLayer neighbors must be [B*K, in]"
         );
         assert_eq!(mask.len(), b * k, "GatLayer mask length mismatch");
-
-        let wh_c = Tensor::matmul_cols(center, &self.weight); // [B, out]
         if k == 0 {
-            // No neighborhood: attention collapses onto the self-loop, and
-            // the attention vectors take no part (and get no gradient).
-            return wh_c.relu();
+            return center.matmul(&self.weight).relu();
         }
-
-        let e0 = wh_c.matmul(&self.attn_src); // [B, 1], shared by e_self and e_src
-        let e_self = e0.mul_scalar(2.0).leaky_relu(0.2); // [B, 1]
-        let wh_n = Tensor::matmul_cols(neighbors, &self.weight); // [B*K, out]
-        let e_dst = wh_n.matmul(&self.attn_dst); // [B*K, 1]
-
-        // Score assembly (leaky-ReLU, mask to -1e9, self-loop in column 0)
-        // and the attention-weighted combine run as fused kernels.
-        let e_all = Tensor::attn_scores_fused(&e_self, &e0, &e_dst, mask, k); // [B, K+1]
-        let alpha = e_all.softmax(); // [B, K+1]
-        Tensor::attn_combine_fused(&wh_c, &wh_n, &alpha, k)
+        let rows: Vec<usize> = (0..b * k).filter(|&i| mask[i] != 0.0).collect();
+        let mut offsets = Vec::with_capacity(b + 1);
+        offsets.push(0);
+        for slots in mask.chunks(k) {
+            let valid = slots.iter().filter(|&&m| m != 0.0).count();
+            offsets.push(offsets[offsets.len() - 1] + valid);
+        }
+        self.forward_ragged(
+            &[ColBlock::from(center)],
+            &[ColBlock::Dense(neighbors.index_select(&rows))],
+            &offsets,
+        )
     }
 
     /// Output width.
@@ -192,15 +204,18 @@ mod tests {
         // `[mem | feat | φ]`, where `base` and both φ want gradients and
         // `mem` and `feat` do not. Blocked against `concat_cols` with the
         // zero block materialised: output, every parameter gradient and
-        // every input gradient to the bit, at a row count off the quad grid.
-        let (b, k, d, f, td) = (13, 3, 5, 6, 3);
+        // every input gradient to the bit, at a row count off the quad grid
+        // and with neighbourhoods of 0 to 3 rows.
+        let (b, d, f, td) = (13, 5, 6, 3);
+        let lens = [3, 0, 2, 3, 1, 0, 3, 2, 1, 3, 0, 2, 3];
+        let offsets: Vec<usize> = (0..=b).map(|i| lens[..i].iter().sum()).collect();
+        let v = offsets[b];
         let g = GatLayer::new(d + f + td, 4, 5);
         let base = Tensor::randn([b, d], 1).requires_grad();
         let phi_c = Tensor::randn([b, td], 2).requires_grad();
-        let mem = Tensor::randn([b * k, d], 3);
-        let feat = Tensor::randn([b * k, f], 4);
-        let phi_n = Tensor::randn([b * k, td], 5).requires_grad();
-        let mask: Vec<f32> = (0..b * k).map(|i| (i % 4 != 1) as u8 as f32).collect();
+        let mem = Tensor::randn([v, d], 3);
+        let feat = Tensor::randn([v, f], 4);
+        let phi_n = Tensor::randn([v, td], 5).requires_grad();
         let up = Tensor::randn([b, 4], 6);
         let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         let mut leaves = g.parameters();
@@ -218,24 +233,28 @@ mod tests {
             ColBlock::from(&phi_c),
         ];
         let neighbors = [&mem, &feat, &phi_n].map(ColBlock::from);
-        let blocked = run(g.forward_cols(&center, &neighbors, &mask, k));
+        let blocked = run(g.forward_ragged(&center, &neighbors, &offsets));
         let zeros = Tensor::zeros([b, f]);
         let c_in = Tensor::concat_cols(&[&base, &zeros, &phi_c]);
         let n_in = Tensor::concat_cols(&[&mem, &feat, &phi_n]);
-        assert_eq!(blocked, run(g.forward(&c_in, &n_in, &mask, k)));
+        let cat = [ColBlock::from(&c_in)];
+        assert_eq!(
+            blocked,
+            run(g.forward_ragged(&cat, &[ColBlock::from(&n_in)], &offsets))
+        );
     }
 
     #[test]
     fn fully_masked_neighbors_match_self_only() {
-        // All-invalid mask should attend (almost) only to the self-loop.
+        // An all-padded neighbourhood attends over the self-loop alone:
+        // exactly the k = 0 projection, to the bit.
         let g = GatLayer::new(3, 5, 2);
         let c = Tensor::from_vec(vec![0.5, -0.2, 0.9, 0.1, 0.4, -0.6], [2, 3]);
         let noise = Tensor::randn([4, 3], 9);
         let masked = g.forward(&c, &noise, &[0.0; 4], 2);
         let selfonly = g.forward(&c, &Tensor::zeros([0, 3]), &[], 0);
-        for (a, b) in masked.to_vec().iter().zip(selfonly.to_vec().iter()) {
-            assert!((a - b).abs() < 1e-3, "{} vs {}", a, b);
-        }
+        let bits = |t: Tensor| t.to_vec().into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(masked), bits(selfonly));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Fused TGNN kernels: GRU cell, sinusoidal time encoding, and attention
-//! scoring/combination as single graph nodes.
+//! Fused TGNN kernels: GRU cell and sinusoidal time encoding as single
+//! graph nodes (the attention kernels live in `ops::attention`).
 //!
 //! The composed-op forms of these layers (see `cascade-nn`) build 10–20
 //! graph nodes per call, each with its own output buffer, parent vector,
@@ -491,235 +491,6 @@ impl Tensor {
             }),
         )
     }
-
-    /// Fused attention score assembly for a `B × K` sampled neighborhood
-    /// with a self-loop in column 0:
-    ///
-    /// ```text
-    /// out[b][0]   = e_self[b]
-    /// out[b][1+j] = LeakyReLU₀.₂(e_src[b] + e_dst[b·K+j]) · m + (m − 1)·1e9
-    /// ```
-    ///
-    /// where `m = mask[b·K + j]` (1.0 valid, 0.0 padding — padded slots
-    /// score −1e9 so softmax zeroes them). `e_self`/`e_src` are `[B, 1]`,
-    /// `e_dst` is `[B·K, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape inconsistency or `k == 0`.
-    pub fn attn_scores_fused(
-        e_self: &Tensor,
-        e_src: &Tensor,
-        e_dst: &Tensor,
-        mask: &[f32],
-        k: usize,
-    ) -> Tensor {
-        assert!(k > 0, "attn_scores_fused requires k > 0");
-        assert_eq!(
-            e_self.dims().len(),
-            2,
-            "attn_scores_fused e_self must be [B, 1]"
-        );
-        assert_eq!(
-            e_self.dims()[1],
-            1,
-            "attn_scores_fused e_self must be [B, 1]"
-        );
-        let b = e_self.dims()[0];
-        assert_eq!(
-            e_src.dims(),
-            &[b, 1],
-            "attn_scores_fused e_src must be [B, 1]"
-        );
-        assert_eq!(
-            e_dst.len(),
-            b * k,
-            "attn_scores_fused e_dst must be [B*K, 1]"
-        );
-        assert_eq!(mask.len(), b * k, "attn_scores_fused mask length mismatch");
-
-        let es = e_self.data();
-        let ec = e_src.data();
-        let ed = e_dst.data();
-        let cols = k + 1;
-        let mut pre = arena::take_empty(b * k);
-        let mut out = arena::take_empty(b * cols);
-        for bi in 0..b {
-            out.push(es[bi]);
-            for j in 0..k {
-                let p = ec[bi] + ed[bi * k + j];
-                pre.push(p);
-                let lr = if p > 0.0 { p } else { 0.2 * p };
-                let m = mask[bi * k + j];
-                out.push(lr * m + (m - 1.0) * 1e9);
-            }
-        }
-        drop((es, ec, ed));
-        let mask: Vec<f32> = mask.to_vec();
-
-        Tensor::from_op(
-            out,
-            Shape::new(vec![b, cols]),
-            vec![e_self.clone(), e_src.clone(), e_dst.clone()],
-            Box::new(move |_out, grad, parents, ctx: &mut GradCtx| {
-                let (pself, psrc, pdst) = (&parents[0], &parents[1], &parents[2]);
-                if pself.is_requires_grad() {
-                    let mut gs = arena::take_empty(b);
-                    for bi in 0..b {
-                        gs.push(grad[bi * cols]);
-                    }
-                    ctx.accumulate_owned(pself, gs);
-                }
-                let need_src = psrc.is_requires_grad();
-                let need_dst = pdst.is_requires_grad();
-                if need_src || need_dst {
-                    let mut gsrc = arena::take_empty(if need_src { b } else { 0 });
-                    let mut gdst = arena::take_empty(if need_dst { b * k } else { 0 });
-                    for bi in 0..b {
-                        let mut acc = 0.0;
-                        for j in 0..k {
-                            let p = pre[bi * k + j];
-                            let slope = if p > 0.0 { 1.0 } else { 0.2 };
-                            let gpre = grad[bi * cols + 1 + j] * mask[bi * k + j] * slope;
-                            acc += gpre;
-                            if need_dst {
-                                gdst.push(gpre);
-                            }
-                        }
-                        if need_src {
-                            gsrc.push(acc);
-                        }
-                    }
-                    if need_src {
-                        ctx.accumulate_owned(psrc, gsrc);
-                    } else {
-                        arena::recycle(gsrc);
-                    }
-                    if need_dst {
-                        ctx.accumulate_owned(pdst, gdst);
-                    } else {
-                        arena::recycle(gdst);
-                    }
-                }
-                arena::recycle(grad);
-            }),
-        )
-    }
-
-    /// Fused attention-weighted combine with the self-loop in `alpha`
-    /// column 0 and a ReLU on the way out:
-    ///
-    /// ```text
-    /// out[b][o] = ReLU(α[b][0]·wh_c[b][o] + Σ_j α[b][1+j]·wh_n[b·K+j][o])
-    /// ```
-    ///
-    /// `wh_c: [B, out]`, `wh_n: [B·K, out]`, `alpha: [B, K+1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape inconsistency or `k == 0`.
-    pub fn attn_combine_fused(wh_c: &Tensor, wh_n: &Tensor, alpha: &Tensor, k: usize) -> Tensor {
-        assert!(k > 0, "attn_combine_fused requires k > 0");
-        assert_eq!(
-            wh_c.dims().len(),
-            2,
-            "attn_combine_fused wh_c must be rank-2"
-        );
-        let (b, od) = (wh_c.dims()[0], wh_c.dims()[1]);
-        assert_eq!(
-            wh_n.dims(),
-            &[b * k, od],
-            "attn_combine_fused wh_n must be [B*K, out]"
-        );
-        assert_eq!(
-            alpha.dims(),
-            &[b, k + 1],
-            "attn_combine_fused alpha must be [B, K+1]"
-        );
-
-        let wc = wh_c.data();
-        let wn = wh_n.data();
-        let al = alpha.data();
-        let cols = k + 1;
-        let mut out = arena::take_empty(b * od);
-        for bi in 0..b {
-            let a0 = al[bi * cols];
-            for o in 0..od {
-                // Ascending-j accumulation matches the composed
-                // mul-then-sum_axis evaluation order.
-                let mut nv = 0.0;
-                for j in 0..k {
-                    nv += wn[(bi * k + j) * od + o] * al[bi * cols + 1 + j];
-                }
-                out.push((wc[bi * od + o] * a0 + nv).max(0.0));
-            }
-        }
-        drop((wc, wn, al));
-
-        Tensor::from_op(
-            out,
-            Shape::new(vec![b, od]),
-            vec![wh_c.clone(), wh_n.clone(), alpha.clone()],
-            Box::new(move |out, mut grad, parents, ctx: &mut GradCtx| {
-                let (pc, pn, pa) = (&parents[0], &parents[1], &parents[2]);
-                // ReLU gate in place on the owned upstream buffer.
-                let y = out.data();
-                for (g, &yv) in grad.iter_mut().zip(y.iter()) {
-                    if yv <= 0.0 {
-                        *g = 0.0;
-                    }
-                }
-                drop(y);
-                let al = pa.data();
-                if pc.is_requires_grad() {
-                    let mut gc = arena::take_empty(b * od);
-                    for bi in 0..b {
-                        let a0 = al[bi * cols];
-                        for o in 0..od {
-                            gc.push(grad[bi * od + o] * a0);
-                        }
-                    }
-                    ctx.accumulate_owned(pc, gc);
-                }
-                if pn.is_requires_grad() {
-                    let mut gn = arena::take_empty(b * k * od);
-                    for bi in 0..b {
-                        for j in 0..k {
-                            let a = al[bi * cols + 1 + j];
-                            for o in 0..od {
-                                gn.push(grad[bi * od + o] * a);
-                            }
-                        }
-                    }
-                    ctx.accumulate_owned(pn, gn);
-                }
-                drop(al);
-                if pa.is_requires_grad() {
-                    let wc = pc.data();
-                    let wn = pn.data();
-                    let mut ga = arena::take_empty(b * cols);
-                    for bi in 0..b {
-                        let grow = &grad[bi * od..(bi + 1) * od];
-                        let mut acc = 0.0;
-                        for (&g, &w) in grow.iter().zip(wc[bi * od..].iter()) {
-                            acc += g * w;
-                        }
-                        ga.push(acc);
-                        for j in 0..k {
-                            let wrow = &wn[(bi * k + j) * od..(bi * k + j + 1) * od];
-                            let mut acc = 0.0;
-                            for (&g, &w) in grow.iter().zip(wrow.iter()) {
-                                acc += g * w;
-                            }
-                            ga.push(acc);
-                        }
-                    }
-                    ctx.accumulate_owned(pa, ga);
-                }
-                arena::recycle(grad);
-            }),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -926,68 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn attn_scores_fused_matches_composed() {
-        let (b, k) = (3, 2);
-        let mask = [1.0, 0.0, 1.0, 1.0, 0.0, 0.0];
-        let make = || {
-            (
-                rand_tensor([b, 1], 21),
-                rand_tensor([b, 1], 22),
-                rand_tensor([b * k, 1], 23),
-            )
-        };
-        let (s1, c1, d1) = make();
-        let fused = Tensor::attn_scores_fused(&s1, &c1, &d1, &mask, k);
-        let (s2, c2, d2) = make();
-        let e_neigh = c2.add(&d2.reshape([b, k])).leaky_relu(0.2);
-        let mask_t = Tensor::from_vec(mask.to_vec(), [b, k]);
-        let neg_inf = mask_t.sub_scalar(1.0).mul_scalar(1e9);
-        let e_neigh = e_neigh.mul(&mask_t).add(&neg_inf);
-        let composed = Tensor::concat_cols(&[&s2, &e_neigh]);
-
-        assert_eq!(fused.dims(), &[b, k + 1]);
-        assert_eq!(fused.to_vec(), composed.to_vec());
-
-        fused.softmax().sum().backward();
-        composed.softmax().sum().backward();
-        assert_close(&s1.grad().unwrap(), &s2.grad().unwrap(), 1e-5, "de_self");
-        assert_close(&c1.grad().unwrap(), &c2.grad().unwrap(), 1e-5, "de_src");
-        assert_close(&d1.grad().unwrap(), &d2.grad().unwrap(), 1e-5, "de_dst");
-    }
-
-    #[test]
-    fn attn_combine_fused_matches_composed() {
-        let (b, k, od) = (2, 3, 4);
-        let make = || {
-            let logits = rand_tensor([b, k + 1], 33);
-            (
-                rand_tensor([b, od], 31),
-                rand_tensor([b * k, od], 32),
-                logits.softmax(),
-                logits,
-            )
-        };
-        let (c1, n1, a1, l1) = make();
-        let fused = Tensor::attn_combine_fused(&c1, &n1, &a1, k);
-        let (c2, n2, a2, l2) = make();
-        let alpha_self = a2.slice_cols(0, 1);
-        let alpha_n = a2.slice_cols(1, k + 1).reshape([b * k, 1]);
-        let composed = c2
-            .mul(&alpha_self)
-            .add(&n2.mul(&alpha_n).reshape([b, k, od]).sum_axis(1))
-            .relu();
-
-        assert_eq!(fused.dims(), &[b, od]);
-        assert_close(&fused.to_vec(), &composed.to_vec(), 1e-6, "forward");
-
-        fused.sum().backward();
-        composed.sum().backward();
-        assert_close(&c1.grad().unwrap(), &c2.grad().unwrap(), 1e-5, "dwh_c");
-        assert_close(&n1.grad().unwrap(), &n2.grad().unwrap(), 1e-5, "dwh_n");
-        assert_close(&l1.grad().unwrap(), &l2.grad().unwrap(), 1e-5, "dlogits");
-    }
-
-    #[test]
     #[should_panic(expected = "batch mismatch")]
     fn gru_fused_rejects_batch_mismatch() {
         let params: Vec<Tensor> = vec![
@@ -1007,18 +716,6 @@ mod tests {
             &Tensor::zeros([3, 2]),
             &refs,
             1,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "mask length mismatch")]
-    fn attn_scores_fused_rejects_bad_mask() {
-        let _ = Tensor::attn_scores_fused(
-            &Tensor::zeros([2, 1]),
-            &Tensor::zeros([2, 1]),
-            &Tensor::zeros([4, 1]),
-            &[1.0; 3],
-            2,
         );
     }
 }

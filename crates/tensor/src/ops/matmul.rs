@@ -983,30 +983,31 @@ mod tests {
 
     #[test]
     fn gat_layer_gradients_match_oracle_kernels() {
-        // `cascade_nn::GatLayer::forward`, op for op (the layer itself
-        // lives downstream of this crate): two projections through one
-        // weight, two [·, 1] score products, fused score assembly,
-        // softmax, fused combine.
+        // `cascade_nn::GatLayer::forward_ragged`, op for op (the layer
+        // itself lives downstream of this crate): two projections through
+        // one weight, two [·, 1] score products, the ragged weights (score
+        // assembly and segment softmax) and the ragged combine. One slot
+        // in five of an 8-wide neighbourhood is padding, so 4 134 of the
+        // 646 × 8 slots stay.
         let (b, k, d_in, d_out) = (646, 8, 32, 32);
+        let rows: Vec<usize> = (0..b * k).filter(|i| i % 5 != 0).collect();
+        let mut offsets = vec![0];
+        for c in 0..b {
+            let valid = (c * k..(c + 1) * k).filter(|i| i % 5 != 0).count();
+            offsets.push(offsets[c] + valid);
+        }
         let center = Tensor::randn([b, d_in], 20).requires_grad();
-        let neighbors = Tensor::randn([b * k, d_in], 21).requires_grad();
+        let neighbors = Tensor::randn([b * k, d_in], 21)
+            .index_select(&rows)
+            .requires_grad();
         let weight = Tensor::randn([d_in, d_out], 22).requires_grad();
         let attn_src = Tensor::randn([d_out, 1], 23).requires_grad();
         let attn_dst = Tensor::randn([d_out, 1], 24).requires_grad();
-        let mask: Vec<f32> = (0..b * k)
-            .map(|i| if i % 5 == 0 { 0.0 } else { 1.0 })
-            .collect();
         let w = Tensor::randn([b, d_out], 25);
         let leaves = [&center, &neighbors, &weight, &attn_src, &attn_dst];
         assert_gradients_pinned(&leaves, || {
-            let wh_c = center.matmul(&weight);
-            let e0 = wh_c.matmul(&attn_src);
-            let e_self = e0.mul_scalar(2.0).leaky_relu(0.2);
-            let wh_n = neighbors.matmul(&weight);
-            let e_dst = wh_n.matmul(&attn_dst);
-            let e_all = Tensor::attn_scores_fused(&e_self, &e0, &e_dst, &mask, k);
-            let alpha = e_all.softmax();
-            Tensor::attn_combine_fused(&wh_c, &wh_n, &alpha, k)
+            let params = [&weight, &attn_src, &attn_dst];
+            crate::ops::attention::ragged_gat(&center, &neighbors, params, &offsets)
                 .mul(&w)
                 .sum()
         });

@@ -4,6 +4,7 @@
 //! closure knows how to push gradients to the op's parents. Ops whose
 //! inputs do not require gradients skip recording history entirely.
 
+mod attention;
 mod binary;
 mod fused;
 mod matmul;

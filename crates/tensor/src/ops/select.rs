@@ -1,5 +1,5 @@
-//! Row gathering and scattering — the embedding-table primitives TGNN
-//! memory reads rely on.
+//! Row gathering, merging and scattering — the embedding-table primitives
+//! TGNN memory reads and write-backs rely on.
 
 use crate::arena;
 use crate::grad::GradCtx;
@@ -49,6 +49,61 @@ impl Tensor {
                 }
                 arena::recycle(grad);
                 ctx.accumulate_owned(p, g);
+            }),
+        )
+    }
+
+    /// `self` with row `rows[i]` replaced by row `i` of `src`: a rank-2
+    /// row merge by index, for `rows` distinct. `src`'s gradient is the
+    /// upstream gradient of the rows it landed in, and `self`'s is the
+    /// upstream gradient with those rows zeroed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either tensor is not rank-2, their widths differ, `src`
+    /// does not have `rows.len()` rows, or a row is out of bounds.
+    pub fn merge_rows(&self, rows: &[usize], src: &Tensor) -> Tensor {
+        assert_eq!(
+            self.dims().len(),
+            2,
+            "merge_rows requires rank-2, got {}",
+            self.shape()
+        );
+        let (n, cols) = (self.dims()[0], self.dims()[1]);
+        assert_eq!(
+            src.dims(),
+            &[rows.len(), cols],
+            "merge_rows: src must be [rows, {cols}]"
+        );
+        let mut out = arena::take_copy(&self.data());
+        let data = src.data();
+        for (s, &r) in rows.iter().enumerate() {
+            assert!(r < n, "index {} out of bounds for {} rows", r, n);
+            out[r * cols..(r + 1) * cols].copy_from_slice(&data[s * cols..(s + 1) * cols]);
+        }
+        drop(data);
+        let idx = rows.to_vec();
+        Tensor::from_op(
+            out,
+            self.shape().clone(),
+            vec![self.clone(), src.clone()],
+            Box::new(move |_out, mut grad, parents, ctx: &mut GradCtx| {
+                let (base, src) = (&parents[0], &parents[1]);
+                if src.is_requires_grad() {
+                    let mut g = arena::take_empty(idx.len() * cols);
+                    for &r in &idx {
+                        g.extend_from_slice(&grad[r * cols..(r + 1) * cols]);
+                    }
+                    ctx.accumulate_owned(src, g);
+                }
+                if base.is_requires_grad() {
+                    for &r in &idx {
+                        grad[r * cols..(r + 1) * cols].fill(0.0);
+                    }
+                    ctx.accumulate_owned(base, grad);
+                } else {
+                    arena::recycle(grad);
+                }
             }),
         )
     }
@@ -109,6 +164,24 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn gather_rejects_oob() {
         let _ = Tensor::zeros([2, 2]).index_select(&[2]);
+    }
+
+    #[test]
+    fn merge_rows_replaces_and_routes_gradients() {
+        let base = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [3, 2]).requires_grad();
+        let src = Tensor::from_vec(vec![-1.0, -2.0, -3.0, -4.0], [2, 2]).requires_grad();
+        let out = base.merge_rows(&[2, 0], &src);
+        assert_eq!(out.to_vec(), vec![-3.0, -4.0, 3.0, 4.0, -1.0, -2.0]);
+        let up = Tensor::from_vec(vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0], [3, 2]);
+        out.mul(&up).sum().backward();
+        assert_eq!(src.grad().unwrap(), vec![50.0, 60.0, 10.0, 20.0]);
+        assert_eq!(base.grad().unwrap(), vec![0.0, 0.0, 30.0, 40.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn merge_rows_rejects_oob() {
+        let _ = Tensor::zeros([2, 2]).merge_rows(&[2], &Tensor::zeros([1, 2]));
     }
 
     #[test]
