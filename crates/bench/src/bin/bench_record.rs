@@ -11,6 +11,10 @@
 //!       reads DIR/<workload>/untraced/*.json and DIR/<workload>/traced.json
 //!       (each the result line of one `benchmark/run.sh` run) and writes
 //!       FILE, refusing to replace one that exists
+//!   bench_record compare OLD.json NEW.json
+//!       prints the trajectory between two recordings: per workload and
+//!       end-to-end metric both share, the old and new medians, new/old,
+//!       and whether the new median lies outside the old quartiles
 //!
 //! Quartiles interpolate linearly between order statistics, so the
 //! median of an even count is the mean of the middle two.
@@ -226,12 +230,60 @@ fn workload_names(path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// `(workload, metric, old median, new median, outside the old quartiles)`
+/// for every workload and end-to-end metric both recordings hold, in the
+/// new recording's order.
+fn trajectory(old: &Json, new: &Json) -> Vec<(String, String, f64, f64, bool)> {
+    let metrics = |doc: &Json, w: &str| {
+        let e2e = doc
+            .get("workloads")
+            .and_then(|ws| ws.get(w)?.get("end_to_end"));
+        e2e.and_then(Json::as_obj).unwrap_or_default().to_vec()
+    };
+    let stat = |m: &Json, key| m.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+    let workloads = new
+        .get("workloads")
+        .and_then(Json::as_obj)
+        .unwrap_or_default();
+    let mut rows = Vec::new();
+    for (w, _) in workloads {
+        let was = metrics(old, w);
+        for (name, m) in metrics(new, w) {
+            let Some((_, o)) = was.iter().find(|(n, _)| *n == name) else {
+                continue;
+            };
+            let median = stat(&m, "median");
+            let outside = median < stat(o, "q1") || median > stat(o, "q3");
+            rows.push((w.clone(), name, stat(o, "median"), median, outside));
+        }
+    }
+    rows
+}
+
+fn compare(old: &str, new: &str) -> Result<(), String> {
+    let (old, new) = (read_json(Path::new(old))?, read_json(Path::new(new))?);
+    let head = ("workload", "metric", "old median", "new median", "new/old");
+    println!(
+        "{:<14} {:<24} {:>12} {:>12} {:>8}  outside old IQR",
+        head.0, head.1, head.2, head.3, head.4
+    );
+    for (w, metric, was, now, outside) in trajectory(&old, &new) {
+        let outside = if outside { "yes" } else { "no" };
+        println!(
+            "{w:<14} {metric:<24} {was:>12.4} {now:>12.4} {:>8.3}  {outside}",
+            now / was
+        );
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let outcome = match argv.first().map(String::as_str) {
         Some("workloads") if argv.len() == 2 => workload_names(&argv[1]),
         Some("write") => write(&argv[1..]),
-        _ => Err("usage: bench_record workloads BENCHMARK.json | bench_record write …".into()),
+        Some("compare") if argv.len() == 3 => compare(&argv[1], &argv[2]),
+        _ => Err("usage: bench_record workloads BENCHMARK.json | write … | compare OLD NEW".into()),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
@@ -269,5 +321,28 @@ mod tests {
             .filter_map(Json::as_f64)
             .collect();
         assert_eq!(values, [3.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn trajectory_pairs_shared_metrics_and_flags_medians_outside_the_quartiles() {
+        let doc = |median: f64| {
+            let m = Json::Obj(vec![
+                ("median".into(), median.into()),
+                ("q1".into(), 9.0.into()),
+                ("q3".into(), 11.0.into()),
+            ]);
+            let w = Json::Obj(vec![(
+                "end_to_end".into(),
+                Json::Obj(vec![("x".into(), m)]),
+            )]);
+            Json::Obj(vec![("workloads".into(), Json::Obj(vec![("w".into(), w)]))])
+        };
+        let row = |old: f64, new: f64| trajectory(&doc(old), &doc(new));
+        assert_eq!(
+            row(10.0, 10.5),
+            [("w".into(), "x".into(), 10.0, 10.5, false)]
+        );
+        assert!(row(10.0, 12.0)[0].4 && row(10.0, 8.0)[0].4);
+        assert!(trajectory(&doc(10.0), &Json::Obj(vec![])).is_empty());
     }
 }

@@ -12,8 +12,8 @@ use cascade_tensor::shard_chunk;
 /// driver spent waiting for the stage's input, and `items` is the number
 /// of batches the stage processed. Every stage runs on the driver
 /// thread, so compute and update never stall; the driver charges its
-/// waits for the next chunk (a store read, `cascade-exec`'s loader
-/// thread, or an in-memory copy) to `scan.stall`.
+/// waits for the next chunk from `train_streaming`'s loader thread (a
+/// store read, a table build, or an in-memory copy) to `scan.stall`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTiming {
     /// Time spent in the stage's own work.
@@ -93,7 +93,7 @@ impl StageTimings {
     }
 
     /// Total straggler gap across compute shards (zero for serial runs).
-    pub fn shard_stall_total(&self) -> Duration {
+    fn shard_stall_total(&self) -> Duration {
         self.shard_compute.iter().map(|s| s.stall).sum()
     }
 }

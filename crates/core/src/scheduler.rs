@@ -142,11 +142,6 @@ impl CascadeScheduler {
         self.diffuser.as_ref().map(TgDiffuser::max_r)
     }
 
-    /// The SG-Filter (present unless disabled).
-    pub fn sg_filter(&self) -> Option<&SgFilter> {
-        self.sg.as_ref()
-    }
-
     /// Chunks in the announced geometry (0 when unprepared).
     fn num_chunks(&self) -> usize {
         self.total_train.div_ceil(self.chunk_size.max(1))

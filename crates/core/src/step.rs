@@ -5,10 +5,10 @@
 //! learning rate, `forward_batch`, backward, clip, `opt.step`,
 //! `apply_batch`, trim the arena, fold the batch into the run's
 //! accumulators, then feed loss and memory deltas back to the strategy.
-//! [`TrainStep`] is that sequence; the streaming driver (under
-//! [`train`](crate::train), and with or without `cascade-exec`'s loader
-//! thread) feeds it wherever a batch's events come from, so every feed is
-//! bit-identical by construction rather than by replication.
+//! [`TrainStep`] is that sequence; the streaming driver (also under
+//! [`train`](crate::train)) feeds it from whatever source its one loader
+//! thread reads, so every feed is bit-identical by construction rather
+//! than by replication.
 //! `cascade-dist` calls the sequence's moves one by one
 //! ([`compute`](TrainStep::compute), [`optimize`](TrainStep::optimize),
 //! [`close`](TrainStep::close), [`record`](TrainStep::record)) with its

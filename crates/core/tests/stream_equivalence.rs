@@ -1,17 +1,13 @@
-//! The loader thread must be invisible in the results — streaming a store
-//! file is bit-identical to streaming the same events from memory, with
-//! every table built on the loader — and visible in the errors: whichever
-//! side fails first, `train_streaming` joins the loader and returns what
-//! actually went wrong.
+//! The loader thread must be visible in the errors: whichever side fails
+//! first, `train_streaming` joins the loader and returns what actually
+//! went wrong. (That it is invisible in the results is the driver matrix,
+//! `tests/identity.rs` at the workspace root.)
 
 use cascade_core::{
-    train, train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler, FixedBatching,
-    TrainConfig, TrainReport,
+    train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler, TrainConfig,
 };
 use cascade_models::{MemoryTgnn, ModelConfig};
-use cascade_store::{export_dataset, StreamingEventSource};
 use cascade_tgraph::{Dataset, EventChunk, EventSource, InMemorySource, SourceError, SynthConfig};
-use std::time::Duration;
 
 const CHUNK: usize = 128;
 
@@ -39,82 +35,11 @@ fn cfg() -> TrainConfig {
     }
 }
 
-fn assert_same_results(a: &TrainReport, b: &TrainReport, what: &str) {
-    assert_eq!(a.batch_sizes, b.batch_sizes, "{what}: batch boundaries");
-    let a_bits: Vec<u32> = a.batch_losses.iter().map(|x| x.to_bits()).collect();
-    let b_bits: Vec<u32> = b.batch_losses.iter().map(|x| x.to_bits()).collect();
-    assert_eq!(a_bits, b_bits, "{what}: batch losses");
-    assert_eq!(
-        a.val_loss.to_bits(),
-        b.val_loss.to_bits(),
-        "{what}: val loss"
-    );
-}
-
 fn cascade() -> CascadeScheduler {
     CascadeScheduler::new(CascadeConfig {
         preset_batch_size: 64,
         ..CascadeConfig::default()
     })
-}
-
-fn store_run(
-    data: &Dataset,
-    path: &std::path::Path,
-    strategy: &mut dyn BatchingStrategy,
-) -> (TrainReport, Vec<u8>) {
-    let mut m = model(data);
-    let mut src = StreamingEventSource::open(path, 2).expect("store opens");
-    let r = train_streaming(&mut m, &mut src, strategy, &cfg()).expect("store stream");
-    (r, m.export_state())
-}
-
-#[test]
-fn store_streaming_matches_in_memory_streaming() {
-    let data = dataset();
-    let path = std::env::temp_dir().join(format!("cascade-core-stream-{}.evt", std::process::id()));
-    export_dataset(&data, &path, CHUNK).expect("export succeeds");
-    // The in-memory side of the comparison: the same chunk geometry,
-    // fed from RAM.
-    let mut m_mem = model(&data);
-    let mut s_mem = cascade();
-    let mut in_memory = InMemorySource::from_dataset(&data, CHUNK);
-    let mem = train_streaming(&mut m_mem, &mut in_memory, &mut s_mem, &cfg()).expect("in-memory");
-
-    let mut s_store = cascade();
-    let (stored, stored_state) = store_run(&data, &path, &mut s_store);
-    std::fs::remove_file(&path).ok();
-
-    assert_same_results(&mem, &stored, "store vs in-memory streaming");
-    assert_eq!(
-        m_mem.export_state(),
-        stored_state,
-        "store vs in-memory state"
-    );
-    // The loader's table builds ran off the critical path, and only one
-    // chunk's table was ever resident on either side.
-    assert!(s_store.timers().background_build > Duration::ZERO);
-    assert_eq!(s_store.timers().build_table, Duration::ZERO);
-    assert_eq!(stored.strategy, "Cascade_EX");
-    assert_eq!(stored.space.dependency_table, mem.space.dependency_table);
-}
-
-#[test]
-fn fixed_batches_straddle_the_loaders_chunks() {
-    let data = dataset();
-    let path =
-        std::env::temp_dir().join(format!("cascade-core-straddle-{}.evt", std::process::id()));
-    export_dataset(&data, &path, CHUNK).expect("export succeeds");
-
-    // 48 does not divide 128, so batches straddle chunks the loader may
-    // or may not have delivered yet. Fixed batching ignores chunk ends,
-    // so `train` over the stream as one chunk is the reference.
-    let mut m_ref = model(&data);
-    let reference = train(&mut m_ref, &data, &mut FixedBatching::new(48), &cfg());
-    let (stored, state) = store_run(&data, &path, &mut FixedBatching::new(48));
-    std::fs::remove_file(&path).ok();
-    assert_same_results(&reference, &stored, "store vs train");
-    assert_eq!(m_ref.export_state(), state, "model state");
 }
 
 // ---- failure paths: every one must *return*, loader joined ------------

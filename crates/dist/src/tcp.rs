@@ -8,7 +8,7 @@
 //! in-process worker thread holds. Only the way a round's payloads
 //! reach every replica differs, so TCP training is bit-identical to
 //! in-process training for the same `(workers, seed, stream)`, which
-//! the `tcp_loopback` integration test asserts.
+//! the driver matrix's dist rows (`tests/identity.rs`) assert.
 //!
 //! Per round: each worker computes its payload from its chunk
 //! partition; followers send `Payload` frames; the leader assembles the

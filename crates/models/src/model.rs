@@ -403,9 +403,9 @@ impl MemoryTgnn {
     /// features and to register adjacency.
     ///
     /// Thin wrapper over [`forward_batch`](Self::forward_batch) followed
-    /// by [`apply_batch`](Self::apply_batch) — callers that pipeline the
-    /// two steps (the `cascade-exec` executor) invoke the halves
-    /// directly.
+    /// by [`apply_batch`](Self::apply_batch) — callers with work between
+    /// the two (the train step's optimizer, a dist round's all-reduce, a
+    /// served ingest) invoke the halves directly.
     ///
     /// # Panics
     ///

@@ -1,200 +1,12 @@
-//! Seeded property test: the buffer arena is numerically invisible.
-//!
-//! Every buffer the arena hands out is fully overwritten before use, so
-//! recycling must never change a single bit of any computation. This
-//! property drives the same seeded TGN batches through a full training
-//! step — forward, backward, gradient clip, Adam — once with the arena
-//! enabled (buffers recycled batch-to-batch, `reset()` at the boundary)
-//! and once with it disabled (every allocation fresh), and asserts
-//! bit-identical losses, logits, gradients, post-step parameters, and
-//! node memories.
+//! The buffer arena at work: it recycles buffers during training, and a
+//! steady-state batch misses it only where known. (That recycling never
+//! moves a bit is the batch table's arena columns,
+//! `tests/batch_identity.rs`.)
 
 use cascade_models::{MemoryTgnn, ModelConfig};
-use cascade_nn::{clip_grad_norm, Adam, Module};
+use cascade_nn::{Adam, Module};
 use cascade_tensor::arena;
-use cascade_tgraph::{synth_features, Event, NodeId};
-use cascade_util::{check, prop_assert, prop_assert_eq, Gen};
-
-mod sparse;
-
-/// A random, time-ordered synthetic event stream over `num_nodes` nodes.
-fn random_events(g: &mut Gen, num_nodes: usize, len: usize) -> Vec<Event> {
-    let mut t = 0.0f64;
-    (0..len)
-        .map(|_| {
-            t += g.f64_in(0.01..1.0);
-            let src = g.usize_in(0..num_nodes) as u32;
-            let dst = g.usize_in(0..num_nodes) as u32;
-            Event::new(src, dst, t)
-        })
-        .collect()
-}
-
-/// One two-batch training step at `threads` compute threads; returns
-/// (loss, pos logits, neg logits, gradient bits, post-step parameters,
-/// node memories). An arena-off run must not hit the pool on any thread.
-#[allow(clippy::type_complexity)]
-fn run(
-    arena_on: bool,
-    threads: usize,
-    cfg: &ModelConfig,
-    events: &[Event],
-    num_nodes: usize,
-) -> (
-    f32,
-    Vec<f32>,
-    Vec<f32>,
-    Vec<Vec<f32>>,
-    Vec<Vec<f32>>,
-    Vec<Vec<f32>>,
-) {
-    let was = arena::set_enabled(arena_on);
-    let hits = arena::stats().hits;
-    let feats = synth_features(events.len(), 4, 9);
-    let mut model = MemoryTgnn::new(cfg.clone(), num_nodes, 4, 3);
-    model.set_compute_threads(threads);
-    let mut opt = Adam::new(model.parameters(), 1e-2);
-    let mid = events.len() / 2;
-
-    model.process_batch(&events[..mid], 0, &feats);
-    if arena_on {
-        arena::reset(); // the batch-boundary trim must also be invisible
-    }
-    let out = model.process_batch(&events[mid..], mid, &feats);
-    out.loss.backward();
-    clip_grad_norm(&model.parameters(), 1.0);
-    let grads: Vec<Vec<f32>> = model
-        .parameters()
-        .iter()
-        .map(|p| p.grad().unwrap_or_default())
-        .collect();
-    opt.step();
-
-    let params: Vec<Vec<f32>> = model.parameters().iter().map(|p| p.to_vec()).collect();
-    let memories: Vec<Vec<f32>> = (0..num_nodes)
-        .map(|n| model.plane().memory_read(NodeId(n as u32)).to_vec())
-        .collect();
-    if !arena_on {
-        assert_eq!(
-            arena::stats().hits,
-            hits,
-            "an arena-off run took a pooled buffer"
-        );
-    }
-    arena::set_enabled(was);
-    (
-        out.loss.item(),
-        out.pos_logits,
-        out.neg_logits,
-        grads,
-        params,
-        memories,
-    )
-}
-
-#[test]
-fn training_step_is_bit_identical_with_and_without_arena() {
-    // Warm the pool so the arena arm actually recycles buffers from a
-    // previous (differently-shaped) computation rather than starting cold.
-    {
-        let _ = arena::set_enabled(true);
-        let warm = cascade_tensor::Tensor::ones([17, 13]).requires_grad();
-        warm.matmul(&cascade_tensor::Tensor::ones([13, 11]))
-            .sum()
-            .backward();
-    }
-
-    check("arena_identity", |g| {
-        let num_nodes = g.usize_in(4..16);
-        // Up to 100 events: up to four shards, so two threads fan out.
-        let len = g.usize_in(6..100);
-        let events = random_events(g, num_nodes, len);
-        let cfg = match g.usize_in(0..3) {
-            0 => ModelConfig::tgn(),
-            1 => ModelConfig::jodie(),
-            _ => ModelConfig::tgat(),
-        }
-        .with_dims(8, 4)
-        .with_neighbors(3);
-
-        let pooled = run(true, 1, &cfg, &events, num_nodes);
-        for (arena_on, threads) in [(false, 1), (false, 2), (true, 2)] {
-            let other = run(arena_on, threads, &cfg, &events, num_nodes);
-            let arm = format!("arena {arena_on} at {threads} threads");
-            prop_assert!(
-                pooled.0.to_bits() == other.0.to_bits(),
-                "loss differs: {} (arena, 1 thread) vs {} ({})",
-                pooled.0,
-                other.0,
-                arm
-            );
-            prop_assert_eq!(&pooled.1, &other.1, "pos logits differ: {}", arm);
-            prop_assert_eq!(&pooled.2, &other.2, "neg logits differ: {}", arm);
-            for (i, (a, b)) in pooled.3.iter().zip(other.3.iter()).enumerate() {
-                prop_assert!(
-                    a.iter()
-                        .map(|x| x.to_bits())
-                        .eq(b.iter().map(|x| x.to_bits())),
-                    "gradient of parameter {} differs: {}",
-                    i,
-                    arm
-                );
-            }
-            for (i, (a, b)) in pooled.4.iter().zip(other.4.iter()).enumerate() {
-                prop_assert!(
-                    a.iter()
-                        .map(|x| x.to_bits())
-                        .eq(b.iter().map(|x| x.to_bits())),
-                    "post-step parameter {} differs: {}",
-                    i,
-                    arm
-                );
-            }
-            prop_assert_eq!(&pooled.5, &other.5, "node memories differ: {}", arm);
-        }
-
-        // Leave the pool enabled for whichever test runs next on this
-        // thread (the default state).
-        let _ = arena::set_enabled(true);
-        Ok(())
-    });
-}
-
-/// The arena under compaction: the second batch of [`sparse::stream`]
-/// drops about half of its neighbour slots and a third of its updater
-/// rows. For each of the five models, a full training step leaves the
-/// same bits with the pool on and off, at one and two threads.
-#[test]
-fn a_sparse_batch_is_bit_identical_with_and_without_arena() {
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-    let events = sparse::stream();
-    for base in ModelConfig::all() {
-        let cfg = base.with_dims(8, 4).with_neighbors(sparse::K);
-        let step = |arena_on: bool, threads: usize| {
-            let (loss, pos, neg, grads, params, memories) =
-                run(arena_on, threads, &cfg, &events, sparse::NODES);
-            let rows = |rows: &[Vec<f32>]| rows.iter().map(|r| bits(r)).collect::<Vec<_>>();
-            (
-                loss.to_bits(),
-                bits(&pos),
-                bits(&neg),
-                rows(&grads),
-                rows(&params),
-                rows(&memories),
-            )
-        };
-        let pooled = step(true, 1);
-        for (arena_on, threads) in [(false, 1), (false, 2), (true, 2)] {
-            assert_eq!(
-                pooled,
-                step(arena_on, threads),
-                "{}: arena {arena_on} at {threads} threads",
-                cfg.name
-            );
-        }
-    }
-    let _ = arena::set_enabled(true);
-}
+use cascade_tgraph::{synth_features, Event};
 
 /// Nothing new leaks from the pool: once two warm-up batches have filled
 /// it, a third identical batch misses it exactly as often as the known

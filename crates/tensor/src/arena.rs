@@ -39,9 +39,9 @@
 //! is fully overwritten (zero-filled or element-filled) before use, so a
 //! recycled buffer is observationally identical to a fresh one. The
 //! [`set_enabled`] toggle exists so the regression suite can prove it:
-//! `crates/models/tests/arena_identity.rs` runs the same seeded batch with
-//! the arena on and off and asserts bit-identical gradients, memories, and
-//! post-step parameters.
+//! the arena columns of `crates/models/tests/batch_identity.rs` run the
+//! same seeded batch with the arena on and off and assert bit-identical
+//! gradients, memories, and post-step parameters.
 
 use std::cell::RefCell;
 

@@ -47,7 +47,7 @@ impl Tensor {
 
     /// Fallible [`Tensor::backward_with`]: returns a typed error instead of
     /// panicking on an upstream length mismatch.
-    pub fn try_backward_with(&self, upstream: &[f32]) -> Result<(), AutogradError> {
+    fn try_backward_with(&self, upstream: &[f32]) -> Result<(), AutogradError> {
         self.run_backward(upstream, &mut GradCtx::direct())
     }
 

@@ -108,25 +108,6 @@ impl Tensor {
         )
     }
 
-    /// Builds a rank-2 tensor by stacking `rows` (each of equal length).
-    ///
-    /// This is a leaf constructor: no gradients flow to the sources.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have differing lengths or `rows` is empty and
-    /// `cols` cannot be inferred.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Tensor {
-        assert!(!rows.is_empty(), "from_rows of zero rows");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "from_rows ragged input");
-            data.extend_from_slice(r);
-        }
-        Tensor::from_vec(data, [rows.len(), cols])
-    }
-
     /// Copies row `r` out of a rank-2 tensor (no autograd).
     ///
     /// # Panics
@@ -182,13 +163,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn merge_rows_rejects_oob() {
         let _ = Tensor::zeros([2, 2]).merge_rows(&[2], &Tensor::zeros([1, 2]));
-    }
-
-    #[test]
-    fn from_rows_stacks() {
-        let t = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(t.dims(), &[2, 2]);
-        assert_eq!(t.to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

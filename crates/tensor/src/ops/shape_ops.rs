@@ -175,48 +175,6 @@ impl Tensor {
         )
     }
 
-    /// Extracts columns `[start, end)` of a rank-2 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or the tensor is not rank-2.
-    pub fn slice_cols(&self, start: usize, end: usize) -> Tensor {
-        assert_eq!(self.dims().len(), 2, "slice_cols requires rank-2");
-        let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        assert!(
-            start <= end && end <= cols,
-            "slice_cols range {}..{} out of {} cols",
-            start,
-            end,
-            cols
-        );
-        let w = end - start;
-        let data = self.data();
-        let mut out = arena::take_empty(rows * w);
-        for r in 0..rows {
-            out.extend_from_slice(&data[r * cols + start..r * cols + end]);
-        }
-        drop(data);
-        Tensor::from_op(
-            out,
-            Shape::new(vec![rows, w]),
-            vec![self.clone()],
-            Box::new(move |_out, grad, parents, ctx: &mut GradCtx| {
-                let p = &parents[0];
-                if !p.is_requires_grad() {
-                    arena::recycle(grad);
-                    return;
-                }
-                let mut g = arena::take_zeroed(rows * cols);
-                for r in 0..rows {
-                    g[r * cols + start..r * cols + end].copy_from_slice(&grad[r * w..(r + 1) * w]);
-                }
-                arena::recycle(grad);
-                ctx.accumulate_owned(p, g);
-            }),
-        )
-    }
-
     /// Extracts rows `[start, end)` of a rank-2 tensor.
     ///
     /// A full-range slice is a zero-copy view of the source buffer.
@@ -353,21 +311,6 @@ mod tests {
         assert_eq!(s.to_vec(), t.to_vec());
         s.sum().backward();
         assert_eq!(t.grad().unwrap(), vec![1.0; 4]);
-    }
-
-    #[test]
-    fn slice_cols_extracts() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
-        let s = t.slice_cols(1, 3);
-        assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.to_vec(), vec![2.0, 3.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn slice_cols_backward_pads() {
-        let t = Tensor::ones([2, 3]).requires_grad();
-        t.slice_cols(0, 1).sum().backward();
-        assert_eq!(t.grad().unwrap(), vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
     }
 
     #[test]

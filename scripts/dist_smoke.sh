@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Dist smoke: gate on the N=1 bit-identity test, run a 2-worker
+# Dist smoke: gate on the driver matrix's N=1 row (the dist run against
+# the reference train loop, tests/identity.rs), run a 2-worker
 # in-process epoch through the cascade_dist CLI, then the same run as
 # two real processes over TCP loopback (leader backgrounded), and
 # assert all three transports report identical per-epoch losses and
@@ -16,9 +17,9 @@ WORK="$(mktemp -d)"
 LEADER_PID=""
 trap '[ -n "$LEADER_PID" ] && kill "$LEADER_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
-echo "dist_smoke: gating on the N=1 bit-identity test"
-cargo test -q --release --offline -p cascade-dist --test identity \
-  n1_dist_is_bit_identical_to_serial >/dev/null
+echo "dist_smoke: gating on the N=1 bit-identity row"
+cargo test -q --release --offline -p cascade --test identity \
+  g4_n1_dist_is_bit_identical_to_the_reference >/dev/null
 
 # All transports must agree on every flag except --mode/--worker.
 RUN_ARGS=(--dataset wiki --model tgn --workers 2 --epochs 2 \
