@@ -105,10 +105,11 @@ fn bench_fused_layers(suite: &mut BenchSuite) {
     let mem = Tensor::randn([rows, 32], 18);
     let input = [ColBlock::from(&agg), ColBlock::from(&phi)];
     for threads in [1, 2] {
+        let _budget = cascade_tensor::install_budget(threads);
         suite.bench(
             &format!("gru_cell/fwd_bwd_1536x112/threads{threads}"),
             || {
-                let out = updater.forward_cols(&input, &mem, threads);
+                let out = updater.forward_cols(&input, &mem);
                 out.sum().backward();
                 phi.zero_grad();
                 for p in cascade_nn::Module::parameters(&updater) {

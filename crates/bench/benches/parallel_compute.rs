@@ -34,15 +34,13 @@ fn bench_data() -> Dataset {
         .generate(7)
 }
 
-fn bench_model(data: &Dataset, threads: usize) -> MemoryTgnn {
-    let mut model = MemoryTgnn::new(
+fn bench_model(data: &Dataset) -> MemoryTgnn {
+    MemoryTgnn::new(
         ModelConfig::tgn().with_dims(32, 16).with_neighbors(4),
         data.num_nodes(),
         data.features().dim(),
         1,
-    );
-    model.set_compute_threads(threads);
-    model
+    )
 }
 
 /// One forward + backward pass over the first `BATCHES` training
@@ -74,7 +72,8 @@ fn main() {
     let mut suite = BenchSuite::new("parallel_compute").with_seed(7);
     let mut medians: Vec<(usize, f64)> = Vec::new();
     for threads in THREADS {
-        let model = bench_model(&data, threads);
+        let model = bench_model(&data);
+        let _budget = cascade_tensor::install_budget(threads);
         let id = format!("forward_backward/threads{}", threads);
         suite.bench(&id, || black_box(compute_pass(&model, &data)));
         if let Some(s) = suite.stats().iter().find(|s| s.id == id) {

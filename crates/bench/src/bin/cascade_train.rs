@@ -275,6 +275,7 @@ fn run() -> Result<(), String> {
     print_report(&report);
 
     if args.test {
+        let _budget = cascade_tensor::install_budget(cfg.compute_threads);
         let test = evaluate_range(&mut model, &data, data.test_range(), args.batch);
         println!(
             "  test              loss {:.4}, AP {:.4}, acc {:.4}",

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use cascade_tensor::shard_chunk;
+use cascade_tensor::{compute_budget, shard_chunk};
 
 /// Wall-clock accounting of one stage of the batch loop.
 ///
@@ -59,11 +59,12 @@ pub struct StageTimings {
 impl StageTimings {
     /// Folds one batch's per-shard forward busy times into
     /// `shard_compute`. Workers run contiguous chunks of shards (the
-    /// model's [`shard_chunk`]), so a worker's straggler gap is the
-    /// slowest chunk's busy sum minus its own, charged as stall to the
-    /// chunk's last shard; one worker has no straggler, so its gap is
-    /// definitionally zero.
-    pub fn record_shards(&mut self, busy: &[Duration], threads: usize) {
+    /// model's [`shard_chunk`] for the calling thread's
+    /// [`compute_budget`], which must be the one the batch ran at), so a
+    /// worker's straggler gap is the slowest chunk's busy sum minus its
+    /// own, charged as stall to the chunk's last shard; one worker has no
+    /// straggler, so its gap is definitionally zero.
+    pub fn record_shards(&mut self, busy: &[Duration]) {
         if busy.is_empty() {
             return;
         }
@@ -74,7 +75,7 @@ impl StageTimings {
         for (shard, &b) in self.shard_compute.iter_mut().zip(busy.iter()) {
             shard.record(b);
         }
-        let chunk = shard_chunk(busy.len(), threads);
+        let chunk = shard_chunk(busy.len(), compute_budget());
         if chunk >= busy.len() {
             return;
         }
@@ -239,12 +240,13 @@ mod tests {
         let mut s = StageTimings::default();
         let busy = [Duration::from_millis(4), Duration::from_millis(10)];
         // Serial evaluation: no straggler gap, busy still recorded.
-        s.record_shards(&busy, 1);
+        s.record_shards(&busy);
         assert_eq!(s.shard_compute.len(), 2);
         assert_eq!(s.shard_busy_total(), Duration::from_millis(14));
         assert_eq!(s.shard_stall_total(), Duration::ZERO);
         // Parallel evaluation: shard 0 waits 6 ms on the slowest shard.
-        s.record_shards(&busy, 2);
+        let _budget = cascade_tensor::install_budget(2);
+        s.record_shards(&busy);
         assert_eq!(s.shard_busy_total(), Duration::from_millis(28));
         assert_eq!(s.shard_stall_total(), Duration::from_millis(6));
         assert_eq!(s.shard_compute[0].items, 2);
@@ -262,7 +264,8 @@ mod tests {
             .collect();
         // Two workers run shards 0..4 (7 ms) and 4..8 (8 ms): only the
         // first waits, 1 ms, not the 17 ms of a per-shard gap.
-        s.record_shards(&busy, 2);
+        let _budget = cascade_tensor::install_budget(2);
+        s.record_shards(&busy);
         assert_eq!(s.shard_stall_total(), Duration::from_millis(1));
         assert_eq!(s.shard_compute[3].stall, Duration::from_millis(1));
         assert_eq!(s.shard_busy_total(), Duration::from_millis(15));
@@ -271,7 +274,8 @@ mod tests {
     #[test]
     fn record_shards_ignores_unsharded_batches() {
         let mut s = StageTimings::default();
-        s.record_shards(&[], 4);
+        let _budget = cascade_tensor::install_budget(4);
+        s.record_shards(&[]);
         assert!(s.shard_compute.is_empty());
     }
 }

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use cascade_models::{BatchForward, MemoryDelta, MemoryTgnn};
 use cascade_nn::{clip_grad_norm, Adam, Module};
-use cascade_tensor::{AutogradError, Tensor};
+use cascade_tensor::{AutogradError, BudgetGuard, Tensor};
 use cascade_tgraph::{EdgeFeatures, Event, EventId};
 
 use crate::batching::BatchingStrategy;
@@ -87,11 +87,17 @@ pub struct TrainStep {
     pub stages: StageTimings,
     started: Instant,
     total_time: Duration,
+    /// `compute_threads` as the building thread's compute budget, until
+    /// the step drops.
+    _budget: BudgetGuard,
 }
 
 impl TrainStep {
-    /// Starts a run: sets the model's compute threads, builds the
-    /// optimizer over its parameters and starts the wall clock.
+    /// Starts a run: installs `cfg.compute_threads` as the calling
+    /// thread's compute budget for as long as the step lives, builds the
+    /// optimizer over the model's parameters and starts the wall clock.
+    /// Every move of the step, and the validation tail of a run, computes
+    /// on that thread.
     ///
     /// # Panics
     ///
@@ -100,7 +106,7 @@ impl TrainStep {
     pub fn new(model: &mut MemoryTgnn, cfg: &TrainConfig) -> Self {
         assert!(cfg.epochs > 0, "need at least one epoch");
         assert!(cfg.eval_batch_size > 0, "eval batch size must be positive");
-        model.set_compute_threads(cfg.compute_threads.max(1));
+        let budget = cascade_tensor::install_budget(cfg.compute_threads);
         let params = model.parameters();
         TrainStep {
             cfg: cfg.clone(),
@@ -110,6 +116,7 @@ impl TrainStep {
             stages: StageTimings::default(),
             started: Instant::now(),
             total_time: Duration::ZERO,
+            _budget: budget,
         }
     }
 
@@ -198,8 +205,7 @@ impl TrainStep {
         let fwd = model.forward_batch(events, first_id, feats);
         fwd.loss.try_backward()?;
         self.stages.compute.record(t1.elapsed());
-        self.stages
-            .record_shards(&fwd.shard_busy, self.cfg.compute_threads.max(1));
+        self.stages.record_shards(&fwd.shard_busy);
         Ok(fwd)
     }
 

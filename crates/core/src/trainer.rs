@@ -28,14 +28,19 @@ pub struct TrainConfig {
     /// standard compensation for larger batches taking fewer optimizer
     /// steps; applied uniformly to every strategy.
     pub scale_lr_with_batch: bool,
-    /// Threads for shard-parallel batch compute: a batch's forward and
-    /// backward shards run on the training thread and up to
-    /// `compute_threads - 1` scoped workers that borrow its arena.
-    /// Defaults to the host's
+    /// Threads a run computes on: [`TrainStep::new`](crate::TrainStep::new)
+    /// installs it as the training thread's compute budget
+    /// ([`cascade_tensor::install_budget`]) for as long as the step lives,
+    /// so a batch's forward and backward shards, the fused GRU updater's
+    /// row ranges and the validation tail run on that thread and up to
+    /// `compute_threads - 1` scoped workers that borrow its arena. No
+    /// model carries it, and a thread that installs nothing (a serve
+    /// writer, a predict handler) computes alone. Defaults to the host's
     /// [`available_parallelism`](std::thread::available_parallelism) (1
-    /// when unknown). The shard layout is fixed by batch size, so any value
-    /// here produces bit-identical parameters and memories — it only
-    /// trades wall-clock time (clamped to at least 1).
+    /// when unknown). The shard layout is fixed by batch size and the
+    /// updater keeps each element's float operations, so any value here
+    /// produces bit-identical parameters and memories — it only trades
+    /// wall-clock time (clamped to at least 1).
     pub compute_threads: usize,
 }
 

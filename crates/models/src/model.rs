@@ -268,7 +268,6 @@ pub struct MemoryTgnn {
     embedder: Embedder,
     predictor: EdgePredictor,
     neg_sampler: NegativeSampler,
-    compute_threads: usize,
 }
 
 impl MemoryTgnn {
@@ -319,23 +318,17 @@ impl MemoryTgnn {
             embedder,
             predictor: EdgePredictor::new(d, seed ^ 0x0c),
             neg_sampler: NegativeSampler::new(num_nodes, seed ^ 0x0d),
-            compute_threads: 1,
             config,
         }
     }
 
-    /// Sets how many worker threads evaluate a batch's compute shards and
-    /// its GRU memory updater's rows (clamped to at least 1). The shard
-    /// *count* is fixed by batch size and the updater keeps every float
-    /// operation's order, so results are bit-identical at any thread
-    /// setting — this only trades wall-clock time.
+    /// Sets the calling thread's compute budget to `threads` for good:
+    /// [`cascade_tensor::install_budget`] without the restore. The model
+    /// holds no thread count; this stays only for the benchmark package's
+    /// traced pass (`benchmark/src/train.rs`) until it installs a budget.
+    #[doc(hidden)]
     pub fn set_compute_threads(&mut self, threads: usize) {
-        self.compute_threads = threads.max(1);
-    }
-
-    /// Worker threads used for shard-parallel batch compute.
-    pub fn compute_threads(&self) -> usize {
-        self.compute_threads
+        std::mem::forget(cascade_tensor::install_budget(threads));
     }
 
     /// The model configuration.
@@ -434,9 +427,9 @@ impl MemoryTgnn {
     ///
     /// Outside lite mode the batch's events are split into
     /// `ceil(batch_len / 32)` contiguous shards, at most 8, whose
-    /// embedding, prediction, and partial loss are evaluated on up to
-    /// [`compute_threads`](Self::compute_threads) threads (the caller's
-    /// and scoped workers, see [`scoped_chunks`]);
+    /// embedding, prediction, and partial loss are evaluated on up to the
+    /// calling thread's [`compute_budget`](cascade_tensor::compute_budget)
+    /// threads (the caller's and scoped workers, see [`scoped_chunks`]);
     /// the partial losses are reduced in fixed shard-index order, so the
     /// result is bit-identical at any thread count.
     ///
@@ -596,7 +589,7 @@ impl MemoryTgnn {
         // Balanced contiguous partition: shard s covers [bounds[s], bounds[s+1]).
         let bounds: Vec<usize> = (0..=shards).map(|s| s * b / shards).collect();
         let mut results: Vec<Option<ShardForward>> = (0..shards).map(|_| None).collect();
-        scoped_chunks(&mut results, self.compute_threads, |first, part| {
+        scoped_chunks(&mut results, |first, part| {
             for (off, slot) in part.iter_mut().enumerate() {
                 let s = first + off;
                 *slot = Some(self.shard_forward(
@@ -629,7 +622,6 @@ impl MemoryTgnn {
             &losses,
             1.0 / (2 * b) as f32,
             std::slice::from_ref(updated),
-            self.compute_threads,
         );
         (loss, pos_vec, neg_vec, busy)
     }
@@ -914,7 +906,7 @@ impl MemoryTgnn {
                 let input = [ColBlock::Dense(agg), ColBlock::Dense(phi)];
                 match &self.updater {
                     Updater::Rnn(cell) => cell.forward_cols(&input, &h),
-                    Updater::Gru(cell) => cell.forward_cols(&input, &h, self.compute_threads),
+                    Updater::Gru(cell) => cell.forward_cols(&input, &h),
                     Updater::Identity(proj) => proj.forward_cols(&input).tanh(),
                     // cascade-lint: allow(panic-macro): the enclosing match routed Attention to attention_update above; this arm cannot be reached from the `_` branch.
                     Updater::Attention { .. } => unreachable!(),

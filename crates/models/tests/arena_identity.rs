@@ -31,7 +31,7 @@ fn steady_state_misses(len: usize, nodes: usize, threads: usize) -> u64 {
                 let feats = synth_features(events.len(), 4, 9);
                 let cfg = ModelConfig::tgn().with_dims(8, 4).with_neighbors(3);
                 let mut model = MemoryTgnn::new(cfg, nodes, 4, 3);
-                model.set_compute_threads(threads);
+                let _budget = cascade_tensor::install_budget(threads);
                 let mut opt = Adam::new(model.parameters(), 1e-2);
                 let mut batch = || {
                     let fwd = model.forward_batch(&events, 0, &feats);

@@ -105,7 +105,7 @@ impl Case {
         let hits = arena::stats().hits;
         let feats = synth_features(self.events.len(), FEAT_DIM, 9);
         let mut model = self.model();
-        model.set_compute_threads(threads);
+        let _budget = cascade_tensor::install_budget(threads);
         let mut batches: Vec<_> = self.batches().collect();
         let (first, batch) = batches.pop().expect("a measured batch");
         for (start, warm) in batches {

@@ -71,19 +71,19 @@ impl GruCell {
     /// Panics if `x` or `h` widths disagree with the cell configuration or
     /// their batch sizes differ.
     pub fn forward(&self, x: &Tensor, h: &Tensor) -> Tensor {
-        self.forward_cols(&[ColBlock::from(x)], h, 1)
+        self.forward_cols(&[ColBlock::from(x)], h)
     }
 
     /// One recurrence step on the column-wise concatenation of `x`,
-    /// without building it, fanned out over up to `threads` threads (see
-    /// [`Tensor::gru_cell_fused`]). Bit-identical to `forward` on the
-    /// concatenation at any `threads`.
+    /// without building it, fanned out over up to the calling thread's
+    /// compute budget (see [`Tensor::gru_cell_fused`]). Bit-identical to
+    /// `forward` on the concatenation at any budget.
     ///
     /// # Panics
     ///
     /// Panics if `x` or `h` widths disagree with the cell configuration or
     /// their batch sizes differ.
-    pub fn forward_cols(&self, x: &[ColBlock], h: &Tensor, threads: usize) -> Tensor {
+    pub fn forward_cols(&self, x: &[ColBlock], h: &Tensor) -> Tensor {
         let [rows, width] = ColBlock::shape_of(x);
         assert_eq!(width, self.in_dim, "GruCell input width mismatch");
         assert_eq!(
@@ -99,7 +99,6 @@ impl GruCell {
                 &self.w_xr, &self.w_hr, &self.b_r, &self.w_xz, &self.w_hz, &self.b_z, &self.w_xn,
                 &self.w_hn, &self.b_n,
             ],
-            threads,
         )
     }
 

@@ -187,10 +187,6 @@ impl Engine {
     /// uninterrupted run over the acked events, because replay applies
     /// the exact original frame boundaries.
     ///
-    /// The model's updater runs on the writer's thread alone, whatever
-    /// `compute_threads` it was trained with: predict readers share the
-    /// host, and a writer fanning out mid-request would take their cores.
-    ///
     /// # Errors
     ///
     /// Persistence errors ([`ServeError::Wal`]/[`ServeError::Snapshot`]),
@@ -198,7 +194,6 @@ impl Engine {
     /// exceeds what the WAL holds, and [`ServeError::ShapeMismatch`]
     /// when log, snapshot, and model disagree.
     pub fn open(mut model: MemoryTgnn, config: EngineConfig) -> Result<Engine, ServeError> {
-        model.set_compute_threads(1);
         let num_nodes = model.num_nodes();
         let dim = model.edge_feat_dim();
         let wal = persist::open_wal(&config.wal_path, num_nodes, dim, config.wal_chunk)?;

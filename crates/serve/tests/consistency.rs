@@ -5,8 +5,9 @@
 //! to offline scoring of the same event prefix.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cascade_models::{MemoryTgnn, ModelConfig};
 use cascade_serve::{Engine, EngineConfig};
@@ -90,6 +91,8 @@ fn concurrent_predicts_only_ever_see_published_states() {
     .unwrap();
     let shared = engine.shared();
     let stop = Arc::new(AtomicBool::new(false));
+    // The highest watermark any reader has recorded, plus one (0: none).
+    let seen_above = Arc::new(AtomicUsize::new(0));
 
     // Reader threads hammer the snapshot while ingest runs, recording
     // every (watermark, scores) pair they observe.
@@ -97,25 +100,40 @@ fn concurrent_predicts_only_ever_see_published_states() {
     for _ in 0..3 {
         let shared = shared.clone();
         let stop = stop.clone();
+        let seen_above = seen_above.clone();
         readers.push(std::thread::spawn(move || {
             let mut seen: Vec<(usize, Vec<f32>)> = Vec::new();
             while !stop.load(Ordering::Relaxed) {
                 let snap = shared.snapshot();
                 seen.push((snap.events, query(&snap.model, &snap.feats)));
+                seen_above.fetch_max(snap.events + 1, Ordering::Release);
             }
             seen
         }));
     }
 
+    // The writer publishes the next state only once a reader has recorded
+    // the current one, so the readers see every published watermark.
+    let wait_until_seen = |watermark: usize| {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while seen_above.load(Ordering::Acquire) <= watermark {
+            assert!(
+                Instant::now() < deadline,
+                "no reader recorded watermark {watermark} within 60 s"
+            );
+            std::thread::yield_now();
+        }
+    };
     let mut at = 0;
     while at < TOTAL {
+        wait_until_seen(at);
         let (events, feats) = batch(at..at + PER);
         engine.ingest(&events, &feats).unwrap();
         at += PER;
     }
+    wait_until_seen(TOTAL);
     stop.store(true, Ordering::Relaxed);
 
-    let mut observations = 0usize;
     let mut watermarks = std::collections::BTreeSet::new();
     for r in readers {
         for (events, scores) in r.join().unwrap() {
@@ -128,30 +146,13 @@ fn concurrent_predicts_only_ever_see_published_states() {
                 events
             );
             watermarks.insert(events);
-            observations += 1;
         }
     }
-    assert!(observations > 0, "readers actually ran");
-    assert!(
-        watermarks.len() > 1 || observations < 3,
-        "readers should observe the state advancing (saw {:?})",
-        watermarks
+    let published: std::collections::BTreeSet<usize> = (0..=TOTAL).step_by(PER).collect();
+    assert_eq!(
+        watermarks, published,
+        "readers saw every published watermark and nothing else"
     );
-    std::fs::remove_file(&wal).ok();
-}
-
-/// The single writer runs its memory updater on its own thread: a model
-/// trained at four compute threads is served at one, so an ingest never
-/// fans out onto the cores the predict handlers run on.
-#[test]
-fn the_writer_runs_the_updater_on_its_own_thread() {
-    let wal = tmp("threads.wal");
-    let mut model = base_model();
-    model.set_compute_threads(4);
-    let mut engine = Engine::open(model, EngineConfig::new(&wal, tmp("threads.ckpt"))).unwrap();
-    let (events, feats) = batch(0..6);
-    engine.ingest(&events, &feats).unwrap();
-    assert_eq!(engine.shared().snapshot().model.compute_threads(), 1);
     std::fs::remove_file(&wal).ok();
 }
 

@@ -23,17 +23,6 @@ impl Tensor {
         self.try_backward().unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Runs backward with an explicit upstream gradient of this tensor's
-    /// shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `upstream.len()` differs from the element count.
-    pub fn backward_with(&self, upstream: &[f32]) {
-        self.try_backward_with(upstream)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// Fallible [`Tensor::backward`]: returns a typed error instead of
     /// panicking when the output is not a scalar.
     pub fn try_backward(&self) -> Result<(), AutogradError> {
@@ -45,8 +34,8 @@ impl Tensor {
         self.try_backward_with(&[1.0])
     }
 
-    /// Fallible [`Tensor::backward_with`]: returns a typed error instead of
-    /// panicking on an upstream length mismatch.
+    /// Runs backward with an explicit upstream gradient of this tensor's
+    /// shape: a typed error on a length mismatch.
     fn try_backward_with(&self, upstream: &[f32]) -> Result<(), AutogradError> {
         self.run_backward(upstream, &mut GradCtx::direct())
     }

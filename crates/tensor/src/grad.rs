@@ -32,7 +32,8 @@ pub enum AutogradError {
         /// Display form of the offending shape.
         shape: String,
     },
-    /// `backward_with()` received an upstream gradient of the wrong length.
+    /// A backward pass was seeded with an upstream gradient of the wrong
+    /// length.
     UpstreamLengthMismatch {
         /// The tensor's element count.
         expected: usize,
@@ -142,12 +143,6 @@ impl<'a> GradCtx<'a> {
         }
     }
 
-    /// Whether this context belongs to a shard worker: ops that fan out
-    /// on their own stay on the worker's thread.
-    pub(crate) fn is_sharded(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Whether the backward traversal must not descend past `id` (it is a
     /// shared subgraph boundary that finishes serially on the driver).
     pub(crate) fn stops_at(&self, id: u64) -> bool {
@@ -186,10 +181,11 @@ impl Tensor {
     /// Deterministic shard-parallel sum: `scale * Σᵢ shards[i]`, where every
     /// shard is a scalar (typically one shard's loss contribution).
     ///
-    /// The forward value is a left-associated serial sum, so it does not
-    /// depend on `threads`. The backward pass evaluates each shard's
-    /// subgraph through [`scoped_chunks`](crate::scoped_chunks)
-    /// (contiguous shard chunks per thread, out of the caller's arena),
+    /// The forward value is a left-associated serial sum. The backward
+    /// pass evaluates each shard's subgraph through
+    /// [`scoped_chunks`](crate::scoped_chunks) (contiguous shard chunks
+    /// per thread of the backward thread's
+    /// [`compute_budget`](crate::compute_budget), out of its arena),
     /// parking gradients of shared tensors in per-shard
     /// [`GradSink`]s, then merges the sinks serially in shard-index order —
     /// making gradients bit-identical at any thread count.
@@ -204,12 +200,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `shards` is empty or any shard is not a scalar.
-    pub fn sharded_sum_scaled(
-        shards: &[Tensor],
-        scale: f32,
-        shared: &[Tensor],
-        threads: usize,
-    ) -> Tensor {
+    pub fn sharded_sum_scaled(shards: &[Tensor], scale: f32, shared: &[Tensor]) -> Tensor {
         assert!(!shards.is_empty(), "sharded_sum_scaled of zero shards");
         for s in shards {
             assert_eq!(
@@ -237,7 +228,7 @@ impl Tensor {
                 crate::arena::recycle(grad);
                 let mut work: Vec<(&Tensor, GradSink)> =
                     shards.iter().map(|s| (s, GradSink::new())).collect();
-                crate::scoped_chunks(&mut work, threads, |_, part| {
+                crate::scoped_chunks(&mut work, |_, part| {
                     for (shard, sink) in part {
                         let mut ctx = GradCtx::sharded(sink, &barrier);
                         shard
@@ -269,7 +260,7 @@ mod tests {
     fn matches_serial_sum_forward() {
         let w = Tensor::from_vec(vec![2.0], [1]).requires_grad();
         let shards = shard_losses(&w, &[1.0, 2.0, 3.0]);
-        let total = Tensor::sharded_sum_scaled(&shards, 0.5, &[], 1);
+        let total = Tensor::sharded_sum_scaled(&shards, 0.5, &[]);
         // 0.5 * (4 + 16 + 36) = 28
         assert!((total.item() - 28.0).abs() < 1e-5);
     }
@@ -283,7 +274,8 @@ mod tests {
                 let shards: Vec<Tensor> = (0..8)
                     .map(|i| w.mul_scalar(i as f32 * 0.37 - 1.0).square().sum())
                     .collect();
-                let loss = Tensor::sharded_sum_scaled(&shards, 0.125, &[], threads);
+                let _budget = crate::install_budget(threads);
+                let loss = Tensor::sharded_sum_scaled(&shards, 0.125, &[]);
                 loss.backward();
                 w.grad().expect("w must receive a gradient")
             })
@@ -299,7 +291,8 @@ mod tests {
         let base = w.mul_scalar(2.0); // 6, d(base)/dw = 2
         let shards: Vec<Tensor> = (1..=3).map(|i| base.mul_scalar(i as f32).sum()).collect();
         // loss = Σ i*base = 6*base ; dloss/dw = 12
-        let loss = Tensor::sharded_sum_scaled(&shards, 1.0, std::slice::from_ref(&base), 2);
+        let _budget = crate::install_budget(2);
+        let loss = Tensor::sharded_sum_scaled(&shards, 1.0, std::slice::from_ref(&base));
         assert!((loss.item() - 36.0).abs() < 1e-5);
         loss.backward();
         assert!((w.grad().expect("w grad")[0] - 12.0).abs() < 1e-4);

@@ -67,7 +67,7 @@ pub use grad::AutogradError;
 pub use ops::{ColBlock, GRU_MIN_ROWS_PER_WORKER};
 pub use shape::Shape;
 pub use tensor::{DataRef, Tensor};
-pub use workers::{scoped_chunks, shard_chunk};
+pub use workers::{compute_budget, install_budget, scoped_chunks, shard_chunk, BudgetGuard};
 
 /// Cosine similarity between two equal-length vectors.
 ///

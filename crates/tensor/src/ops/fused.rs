@@ -25,7 +25,7 @@ use crate::ops::matmul::{
 };
 use crate::shape::Shape;
 use crate::tensor::{DataRef, Tensor};
-use crate::workers::scoped_chunks;
+use crate::workers::{compute_budget, scoped_chunks};
 
 /// Fewest rows each worker of a fanned-out [`Tensor::gru_cell_fused`]
 /// runs: a cell of fewer than twice this many rows stays on the calling
@@ -34,11 +34,13 @@ use crate::workers::scoped_chunks;
 /// batch of ~20 events (a few dozen rows) never fans out.
 pub const GRU_MIN_ROWS_PER_WORKER: usize = 128;
 
-/// Row bounds of a [`Tensor::gru_cell_fused`] fan-out over at most
-/// `threads` workers: balanced contiguous ranges of at least
-/// [`GRU_MIN_ROWS_PER_WORKER`] rows, or the one range `0..rows`.
-fn row_bounds(rows: usize, threads: usize) -> Vec<usize> {
-    balanced(rows, threads.min(rows / GRU_MIN_ROWS_PER_WORKER).max(1))
+/// Row bounds of a [`Tensor::gru_cell_fused`] fan-out over at most the
+/// calling thread's [`compute_budget`] workers: balanced contiguous
+/// ranges of at least [`GRU_MIN_ROWS_PER_WORKER`] rows, or the one range
+/// `0..rows`.
+fn row_bounds(rows: usize) -> Vec<usize> {
+    let parts = compute_budget().min(rows / GRU_MIN_ROWS_PER_WORKER);
+    balanced(rows, parts.max(1))
 }
 
 /// The bounds of `parts` balanced contiguous ranges covering `0..len`.
@@ -132,25 +134,20 @@ impl Tensor {
     /// `[w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, w_hn, b_n]` with weights
     /// `[in, H]` / `[H, H]` and biases `[H]`.
     ///
-    /// Forward and backward fan out over up to `threads` threads through
+    /// Forward and backward each fan out over up to the running thread's
+    /// [`compute_budget`](crate::compute_budget) threads through
     /// [`scoped_chunks`](crate::scoped_chunks), at least
     /// [`GRU_MIN_ROWS_PER_WORKER`] rows each: the projections, gates,
     /// gate gradients and input gradients by contiguous row ranges, the
     /// weight gradients `Aᵀ·dpre` by ranges of their output rows. Every
     /// output element keeps its sequence of float operations, so the
-    /// result and every gradient are the same bits at any `threads`. A
-    /// backward pass inside a shard worker (a sharded gradient context)
-    /// stays on its thread.
+    /// result and every gradient are the same bits at any budget. A shard
+    /// worker's budget is 1, so a cell inside one stays on its thread.
     ///
     /// # Panics
     ///
     /// Panics on any shape inconsistency.
-    pub fn gru_cell_fused(
-        x: &[ColBlock],
-        h: &Tensor,
-        params: &[&Tensor; 9],
-        threads: usize,
-    ) -> Tensor {
+    pub fn gru_cell_fused(x: &[ColBlock], h: &Tensor, params: &[&Tensor; 9]) -> Tensor {
         let [w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, w_hn, b_n] = *params;
         assert_eq!(h.dims().len(), 2, "gru_cell_fused h must be rank-2");
         let [b, in_dim] = ColBlock::shape_of(x);
@@ -172,7 +169,7 @@ impl Tensor {
 
         let bh = b * hd;
         let (xs, spans) = ColBlock::spans(x);
-        let bounds = row_bounds(b, threads);
+        let bounds = row_bounds(b);
 
         // Six projections, the three gates and the output, every buffer
         // cut at the same row bounds.
@@ -239,7 +236,7 @@ impl Tensor {
                     out[i] = ((-z[i] + 1.0) * n[i]) + (z[i] * hrows[i]);
                 }
             };
-            scoped_chunks(&mut slots, threads, |_, part| {
+            scoped_chunks(&mut slots, |_, part| {
                 for (rows, bufs) in part {
                     rows_job(rows.clone(), bufs.each_mut().map(std::mem::take));
                 }
@@ -263,8 +260,7 @@ impl Tensor {
                 let ph = &rest[0];
                 let [pwxr, pwhr, pbr, pwxz, pwhz, pbz, pwxn, pwhn, pbn] =
                     std::array::from_fn(|i| &rest[1 + i]);
-                let threads = if ctx.is_sharded() { 1 } else { threads };
-                let bounds = row_bounds(b, threads);
+                let bounds = row_bounds(b);
                 let hdat = ph.data();
                 let xd: Vec<DataRef> = px.iter().map(Tensor::data).collect();
 
@@ -345,9 +341,7 @@ impl Tensor {
                             matmul_a_bt(dpre_z, &whz, dh, m, hd, hd);
                         }
                     };
-                    scoped_chunks(&mut slots, threads, |_, part| {
-                        part.iter_mut().for_each(&rows_job)
-                    });
+                    scoped_chunks(&mut slots, |_, part| part.iter_mut().for_each(&rows_job));
                 }
                 for (p, dx) in px.iter().zip(dx) {
                     if let Some(dx) = dx {
@@ -390,7 +384,7 @@ impl Tensor {
                             AtBRows::deal(&mut tasks, &hdat, dpre, dw, hd, hd);
                         }
                     }
-                    scoped_chunks(&mut tasks, threads, |_, part| {
+                    scoped_chunks(&mut tasks, |_, part| {
                         for task in part.iter_mut().flatten() {
                             task.run(b, hd);
                         }
@@ -552,7 +546,7 @@ mod tests {
 
         let (x1, h1, p1) = make();
         let refs1: [&Tensor; 9] = std::array::from_fn(|i| &p1[i]);
-        let fused = Tensor::gru_cell_fused(&[ColBlock::from(&x1)], &h1, &refs1, 1);
+        let fused = Tensor::gru_cell_fused(&[ColBlock::from(&x1)], &h1, &refs1);
         let (x2, h2, p2) = make();
         let refs2: [&Tensor; 9] = std::array::from_fn(|i| &p2[i]);
         let composed = gru_composed(&x2, &h2, &refs2);
@@ -619,7 +613,8 @@ mod tests {
                 let mut leaves: Vec<&Tensor> = params.iter().collect();
                 leaves.extend([&phi, &h]);
                 leaves.iter().for_each(|t| t.zero_grad());
-                let out = Tensor::gru_cell_fused(x, &h, &refs, threads);
+                let _budget = crate::install_budget(threads);
+                let out = Tensor::gru_cell_fused(x, &h, &refs);
                 out.mul(&up).sum().backward();
                 let grads: Vec<Vec<u32>> = leaves
                     .iter()
@@ -661,7 +656,7 @@ mod tests {
             Tensor::zeros([4]).requires_grad(),
         ];
         let refs: [&Tensor; 9] = std::array::from_fn(|i| &params[i]);
-        Tensor::gru_cell_fused(&[ColBlock::from(&x)], &h, &refs, 1)
+        Tensor::gru_cell_fused(&[ColBlock::from(&x)], &h, &refs)
             .sum()
             .backward();
         assert!(x.grad().is_none(), "frozen x must receive no grad");
@@ -715,7 +710,6 @@ mod tests {
             &[ColBlock::Dense(Tensor::zeros([2, 2]))],
             &Tensor::zeros([3, 2]),
             &refs,
-            1,
         );
     }
 }

@@ -975,7 +975,7 @@ mod tests {
         let mut leaves = vec![&x, &h];
         leaves.extend(params.iter());
         assert_gradients_pinned(&leaves, || {
-            Tensor::gru_cell_fused(&[ColBlock::from(&x)], &h, &refs, 1)
+            Tensor::gru_cell_fused(&[ColBlock::from(&x)], &h, &refs)
                 .mul(&w)
                 .sum()
         });

@@ -110,11 +110,6 @@ impl Tensor {
         unary(self, f32::cos, |x, _| -x.sin())
     }
 
-    /// Elementwise sine.
-    pub fn sin(&self) -> Tensor {
-        unary(self, f32::sin, |x, _| x.cos())
-    }
-
     /// Elementwise power with constant exponent.
     pub fn powf(&self, e: f32) -> Tensor {
         unary(self, move |x| x.powf(e), move |x, _| e * x.powf(e - 1.0))
@@ -203,6 +198,5 @@ mod tests {
     fn trig_roundtrip() {
         let t = Tensor::from_vec(vec![0.0], [1]);
         assert!(close(t.cos().item(), 1.0));
-        assert!(close(t.sin().item(), 0.0));
     }
 }
