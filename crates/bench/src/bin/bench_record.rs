@@ -4,6 +4,8 @@
 //! the traced pass's metrics as they were read.
 //!
 //! Usage:
+//!
+//! ```text
 //!   bench_record workloads BENCHMARK.json
 //!       prints the workload names, one a line
 //!   bench_record write --runs DIR --out FILE --pr N --commit SHA
@@ -15,6 +17,7 @@
 //!       prints the trajectory between two recordings: per workload and
 //!       end-to-end metric both share, the old and new medians, new/old,
 //!       and whether the new median lies outside the old quartiles
+//! ```
 //!
 //! Quartiles interpolate linearly between order statistics, so the
 //! median of an even count is the mean of the middle two.

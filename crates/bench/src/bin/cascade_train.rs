@@ -136,18 +136,7 @@ fn print_usage() {
 }
 
 fn load_dataset(args: &Args) -> Result<Dataset, String> {
-    let name = args.dataset.to_lowercase();
-    let profile = match name.as_str() {
-        "wiki" => Some(SynthConfig::wiki()),
-        "reddit" => Some(SynthConfig::reddit()),
-        "mooc" => Some(SynthConfig::mooc()),
-        "wiki-talk" => Some(SynthConfig::wiki_talk()),
-        "sx-full" => Some(SynthConfig::sx_full()),
-        "gdelt" => Some(SynthConfig::gdelt()),
-        "mag" => Some(SynthConfig::mag()),
-        _ => None,
-    };
-    match profile {
+    match SynthConfig::by_name(&args.dataset) {
         Some(p) => Ok(p
             .with_scale(args.scale)
             .with_node_scale(args.scale.powf(0.75))
@@ -169,14 +158,8 @@ fn is_store_file(path: &str) -> bool {
 }
 
 fn build_model(args: &Args, num_nodes: usize, feature_dim: usize) -> Result<MemoryTgnn, String> {
-    let base = match args.model.to_lowercase().as_str() {
-        "jodie" => ModelConfig::jodie(),
-        "tgn" => ModelConfig::tgn(),
-        "apan" => ModelConfig::apan(),
-        "dysat" => ModelConfig::dysat(),
-        "tgat" => ModelConfig::tgat(),
-        other => return Err(format!("unknown model {}", other)),
-    };
+    let base = ModelConfig::by_name(&args.model)
+        .ok_or_else(|| format!("unknown model {}", args.model.to_lowercase()))?;
     let mut cfg = base.with_dims(args.dim, (args.dim / 2).max(2));
     if cfg.sampling.count() > 4 {
         cfg = cfg.with_neighbors(4);

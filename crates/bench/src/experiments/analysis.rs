@@ -1,6 +1,7 @@
 //! Optimization and overhead analysis: Figure 13.
 
 use cascade_models::ModelConfig;
+use cascade_tgraph::SynthConfig;
 
 use crate::harness::StrategyKind;
 use crate::table::{f2, pct, TextTable};
@@ -143,7 +144,7 @@ pub fn fig13c(session: &Session) -> String {
         "Memory",
     ]);
     for name in ["WIKI", "REDDIT", "WIKI-TALK"] {
-        let paper_dim = super::session::profile_by_name(name)
+        let paper_dim = SynthConfig::by_name(name)
             .expect("known profile")
             .feature_dim;
         let events = session.dataset(name).num_events();

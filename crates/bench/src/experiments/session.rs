@@ -40,8 +40,8 @@ impl Session {
         if let Some(d) = self.datasets.borrow().get(name) {
             return d.clone();
         }
-        let profile =
-            profile_by_name(name).unwrap_or_else(|| panic!("unknown dataset profile '{}'", name));
+        let profile = SynthConfig::by_name(name)
+            .unwrap_or_else(|| panic!("unknown dataset profile '{}'", name));
         let d = self.harness.dataset(profile);
         self.datasets
             .borrow_mut()
@@ -60,20 +60,6 @@ impl Session {
         let out = self.harness.run(&data, model, strategy);
         self.runs.borrow_mut().insert(key, out.clone());
         out
-    }
-}
-
-/// Looks up a Table 2 profile by display name.
-pub fn profile_by_name(name: &str) -> Option<SynthConfig> {
-    match name {
-        "WIKI" => Some(SynthConfig::wiki()),
-        "REDDIT" => Some(SynthConfig::reddit()),
-        "MOOC" => Some(SynthConfig::mooc()),
-        "WIKI-TALK" => Some(SynthConfig::wiki_talk()),
-        "SX-FULL" => Some(SynthConfig::sx_full()),
-        "GDELT" => Some(SynthConfig::gdelt()),
-        "MAG" => Some(SynthConfig::mag()),
-        _ => None,
     }
 }
 
@@ -121,8 +107,8 @@ mod tests {
     #[test]
     fn profiles_resolve() {
         for name in MODERATE.iter().chain(LARGE) {
-            assert!(profile_by_name(name).is_some(), "{}", name);
+            assert!(SynthConfig::by_name(name).is_some(), "{}", name);
         }
-        assert!(profile_by_name("NOPE").is_none());
+        assert!(SynthConfig::by_name("NOPE").is_none());
     }
 }

@@ -57,7 +57,7 @@ impl StrategyKind {
     }
 
     /// Whether the paired model runs in TGLite execution mode.
-    pub fn lite_model(&self) -> bool {
+    fn lite_model(&self) -> bool {
         matches!(self, StrategyKind::TgLite | StrategyKind::CascadeLite)
     }
 

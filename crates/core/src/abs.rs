@@ -52,7 +52,7 @@ pub struct Abs {
 
 impl Abs {
     /// Number of batches sampled during profiling (the paper samples 50).
-    pub const PROFILE_SAMPLES: usize = 50;
+    const PROFILE_SAMPLES: usize = 50;
 
     /// Profiles `table` over `num_events` training events at the preset
     /// `batch_size` and constructs the sensor.
@@ -161,7 +161,7 @@ impl Abs {
 }
 
 /// Maximum Endurance Profiling (Figure 9): segments the stream into
-/// `batch_size` windows, samples up to [`Abs::PROFILE_SAMPLES`] of them,
+/// `batch_size` windows, samples up to 50 of them (the paper's count),
 /// and summarizes the per-batch maxima of per-node relevant-event counts.
 ///
 /// # Panics

@@ -165,7 +165,8 @@ pub struct StreamCheckpoint {
     pub start_event: usize,
     /// Serialized model state ([`MemoryTgnn::export_state`]).
     pub model: Vec<u8>,
-    /// Serialized optimizer state ([`Adam::export_state`]).
+    /// Serialized optimizer state
+    /// ([`Adam::export_state`](cascade_nn::Adam::export_state)).
     pub optimizer: Vec<u8>,
     /// Serialized strategy state
     /// ([`BatchingStrategy::export_state`]).

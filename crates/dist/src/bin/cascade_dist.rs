@@ -92,7 +92,7 @@ fn print_usage() {
     eprintln!(
         "cascade-dist: data-parallel TGNN training\n\n\
          --mode M       inproc|leader|follower            (default inproc)\n\
-         --dataset D    wiki|reddit|mooc                  (default wiki)\n\
+         --dataset D    wiki|reddit|mooc|wiki-talk|sx-full|gdelt|mag (default wiki)\n\
          --model M      jodie|tgn|apan|dysat|tgat         (default tgn)\n\
          --workers N    worker count                      (default 2)\n\
          --worker N     this follower's index, 1..N       (follower mode)\n\
@@ -109,24 +109,14 @@ fn print_usage() {
 }
 
 fn build_dataset(args: &Args) -> Result<Dataset, String> {
-    let profile = match args.dataset.to_lowercase().as_str() {
-        "wiki" => SynthConfig::wiki(),
-        "reddit" => SynthConfig::reddit(),
-        "mooc" => SynthConfig::mooc(),
-        other => return Err(format!("unknown dataset {}", other)),
-    };
+    let profile = SynthConfig::by_name(&args.dataset)
+        .ok_or_else(|| format!("unknown dataset {}", args.dataset.to_lowercase()))?;
     Ok(profile.with_scale(args.scale).generate(args.data_seed))
 }
 
 fn build_model_config(args: &Args) -> Result<ModelConfig, String> {
-    let base = match args.model.to_lowercase().as_str() {
-        "jodie" => ModelConfig::jodie(),
-        "tgn" => ModelConfig::tgn(),
-        "apan" => ModelConfig::apan(),
-        "dysat" => ModelConfig::dysat(),
-        "tgat" => ModelConfig::tgat(),
-        other => return Err(format!("unknown model {}", other)),
-    };
+    let base = ModelConfig::by_name(&args.model)
+        .ok_or_else(|| format!("unknown model {}", args.model.to_lowercase()))?;
     Ok(base.with_dims(args.dim, (args.dim / 2).max(2)))
 }
 

@@ -150,6 +150,19 @@ impl ModelConfig {
         }
     }
 
+    /// The model named `name`, case-insensitively: `jodie`, `tgn`,
+    /// `apan`, `dysat` or `tgat`.
+    pub fn by_name(name: &str) -> Option<ModelConfig> {
+        Some(match name.to_lowercase().as_str() {
+            "jodie" => ModelConfig::jodie(),
+            "tgn" => ModelConfig::tgn(),
+            "apan" => ModelConfig::apan(),
+            "dysat" => ModelConfig::dysat(),
+            "tgat" => ModelConfig::tgat(),
+            _ => return None,
+        })
+    }
+
     /// All five models in the paper's ordering (APAN, JODIE, TGN, DySAT,
     /// TGAT as plotted in Figures 10–16).
     pub fn all() -> Vec<ModelConfig> {
@@ -203,6 +216,19 @@ impl fmt::Display for ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn by_name_is_case_insensitive() {
+        for cfg in ModelConfig::all() {
+            let found = ModelConfig::by_name(&cfg.name.to_lowercase()).expect(cfg.name);
+            assert_eq!(found.name, cfg.name);
+            assert_eq!(
+                ModelConfig::by_name(cfg.name).map(|c| c.name),
+                Some(cfg.name)
+            );
+        }
+        assert!(ModelConfig::by_name("gcn").is_none());
+    }
 
     #[test]
     fn presets_match_table1() {

@@ -40,7 +40,6 @@ pub struct GatLayer {
     attn_src: Tensor,
     attn_dst: Tensor,
     in_dim: usize,
-    out_dim: usize,
 }
 
 impl GatLayer {
@@ -52,7 +51,6 @@ impl GatLayer {
             attn_src: xavier_uniform(out_dim, 1, seed.wrapping_add(2)),
             attn_dst: xavier_uniform(out_dim, 1, seed.wrapping_add(3)),
             in_dim,
-            out_dim,
         }
     }
 
@@ -131,16 +129,6 @@ impl GatLayer {
             &[ColBlock::Dense(neighbors.index_select(&rows))],
             &offsets,
         )
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
     }
 }
 

@@ -33,7 +33,6 @@ mod attention;
 mod linear;
 mod loss;
 mod module;
-mod norm;
 mod optim;
 mod predictor;
 mod recurrent;
@@ -43,7 +42,6 @@ pub use attention::GatLayer;
 pub use linear::{Linear, Mlp};
 pub use loss::{average_precision, bce_with_logits, bce_with_logits_sum, binary_accuracy};
 pub use module::{xavier_uniform, zeros_bias, Module};
-pub use norm::LayerNorm;
 pub use optim::{clip_grad_norm, Adam};
 pub use predictor::EdgePredictor;
 pub use recurrent::{GruCell, RnnCell};

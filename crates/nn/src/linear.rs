@@ -65,16 +65,6 @@ impl Linear {
     pub fn forward_cols(&self, x: &[ColBlock]) -> Tensor {
         Tensor::matmul_cols(x, &self.weight).add(&self.bias)
     }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
 }
 
 impl Module for Linear {
@@ -133,11 +123,6 @@ impl Mlp {
         }
         h
     }
-
-    /// Number of affine layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 impl Module for Mlp {
@@ -155,8 +140,6 @@ mod tests {
         let l = Linear::new(3, 5, 0);
         let x = Tensor::ones([2, 3]);
         assert_eq!(l.forward(&x).dims(), &[2, 5]);
-        assert_eq!(l.in_dim(), 3);
-        assert_eq!(l.out_dim(), 5);
     }
 
     #[test]
@@ -185,9 +168,8 @@ mod tests {
     }
 
     #[test]
-    fn mlp_depth_and_params() {
+    fn mlp_params() {
         let m = Mlp::new(&[4, 8, 2], 0);
-        assert_eq!(m.depth(), 2);
         assert_eq!(m.parameter_count(), 4 * 8 + 8 + 8 * 2 + 2);
     }
 

@@ -87,18 +87,6 @@ impl Adam {
         }
     }
 
-    /// Clears all parameter gradients without stepping.
-    pub fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    /// The learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
     /// Updates the learning rate (batch-size scaling, schedules).
     pub fn set_lr(&mut self, lr: f32) {
         self.lr = lr;

@@ -101,11 +101,6 @@ impl GruCell {
             ],
         )
     }
-
-    /// Hidden width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
 }
 
 impl Module for GruCell {
@@ -177,11 +172,6 @@ impl RnnCell {
             .add(&h.matmul(&self.w_h))
             .add(&self.b)
             .tanh()
-    }
-
-    /// Hidden width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
     }
 }
 

@@ -25,7 +25,6 @@ use crate::module::Module;
 pub struct TimeEncode {
     omega: Tensor,
     phase: Tensor,
-    dim: usize,
 }
 
 impl TimeEncode {
@@ -42,7 +41,6 @@ impl TimeEncode {
         TimeEncode {
             omega: Tensor::from_vec(omega, [1, dim]).requires_grad(),
             phase: Tensor::zeros([dim]).requires_grad(),
-            dim,
         }
     }
 
@@ -55,11 +53,6 @@ impl TimeEncode {
         assert_eq!(dts.dims().len(), 2, "TimeEncode input must be [B, 1]");
         assert_eq!(dts.dims()[1], 1, "TimeEncode input must be [B, 1]");
         Tensor::time_encode_fused(dts, &self.omega, &self.phase)
-    }
-
-    /// Encoding width.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 }
 

@@ -227,7 +227,7 @@ impl ScenarioRunner {
 
     /// Materializes the normalized stream as an in-memory [`Dataset`]
     /// (dist mode only — streaming modes never materialize).
-    pub fn realize_dataset(&self) -> Result<Dataset, ScenarioError> {
+    fn realize_dataset(&self) -> Result<Dataset, ScenarioError> {
         let inner = ScenarioSource::new(self.recipe.clone())?;
         let base = self.recipe.base_events();
         let dim = self.recipe.feature_dim;
@@ -253,19 +253,13 @@ impl ScenarioRunner {
 
     fn model_config(&self) -> Result<ModelConfig, ScenarioError> {
         let spec = &self.recipe.train;
-        let base = match spec.model.to_lowercase().as_str() {
-            "jodie" => ModelConfig::jodie(),
-            "tgn" => ModelConfig::tgn(),
-            "apan" => ModelConfig::apan(),
-            "dysat" => ModelConfig::dysat(),
-            "tgat" => ModelConfig::tgat(),
-            other => {
-                return Err(ScenarioError::new(format!(
-                    "recipe '{}' names unknown model '{}'",
-                    self.recipe.name, other
-                )))
-            }
-        };
+        let base = ModelConfig::by_name(&spec.model).ok_or_else(|| {
+            ScenarioError::new(format!(
+                "recipe '{}' names unknown model '{}'",
+                self.recipe.name,
+                spec.model.to_lowercase()
+            ))
+        })?;
         let mut cfg = base.with_dims(spec.dim, (spec.dim / 2).max(2));
         if cfg.sampling.count() > 4 {
             cfg = cfg.with_neighbors(4);

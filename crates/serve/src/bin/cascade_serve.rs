@@ -121,14 +121,8 @@ fn print_usage() {
 }
 
 fn build_model(args: &Args) -> Result<MemoryTgnn, String> {
-    let base = match args.arch.to_lowercase().as_str() {
-        "jodie" => ModelConfig::jodie(),
-        "tgn" => ModelConfig::tgn(),
-        "apan" => ModelConfig::apan(),
-        "dysat" => ModelConfig::dysat(),
-        "tgat" => ModelConfig::tgat(),
-        other => return Err(format!("unknown model {}", other)),
-    };
+    let base = ModelConfig::by_name(&args.arch)
+        .ok_or_else(|| format!("unknown model {}", args.arch.to_lowercase()))?;
     let mut cfg = base.with_dims(args.dim, (args.dim / 2).max(2));
     if cfg.sampling.count() > 4 {
         cfg = cfg.with_neighbors(4);

@@ -374,7 +374,7 @@ impl Engine {
     /// # Errors
     ///
     /// [`ServeError::Snapshot`] on checkpoint failures.
-    pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
+    fn snapshot_now(&mut self) -> Result<(), ServeError> {
         persist::save_snapshot(
             &self.front.model,
             &self.config.snapshot_path,

@@ -23,7 +23,7 @@ use cascade_store::{recover_log, ChunkWriter, StoreError, StoredChunk};
 use crate::error::ServeError;
 
 /// An open write-ahead log plus whatever was recovered from it.
-pub struct WalState {
+pub(crate) struct WalState {
     /// Writer positioned after the last recovered frame.
     pub writer: ChunkWriter,
     /// The log's frame unit: ingest sub-batches must not exceed this,
@@ -48,7 +48,7 @@ pub struct WalState {
 /// [`ServeError::Wal`] on store-level failures and
 /// [`ServeError::ShapeMismatch`] when an existing log disagrees with
 /// the model's node count or feature width.
-pub fn open_wal(
+pub(crate) fn open_wal(
     path: &Path,
     num_nodes: usize,
     feature_dim: usize,

@@ -46,7 +46,7 @@ impl LatencyHistogram {
 
     /// Estimated `q`-quantile in microseconds (upper bucket bound —
     /// log-bucket resolution, so within 2x of the true sample).
-    pub fn quantile_micros(&self, q: f64) -> u64 {
+    fn quantile_micros(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -63,7 +63,7 @@ impl LatencyHistogram {
     }
 
     /// Mean latency in microseconds.
-    pub fn mean_micros(&self) -> f64 {
+    fn mean_micros(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             0.0
@@ -73,7 +73,7 @@ impl LatencyHistogram {
     }
 
     /// Largest sample seen, in microseconds.
-    pub fn max_micros(&self) -> u64 {
+    fn max_micros(&self) -> u64 {
         self.max_micros.load(Ordering::Relaxed)
     }
 

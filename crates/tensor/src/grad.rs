@@ -187,7 +187,7 @@ impl Tensor {
     /// per thread of the backward thread's
     /// [`compute_budget`](crate::compute_budget), out of its arena),
     /// parking gradients of shared tensors in per-shard
-    /// [`GradSink`]s, then merges the sinks serially in shard-index order —
+    /// gradient sinks, then merges the sinks serially in shard-index order —
     /// making gradients bit-identical at any thread count.
     ///
     /// `shared` lists tensors at the shard-subgraph boundary that are

@@ -33,7 +33,9 @@
 //!
 //! # Scope
 //!
-//! Only what memory-based TGNNs need: broadcasting elementwise algebra,
+//! Only what memory-based TGNNs need: `add`, `sub` and `mul` over the
+//! three operand layouts the models use (same shape, an `[R, C] op [C]`
+//! bias row, an `[R, C] op [R, 1]` column; any other pair panics),
 //! rank-2 matmul, reductions, softmax, row gather/scatter, concatenation,
 //! fused TGNN kernels (GRU cell, time encoding, attention scoring), and a
 //! handful of activations. Tensors are `Send + Sync` (`Arc`-backed

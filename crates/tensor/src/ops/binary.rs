@@ -1,26 +1,22 @@
-//! Broadcasting elementwise binary operations: `add`, `sub`, `mul`, `div`.
+//! Elementwise binary operations: `add`, `sub`, `mul`.
 //!
-//! The forward pass classifies the operand shapes once into a
-//! [`Broadcast`] kind; the hot TGNN shapes — identical shapes, `[R, C] op
-//! [C]` bias rows, `[R, C] op [R, 1]` attention columns, and scalar
-//! operands — run as fused chunked-slice loops, while arbitrary NumPy
-//! broadcasting falls back to the general odometer walk. Backward closures
-//! own their upstream buffer and transform it in place wherever an operand
-//! shape matches the output, so the common case moves gradients without a
-//! single copy. Every fast-path reduction sweeps the output in flat
-//! row-major order, matching the general path bit for bit.
+//! The operands take one of three [`Layout`]s, the ones the models run:
+//! identical shapes, an `[R, C] op [C]` bias row (`[R, 1] + [1]` is its
+//! one-column case) and an `[R, C] op [R, 1]` column of per-row weights.
+//! Any other pair panics. The layout is classified once at forward time
+//! so both passes run a fused chunked-slice loop. Backward closures own
+//! their upstream buffer and transform it in place for `a`, whose shape
+//! is always the output's, so `a`'s gradient moves without a copy.
 
 use crate::arena;
 use crate::grad::GradCtx;
-use crate::shape::{advance_index, broadcast_offset, Shape};
 use crate::tensor::Tensor;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum BinOp {
     Add,
     Sub,
     Mul,
-    Div,
 }
 
 impl BinOp {
@@ -29,80 +25,30 @@ impl BinOp {
             BinOp::Add => a + b,
             BinOp::Sub => a - b,
             BinOp::Mul => a * b,
-            BinOp::Div => a / b,
         }
     }
 }
 
-/// Shape relationship of the two operands, classified once at forward
-/// time so both passes dispatch to the right fused loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Broadcast {
+/// How `b` lines up with `a`; the output always has `a`'s shape.
+#[derive(Clone, Copy)]
+enum Layout {
     /// Identical shapes.
     Same,
     /// `[R, C] op [C]`: bias-style row broadcast.
     Row { rows: usize, cols: usize },
     /// `[R, C] op [R, 1]`: attention-style column broadcast.
     Col { rows: usize, cols: usize },
-    /// `b` is a single element and the output has `a`'s shape.
-    ScalarB,
-    /// `a` is a single element and the output has `b`'s shape.
-    ScalarA,
-    /// Anything else: general odometer broadcasting.
-    General,
 }
 
-fn classify(a: &Tensor, b: &Tensor, out_dims: &[usize]) -> Broadcast {
+fn layout(a: &Tensor, b: &Tensor) -> Layout {
     if a.shape() == b.shape() {
-        return Broadcast::Same;
+        return Layout::Same;
     }
-    if b.len() == 1 && out_dims == a.dims() {
-        return Broadcast::ScalarB;
+    match (a.dims(), b.dims()) {
+        (&[rows, cols], &[c]) if c == cols => Layout::Row { rows, cols },
+        (&[rows, cols], &[r, 1]) if r == rows => Layout::Col { rows, cols },
+        _ => panic!("cannot broadcast {} with {}", a.shape(), b.shape()),
     }
-    if a.len() == 1 && out_dims == b.dims() {
-        return Broadcast::ScalarA;
-    }
-    if a.dims().len() == 2 && b.dims().len() == 1 && a.dims()[1] == b.dims()[0] {
-        return Broadcast::Row {
-            rows: a.dims()[0],
-            cols: a.dims()[1],
-        };
-    }
-    if a.dims().len() == 2 && b.dims().len() == 2 && a.dims()[0] == b.dims()[0] && b.dims()[1] == 1
-    {
-        return Broadcast::Col {
-            rows: a.dims()[0],
-            cols: a.dims()[1],
-        };
-    }
-    Broadcast::General
-}
-
-/// Sums `grad` (shaped `out_dims`) over the axes that were broadcast from
-/// `src_dims`, producing a gradient of the source shape (arena-backed).
-pub(crate) fn reduce_broadcast_grad(
-    grad: &[f32],
-    out_dims: &[usize],
-    src_dims: &[usize],
-) -> Vec<f32> {
-    if out_dims == src_dims {
-        return arena::take_copy(grad);
-    }
-    let src_len: usize = src_dims.iter().product::<usize>().max(1);
-    let mut out = arena::take_zeroed(src_len);
-    let src_shape = Shape::new(src_dims.to_vec());
-    let src_strides = src_shape.strides();
-    let mut idx = vec![0usize; out_dims.len()];
-    let mut flat = 0usize;
-    loop {
-        let off = broadcast_offset(&idx, src_dims, &src_strides);
-        out[off] += grad[flat];
-        flat += 1;
-        if !advance_index(&mut idx, out_dims) {
-            break;
-        }
-    }
-    out
 }
 
 /// Column sums: `out[c] = Σ_r w[r·cols + c]` in ascending-`r` order — the
@@ -130,46 +76,13 @@ fn reduce_to_col(w: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     out
 }
 
-fn total(w: &[f32]) -> f32 {
-    let mut acc = 0.0;
-    for &v in w {
-        acc += v;
-    }
-    acc
-}
-
-/// Materializes `src` (shaped `src_dims`) broadcast to `out_dims`
-/// (general path only; fast paths never expand).
-fn expand_slice(src: &[f32], src_dims: &[usize], out_dims: &[usize]) -> Vec<f32> {
-    if src_dims == out_dims {
-        return arena::take_copy(src);
-    }
-    let shape = Shape::new(src_dims.to_vec());
-    let strides = shape.strides();
-    let total: usize = out_dims.iter().product::<usize>().max(1);
-    let mut out = arena::take_empty(total);
-    let mut idx = vec![0usize; out_dims.len()];
-    loop {
-        out.push(src[broadcast_offset(&idx, src_dims, &strides)]);
-        if !advance_index(&mut idx, out_dims) {
-            break;
-        }
-    }
-    out
-}
-
 fn binary(a: &Tensor, b: &Tensor, op: BinOp) -> Tensor {
-    let out_shape = a
-        .shape()
-        .broadcast(b.shape())
-        .unwrap_or_else(|| panic!("cannot broadcast {} with {}", a.shape(), b.shape()));
-    let kind = classify(a, b, out_shape.dims());
-
+    let layout = layout(a, b);
     let a_data = a.data();
     let b_data = b.data();
-    let mut out = arena::take_empty(out_shape.len());
-    match kind {
-        Broadcast::Same => {
+    let mut out = arena::take_empty(a.len());
+    match layout {
+        Layout::Same => {
             out.extend(
                 a_data
                     .iter()
@@ -177,7 +90,7 @@ fn binary(a: &Tensor, b: &Tensor, op: BinOp) -> Tensor {
                     .map(|(&x, &y)| op.apply(x, y)),
             );
         }
-        Broadcast::Row { rows, cols } => {
+        Layout::Row { rows, cols } => {
             for r in 0..rows {
                 out.extend(
                     a_data[r * cols..(r + 1) * cols]
@@ -187,7 +100,7 @@ fn binary(a: &Tensor, b: &Tensor, op: BinOp) -> Tensor {
                 );
             }
         }
-        Broadcast::Col { rows, cols } => {
+        Layout::Col { rows, cols } => {
             for r in 0..rows {
                 let y = b_data[r];
                 out.extend(
@@ -197,264 +110,74 @@ fn binary(a: &Tensor, b: &Tensor, op: BinOp) -> Tensor {
                 );
             }
         }
-        Broadcast::ScalarB => {
-            let y = b_data[0];
-            out.extend(a_data.iter().map(|&x| op.apply(x, y)));
-        }
-        Broadcast::ScalarA => {
-            let x = a_data[0];
-            out.extend(b_data.iter().map(|&y| op.apply(x, y)));
-        }
-        Broadcast::General => {
-            let out_dims = out_shape.dims();
-            let a_strides = a.shape().strides();
-            let b_strides = b.shape().strides();
-            if !out_shape.is_empty() {
-                let mut idx = vec![0usize; out_dims.len()];
-                loop {
-                    let ai = broadcast_offset(&idx, a.dims(), &a_strides);
-                    let bi = broadcast_offset(&idx, b.dims(), &b_strides);
-                    out.push(op.apply(a_data[ai], b_data[bi]));
-                    if !advance_index(&mut idx, out_dims) {
-                        break;
-                    }
-                }
-            }
-        }
     }
     drop(a_data);
     drop(b_data);
 
-    let out_dims = out_shape.dims().to_vec();
     Tensor::from_op(
         out,
-        out_shape,
+        a.shape().clone(),
         vec![a.clone(), b.clone()],
         Box::new(move |_out, grad, parents, ctx: &mut GradCtx| {
-            backward(op, kind, grad, &out_dims, parents, ctx);
+            backward(op, layout, grad, parents, ctx);
         }),
     )
 }
 
 /// Routes the owned upstream buffer into the operand gradients.
 ///
-/// Accumulation order is always `a` then `b` for every kind, and `b`'s
-/// reductions are computed *before* the buffer is consumed for `a`, so the
-/// float accumulation order is a pure function of the shapes.
-fn backward(
-    op: BinOp,
-    kind: Broadcast,
-    mut grad: Vec<f32>,
-    out_dims: &[usize],
-    parents: &[Tensor],
-    ctx: &mut GradCtx,
-) {
+/// `b`'s gradient is computed *before* the buffer is consumed for `a`, and
+/// accumulation order is always `a` then `b`, so the float accumulation
+/// order is a pure function of the shapes.
+fn backward(op: BinOp, layout: Layout, mut grad: Vec<f32>, parents: &[Tensor], ctx: &mut GradCtx) {
     let (a, b) = (&parents[0], &parents[1]);
     let (a_req, b_req) = (a.is_requires_grad(), b.is_requires_grad());
     if !a_req && !b_req {
         arena::recycle(grad);
         return;
     }
-    if kind == Broadcast::General {
-        general_backward(op, grad, out_dims, a, b, a_req, b_req, ctx);
-        return;
-    }
-    match op {
+    // d/db: ±g (Add, Sub) or g ⊙ a (Mul), reduced to b's shape. Reducing
+    // first and negating the (exact) sums afterwards is bit-identical to
+    // negating before reducing.
+    let gb = b_req.then(|| match op {
         BinOp::Add | BinOp::Sub => {
-            // d/da = g; d/db = ±g reduced over the broadcast axes. Reducing
-            // first and negating the (exact) sums afterwards is bit-identical
-            // to negating before reducing.
-            let negate_b = op == BinOp::Sub;
-            if kind == Broadcast::ScalarA {
-                if a_req {
-                    ctx.accumulate(a, &[total(&grad)]);
-                }
-                if b_req {
-                    if negate_b {
-                        for g in grad.iter_mut() {
-                            *g = -*g;
-                        }
-                    }
-                    ctx.accumulate_owned(b, grad);
-                } else {
-                    arena::recycle(grad);
-                }
-                return;
-            }
-            let gb = if b_req {
-                let mut gb = match kind {
-                    Broadcast::Same => arena::take_copy(&grad),
-                    Broadcast::Row { rows, cols } => reduce_to_row(&grad, rows, cols),
-                    Broadcast::Col { rows, cols } => reduce_to_col(&grad, rows, cols),
-                    Broadcast::ScalarB => arena::take_copy(&[total(&grad)]),
-                    Broadcast::ScalarA | Broadcast::General => unreachable!(),
-                };
-                if negate_b {
-                    for g in gb.iter_mut() {
-                        *g = -*g;
-                    }
-                }
-                Some(gb)
-            } else {
-                None
+            let mut gb = match layout {
+                Layout::Same => arena::take_copy(&grad),
+                Layout::Row { rows, cols } => reduce_to_row(&grad, rows, cols),
+                Layout::Col { rows, cols } => reduce_to_col(&grad, rows, cols),
             };
-            if a_req {
-                ctx.accumulate_owned(a, grad);
-            } else {
-                arena::recycle(grad);
-            }
-            if let Some(gb) = gb {
-                ctx.accumulate_owned(b, gb);
-            }
-        }
-        BinOp::Mul => {
-            // d/da = g ⊙ b (reduced to a); d/db = g ⊙ a (reduced to b).
-            let a_data = a.data();
-            let b_data = b.data();
-            let gb = if b_req {
-                Some(mul_grad_for_b(kind, &grad, &a_data))
-            } else {
-                None
-            };
-            if a_req {
-                scale_by_b(kind, &mut grad, &b_data);
-                if kind == Broadcast::ScalarA {
-                    ctx.accumulate(a, &[total(&grad)]);
-                    arena::recycle(grad);
-                } else {
-                    ctx.accumulate_owned(a, grad);
+            if op == BinOp::Sub {
+                for g in gb.iter_mut() {
+                    *g = -*g;
                 }
-            } else {
-                arena::recycle(grad);
             }
-            if let Some(gb) = gb {
-                ctx.accumulate_owned(b, gb);
-            }
+            gb
         }
-        BinOp::Div => {
-            // d/da = g / b; d/db = -g ⊙ a / b² (reduced to b).
-            let a_data = a.data();
-            let b_data = b.data();
-            let gb = if b_req {
-                Some(div_grad_for_b(kind, &grad, &a_data, &b_data))
-            } else {
-                None
-            };
-            if a_req {
-                inv_scale_by_b(kind, &mut grad, &b_data);
-                if kind == Broadcast::ScalarA {
-                    ctx.accumulate(a, &[total(&grad)]);
-                    arena::recycle(grad);
-                } else {
-                    ctx.accumulate_owned(a, grad);
-                }
-            } else {
-                arena::recycle(grad);
-            }
-            if let Some(gb) = gb {
-                ctx.accumulate_owned(b, gb);
-            }
+        BinOp::Mul => mul_grad_for_b(layout, &grad, &a.data()),
+    });
+    // d/da: g (Add, Sub) or g ⊙ b (Mul), already a's shape.
+    if a_req {
+        if op == BinOp::Mul {
+            scale_by_b(layout, &mut grad, &b.data());
         }
+        ctx.accumulate_owned(a, grad);
+    } else {
+        arena::recycle(grad);
+    }
+    if let Some(gb) = gb {
+        ctx.accumulate_owned(b, gb);
     }
 }
 
-/// General-path backward: materialize the broadcast weights with the
-/// odometer walk, reduce in flat row-major order. This is byte-for-byte
-/// the historical semantics; it only runs for exotic shape pairs.
-#[allow(clippy::too_many_arguments)]
-fn general_backward(
-    op: BinOp,
-    grad: Vec<f32>,
-    out_dims: &[usize],
-    a: &Tensor,
-    b: &Tensor,
-    a_req: bool,
-    b_req: bool,
-    ctx: &mut GradCtx,
-) {
-    match op {
-        BinOp::Add | BinOp::Sub => {
-            if a_req {
-                ctx.accumulate_owned(a, reduce_broadcast_grad(&grad, out_dims, a.dims()));
-            }
-            if b_req {
-                let mut gb = reduce_broadcast_grad(&grad, out_dims, b.dims());
-                if op == BinOp::Sub {
-                    for g in gb.iter_mut() {
-                        *g = -*g;
-                    }
-                }
-                ctx.accumulate_owned(b, gb);
-            }
-        }
-        BinOp::Mul => {
-            let a_data = a.data();
-            let b_data = b.data();
-            if a_req {
-                let b_vals = expand_slice(&b_data, b.dims(), out_dims);
-                let mut w = arena::take_empty(grad.len());
-                w.extend(grad.iter().zip(b_vals.iter()).map(|(&g, &v)| g * v));
-                arena::recycle(b_vals);
-                let ga = reduce_broadcast_grad(&w, out_dims, a.dims());
-                arena::recycle(w);
-                ctx.accumulate_owned(a, ga);
-            }
-            if b_req {
-                let a_vals = expand_slice(&a_data, a.dims(), out_dims);
-                let mut w = arena::take_empty(grad.len());
-                w.extend(grad.iter().zip(a_vals.iter()).map(|(&g, &v)| g * v));
-                arena::recycle(a_vals);
-                let gb = reduce_broadcast_grad(&w, out_dims, b.dims());
-                arena::recycle(w);
-                ctx.accumulate_owned(b, gb);
-            }
-        }
-        BinOp::Div => {
-            let a_data = a.data();
-            let b_data = b.data();
-            let b_vals = expand_slice(&b_data, b.dims(), out_dims);
-            if a_req {
-                let mut w = arena::take_empty(grad.len());
-                w.extend(grad.iter().zip(b_vals.iter()).map(|(&g, &bv)| g / bv));
-                let ga = reduce_broadcast_grad(&w, out_dims, a.dims());
-                arena::recycle(w);
-                ctx.accumulate_owned(a, ga);
-            }
-            if b_req {
-                let a_vals = expand_slice(&a_data, a.dims(), out_dims);
-                let mut w = arena::take_empty(grad.len());
-                w.extend(
-                    grad.iter()
-                        .zip(a_vals.iter().zip(b_vals.iter()))
-                        .map(|(&g, (&av, &bv))| -g * av / (bv * bv)),
-                );
-                arena::recycle(a_vals);
-                let gb = reduce_broadcast_grad(&w, out_dims, b.dims());
-                arena::recycle(w);
-                ctx.accumulate_owned(b, gb);
-            }
-            arena::recycle(b_vals);
-        }
-    }
-    arena::recycle(grad);
-}
-
-/// `Mul` backward for `b`: `g ⊙ a` reduced to `b`'s shape (fast kinds).
-fn mul_grad_for_b(kind: Broadcast, grad: &[f32], a_data: &[f32]) -> Vec<f32> {
-    match kind {
-        Broadcast::Same => {
+/// `Mul` backward for `b`: `g ⊙ a` reduced to `b`'s shape.
+fn mul_grad_for_b(layout: Layout, grad: &[f32], a_data: &[f32]) -> Vec<f32> {
+    match layout {
+        Layout::Same => {
             let mut gb = arena::take_empty(grad.len());
             gb.extend(grad.iter().zip(a_data.iter()).map(|(&g, &x)| g * x));
             gb
         }
-        Broadcast::ScalarA => {
-            // a is the scalar: b's gradient has the output shape.
-            let av = a_data[0];
-            let mut gb = arena::take_empty(grad.len());
-            gb.extend(grad.iter().map(|&g| g * av));
-            gb
-        }
-        Broadcast::Row { rows, cols } => {
+        Layout::Row { rows, cols } => {
             let mut gb = arena::take_zeroed(cols);
             for r in 0..rows {
                 let base = r * cols;
@@ -464,7 +187,7 @@ fn mul_grad_for_b(kind: Broadcast, grad: &[f32], a_data: &[f32]) -> Vec<f32> {
             }
             gb
         }
-        Broadcast::Col { rows, cols } => {
+        Layout::Col { rows, cols } => {
             let mut gb = arena::take_empty(rows);
             for r in 0..rows {
                 let base = r * cols;
@@ -476,177 +199,64 @@ fn mul_grad_for_b(kind: Broadcast, grad: &[f32], a_data: &[f32]) -> Vec<f32> {
             }
             gb
         }
-        Broadcast::ScalarB => {
-            let mut acc = 0.0;
-            for (&g, &x) in grad.iter().zip(a_data.iter()) {
-                acc += g * x;
-            }
-            arena::take_copy(&[acc])
-        }
-        Broadcast::General => unreachable!("general kind handled by general_backward"),
-    }
-}
-
-/// `Div` backward for `b`: `-g ⊙ a / b²` reduced to `b`'s shape.
-fn div_grad_for_b(kind: Broadcast, grad: &[f32], a_data: &[f32], b_data: &[f32]) -> Vec<f32> {
-    match kind {
-        Broadcast::Same => {
-            let mut gb = arena::take_empty(grad.len());
-            gb.extend(
-                grad.iter()
-                    .zip(a_data.iter().zip(b_data.iter()))
-                    .map(|(&g, (&av, &bv))| -g * av / (bv * bv)),
-            );
-            gb
-        }
-        Broadcast::ScalarA => {
-            let av = a_data[0];
-            let mut gb = arena::take_empty(grad.len());
-            gb.extend(
-                grad.iter()
-                    .zip(b_data.iter())
-                    .map(|(&g, &bv)| -g * av / (bv * bv)),
-            );
-            gb
-        }
-        Broadcast::Row { rows, cols } => {
-            let mut gb = arena::take_zeroed(cols);
-            for r in 0..rows {
-                let base = r * cols;
-                for c in 0..cols {
-                    let bv = b_data[c];
-                    gb[c] += -grad[base + c] * a_data[base + c] / (bv * bv);
-                }
-            }
-            gb
-        }
-        Broadcast::Col { rows, cols } => {
-            let mut gb = arena::take_empty(rows);
-            for (r, &bv) in b_data.iter().enumerate().take(rows) {
-                let base = r * cols;
-                let mut acc = 0.0;
-                for c in 0..cols {
-                    acc += -grad[base + c] * a_data[base + c] / (bv * bv);
-                }
-                gb.push(acc);
-            }
-            gb
-        }
-        Broadcast::ScalarB => {
-            let bv = b_data[0];
-            let mut acc = 0.0;
-            for (&g, &av) in grad.iter().zip(a_data.iter()) {
-                acc += -g * av / (bv * bv);
-            }
-            arena::take_copy(&[acc])
-        }
-        Broadcast::General => unreachable!("general kind handled by general_backward"),
     }
 }
 
 /// Scales the owned upstream by broadcast `b` in place (`Mul` backward
-/// for `a`; for `ScalarA` the result still needs a total reduction).
-fn scale_by_b(kind: Broadcast, grad: &mut [f32], b_data: &[f32]) {
-    match kind {
-        Broadcast::Same | Broadcast::ScalarA => {
-            for (g, &bv) in grad.iter_mut().zip(b_data.iter()) {
-                *g *= bv;
-            }
-        }
-        Broadcast::Row { rows, cols } => {
-            for r in 0..rows {
-                for (g, &bv) in grad[r * cols..(r + 1) * cols].iter_mut().zip(b_data.iter()) {
-                    *g *= bv;
-                }
-            }
-        }
-        Broadcast::Col { rows, cols } => {
-            for r in 0..rows {
-                let bv = b_data[r];
-                for g in grad[r * cols..(r + 1) * cols].iter_mut() {
-                    *g *= bv;
-                }
-            }
-        }
-        Broadcast::ScalarB => {
-            let bv = b_data[0];
-            for g in grad.iter_mut() {
-                *g *= bv;
-            }
-        }
-        Broadcast::General => unreachable!("general kind handled by general_backward"),
-    }
-}
-
-/// Divides the owned upstream by broadcast `b` in place (`Div` backward
 /// for `a`).
-fn inv_scale_by_b(kind: Broadcast, grad: &mut [f32], b_data: &[f32]) {
-    match kind {
-        Broadcast::Same | Broadcast::ScalarA => {
+fn scale_by_b(layout: Layout, grad: &mut [f32], b_data: &[f32]) {
+    match layout {
+        Layout::Same => {
             for (g, &bv) in grad.iter_mut().zip(b_data.iter()) {
-                *g /= bv;
+                *g *= bv;
             }
         }
-        Broadcast::Row { rows, cols } => {
+        Layout::Row { rows, cols } => {
             for r in 0..rows {
                 for (g, &bv) in grad[r * cols..(r + 1) * cols].iter_mut().zip(b_data.iter()) {
-                    *g /= bv;
+                    *g *= bv;
                 }
             }
         }
-        Broadcast::Col { rows, cols } => {
+        Layout::Col { rows, cols } => {
             for r in 0..rows {
                 let bv = b_data[r];
                 for g in grad[r * cols..(r + 1) * cols].iter_mut() {
-                    *g /= bv;
+                    *g *= bv;
                 }
             }
         }
-        Broadcast::ScalarB => {
-            let bv = b_data[0];
-            for g in grad.iter_mut() {
-                *g /= bv;
-            }
-        }
-        Broadcast::General => unreachable!("general kind handled by general_backward"),
     }
 }
 
 impl Tensor {
-    /// Elementwise addition with NumPy-style broadcasting.
+    /// Elementwise addition: `other` has this tensor's shape, is a `[C]`
+    /// row added to every row of this `[R, C]` tensor, or is an `[R, 1]`
+    /// column added across each row.
     ///
     /// # Panics
     ///
-    /// Panics if the shapes cannot be broadcast together.
+    /// Panics if the shapes form none of those three layouts.
     pub fn add(&self, other: &Tensor) -> Tensor {
         binary(self, other, BinOp::Add)
     }
 
-    /// Elementwise subtraction with broadcasting.
+    /// Elementwise subtraction, in the layouts of [`Tensor::add`].
     ///
     /// # Panics
     ///
-    /// Panics if the shapes cannot be broadcast together.
+    /// Panics if the shapes form none of those three layouts.
     pub fn sub(&self, other: &Tensor) -> Tensor {
         binary(self, other, BinOp::Sub)
     }
 
-    /// Elementwise multiplication with broadcasting.
+    /// Elementwise multiplication, in the layouts of [`Tensor::add`].
     ///
     /// # Panics
     ///
-    /// Panics if the shapes cannot be broadcast together.
+    /// Panics if the shapes form none of those three layouts.
     pub fn mul(&self, other: &Tensor) -> Tensor {
         binary(self, other, BinOp::Mul)
-    }
-
-    /// Elementwise division with broadcasting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes cannot be broadcast together.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        binary(self, other, BinOp::Div)
     }
 
     /// Adds a scalar to every element (single-parent fused op: no scalar
@@ -708,12 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn sub_mul_div() {
+    fn sub_mul() {
         let a = Tensor::from_vec(vec![6.0, 8.0], [2]);
         let b = Tensor::from_vec(vec![2.0, 4.0], [2]);
         assert_eq!(a.sub(&b).to_vec(), vec![4.0, 4.0]);
         assert_eq!(a.mul(&b).to_vec(), vec![12.0, 32.0]);
-        assert_eq!(a.div(&b).to_vec(), vec![3.0, 2.0]);
     }
 
     #[test]
@@ -739,11 +348,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot broadcast")]
     fn incompatible_shapes_panic() {
-        let a = Tensor::zeros([2, 3]);
-        let b = Tensor::zeros([2, 4]);
-        let _ = a.add(&b);
+        // Every pair outside the three layouts, including the shapes
+        // general NumPy broadcasting, a scalar on the left and a scalar
+        // on the right of a matrix would accept.
+        type Op = fn(&Tensor, &Tensor) -> Tensor;
+        let cases: [(&[usize], &[usize], Op); 5] = [
+            (&[2, 3], &[2, 4], Tensor::add),
+            (&[2, 1], &[3], Tensor::mul),
+            (&[1], &[2], Tensor::sub),
+            (&[2, 3], &[1], Tensor::add),
+            (&[4], &[1], Tensor::add),
+        ];
+        for (a, b, op) in cases {
+            let (a, b) = (Tensor::zeros(a), Tensor::zeros(b));
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&a, &b)))
+                .expect_err(&format!("{} with {} should panic", a.shape(), b.shape()));
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("cannot broadcast"), "{}", msg);
+        }
     }
 
     #[test]
@@ -758,21 +381,37 @@ mod tests {
     }
 
     #[test]
+    fn one_column_bias_matches_a_hand_written_loop() {
+        // `[R, 1] + [1]`: the predictor's last layer. Forward adds the
+        // one bias to every row; the bias gradient sums the upstream in
+        // ascending row order from 0.0.
+        let rows = 7;
+        let x = Tensor::randn([rows, 1], 3).requires_grad();
+        let bias = Tensor::randn([1], 4).requires_grad();
+        let up = Tensor::randn([rows, 1], 5);
+        let out = x.add(&bias);
+        let (xv, bv, upv) = (x.to_vec(), bias.to_vec(), up.to_vec());
+        let want: Vec<u32> = xv.iter().map(|&v| (v + bv[0]).to_bits()).collect();
+        let got: Vec<u32> = out.to_vec().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
+
+        out.mul(&up).sum().backward();
+        let mut bias_grad = 0.0f32;
+        for &g in &upv {
+            bias_grad += g;
+        }
+        let bits = |v: Vec<f32>| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(x.grad().unwrap()), bits(upv));
+        assert_eq!(bits(bias.grad().unwrap()), bits(vec![bias_grad]));
+    }
+
+    #[test]
     fn mul_backward_products() {
         let a = Tensor::from_vec(vec![2.0, 3.0], [2]).requires_grad();
         let b = Tensor::from_vec(vec![5.0, 7.0], [2]).requires_grad();
         a.mul(&b).sum().backward();
         assert_eq!(a.grad().unwrap(), vec![5.0, 7.0]);
         assert_eq!(b.grad().unwrap(), vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn div_backward() {
-        let a = Tensor::from_vec(vec![6.0], [1]).requires_grad();
-        let b = Tensor::from_vec(vec![2.0], [1]).requires_grad();
-        a.div(&b).sum().backward();
-        assert_eq!(a.grad().unwrap(), vec![0.5]);
-        assert_eq!(b.grad().unwrap(), vec![-1.5]);
     }
 
     #[test]
@@ -783,34 +422,5 @@ mod tests {
         assert_eq!(a.grad().unwrap(), vec![10.0, 10.0, 100.0, 100.0]);
         // column grad is the row sum of a
         assert_eq!(col.grad().unwrap(), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn scalar_tensor_operand_backward() {
-        // [2,2] op [1] exercises the ScalarB kind on both passes.
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]).requires_grad();
-        let s = Tensor::from_vec(vec![2.0], [1]).requires_grad();
-        a.mul(&s).sum().backward();
-        assert_eq!(a.grad().unwrap(), vec![2.0; 4]);
-        assert_eq!(s.grad().unwrap(), vec![10.0]);
-
-        // ScalarA: scalar on the left of a subtraction.
-        let s2 = Tensor::from_vec(vec![5.0], [1]).requires_grad();
-        let b = Tensor::from_vec(vec![1.0, 2.0], [2]).requires_grad();
-        s2.sub(&b).sum().backward();
-        assert_eq!(s2.grad().unwrap(), vec![2.0]);
-        assert_eq!(b.grad().unwrap(), vec![-1.0, -1.0]);
-    }
-
-    #[test]
-    fn general_broadcast_backward() {
-        // [2,1] * [3] -> [2,3] takes the general odometer path.
-        let a = Tensor::from_vec(vec![2.0, 3.0], [2, 1]).requires_grad();
-        let b = Tensor::from_vec(vec![1.0, 10.0, 100.0], [3]).requires_grad();
-        let out = a.mul(&b);
-        assert_eq!(out.to_vec(), vec![2.0, 20.0, 200.0, 3.0, 30.0, 300.0]);
-        out.sum().backward();
-        assert_eq!(a.grad().unwrap(), vec![111.0, 111.0]);
-        assert_eq!(b.grad().unwrap(), vec![5.0, 5.0, 5.0]);
     }
 }

@@ -524,7 +524,7 @@ mod tests {
     #[test]
     fn identity_is_neutral() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
-        let i = Tensor::eye(2);
+        let i = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]);
         assert_eq!(a.matmul(&i).to_vec(), a.to_vec());
         assert_eq!(i.matmul(&a).to_vec(), a.to_vec());
     }

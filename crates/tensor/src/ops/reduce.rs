@@ -92,17 +92,6 @@ impl Tensor {
         )
     }
 
-    /// Mean over `axis`, removing that dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis` is out of range or has size 0.
-    pub fn mean_axis(&self, axis: usize) -> Tensor {
-        let n = self.dims()[axis];
-        assert!(n > 0, "mean over empty axis");
-        self.sum_axis(axis).mul_scalar(1.0 / n as f32)
-    }
-
     /// Numerically stable softmax over the last axis.
     ///
     /// For a rank-2 tensor this is the familiar row softmax used by
@@ -181,7 +170,6 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
         assert_eq!(t.sum_axis(0).to_vec(), vec![5.0, 7.0, 9.0]);
         assert_eq!(t.sum_axis(1).to_vec(), vec![6.0, 15.0]);
-        assert_eq!(t.mean_axis(1).to_vec(), vec![2.0, 5.0]);
     }
 
     #[test]

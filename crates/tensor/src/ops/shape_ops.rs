@@ -1,4 +1,4 @@
-//! Shape manipulation: `reshape`, `transpose`, `concat`, and row slicing.
+//! Shape manipulation: `reshape`, `concat`, and row slicing.
 //!
 //! `reshape` (and full-range `slice_rows`) are zero-copy views: they share
 //! the source's `Arc` buffer and rely on copy-on-write in the storage
@@ -41,49 +41,6 @@ impl Tensor {
                 } else {
                     arena::recycle(grad);
                 }
-            }),
-        )
-    }
-
-    /// Transpose of a rank-2 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank-2.
-    pub fn transpose(&self) -> Tensor {
-        assert_eq!(
-            self.dims().len(),
-            2,
-            "transpose requires rank-2, got {}",
-            self.shape()
-        );
-        let (m, n) = (self.dims()[0], self.dims()[1]);
-        let data = self.data();
-        let mut out = arena::take_zeroed(m * n);
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = data[i * n + j];
-            }
-        }
-        drop(data);
-        Tensor::from_op(
-            out,
-            Shape::new(vec![n, m]),
-            vec![self.clone()],
-            Box::new(move |_out, grad, parents, ctx: &mut GradCtx| {
-                let p = &parents[0];
-                if !p.is_requires_grad() {
-                    arena::recycle(grad);
-                    return;
-                }
-                let mut g = arena::take_zeroed(m * n);
-                for j in 0..n {
-                    for i in 0..m {
-                        g[i * n + j] = grad[j * m + i];
-                    }
-                }
-                arena::recycle(grad);
-                ctx.accumulate_owned(p, g);
             }),
         )
     }
@@ -243,23 +200,6 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]).requires_grad();
         t.reshape([4]).mul_scalar(2.0).sum().backward();
         assert_eq!(t.grad().unwrap(), vec![2.0; 4]);
-    }
-
-    #[test]
-    fn transpose_square_and_rect() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
-        let tt = t.transpose();
-        assert_eq!(tt.dims(), &[3, 2]);
-        assert_eq!(tt.to_vec(), vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-    }
-
-    #[test]
-    fn transpose_backward() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]).requires_grad();
-        let w = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0], [2, 2]);
-        t.transpose().mul(&w).sum().backward();
-        // Only out[0][0] contributes, which is t[0][0].
-        assert_eq!(t.grad().unwrap(), vec![1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

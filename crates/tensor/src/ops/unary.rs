@@ -58,11 +58,6 @@ impl Tensor {
         unary(self, f32::ln, |x, _| 1.0 / x)
     }
 
-    /// Elementwise square root.
-    pub fn sqrt(&self) -> Tensor {
-        unary(self, f32::sqrt, |_, y| 0.5 / y)
-    }
-
     /// Elementwise square.
     pub fn square(&self) -> Tensor {
         unary(self, |x| x * x, |x, _| 2.0 * x)
@@ -108,20 +103,6 @@ impl Tensor {
     /// Elementwise cosine (used by sinusoidal time encodings).
     pub fn cos(&self) -> Tensor {
         unary(self, f32::cos, |x, _| -x.sin())
-    }
-
-    /// Elementwise power with constant exponent.
-    pub fn powf(&self, e: f32) -> Tensor {
-        unary(self, move |x| x.powf(e), move |x, _| e * x.powf(e - 1.0))
-    }
-
-    /// Clamps every element into `[lo, hi]` (zero gradient outside).
-    pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        unary(
-            self,
-            move |x| x.clamp(lo, hi),
-            move |x, _| if x >= lo && x <= hi { 1.0 } else { 0.0 },
-        )
     }
 }
 
@@ -177,21 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn square_and_sqrt_backward() {
+    fn square_backward() {
         let t = Tensor::from_vec(vec![3.0], [1]).requires_grad();
         t.square().sum().backward();
         assert!(close(t.grad().unwrap()[0], 6.0));
-
-        let u = Tensor::from_vec(vec![4.0], [1]).requires_grad();
-        u.sqrt().sum().backward();
-        assert!(close(u.grad().unwrap()[0], 0.25));
-    }
-
-    #[test]
-    fn clamp_gradient_gates() {
-        let t = Tensor::from_vec(vec![-2.0, 0.5, 2.0], [3]).requires_grad();
-        t.clamp(0.0, 1.0).sum().backward();
-        assert_eq!(t.grad().unwrap(), vec![0.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Tensor shapes and the index arithmetic used by every operation.
+//! Tensor shapes.
 
 use std::fmt;
 
@@ -15,7 +15,6 @@ use std::fmt;
 ///
 /// let s = Shape::new(vec![2, 3]);
 /// assert_eq!(s.len(), 6);
-/// assert_eq!(s.ndim(), 2);
 /// assert_eq!(s.dims(), &[2, 3]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
@@ -39,11 +38,6 @@ impl Shape {
         &self.dims
     }
 
-    /// Number of dimensions (rank).
-    pub fn ndim(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Total number of elements (product of dimensions; 1 for scalars).
     pub fn len(&self) -> usize {
         self.dims.iter().product()
@@ -52,70 +46,6 @@ impl Shape {
     /// `true` if the shape contains zero elements (some dimension is 0).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Size of dimension `axis`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= self.ndim()`.
-    pub fn dim(&self, axis: usize) -> usize {
-        self.dims[axis]
-    }
-
-    /// Row-major strides for this shape (in elements, not bytes).
-    ///
-    /// ```
-    /// use cascade_tensor::Shape;
-    /// assert_eq!(Shape::new(vec![2, 3, 4]).strides(), vec![12, 4, 1]);
-    /// ```
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
-    /// Computes the broadcast of two shapes following NumPy semantics.
-    ///
-    /// Dimensions are aligned from the trailing side; a dimension of size 1
-    /// stretches to match the other operand.
-    ///
-    /// Returns `None` if the shapes are incompatible.
-    ///
-    /// ```
-    /// use cascade_tensor::Shape;
-    /// let a = Shape::new(vec![4, 1]);
-    /// let b = Shape::new(vec![3]);
-    /// assert_eq!(a.broadcast(&b), Some(Shape::new(vec![4, 3])));
-    /// ```
-    pub fn broadcast(&self, other: &Shape) -> Option<Shape> {
-        let n = self.ndim().max(other.ndim());
-        let mut dims = vec![0; n];
-        for i in 0..n {
-            let a = dim_from_end(&self.dims, i);
-            let b = dim_from_end(&other.dims, i);
-            let d = if a == b {
-                a
-            } else if a == 1 {
-                b
-            } else if b == 1 {
-                a
-            } else {
-                return None;
-            };
-            dims[n - 1 - i] = d;
-        }
-        Some(Shape { dims })
-    }
-}
-
-fn dim_from_end(dims: &[usize], i: usize) -> usize {
-    if i < dims.len() {
-        dims[dims.len() - 1 - i]
-    } else {
-        1
     }
 }
 
@@ -149,110 +79,15 @@ impl<const N: usize> From<[usize; N]> for Shape {
     }
 }
 
-/// Iterates over all multi-dimensional indices of `shape` in row-major
-/// order, mapping each to the flat offset of a *broadcast source* with the
-/// given source dims.
-///
-/// Used to implement broadcasting without materializing the expanded
-/// operand.
-pub(crate) fn broadcast_offset(
-    out_idx: &[usize],
-    src_dims: &[usize],
-    src_strides: &[usize],
-) -> usize {
-    let offset_dims = out_idx.len() - src_dims.len();
-    let mut off = 0;
-    for (i, (&d, &s)) in src_dims.iter().zip(src_strides.iter()).enumerate() {
-        let idx = out_idx[offset_dims + i];
-        // A size-1 source dim is stretched: index 0 regardless of out index.
-        off += if d == 1 { 0 } else { idx * s };
-    }
-    off
-}
-
-/// Advances a row-major multi-index in place; returns `false` on wrap-around.
-pub(crate) fn advance_index(idx: &mut [usize], dims: &[usize]) -> bool {
-    for i in (0..dims.len()).rev() {
-        idx[i] += 1;
-        if idx[i] < dims[i] {
-            return true;
-        }
-        idx[i] = 0;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn strides_are_row_major() {
-        assert_eq!(Shape::new(vec![2, 3, 4]).strides(), vec![12, 4, 1]);
-        assert_eq!(Shape::new(vec![5]).strides(), vec![1]);
-        assert_eq!(Shape::scalar().strides(), Vec::<usize>::new());
-    }
-
-    #[test]
     fn scalar_shape_has_one_element() {
         let s = Shape::scalar();
         assert_eq!(s.len(), 1);
-        assert_eq!(s.ndim(), 0);
+        assert!(s.dims().is_empty());
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn broadcast_matching() {
-        let a = Shape::new(vec![2, 3]);
-        assert_eq!(a.broadcast(&a), Some(a.clone()));
-    }
-
-    #[test]
-    fn broadcast_row_vector() {
-        let a = Shape::new(vec![4, 3]);
-        let b = Shape::new(vec![3]);
-        assert_eq!(a.broadcast(&b), Some(Shape::new(vec![4, 3])));
-        assert_eq!(b.broadcast(&a), Some(Shape::new(vec![4, 3])));
-    }
-
-    #[test]
-    fn broadcast_column_vector() {
-        let a = Shape::new(vec![4, 1]);
-        let b = Shape::new(vec![1, 3]);
-        assert_eq!(a.broadcast(&b), Some(Shape::new(vec![4, 3])));
-    }
-
-    #[test]
-    fn broadcast_scalar() {
-        let a = Shape::new(vec![2, 2]);
-        let s = Shape::scalar();
-        assert_eq!(a.broadcast(&s), Some(a.clone()));
-    }
-
-    #[test]
-    fn broadcast_incompatible() {
-        let a = Shape::new(vec![2, 3]);
-        let b = Shape::new(vec![2, 4]);
-        assert_eq!(a.broadcast(&b), None);
-    }
-
-    #[test]
-    fn advance_index_covers_all() {
-        let dims = [2, 3];
-        let mut idx = [0, 0];
-        let mut count = 1;
-        while advance_index(&mut idx, &dims) {
-            count += 1;
-        }
-        assert_eq!(count, 6);
-    }
-
-    #[test]
-    fn broadcast_offset_stretches_unit_dims() {
-        // src shape [1, 3] with strides [3, 1] broadcast to out [2, 3]
-        let src_dims = [1, 3];
-        let src_strides = [3, 1];
-        assert_eq!(broadcast_offset(&[1, 2], &src_dims, &src_strides), 2);
-        assert_eq!(broadcast_offset(&[0, 2], &src_dims, &src_strides), 2);
     }
 }

@@ -257,11 +257,6 @@ impl Tensor {
         Tensor::leaf(data, shape.into(), false)
     }
 
-    /// Creates a scalar (0-dimensional) tensor.
-    pub fn scalar(value: f32) -> Tensor {
-        Tensor::leaf(vec![value], Shape::scalar(), false)
-    }
-
     /// Creates a tensor filled with zeros. The buffer comes from the
     /// thread-local arena, like an op's output: a zero leaf built per
     /// batch is dropped into the pool, so it must be drawn from it too.
@@ -311,15 +306,6 @@ impl Tensor {
             }
         }
         Tensor::leaf(data, shape, false)
-    }
-
-    /// The identity matrix of size `n`.
-    pub fn eye(n: usize) -> Tensor {
-        let mut data = vec![0.0; n * n];
-        for i in 0..n {
-            data[i * n + i] = 1.0;
-        }
-        Tensor::leaf(data, Shape::new(vec![n, n]), false)
     }
 
     /// Marks this tensor as a trainable leaf: gradients will be accumulated
@@ -533,12 +519,6 @@ impl fmt::Debug for Tensor {
     }
 }
 
-impl From<f32> for Tensor {
-    fn from(v: f32) -> Self {
-        Tensor::scalar(v)
-    }
-}
-
 impl From<Vec<f32>> for Tensor {
     fn from(v: Vec<f32>) -> Self {
         let n = v.len();
@@ -568,7 +548,6 @@ mod tests {
         assert_eq!(Tensor::zeros([3]).to_vec(), vec![0.0; 3]);
         assert_eq!(Tensor::ones([2]).to_vec(), vec![1.0; 2]);
         assert_eq!(Tensor::full([2], 7.0).to_vec(), vec![7.0; 2]);
-        assert_eq!(Tensor::eye(2).to_vec(), vec![1.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
@@ -621,7 +600,7 @@ mod tests {
 
     #[test]
     fn item_on_scalar() {
-        assert_eq!(Tensor::scalar(2.5).item(), 2.5);
+        assert_eq!(Tensor::from_vec(vec![1.0, 1.5], [2]).sum().item(), 2.5);
     }
 
     #[test]

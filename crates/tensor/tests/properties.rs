@@ -2,7 +2,7 @@
 //! in-repo `cascade-util` harness (seeded cases, `CASCADE_PROP_CASES`
 //! controls the count, default 64).
 
-use cascade_tensor::{cosine_similarity, Shape, Tensor};
+use cascade_tensor::{cosine_similarity, Tensor};
 use cascade_util::{check, prop_assert, prop_assert_eq, Gen};
 
 fn small_vec(g: &mut Gen, len: usize) -> Vec<f32> {
@@ -48,7 +48,7 @@ fn add_associates_approximately() {
 fn matmul_identity_is_neutral() {
     check("matmul_identity_is_neutral", |g| {
         let t = Tensor::from_vec(small_vec(g, 9), [3, 3]);
-        let i = Tensor::eye(3);
+        let i = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], [3, 3]);
         let lhs = t.matmul(&i).to_vec();
         for (x, y) in lhs.iter().zip(t.to_vec().iter()) {
             prop_assert!((x - y).abs() < 1e-5, "{} vs {}", x, y);
@@ -68,16 +68,6 @@ fn matmul_distributes_over_add() {
         for (x, y) in lhs.iter().zip(rhs.iter()) {
             prop_assert!((x - y).abs() < 1e-3, "{} vs {}", x, y);
         }
-        Ok(())
-    });
-}
-
-#[test]
-fn transpose_involution() {
-    check("transpose_involution", |g| {
-        let a = small_vec(g, 12);
-        let t = Tensor::from_vec(a.clone(), [3, 4]);
-        prop_assert_eq!(t.transpose().transpose().to_vec(), a);
         Ok(())
     });
 }
@@ -185,19 +175,6 @@ fn cosine_similarity_scale_invariant() {
         let s = cosine_similarity(&a, &scaled);
         // Zero vectors are defined as similarity 1.
         prop_assert!((s - 1.0).abs() < 1e-3, "cosine {}", s);
-        Ok(())
-    });
-}
-
-#[test]
-fn shape_broadcast_symmetric() {
-    check("shape_broadcast_symmetric", |g| {
-        let d0 = g.usize_in(1..5);
-        let d1 = g.usize_in(1..5);
-        let a = Shape::new(vec![d0, 1]);
-        let b = Shape::new(vec![1, d1]);
-        prop_assert_eq!(a.broadcast(&b), b.broadcast(&a));
-        prop_assert_eq!(a.broadcast(&b), Some(Shape::new(vec![d0, d1])));
         Ok(())
     });
 }

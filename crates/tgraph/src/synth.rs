@@ -218,6 +218,21 @@ impl SynthConfig {
         }
     }
 
+    /// The profile named `name`, case-insensitively: `wiki`, `reddit`,
+    /// `mooc`, `wiki-talk`, `sx-full`, `gdelt` or `mag`.
+    pub fn by_name(name: &str) -> Option<SynthConfig> {
+        Some(match name.to_lowercase().as_str() {
+            "wiki" => SynthConfig::wiki(),
+            "reddit" => SynthConfig::reddit(),
+            "mooc" => SynthConfig::mooc(),
+            "wiki-talk" => SynthConfig::wiki_talk(),
+            "sx-full" => SynthConfig::sx_full(),
+            "gdelt" => SynthConfig::gdelt(),
+            "mag" => SynthConfig::mag(),
+            _ => return None,
+        })
+    }
+
     /// All five moderate-size profiles in the paper's ordering.
     pub fn moderate_profiles() -> Vec<SynthConfig> {
         vec![
@@ -246,7 +261,7 @@ impl SynthConfig {
     }
 
     /// Scaled node count (at least `min_nodes`).
-    pub fn scaled_nodes(&self) -> usize {
+    fn scaled_nodes(&self) -> usize {
         let s = self.node_scale.unwrap_or(self.scale);
         ((self.num_nodes as f64 * s).round() as usize).max(self.min_nodes.max(4))
     }
@@ -273,7 +288,7 @@ impl SynthConfig {
     }
 
     /// Scaled event count (at least 8).
-    pub fn scaled_events(&self) -> usize {
+    fn scaled_events(&self) -> usize {
         ((self.num_events as f64 * self.scale).round() as usize).max(8)
     }
 
@@ -375,6 +390,25 @@ fn skewed_index(rng: &mut DetRng, n: usize, k: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn by_name_is_case_insensitive() {
+        let all = SynthConfig::moderate_profiles()
+            .into_iter()
+            .chain(SynthConfig::large_profiles());
+        for profile in all {
+            let lower = profile.name.to_lowercase();
+            assert_eq!(
+                SynthConfig::by_name(&lower).map(|p| p.name),
+                Some(profile.name.clone())
+            );
+            assert_eq!(
+                SynthConfig::by_name(&profile.name).map(|p| p.name),
+                Some(profile.name)
+            );
+        }
+        assert!(SynthConfig::by_name("nope").is_none());
+    }
 
     #[test]
     fn generation_is_deterministic() {

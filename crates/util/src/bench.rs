@@ -45,7 +45,7 @@ impl BenchStats {
     /// # Panics
     ///
     /// Panics if `samples` is empty.
-    pub fn from_samples(id: &str, samples: &[f64]) -> BenchStats {
+    fn from_samples(id: &str, samples: &[f64]) -> BenchStats {
         assert!(!samples.is_empty(), "no samples for '{}'", id);
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
@@ -92,11 +92,14 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 /// ```
 /// use cascade_util::BenchSuite;
 ///
-/// let mut suite = BenchSuite::with_config("doc", 5, 1, false);
+/// // Smoke mode unless the process got `--bench` (as under `cargo
+/// // bench`): each closure then runs once and nothing is recorded.
+/// let mut suite = BenchSuite::new("doc");
 /// suite.bench("sum_1k", || (0..1000u64).sum::<u64>());
-/// let stats = suite.stats();
-/// assert_eq!(stats[0].id, "sum_1k");
-/// assert!(stats[0].median_ns >= 0.0);
+/// for stats in suite.stats() {
+///     assert_eq!(stats.id, "sum_1k");
+///     assert!(stats.median_ns >= 0.0);
+/// }
 /// ```
 pub struct BenchSuite {
     name: String,
@@ -135,7 +138,7 @@ impl BenchSuite {
     }
 
     /// Creates a suite with explicit iteration counts (tests, docs).
-    pub fn with_config(name: &str, iters: usize, warmup: usize, smoke: bool) -> BenchSuite {
+    fn with_config(name: &str, iters: usize, warmup: usize, smoke: bool) -> BenchSuite {
         BenchSuite {
             name: name.to_string(),
             iters: iters.max(1),
