@@ -14,8 +14,12 @@ use cascade_core::{max_endurance_profiling, DependencyTable, SgFilter, TgDiffuse
 use cascade_models::{MemoryDelta, MemoryTgnn, ModelConfig};
 use cascade_nn::{Adam, GatLayer, GruCell, Module, TimeEncode};
 use cascade_serve::parse_ingest;
+use cascade_store::{crc32, ChunkReader, ChunkWriter};
 use cascade_tensor::{ColBlock, Tensor};
-use cascade_tgraph::{synth_features, AdjacencyStore, Event, NodeId, SynthConfig};
+use cascade_tgraph::{
+    synth_features, AdjacencyStore, Event, EventChunk, EventSource, NodeId, ReorderPolicy,
+    ReorderingSource, SourceError, SynthConfig,
+};
 use cascade_util::{BenchSuite, DetRng, Json};
 
 fn bench_tensor_matmul(suite: &mut BenchSuite) {
@@ -259,6 +263,108 @@ fn bench_ingest_decode(suite: &mut BenchSuite) {
     }
 }
 
+/// Replays one fixed chunk of a (possibly disordered) stream — the input
+/// of the reorder entry, without a file read in its time.
+struct ReplaySource {
+    chunk: EventChunk,
+    num_nodes: usize,
+    feature_dim: usize,
+    done: bool,
+}
+
+impl EventSource for ReplaySource {
+    fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+    fn num_events(&self) -> usize {
+        self.chunk.events.len()
+    }
+    fn feature_dim(&self) -> usize {
+        self.feature_dim
+    }
+    fn chunk_size(&self) -> usize {
+        self.chunk.events.len()
+    }
+    fn next_chunk(&mut self) -> Result<Option<EventChunk>, SourceError> {
+        let next = (!self.done).then(|| self.chunk.clone());
+        self.done = true;
+        Ok(next)
+    }
+    fn reset(&mut self) -> Result<(), SourceError> {
+        self.done = false;
+        Ok(())
+    }
+}
+
+/// The out-of-core data path at `wide_store`'s shape, one 8192-event
+/// frame of 186-wide features (6.2 MB of payload): the CRC32 over the
+/// same volume, writing the frame to a file and reading it back, and
+/// normalizing it under `BufferedReorder(512)` after a shuffle within
+/// 512-event blocks with every 97th event delivered twice.
+fn bench_store_path(suite: &mut BenchSuite) {
+    const EVENTS: usize = 8192;
+    const DIM: usize = 186;
+    const NODES: usize = 16_682;
+    let mut rng = DetRng::new(7);
+    let bytes: Vec<u8> = (0..6 << 17)
+        .flat_map(|_| rng.next_u64().to_le_bytes())
+        .collect();
+    suite.bench("crc32/6MiB", || black_box(crc32(black_box(&bytes))));
+
+    let events: Vec<Event> = (0..EVENTS)
+        .map(|i| Event::new(rng.index(NODES) as u32, rng.index(NODES) as u32, i as f64))
+        .collect();
+    let features = synth_features(EVENTS, DIM, 7);
+    let path = std::env::temp_dir().join(format!("cascade_kernels_{}.cevt", std::process::id()));
+    suite.bench(&format!("cevt_write/{EVENTS}x{DIM}"), || {
+        let mut w = ChunkWriter::create(&path, NODES, DIM, EVENTS).expect("temp dir is writable");
+        for (i, e) in events.iter().enumerate() {
+            w.push(*e, features.row(i)).expect("temp dir is writable");
+        }
+        black_box(w.finish().expect("temp dir is writable"))
+    });
+    suite.bench(&format!("cevt_read/{EVENTS}x{DIM}"), || {
+        let mut reader = ChunkReader::open(&path).expect("the store was just written");
+        black_box(reader.next_frame().expect("the store is valid"))
+    });
+    std::fs::remove_file(&path).ok();
+
+    let mut order: Vec<usize> = (0..EVENTS).collect();
+    for block in order.chunks_mut(512) {
+        for i in (1..block.len()).rev() {
+            block.swap(i, rng.index(i + 1));
+        }
+    }
+    let delivered: Vec<usize> = order
+        .iter()
+        .enumerate()
+        .flat_map(|(k, &i)| std::iter::repeat_n(i, if k % 97 == 96 { 2 } else { 1 }))
+        .collect();
+    let chunk = EventChunk {
+        index: 0,
+        base: 0,
+        events: delivered.iter().map(|&i| events[i]).collect(),
+        features: delivered
+            .iter()
+            .flat_map(|&i| features.row(i).iter().copied())
+            .collect(),
+    };
+    let replay = ReplaySource {
+        chunk,
+        num_nodes: NODES,
+        feature_dim: DIM,
+        done: false,
+    };
+    let mut reorder =
+        ReorderingSource::with_declared_events(replay, ReorderPolicy::BufferedReorder(512), EVENTS);
+    suite.bench(&format!("reorder/{EVENTS}x{DIM}w512"), || {
+        reorder.reset().expect("replay resets");
+        while let Some(chunk) = reorder.next_chunk().expect("the window holds the shuffle") {
+            black_box(chunk);
+        }
+    });
+}
+
 fn bench_dependency_table(suite: &mut BenchSuite) {
     let data = SynthConfig::wiki()
         .with_scale(0.05)
@@ -392,6 +498,7 @@ fn main() {
     bench_small_batch(&mut suite);
     bench_adam_step(&mut suite);
     bench_ingest_decode(&mut suite);
+    bench_store_path(&mut suite);
     bench_dependency_table(&mut suite);
     bench_diffuser_lookup(&mut suite);
     bench_sgfilter_kernel(&mut suite);

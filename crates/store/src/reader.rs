@@ -78,8 +78,9 @@ impl ChunkReader {
     /// [`StoreError::TruncatedFrame`] when the file ends mid-frame or
     /// before the header's declared event count,
     /// [`StoreError::Corrupt`] on an internally inconsistent frame
-    /// header or a frame short of `chunk_size` that does not end the
-    /// stream, [`StoreError::CrcMismatch`] when the checksum fails, and
+    /// header, a frame short of `chunk_size` that does not end the
+    /// stream, or an event whose node is out of range or whose time is
+    /// non-finite, [`StoreError::CrcMismatch`] when the checksum fails, and
     /// [`StoreError::Io`] on other read failures.
     pub fn next_frame(&mut self) -> Result<Option<StoredChunk>, StoreError> {
         self.read_frame(true)
@@ -224,20 +225,14 @@ fn decode_payload(
     meta: StoreMeta,
     chunk: usize,
 ) -> Result<(Vec<Event>, Vec<f32>), StoreError> {
+    let (event_bytes, feature_bytes) = payload.split_at(count * EVENT_LEN);
     let mut events = Vec::with_capacity(count);
-    for i in 0..count {
-        let off = i * EVENT_LEN;
-        let src = u32::from_le_bytes(payload[off..off + 4].try_into().expect("slice is 4 bytes"));
-        let dst = u32::from_le_bytes(
-            payload[off + 4..off + 8]
-                .try_into()
-                .expect("slice is 4 bytes"),
-        );
-        let time = f64::from_le_bytes(
-            payload[off + 8..off + 16]
-                .try_into()
-                .expect("slice is 8 bytes"),
-        );
+    for (i, raw) in event_bytes.chunks_exact(EVENT_LEN).enumerate() {
+        let raw: &[u8; EVENT_LEN] = raw.try_into().expect("chunks_exact yields whole events");
+        let [s0, s1, s2, s3, d0, d1, d2, d3, t @ ..] = *raw;
+        let src = u32::from_le_bytes([s0, s1, s2, s3]);
+        let dst = u32::from_le_bytes([d0, d1, d2, d3]);
+        let time = f64::from_le_bytes(t);
         if src as usize >= meta.num_nodes || dst as usize >= meta.num_nodes {
             return Err(StoreError::Corrupt {
                 chunk,
@@ -249,16 +244,20 @@ fn decode_payload(
                 ),
             });
         }
+        // A NaN compares false both ways and would switch every order
+        // check downstream off; an infinity is no point in time.
+        if !time.is_finite() {
+            return Err(StoreError::Corrupt {
+                chunk,
+                message: format!("event {} has non-finite time {}", i, time),
+            });
+        }
         events.push(Event::new(src, dst, time));
     }
-    let mut features = Vec::with_capacity(count * meta.feature_dim);
-    let feat_base = count * EVENT_LEN;
-    for i in 0..count * meta.feature_dim {
-        let off = feat_base + i * 4;
-        features.push(f32::from_le_bytes(
-            payload[off..off + 4].try_into().expect("slice is 4 bytes"),
-        ));
-    }
+    let features = feature_bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
     Ok((events, features))
 }
 

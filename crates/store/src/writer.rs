@@ -8,7 +8,7 @@ use cascade_tgraph::{Dataset, Event};
 
 use crate::crc::Crc32;
 use crate::error::StoreError;
-use crate::format::{FrameHeader, StoreMeta, NUM_EVENTS_OFFSET};
+use crate::format::{FrameHeader, StoreMeta, EVENT_LEN, NUM_EVENTS_OFFSET};
 
 /// Streams events into a `CEVT` file, framing them into checksummed
 /// chunks of a fixed size.
@@ -171,25 +171,34 @@ impl ChunkWriter {
     fn flush_frame(&mut self) -> Result<(), StoreError> {
         let count = self.pending.len();
         let payload_len = self.meta.expected_payload_len(count);
-        let mut payload = Vec::with_capacity(payload_len);
+        let mut payload = vec![0u8; payload_len];
+        let (event_bytes, feature_bytes) = payload.split_at_mut(count * EVENT_LEN);
         let mut t_min = f64::INFINITY;
         let mut t_max = f64::NEG_INFINITY;
         // Distinct touched nodes via sort + dedup: deterministic and
         // allocation-bounded, no hashing involved.
         let mut touched: Vec<u32> = Vec::with_capacity(count * 2);
-        for e in &self.pending {
-            payload.extend_from_slice(&e.src.0.to_le_bytes());
-            payload.extend_from_slice(&e.dst.0.to_le_bytes());
-            payload.extend_from_slice(&e.time.to_le_bytes());
+        for (e, out) in self
+            .pending
+            .iter()
+            .zip(event_bytes.chunks_exact_mut(EVENT_LEN))
+        {
+            out[0..4].copy_from_slice(&e.src.0.to_le_bytes());
+            out[4..8].copy_from_slice(&e.dst.0.to_le_bytes());
+            out[8..16].copy_from_slice(&e.time.to_le_bytes());
             t_min = t_min.min(e.time);
             t_max = t_max.max(e.time);
             touched.push(e.src.0);
             touched.push(e.dst.0);
         }
-        for f in &self.pending_features {
-            payload.extend_from_slice(&f.to_le_bytes());
+        debug_assert_eq!(feature_bytes.len(), self.pending_features.len() * 4);
+        for (f, out) in self
+            .pending_features
+            .iter()
+            .zip(feature_bytes.chunks_exact_mut(4))
+        {
+            out.copy_from_slice(&f.to_le_bytes());
         }
-        debug_assert_eq!(payload.len(), payload_len);
         touched.sort_unstable();
         touched.dedup();
         let header = FrameHeader {

@@ -4,8 +4,8 @@
 use std::path::{Path, PathBuf};
 
 use cascade_store::{
-    export_dataset, import_dataset, ChunkReader, ChunkWriter, StoreError, StreamingEventSource,
-    MAGIC,
+    crc32, export_dataset, import_dataset, ChunkReader, ChunkWriter, StoreError,
+    StreamingEventSource, MAGIC,
 };
 use cascade_tgraph::{Event, EventSource, SynthConfig};
 
@@ -295,6 +295,11 @@ fn a_header_declaring_events_the_file_cannot_hold_reserves_nothing() {
 /// [`ChunkWriter`] under the header the reader accepted — reproduce the
 /// input byte for byte. The write-back allocates by the accepted
 /// header, so a count the reader lets through unbounded aborts here.
+/// Last, a NaN or an infinite time in any event under a recomputed,
+/// valid CRC (the writer frames whatever it is given) must be
+/// [`StoreError::Corrupt`] at its frame, after the frames before it:
+/// a NaN compares false both ways and would switch every order check
+/// downstream off.
 #[test]
 fn chunk_reader_survives_the_hostile_input_battery() {
     let (input, output) = (scratch("battery_in"), scratch("battery_out"));
@@ -327,6 +332,34 @@ fn chunk_reader_survives_the_hostile_input_battery() {
         writer.finish().expect("temp file is writable");
         Some(std::fs::read(&output).expect("file readable"))
     });
+
+    let mut frame = 32;
+    for (chunk, count) in [3, 3, 2].into_iter().enumerate() {
+        let crc_at = frame + 48 + count * (16 + 2 * 4);
+        for event in 0..count {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut bytes = valid.clone();
+                let time_at = frame + 48 + event * 16 + 8;
+                bytes[time_at..time_at + 8].copy_from_slice(&bad.to_le_bytes());
+                let crc = crc32(&bytes[frame..crc_at]);
+                bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+                std::fs::write(&input, &bytes).expect("temp file is writable");
+                let mut reader = ChunkReader::open(&input).expect("the header is intact");
+                for _ in 0..chunk {
+                    assert!(matches!(reader.next_frame(), Ok(Some(_))));
+                }
+                let err = reader
+                    .next_frame()
+                    .expect_err("a non-finite time is refused");
+                assert!(
+                    matches!(&err, StoreError::Corrupt { chunk: c, message }
+                        if *c == chunk && message.contains("non-finite")),
+                    "{bad} in event {event} of frame {chunk}: {err}"
+                );
+            }
+        }
+        frame = crc_at + 4;
+    }
     std::fs::remove_file(&input).ok();
     std::fs::remove_file(&output).ok();
 }

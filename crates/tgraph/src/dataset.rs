@@ -225,7 +225,8 @@ impl Dataset {
     ///
     /// # Errors
     ///
-    /// Returns an error on I/O failure or malformed rows.
+    /// Returns an error on I/O failure or malformed rows (a time that
+    /// is NaN or infinite is malformed).
     pub fn from_csv(
         name: &str,
         path: &Path,
@@ -254,9 +255,13 @@ impl Dataset {
             let dst: u32 = fields[1]
                 .parse()
                 .map_err(|_| CsvError::Malformed { line: lineno })?;
+            // A NaN or infinite time is no point in time (and
+            // `EventStream` refuses it).
             let time: f64 = fields[2]
                 .parse()
-                .map_err(|_| CsvError::Malformed { line: lineno })?;
+                .ok()
+                .filter(|t: &f64| t.is_finite())
+                .ok_or(CsvError::Malformed { line: lineno })?;
             events.push(Event::new(src, dst, time));
         }
         let stream = EventStream::from_unsorted(events);
@@ -406,10 +411,15 @@ mod tests {
         let dir = std::env::temp_dir().join("cascade_csv_test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("bad.csv");
-        std::fs::write(&p, "0,1,0.5\nnot,a,row\n").unwrap();
-        assert!(matches!(
-            Dataset::from_csv("bad", &p, 0, 1),
-            Err(CsvError::Malformed { line: 1 })
-        ));
+        for bad in ["not,a,row", "1,2,NaN", "1,2,inf", "1,2,-inf"] {
+            std::fs::write(&p, format!("0,1,0.5\n{bad}\n")).unwrap();
+            assert!(
+                matches!(
+                    Dataset::from_csv("bad", &p, 0, 1),
+                    Err(CsvError::Malformed { line: 1 })
+                ),
+                "{bad}"
+            );
+        }
     }
 }

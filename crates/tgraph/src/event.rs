@@ -84,16 +84,25 @@ pub struct EventStream {
     num_nodes: usize,
 }
 
-/// Error constructing an [`EventStream`] from out-of-order events.
+/// Error constructing an [`EventStream`] from out-of-order events or
+/// an event whose time is NaN or infinite.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OrderError {
-    /// Index of the first event whose timestamp precedes its predecessor's.
+    /// Index of the first event whose timestamp is non-finite or
+    /// precedes its predecessor's.
     pub at: usize,
+    /// `true` when that timestamp is NaN or infinite: a NaN compares
+    /// false both ways and would hide any disorder after it.
+    pub non_finite: bool,
 }
 
 impl fmt::Display for OrderError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "event {} is earlier than its predecessor", self.at)
+        if self.non_finite {
+            write!(f, "event {} has a non-finite time", self.at)
+        } else {
+            write!(f, "event {} is earlier than its predecessor", self.at)
+        }
     }
 }
 
@@ -104,12 +113,16 @@ impl EventStream {
     ///
     /// # Errors
     ///
-    /// Returns [`OrderError`] if any timestamp decreases.
+    /// Returns [`OrderError`] if any timestamp is non-finite or
+    /// decreases.
     pub fn new(events: Vec<Event>) -> Result<Self, OrderError> {
-        for (i, w) in events.windows(2).enumerate() {
-            if w[1].time < w[0].time {
-                return Err(OrderError { at: i + 1 });
+        let mut last = f64::NEG_INFINITY;
+        for (at, e) in events.iter().enumerate() {
+            let non_finite = !e.time.is_finite();
+            if non_finite || e.time < last {
+                return Err(OrderError { at, non_finite });
             }
+            last = e.time;
         }
         let num_nodes = events
             .iter()
@@ -120,13 +133,17 @@ impl EventStream {
     }
 
     /// Creates a stream, sorting the events by timestamp first (stable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any timestamp is non-finite.
     pub fn from_unsorted(mut events: Vec<Event>) -> Self {
         events.sort_by(|a, b| {
             a.time
                 .partial_cmp(&b.time)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        EventStream::new(events).expect("sorted events are ordered")
+        EventStream::new(events).expect("sorted finite events are ordered")
     }
 
     /// Number of events.
@@ -214,6 +231,28 @@ mod tests {
         ])
         .unwrap_err();
         assert_eq!(err.at, 1);
+        assert!(!err.non_finite);
+    }
+
+    #[test]
+    fn stream_rejects_non_finite_times() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = EventStream::new(vec![
+                Event::new(0u32, 1u32, 1.0),
+                Event::new(1u32, 0u32, bad),
+                Event::new(1u32, 2u32, 0.5),
+            ])
+            .unwrap_err();
+            assert_eq!(
+                err,
+                OrderError {
+                    at: 1,
+                    non_finite: true
+                },
+                "{bad}"
+            );
+            assert!(err.to_string().contains("non-finite"));
+        }
     }
 
     #[test]

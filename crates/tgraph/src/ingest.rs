@@ -32,6 +32,10 @@
 //!   than the newest already-released timestamp exceeded the window and
 //!   is a [`SourceError`].
 //!
+//! Under every policy an event whose time is NaN or infinite is a
+//! [`SourceError`]: the buffer and the dedup ring stay sorted by time,
+//! and duplicates are looked up in their range of equal times.
+//!
 //! "Duplicate" always means bit-identical `(src, dst, time)`: two
 //! distinct real events may legitimately share endpoints and differ
 //! only in features, but a true replay duplicates all three fields, and
@@ -91,7 +95,8 @@ pub struct ReorderingSource<S> {
     declared_events: usize,
     /// Sorted (stable by arrival within equal times) reorder buffer.
     pending: VecDeque<(Event, Vec<f32>)>,
-    /// Ring of recently emitted events for duplicate suppression.
+    /// Ring of recently emitted events for duplicate suppression, in
+    /// release order — which is time order.
     recent: VecDeque<Event>,
     staged_events: Vec<Event>,
     staged_features: Vec<f32>,
@@ -99,6 +104,10 @@ pub struct ReorderingSource<S> {
     next_index: usize,
     last_time: f64,
     input_done: bool,
+    /// Deduplicate by the linear scan over both queues that the
+    /// equal-time range lookup replaced: the tests' oracle.
+    #[cfg(test)]
+    linear_dedup: bool,
 }
 
 impl<S: EventSource> ReorderingSource<S> {
@@ -128,6 +137,8 @@ impl<S: EventSource> ReorderingSource<S> {
             next_index: 0,
             last_time: f64::NEG_INFINITY,
             input_done: false,
+            #[cfg(test)]
+            linear_dedup: false,
         }
     }
 
@@ -148,7 +159,20 @@ impl<S: EventSource> ReorderingSource<S> {
         }
         let same =
             |o: &Event| o.src == ev.src && o.dst == ev.dst && o.time.to_bits() == ev.time.to_bits();
-        self.pending.iter().any(|(o, _)| same(o)) || self.recent.iter().any(same)
+        #[cfg(test)]
+        if self.linear_dedup {
+            return self.pending.iter().any(|(o, _)| same(o)) || self.recent.iter().any(same);
+        }
+        // Both queues are sorted by time (`accept` admits finite times
+        // only), so a twin can only sit in the range of equal times.
+        let from = self.pending.partition_point(|(o, _)| o.time < ev.time);
+        let pending = self.pending.range(from..).map(|(o, _)| o);
+        if pending.take_while(|o| o.time == ev.time).any(same) {
+            return true;
+        }
+        let from = self.recent.partition_point(|o| o.time < ev.time);
+        let recent = self.recent.range(from..);
+        recent.take_while(|o| o.time == ev.time).any(same)
     }
 
     /// Moves one normalized event into the staged output, updating the
@@ -167,6 +191,17 @@ impl<S: EventSource> ReorderingSource<S> {
     }
 
     fn accept(&mut self, chunk_index: usize, ev: Event, row: Vec<f32>) -> Result<(), SourceError> {
+        // A NaN compares false both ways: it would pass the watermark
+        // check and switch it off for every event after it.
+        if !ev.time.is_finite() {
+            return Err(SourceError::at_chunk(
+                chunk_index,
+                format!(
+                    "event (src {} dst {}) has non-finite time {}",
+                    ev.src.0, ev.dst.0, ev.time
+                ),
+            ));
+        }
         if self.is_duplicate(&ev) {
             return Ok(());
         }
@@ -571,6 +606,117 @@ mod tests {
         let mut dedup = ReorderingSource::new(src, ReorderPolicy::DropDuplicates);
         let err = drain_all(&mut dedup).expect_err("count mismatch must surface");
         assert!(err.message.contains("declared"));
+    }
+
+    /// Every chunk a source yields, and the error that stops it, with
+    /// times and features as bits.
+    type Yield = Result<(usize, usize, Vec<(u32, u32, u64)>, Vec<u32>), SourceError>;
+
+    fn yields(src: &mut impl EventSource) -> Vec<Yield> {
+        let mut out = Vec::new();
+        loop {
+            match src.next_chunk() {
+                Ok(Some(c)) => out.push(Ok((
+                    c.index,
+                    c.base,
+                    c.events
+                        .iter()
+                        .map(|e| (e.src.0, e.dst.0, e.time.to_bits()))
+                        .collect(),
+                    c.features.iter().map(|f| f.to_bits()).collect(),
+                ))),
+                Ok(None) => return out,
+                Err(e) => {
+                    out.push(Err(e));
+                    return out;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_lookup_dedup_matches_the_linear_scan() {
+        check("reorder_range_dedup_oracle", |g| {
+            // Few nodes and runs of equal times: equal-time neighbours
+            // that are not duplicates, and duplicates by chance.
+            let n = g.usize_in(0..1400);
+            let dim = g.usize_in(0..3);
+            let nodes = g.usize_in(1..6);
+            let mut t = 0.0f64;
+            let mut events: Vec<Event> = (0..n)
+                .map(|_| {
+                    if g.usize_in(0..3) > 0 {
+                        t += f64::from(g.usize_in(1..4) as u32) * 0.5;
+                    }
+                    Event::new(g.usize_in(0..nodes) as u32, g.usize_in(0..nodes) as u32, t)
+                })
+                .collect();
+            // Replays of earlier events, some near, some far behind.
+            for _ in 0..g.usize_in(0..n / 8 + 1) {
+                let from = g.usize_in(0..events.len());
+                let to = (from + g.usize_in(0..1200)).min(events.len());
+                events.insert(to, events[from]);
+            }
+            let mut features = g.vec_f32(events.len() * dim, -1.0..1.0);
+            let spread = if g.usize_in(0..2) == 0 {
+                1
+            } else {
+                g.usize_in(2..48)
+            };
+            shuffle_within_window(g.rng(), &mut events, &mut features, dim, spread);
+            if !events.is_empty() && g.usize_in(0..8) == 0 {
+                let at = g.usize_in(0..events.len());
+                events[at].time = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][g.usize_in(0..3)];
+            }
+            let policy = match g.usize_in(0..3) {
+                0 => ReorderPolicy::Reject,
+                1 => ReorderPolicy::DropDuplicates,
+                _ => ReorderPolicy::BufferedReorder(g.usize_in(0..64)),
+            };
+            let chunk = g.usize_in(1..200);
+            let run = |linear_dedup: bool| {
+                let src = VecSource::new(nodes, dim, chunk, events.clone(), features.clone());
+                let mut reorder = ReorderingSource::new(src, policy);
+                reorder.linear_dedup = linear_dedup;
+                yields(&mut reorder)
+            };
+            let (got, want) = (run(false), run(true));
+            prop_assert!(
+                got == want,
+                "range lookup and linear scan disagree under {} (n={} chunk={}): \
+                 {} vs {} yields, last {:?} vs {:?}",
+                policy,
+                n,
+                chunk,
+                got.len(),
+                want.len(),
+                got.last().map(|y| y.as_ref().err()),
+                want.last().map(|y| y.as_ref().err())
+            );
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn non_finite_times_are_refused_under_every_policy() {
+        for policy in [
+            ReorderPolicy::Reject,
+            ReorderPolicy::DropDuplicates,
+            ReorderPolicy::BufferedReorder(4),
+        ] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let events = vec![
+                    Event::new(0u32, 1u32, 1.0),
+                    Event::new(1u32, 2u32, bad),
+                    Event::new(2u32, 0u32, 0.5),
+                ];
+                let src = VecSource::new(3, 0, 8, events, Vec::new());
+                let mut reorder = ReorderingSource::new(src, policy);
+                let err = drain_all(&mut reorder).expect_err("a non-finite time is refused");
+                assert!(err.message.contains("non-finite"), "{policy}: {err}");
+                assert_eq!(err.chunk, Some(0));
+            }
+        }
     }
 
     #[test]
