@@ -6,6 +6,15 @@
 //! `cargo bench` each target runs warmup + timed iterations and the
 //! median/p10/p90 report lands in `bench_results/kernels.json`; under
 //! `cargo test` each target runs once as a smoke test.
+//!
+//! `scripts/perf_pair.sh <base-ref>` is the perf gate over this suite and
+//! `parallel_compute`: it runs both binaries of the base commit and of the
+//! working tree alternately and fails every entry whose fastest sample
+//! regressed beyond its bound (`bench_record kernels`). It gates every
+//! entry, so a new one needs no registration. The `tensor_matmul/16`
+//! entry and the `matmul_gflops` rates double as the host calibration the
+//! gate prints beside its verdict: a host that slows down as a whole
+//! shows there, on both sides.
 
 use std::hint::black_box;
 use std::sync::Arc;

@@ -6,8 +6,10 @@
 //! object holding the threads-vs-speedup curve (median single-thread
 //! time over median N-thread time). Shard-parallel compute is
 //! bit-identical at every thread count, so the curve measures pure
-//! wall-clock gain. Under `cargo test` each target runs once as a
-//! smoke test.
+//! wall-clock gain. The curve normalises by the same run's serial time,
+//! so it cannot show a serial regression; `scripts/perf_pair.sh` gates
+//! every entry, `threads1` included, against the base commit's. Under
+//! `cargo test` each target runs once as a smoke test.
 
 use std::hint::black_box;
 
@@ -18,13 +20,6 @@ use cascade_util::{BenchSuite, Json};
 const BATCH: usize = 256;
 const BATCHES: usize = 5;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Median serial (`threads1`) time from the committed PR 16 baseline run of
-/// this bench (`bench_results/parallel_compute.json`). The speedup curve
-/// normalizes by the *current* serial median, so it silently forgives
-/// serial regressions; the `serial_baseline` report entry pins this
-/// constant next to the fresh measurement to make serial drift visible.
-const SERIAL_BASELINE_NS: f64 = 18_303_626.5;
 
 fn bench_data() -> Dataset {
     SynthConfig::wiki()
@@ -112,14 +107,6 @@ fn main() {
         let mut report = Json::parse(&raw).expect("suite report is valid JSON");
         if let Json::Obj(fields) = &mut report {
             fields.push(("speedup".into(), Json::Arr(curve)));
-            fields.push((
-                "serial_baseline".into(),
-                Json::Obj(vec![
-                    ("baseline_ns".into(), Json::from(SERIAL_BASELINE_NS)),
-                    ("current_ns".into(), Json::from(base)),
-                    ("drift".into(), Json::from(base / SERIAL_BASELINE_NS)),
-                ]),
-            ));
         }
         std::fs::write(&path, report.to_string())
             .unwrap_or_else(|e| panic!("cannot write {}: {}", path.display(), e));
@@ -130,13 +117,6 @@ fn main() {
                 base / ns
             );
         }
-        eprintln!(
-            "[bench parallel_compute] serial drift: {:.3}x vs committed baseline \
-             ({:.1} ms now, {:.1} ms at baseline)",
-            base / SERIAL_BASELINE_NS,
-            base / 1e6,
-            SERIAL_BASELINE_NS / 1e6
-        );
         if cores < 2 {
             eprintln!(
                 "[bench parallel_compute] host grants {} core(s); \
