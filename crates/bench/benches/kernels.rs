@@ -47,9 +47,11 @@ fn bench_tensor_matmul(suite: &mut BenchSuite) {
 /// adds a backward through `matmul_a_bt` (only the activation wants a
 /// gradient), `dB` one through `matmul_at_b` (only the weight does).
 ///
-/// Returns one GFLOP/s row per shape, a backward entry's excess over
-/// `fwd` charged to its kernel so the three rates compare directly;
-/// empty in smoke mode, where nothing is recorded.
+/// Returns one GFLOP/s row per shape: each closure's FLOPs (2·m·k·n for
+/// `fwd`, 4·m·k·n for `dA` and `dB`, which run the forward product and
+/// one backward product) over its own fastest sample, so no rate rests
+/// on a difference of two noisy timings; empty in smoke mode, where
+/// nothing is recorded.
 fn bench_tensor_matmul_bwd(suite: &mut BenchSuite) -> Vec<Json> {
     let mut rates = Vec::new();
     for (m, k, n) in [(646usize, 96usize, 32usize), (3446, 128, 32)] {
@@ -70,11 +72,11 @@ fn bench_tensor_matmul_bwd(suite: &mut BenchSuite) -> Vec<Json> {
             wg.zero_grad();
         });
         if let [.., fwd, da, db] = suite.stats() {
-            let flops = (2 * m * k * n) as f64;
+            let product = (2 * m * k * n) as f64;
             let (f, a, b) = (
-                flops / fwd.median_ns,
-                flops / (da.median_ns - fwd.median_ns),
-                flops / (db.median_ns - fwd.median_ns),
+                product / fwd.min_ns,
+                2.0 * product / da.min_ns,
+                2.0 * product / db.min_ns,
             );
             eprintln!("[bench kernels] {shape} GFLOP/s: fwd {f:.1}, dA {a:.1}, dB {b:.1}");
             rates.push(Json::Obj(vec![

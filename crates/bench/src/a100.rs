@@ -120,7 +120,7 @@ mod tests {
 
     fn model(data: &Dataset) -> MemoryTgnn {
         MemoryTgnn::new(
-            ModelConfig::jodie().with_dims(8, 4),
+            ModelConfig::jodie().at_width(8),
             data.num_nodes(),
             data.features().dim(),
             7,

@@ -26,7 +26,9 @@
 //!       `threadsN` with N >= 2). An entry only one side ran is listed,
 //!       not gated. Each side's fastest `tensor_matmul/16` and that run's
 //!       `matmul_gflops` block are printed first, so a reader can see
-//!       which host mode each side ran in
+//!       which host mode each side ran in (each GFLOP/s rate is one bench
+//!       entry's FLOPs over its own fastest sample; `dA` and `dB` count
+//!       the forward product their closures also run)
 //! ```
 //!
 //! Quartiles interpolate linearly between order statistics, so the
@@ -386,7 +388,8 @@ fn verdicts(base: &[Json], change: &[Json]) -> Vec<Verdict> {
 }
 
 /// One side's host calibration: its fastest `tensor_matmul/16`, and the
-/// `matmul_gflops` block of the run that read it.
+/// `matmul_gflops` block of the run that read it (rates from each entry's
+/// own fastest sample, forward product included in `dA` and `dB`).
 fn calibration(reports: &[Json]) -> String {
     let matmul16 = |r| {
         fastest(std::slice::from_ref(r))

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use cascade_baselines::{tgl, tglite, Etc, NeutronStream};
 use cascade_core::{
-    evaluate_range, train, train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler,
+    evaluate_range, train_streaming, BatchingStrategy, CascadeConfig, CascadeScheduler,
     TrainConfig, TrainReport,
 };
 use cascade_models::{load_checkpoint, save_parameters, MemoryTgnn, ModelConfig};
@@ -115,19 +115,26 @@ fn print_usage() {
          --dataset  wiki|reddit|mooc|wiki-talk|sx-full|gdelt|mag|<csv path>\n\
          \u{20}          or a .evt store file written by --export-dataset:\n\
          \u{20}          training then streams chunks out-of-core instead of\n\
-         \u{20}          materializing the event list in memory\n\
+         \u{20}          materializing the event list in memory. A profile at\n\
+         \u{20}          --scale S has S x its events, S^0.75 x its nodes and\n\
+         \u{20}          8 feature columns, as in cascade_dist\n\
          --export-dataset P   write the loaded dataset to a chunked store\n\
          \u{20}                    file at P (chunk size --chunk, default 4096)\n\
          \u{20}                    and exit without training\n\
          --model    jodie|tgn|apan|dysat|tgat            (default tgn)\n\
          --strategy tgl|tglite|cascade|cascade-tb|neutron|etc (default cascade)\n\
          --epochs N --batch N --dim N --scale F --seed N --theta F\n\
+         \u{20}          (--dim N: memory width N, time encoding N/2, at most\n\
+         \u{20}          4 sampled neighbors, as in cascade_dist and cascade_serve)\n\
          --chunk N  stream the dataset in chunks of N events, one dependency\n\
          \u{20}          table resident at a time (Cascade_EX); a store file\n\
          \u{20}          brings its own chunk size\n\
          --save P             write the trained parameters\n\
-         --load P             warm-start from any checkpoint: a --save file, a\n\
-         \u{20}                    cascade_serve snapshot, or cascade_dist --save\n\
+         --load P             warm-start from any checkpoint of the same\n\
+         \u{20}                    --model and --dim over the same feature width:\n\
+         \u{20}                    a --save file, a cascade_serve snapshot, or\n\
+         \u{20}                    a cascade_dist --save run at equal --dataset,\n\
+         \u{20}                    --model, --dim and --scale\n\
          --test     also evaluate on the held-out test range\n\
          --compute-threads N  shard-parallel batch compute workers\n\
          \u{20}                    (default: the host's cores; any N is\n\
@@ -137,11 +144,7 @@ fn print_usage() {
 
 fn load_dataset(args: &Args) -> Result<Dataset, String> {
     match SynthConfig::by_name(&args.dataset) {
-        Some(p) => Ok(p
-            .with_scale(args.scale)
-            .with_node_scale(args.scale.powf(0.75))
-            .with_feature_dim(8)
-            .generate(args.seed)),
+        Some(p) => Ok(p.at_scale(args.scale).generate(args.seed)),
         None => Dataset::from_csv("csv", Path::new(&args.dataset), 8, args.seed)
             .map_err(|e| format!("cannot load {}: {}", args.dataset, e)),
     }
@@ -160,10 +163,7 @@ fn is_store_file(path: &str) -> bool {
 fn build_model(args: &Args, num_nodes: usize, feature_dim: usize) -> Result<MemoryTgnn, String> {
     let base = ModelConfig::by_name(&args.model)
         .ok_or_else(|| format!("unknown model {}", args.model.to_lowercase()))?;
-    let mut cfg = base.with_dims(args.dim, (args.dim / 2).max(2));
-    if cfg.sampling.count() > 4 {
-        cfg = cfg.with_neighbors(4);
-    }
+    let mut cfg = base.at_width(args.dim);
     if args.strategy.to_lowercase() == "tglite" {
         cfg = cfg.with_lite();
     }
@@ -198,9 +198,10 @@ fn main() {
 
 fn run() -> Result<(), String> {
     let args = Args::parse(std::env::args().skip(1))?;
+    let from_store = is_store_file(&args.dataset);
 
     if let Some(out) = &args.export_dataset {
-        if is_store_file(&args.dataset) {
+        if from_store {
             return Err(format!(
                 "{} is already a store file; --export-dataset expects a profile or CSV source",
                 args.dataset
@@ -222,22 +223,43 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    if is_store_file(&args.dataset) {
-        return run_streaming_cli(&args);
-    }
-
-    let data = load_dataset(&args)?;
+    // One source for every run: a store file streams out-of-core (only
+    // the current chunk window is resident), a profile or CSV streams
+    // from memory, `--chunk` events at a time or the whole stream at once.
+    let (mut source, data): (Box<dyn EventSource + Send>, Option<Dataset>) = if from_store {
+        let source = StreamingEventSource::open(Path::new(&args.dataset), 2)
+            .map_err(|e| format!("cannot open store {}: {}", args.dataset, e))?;
+        (Box::new(source), None)
+    } else {
+        let data = load_dataset(&args)?;
+        println!(
+            "dataset {}: train {}, val {}, test {} events",
+            data.name(),
+            data.train_range().len(),
+            data.val_range().len(),
+            data.test_range().len()
+        );
+        let chunk = args.chunk.unwrap_or(data.num_events()).max(1);
+        (
+            Box::new(InMemorySource::from_dataset(&data, chunk)),
+            Some(data),
+        )
+    };
     println!(
-        "dataset {}: {} nodes, {} events (train {}, val {}, test {})",
-        data.name(),
-        data.num_nodes(),
-        data.num_events(),
-        data.train_range().len(),
-        data.val_range().len(),
-        data.test_range().len()
+        "source {} ({}): {} nodes, {} events in chunks of {} (dim {})",
+        source.name(),
+        if from_store {
+            "store file, out-of-core"
+        } else {
+            "in memory"
+        },
+        source.num_nodes(),
+        source.num_events(),
+        source.chunk_size(),
+        source.feature_dim()
     );
 
-    let mut model = build_model(&args, data.num_nodes(), data.features().dim())?;
+    let mut model = build_model(&args, source.num_nodes(), source.feature_dim())?;
     if let Some(path) = &args.load {
         // Any checkpoint warm-starts the weights; a full-state file's
         // memories do not outlive the reset that opens the first epoch.
@@ -246,82 +268,37 @@ fn run() -> Result<(), String> {
     }
 
     let mut strategy = build_strategy(&args)?;
-    let cfg = train_config(&args);
-    let report = if let Some(chunk) = args.chunk {
-        println!("streaming from memory in chunks of {}", chunk);
-        let mut source = InMemorySource::from_dataset(&data, chunk);
-        train_streaming(&mut model, &mut source, strategy.as_mut(), &cfg)
-            .map_err(|e| e.to_string())?
-    } else {
-        train(&mut model, &data, strategy.as_mut(), &cfg)
-    };
-    print_report(&report);
-
-    if args.test {
-        let _budget = cascade_tensor::install_budget(cfg.compute_threads);
-        let test = evaluate_range(&mut model, &data, data.test_range(), args.batch);
-        println!(
-            "  test              loss {:.4}, AP {:.4}, acc {:.4}",
-            test.loss, test.average_precision, test.accuracy
-        );
-    }
-
-    if let Some(path) = &args.save {
-        save_parameters(&model, path).map_err(|e| e.to_string())?;
-        println!("saved parameters to {}", path.display());
-    }
-    Ok(())
-}
-
-fn train_config(args: &Args) -> TrainConfig {
-    TrainConfig {
+    let compute_threads = args.compute_threads.max(1);
+    let cfg = TrainConfig {
         epochs: args.epochs,
         lr: 1e-3,
         eval_batch_size: args.batch,
         clip_norm: Some(5.0),
         scale_lr_with_batch: true,
-        compute_threads: args.compute_threads.max(1),
-    }
-}
-
-/// Out-of-core training straight from a store file: only the current
-/// chunk window is resident; the dataset never materializes in memory.
-fn run_streaming_cli(args: &Args) -> Result<(), String> {
-    let mut source = StreamingEventSource::open(Path::new(&args.dataset), 2)
-        .map_err(|e| format!("cannot open store {}: {}", args.dataset, e))?;
-    println!(
-        "store {}: {} nodes, {} events in chunks of {} (dim {}) — streaming out-of-core",
-        source.name(),
-        source.num_nodes(),
-        source.num_events(),
-        source.chunk_size(),
-        source.feature_dim()
-    );
-
-    let mut model = build_model(args, source.num_nodes(), source.feature_dim())?;
-    if let Some(path) = &args.load {
-        // Any checkpoint warm-starts the weights; a full-state file's
-        // memories do not outlive the reset that opens the first epoch.
-        load_checkpoint(&mut model, path).map_err(|e| e.to_string())?;
-        println!("loaded parameters from {}", path.display());
-    }
-
-    let mut strategy = build_strategy(args)?;
-    let cfg = train_config(args);
-    let report = train_streaming(&mut model, &mut source, strategy.as_mut(), &cfg)
+        compute_threads,
+    };
+    let report = train_streaming(&mut model, source.as_mut(), strategy.as_mut(), &cfg)
         .map_err(|e| e.to_string())?;
     print_report(&report);
     println!(
-        "  resident window   {} bytes (vs {} bytes of stream events on disk)",
+        "  resident window   {} bytes (of {} bytes of stream events)",
         report.space.graph,
-        report
-            .space
-            .graph
-            .max(source.num_events() * std::mem::size_of::<cascade_tgraph::Event>())
+        source.num_events() * std::mem::size_of::<cascade_tgraph::Event>()
     );
 
-    if args.test {
-        eprintln!("note: --test needs the in-memory test split; skipped for store files");
+    match (&data, args.test) {
+        (Some(data), true) => {
+            let _budget = cascade_tensor::install_budget(compute_threads);
+            let test = evaluate_range(&mut model, data, data.test_range(), args.batch);
+            println!(
+                "  test              loss {:.4}, AP {:.4}, acc {:.4}",
+                test.loss, test.average_precision, test.accuracy
+            );
+        }
+        (None, true) => {
+            eprintln!("note: --test needs the in-memory test split; skipped for store files")
+        }
+        _ => {}
     }
     if let Some(path) = &args.save {
         save_parameters(&model, path).map_err(|e| e.to_string())?;

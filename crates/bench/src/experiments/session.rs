@@ -80,9 +80,7 @@ mod tests {
             epochs: 1,
             preset_batch: 32,
             memory_dim: 8,
-            time_dim: 4,
             feature_dim: 4,
-            neighbor_cap: 2,
             ..Harness::default()
         })
     }

@@ -114,15 +114,12 @@ pub struct Harness {
     pub moderate_events: usize,
     /// Target event count for the billion-scale profiles (GDELT, MAG).
     pub large_events: usize,
-    /// Node-memory width.
+    /// Node-memory width (the rest of the model follows from it by
+    /// [`ModelConfig::at_width`]).
     pub memory_dim: usize,
-    /// Time-encoding width.
-    pub time_dim: usize,
     /// Edge-feature width used at runtime (profiles report the paper's
     /// widths; compute uses this).
     pub feature_dim: usize,
-    /// Cap on sampled neighbors for the 10-neighbor models.
-    pub neighbor_cap: usize,
     /// Training epochs per run.
     pub epochs: usize,
     /// Preset small batch size (the scaled analogue of the paper's 900).
@@ -142,9 +139,7 @@ impl Default for Harness {
             moderate_events: 4_000,
             large_events: 12_000,
             memory_dim: 16,
-            time_dim: 8,
             feature_dim: 8,
-            neighbor_cap: 4,
             epochs: 4,
             preset_batch: 64,
             lr: 1e-3,
@@ -186,31 +181,22 @@ impl Harness {
             self.moderate_events
         };
         let scale = (target as f64 / profile.num_events as f64).min(1.0);
-        // Nodes shrink more gently than events (exponent 0.85): scaling
-        // both linearly would make hubs adjacent to most of the graph,
-        // saturating the dependency table in a way real datasets do not.
-        let node_scale = if profile.name == "MAG" {
+        let mut scaled = profile.at_scale(scale);
+        if scaled.name == "MAG" {
             // MAG is the node-heavy profile (121.75 M nodes): its
             // preprocessing and lookup costs are driven by the node
             // dimension, so its node count shrinks more gently to keep
             // that cost visible at reproduction scale.
-            scale.powf(0.7)
-        } else {
-            scale.powf(0.75)
-        };
-        profile
-            .with_scale(scale)
-            .with_node_scale(node_scale)
+            scaled = scaled.with_node_scale(scale.powf(0.7));
+        }
+        scaled
             .with_feature_dim(self.feature_dim)
             .generate(self.seed)
     }
 
-    /// A model configuration scaled to the harness dimensions.
+    /// A model configuration scaled to the harness's memory width.
     pub fn model_cfg(&self, base: ModelConfig, lite: bool) -> ModelConfig {
-        let mut cfg = base.with_dims(self.memory_dim, self.time_dim);
-        if cfg.sampling.count() > self.neighbor_cap {
-            cfg = cfg.with_neighbors(self.neighbor_cap);
-        }
+        let mut cfg = base.at_width(self.memory_dim);
         if lite {
             cfg = cfg.with_lite();
         }
@@ -284,9 +270,7 @@ mod tests {
             epochs: 1,
             preset_batch: 32,
             memory_dim: 8,
-            time_dim: 4,
             feature_dim: 4,
-            neighbor_cap: 2,
             ..Harness::default()
         }
     }
@@ -300,12 +284,48 @@ mod tests {
     }
 
     #[test]
-    fn model_cfg_caps_neighbors() {
+    fn model_cfg_follows_the_shared_width_rule() {
         let h = tiny();
-        let cfg = h.model_cfg(ModelConfig::tgat(), false);
-        assert_eq!(cfg.sampling.count(), 2);
-        let cfg = h.model_cfg(ModelConfig::tgn(), false);
-        assert_eq!(cfg.sampling.count(), 1); // under the cap: unchanged
+        for base in ModelConfig::all() {
+            let rule = base.clone().at_width(h.memory_dim);
+            for lite in [false, true] {
+                let cfg = h.model_cfg(base.clone(), lite);
+                assert_eq!(
+                    (cfg.memory_dim, cfg.time_dim, cfg.sampling, cfg.lite),
+                    (rule.memory_dim, rule.time_dim, rule.sampling, lite),
+                    "{}",
+                    base.name
+                );
+            }
+        }
+    }
+
+    /// Pins the default models: width 16, time encoding 8, at most 4
+    /// sampled neighbors, no TGLite.
+    #[test]
+    fn default_models_are_unchanged() {
+        use cascade_models::Sampling::{MostRecent, Uniform};
+        let expected = [
+            ("APAN", MostRecent(4)),
+            ("JODIE", MostRecent(1)),
+            ("TGN", MostRecent(1)),
+            ("DySAT", Uniform(4)),
+            ("TGAT", Uniform(4)),
+        ];
+        let h = Harness::default();
+        for (base, (name, sampling)) in ModelConfig::all().into_iter().zip(expected) {
+            let cfg = h.model_cfg(base, false);
+            assert_eq!(
+                (
+                    cfg.name,
+                    cfg.memory_dim,
+                    cfg.time_dim,
+                    cfg.sampling,
+                    cfg.lite
+                ),
+                (name, 16, 8, sampling, false)
+            );
+        }
     }
 
     #[test]

@@ -39,43 +39,6 @@ impl TextTable {
         self.rows
             .push(cells.iter().map(|c| c.as_ref().to_string()).collect());
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The table as CSV (header + rows; cells containing commas are
-    /// quoted).
-    pub fn to_csv(&self) -> String {
-        let quote = |c: &str| {
-            if c.contains(',') || c.contains('"') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| quote(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for TextTable {
@@ -147,25 +110,5 @@ mod tests {
         assert_eq!(f2(1.234), "1.23");
         assert_eq!(f3(0.5), "0.500");
         assert_eq!(pct(0.123), "12.3%");
-    }
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::*;
-
-    #[test]
-    fn csv_quotes_commas() {
-        let mut t = TextTable::new(&["a", "b"]);
-        t.row(&["x,y", "plain"]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b\n\"x,y\",plain\n");
-    }
-
-    #[test]
-    fn csv_escapes_quotes() {
-        let mut t = TextTable::new(&["a"]);
-        t.row(&["say \"hi\""]);
-        assert!(t.to_csv().contains("\"say \"\"hi\"\"\""));
     }
 }

@@ -246,11 +246,6 @@ impl FixedBatching {
         self.label = label.into();
         self
     }
-
-    /// The configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
 }
 
 impl BatchingStrategy for FixedBatching {

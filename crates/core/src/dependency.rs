@@ -142,11 +142,6 @@ impl DependencyTable {
             .collect()
     }
 
-    /// Number of entries of a node.
-    pub fn entry_len(&self, node: usize) -> usize {
-        self.entries[node].len()
-    }
-
     /// The global event id at `pos` within node `node`'s entry, if any.
     pub fn entry_at(&self, node: usize, pos: usize) -> Option<EventId> {
         self.entries[node].get(pos).map(|&i| i as usize + self.base)
@@ -354,7 +349,7 @@ mod tests {
             .collect();
         let t = DependencyTable::build_range(&events, 6, 100);
         for n in 0..6 {
-            for from in 0..=t.entry_len(n) {
+            for from in 0..=t.entries[n].len() {
                 for event in 90..150 {
                     assert_eq!(
                         t.entry_lower_bound_from(n, from, event),

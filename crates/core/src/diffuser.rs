@@ -186,7 +186,7 @@ fn scan_min(table: &DependencyTable, pointers: &[usize], stable: &[bool], max_r:
             continue;
         }
         let cur = pointers[n];
-        if cur >= table.entry_len(n) {
+        if table.entry_at(n, cur).is_none() {
             // All of this node's events are consumed: no constraint.
             continue;
         }
@@ -360,7 +360,7 @@ mod oracle_tests {
             let k = scan_min(&self.table, &self.pointers, stable, self.max_r);
             let end = k.min(limit).max(start + 1);
             for (n, p) in self.pointers.iter_mut().enumerate() {
-                if *p < self.table.entry_len(n) {
+                if self.table.entry_at(n, *p).is_some() {
                     *p = (*p).max(self.table.entry_lower_bound(n, end));
                 }
             }

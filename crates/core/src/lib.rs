@@ -39,7 +39,7 @@
 //!
 //! let data = SynthConfig::wiki().with_scale(0.004).generate(1);
 //! let mut model = MemoryTgnn::new(
-//!     ModelConfig::tgn().with_dims(8, 4).with_neighbors(3),
+//!     ModelConfig::tgn().at_width(8).with_neighbors(3),
 //!     data.num_nodes(),
 //!     data.features().dim(),
 //!     7,

@@ -137,11 +137,6 @@ impl CascadeScheduler {
         }
     }
 
-    /// The current `Max_r`, if prepared.
-    pub fn max_r(&self) -> Option<usize> {
-        self.diffuser.as_ref().map(TgDiffuser::max_r)
-    }
-
     /// Chunks in the announced geometry (0 when unprepared).
     fn num_chunks(&self) -> usize {
         self.total_train.div_ceil(self.chunk_size.max(1))
@@ -403,6 +398,11 @@ mod tests {
     use crate::dependency::DependencyTable;
     use cascade_tgraph::SynthConfig;
 
+    /// The scheduler's current `Max_r`, if prepared.
+    fn current_max_r(s: &CascadeScheduler) -> Option<usize> {
+        s.diffuser.as_ref().map(TgDiffuser::max_r)
+    }
+
     fn small_data() -> cascade_tgraph::Dataset {
         SynthConfig::wiki().with_scale(0.01).generate(5)
     }
@@ -523,12 +523,12 @@ mod tests {
     #[test]
     fn decay_reduces_max_r_under_stalled_loss() {
         let (mut s, _) = prepared(base_cfg());
-        let initial = s.max_r().unwrap();
+        let initial = current_max_r(&s).unwrap();
         for i in 0..200 {
             s.after_batch(i, 1.0); // never-improving loss
         }
         assert!(
-            s.max_r().unwrap() <= initial,
+            current_max_r(&s).unwrap() <= initial,
             "Max_r grew under stalled loss"
         );
     }
@@ -560,7 +560,7 @@ mod tests {
         // Reference: a bare diffuser over each chunk's range table at the
         // profiled `Max_r` (no feedback was given, so it never decayed
         // and no node turned stable).
-        let max_r = s.max_r().expect("prepared");
+        let max_r = current_max_r(&s).expect("prepared");
         let no_stable = vec![false; data.num_nodes()];
         let mut reference = Vec::new();
         for (k, slice) in events.chunks(chunk).enumerate() {
@@ -675,7 +675,7 @@ mod tests {
         assert!(r.prepare_streaming(data.num_events(), data.num_nodes(), 200));
         r.import_state(&blob).expect("state roundtrips");
         r.enter_chunk(0, 0, &events[..200], None);
-        assert_eq!(r.max_r(), s.max_r());
+        assert_eq!(current_max_r(&r), current_max_r(&s));
         assert_eq!(r.export_state(), s.export_state());
     }
 

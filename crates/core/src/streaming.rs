@@ -598,7 +598,7 @@ mod tests {
     use cascade_models::ModelConfig;
 
     fn sample() -> StreamCheckpoint {
-        let model = MemoryTgnn::new(ModelConfig::jodie().with_dims(2, 2), 3, 1, 1);
+        let model = MemoryTgnn::new(ModelConfig::jodie().at_width(2), 3, 1, 1);
         StreamCheckpoint {
             epoch: 2,
             chunk: 7,

@@ -247,7 +247,7 @@ mod tests {
 
     fn tiny_model(data: &Dataset) -> MemoryTgnn {
         MemoryTgnn::new(
-            ModelConfig::tgn().with_dims(8, 4).with_neighbors(3),
+            ModelConfig::tgn().at_width(8).with_neighbors(3),
             data.num_nodes(),
             data.features().dim(),
             3,

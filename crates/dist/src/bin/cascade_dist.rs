@@ -96,13 +96,19 @@ fn print_usage() {
          --model M      jodie|tgn|apan|dysat|tgat         (default tgn)\n\
          --workers N    worker count                      (default 2)\n\
          --worker N     this follower's index, 1..N       (follower mode)\n\
-         --epochs N --batch N --chunk N --dim N --lr F\n\
-         --scale F      synth dataset scale               (default 0.01)\n\
+         --epochs N --batch N --chunk N --lr F\n\
+         --dim N        memory width; time encoding N/2, at most 4\n\
+                        sampled neighbors                 (default 16)\n\
+         --scale F      synth dataset scale: F x the profile's events,\n\
+                        F^0.75 x its nodes, 8 feature columns (default 0.01)\n\
          --seed N       model seed                        (default 42)\n\
          --data-seed N  synth dataset seed                (default 7)\n\
          --addr A       leader bind / connect address     (default 127.0.0.1:7744)\n\
          --save P       write a full-state checkpoint (weights, node state,\n\
-                        events applied) that cascade_serve can boot from\n\n\
+                        events applied): cascade_serve boots from it\n\
+                        (--arch, --dim equal, --nodes the run's node count)\n\
+                        and cascade_train --load warm-starts from it at\n\
+                        equal --dataset, --model, --dim and --scale\n\n\
          all processes of one run must agree on every flag except\n\
          --mode and --worker"
     );
@@ -111,13 +117,13 @@ fn print_usage() {
 fn build_dataset(args: &Args) -> Result<Dataset, String> {
     let profile = SynthConfig::by_name(&args.dataset)
         .ok_or_else(|| format!("unknown dataset {}", args.dataset.to_lowercase()))?;
-    Ok(profile.with_scale(args.scale).generate(args.data_seed))
+    Ok(profile.at_scale(args.scale).generate(args.data_seed))
 }
 
 fn build_model_config(args: &Args) -> Result<ModelConfig, String> {
     let base = ModelConfig::by_name(&args.model)
         .ok_or_else(|| format!("unknown model {}", args.model.to_lowercase()))?;
-    Ok(base.with_dims(args.dim, (args.dim / 2).max(2)))
+    Ok(base.at_width(args.dim))
 }
 
 fn main() {

@@ -98,12 +98,6 @@ impl DistConfig {
         self
     }
 
-    /// Sets the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     pub(crate) fn validate(&self) {
         assert!(self.workers > 0, "dist training needs at least one worker");
         assert!(self.epochs > 0, "dist training needs at least one epoch");
@@ -521,7 +515,7 @@ mod tests {
             epochs: 2,
             ..DistConfig::new().with_batching(128, 64)
         };
-        let out = train_dist(&d, &ModelConfig::tgn().with_dims(8, 4), &cfg);
+        let out = train_dist(&d, &ModelConfig::tgn().at_width(8), &cfg);
         assert_eq!(out.report.workers, 1);
         assert_eq!(out.report.epochs, 2);
         assert_eq!(out.report.events, 2 * d.num_events());
@@ -535,7 +529,7 @@ mod tests {
     fn two_workers_cover_every_event_exactly_once() {
         let d = data();
         let cfg = DistConfig::new().with_workers(2).with_batching(128, 64);
-        let out = train_dist(&d, &ModelConfig::tgn().with_dims(8, 4), &cfg);
+        let out = train_dist(&d, &ModelConfig::tgn().at_width(8), &cfg);
         assert_eq!(out.report.events, d.num_events());
         let mut covered = vec![0usize; d.num_events()];
         for b in &out.batches {
@@ -557,7 +551,7 @@ mod tests {
     #[test]
     fn a_replica_with_an_empty_partition_tracks_the_others() {
         let d = data();
-        let model_cfg = ModelConfig::tgn().with_dims(8, 4);
+        let model_cfg = ModelConfig::tgn().at_width(8);
         let cfg = DistConfig {
             epochs: 2,
             ..DistConfig::new().with_workers(3).with_batching(512, 64)
@@ -608,7 +602,7 @@ mod tests {
             epochs: 2,
             ..DistConfig::new().with_workers(2).with_batching(128, 64)
         };
-        let out = train_dist(&d, &ModelConfig::tgn().with_dims(8, 4), &cfg);
+        let out = train_dist(&d, &ModelConfig::tgn().at_width(8), &cfg);
         // Every epoch streams the same batches, so each is half the log.
         let halves = out.batches.chunks(out.batches.len() / 2);
         let means: Vec<f32> = halves
@@ -627,6 +621,6 @@ mod tests {
     fn straddling_batches_are_rejected() {
         let d = data();
         let cfg = DistConfig::new().with_batching(100, 64);
-        let _ = train_dist(&d, &ModelConfig::tgn().with_dims(8, 4), &cfg);
+        let _ = train_dist(&d, &ModelConfig::tgn().at_width(8), &cfg);
     }
 }

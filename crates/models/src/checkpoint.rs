@@ -314,7 +314,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
 /// # Examples
 ///
 /// ```
-/// use cascade_models::{load_parameters, save_parameters, MemoryTgnn, ModelConfig};
+/// use cascade_models::{load_checkpoint, save_parameters, MemoryTgnn, ModelConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dir = std::env::temp_dir().join("cascade_ckpt_doc");
@@ -325,7 +325,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
 /// save_parameters(&model, &path)?;
 ///
 /// let mut fresh = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 10, 4, 2);
-/// load_parameters(&mut fresh, &path)?;
+/// load_checkpoint(&mut fresh, &path)?;
 /// # Ok(())
 /// # }
 /// ```
@@ -333,26 +333,6 @@ pub fn save_parameters<M: Module>(module: &M, path: &Path) -> Result<(), Checkpo
     let mut w = ByteWriter::container();
     put_params(&mut w, &module.parameters());
     write_atomic(path, &w.end())
-}
-
-/// Loads the parameters of any checkpoint into `module`, overwriting
-/// its current values; node state and watermark, if the file has them,
-/// are checked for well-formedness and otherwise ignored.
-///
-/// # Errors
-///
-/// Fails on I/O errors, a malformed file, or any parameter-count/shape
-/// disagreement, and leaves the module untouched when it does.
-pub fn load_parameters<M: Module>(module: &mut M, path: &Path) -> Result<(), CheckpointError> {
-    let bytes = std::fs::read(path)?;
-    let mut r = ByteReader::container(&bytes)?;
-    let params = module.parameters();
-    let values = take_params(&mut r, &params)?;
-    r.section(tag::NODE_STATE)?;
-    r.section(tag::WATERMARK)?;
-    r.end()?;
-    apply_params(&params, &values);
-    Ok(())
 }
 
 /// Atomically snapshots the model's full mutable state — parameters,
@@ -434,7 +414,7 @@ mod tests {
         save_parameters(&a, &path).unwrap();
 
         let mut b = tgn(6, 99);
-        load_parameters(&mut b, &path).unwrap();
+        load_checkpoint(&mut b, &path).unwrap();
 
         for (pa, pb) in a.parameters().iter().zip(b.parameters().iter()) {
             assert_eq!(pa.to_vec(), pb.to_vec());
@@ -450,7 +430,7 @@ mod tests {
         let mut a = MemoryTgnn::new(ModelConfig::jodie().with_dims(8, 4), 6, 4, 1);
         save_parameters(&a, &path).unwrap();
         let mut b = MemoryTgnn::new(ModelConfig::jodie().with_dims(8, 4), 6, 4, 2);
-        load_parameters(&mut b, &path).unwrap();
+        load_checkpoint(&mut b, &path).unwrap();
 
         let la = a.process_batch(&events, 0, &feats).loss.item();
         let lb = b.process_batch(&events, 0, &feats).loss.item();
@@ -464,13 +444,13 @@ mod tests {
 
         let mut wrong_width = MemoryTgnn::new(ModelConfig::tgn().with_dims(16, 4), 6, 4, 1);
         assert!(matches!(
-            load_parameters(&mut wrong_width, &path),
+            load_checkpoint(&mut wrong_width, &path),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
 
         let mut wrong_arch = MemoryTgnn::new(ModelConfig::jodie().with_dims(8, 4), 6, 4, 1);
         assert!(matches!(
-            load_parameters(&mut wrong_arch, &path),
+            load_checkpoint(&mut wrong_arch, &path),
             Err(CheckpointError::CountMismatch { .. }) | Err(CheckpointError::ShapeMismatch { .. })
         ));
     }
@@ -490,10 +470,6 @@ mod tests {
             let path = tmp(&format!("garbage{i}.ckpt"));
             std::fs::write(&path, bytes).unwrap();
             assert!(matches!(
-                load_parameters(&mut m, &path),
-                Err(CheckpointError::BadMagic)
-            ));
-            assert!(matches!(
                 load_checkpoint(&mut m, &path),
                 Err(CheckpointError::BadMagic)
             ));
@@ -503,7 +479,7 @@ mod tests {
     #[test]
     fn missing_file_is_io_error() {
         assert!(matches!(
-            load_parameters(&mut tgn(6, 1), Path::new("/nonexistent/nope.ckpt")),
+            load_checkpoint(&mut tgn(6, 1), Path::new("/nonexistent/nope.ckpt")),
             Err(CheckpointError::Io(_))
         ));
     }
@@ -546,25 +522,6 @@ mod tests {
         assert_eq!(load_checkpoint(&mut m, &p1).unwrap(), None);
         assert_eq!(load_checkpoint(&mut m, &p2).unwrap(), Some(9));
         assert_eq!(a.export_state(), m.export_state());
-
-        // The weights of a full-state file warm-start any module; its
-        // node state is not this entry point's to apply.
-        let mut warm = tgn(6, 5);
-        let cold_state = warm.export_state();
-        load_parameters(&mut warm, &p2).unwrap();
-        for (pa, pw) in a.parameters().iter().zip(warm.parameters().iter()) {
-            assert_eq!(pa.to_vec(), pw.to_vec());
-        }
-        let params_len = a
-            .parameters()
-            .iter()
-            .map(|p| 8 + 4 * p.len())
-            .sum::<usize>()
-            + 20;
-        assert!(
-            warm.export_state()[params_len..] == cold_state[params_len..],
-            "memories stay cold"
-        );
     }
 
     /// The format, written out by hand: header, section order, a
@@ -659,13 +616,12 @@ mod tests {
         let cut = tmp("cut.ckpt");
         for whole in [params, state] {
             let bytes = std::fs::read(&whole).unwrap();
-            // Every strict prefix, through both entry points. Prefixes
+            // Every strict prefix of either kind of file. Prefixes
             // that end inside a parameter's values are the ones an
             // apply-as-you-read loader leaves half-applied.
             for len in 0..bytes.len() {
                 std::fs::write(&cut, &bytes[..len]).unwrap();
                 assert!(load_checkpoint(&mut b, &cut).is_err(), "prefix {len}");
-                assert!(load_parameters(&mut b, &cut).is_err(), "prefix {len}");
                 assert!(b.export_state() == before, "prefix {len} mutated the model");
             }
             // A wrong last parameter is only found after every earlier
@@ -673,7 +629,6 @@ mod tests {
             let mut wrong = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 5, 77);
             let before = wrong.export_state();
             assert!(load_checkpoint(&mut wrong, &whole).is_err());
-            assert!(load_parameters(&mut wrong, &whole).is_err());
             assert!(wrong.export_state() == before);
         }
     }

@@ -48,6 +48,9 @@ pub enum EmbedderKind {
     Gat2,
 }
 
+/// Cap on sampled neighbors in [`ModelConfig::at_width`].
+const SCALED_NEIGHBORS: usize = 4;
+
 /// Full configuration of a memory-based TGNN.
 ///
 /// The five presets reproduce Table 1 of the paper; dimensions default to
@@ -187,6 +190,29 @@ impl ModelConfig {
         self
     }
 
+    /// This model at memory width `memory_dim`: the one rule every front
+    /// door (the training, dist and serving CLIs, scenario recipes, the
+    /// experiment harness) uses to scale a Table 1 preset down. The time
+    /// encoding is half the memory width (at least 2), and the models
+    /// that sample more than four neighbors (APAN, DySAT, TGAT) sample
+    /// four.
+    ///
+    /// Two runs that name the same model and width build the same
+    /// parameter shapes, so a checkpoint one front door saves loads in
+    /// any other at equal flags.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memory_dim` is zero.
+    pub fn at_width(self, memory_dim: usize) -> Self {
+        let cfg = self.with_dims(memory_dim, (memory_dim / 2).max(2));
+        if cfg.sampling.count() > SCALED_NEIGHBORS {
+            cfg.with_neighbors(SCALED_NEIGHBORS)
+        } else {
+            cfg
+        }
+    }
+
     /// Enables TGLite-style redundancy-eliminating execution.
     pub fn with_lite(mut self) -> Self {
         self.lite = true;
@@ -262,6 +288,52 @@ mod tests {
     fn with_dims_overrides() {
         let c = ModelConfig::tgn().with_dims(16, 4);
         assert_eq!((c.memory_dim, c.time_dim), (16, 4));
+    }
+
+    #[test]
+    fn at_width_halves_the_time_encoding() {
+        for (width, time) in [(8, 4), (16, 8), (3, 2), (2, 2)] {
+            for base in ModelConfig::all() {
+                let c = base.at_width(width);
+                assert_eq!((c.memory_dim, c.time_dim), (width, time), "{}", c.name);
+            }
+        }
+    }
+
+    #[test]
+    fn at_width_caps_sampled_neighbors_at_four() {
+        let sampling = |c: ModelConfig| c.at_width(16).sampling;
+        assert_eq!(sampling(ModelConfig::tgat()), Sampling::Uniform(4));
+        assert_eq!(sampling(ModelConfig::dysat()), Sampling::Uniform(4));
+        assert_eq!(sampling(ModelConfig::apan()), Sampling::MostRecent(4));
+        // Under the cap: unchanged.
+        assert_eq!(sampling(ModelConfig::tgn()), Sampling::MostRecent(1));
+        assert_eq!(sampling(ModelConfig::jodie()), Sampling::MostRecent(1));
+        let three = ModelConfig::tgat().with_neighbors(3).at_width(16);
+        assert_eq!(three.sampling, Sampling::Uniform(3));
+    }
+
+    #[test]
+    fn at_width_keeps_the_rest_of_the_preset() {
+        for base in ModelConfig::all() {
+            let c = base.clone().with_lite().at_width(8);
+            assert_eq!(
+                (c.name, c.updater, c.embedder, c.lite),
+                (base.name, base.updater, base.embedder, true)
+            );
+        }
+    }
+
+    #[test]
+    fn names_resolve_case_insensitively_before_the_width_rule() {
+        let scaled = |name: &str| ModelConfig::by_name(name).map(|c| c.at_width(8));
+        for name in ["tgat", "TGAT", "TgAt"] {
+            let c = scaled(name).expect("TGAT resolves in any case");
+            assert_eq!((c.name, c.sampling), ("TGAT", Sampling::Uniform(4)));
+        }
+        for name in ["gcn", "GCN", "tgn2", ""] {
+            assert!(scaled(name).is_none(), "{name:?} is not a model");
+        }
     }
 
     #[test]

@@ -39,9 +39,7 @@ mod memory;
 mod model;
 mod plane;
 
-pub use checkpoint::{
-    load_checkpoint, load_parameters, save_parameters, save_state, CheckpointError,
-};
+pub use checkpoint::{load_checkpoint, save_parameters, save_state, CheckpointError};
 pub use classifier::NodeClassifier;
 pub use config::{EmbedderKind, ModelConfig, Sampling, UpdaterKind};
 pub use model::{BatchForward, BatchOutput, BatchPending, MemoryDelta, MemoryTgnn};

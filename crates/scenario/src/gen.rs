@@ -162,11 +162,6 @@ impl ScenarioSource {
         Ok(src)
     }
 
-    /// The recipe driving this generator.
-    pub fn recipe(&self) -> &Recipe {
-        &self.recipe
-    }
-
     fn span(&self) -> usize {
         ((self.recipe.nodes as f64 * self.recipe.pool_fraction) as usize)
             .clamp(2.min(self.recipe.nodes), self.recipe.nodes)

@@ -30,7 +30,7 @@ mod runner;
 pub use gen::{feature_row_into, generate_to_store, ScenarioSource, PARTNER_SLOTS_MAX};
 pub use recipe::{Phase, PhaseKind, Recipe, TrainSpec};
 pub use report::{list_recipes, load_recipe, proc_self_status, PhaseLoss, ScenarioReport};
-pub use rss::{current_rss_bytes, peak_rss_bytes, Stopwatch};
+pub use rss::{peak_rss_bytes, Stopwatch};
 pub use runner::ScenarioRunner;
 
 /// A scenario-layer failure: recipe schema violations, generation

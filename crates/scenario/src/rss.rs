@@ -36,12 +36,6 @@ pub fn peak_rss_bytes() -> Option<usize> {
     status_field_bytes("VmHWM:")
 }
 
-/// Current resident set (`VmRSS`) in bytes, `None` off Linux or when
-/// `/proc` is unavailable.
-pub fn current_rss_bytes() -> Option<usize> {
-    status_field_bytes("VmRSS:")
-}
-
 fn status_field_bytes(key: &str) -> Option<usize> {
     parse_status_field(&proc_self_status()?, key)
 }
@@ -80,7 +74,7 @@ mod tests {
         // samplers degrade to None and reports record zero.
         if let Some(peak) = peak_rss_bytes() {
             assert!(peak > 0);
-            let current = current_rss_bytes().expect("VmRSS accompanies VmHWM");
+            let current = status_field_bytes("VmRSS:").expect("VmRSS accompanies VmHWM");
             assert!(current > 0);
             assert!(peak >= current / 2, "peak is near or above current");
         }

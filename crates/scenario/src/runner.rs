@@ -44,11 +44,6 @@ impl ScenarioRunner {
         ScenarioRunner { recipe }
     }
 
-    /// The recipe being driven.
-    pub fn recipe(&self) -> &Recipe {
-        &self.recipe
-    }
-
     /// The normalization policy this recipe's stream needs: buffered
     /// reordering sized to the widest scramble window, else the strict
     /// validator.
@@ -260,11 +255,7 @@ impl ScenarioRunner {
                 spec.model.to_lowercase()
             ))
         })?;
-        let mut cfg = base.with_dims(spec.dim, (spec.dim / 2).max(2));
-        if cfg.sampling.count() > 4 {
-            cfg = cfg.with_neighbors(4);
-        }
-        Ok(cfg)
+        Ok(base.at_width(spec.dim))
     }
 
     fn build_model(&self) -> Result<MemoryTgnn, ScenarioError> {

@@ -100,12 +100,17 @@ fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 fn print_usage() {
     eprintln!(
         "cascade-serve: online link prediction with live event ingest\n\n\
-         --load P             checkpoint from cascade_train / cascade_dist --save\n\
-         \u{20}                    (required); parameter-only or full-state\n\
+         --load P             checkpoint (required): cascade_train --save\n\
+         \u{20}                    (parameters only) or cascade_dist --save and\n\
+         \u{20}                    --snapshot files (full state); --arch and --dim\n\
+         \u{20}                    must equal the training run's --model and --dim\n\
          --arch M             jodie|tgn|apan|dysat|tgat       (default tgn)\n\
-         --nodes N            node count the model was trained with (required)\n\
-         --dim N              memory width used in training     (default 16)\n\
-         --feature-dim N      edge-feature width                (default 8)\n\
+         --nodes N            node count (required); a full-state checkpoint\n\
+         \u{20}                    needs the training run's own count\n\
+         --dim N              memory width used in training     (default 16;\n\
+         \u{20}                    time encoding N/2, at most 4 sampled neighbors)\n\
+         --feature-dim N      edge-feature width                (default 8, the\n\
+         \u{20}                    width of every synth profile the CLIs train on)\n\
          --seed N             model build seed                  (default 42)\n\
          --addr A --port P    bind address                      (default 127.0.0.1:8080;\n\
          \u{20}                    port 0 picks an ephemeral port, printed on startup)\n\
@@ -123,12 +128,8 @@ fn print_usage() {
 fn build_model(args: &Args) -> Result<MemoryTgnn, String> {
     let base = ModelConfig::by_name(&args.arch)
         .ok_or_else(|| format!("unknown model {}", args.arch.to_lowercase()))?;
-    let mut cfg = base.with_dims(args.dim, (args.dim / 2).max(2));
-    if cfg.sampling.count() > 4 {
-        cfg = cfg.with_neighbors(4);
-    }
     Ok(MemoryTgnn::new(
-        cfg,
+        base.at_width(args.dim),
         args.nodes,
         args.feature_dim,
         args.seed,

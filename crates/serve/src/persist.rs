@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn missing_snapshot_is_none() {
         use cascade_models::{MemoryTgnn, ModelConfig};
-        let mut m = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 2, 1);
+        let mut m = MemoryTgnn::new(ModelConfig::tgn().at_width(8), 6, 2, 1);
         let got = load_snapshot(&mut m, &tmp("never_written.ckpt")).unwrap();
         assert!(got.is_none());
     }
@@ -220,7 +220,7 @@ mod tests {
     fn dist_checkpoint_boots_the_server() {
         use cascade_models::{MemoryTgnn, ModelConfig};
         use cascade_tgraph::EdgeFeatures;
-        let cfg = ModelConfig::tgn().with_dims(8, 4);
+        let cfg = ModelConfig::tgn().at_width(8);
         let mut trained = MemoryTgnn::new(cfg.clone(), 6, 2, 1);
         let events = [Event::new(0u32, 1u32, 1.0), Event::new(2u32, 3u32, 2.0)];
         let mut feats = EdgeFeatures::zeros(2, 2);
@@ -247,10 +247,10 @@ mod tests {
     #[test]
     fn parameter_only_snapshot_is_rejected() {
         use cascade_models::{save_parameters, MemoryTgnn, ModelConfig};
-        let m = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 2, 1);
+        let m = MemoryTgnn::new(ModelConfig::tgn().at_width(8), 6, 2, 1);
         let path = tmp("params_only.ckpt");
         save_parameters(&m, &path).unwrap();
-        let mut fresh = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 2, 1);
+        let mut fresh = MemoryTgnn::new(ModelConfig::tgn().at_width(8), 6, 2, 1);
         assert!(
             matches!(
                 load_snapshot(&mut fresh, &path),

@@ -101,11 +101,6 @@ impl StoreMeta {
         Ok(meta)
     }
 
-    /// Number of chunk frames the file should contain.
-    pub fn num_chunks(&self) -> usize {
-        self.num_events.div_ceil(self.chunk_size)
-    }
-
     /// Payload length a frame of `count` events must have (saturating:
     /// no real payload is as long as a count that overflows).
     pub fn expected_payload_len(&self, count: usize) -> usize {
@@ -178,7 +173,6 @@ mod tests {
         let buf = meta.encode();
         assert_eq!(buf.len(), HEADER_LEN);
         assert_eq!(StoreMeta::decode(&buf).expect("valid header"), meta);
-        assert_eq!(meta.num_chunks(), 157_474usize.div_ceil(4096));
     }
 
     #[test]

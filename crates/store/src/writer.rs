@@ -130,12 +130,6 @@ impl ChunkWriter {
         Ok(self.written)
     }
 
-    /// Events flushed into completed frames so far (excludes any pending
-    /// partial frame not yet closed by `push`/`sync`/`finish`).
-    pub fn written(&self) -> usize {
-        self.written
-    }
-
     /// Flushes any partial final chunk, rewrites the header's event
     /// count, and syncs the file. Returns a summary of what was written.
     ///

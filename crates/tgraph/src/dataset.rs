@@ -203,22 +203,6 @@ impl Dataset {
         self.val_end..self.stream.len()
     }
 
-    /// Writes the event stream as a TGL-style CSV of `src,dst,time` rows
-    /// (with header), the format [`Dataset::from_csv`] reads back.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure.
-    pub fn to_csv(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(f, "src,dst,time")?;
-        for e in self.stream.iter() {
-            writeln!(f, "{},{},{}", e.src.0, e.dst.0, e.time)?;
-        }
-        f.flush()
-    }
-
     /// Loads a dataset from a TGL-style CSV of `src,dst,time` rows
     /// (header optional). Features are generated absent from file data,
     /// matching the paper's treatment of feature-less datasets (Table 2).
@@ -400,7 +384,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("roundtrip.csv");
         let original = Dataset::new("orig", toy_stream(25), EdgeFeatures::none());
-        original.to_csv(&p).unwrap();
+        let rows = original
+            .stream()
+            .iter()
+            .map(|e| format!("{},{},{}\n", e.src.0, e.dst.0, e.time));
+        std::fs::write(&p, "src,dst,time\n".to_string() + &rows.collect::<String>()).unwrap();
         let loaded = Dataset::from_csv("copy", &p, 0, 1).unwrap();
         assert_eq!(loaded.num_events(), original.num_events());
         assert_eq!(loaded.stream().events(), original.stream().events());

@@ -180,15 +180,6 @@ impl EventStream {
         self.events.iter()
     }
 
-    /// A sub-stream view over the index range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> &[Event] {
-        &self.events[range]
-    }
-
     /// A new stream restricted to `range` (used for chronological splits).
     pub fn restricted(&self, range: std::ops::Range<usize>) -> EventStream {
         EventStream {

@@ -111,14 +111,6 @@ pub struct ReorderingSource<S> {
 }
 
 impl<S: EventSource> ReorderingSource<S> {
-    /// Wraps `inner`, declaring the normalized stream's event count to
-    /// be `inner.num_events()` (correct when the inner stream contains
-    /// no duplicates to drop).
-    pub fn new(inner: S, policy: ReorderPolicy) -> Self {
-        let declared = inner.num_events();
-        Self::with_declared_events(inner, policy, declared)
-    }
-
     /// Wraps `inner`, declaring that normalization yields exactly
     /// `declared_events` events (the inner count minus known injected
     /// duplicates). Consumers size splits and feature tables off this
@@ -140,16 +132,6 @@ impl<S: EventSource> ReorderingSource<S> {
             #[cfg(test)]
             linear_dedup: false,
         }
-    }
-
-    /// The policy this adapter normalizes under.
-    pub fn policy(&self) -> ReorderPolicy {
-        self.policy
-    }
-
-    /// The wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 
     fn is_duplicate(&self, ev: &Event) -> bool {
@@ -347,6 +329,13 @@ mod tests {
     use super::*;
     use cascade_util::{check, prop_assert, DetRng};
 
+    /// A normalizer that declares the inner source's own event count
+    /// (right when the stream holds no duplicates to drop).
+    fn undeclared<S: EventSource>(inner: S, policy: ReorderPolicy) -> ReorderingSource<S> {
+        let declared = inner.num_events();
+        ReorderingSource::with_declared_events(inner, policy, declared)
+    }
+
     /// Minimal in-memory source over explicit event/feature vectors —
     /// unlike `InMemorySource` it accepts disordered streams, which is
     /// the whole point here.
@@ -487,7 +476,7 @@ mod tests {
             shuffle_within_window(g.rng(), &mut shuffled, &mut shuffled_feats, dim, window);
 
             let src = VecSource::new(50, dim, chunk, shuffled, shuffled_feats);
-            let mut reorder = ReorderingSource::new(src, ReorderPolicy::BufferedReorder(window));
+            let mut reorder = undeclared(src, ReorderPolicy::BufferedReorder(window));
             let (got, got_feats) = drain_all(&mut reorder).map_err(|e| e.to_string())?;
             prop_assert!(
                 bits_equal(&got, &got_feats, &events, &features),
@@ -570,13 +559,13 @@ mod tests {
     fn reject_policy_errors_on_disorder_and_passes_duplicates() {
         let disordered = vec![Event::new(0u32, 1u32, 2.0), Event::new(1u32, 2u32, 1.0)];
         let src = VecSource::new(3, 0, 8, disordered, Vec::new());
-        let mut reject = ReorderingSource::new(src, ReorderPolicy::Reject);
+        let mut reject = undeclared(src, ReorderPolicy::Reject);
         let err = drain_all(&mut reject).expect_err("regression must be rejected");
         assert!(err.message.contains("out-of-order"));
 
         let duplicated = vec![Event::new(0u32, 1u32, 1.0), Event::new(0u32, 1u32, 1.0)];
         let src = VecSource::new(3, 0, 8, duplicated, Vec::new());
-        let mut reject = ReorderingSource::new(src, ReorderPolicy::Reject);
+        let mut reject = undeclared(src, ReorderPolicy::Reject);
         let (got, _) = drain_all(&mut reject).expect("duplicates pass under Reject");
         assert_eq!(got.len(), 2);
     }
@@ -593,7 +582,7 @@ mod tests {
             Event::new(4u32, 0u32, 1.0),
         ];
         let src = VecSource::new(5, 0, 8, events, Vec::new());
-        let mut reorder = ReorderingSource::new(src, ReorderPolicy::BufferedReorder(2));
+        let mut reorder = undeclared(src, ReorderPolicy::BufferedReorder(2));
         let err = drain_all(&mut reorder).expect_err("window excess must error");
         assert!(err.message.contains("reorder window"));
     }
@@ -603,7 +592,7 @@ mod tests {
         let events = vec![Event::new(0u32, 1u32, 1.0), Event::new(0u32, 1u32, 1.0)];
         let src = VecSource::new(2, 0, 8, events, Vec::new());
         // Declares 2 events but dedup yields 1.
-        let mut dedup = ReorderingSource::new(src, ReorderPolicy::DropDuplicates);
+        let mut dedup = undeclared(src, ReorderPolicy::DropDuplicates);
         let err = drain_all(&mut dedup).expect_err("count mismatch must surface");
         assert!(err.message.contains("declared"));
     }
@@ -676,7 +665,7 @@ mod tests {
             let chunk = g.usize_in(1..200);
             let run = |linear_dedup: bool| {
                 let src = VecSource::new(nodes, dim, chunk, events.clone(), features.clone());
-                let mut reorder = ReorderingSource::new(src, policy);
+                let mut reorder = undeclared(src, policy);
                 reorder.linear_dedup = linear_dedup;
                 yields(&mut reorder)
             };
@@ -711,7 +700,7 @@ mod tests {
                     Event::new(2u32, 0u32, 0.5),
                 ];
                 let src = VecSource::new(3, 0, 8, events, Vec::new());
-                let mut reorder = ReorderingSource::new(src, policy);
+                let mut reorder = undeclared(src, policy);
                 let err = drain_all(&mut reorder).expect_err("a non-finite time is refused");
                 assert!(err.message.contains("non-finite"), "{policy}: {err}");
                 assert_eq!(err.chunk, Some(0));
@@ -728,7 +717,7 @@ mod tests {
             let mut shuffled = events.clone();
             shuffle_within_window(g.rng(), &mut shuffled, &mut [], 0, window);
             let src = VecSource::new(20, 0, 16, shuffled, Vec::new());
-            let mut reorder = ReorderingSource::new(src, ReorderPolicy::BufferedReorder(window));
+            let mut reorder = undeclared(src, ReorderPolicy::BufferedReorder(window));
             let (first, _) = drain_all(&mut reorder).map_err(|e| e.to_string())?;
             reorder.reset().map_err(|e| e.to_string())?;
             let (second, _) = drain_all(&mut reorder).map_err(|e| e.to_string())?;

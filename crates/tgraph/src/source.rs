@@ -49,11 +49,6 @@ impl<S: EventSource> PartitionedSource<S> {
             workers,
         }
     }
-
-    /// The wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 impl<S: EventSource> EventSource for PartitionedSource<S> {

@@ -40,7 +40,7 @@
 //!
 //! // Property check (64 seeded cases by default).
 //! check("addition_commutes", |g| {
-//!     let (a, b) = (g.i64_in(-100..100), g.i64_in(-100..100));
+//!     let (a, b) = (g.usize_in(0..100), g.usize_in(0..100));
 //!     cascade_util::prop_assert_eq!(a + b, b + a);
 //!     Ok(())
 //! });

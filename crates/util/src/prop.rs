@@ -60,19 +60,6 @@ impl Gen {
         range.start + self.rng.index(range.end - range.start)
     }
 
-    /// Uniform `i64` in `range`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty.
-    pub fn i64_in(&mut self, range: Range<i64>) -> i64 {
-        assert!(!range.is_empty(), "i64_in on empty range");
-        let span = range.end.wrapping_sub(range.start) as u64;
-        range
-            .start
-            .wrapping_add((self.rng.next_u64() % span) as i64)
-    }
-
     /// Uniform `f32` in `range`.
     ///
     /// # Panics
@@ -318,8 +305,6 @@ mod tests {
         check("ranges", |g| {
             let u = g.usize_in(3..9);
             prop_assert!((3..9).contains(&u), "usize {} out of range", u);
-            let i = g.i64_in(-5..5);
-            prop_assert!((-5..5).contains(&i), "i64 {} out of range", i);
             let x = g.f32_in(-2.0..2.0);
             prop_assert!((-2.0..2.0).contains(&x), "f32 {} out of range", x);
             let v = g.vec_f32(7, 0.0..1.0);

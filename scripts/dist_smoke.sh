@@ -5,7 +5,8 @@
 # two real processes over TCP loopback (leader backgrounded), and
 # assert all three transports report identical per-epoch losses and
 # that the in-process run and the TCP leader save byte-identical
-# full-state checkpoints.
+# full-state checkpoints. Last, cascade_train warm-starts from the
+# in-process checkpoint at the same dataset, model, width and scale.
 # Used by CI; runnable locally:
 #
 #   cargo build --release -p cascade-dist --bin cascade_dist
@@ -21,9 +22,11 @@ echo "dist_smoke: gating on the N=1 bit-identity row"
 cargo test -q --release --offline -p cascade --test identity \
   g4_n1_dist_is_bit_identical_to_the_reference >/dev/null
 
+# The run's shape: cascade_train reads these four flags the same way.
+SHAPE_ARGS=(--dataset wiki --model tgn --dim 8 --scale 0.003)
 # All transports must agree on every flag except --mode/--worker.
-RUN_ARGS=(--dataset wiki --model tgn --workers 2 --epochs 2 \
-  --batch 64 --chunk 128 --dim 8 --scale 0.003 --seed 33 --data-seed 29)
+RUN_ARGS=("${SHAPE_ARGS[@]}" --workers 2 --epochs 2 \
+  --batch 64 --chunk 128 --seed 33 --data-seed 29)
 
 echo "dist_smoke: 2-worker in-process epoch"
 "$BIN" --mode inproc "${RUN_ARGS[@]}" --save "$WORK/inproc.ckpt" | tee "$WORK/inproc.log"
@@ -77,5 +80,13 @@ cmp "$WORK/inproc.ckpt" "$WORK/leader.ckpt" || {
   echo "dist_smoke: TCP and in-process checkpoints differ"
   exit 1
 }
+
+# Every front door builds the model and the dataset by one rule each
+# (ModelConfig::at_width, SynthConfig::at_scale), so a dist checkpoint
+# loads into a single-node run of the same shape.
+echo "dist_smoke: cascade_train --load of the in-process checkpoint"
+cargo run -q --release --offline -p cascade-bench --bin cascade_train -- \
+  "${SHAPE_ARGS[@]}" --epochs 1 --load "$WORK/inproc.ckpt" | tee "$WORK/warm.log"
+grep -q "^loaded parameters from $WORK/inproc.ckpt" "$WORK/warm.log"
 
 echo "dist_smoke: OK"
