@@ -304,8 +304,8 @@ impl TrainStep {
             graph: facts.graph_bytes,
             edge_features: facts.feature_bytes,
             model: model.parameter_count() * std::mem::size_of::<f32>(),
-            mailbox: model.mailbox_size_bytes(),
-            memory: model.memory_size_bytes(),
+            mailbox: model.plane().mailbox_size_bytes(),
+            memory: model.plane().memory_size_bytes(),
         };
 
         TrainReport {

@@ -10,7 +10,9 @@
 //! `(--dataset, --scale, --data-seed)`, so multi-process runs need no
 //! shared filesystem: the only bytes on the wire are round payloads.
 
-use cascade_dist::{run_follower, run_leader, train_dist, DistConfig, DistOutcome, RunClock};
+use std::net::TcpListener;
+
+use cascade_dist::{run_follower, train_dist, DistConfig, DistOutcome, Leader, RunClock};
 use cascade_models::{save_state, MemoryTgnn, ModelConfig};
 use cascade_tgraph::{Dataset, SynthConfig};
 
@@ -157,18 +159,24 @@ fn run() -> Result<(), String> {
     );
 
     // The library's training path is clock-free by design (see
-    // `DistReport`); wall time is owned here, at the edge.
-    let clock = RunClock::start();
-    let outcome: DistOutcome = match args.mode.as_str() {
-        "inproc" => train_dist(&data, &model_cfg, &cfg),
+    // `DistReport`); wall time is owned here, at the edge. A leader's
+    // clock starts once every follower has connected, so the followers'
+    // connect retries are not timed as training.
+    let (clock, outcome): (RunClock, DistOutcome) = match args.mode.as_str() {
+        "inproc" => (RunClock::start(), train_dist(&data, &model_cfg, &cfg)),
         "leader" => {
             println!("leader listening on {}", args.addr);
-            run_leader(&args.addr, &data, &model_cfg, &cfg).map_err(|e| e.to_string())?
+            let listener = TcpListener::bind(&args.addr).map_err(|e| e.to_string())?;
+            let leader = Leader::accept(&listener, &cfg).map_err(|e| e.to_string())?;
+            let clock = RunClock::start();
+            let outcome = leader.run(&data, &model_cfg, &cfg);
+            (clock, outcome.map_err(|e| e.to_string())?)
         }
         "follower" => {
             println!("follower {} connecting to {}", args.worker, args.addr);
-            run_follower(&args.addr, args.worker, &data, &model_cfg, &cfg)
-                .map_err(|e| e.to_string())?
+            let clock = RunClock::start();
+            let outcome = run_follower(&args.addr, args.worker, &data, &model_cfg, &cfg);
+            (clock, outcome.map_err(|e| e.to_string())?)
         }
         other => return Err(format!("unknown mode {}", other)),
     };

@@ -32,4 +32,4 @@ mod tcp;
 pub use round::{Frame, RoundPayload, WireError};
 pub use runtime::{train_dist, BatchRecord, DistConfig, DistOutcome};
 pub use stats::{DistReport, RunClock};
-pub use tcp::{run_follower, run_leader, run_leader_on, DistError};
+pub use tcp::{run_follower, run_leader_on, DistError, Leader};

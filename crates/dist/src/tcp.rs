@@ -116,119 +116,144 @@ fn shared(round: Vec<Option<RoundPayload>>) -> Vec<Option<Arc<RoundPayload>>> {
     round.into_iter().map(|p| p.map(Arc::new)).collect()
 }
 
-/// Runs the leader (worker 0): binds `addr`, waits for `workers - 1`
-/// follower connections, then drives the round protocol to completion.
+/// Runs the leader (worker 0) on `listener`: [`Leader::accept`], then
+/// [`Leader::run`].
 ///
 /// # Errors
 ///
 /// [`DistError`] on socket failure, malformed frames, or protocol
 /// violations (duplicate/out-of-range worker indices, mismatched
 /// worker counts).
-pub fn run_leader(
-    addr: &str,
-    data: &Dataset,
-    model_cfg: &ModelConfig,
-    cfg: &DistConfig,
-) -> Result<DistOutcome, DistError> {
-    run_leader_on(TcpListener::bind(addr)?, data, model_cfg, cfg)
-}
-
-/// [`run_leader`] over an already-bound listener (lets tests bind port
-/// 0 and hand the resolved address to followers).
 pub fn run_leader_on(
     listener: TcpListener,
     data: &Dataset,
     model_cfg: &ModelConfig,
     cfg: &DistConfig,
 ) -> Result<DistOutcome, DistError> {
-    cfg.validate();
+    Leader::accept(&listener, cfg)?.run(data, model_cfg, cfg)
+}
 
-    // Accept and identify every follower before training starts.
-    let mut slots: Vec<Option<TcpStream>> = (1..cfg.workers).map(|_| None).collect();
-    for _ in 1..cfg.workers {
-        let (mut stream, _) = listener.accept()?;
-        match recv_frame(&mut stream)? {
-            Frame::Hello { worker, workers } => {
-                if workers as usize != cfg.workers {
-                    return Err(protocol(format!(
-                        "follower expects {} workers, leader runs {}",
-                        workers, cfg.workers
-                    )));
-                }
-                let w = worker as usize;
-                if w == 0 || w >= cfg.workers {
-                    return Err(protocol(format!("worker index {} out of range", w)));
-                }
-                if slots[w - 1].replace(stream).is_some() {
-                    return Err(protocol(format!("worker index {} connected twice", w)));
-                }
-            }
-            other => {
-                return Err(protocol(format!(
-                    "expected Hello, got {} frame",
-                    frame_name(&other)
-                )))
-            }
-        }
-    }
-    let mut peers: Vec<TcpStream> = Vec::with_capacity(cfg.workers - 1);
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(stream) => peers.push(stream),
-            None => return Err(protocol(format!("worker {} never connected", i + 1))),
-        }
-    }
+/// A leader (worker 0) whose followers have all said `Hello`: only the
+/// rounds are left, so a caller that times the run starts its clock
+/// here, after every connect retry.
+pub struct Leader {
+    /// Followers `1..workers`, in worker order.
+    peers: Vec<TcpStream>,
+}
 
-    let mut rep = Replica::new(0, data, model_cfg, cfg);
-    let mut epoch = 0usize;
-    loop {
-        let own = rep.next_payload();
-        let mut round: Vec<Option<RoundPayload>> = Vec::with_capacity(cfg.workers);
-        round.push(own);
-        for peer in peers.iter_mut() {
-            match recv_frame(peer)? {
-                Frame::Payload(p) => round.push(p),
+impl Leader {
+    /// Waits on `listener` until each of the `workers - 1` followers has
+    /// connected and identified itself.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError`] on socket failure, malformed frames, or a `Hello`
+    /// with a duplicate or out-of-range worker index or another worker
+    /// count.
+    pub fn accept(listener: &TcpListener, cfg: &DistConfig) -> Result<Leader, DistError> {
+        cfg.validate();
+        let mut slots: Vec<Option<TcpStream>> = (1..cfg.workers).map(|_| None).collect();
+        for _ in 1..cfg.workers {
+            let (mut stream, _) = listener.accept()?;
+            // Each round is a short frame each way and waits on the
+            // reply: Nagle's algorithm against the peer's delayed ACK
+            // would add ~40 ms to every one (the 1 k ev/s TCP runs).
+            stream.set_nodelay(true)?;
+            match recv_frame(&mut stream)? {
+                Frame::Hello { worker, workers } => {
+                    if workers as usize != cfg.workers {
+                        return Err(protocol(format!(
+                            "follower expects {} workers, leader runs {}",
+                            workers, cfg.workers
+                        )));
+                    }
+                    let w = worker as usize;
+                    if w == 0 || w >= cfg.workers {
+                        return Err(protocol(format!("worker index {} out of range", w)));
+                    }
+                    if slots[w - 1].replace(stream).is_some() {
+                        return Err(protocol(format!("worker index {} connected twice", w)));
+                    }
+                }
                 other => {
                     return Err(protocol(format!(
-                        "expected Payload, got {} frame",
+                        "expected Hello, got {} frame",
                         frame_name(&other)
                     )))
                 }
             }
         }
-
-        if round.iter().all(Option::is_none) {
-            epoch += 1;
-            let done = epoch == cfg.epochs;
-            let boundary = if done { Frame::Done } else { Frame::EpochEnd };
-            for peer in peers.iter_mut() {
-                send_frame(peer, &boundary)?;
-            }
-            rep.end_epoch(done);
-            if done {
-                break;
-            }
-            continue;
-        }
-
-        // Checked before the broadcast: followers never see a round the
-        // leader refused.
-        let round = shared(round);
-        rep.check(&round).map_err(DistError::Protocol)?;
-        let frame = Frame::Round(round.iter().map(|p| p.as_deref().cloned()).collect());
-        for peer in peers.iter_mut() {
-            send_frame(peer, &frame)?;
-        }
-        rep.apply(&round);
+        let peers = slots.into_iter().enumerate().map(|(i, slot)| {
+            slot.ok_or_else(|| protocol(format!("worker {} never connected", i + 1)))
+        });
+        Ok(Leader {
+            peers: peers.collect::<Result<_, _>>()?,
+        })
     }
-    Ok(rep.outcome())
+
+    /// Drives the round protocol to completion as worker 0.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError`] on socket failure, malformed frames, or protocol
+    /// violations.
+    pub fn run(
+        mut self,
+        data: &Dataset,
+        model_cfg: &ModelConfig,
+        cfg: &DistConfig,
+    ) -> Result<DistOutcome, DistError> {
+        let mut rep = Replica::new(0, data, model_cfg, cfg);
+        let mut epoch = 0usize;
+        loop {
+            let own = rep.next_payload();
+            let mut round: Vec<Option<RoundPayload>> = Vec::with_capacity(cfg.workers);
+            round.push(own);
+            for peer in self.peers.iter_mut() {
+                match recv_frame(peer)? {
+                    Frame::Payload(p) => round.push(p),
+                    other => {
+                        return Err(protocol(format!(
+                            "expected Payload, got {} frame",
+                            frame_name(&other)
+                        )))
+                    }
+                }
+            }
+
+            if round.iter().all(Option::is_none) {
+                epoch += 1;
+                let done = epoch == cfg.epochs;
+                let boundary = if done { Frame::Done } else { Frame::EpochEnd };
+                for peer in self.peers.iter_mut() {
+                    send_frame(peer, &boundary)?;
+                }
+                rep.end_epoch(done);
+                if done {
+                    break;
+                }
+                continue;
+            }
+
+            // Checked before the broadcast: followers never see a round the
+            // leader refused.
+            let round = shared(round);
+            rep.check(&round).map_err(DistError::Protocol)?;
+            let frame = Frame::Round(round.iter().map(|p| p.as_deref().cloned()).collect());
+            for peer in self.peers.iter_mut() {
+                send_frame(peer, &frame)?;
+            }
+            rep.apply(&round);
+        }
+        Ok(rep.outcome())
+    }
 }
 
 /// Runs follower `worker` (in `1..workers`): connects to the leader at
 /// `addr` and follows the round protocol until `Done`.
 ///
-/// Returns this process's outcome — bit-identical in state, batches,
-/// and losses to the leader's (only `elapsed` differs).
+/// Returns this process's outcome, bit-identical to the leader's in
+/// state, optimizer, batches and losses.
 ///
 /// # Errors
 ///
@@ -249,6 +274,7 @@ pub fn run_follower(
         )));
     }
     let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?; // as the leader's side: no Nagle delay per round
     send_frame(
         &mut stream,
         &Frame::Hello {

@@ -1,4 +1,4 @@
-//@ path: crates/models/src/memory.rs
+//@ path: crates/models/src/plane.rs
 //@ expect: panic-expect
 pub fn last_update(times: &[f64]) -> f64 {
     times.last().copied().expect("boom")

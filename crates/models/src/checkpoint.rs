@@ -6,7 +6,7 @@
 //! | section      | body                                                   | written by |
 //! |--------------|--------------------------------------------------------|------------|
 //! | `PARAMS`     | counted parameters, each a counted `f32` run, in the module's `parameters()` order | every file |
-//! | `NODE_STATE` | node count and the three widths, then memory rows, last-update times and each node's pending mailbox messages, all in global node-id order | [`save_state`] |
+//! | `NODE_STATE` | node count and the three widths, then memory rows, last-update times and each node's pending mailbox messages, all in global node-id order; [`MemoryPlane`](crate::MemoryPlane) encodes and decodes it | [`save_state`] |
 //! | `WATERMARK`  | `u64` events the node state reflects                   | [`save_state`] |
 //!
 //! [`save_parameters`] writes the first section only, [`save_state`] all
@@ -28,10 +28,10 @@ use std::path::Path;
 
 use cascade_nn::Module;
 use cascade_tensor::Tensor;
+#[cfg(test)]
 use cascade_tgraph::NodeId;
 use cascade_util::bytes::{tag, ByteReader, ByteWriter, DecodeError};
 
-use crate::plane::MemoryPlane;
 use crate::MemoryTgnn;
 
 /// Errors from checkpoint I/O.
@@ -127,29 +127,6 @@ fn put_params(w: &mut ByteWriter, params: &[Tensor]) {
     });
 }
 
-fn put_node_state(w: &mut ByteWriter, plane: &MemoryPlane) {
-    let nodes = || (0..plane.num_nodes()).map(|n| NodeId(n as u32));
-    w.section(tag::NODE_STATE, |body| {
-        body.usize(plane.num_nodes());
-        body.u32(plane.memory_dim() as u32);
-        body.u32(plane.mailbox_msg_dim() as u32);
-        body.u32(plane.mailbox_capacity() as u32);
-        for n in nodes() {
-            body.f32_array(plane.memory_read(n));
-        }
-        for n in nodes() {
-            body.f64(plane.memory_last_update(n));
-        }
-        for n in nodes() {
-            let msgs = plane.mailbox_messages(n);
-            body.u32(msgs.len() as u32);
-            for msg in msgs {
-                body.f32_array(msg);
-            }
-        }
-    });
-}
-
 /// The `PARAMS` section's values, checked against the tensors that will
 /// receive them.
 fn take_params(r: &mut ByteReader, params: &[Tensor]) -> Result<Vec<Vec<f32>>, CheckpointError> {
@@ -177,82 +154,9 @@ fn take_params(r: &mut ByteReader, params: &[Tensor]) -> Result<Vec<Vec<f32>>, C
     Ok(values)
 }
 
-/// A decoded `NODE_STATE` section, in global node-id order.
-struct NodeState {
-    memory: Vec<f32>,
-    last_update: Vec<f64>,
-    mailboxes: Vec<Vec<Vec<f32>>>,
-}
-
-/// The `NODE_STATE` section, if it is next, checked against the plane
-/// that will receive it.
-fn take_node_state(
-    r: &mut ByteReader,
-    plane: &MemoryPlane,
-) -> Result<Option<NodeState>, CheckpointError> {
-    let Some(mut body) = r.section(tag::NODE_STATE)? else {
-        return Ok(None);
-    };
-    let found = [
-        body.usize()?,
-        body.u32()? as usize,
-        body.u32()? as usize,
-        body.u32()? as usize,
-    ];
-    let [nodes, dim, msg_dim, capacity] = [
-        plane.num_nodes(),
-        plane.memory_dim(),
-        plane.mailbox_msg_dim(),
-        plane.mailbox_capacity(),
-    ];
-    if found != [nodes, dim, msg_dim, capacity] {
-        return Err(CheckpointError::StateMismatch(format!(
-            "file holds {} nodes x {} memory, mailboxes of {} x {}; model expects {} x {}, {} x {}",
-            found[0], found[1], found[3], found[2], nodes, dim, capacity, msg_dim
-        )));
-    }
-    // The shape is the receiver's own from here on, so it bounds every
-    // reservation below; the reads themselves are bounded by the input.
-    let memory = body.f32_array(nodes * dim)?;
-    let last_update = (0..nodes)
-        .map(|_| body.f64())
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut mailboxes = Vec::with_capacity(nodes);
-    for n in 0..nodes {
-        let count = body.u32()? as usize;
-        if count > capacity {
-            return Err(CheckpointError::StateMismatch(format!(
-                "node {} declares {} messages (capacity {})",
-                n, count, capacity
-            )));
-        }
-        let msgs = (0..count).map(|_| body.f32_array(msg_dim));
-        mailboxes.push(msgs.collect::<Result<Vec<_>, _>>()?);
-    }
-    body.finish()?;
-    Ok(Some(NodeState {
-        memory,
-        last_update,
-        mailboxes,
-    }))
-}
-
 fn apply_params(params: &[Tensor], values: &[Vec<f32>]) {
     for (p, data) in params.iter().zip(values) {
         p.set_data(data);
-    }
-}
-
-fn apply_node_state(plane: &mut MemoryPlane, state: NodeState) {
-    let dim = plane.memory_dim();
-    for (n, msgs) in state.mailboxes.into_iter().enumerate() {
-        let node = NodeId(n as u32);
-        let row = &state.memory[n * dim..(n + 1) * dim];
-        plane.memory_write(node, row, state.last_update[n]);
-        plane.mailbox_clear(node);
-        for msg in msgs {
-            plane.mailbox_push(node, msg);
-        }
     }
 }
 
@@ -267,7 +171,7 @@ impl MemoryTgnn {
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         put_params(&mut w, &self.parameters());
-        put_node_state(&mut w, self.plane());
+        self.plane().write_node_state(&mut w);
         w.into_bytes()
     }
 
@@ -284,11 +188,13 @@ impl MemoryTgnn {
         let mut r = ByteReader::new(bytes);
         let params = self.parameters();
         let values = take_params(&mut r, &params)?;
-        let nodes = take_node_state(&mut r, self.plane())?
+        let nodes = self
+            .plane()
+            .read_node_state(&mut r)?
             .ok_or(DecodeError::MissingSection(tag::NODE_STATE))?;
         r.finish()?;
         apply_params(&params, &values);
-        apply_node_state(self.plane_mut(), nodes);
+        self.plane_mut().install(nodes);
         Ok(())
     }
 }
@@ -372,7 +278,7 @@ pub fn load_checkpoint(
     let mut r = ByteReader::container(&bytes)?;
     let params = model.parameters();
     let values = take_params(&mut r, &params)?;
-    let nodes = take_node_state(&mut r, model.plane())?;
+    let nodes = model.plane().read_node_state(&mut r)?;
     // Node state and the watermark that dates it travel together.
     let events_applied = match &nodes {
         Some(_) => {
@@ -386,7 +292,7 @@ pub fn load_checkpoint(
     r.end()?;
     apply_params(&params, &values);
     if let Some(nodes) = nodes {
-        apply_node_state(model.plane_mut(), nodes);
+        model.plane_mut().install(nodes);
     }
     Ok(events_applied)
 }

@@ -35,7 +35,6 @@
 mod checkpoint;
 mod classifier;
 mod config;
-mod memory;
 mod model;
 mod plane;
 

@@ -12,6 +12,10 @@
 //! 3. **Memory updating** — updated center memories are written back
 //!    detached (stop-gradient at batch boundaries), yielding the
 //!    pre/post pairs the SG-Filter inspects.
+//!
+//! Node state — memories, mailboxes and the adjacency the samplers read —
+//! is the [`MemoryPlane`]'s: the steps here ask it for rows, mailed
+//! inputs and sampled hops, and never index a message themselves.
 
 // cascade-lint: allow(det-hash-iter): imported only for the insert/lookup index maps below, which are never iterated.
 use std::collections::HashMap;
@@ -24,8 +28,8 @@ use cascade_nn::{
 use cascade_tensor::{scoped_chunks, ColBlock, Tensor};
 use cascade_tgraph::{EdgeFeatures, Event, EventId, NegativeSampler, NodeId};
 
-use crate::config::{EmbedderKind, ModelConfig, Sampling, UpdaterKind};
-use crate::plane::MemoryPlane;
+use crate::config::{EmbedderKind, ModelConfig, UpdaterKind};
+use crate::plane::{Hop, MemoryPlane};
 
 /// One node-memory transition produced by a batch (consumed by the
 /// SG-Filter to decide stability).
@@ -183,20 +187,6 @@ impl Consumed {
     }
 }
 
-/// The valid neighbour slots of one sampling hop, back to back: node
-/// `i`'s are entries `offsets[i]..offsets[i + 1]`. Nodes with fewer than
-/// `k` neighbours own fewer entries; nothing is padded.
-struct Hop {
-    /// The neighbours.
-    nodes: Vec<NodeId>,
-    /// Time of each connecting event.
-    times: Vec<f64>,
-    /// Id of each connecting event.
-    events: Vec<EventId>,
-    /// `nodes.len() + 1` ascending bounds.
-    offsets: Vec<usize>,
-}
-
 /// One shard's forward result, reduced on the driver in shard-index
 /// order.
 struct ShardForward {
@@ -282,8 +272,8 @@ impl MemoryTgnn {
         let d = config.memory_dim;
         let td = config.time_dim;
         let f = edge_feat_dim;
-        // Message after time encoding at consumption.
-        let msg_in_dim = 2 * d + f + td;
+        // A mailed payload with its time encoded, as the updater reads it.
+        let msg_in_dim = plane.payload_width() + td;
 
         let updater = match config.updater {
             UpdaterKind::Rnn => Updater::Rnn(RnnCell::new(msg_in_dim, d, seed ^ 0x01)),
@@ -361,16 +351,6 @@ impl MemoryTgnn {
         &mut self.plane
     }
 
-    /// Bytes held by the node-memory matrix.
-    pub fn memory_size_bytes(&self) -> usize {
-        self.plane.memory_size_bytes()
-    }
-
-    /// Bytes held by pending mailbox messages.
-    pub fn mailbox_size_bytes(&self) -> usize {
-        self.plane.mailbox_size_bytes()
-    }
-
     /// Clears memory, mailboxes, and the temporal adjacency store
     /// (called at the start of every epoch).
     pub fn reset_state(&mut self) {
@@ -384,9 +364,7 @@ impl MemoryTgnn {
     /// function of `(event, id)`, so replaying reproduces the store
     /// exactly.
     pub fn replay_adjacency(&mut self, events: &[Event], first_id: EventId) {
-        for (i, e) in events.iter().enumerate() {
-            self.plane.adj_insert(e, first_id + i);
-        }
+        self.plane.register(events, first_id);
     }
 
     /// Runs the full batch pipeline (predict → message → update) and
@@ -506,7 +484,7 @@ impl MemoryTgnn {
                 });
             }
         }
-        let stored = self.plane.memory_gather(&centers); // [C, d] leaf
+        let stored = self.plane.gather(&centers); // [C, d] leaf
         let (updated, has_msg) = self.consume_mailboxes(&centers, &stored);
         Consumed {
             centers,
@@ -548,7 +526,7 @@ impl MemoryTgnn {
             .iter()
             .map(|n| match center_idx.get(n) {
                 Some(&c) => updated.index_select(&[c]),
-                None => self.plane.memory_gather(std::slice::from_ref(n)),
+                None => self.plane.gather(std::slice::from_ref(n)),
             })
             .collect();
         let row_refs: Vec<&Tensor> = rows.iter().collect();
@@ -647,7 +625,7 @@ impl MemoryTgnn {
         // (gradients flow into the updater), negatives from stored memory.
         let sd_indices: Vec<usize> = all_nodes[..2 * sb].iter().map(|n| center_idx[n]).collect();
         let sd_base = updated.index_select(&sd_indices); // [2S, d]
-        let neg_base = self.plane.memory_gather(&all_nodes[2 * sb..]); // [S, d] leaf
+        let neg_base = self.plane.gather(&all_nodes[2 * sb..]); // [S, d] leaf
         let base = Tensor::concat_rows(&[&sd_base, &neg_base]); // [3S, d]
         let h = self.embed(&all_nodes, &times, &base, feats);
         debug_assert_eq!(h.dims(), &[3 * sb, self.config.memory_dim]);
@@ -728,37 +706,7 @@ impl MemoryTgnn {
     /// A dist replica calls this for every payload of a round, in worker
     /// order, before any payload's [`apply_messages`](Self::apply_messages).
     pub fn apply_writeback(&mut self, pending: &BatchPending) -> Vec<MemoryDelta> {
-        let d = self.config.memory_dim;
-        let centers = &pending.centers;
-        let has_msg = &pending.has_msg;
-        let post = &pending.post;
-        assert_eq!(centers.len(), has_msg.len(), "pending shape mismatch");
-        assert_eq!(post.len(), centers.len() * d, "pending width mismatch");
-
-        // ---- Step 3: write back updated memories (detached). ----
-        let mut deltas = Vec::new();
-        for (c, &node) in centers.iter().enumerate() {
-            if !has_msg[c] {
-                continue;
-            }
-            let pre = self.plane.memory_read(node).to_vec();
-            let row = post[c * d..(c + 1) * d].to_vec();
-            // The node is now fresh as of its newest consumed message.
-            let t = self.newest_message_time(node);
-            self.plane.memory_write(node, &row, t);
-            deltas.push(MemoryDelta {
-                node,
-                pre,
-                post: row,
-            });
-        }
-        // Consumed messages are dropped.
-        for (c, &node) in centers.iter().enumerate() {
-            if has_msg[c] {
-                self.clear_mailbox(node);
-            }
-        }
-        deltas
+        self.plane.write_back(pending)
     }
 
     /// The message-generation half of [`apply_batch`](Self::apply_batch)
@@ -768,31 +716,7 @@ impl MemoryTgnn {
     /// content reads memories, so in a dist round every payload's
     /// write-back lands first.
     pub fn apply_messages(&mut self, events: &[Event], first_id: EventId, feats: &EdgeFeatures) {
-        let d = self.config.memory_dim;
-        // ---- Step 2: generate messages from this batch's events. ----
-        for (i, e) in events.iter().enumerate() {
-            let feat = feats.row(first_id + i);
-            let s_src = self.plane.memory_read(e.src);
-            let s_dst = self.plane.memory_read(e.dst);
-            let mut msg_src = Vec::with_capacity(2 * d + feat.len() + 1);
-            msg_src.extend_from_slice(s_src);
-            msg_src.extend_from_slice(s_dst);
-            msg_src.extend_from_slice(feat);
-            msg_src.push(e.time as f32);
-            let mut msg_dst = Vec::with_capacity(2 * d + feat.len() + 1);
-            msg_dst.extend_from_slice(s_dst);
-            msg_dst.extend_from_slice(s_src);
-            msg_dst.extend_from_slice(feat);
-            msg_dst.push(e.time as f32);
-            self.plane.mailbox_push(e.src, msg_src);
-            self.plane.mailbox_push(e.dst, msg_dst);
-        }
-
-        // Register the batch in the temporal adjacency store so later
-        // batches can sample these events as neighbors.
-        for (i, e) in events.iter().enumerate() {
-            self.plane.adj_insert(e, first_id + i);
-        }
+        self.plane.post(events, first_id, feats);
     }
 
     /// Scores candidate edges `(src, dst)` for each `dst` in `dsts` at
@@ -817,7 +741,7 @@ impl MemoryTgnn {
         nodes.push(src);
         nodes.extend_from_slice(dsts);
         let times = vec![time; nodes.len()];
-        let base = self.plane.memory_gather(&nodes);
+        let base = self.plane.gather(&nodes);
         let h = self.embed(&nodes, &times, &base, feats);
         let h_src = h.slice_rows(0, 1);
         let h_dst = h.slice_rows(1, nodes.len());
@@ -836,22 +760,8 @@ impl MemoryTgnn {
     pub fn embed_nodes(&self, nodes: &[NodeId], time: f64, feats: &EdgeFeatures) -> Tensor {
         assert!(!nodes.is_empty(), "embed_nodes on empty node list");
         let times = vec![time; nodes.len()];
-        let base = self.plane.memory_gather(nodes);
+        let base = self.plane.gather(nodes);
         self.embed(nodes, &times, &base, feats)
-    }
-
-    /// Absolute time of the newest pending message of `node` (its update
-    /// freshness after consumption).
-    fn newest_message_time(&self, node: NodeId) -> f64 {
-        self.plane
-            .mailbox_messages(node)
-            .iter()
-            .map(|m| *m.last().expect("message has time column") as f64)
-            .fold(self.plane.memory_last_update(node), f64::max)
-    }
-
-    fn clear_mailbox(&mut self, node: NodeId) {
-        self.plane.mailbox_clear(node);
     }
 
     /// Aggregates the mailboxes of the centers that have mail and runs the
@@ -860,8 +770,6 @@ impl MemoryTgnn {
     /// merged in by index, and a per-center had-pending-messages flag;
     /// centers without messages keep their stored memory and cost nothing.
     fn consume_mailboxes(&self, centers: &[NodeId], stored: &Tensor) -> (Tensor, Vec<bool>) {
-        let d = self.config.memory_dim;
-        let f = self.edge_feat_dim;
         let has_msg: Vec<bool> = centers
             .iter()
             .map(|&n| self.plane.mailbox_has_messages(n))
@@ -871,8 +779,7 @@ impl MemoryTgnn {
             return (stored.clone(), has_msg);
         }
         let mailed: Vec<NodeId> = rows.iter().map(|&i| centers[i]).collect();
-        let m = mailed.len();
-        let h = self.plane.memory_gather(&mailed); // [M, d] leaf
+        let h = self.plane.gather(&mailed); // [M, d] leaf
 
         let upd = match &self.updater {
             Updater::Attention {
@@ -883,24 +790,7 @@ impl MemoryTgnn {
             } => self.attention_update(&mailed, &h, query, key, value, out),
             _ => {
                 // Mean-aggregate raw messages, then encode time.
-                let mut agg = vec![0.0f32; m * (2 * d + f)];
-                let mut dts = vec![0.0f32; m];
-                for (i, &n) in mailed.iter().enumerate() {
-                    let msgs = self.plane.mailbox_messages(n);
-                    for msg in msgs {
-                        for (j, &v) in msg[..2 * d + f].iter().enumerate() {
-                            agg[i * (2 * d + f) + j] += v / msgs.len() as f32;
-                        }
-                        let t_msg = *msg
-                            .last()
-                            .expect("mailbox rows end with the event time column")
-                            as f64;
-                        dts[i] += ((t_msg - self.plane.memory_last_update(n)).max(0.0)
-                            / msgs.len() as f64) as f32;
-                    }
-                }
-                let agg = Tensor::from_vec(agg, [m, 2 * d + f]);
-                let dts = Tensor::from_vec(dts, [m, 1]);
+                let (agg, dts) = self.plane.mean_mail(&mailed);
                 let phi = self.time_enc.forward(&dts);
                 // `[agg | φ]`, never concatenated: `agg` wants no gradient.
                 let input = [ColBlock::Dense(agg), ColBlock::Dense(phi)];
@@ -929,27 +819,9 @@ impl MemoryTgnn {
     ) -> Tensor {
         let c = centers.len();
         let d = self.config.memory_dim;
-        let f = self.edge_feat_dim;
-        let cap = self.plane.mailbox_capacity();
-        let raw_w = 2 * d + f;
-
-        let mut raw = vec![0.0f32; c * cap * raw_w];
-        let mut dts = vec![0.0f32; c * cap];
-        let mut mask = vec![0.0f32; c * cap];
-        for (i, &n) in centers.iter().enumerate() {
-            for (j, m) in self.plane.mailbox_messages(n).iter().enumerate().take(cap) {
-                let row = i * cap + j;
-                raw[row * raw_w..(row + 1) * raw_w].copy_from_slice(&m[..raw_w]);
-                let t_msg = *m
-                    .last()
-                    .expect("mailbox rows end with the event time column")
-                    as f64;
-                dts[row] = (t_msg - self.plane.memory_last_update(n)).max(0.0) as f32;
-                mask[row] = 1.0;
-            }
-        }
-        let raw = Tensor::from_vec(raw, [c * cap, raw_w]);
-        let phi = self.time_enc.forward(&Tensor::from_vec(dts, [c * cap, 1]));
+        let (raw, dts, mask_t) = self.plane.slot_mail(centers);
+        let cap = mask_t.dims()[1];
+        let phi = self.time_enc.forward(&dts);
         let msgs = [ColBlock::Dense(raw), ColBlock::Dense(phi)]; // [C*cap, msg_in]
 
         let q = query.forward(stored); // [C, d]
@@ -964,7 +836,6 @@ impl MemoryTgnn {
             .sum_axis(1)
             .mul_scalar(1.0 / (d as f32).sqrt())
             .reshape([c, cap]);
-        let mask_t = Tensor::from_vec(mask, [c, cap]);
         let neg_inf = mask_t.sub_scalar(1.0).mul_scalar(1e9);
         let alpha = scores.mul(&mask_t).add(&neg_inf).softmax(); // [C, cap]
 
@@ -1001,20 +872,18 @@ impl MemoryTgnn {
                 base.mul(&scale)
             }
             Embedder::Gat1(gat) => {
-                let k = self.config.sampling.count();
-                let (n_in, offsets) = self.neighbor_inputs(nodes, times, k, feats);
+                let (n_in, offsets) = self.neighbor_inputs(nodes, times, feats);
                 let c_in = self.center_inputs(base);
                 gat.forward_ragged(&c_in, &n_in, &offsets)
             }
             Embedder::Gat2(l1, l2) => {
-                let k = self.config.sampling.count();
                 // Hop 1: the centers' valid neighbour slots; padded slots
                 // never reach layer 1.
-                let hop1 = self.sample_hop(nodes, k);
+                let hop1 = self.plane.sample_hop(nodes);
                 // Hop 2: neighbors of the hop-1 nodes.
-                let (n2_in, offsets2) = self.neighbor_inputs(&hop1.nodes, &hop1.times, k, feats);
+                let (n2_in, offsets2) = self.neighbor_inputs(&hop1.nodes, &hop1.times, feats);
                 // Layer 1 on hop-1 nodes (their own memories as base).
-                let hop1_base = self.plane.memory_gather(&hop1.nodes);
+                let hop1_base = self.plane.gather(&hop1.nodes);
                 let hop1_center_in = self.center_inputs(&hop1_base);
                 let emb1 = l1.forward_ragged(&hop1_center_in, &n2_in, &offsets2);
                 // Layer 1 on the centers themselves.
@@ -1030,43 +899,16 @@ impl MemoryTgnn {
         }
     }
 
-    /// Samples up to `k` neighbours of each node and keeps only the slots
-    /// the sampler filled: node `i`'s neighbours are entries
-    /// `offsets[i]..offsets[i + 1]` of the returned [`Hop`].
-    fn sample_hop(&self, nodes: &[NodeId], k: usize) -> Hop {
-        let mut hop = Hop {
-            nodes: Vec::with_capacity(nodes.len() * k),
-            times: Vec::with_capacity(nodes.len() * k),
-            events: Vec::with_capacity(nodes.len() * k),
-            offsets: Vec::with_capacity(nodes.len() + 1),
-        };
-        hop.offsets.push(0);
-        for &n in nodes {
-            let nbrs = match self.config.sampling {
-                Sampling::MostRecent(_) => self.plane.adj_most_recent(n, k),
-                Sampling::Uniform(_) => self.plane.adj_uniform(n, k),
-            };
-            for nb in &nbrs {
-                hop.nodes.push(nb.node);
-                hop.times.push(nb.time);
-                hop.events.push(nb.event);
-            }
-            hop.offsets.push(hop.nodes.len());
-        }
-        hop
-    }
-
     /// Builds the `[V, d + f + time]` rows of the valid neighbours of
     /// `nodes` by sampling, as column blocks, with their per-node offsets.
     fn neighbor_inputs(
         &self,
         nodes: &[NodeId],
         times: &[f64],
-        k: usize,
         feats: &EdgeFeatures,
     ) -> (Vec<ColBlock>, Vec<usize>) {
-        let hop = self.sample_hop(nodes, k);
-        let mem = self.plane.memory_gather(&hop.nodes);
+        let hop = self.plane.sample_hop(nodes);
+        let mem = self.plane.gather(&hop.nodes);
         let rows = self.assemble_rows(&mem, &hop, times, feats);
         (rows, hop.offsets)
     }
@@ -1275,7 +1117,7 @@ mod tests {
         model.process_batch(&toy_events(), 0, &feats);
         model.reset_state();
         assert_eq!(model.plane().memory_read(NodeId(0)), &[0.0; 8]);
-        assert_eq!(model.mailbox_size_bytes(), 0);
+        assert_eq!(model.plane().mailbox_size_bytes(), 0);
     }
 
     #[test]
@@ -1357,16 +1199,16 @@ mod tests {
     #[test]
     fn clone_detaches_node_state() {
         let mut model = MemoryTgnn::new(ModelConfig::tgn().with_dims(8, 4), 6, 4, 1);
-        let feats = synth_features(3, 4, 2);
+        let feats = synth_features(4, 4, 2);
         model.process_batch(&toy_events(), 0, &feats);
         let copy = model.clone();
         let frozen = copy.export_state();
-        model.plane_mut().memory_write(NodeId(3), &[9.0; 8], 9.0);
-        model.plane_mut().mailbox_clear(NodeId(0));
-        model
-            .plane_mut()
-            .adj_insert(&Event::new(3u32, 5u32, 4.0), 3);
-        assert_eq!(copy.plane().memory_read(NodeId(3)), &[0.0; 8]);
+        // Node 0's row written and its mail dropped; node 5 gains history.
+        let pending = BatchPending::from_parts(vec![NodeId(0)], vec![true], vec![9.0; 8]);
+        model.apply_writeback(&pending);
+        model.apply_messages(&[Event::new(3u32, 5u32, 4.0)], 3, &feats);
+        assert_eq!(model.plane().memory_read(NodeId(0)), &[9.0; 8]);
+        assert_eq!(copy.plane().memory_read(NodeId(0)), &[0.0; 8]);
         assert!(copy.plane().mailbox_has_messages(NodeId(0)));
         assert_eq!(copy.plane().adj_degree(NodeId(5)), 0);
         assert_eq!(copy.export_state(), frozen);

@@ -21,9 +21,6 @@
 //!   timestamp regression is a [`SourceError`]. Duplicates pass (they
 //!   are valid self-consistent streams; rejecting them is the caller's
 //!   business).
-//! - [`DropDuplicates`](ReorderPolicy::DropDuplicates): like `Reject`,
-//!   but an event bit-identical to one seen within the trailing 1024
-//!   emitted events is silently dropped.
 //! - [`BufferedReorder(w)`](ReorderPolicy::BufferedReorder): holds up to
 //!   `w` events in a sorted buffer, releasing the oldest only once the
 //!   buffer is full — any event displaced by at most `w` positions is
@@ -47,19 +44,12 @@ use std::collections::VecDeque;
 use crate::event::Event;
 use crate::source::{EventChunk, EventSource, SourceError};
 
-/// How many trailing emitted events [`ReorderPolicy::DropDuplicates`]
-/// remembers when testing an incoming event for duplication.
-const DEDUP_HORIZON: usize = 1024;
-
 /// Tolerance policy for duplicate / out-of-order arrival on an
 /// [`EventSource`]; see the module docs for exact semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReorderPolicy {
     /// Any timestamp regression is an error; duplicates pass through.
     Reject,
-    /// In-order required; bit-identical repeats within the last 1024
-    /// emitted events are dropped.
-    DropDuplicates,
     /// Sort within a sliding window of this many events and drop
     /// duplicates inside it; displacement beyond the window is an error.
     BufferedReorder(usize),
@@ -70,7 +60,6 @@ impl ReorderPolicy {
     fn dedup_horizon(&self) -> usize {
         match self {
             ReorderPolicy::Reject => 0,
-            ReorderPolicy::DropDuplicates => DEDUP_HORIZON,
             ReorderPolicy::BufferedReorder(w) => *w,
         }
     }
@@ -80,7 +69,6 @@ impl std::fmt::Display for ReorderPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ReorderPolicy::Reject => write!(f, "reject"),
-            ReorderPolicy::DropDuplicates => write!(f, "drop-duplicates"),
             ReorderPolicy::BufferedReorder(w) => write!(f, "buffered-reorder({})", w),
         }
     }
@@ -188,7 +176,7 @@ impl<S: EventSource> ReorderingSource<S> {
             return Ok(());
         }
         match self.policy {
-            ReorderPolicy::Reject | ReorderPolicy::DropDuplicates => {
+            ReorderPolicy::Reject => {
                 if ev.time < self.last_time {
                     return Err(SourceError::at_chunk(
                         chunk_index,
@@ -537,25 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_duplicates_policy_removes_repeats_in_order() {
-        let events = vec![
-            Event::new(0u32, 1u32, 1.0),
-            Event::new(0u32, 1u32, 1.0),
-            Event::new(2u32, 3u32, 2.0),
-            Event::new(2u32, 3u32, 2.0),
-            Event::new(4u32, 0u32, 3.0),
-        ];
-        let src = VecSource::new(5, 0, 2, events, Vec::new());
-        let mut dedup =
-            ReorderingSource::with_declared_events(src, ReorderPolicy::DropDuplicates, 3);
-        let (got, _) = drain_all(&mut dedup).expect("in-order dedup never fails");
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[0].time, 1.0);
-        assert_eq!(got[1].time, 2.0);
-        assert_eq!(got[2].time, 3.0);
-    }
-
-    #[test]
     fn reject_policy_errors_on_disorder_and_passes_duplicates() {
         let disordered = vec![Event::new(0u32, 1u32, 2.0), Event::new(1u32, 2u32, 1.0)];
         let src = VecSource::new(3, 0, 8, disordered, Vec::new());
@@ -592,7 +561,7 @@ mod tests {
         let events = vec![Event::new(0u32, 1u32, 1.0), Event::new(0u32, 1u32, 1.0)];
         let src = VecSource::new(2, 0, 8, events, Vec::new());
         // Declares 2 events but dedup yields 1.
-        let mut dedup = undeclared(src, ReorderPolicy::DropDuplicates);
+        let mut dedup = undeclared(src, ReorderPolicy::BufferedReorder(2));
         let err = drain_all(&mut dedup).expect_err("count mismatch must surface");
         assert!(err.message.contains("declared"));
     }
@@ -657,9 +626,8 @@ mod tests {
                 let at = g.usize_in(0..events.len());
                 events[at].time = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][g.usize_in(0..3)];
             }
-            let policy = match g.usize_in(0..3) {
+            let policy = match g.usize_in(0..2) {
                 0 => ReorderPolicy::Reject,
-                1 => ReorderPolicy::DropDuplicates,
                 _ => ReorderPolicy::BufferedReorder(g.usize_in(0..64)),
             };
             let chunk = g.usize_in(1..200);
@@ -688,11 +656,7 @@ mod tests {
 
     #[test]
     fn non_finite_times_are_refused_under_every_policy() {
-        for policy in [
-            ReorderPolicy::Reject,
-            ReorderPolicy::DropDuplicates,
-            ReorderPolicy::BufferedReorder(4),
-        ] {
+        for policy in [ReorderPolicy::Reject, ReorderPolicy::BufferedReorder(4)] {
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 let events = vec![
                     Event::new(0u32, 1u32, 1.0),
